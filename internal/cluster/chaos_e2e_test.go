@@ -230,15 +230,6 @@ func TestElasticChaosE2E(t *testing.T) {
 		}
 	}
 
-	// The victim's stranded jobs really did take the elastic path.
-	moved := f.emetrics.JobsMigrated() + f.emetrics.JobsResubmitted()
-	if moved == 0 {
-		t.Error("no job was migrated or rescued; the chaos never displaced work")
-	}
-	if f.emetrics.Rebalances() == 0 {
-		t.Error("no rebalance pass ran")
-	}
-
 	// Metrics surface the whole story.
 	mres, err := client.Get(fleet.URL + "/metrics")
 	if err != nil {
@@ -256,6 +247,14 @@ func TestElasticChaosE2E(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	// The victim's stranded jobs really did take the elastic path.
+	series := checkExposition(t, "gcfleet", text)
+	if series["gcelastic_jobs_migrated_total"]+series["gcelastic_jobs_resubmitted_total"] == 0 {
+		t.Error("no job was migrated or rescued; the chaos never displaced work")
+	}
+	if series["gcelastic_rebalances_total"] == 0 {
+		t.Error("no rebalance pass ran")
 	}
 
 	// Finally the operator retires the dead member; the fleet is 3 live

@@ -217,7 +217,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 	survivors := 0
 	for _, b := range f.Backends() {
-		if b.id != victimID && f.metrics.RoutedCount(b.id) > 0 {
+		if b.id != victimID && f.metrics.routed.With(b.id).Load() > 0 {
 			survivors++
 		}
 	}

@@ -193,7 +193,7 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = f.metrics.WritePrometheus(w, f.Backends())
-	_ = f.emetrics.WritePrometheus(w)
-	_ = f.sweeps.metrics.WritePrometheus(w)
+	_ = f.metrics.Write(w)
+	_ = f.emetrics.Write(w)
+	_ = f.sweeps.metrics.Write(w)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"hwgc"
@@ -180,7 +181,7 @@ func (f *Fleet) streamJobEvents(w http.ResponseWriter, r *http.Request, id strin
 			f.metrics.backendFailures.Add(1)
 			continue
 		}
-		f.metrics.ObserveExchange(b.id, resp.StatusCode)
+		f.metrics.exchanges.With(b.id, strconv.Itoa(resp.StatusCode)).Add(1)
 		if resp.StatusCode >= http.StatusInternalServerError {
 			resp.Body.Close()
 			b.breaker.Record(false)

@@ -1,218 +1,81 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hwgc/internal/stats"
 )
 
-// Metrics is the fleet-level counter set, exposed on /metrics in
-// Prometheus text exposition format. It mirrors the backend tier's stall
-// accounting one level up: every request the fleet could not serve from
-// the key's healthy owner is attributed to a cause — breaker trips,
+// Metrics is the fleet-level counter set, declared against a
+// stats.Registry and exposed on /metrics. It mirrors the backend tier's
+// stall accounting one level up: every request the fleet could not serve
+// from the key's healthy owner is attributed to a cause — breaker trips,
 // failovers, retries, hedges, or exhaustion.
 type Metrics struct {
-	start time.Time
+	stats.Registry
 
-	retries         atomic.Int64 // sends after the first for one request
-	failovers       atomic.Int64 // sends that left the key's primary owner
-	hedges          atomic.Int64 // hedge requests launched
-	hedgeWins       atomic.Int64 // hedges that beat the primary
-	backendFailures atomic.Int64 // transport errors + 5xx across the fleet
-	exhausted       atomic.Int64 // requests that ran out of attempts/backends
-	healthProbes    atomic.Int64
-	healthFailures  atomic.Int64
-	batchRequests   atomic.Int64
-	batchItems      atomic.Int64
-	batchFailed     atomic.Int64
-	backendsAdded   atomic.Int64 // runtime joins via the admin API
-	backendsRemoved atomic.Int64 // runtime removals via the admin API
-
-	mu        sync.Mutex
-	exchanges map[string]map[int]int64 // backend id -> status code -> count
-	routes    map[string]int64         // backend id -> times chosen as primary owner
-	lat       stats.Hist               // merged request latency across backends
+	exchanges       *stats.CounterVec // by backend id and status code
+	routed          *stats.CounterVec // by backend id chosen as primary owner
+	backendsAdded   *stats.Int        // runtime joins via the admin API
+	backendsRemoved *stats.Int        // runtime removals via the admin API
+	retries         *stats.Int        // sends after the first for one request
+	failovers       *stats.Int        // sends that left the key's primary owner
+	hedges          *stats.Int
+	hedgeWins       *stats.Int
+	backendFailures *stats.Int // transport errors + 5xx across the fleet
+	exhausted       *stats.Int // requests that ran out of attempts/backends
+	healthProbes    *stats.Int
+	healthFailures  *stats.Int
+	batchRequests   *stats.Int
+	batchItems      *stats.Int
+	batchFailed     *stats.Int
+	latency         *stats.Summary // merged exchange latency across backends
 }
 
-// NewMetrics returns an empty fleet counter set.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		start:     time.Now(),
-		exchanges: make(map[string]map[int]int64),
-		routes:    make(map[string]int64),
-	}
-}
-
-// ObserveExchange records one completed HTTP exchange with a backend.
-func (m *Metrics) ObserveExchange(backend string, code int) {
-	m.mu.Lock()
-	byCode := m.exchanges[backend]
-	if byCode == nil {
-		byCode = make(map[int]int64)
-		m.exchanges[backend] = byCode
-	}
-	byCode[code]++
-	m.mu.Unlock()
-}
-
-// Routed records that a backend was chosen as a key's primary owner — the
-// routing distribution of the hash ring.
-func (m *Metrics) Routed(backend string) {
-	m.mu.Lock()
-	m.routes[backend]++
-	m.mu.Unlock()
-}
-
-// RoutedCount returns how many times a backend was the primary owner.
-func (m *Metrics) RoutedCount(backend string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.routes[backend]
-}
-
-// ObserveLatency records one end-to-end exchange latency (hedged exchanges
-// count once, as seen by the caller).
-func (m *Metrics) ObserveLatency(d time.Duration) {
-	m.mu.Lock()
-	m.lat.Observe(d)
-	m.mu.Unlock()
-}
-
-// LatencyQuantile returns the upper-bound q-quantile of observed exchange
-// latency (used to derive the hedge delay).
-func (m *Metrics) LatencyQuantile(q float64) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lat.QuantileDuration(q)
-}
-
-// WritePrometheus writes every fleet counter in Prometheus text format.
-// Map-keyed series are emitted in sorted order so the output is
-// deterministic.
-func (m *Metrics) WritePrometheus(w io.Writer, backends []*Backend) error {
-	m.mu.Lock()
-	exchangeLines := make([]string, 0, len(m.exchanges)*4)
-	ids := make([]string, 0, len(m.exchanges))
-	for id := range m.exchanges {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		codes := make([]int, 0, len(m.exchanges[id]))
-		for c := range m.exchanges[id] {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			exchangeLines = append(exchangeLines,
-				fmt.Sprintf("gcfleet_requests_total{backend=%q,code=\"%d\"} %d", id, c, m.exchanges[id][c]))
+// NewMetrics returns an empty fleet counter set whose per-backend series
+// are sampled from backends at scrape time.
+func NewMetrics(backends func() []*Backend) *Metrics {
+	m := &Metrics{}
+	start := time.Now()
+	r := &m.Registry
+	m.exchanges = r.CounterVec("gcfleet_requests_total", "HTTP exchanges with backends, by backend and status code.", "backend", "code")
+	m.routed = r.CounterVec("gcfleet_routed_total", "Requests whose primary ring owner was this backend (routing distribution).", "backend")
+	perBackend := func(value func(*Backend) int64) func() map[string]int64 {
+		return func() map[string]int64 {
+			out := make(map[string]int64)
+			for _, b := range backends() {
+				out[b.id] = value(b)
+			}
+			return out
 		}
 	}
-	routeIDs := make([]string, 0, len(m.routes))
-	for id := range m.routes {
-		routeIDs = append(routeIDs, id)
-	}
-	sort.Strings(routeIDs)
-	routeLines := make([]string, 0, len(routeIDs))
-	for _, id := range routeIDs {
-		routeLines = append(routeLines, fmt.Sprintf("gcfleet_routed_total{backend=%q} %d", id, m.routes[id]))
-	}
-	lat := m.lat
-	m.mu.Unlock()
-
-	var b []byte
-	add := func(format string, args ...any) {
-		b = append(b, fmt.Sprintf(format, args...)...)
-		b = append(b, '\n')
-	}
-	add("# HELP gcfleet_requests_total HTTP exchanges with backends, by backend and status code.")
-	add("# TYPE gcfleet_requests_total counter")
-	for _, l := range exchangeLines {
-		add("%s", l)
-	}
-	add("# HELP gcfleet_routed_total Requests whose primary ring owner was this backend (routing distribution).")
-	add("# TYPE gcfleet_routed_total counter")
-	for _, l := range routeLines {
-		add("%s", l)
-	}
-	add("# HELP gcfleet_backend_up Last health-probe outcome per backend (1 up, 0 down).")
-	add("# TYPE gcfleet_backend_up gauge")
-	add("# HELP gcfleet_breaker_state Circuit-breaker state per backend (0 closed, 1 open, 2 half-open).")
-	add("# TYPE gcfleet_breaker_state gauge")
-	add("# HELP gcfleet_breaker_opens_total Times each backend's breaker opened.")
-	add("# TYPE gcfleet_breaker_opens_total counter")
-	add("# HELP gcfleet_backend_errors_total Transport errors and 5xx replies per backend.")
-	add("# TYPE gcfleet_backend_errors_total counter")
-	add("# HELP gcfleet_hedged_to_total Hedge requests launched against each backend.")
-	add("# TYPE gcfleet_hedged_to_total counter")
-	for _, bk := range backends {
-		up := 0
-		if bk.healthy.Load() {
-			up = 1
+	r.GaugeVecFunc("gcfleet_backend_up", "Last health-probe outcome per backend (1 up, 0 down).", "backend", perBackend(func(b *Backend) int64 {
+		if b.healthy.Load() {
+			return 1
 		}
-		add("gcfleet_backend_up{backend=%q} %d", bk.id, up)
-		add("gcfleet_breaker_state{backend=%q} %d", bk.id, bk.breaker.State())
-		add("gcfleet_breaker_opens_total{backend=%q} %d", bk.id, bk.breaker.Opens())
-		add("gcfleet_backend_errors_total{backend=%q} %d", bk.id, bk.errors.Load())
-		add("gcfleet_hedged_to_total{backend=%q} %d", bk.id, bk.hedges.Load())
-	}
-	add("# HELP gcfleet_backends Backends currently in the ring.")
-	add("# TYPE gcfleet_backends gauge")
-	add("gcfleet_backends %d", len(backends))
-	add("# HELP gcfleet_backends_added_total Backends joined at runtime via the admin API.")
-	add("# TYPE gcfleet_backends_added_total counter")
-	add("gcfleet_backends_added_total %d", m.backendsAdded.Load())
-	add("# HELP gcfleet_backends_removed_total Backends removed at runtime via the admin API.")
-	add("# TYPE gcfleet_backends_removed_total counter")
-	add("gcfleet_backends_removed_total %d", m.backendsRemoved.Load())
-	add("# HELP gcfleet_retries_total Sends after the first for one request (retry policy).")
-	add("# TYPE gcfleet_retries_total counter")
-	add("gcfleet_retries_total %d", m.retries.Load())
-	add("# HELP gcfleet_failovers_total Sends that left the key's primary ring owner.")
-	add("# TYPE gcfleet_failovers_total counter")
-	add("gcfleet_failovers_total %d", m.failovers.Load())
-	add("# HELP gcfleet_hedges_total Hedge requests launched after the latency-percentile delay.")
-	add("# TYPE gcfleet_hedges_total counter")
-	add("gcfleet_hedges_total %d", m.hedges.Load())
-	add("# HELP gcfleet_hedge_wins_total Hedges that answered before the primary attempt.")
-	add("# TYPE gcfleet_hedge_wins_total counter")
-	add("gcfleet_hedge_wins_total %d", m.hedgeWins.Load())
-	add("# HELP gcfleet_backend_failures_total Transport errors and 5xx replies across the fleet.")
-	add("# TYPE gcfleet_backend_failures_total counter")
-	add("gcfleet_backend_failures_total %d", m.backendFailures.Load())
-	add("# HELP gcfleet_exhausted_total Requests that ran out of attempts or admissible backends.")
-	add("# TYPE gcfleet_exhausted_total counter")
-	add("gcfleet_exhausted_total %d", m.exhausted.Load())
-	add("# HELP gcfleet_health_probes_total Health probes sent.")
-	add("# TYPE gcfleet_health_probes_total counter")
-	add("gcfleet_health_probes_total %d", m.healthProbes.Load())
-	add("# HELP gcfleet_health_failures_total Health probes that failed.")
-	add("# TYPE gcfleet_health_failures_total counter")
-	add("gcfleet_health_failures_total %d", m.healthFailures.Load())
-	add("# HELP gcfleet_batch_requests_total /v1/batch requests served.")
-	add("# TYPE gcfleet_batch_requests_total counter")
-	add("gcfleet_batch_requests_total %d", m.batchRequests.Load())
-	add("# HELP gcfleet_batch_items_total Batch items scattered across the fleet.")
-	add("# TYPE gcfleet_batch_items_total counter")
-	add("gcfleet_batch_items_total %d", m.batchItems.Load())
-	add("# HELP gcfleet_batch_item_failures_total Batch items that did not complete with status 200.")
-	add("# TYPE gcfleet_batch_item_failures_total counter")
-	add("gcfleet_batch_item_failures_total %d", m.batchFailed.Load())
-	add("# HELP gcfleet_request_seconds Backend exchange latency as seen by the fleet (upper-bound quantiles).")
-	add("# TYPE gcfleet_request_seconds summary")
-	add("gcfleet_request_seconds{quantile=\"0.5\"} %g", lat.Quantile(0.50))
-	add("gcfleet_request_seconds{quantile=\"0.95\"} %g", lat.Quantile(0.95))
-	add("gcfleet_request_seconds{quantile=\"0.99\"} %g", lat.Quantile(0.99))
-	add("gcfleet_request_seconds_sum %g", lat.Sum().Seconds())
-	add("gcfleet_request_seconds_count %d", lat.Count())
-	add("# HELP gcfleet_uptime_seconds Seconds since the fleet coordinator started.")
-	add("# TYPE gcfleet_uptime_seconds gauge")
-	add("gcfleet_uptime_seconds %g", time.Since(m.start).Seconds())
-	_, err := w.Write(b)
-	return err
+		return 0
+	}))
+	r.GaugeVecFunc("gcfleet_breaker_state", "Circuit-breaker state per backend (0 closed, 1 open, 2 half-open).", "backend", perBackend(func(b *Backend) int64 { return int64(b.breaker.State()) }))
+	r.CounterVecFunc("gcfleet_breaker_opens_total", "Times each backend's breaker opened.", "backend", perBackend(func(b *Backend) int64 { return b.breaker.Opens() }))
+	r.CounterVecFunc("gcfleet_backend_errors_total", "Transport errors and 5xx replies per backend.", "backend", perBackend(func(b *Backend) int64 { return b.errors.Load() }))
+	r.CounterVecFunc("gcfleet_hedged_to_total", "Hedge requests launched against each backend.", "backend", perBackend(func(b *Backend) int64 { return b.hedges.Load() }))
+	r.GaugeFunc("gcfleet_backends", "Backends currently in the ring.", func() int64 { return int64(len(backends())) })
+	m.backendsAdded = r.Counter("gcfleet_backends_added_total", "Backends joined at runtime via the admin API.")
+	m.backendsRemoved = r.Counter("gcfleet_backends_removed_total", "Backends removed at runtime via the admin API.")
+	m.retries = r.Counter("gcfleet_retries_total", "Sends after the first for one request (retry policy).")
+	m.failovers = r.Counter("gcfleet_failovers_total", "Sends that left the key's primary ring owner.")
+	m.hedges = r.Counter("gcfleet_hedges_total", "Hedge requests launched after the latency-percentile delay.")
+	m.hedgeWins = r.Counter("gcfleet_hedge_wins_total", "Hedges that answered before the primary attempt.")
+	m.backendFailures = r.Counter("gcfleet_backend_failures_total", "Transport errors and 5xx replies across the fleet.")
+	m.exhausted = r.Counter("gcfleet_exhausted_total", "Requests that ran out of attempts or admissible backends.")
+	m.healthProbes = r.Counter("gcfleet_health_probes_total", "Health probes sent.")
+	m.healthFailures = r.Counter("gcfleet_health_failures_total", "Health probes that failed.")
+	m.batchRequests = r.Counter("gcfleet_batch_requests_total", "/v1/batch requests served.")
+	m.batchItems = r.Counter("gcfleet_batch_items_total", "Batch items scattered across the fleet.")
+	m.batchFailed = r.Counter("gcfleet_batch_item_failures_total", "Batch items that did not complete with status 200.")
+	// Hedged exchanges count once, as seen by the caller; the hedge delay is
+	// derived from this summary's quantile.
+	m.latency = r.Summary("gcfleet_request_seconds", "Backend exchange latency as seen by the fleet (upper-bound quantiles).", 0.5, 0.95, 0.99)
+	r.FloatGaugeFunc("gcfleet_uptime_seconds", "Seconds since the fleet coordinator started.", func() float64 { return time.Since(start).Seconds() })
+	return m
 }

@@ -230,7 +230,7 @@ func (m *Migrator) migrate(ctx context.Context, src, dst BackendInfo, id string,
 	m.metric(func(mm *Metrics) {
 		mm.jobsMigrated.Add(1)
 		mm.migrationBytes.Add(int64(len(raw)))
-		mm.ObserveMigration(time.Since(start))
+		mm.latency.Observe(time.Since(start))
 	})
 	return nil
 }

@@ -131,9 +131,9 @@ func TestRebalanceZeroLossOrdering(t *testing.T) {
 	if len(dstCkpt) != 1 || dstCkpt[0] != "PUT "+ckpt {
 		t.Fatalf("destination checkpoint calls %v, want exactly one import", dstCkpt)
 	}
-	if met.JobsMigrated() != 1 || met.MigrationsVerified() != 1 || met.MigrationBytes() == 0 {
+	if met.jobsMigrated.Load() != 1 || met.migrationsVerified.Load() != 1 || met.migrationBytes.Load() == 0 {
 		t.Errorf("metrics migrated=%d verified=%d bytes=%d",
-			met.JobsMigrated(), met.MigrationsVerified(), met.MigrationBytes())
+			met.jobsMigrated.Load(), met.migrationsVerified.Load(), met.migrationBytes.Load())
 	}
 
 	// A job whose key still routes to its source is never touched.
@@ -220,8 +220,8 @@ func TestRebalanceRegistryRescue(t *testing.T) {
 	if rep.Resubmitted != 0 || rep.Failed != 0 {
 		t.Fatalf("second pass report = %+v, want no rescues", rep)
 	}
-	if met.JobsResubmitted() != 2 {
-		t.Errorf("jobsResubmitted = %d, want 2", met.JobsResubmitted())
+	if met.jobsResubmitted.Load() != 2 {
+		t.Errorf("jobsResubmitted = %d, want 2", met.jobsResubmitted.Load())
 	}
 }
 

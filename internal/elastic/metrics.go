@@ -1,114 +1,46 @@
 package elastic
 
 import (
-	"fmt"
-	"io"
-	"math"
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"hwgc/internal/stats"
 )
 
-// Metrics is the migration driver's counter set, written as gcelastic_*
-// series in gcfleet's /metrics scrape. The accounting mirrors the repo's
-// stall discipline: every job displaced by a topology change is
-// attributable to a migration (checkpoint shipped), a rescue (resubmitted
-// from the registry) or a failure awaiting the next pass.
+// Metrics is the migration driver's counter set, declared against a
+// stats.Registry and written as gcelastic_* series in gcfleet's /metrics
+// scrape. The accounting mirrors the repo's stall discipline: every job
+// displaced by a topology change is attributable to a migration
+// (checkpoint shipped), a rescue (resubmitted from the registry) or a
+// failure awaiting the next pass.
 type Metrics struct {
-	rebalances         atomic.Int64 // rebalance passes run
-	jobsMigrated       atomic.Int64 // jobs moved by checkpoint transfer
-	jobsResubmitted    atomic.Int64 // jobs rescued via registry resubmission
-	migrationsVerified atomic.Int64 // import receipts matching the export
-	migrationsFailed   atomic.Int64 // migrations or rescues that failed a pass
-	migrationBytes     atomic.Int64 // envelope bytes shipped
+	stats.Registry
 
-	// keysRemapped holds the float64 bits of the most recent topology
-	// change's remapped-key fraction (measured over a deterministic sample).
-	keysRemapped atomic.Uint64
-
-	mu      sync.Mutex
-	latency stats.Hist // per-job migration latency (export to release)
+	rebalances         *stats.Int
+	jobsMigrated       *stats.Int // jobs moved by checkpoint transfer
+	jobsResubmitted    *stats.Int // jobs rescued via registry resubmission
+	migrationsVerified *stats.Int // import receipts matching the export
+	migrationsFailed   *stats.Int // migrations or rescues that failed a pass
+	migrationBytes     *stats.Int
+	keysRemapped       *stats.Float // measured over a deterministic key sample
+	latency            *stats.Summary
 }
 
 // NewMetrics returns an empty counter set.
-func NewMetrics() *Metrics { return &Metrics{} }
-
-// ObserveMigration records one job migration's end-to-end latency.
-func (m *Metrics) ObserveMigration(d time.Duration) {
-	m.mu.Lock()
-	m.latency.Observe(d)
-	m.mu.Unlock()
+func NewMetrics() *Metrics {
+	m := &Metrics{}
+	r := &m.Registry
+	m.rebalances = r.Counter("gcelastic_rebalances_total", "Migration passes run after topology changes.")
+	m.jobsMigrated = r.Counter("gcelastic_jobs_migrated_total", "Jobs moved between backends by checkpoint transfer.")
+	m.jobsResubmitted = r.Counter("gcelastic_jobs_resubmitted_total", "Jobs rescued by registry resubmission after their owner died.")
+	m.migrationsVerified = r.Counter("gcelastic_migrations_verified_total", "Import receipts that matched the exported position.")
+	m.migrationsFailed = r.Counter("gcelastic_migrations_failed_total", "Migrations or rescues that failed a pass.")
+	m.migrationBytes = r.Counter("gcelastic_migration_bytes_total", "Checkpoint envelope bytes shipped between backends.")
+	m.keysRemapped = r.FloatGauge("gcelastic_keys_remapped_fraction", "Fraction of sampled keys whose owner changed in the last topology change.")
+	m.latency = r.Summary("gcelastic_migration_seconds", "Per-job migration latency, export to release (upper-bound quantile estimates).", 0.5, 0.99)
+	return m
 }
 
 // SetKeysRemappedFraction records the fraction of sampled keys whose owner
 // changed in the most recent topology change.
-func (m *Metrics) SetKeysRemappedFraction(f float64) {
-	m.keysRemapped.Store(math.Float64bits(f))
-}
+func (m *Metrics) SetKeysRemappedFraction(f float64) { m.keysRemapped.Set(f) }
 
 // KeysRemappedFraction returns the last recorded remap fraction.
-func (m *Metrics) KeysRemappedFraction() float64 {
-	return math.Float64frombits(m.keysRemapped.Load())
-}
-
-// Rebalances returns the rebalance-pass count.
-func (m *Metrics) Rebalances() int64 { return m.rebalances.Load() }
-
-// JobsMigrated returns the checkpoint-transfer count.
-func (m *Metrics) JobsMigrated() int64 { return m.jobsMigrated.Load() }
-
-// JobsResubmitted returns the registry-rescue count.
-func (m *Metrics) JobsResubmitted() int64 { return m.jobsResubmitted.Load() }
-
-// MigrationsVerified returns the verified-receipt count.
-func (m *Metrics) MigrationsVerified() int64 { return m.migrationsVerified.Load() }
-
-// MigrationsFailed returns the failed migration/rescue count.
-func (m *Metrics) MigrationsFailed() int64 { return m.migrationsFailed.Load() }
-
-// MigrationBytes returns the total envelope bytes shipped.
-func (m *Metrics) MigrationBytes() int64 { return m.migrationBytes.Load() }
-
-// WritePrometheus appends every gcelastic_* series to w.
-func (m *Metrics) WritePrometheus(w io.Writer) error {
-	m.mu.Lock()
-	latency := m.latency
-	m.mu.Unlock()
-
-	var b []byte
-	add := func(format string, args ...any) {
-		b = append(b, fmt.Sprintf(format, args...)...)
-		b = append(b, '\n')
-	}
-	add("# HELP gcelastic_rebalances_total Migration passes run after topology changes.")
-	add("# TYPE gcelastic_rebalances_total counter")
-	add("gcelastic_rebalances_total %d", m.rebalances.Load())
-	add("# HELP gcelastic_jobs_migrated_total Jobs moved between backends by checkpoint transfer.")
-	add("# TYPE gcelastic_jobs_migrated_total counter")
-	add("gcelastic_jobs_migrated_total %d", m.jobsMigrated.Load())
-	add("# HELP gcelastic_jobs_resubmitted_total Jobs rescued by registry resubmission after their owner died.")
-	add("# TYPE gcelastic_jobs_resubmitted_total counter")
-	add("gcelastic_jobs_resubmitted_total %d", m.jobsResubmitted.Load())
-	add("# HELP gcelastic_migrations_verified_total Import receipts that matched the exported position.")
-	add("# TYPE gcelastic_migrations_verified_total counter")
-	add("gcelastic_migrations_verified_total %d", m.migrationsVerified.Load())
-	add("# HELP gcelastic_migrations_failed_total Migrations or rescues that failed a pass.")
-	add("# TYPE gcelastic_migrations_failed_total counter")
-	add("gcelastic_migrations_failed_total %d", m.migrationsFailed.Load())
-	add("# HELP gcelastic_migration_bytes_total Checkpoint envelope bytes shipped between backends.")
-	add("# TYPE gcelastic_migration_bytes_total counter")
-	add("gcelastic_migration_bytes_total %d", m.migrationBytes.Load())
-	add("# HELP gcelastic_keys_remapped_fraction Fraction of sampled keys whose owner changed in the last topology change.")
-	add("# TYPE gcelastic_keys_remapped_fraction gauge")
-	add("gcelastic_keys_remapped_fraction %g", m.KeysRemappedFraction())
-	add("# HELP gcelastic_migration_seconds Per-job migration latency, export to release (upper-bound quantile estimates).")
-	add("# TYPE gcelastic_migration_seconds summary")
-	add("gcelastic_migration_seconds{quantile=\"0.5\"} %g", latency.Quantile(0.50))
-	add("gcelastic_migration_seconds{quantile=\"0.99\"} %g", latency.Quantile(0.99))
-	add("gcelastic_migration_seconds_sum %g", latency.Sum().Seconds())
-	add("gcelastic_migration_seconds_count %d", latency.Count())
-	_, err := w.Write(b)
-	return err
-}
+func (m *Metrics) KeysRemappedFraction() float64 { return m.keysRemapped.Load() }

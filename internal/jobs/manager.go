@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,7 +173,7 @@ func Open(opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	metrics := NewMetrics()
+	metrics := NewMetrics(sched.Depths)
 	wal, recs, err := OpenWAL(opts.Dir, metrics)
 	if err != nil {
 		return nil, err
@@ -818,7 +817,7 @@ func (m *Manager) stepPoint(j *job, rc *hwgc.RequestCollection, point int, rcx *
 		m.metrics.checkpoints.Add(1)
 		if rcx.fresh && !rcx.observed {
 			rcx.observed = true
-			m.metrics.ObserveFirstCheckpoint(m.opts.Clock().Sub(rcx.dispatched))
+			m.metrics.firstCkpt.Observe(m.opts.Clock().Sub(rcx.dispatched))
 		}
 		if hook := m.opts.CheckpointHook; hook != nil {
 			hook(j.ID)
@@ -954,18 +953,13 @@ func (m *Manager) AuxRecords(tag string) []AuxRecord {
 }
 
 // Depths returns the queued-job count per class.
-func (m *Manager) Depths() map[string]int { return m.sched.Depths() }
+func (m *Manager) Depths() map[string]int64 { return m.sched.Depths() }
 
 // Backlog returns the total queued-job count.
 func (m *Manager) Backlog() int { return m.sched.Backlog() }
 
 // Metrics returns the manager's counter set.
 func (m *Manager) Metrics() *Metrics { return m.metrics }
-
-// WriteMetrics writes every gcjobs_* Prometheus series to w.
-func (m *Manager) WriteMetrics(w io.Writer) error {
-	return m.metrics.WritePrometheus(w, m.sched.Depths())
-}
 
 // DefaultClass returns the class submissions get when they name none.
 func (m *Manager) DefaultClass() string { return m.opts.Classes[0].Name }

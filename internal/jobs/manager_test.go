@@ -133,7 +133,7 @@ func TestJobsCollectLifecycle(t *testing.T) {
 	if again.State != StateDone {
 		t.Fatalf("deduped info state = %s", again.State)
 	}
-	if m.Metrics().Preemptions() != 0 {
+	if m.Metrics().preemptions.Load() != 0 {
 		t.Fatal("lone job was preempted")
 	}
 	// A completed job leaves no checkpoint file behind.
@@ -202,7 +202,7 @@ func TestJobsPreemption(t *testing.T) {
 	if longDone.Preemptions < 1 {
 		t.Fatalf("batch job preemptions = %d, want >= 1", longDone.Preemptions)
 	}
-	if m.Metrics().Preemptions() < 1 {
+	if m.Metrics().preemptions.Load() < 1 {
 		t.Fatal("preemption metric not bumped")
 	}
 	if !shortDone.Finished.Before(longDone.Finished) {
@@ -279,7 +279,7 @@ func TestJobsCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Metrics().WALReplayedRecords() == 0 {
+	if m2.Metrics().walReplayedRecords.Load() == 0 {
 		t.Fatal("second manager replayed no WAL records")
 	}
 	info, err := m2.Get(id)
@@ -290,7 +290,7 @@ func TestJobsCrashRestart(t *testing.T) {
 		t.Fatalf("completed points lost across restart: %d", info.Point)
 	}
 	waitState(t, m2, id, StateDone)
-	if m2.Metrics().Resumes() == 0 {
+	if m2.Metrics().resumes.Load() == 0 {
 		t.Fatal("job restarted from scratch instead of resuming")
 	}
 	body, _, err := m2.Result(id)
@@ -488,7 +488,7 @@ func TestJobsCheckpointSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer drainManager(t, m)
-	if got := m.Metrics().CheckpointFilesReclaimed(); got != 3 {
+	if got := m.Metrics().ckptReclaims.Load(); got != 3 {
 		t.Fatalf("reclaimed = %d, want 3", got)
 	}
 	files, _ := filepath.Glob(filepath.Join(dir, "*"+ckptSuffix))
@@ -552,7 +552,7 @@ func TestJobsMetricsOutput(t *testing.T) {
 	}
 	waitState(t, m, hwgc.KeyBytes(canonical), StateDone)
 	var buf bytes.Buffer
-	if err := m.WriteMetrics(&buf); err != nil {
+	if err := m.Metrics().Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -201,12 +201,12 @@ func (s *Scheduler) Remove(j *job) bool {
 }
 
 // Depths returns the queued-job count per class (for metrics and /healthz).
-func (s *Scheduler) Depths() map[string]int {
+func (s *Scheduler) Depths() map[string]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.classes))
+	out := make(map[string]int64, len(s.classes))
 	for name, c := range s.classes {
-		out[name] = len(c.queue)
+		out[name] = int64(len(c.queue))
 	}
 	return out
 }

@@ -8,7 +8,7 @@ import (
 
 func openTestWAL(t *testing.T, dir string) (*WAL, []walRecord, *Metrics) {
 	t.Helper()
-	m := NewMetrics()
+	m := NewMetrics(nil)
 	w, recs, err := OpenWAL(dir, m)
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +50,8 @@ func TestWALRoundTrip(t *testing.T) {
 	if string(got[3].Body) != "result-bytes" {
 		t.Fatalf("result body = %q", got[3].Body)
 	}
-	if m2.WALReplayedRecords() != int64(len(want)) {
-		t.Fatalf("replayed-records metric = %d", m2.WALReplayedRecords())
+	if m2.walReplayedRecords.Load() != int64(len(want)) {
+		t.Fatalf("replayed-records metric = %d", m2.walReplayedRecords.Load())
 	}
 }
 
@@ -117,7 +117,7 @@ func TestWALMidFileCorruptionRejected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenWAL(dir, NewMetrics()); err == nil {
+	if _, _, err := OpenWAL(dir, NewMetrics(nil)); err == nil {
 		t.Fatal("mid-file corruption not rejected")
 	}
 }

@@ -186,7 +186,7 @@ func TestCheckpointStartupSweep(t *testing.T) {
 	}
 	// The metric is on /metrics.
 	var buf bytes.Buffer
-	if err := s.metrics.WritePrometheus(&buf, s.queue, s.cache); err != nil {
+	if err := s.metrics.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "gcserved_checkpoint_files_reclaimed_total 2") {

@@ -54,9 +54,10 @@ func (s *Server) instrument(path string, observeLatency bool, h func(http.Respon
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r)
-		s.metrics.Request(path, rec.code)
+		s.metrics.requests.With(path).Add(1)
+		s.metrics.responses.With(strconv.Itoa(rec.code)).Add(1)
 		if observeLatency {
-			s.metrics.Observe(time.Since(start))
+			s.metrics.latency.Observe(time.Since(start))
 		}
 	}
 }
@@ -259,12 +260,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/metrics", false, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.metrics.WritePrometheus(w, s.queue, s.cache)
+		_ = s.metrics.Write(w)
 		if s.jobs != nil {
-			_ = s.jobs.WriteMetrics(w)
+			_ = s.jobs.Metrics().Write(w)
 		}
 		if s.sweeps != nil {
-			_ = s.sweeps.WriteMetrics(w)
+			_ = s.sweeps.Metrics().Write(w)
 		}
 	})(w, r)
 }

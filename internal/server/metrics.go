@@ -1,76 +1,103 @@
 package server
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hwgc"
 	"hwgc/internal/stats"
 )
 
-// Metrics is the server's hand-rolled counter set, exposed on /metrics in
-// Prometheus text exposition format. In the spirit of the paper's stall
-// accounting — every cycle a core cannot make progress is attributed to a
-// cause — every request the server cannot serve immediately is attributed
-// to one: queue full (rejections), queue wait + service time (latency
-// histogram), or deadline expiry (timeouts).
+// Metrics is the server's counter set, declared against a stats.Registry
+// and exposed on /metrics. In the spirit of the paper's stall accounting —
+// every cycle a core cannot make progress is attributed to a cause — every
+// request the server cannot serve immediately is attributed to one: queue
+// full (rejections), queue wait + service time (latency summary), or
+// deadline expiry (timeouts).
 type Metrics struct {
-	start time.Time
+	stats.Registry
 
-	cacheHits    atomic.Int64
-	cacheMisses  atomic.Int64
-	queueFull    atomic.Int64
-	timeouts     atomic.Int64
-	jobsStarted  atomic.Int64
-	jobsDone     atomic.Int64
-	jobsSkipped  atomic.Int64 // jobs whose context expired before a worker picked them up
-	inflightJobs atomic.Int64
-	batchItems   atomic.Int64 // batch items executed (any outcome)
-	batchFailed  atomic.Int64 // batch items that did not end 200
+	requests     *stats.CounterVec // by path
+	responses    *stats.CounterVec // by HTTP status code
+	cacheHits    *stats.Int
+	cacheMisses  *stats.Int
+	queueFull    *stats.Int
+	timeouts     *stats.Int
+	inflightJobs *stats.Int
+	jobsStarted  *stats.Int
+	jobsDone     *stats.Int
+	jobsSkipped  *stats.Int // jobs whose context expired before a worker picked them up
+	batchItems   *stats.Int // batch items executed (any outcome)
+	batchFailed  *stats.Int // batch items that did not end 200
 
-	checkpointsSaved     atomic.Int64 // simulation snapshots persisted to disk
-	checkpointsResumed   atomic.Int64 // jobs resumed from an on-disk checkpoint
-	jobsPreempted        atomic.Int64 // jobs stopped at a checkpoint for shutdown
-	recoveriesEnqueued   atomic.Int64 // orphaned checkpoints enqueued at startup
-	checkpointsReclaimed atomic.Int64 // unreadable/stale checkpoint files garbage-collected
+	checkpointsSaved     *stats.Int
+	checkpointsResumed   *stats.Int
+	jobsPreempted        *stats.Int
+	recoveriesEnqueued   *stats.Int
+	checkpointsReclaimed *stats.Int
 
 	// Concurrent-collection scenario counters, aggregated from every
 	// collect response whose config ran the built-in mutator.
-	barrierInvocations atomic.Int64
-	barrierCycles      atomic.Int64
-	floatingWords      atomic.Int64
+	concRuns           *stats.CounterVec // by barrier mode
+	barrierInvocations *stats.Int
+	barrierCycles      *stats.Int
+	floatingWords      *stats.Int
 
 	// Memory-hierarchy counters, aggregated from every collect response
 	// whose config enabled the NUMA or cache model.
-	numaLocal     atomic.Int64
-	numaRemote    atomic.Int64
-	numaConflicts atomic.Int64
-	cacheL1Hits   atomic.Int64
-	cacheL2Hits   atomic.Int64
-	cacheMissesGC atomic.Int64 // L2 misses (requests that went to DRAM)
-	cacheMSHRFull atomic.Int64
+	numaRuns      *stats.CounterVec // by tospace placement
+	numaLocal     *stats.Int
+	numaRemote    *stats.Int
+	numaConflicts *stats.Int
+	cacheL1Hits   *stats.Int
+	cacheL2Hits   *stats.Int
+	cacheMissesGC *stats.Int // L2 misses (requests that went to DRAM)
+	cacheMSHRFull *stats.Int
 
-	mu       sync.Mutex
-	requests map[string]int64 // by path
-	statuses map[int]int64    // by HTTP status code
-	concRuns map[string]int64 // concurrent collections, by barrier mode
-	numaRuns map[string]int64 // NUMA collections, by tospace placement
-	lat      stats.Hist
+	latency *stats.Summary
 }
 
-// NewMetrics returns an empty counter set.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		start:    time.Now(),
-		requests: make(map[string]int64),
-		statuses: make(map[int]int64),
-		concRuns: make(map[string]int64),
-		numaRuns: make(map[string]int64),
-	}
+// NewMetrics returns an empty counter set whose queue and cache gauges are
+// sampled from q and c at scrape time.
+func NewMetrics(q *Queue, c *Cache) *Metrics {
+	m := &Metrics{}
+	start := time.Now()
+	r := &m.Registry
+	m.requests = r.CounterVec("gcserved_requests_total", "HTTP requests received, by path.", "path")
+	m.responses = r.CounterVec("gcserved_responses_total", "HTTP responses sent, by status code.", "code")
+	m.cacheHits = r.Counter("gcserved_cache_hits_total", "Result-cache hits (fast path, no simulation run).")
+	m.cacheMisses = r.Counter("gcserved_cache_misses_total", "Result-cache misses.")
+	r.GaugeFunc("gcserved_cache_entries", "Cached responses currently held.", func() int64 { return int64(c.Len()) })
+	r.GaugeFunc("gcserved_cache_bytes", "Bytes of cached response bodies currently held.", c.Bytes)
+	r.GaugeFunc("gcserved_queue_depth", "Jobs waiting in the bounded queue.", func() int64 { return int64(q.Depth()) })
+	r.GaugeFunc("gcserved_queue_capacity", "Capacity of the bounded job queue.", func() int64 { return int64(q.Cap()) })
+	m.queueFull = r.Counter("gcserved_queue_full_total", "Requests rejected with 429 because the queue was full.")
+	m.timeouts = r.Counter("gcserved_timeouts_total", "Requests that hit their deadline before a result was ready.")
+	m.inflightJobs = r.Gauge("gcserved_jobs_inflight", "Jobs currently executing on the worker pool.")
+	m.jobsStarted = r.Counter("gcserved_jobs_started_total", "Jobs a worker began executing.")
+	m.jobsDone = r.Counter("gcserved_jobs_done_total", "Jobs that finished executing.")
+	m.jobsSkipped = r.Counter("gcserved_jobs_skipped_total", "Queued jobs skipped because their deadline expired first.")
+	m.batchItems = r.Counter("gcserved_batch_items_total", "Batch items executed via /v1/batch.")
+	m.batchFailed = r.Counter("gcserved_batch_item_failures_total", "Batch items that did not complete with status 200.")
+	m.checkpointsSaved = r.Counter("gcserved_checkpoints_saved_total", "Simulation snapshots persisted to the checkpoint directory.")
+	m.checkpointsResumed = r.Counter("gcserved_checkpoints_resumed_total", "Collect jobs resumed from an on-disk checkpoint.")
+	m.jobsPreempted = r.Counter("gcserved_jobs_preempted_total", "Collect jobs checkpointed and stopped because the server was draining.")
+	m.recoveriesEnqueued = r.Counter("gcserved_recoveries_enqueued_total", "Orphaned checkpoints enqueued for background completion at startup.")
+	m.checkpointsReclaimed = r.Counter("gcserved_checkpoint_files_reclaimed_total", "Unreadable, stale or leftover checkpoint files deleted by the startup and resume sweeps.")
+	m.concRuns = r.CounterVec("gcserved_concurrent_collections_total", "Collect responses produced with the built-in concurrent mutator, by write-barrier mode.", "barrier")
+	m.barrierInvocations = r.Counter("gcserved_barrier_invocations_total", "Write-barrier invocations across all served concurrent collections.")
+	m.barrierCycles = r.Counter("gcserved_barrier_cycles_total", "Mutator cycles spent inside the write barrier across all served concurrent collections.")
+	m.floatingWords = r.Counter("gcserved_floating_garbage_words_total", "Words of floating garbage retained by barrier shading across all served concurrent collections.")
+	m.numaRuns = r.CounterVec("gcserved_numa_collections_total", "Collect responses produced with the NUMA model enabled, by tospace placement.", "placement")
+	m.numaLocal = r.Counter("gcserved_numa_local_accesses_total", "DRAM acceptances served by the requesting core's own domain across all served NUMA collections.")
+	m.numaRemote = r.Counter("gcserved_numa_remote_accesses_total", "DRAM acceptances that crossed a domain boundary across all served NUMA collections.")
+	m.numaConflicts = r.Counter("gcserved_numa_domain_conflicts_total", "Acceptances deferred by an exhausted per-domain budget across all served NUMA collections.")
+	m.cacheL1Hits = r.Counter("gcserved_gc_cache_l1_hits_total", "GC-side L1 hits across all served collections with the cache model enabled.")
+	m.cacheL2Hits = r.Counter("gcserved_gc_cache_l2_hits_total", "GC-side shared-L2 hits across all served collections with the cache model enabled.")
+	m.cacheMissesGC = r.Counter("gcserved_gc_cache_misses_total", "GC-side loads that missed both levels and went to DRAM across all served collections with the cache model enabled.")
+	m.cacheMSHRFull = r.Counter("gcserved_gc_cache_mshr_full_stalls_total", "Load issues rejected because every MSHR was busy across all served collections with the cache model enabled.")
+	m.latency = r.Summary("gcserved_request_seconds", "Service latency of job endpoints (upper-bound quantile estimates).", 0.5, 0.95, 0.99)
+	r.FloatGaugeFunc("gcserved_uptime_seconds", "Seconds since the server started.", func() float64 { return time.Since(start).Seconds() })
+	return m
 }
 
 // ObserveCollect aggregates the concurrent-collection and memory-hierarchy
@@ -87,9 +114,7 @@ func (m *Metrics) ObserveCollect(resp *hwgc.CollectResponse) {
 		if bm := st.Config.BarrierMode; bm != hwgc.BarrierNone {
 			mode = string(bm)
 		}
-		m.mu.Lock()
-		m.concRuns[mode]++
-		m.mu.Unlock()
+		m.concRuns.With(mode).Add(1)
 		m.barrierInvocations.Add(ms.BarrierInvocations)
 		m.barrierCycles.Add(ms.BarrierCycles)
 		m.floatingWords.Add(ms.FloatingWords)
@@ -99,9 +124,7 @@ func (m *Metrics) ObserveCollect(resp *hwgc.CollectResponse) {
 		if st.Config.NUMAPlacement == hwgc.PlacementLocal {
 			placement = "local"
 		}
-		m.mu.Lock()
-		m.numaRuns[placement]++
-		m.mu.Unlock()
+		m.numaRuns.With(placement).Add(1)
 		m.numaLocal.Add(st.Mem.LocalAccesses)
 		m.numaRemote.Add(st.Mem.RemoteAccesses)
 		m.numaConflicts.Add(st.Mem.DomainConflicts)
@@ -112,200 +135,4 @@ func (m *Metrics) ObserveCollect(resp *hwgc.CollectResponse) {
 		m.cacheMissesGC.Add(st.Mem.L2Misses)
 		m.cacheMSHRFull.Add(st.Mem.MSHRFullStalls)
 	}
-}
-
-// Request records one HTTP request against path with the final status code.
-func (m *Metrics) Request(path string, code int) {
-	m.mu.Lock()
-	m.requests[path]++
-	m.statuses[code]++
-	m.mu.Unlock()
-}
-
-// Observe records the service latency of one job endpoint request (cache
-// hits included: they are the zero-cost fast path and belong in the
-// distribution).
-func (m *Metrics) Observe(d time.Duration) {
-	m.mu.Lock()
-	m.lat.Observe(d)
-	m.mu.Unlock()
-}
-
-// queueState is what WritePrometheus needs from the job queue; the server
-// passes its live queue so depth is sampled at scrape time.
-type queueState interface {
-	Depth() int
-	Cap() int
-}
-
-// cacheState is the cache's contribution to the scrape.
-type cacheState interface {
-	Len() int
-	Bytes() int64
-}
-
-// WritePrometheus writes every counter in Prometheus text exposition
-// format. Map-keyed series are emitted in sorted order so the output is
-// deterministic.
-func (m *Metrics) WritePrometheus(w io.Writer, q queueState, c cacheState) error {
-	m.mu.Lock()
-	paths := make([]string, 0, len(m.requests))
-	for p := range m.requests {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	codes := make([]int, 0, len(m.statuses))
-	for s := range m.statuses {
-		codes = append(codes, s)
-	}
-	sort.Ints(codes)
-	reqLines := make([]string, 0, len(paths)+len(codes))
-	for _, p := range paths {
-		reqLines = append(reqLines, fmt.Sprintf("gcserved_requests_total{path=%q} %d", p, m.requests[p]))
-	}
-	for _, s := range codes {
-		reqLines = append(reqLines, fmt.Sprintf("gcserved_responses_total{code=\"%d\"} %d", s, m.statuses[s]))
-	}
-	modes := make([]string, 0, len(m.concRuns))
-	for mode := range m.concRuns {
-		modes = append(modes, mode)
-	}
-	sort.Strings(modes)
-	concLines := make([]string, 0, len(modes))
-	for _, mode := range modes {
-		concLines = append(concLines, fmt.Sprintf("gcserved_concurrent_collections_total{barrier=%q} %d", mode, m.concRuns[mode]))
-	}
-	placements := make([]string, 0, len(m.numaRuns))
-	for p := range m.numaRuns {
-		placements = append(placements, p)
-	}
-	sort.Strings(placements)
-	numaLines := make([]string, 0, len(placements))
-	for _, p := range placements {
-		numaLines = append(numaLines, fmt.Sprintf("gcserved_numa_collections_total{placement=%q} %d", p, m.numaRuns[p]))
-	}
-	lat := m.lat
-	m.mu.Unlock()
-
-	var b []byte
-	add := func(format string, args ...any) {
-		b = append(b, fmt.Sprintf(format, args...)...)
-		b = append(b, '\n')
-	}
-	add("# HELP gcserved_requests_total HTTP requests received, by path.")
-	add("# TYPE gcserved_requests_total counter")
-	add("# HELP gcserved_responses_total HTTP responses sent, by status code.")
-	add("# TYPE gcserved_responses_total counter")
-	for _, l := range reqLines {
-		add("%s", l)
-	}
-	add("# HELP gcserved_cache_hits_total Result-cache hits (fast path, no simulation run).")
-	add("# TYPE gcserved_cache_hits_total counter")
-	add("gcserved_cache_hits_total %d", m.cacheHits.Load())
-	add("# HELP gcserved_cache_misses_total Result-cache misses.")
-	add("# TYPE gcserved_cache_misses_total counter")
-	add("gcserved_cache_misses_total %d", m.cacheMisses.Load())
-	add("# HELP gcserved_cache_entries Cached responses currently held.")
-	add("# TYPE gcserved_cache_entries gauge")
-	add("gcserved_cache_entries %d", c.Len())
-	add("# HELP gcserved_cache_bytes Bytes of cached response bodies currently held.")
-	add("# TYPE gcserved_cache_bytes gauge")
-	add("gcserved_cache_bytes %d", c.Bytes())
-	add("# HELP gcserved_queue_depth Jobs waiting in the bounded queue.")
-	add("# TYPE gcserved_queue_depth gauge")
-	add("gcserved_queue_depth %d", q.Depth())
-	add("# HELP gcserved_queue_capacity Capacity of the bounded job queue.")
-	add("# TYPE gcserved_queue_capacity gauge")
-	add("gcserved_queue_capacity %d", q.Cap())
-	add("# HELP gcserved_queue_full_total Requests rejected with 429 because the queue was full.")
-	add("# TYPE gcserved_queue_full_total counter")
-	add("gcserved_queue_full_total %d", m.queueFull.Load())
-	add("# HELP gcserved_timeouts_total Requests that hit their deadline before a result was ready.")
-	add("# TYPE gcserved_timeouts_total counter")
-	add("gcserved_timeouts_total %d", m.timeouts.Load())
-	add("# HELP gcserved_jobs_inflight Jobs currently executing on the worker pool.")
-	add("# TYPE gcserved_jobs_inflight gauge")
-	add("gcserved_jobs_inflight %d", m.inflightJobs.Load())
-	add("# HELP gcserved_jobs_started_total Jobs a worker began executing.")
-	add("# TYPE gcserved_jobs_started_total counter")
-	add("gcserved_jobs_started_total %d", m.jobsStarted.Load())
-	add("# HELP gcserved_jobs_done_total Jobs that finished executing.")
-	add("# TYPE gcserved_jobs_done_total counter")
-	add("gcserved_jobs_done_total %d", m.jobsDone.Load())
-	add("# HELP gcserved_jobs_skipped_total Queued jobs skipped because their deadline expired first.")
-	add("# TYPE gcserved_jobs_skipped_total counter")
-	add("gcserved_jobs_skipped_total %d", m.jobsSkipped.Load())
-	add("# HELP gcserved_batch_items_total Batch items executed via /v1/batch.")
-	add("# TYPE gcserved_batch_items_total counter")
-	add("gcserved_batch_items_total %d", m.batchItems.Load())
-	add("# HELP gcserved_batch_item_failures_total Batch items that did not complete with status 200.")
-	add("# TYPE gcserved_batch_item_failures_total counter")
-	add("gcserved_batch_item_failures_total %d", m.batchFailed.Load())
-	add("# HELP gcserved_checkpoints_saved_total Simulation snapshots persisted to the checkpoint directory.")
-	add("# TYPE gcserved_checkpoints_saved_total counter")
-	add("gcserved_checkpoints_saved_total %d", m.checkpointsSaved.Load())
-	add("# HELP gcserved_checkpoints_resumed_total Collect jobs resumed from an on-disk checkpoint.")
-	add("# TYPE gcserved_checkpoints_resumed_total counter")
-	add("gcserved_checkpoints_resumed_total %d", m.checkpointsResumed.Load())
-	add("# HELP gcserved_jobs_preempted_total Collect jobs checkpointed and stopped because the server was draining.")
-	add("# TYPE gcserved_jobs_preempted_total counter")
-	add("gcserved_jobs_preempted_total %d", m.jobsPreempted.Load())
-	add("# HELP gcserved_recoveries_enqueued_total Orphaned checkpoints enqueued for background completion at startup.")
-	add("# TYPE gcserved_recoveries_enqueued_total counter")
-	add("gcserved_recoveries_enqueued_total %d", m.recoveriesEnqueued.Load())
-	add("# HELP gcserved_checkpoint_files_reclaimed_total Unreadable, stale or leftover checkpoint files deleted by the startup and resume sweeps.")
-	add("# TYPE gcserved_checkpoint_files_reclaimed_total counter")
-	add("gcserved_checkpoint_files_reclaimed_total %d", m.checkpointsReclaimed.Load())
-	add("# HELP gcserved_concurrent_collections_total Collect responses produced with the built-in concurrent mutator, by write-barrier mode.")
-	add("# TYPE gcserved_concurrent_collections_total counter")
-	for _, l := range concLines {
-		add("%s", l)
-	}
-	add("# HELP gcserved_barrier_invocations_total Write-barrier invocations across all served concurrent collections.")
-	add("# TYPE gcserved_barrier_invocations_total counter")
-	add("gcserved_barrier_invocations_total %d", m.barrierInvocations.Load())
-	add("# HELP gcserved_barrier_cycles_total Mutator cycles spent inside the write barrier across all served concurrent collections.")
-	add("# TYPE gcserved_barrier_cycles_total counter")
-	add("gcserved_barrier_cycles_total %d", m.barrierCycles.Load())
-	add("# HELP gcserved_floating_garbage_words_total Words of floating garbage retained by barrier shading across all served concurrent collections.")
-	add("# TYPE gcserved_floating_garbage_words_total counter")
-	add("gcserved_floating_garbage_words_total %d", m.floatingWords.Load())
-	add("# HELP gcserved_numa_collections_total Collect responses produced with the NUMA model enabled, by tospace placement.")
-	add("# TYPE gcserved_numa_collections_total counter")
-	for _, l := range numaLines {
-		add("%s", l)
-	}
-	add("# HELP gcserved_numa_local_accesses_total DRAM acceptances served by the requesting core's own domain across all served NUMA collections.")
-	add("# TYPE gcserved_numa_local_accesses_total counter")
-	add("gcserved_numa_local_accesses_total %d", m.numaLocal.Load())
-	add("# HELP gcserved_numa_remote_accesses_total DRAM acceptances that crossed a domain boundary across all served NUMA collections.")
-	add("# TYPE gcserved_numa_remote_accesses_total counter")
-	add("gcserved_numa_remote_accesses_total %d", m.numaRemote.Load())
-	add("# HELP gcserved_numa_domain_conflicts_total Acceptances deferred by an exhausted per-domain budget across all served NUMA collections.")
-	add("# TYPE gcserved_numa_domain_conflicts_total counter")
-	add("gcserved_numa_domain_conflicts_total %d", m.numaConflicts.Load())
-	add("# HELP gcserved_gc_cache_l1_hits_total GC-side L1 hits across all served collections with the cache model enabled.")
-	add("# TYPE gcserved_gc_cache_l1_hits_total counter")
-	add("gcserved_gc_cache_l1_hits_total %d", m.cacheL1Hits.Load())
-	add("# HELP gcserved_gc_cache_l2_hits_total GC-side shared-L2 hits across all served collections with the cache model enabled.")
-	add("# TYPE gcserved_gc_cache_l2_hits_total counter")
-	add("gcserved_gc_cache_l2_hits_total %d", m.cacheL2Hits.Load())
-	add("# HELP gcserved_gc_cache_misses_total GC-side loads that missed both levels and went to DRAM across all served collections with the cache model enabled.")
-	add("# TYPE gcserved_gc_cache_misses_total counter")
-	add("gcserved_gc_cache_misses_total %d", m.cacheMissesGC.Load())
-	add("# HELP gcserved_gc_cache_mshr_full_stalls_total Load issues rejected because every MSHR was busy across all served collections with the cache model enabled.")
-	add("# TYPE gcserved_gc_cache_mshr_full_stalls_total counter")
-	add("gcserved_gc_cache_mshr_full_stalls_total %d", m.cacheMSHRFull.Load())
-	add("# HELP gcserved_request_seconds Service latency of job endpoints (upper-bound quantile estimates).")
-	add("# TYPE gcserved_request_seconds summary")
-	add("gcserved_request_seconds{quantile=\"0.5\"} %g", lat.Quantile(0.50))
-	add("gcserved_request_seconds{quantile=\"0.95\"} %g", lat.Quantile(0.95))
-	add("gcserved_request_seconds{quantile=\"0.99\"} %g", lat.Quantile(0.99))
-	add("gcserved_request_seconds_sum %g", lat.Sum().Seconds())
-	add("gcserved_request_seconds_count %d", lat.Count())
-	add("# HELP gcserved_uptime_seconds Seconds since the server started.")
-	add("# TYPE gcserved_uptime_seconds gauge")
-	add("gcserved_uptime_seconds %g", time.Since(m.start).Seconds())
-	_, err := w.Write(b)
-	return err
 }

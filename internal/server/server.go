@@ -177,17 +177,17 @@ type Server struct {
 func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:     opts.withDefaults(),
-		metrics:  NewMetrics(),
 		draining: make(chan struct{}),
 		runSweep: encodeSweep,
 	}
+	s.cache = NewCache(s.opts.CacheEntries, s.opts.CacheBytes)
+	s.queue = NewQueue(s.opts.QueueDepth)
+	s.metrics = NewMetrics(s.queue, s.cache)
 	s.runCollect = func(req hwgc.CollectRequest) ([]byte, error) { return encodeCollectObserved(req, s.metrics) }
 	if s.opts.CheckpointDir != "" {
 		s.ckpt = &checkpointStore{dir: s.opts.CheckpointDir}
 		s.runCollect = s.runCheckpointed
 	}
-	s.cache = NewCache(s.opts.CacheEntries, s.opts.CacheBytes)
-	s.queue = NewQueue(s.opts.QueueDepth)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/collect", s.handleCollect)
 	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
@@ -278,9 +278,6 @@ func (s *Server) Start() {
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Metrics exposes the counter set (for embedding or tests).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Workers returns the size of the worker pool (after defaulting).
 func (s *Server) Workers() int { return s.opts.Workers }

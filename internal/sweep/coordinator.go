@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"hwgc"
@@ -472,9 +471,4 @@ func (c *Coordinator) Close() {
 		close(c.done)
 	}
 	<-c.done
-}
-
-// WriteMetrics writes every gcsweep_* Prometheus series to w.
-func (c *Coordinator) WriteMetrics(w io.Writer) error {
-	return c.metrics.WritePrometheus(w)
 }

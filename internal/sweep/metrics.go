@@ -1,113 +1,49 @@
 package sweep
 
 import (
-	"fmt"
-	"io"
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"hwgc/internal/stats"
 )
 
-// Metrics is the sweep subsystem's counter set, written in Prometheus text
-// exposition format as part of the /metrics scrape (gcserved appends its
-// coordinator's set; gcfleet appends the proxy aggregator's).
+// Metrics is the sweep subsystem's counter set, declared against a
+// stats.Registry and written as part of the /metrics scrape (gcserved
+// writes its coordinator's set; gcfleet writes the proxy aggregator's).
 type Metrics struct {
-	sweepsSubmitted atomic.Int64 // sweeps accepted with a new ID
-	sweepsDeduped   atomic.Int64 // submissions coalesced onto an existing sweep
-	sweepsCompleted atomic.Int64
-	sweepsCancelled atomic.Int64
-	sweepsActive    atomic.Int64 // gauge
+	stats.Registry
 
-	pointsPlanned   atomic.Int64 // points expanded from accepted spaces
-	pointsDeduped   atomic.Int64 // points satisfied without a new job execution
-	pointsCompleted atomic.Int64
-	pointsFailed    atomic.Int64
-	pointsCancelled atomic.Int64
-
-	frontierUpdates atomic.Int64 // frontier recomputations that changed the ranking
-
-	mu      sync.Mutex
-	latency stats.Hist // submit-to-finish sweep latency
+	sweepsActive    *stats.Int
+	sweepsSubmitted *stats.Int
+	sweepsDeduped   *stats.Int
+	sweepsCompleted *stats.Int
+	sweepsCancelled *stats.Int
+	pointsPlanned   *stats.Int
+	pointsDeduped   *stats.Int // points satisfied without a new job execution
+	pointsCompleted *stats.Int
+	pointsFailed    *stats.Int
+	pointsCancelled *stats.Int
+	frontierUpdates *stats.Int // frontier recomputations that changed the ranking
+	latency         *stats.Summary
 }
 
 // NewMetrics returns an empty counter set.
-func NewMetrics() *Metrics { return &Metrics{} }
-
-// ObserveSweep records one sweep's submit-to-finish latency.
-func (m *Metrics) ObserveSweep(d time.Duration) {
-	m.mu.Lock()
-	m.latency.Observe(d)
-	m.mu.Unlock()
+func NewMetrics() *Metrics {
+	m := &Metrics{}
+	r := &m.Registry
+	m.sweepsActive = r.Gauge("gcsweep_sweeps_active", "Sweeps currently tracking outstanding points.")
+	m.sweepsSubmitted = r.Counter("gcsweep_sweeps_submitted_total", "Sweeps accepted with a new ID.")
+	m.sweepsDeduped = r.Counter("gcsweep_sweeps_deduped_total", "Sweep submissions coalesced onto an existing sweep by content key.")
+	m.sweepsCompleted = r.Counter("gcsweep_sweeps_completed_total", "Sweeps that finished with every point terminal.")
+	m.sweepsCancelled = r.Counter("gcsweep_sweeps_cancelled_total", "Sweeps cancelled by DELETE.")
+	m.pointsPlanned = r.Counter("gcsweep_points_planned_total", "Points expanded from accepted sweep spaces.")
+	m.pointsDeduped = r.Counter("gcsweep_points_deduped_total", "Points satisfied from cached or already-submitted results, without a new execution.")
+	m.pointsCompleted = r.Counter("gcsweep_points_completed_total", "Points that reached a result.")
+	m.pointsFailed = r.Counter("gcsweep_points_failed_total", "Points whose execution failed.")
+	m.pointsCancelled = r.Counter("gcsweep_points_cancelled_total", "Points cancelled before completing.")
+	m.frontierUpdates = r.Counter("gcsweep_frontier_updates_total", "Frontier recomputations that changed the ranking.")
+	m.latency = r.Summary("gcsweep_sweep_seconds", "Submit-to-finish sweep latency (upper-bound quantile estimates).", 0.5, 0.99)
+	return m
 }
 
 // NoteSweepDeduped counts a submission coalesced onto an existing sweep.
 // The Coordinator bumps this internally; the fleet aggregator, which keeps
 // its own sweep table, reports its dedupes through here.
 func (m *Metrics) NoteSweepDeduped() { m.sweepsDeduped.Add(1) }
-
-// PointsDeduped returns how many points were satisfied without running a
-// new job (tests and health checks).
-func (m *Metrics) PointsDeduped() int64 { return m.pointsDeduped.Load() }
-
-// PointsCompleted returns the completed-point count.
-func (m *Metrics) PointsCompleted() int64 { return m.pointsCompleted.Load() }
-
-// FrontierUpdates returns how many frontier recomputations changed the
-// ranking.
-func (m *Metrics) FrontierUpdates() int64 { return m.frontierUpdates.Load() }
-
-// WritePrometheus appends every gcsweep_* series to w.
-func (m *Metrics) WritePrometheus(w io.Writer) error {
-	m.mu.Lock()
-	latency := m.latency
-	m.mu.Unlock()
-
-	var b []byte
-	add := func(format string, args ...any) {
-		b = append(b, fmt.Sprintf(format, args...)...)
-		b = append(b, '\n')
-	}
-	add("# HELP gcsweep_sweeps_active Sweeps currently tracking outstanding points.")
-	add("# TYPE gcsweep_sweeps_active gauge")
-	add("gcsweep_sweeps_active %d", m.sweepsActive.Load())
-	add("# HELP gcsweep_sweeps_submitted_total Sweeps accepted with a new ID.")
-	add("# TYPE gcsweep_sweeps_submitted_total counter")
-	add("gcsweep_sweeps_submitted_total %d", m.sweepsSubmitted.Load())
-	add("# HELP gcsweep_sweeps_deduped_total Sweep submissions coalesced onto an existing sweep by content key.")
-	add("# TYPE gcsweep_sweeps_deduped_total counter")
-	add("gcsweep_sweeps_deduped_total %d", m.sweepsDeduped.Load())
-	add("# HELP gcsweep_sweeps_completed_total Sweeps that finished with every point terminal.")
-	add("# TYPE gcsweep_sweeps_completed_total counter")
-	add("gcsweep_sweeps_completed_total %d", m.sweepsCompleted.Load())
-	add("# HELP gcsweep_sweeps_cancelled_total Sweeps cancelled by DELETE.")
-	add("# TYPE gcsweep_sweeps_cancelled_total counter")
-	add("gcsweep_sweeps_cancelled_total %d", m.sweepsCancelled.Load())
-	add("# HELP gcsweep_points_planned_total Points expanded from accepted sweep spaces.")
-	add("# TYPE gcsweep_points_planned_total counter")
-	add("gcsweep_points_planned_total %d", m.pointsPlanned.Load())
-	add("# HELP gcsweep_points_deduped_total Points satisfied from cached or already-submitted results, without a new execution.")
-	add("# TYPE gcsweep_points_deduped_total counter")
-	add("gcsweep_points_deduped_total %d", m.pointsDeduped.Load())
-	add("# HELP gcsweep_points_completed_total Points that reached a result.")
-	add("# TYPE gcsweep_points_completed_total counter")
-	add("gcsweep_points_completed_total %d", m.pointsCompleted.Load())
-	add("# HELP gcsweep_points_failed_total Points whose execution failed.")
-	add("# TYPE gcsweep_points_failed_total counter")
-	add("gcsweep_points_failed_total %d", m.pointsFailed.Load())
-	add("# HELP gcsweep_points_cancelled_total Points cancelled before completing.")
-	add("# TYPE gcsweep_points_cancelled_total counter")
-	add("gcsweep_points_cancelled_total %d", m.pointsCancelled.Load())
-	add("# HELP gcsweep_frontier_updates_total Frontier recomputations that changed the ranking.")
-	add("# TYPE gcsweep_frontier_updates_total counter")
-	add("gcsweep_frontier_updates_total %d", m.frontierUpdates.Load())
-	add("# HELP gcsweep_sweep_seconds Submit-to-finish sweep latency (upper-bound quantile estimates).")
-	add("# TYPE gcsweep_sweep_seconds summary")
-	add("gcsweep_sweep_seconds{quantile=\"0.5\"} %g", latency.Quantile(0.50))
-	add("gcsweep_sweep_seconds{quantile=\"0.99\"} %g", latency.Quantile(0.99))
-	add("gcsweep_sweep_seconds_sum %g", latency.Sum().Seconds())
-	add("gcsweep_sweep_seconds_count %d", latency.Count())
-	_, err := w.Write(b)
-	return err
-}
