@@ -225,6 +225,22 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
 
+// BenchmarkBuildWorkload measures the heap-build layer alone — plan
+// generation plus Realize into a fresh heap — per benchmark, with its
+// allocation count. It is a layer benchmark for profiling, not a CI gate.
+func BenchmarkBuildWorkload(b *testing.B) {
+	for _, bench := range Workloads() {
+		b.Run(bench, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildWorkload(bench, 1, benchSeed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFastForward quantifies the event-driven fast-forward by running
 // the same latency-bound collection fully stepped and with fast-forwarding
 // enabled (the default). The reported gc-clock-cycles must be identical in

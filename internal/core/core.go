@@ -99,27 +99,19 @@ func RunBenchmark(bench string, scale int, seed int64, cfg Config, verify bool) 
 	if err != nil {
 		return RunResult{}, err
 	}
-	st, err := CollectOnce(h, cfg, verify)
-	if err != nil {
+	// Take the plan's statistics first: the plan is then unreferenced, so
+	// the Go collector can free it while the simulation runs.
+	res := RunResult{Benchmark: bench, PlanObjects: len(plan.Objs), PlanWords: plan.Words()}
+	res.LiveObjects, res.LiveWords = plan.LiveStats()
+	if res.Stats, err = CollectOnce(h, cfg, verify); err != nil {
 		return RunResult{}, fmt.Errorf("core: %s: %w", bench, err)
 	}
-	liveObj, liveWords := plan.LiveStats()
-	return RunResult{
-		Benchmark:   bench,
-		Stats:       st,
-		PlanObjects: len(plan.Objs),
-		PlanWords:   plan.Words(),
-		LiveObjects: liveObj,
-		LiveWords:   liveWords,
-	}, nil
+	return res, nil
 }
 
 // RunPlan builds a heap from a custom (user-supplied) plan and runs one
 // collection with cfg, optionally verified. name labels the result.
 func RunPlan(name string, plan *workload.Plan, cfg Config, verify bool) (RunResult, error) {
-	if err := plan.Validate(); err != nil {
-		return RunResult{}, err
-	}
 	h, err := plan.BuildHeap(DefaultHeadroom)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("core: building plan: %w", err)

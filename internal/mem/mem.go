@@ -411,6 +411,14 @@ type Memory struct {
 	// 1 = BodyLoad), so the not-yet-due check never touches a buffer.
 	completions intRing
 
+	// flat is set by New when the configuration has no DRAM banks, no NUMA
+	// domains and no cache model. Tick, FastForwardBy and the arbitration
+	// loop then take the flat path (commitFlat, drainFlat, acceptCoreFlat),
+	// which contains none of the bank, domain, latency-class or cache checks
+	// of the general path. Both paths produce the same results on a flat
+	// configuration; the package's tests clear flat to check that.
+	flat bool
+
 	// Memory hierarchy (NUMA domains and/or the L1/L2 cache model). hier is
 	// set when either model is enabled; the flat path never touches any of
 	// this state.
@@ -480,6 +488,7 @@ func New(data []object.Word, cfg Config) *Memory {
 		lineWords:  cfg.LineWords,
 	}
 	m.hier = m.domains > 0 || m.l1Sets > 0
+	m.flat = !m.hier && m.banks <= 0
 	if m.banks > 0 {
 		m.busyUntil = make([]int64, m.banks)
 	}
@@ -936,6 +945,12 @@ func (m *Memory) commitDue() {
 		}
 		h++
 	}
+	m.retireInflight(h)
+}
+
+// retireInflight moves the inflight head to h, past the entries just
+// committed.
+func (m *Memory) retireInflight(h int) {
 	if h == len(m.inflight) {
 		m.inflight = m.inflight[:0]
 		h = 0
@@ -988,8 +1003,7 @@ func (m *Memory) drainRing(r *intRing) {
 func (m *Memory) Tick() {
 	m.cycle++
 
-	m.commitDue()
-	m.completeDue()
+	m.settle()
 
 	pending := len(m.inflight) - m.inflightHead + m.storeQueued + m.validLoads
 	if pending > m.stats.PeakPending {
@@ -1011,11 +1025,59 @@ func (m *Memory) Tick() {
 	}
 }
 
+// settle commits the stores and completes the loads that are due at the
+// current cycle, on the path New chose.
+func (m *Memory) settle() {
+	if m.flat {
+		m.commitFlat()
+		m.drainFlat()
+		return
+	}
+	m.commitDue()
+	m.completeDue()
+}
+
+// commitFlat is commitDue without the cache model's per-address store
+// counts.
+func (m *Memory) commitFlat() {
+	h := m.inflightHead
+	if h == len(m.inflight) || m.inflight[h].doneAt > m.cycle {
+		return
+	}
+	for h < len(m.inflight) && m.inflight[h].doneAt <= m.cycle {
+		s := &m.inflight[h]
+		m.data[s.addr] = s.data
+		if s.header {
+			m.hdrCnt[s.addr] -= hdrCntInflightOne
+		}
+		h++
+	}
+	m.retireInflight(h)
+}
+
+// drainFlat is completeDue with only the DRAM completion ring and no MSHR
+// or cache fill on completion.
+func (m *Memory) drainFlat() {
+	r := &m.completions
+	for r.n > 0 {
+		e := r.front()
+		if e>>16 > m.cycle {
+			return
+		}
+		b := &m.bufs[e>>1&0x7fff][Port(e&1)<<1]
+		b.data = m.data[b.addr]
+		b.ready = true
+		m.acceptedLoads--
+		r.pop()
+	}
+}
+
 // accept runs the arbitration loop for one cycle, admitting up to Bandwidth
 // waiting requests.
 func (m *Memory) accept(n int) {
 	budget := m.bw
 	anyAccepted := false
+	flat := m.flat
 	if m.domBudget != nil {
 		for i := range m.domBudget {
 			m.domBudget[i] = m.domBW
@@ -1040,9 +1102,13 @@ func (m *Memory) accept(n int) {
 			for word != 0 && budget > 0 && m.unaccepted > 0 {
 				ci := wi<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
-				if m.acceptCore(ci, &budget) {
-					anyAccepted = true
+				var ok bool
+				if flat {
+					ok = m.acceptCoreFlat(ci, &budget)
+				} else {
+					ok = m.acceptCore(ci, &budget)
 				}
+				anyAccepted = anyAccepted || ok
 			}
 		}
 	}
@@ -1118,6 +1184,55 @@ func (m *Memory) acceptCore(ci int, budget *int) bool {
 				// The queued store becomes an accepted, uncommitted one.
 				m.hdrCnt[s.addr] += hdrCntInflightOne - hdrCntQueuedOne
 			}
+			q.pop()
+			if q.n == 0 {
+				m.clearWaiting(ci, p)
+			}
+			m.unaccepted--
+			m.storeQueued--
+		}
+		m.stats.Accepted[p]++
+		*budget--
+		accepted = true
+	}
+	return accepted
+}
+
+// acceptCoreFlat is acceptCore on a flat configuration: every request is
+// a DRAM access of uniform latency, with no bank or domain to wait for.
+func (m *Memory) acceptCoreFlat(ci int, budget *int) bool {
+	accepted := false
+	for w := m.waiting[ci]; w != 0 && *budget > 0; w &= w - 1 {
+		p := Port(bits.TrailingZeros8(w))
+		if p.IsLoad() {
+			b := &m.bufs[ci][p]
+			if p == HeaderLoad && m.headerStorePending(b.addr) {
+				m.stats.OrderDelays++
+				continue
+			}
+			b.accepted = true
+			b.doneAt = m.cycle + m.lat
+			m.unaccepted--
+			m.acceptedLoads++
+			m.clearWaiting(ci, p)
+			m.completions.push(b.doneAt<<16 | int64(ci)<<1 | int64(p>>1)) // HeaderLoad=0, BodyLoad=1
+		} else {
+			q := &m.storeQ[ci][storeIdx(p)]
+			s := q.front()
+			if p == HeaderStore {
+				if m.headerStoreOrderedBefore(s.addr, s.seq) {
+					m.stats.OrderDelays++
+					continue
+				}
+				// The queued store becomes an accepted, uncommitted one.
+				m.hdrCnt[s.addr] += hdrCntInflightOne - hdrCntQueuedOne
+			}
+			m.inflight = append(m.inflight, inflightStore{
+				addr:   s.addr,
+				data:   s.data,
+				header: p == HeaderStore,
+				doneAt: m.cycle + m.lat,
+			})
 			q.pop()
 			if q.n == 0 {
 				m.clearWaiting(ci, p)
@@ -1234,8 +1349,7 @@ func (m *Memory) FastForwardBy(delta int64) {
 	if n := len(m.bufs); n > 0 {
 		m.rr = int((int64(m.rr) + delta) % int64(n))
 	}
-	m.commitDue()
-	m.completeDue()
+	m.settle()
 }
 
 // Drained reports whether every buffer and store queue is empty and every

@@ -577,3 +577,109 @@ func TestHierarchyStateRejectsMismatch(t *testing.T) {
 		t.Fatal("out-of-range completion class accepted")
 	}
 }
+
+// TestFlatPathMatchesGeneralPath drives one seeded random request stream
+// through two memories on the same flat configuration: one on the flat path
+// New selects, one forced onto the general path. After every Tick (and
+// every fast-forward jump) the two must agree on the statistics, on every
+// load buffer's LoadReady/LoadPending answer, on the full scheduler state
+// and on every committed word. Header traffic goes to a few hot addresses,
+// so same-address header stores from different cores exercise the
+// comparator ordering; core counts past 64 cover a multi-word waitMask.
+func TestFlatPathMatchesGeneralPath(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{
+			Latency:         1 + rng.Intn(4),
+			ExtraLatency:    []int{0, 0, 20}[rng.Intn(3)],
+			Bandwidth:       1 + rng.Intn(8),
+			StoreQueueDepth: 1 + rng.Intn(4),
+		}
+		cores := []int{1, 2, 5, 16, 70}[rng.Intn(5)]
+		const words = 512
+		fast := newMem(words, cfg, cores)
+		slow := newMem(words, cfg, cores)
+		if !fast.flat {
+			t.Fatalf("seed %d: flat config %+v did not select the flat path", seed, cfg)
+		}
+		slow.flat = false
+		ms := [2]*Memory{fast, slow}
+
+		addr := func(header bool) object.Addr {
+			if header {
+				return object.Addr(1 + rng.Intn(12))
+			}
+			return object.Addr(1 + rng.Intn(words-1))
+		}
+		for tick := 0; tick < 3000; tick++ {
+			if tick == 1500 {
+				// A new collection cycle over an aborted one.
+				cores = 1 + rng.Intn(70)
+				for _, m := range ms {
+					m.AttachCores(cores)
+				}
+			}
+			// Bursts of traffic alternate with quiet stretches in which the
+			// scheduler drains and fast-forward jumps become possible.
+			n := 0
+			if tick%200 < 120 {
+				n = rng.Intn(cores + 1)
+			}
+			for ; n > 0; n-- {
+				c := rng.Intn(cores)
+				var got [2]any
+				switch op := rng.Intn(8); op {
+				case 0, 1, 2, 3:
+					port := []Port{HeaderLoad, BodyLoad}[op%2]
+					a := addr(port == HeaderLoad)
+					for i, m := range ms {
+						got[i] = m.IssueLoad(c, port, a)
+					}
+				case 4, 5:
+					port := []Port{HeaderLoad, BodyLoad}[op%2]
+					for i, m := range ms {
+						w, done, ok := m.PollLoad(c, port)
+						got[i] = [3]any{w, done, ok}
+					}
+				default:
+					port := []Port{HeaderStore, BodyStore}[op%2]
+					a, w := addr(port == HeaderStore), object.Word(rng.Uint64())
+					for i, m := range ms {
+						got[i] = m.IssueStore(c, port, a, w)
+					}
+				}
+				if got[0] != got[1] {
+					t.Fatalf("seed %d tick %d: flat path returned %v, general path %v", seed, tick, got[0], got[1])
+				}
+			}
+			if fast.Quiescent() && rng.Intn(4) == 0 {
+				d := 1 + rng.Int63n(30)
+				for _, m := range ms {
+					m.FastForwardBy(d)
+				}
+			} else {
+				for _, m := range ms {
+					m.Tick()
+				}
+			}
+			if fast.Stats() != slow.Stats() {
+				t.Fatalf("seed %d tick %d: stats differ:\nflat    %+v\ngeneral %+v", seed, tick, fast.Stats(), slow.Stats())
+			}
+			for c := 0; c < cores; c++ {
+				for _, p := range loadPorts {
+					d0, ok0 := fast.LoadPending(c, p)
+					d1, ok1 := slow.LoadPending(c, p)
+					if fast.LoadReady(c, p) != slow.LoadReady(c, p) || d0 != d1 || ok0 != ok1 {
+						t.Fatalf("seed %d tick %d: core %d %v buffers differ", seed, tick, c, p)
+					}
+				}
+			}
+			if !reflect.DeepEqual(fast.CaptureState(), slow.CaptureState()) {
+				t.Fatalf("seed %d tick %d: scheduler states differ", seed, tick)
+			}
+			if !reflect.DeepEqual(fast.Data(), slow.Data()) {
+				t.Fatalf("seed %d tick %d: committed words differ", seed, tick)
+			}
+		}
+	}
+}

@@ -21,47 +21,47 @@ var specs = []Spec{
 	{
 		Name: "compress",
 		Desc: "chain of large buffer objects; highly linear graph, no object-level parallelism beyond ~2",
-		Plan: compressPlan,
+		Plan: generate(compressPlan),
 	},
 	{
 		Name: "cup",
 		Desc: "parser tables with enormous breadth; gray population overflows the header FIFO",
-		Plan: cupPlan,
+		Plan: generate(cupPlan),
 	},
 	{
 		Name: "db",
 		Desc: "index pages and records with a shared string pool; scales well",
-		Plan: dbPlan,
+		Plan: generate(dbPlan),
 	},
 	{
 		Name: "javac",
 		Desc: "AST whose nodes reference a few hot symbol-table hubs; heavy header-lock contention",
-		Plan: javacPlan,
+		Plan: generate(javacPlan),
 	},
 	{
 		Name: "javacc",
 		Desc: "wide parse tree; scales well",
-		Plan: javaccPlan,
+		Plan: generate(javaccPlan),
 	},
 	{
 		Name: "jflex",
 		Desc: "long chain of DFA states with small bushy transition tables; limited parallelism",
-		Plan: jflexPlan,
+		Plan: generate(jflexPlan),
 	},
 	{
 		Name: "jlisp",
 		Desc: "small heap of cons cells and atoms; the smallest benchmark",
-		Plan: jlispPlan,
+		Plan: generate(jlispPlan),
 	},
 	{
 		Name: "search",
 		Desc: "binary search tree degenerated to a path by sorted insertion; no parallelism",
-		Plan: searchPlan,
+		Plan: generate(searchPlan),
 	},
 	{
 		Name: "blob",
 		Desc: "a handful of huge buffer objects; object-level parallelism is bounded by the object count, sub-object strides are not",
-		Plan: blobPlan,
+		Plan: generate(blobPlan),
 	},
 }
 
@@ -89,35 +89,49 @@ func Get(name string) (Spec, error) {
 // All returns every benchmark spec in table order.
 func All() []Spec { return append([]Spec(nil), specs...) }
 
-func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+// generate turns a benchmark builder into a Spec.Plan function. The builder
+// adds and wires the plan's objects, drawing its random choices from rng;
+// generate then fills every data word from the same stream and drops the
+// plan's slabs, so a generated plan holds nothing but Objs and Roots.
+func generate(build func(p *Plan, rng *rand.Rand, scale int)) func(scale int, seed int64) *Plan {
+	return func(scale int, seed int64) *Plan {
+		rng := rand.New(rand.NewSource(seed))
+		p := &Plan{}
+		build(p, rng, scale)
+		p.FillData(rng)
+		p.ptrSlab, p.dataSlab = nil, nil
+		return p
+	}
+}
+
+// reserve sizes the plan's object list for n objects, the count the
+// builder's loops will add (or, for randomly sized graphs, its bound), so
+// the list is allocated once instead of grown by repeated appends.
+func (p *Plan) reserve(n int) { p.Objs = make([]PlanObj, 0, n) }
 
 // compressPlan models the SPEC compress loop: a chain of compression-buffer
 // objects, each holding a large data block and a small auxiliary leaf. The
 // chain serializes discovery, so at most ~two objects are in flight: the
 // paper's Table I shows the work list almost never empty at 2 cores yet
 // ~99 % empty at 4+, with no significant speedup (Fig. 5).
-func compressPlan(scale int, seed int64) *Plan {
-	rng := newRNG(seed)
-	p := &Plan{}
+func compressPlan(p *Plan, rng *rand.Rand, scale int) {
 	n := 15000 * scale
+	garbage := n / 3
+	p.reserve(n + garbage)
 	head := p.Chain(n, 1, 3)
 	p.AddRoot(head)
-	p.sprinkleGarbage(rng, n/3, 8)
-	p.FillData(rng)
-	return p
+	p.sprinkleGarbage(rng, garbage, 8)
 }
 
 // searchPlan models a binary search tree built by sorted insertion: a pure
 // path of two-pointer nodes. Discovery is fully serialized (Table I: 73.7 %
 // empty already at 2 cores).
-func searchPlan(scale int, seed int64) *Plan {
-	rng := newRNG(seed)
-	p := &Plan{}
-	root := p.DegeneratePath(15000*scale, 0)
+func searchPlan(p *Plan, rng *rand.Rand, scale int) {
+	n, garbage := 15000*scale, 2000*scale
+	p.reserve(n + garbage)
+	root := p.DegeneratePath(n, 0)
 	p.AddRoot(root)
-	p.sprinkleGarbage(rng, 2000*scale, 4)
-	p.FillData(rng)
-	return p
+	p.sprinkleGarbage(rng, garbage, 4)
 }
 
 // cupPlan models the CUP parser generator's action tables: a root table
@@ -125,11 +139,10 @@ func searchPlan(scale int, seed int64) *Plan {
 // small entries. The gray population peaks far above the 32k-entry header
 // FIFO, forcing scan-critical-section memory loads (Table II: cup is the
 // benchmark with significant scan-lock stalls).
-func cupPlan(scale int, seed int64) *Plan {
-	rng := newRNG(seed)
-	p := &Plan{}
-	const fan1 = 160
+func cupPlan(p *Plan, rng *rand.Rand, scale int) {
+	const fan1, garbage = 160, 4000
 	fan2 := 280 * scale
+	p.reserve(1 + fan1*(1+fan2) + garbage)
 	root := p.NewObj(fan1, 2)
 	for i := 0; i < fan1; i++ {
 		t := p.NewObj(fan2, 2)
@@ -140,24 +153,20 @@ func cupPlan(scale int, seed int64) *Plan {
 		}
 	}
 	p.AddRoot(root)
-	p.sprinkleGarbage(rng, 4000, 4)
-	p.FillData(rng)
-	return p
+	p.sprinkleGarbage(rng, garbage, 4)
 }
 
 // dbPlan models an in-memory database: chained index pages referencing
 // fixed-shape records, whose key/value fields point into a shared string
 // pool. Wide fan-out at every level; scales well.
-func dbPlan(scale int, seed int64) *Plan {
-	rng := newRNG(seed)
-	p := &Plan{}
-	nStrings := 2048
+func dbPlan(p *Plan, rng *rand.Rand, scale int) {
+	const nStrings, pageFan = 2048, 128
+	nPages, garbage := 56*scale, 3000*scale
+	p.reserve(nStrings + nPages*(1+pageFan) + garbage)
 	strings := make([]int, nStrings)
 	for i := range strings {
 		strings[i] = p.NewObj(0, 2+rng.Intn(8))
 	}
-	const pageFan = 128
-	nPages := 56 * scale
 	var firstPage, prevPage = -1, -1
 	for pg := 0; pg < nPages; pg++ {
 		page := p.NewObj(pageFan+1, 4) // slot 0: next page
@@ -175,9 +184,7 @@ func dbPlan(scale int, seed int64) *Plan {
 		}
 	}
 	p.AddRoot(firstPage)
-	p.sprinkleGarbage(rng, 3000*scale, 6)
-	p.FillData(rng)
-	return p
+	p.sprinkleGarbage(rng, garbage, 6)
 }
 
 // javacPlan models a compiler's AST plus symbol table: a bushy expression
@@ -186,10 +193,10 @@ func dbPlan(scale int, seed int64) *Plan {
 // objects is exactly the situation the paper identifies as the source of
 // javac's header-lock stalls (Table II), and the target of the unlocked
 // mark-read optimization.
-func javacPlan(scale int, seed int64) *Plan {
-	rng := newRNG(seed)
-	p := &Plan{}
+func javacPlan(p *Plan, rng *rand.Rand, scale int) {
 	const nSyms = 16
+	nNodes, garbage := 15000*scale, 4000*scale
+	p.reserve(nSyms + 1 + nNodes + garbage)
 	syms := make([]int, nSyms)
 	for i := range syms {
 		syms[i] = p.NewObj(1, 6) // symbols link to a shared scope object
@@ -198,7 +205,6 @@ func javacPlan(scale int, seed int64) *Plan {
 	for _, s := range syms {
 		p.Link(s, 0, scope)
 	}
-	nNodes := 15000 * scale
 	// Build a random bushy tree over the AST nodes: each node has 2 child
 	// slots plus 1 symbol slot.
 	nodes := make([]int, nNodes)
@@ -231,39 +237,35 @@ func javacPlan(scale int, seed int64) *Plan {
 		}
 	}
 	p.AddRoot(nodes[0])
-	p.sprinkleGarbage(rng, 4000*scale, 4)
-	p.FillData(rng)
-	return p
+	p.sprinkleGarbage(rng, garbage, 4)
 }
 
 // javaccPlan models JavaCC's wide parse tree: branching factor 8, shallow,
 // with leaf token objects. Plenty of object-level parallelism.
-func javaccPlan(scale int, seed int64) *Plan {
-	rng := newRNG(seed)
-	p := &Plan{}
+func javaccPlan(p *Plan, rng *rand.Rand, scale int) {
+	const branch, depth, garbage = 8, 5, 5000
+	p.reserve(1 + scale*treeSize(branch, depth) + garbage)
 	root := p.NewObj(scale, 2)
 	for i := 0; i < scale; i++ {
-		t := p.BalancedTree(8, 5, 1, 6)
+		t := p.BalancedTree(branch, depth, 1, 6)
 		p.Link(root, i, t)
 	}
 	p.AddRoot(root)
-	p.sprinkleGarbage(rng, 5000, 4)
-	p.FillData(rng)
-	return p
+	p.sprinkleGarbage(rng, garbage, 4)
 }
 
 // jflexPlan models JFlex's scanner generator: a long chain of DFA states,
 // each carrying a small bushy transition table. Parallelism is limited to
 // the burst width, so starvation appears only at higher core counts
 // (Table I: 5.5 % empty at 8 cores, 35.4 % at 16).
-func jflexPlan(scale int, seed int64) *Plan {
-	rng := newRNG(seed)
-	p := &Plan{}
-	nStates := 1100 * scale
+func jflexPlan(p *Plan, rng *rand.Rand, scale int) {
+	const branch, depth = 4, 1
+	nStates, garbage := 1100*scale, 1500*scale
+	p.reserve(nStates*(1+treeSize(branch, depth)) + garbage)
 	var head, prev = -1, -1
 	for i := 0; i < nStates; i++ {
 		st := p.NewObj(2, 4) // slot 0: next state, slot 1: transition table
-		table := p.BalancedTree(4, 1, 2, 5)
+		table := p.BalancedTree(branch, depth, 2, 5)
 		p.Link(st, 1, table)
 		if prev >= 0 {
 			p.Link(prev, 0, st)
@@ -273,9 +275,7 @@ func jflexPlan(scale int, seed int64) *Plan {
 		prev = st
 	}
 	p.AddRoot(head)
-	p.sprinkleGarbage(rng, 1500*scale, 4)
-	p.FillData(rng)
-	return p
+	p.sprinkleGarbage(rng, garbage, 4)
 }
 
 // blobPlan is the extension workload for the Section VII stride experiment:
@@ -286,28 +286,26 @@ func jflexPlan(scale int, seed int64) *Plan {
 // granularity lets all cores share each bulk copy. (Note that *chains* of
 // large objects do not defeat object granularity: the next pointer sits at
 // the start of the body, so discovery cascades far ahead of the copies.)
-func blobPlan(scale int, seed int64) *Plan {
-	rng := newRNG(seed)
-	p := &Plan{}
-	n := 6 * scale
+func blobPlan(p *Plan, rng *rand.Rand, scale int) {
+	n, garbage := 6*scale, 32*scale
+	p.reserve(1 + n + garbage)
 	dir := p.NewObj(n, 2)
 	for i := 0; i < n; i++ {
 		blob := p.NewObj(0, 3800)
 		p.Link(dir, i, blob)
 	}
 	p.AddRoot(dir)
-	p.sprinkleGarbage(rng, 32*scale, 32)
-	p.FillData(rng)
-	return p
+	p.sprinkleGarbage(rng, garbage, 32)
 }
 
 // jlispPlan models a small Lisp interpreter heap: cons cells and atoms in
 // random trees. The smallest benchmark (the paper's jlisp collection cycle
 // is an order of magnitude shorter than the others).
-func jlispPlan(scale int, seed int64) *Plan {
-	rng := newRNG(seed)
-	p := &Plan{}
-	nAtoms := 400 * scale
+func jlispPlan(p *Plan, rng *rand.Rand, scale int) {
+	const depth = 7
+	nAtoms, nLists, garbage := 400*scale, 24*scale, 500*scale
+	// Each list holds at most a full binary tree of depth-1 cons levels.
+	p.reserve(nAtoms + 1 + nLists*treeSize(2, depth-1) + garbage)
 	atoms := make([]int, nAtoms)
 	for i := range atoms {
 		atoms[i] = p.NewObj(0, 1)
@@ -322,13 +320,10 @@ func jlispPlan(scale int, seed int64) *Plan {
 		p.Link(c, 1, build(depth-1))
 		return c
 	}
-	nLists := 24 * scale
 	root := p.NewObj(nLists, 0)
 	for i := 0; i < nLists; i++ {
-		p.Link(root, i, build(7))
+		p.Link(root, i, build(depth))
 	}
 	p.AddRoot(root)
-	p.sprinkleGarbage(rng, 500*scale, 2)
-	p.FillData(rng)
-	return p
+	p.sprinkleGarbage(rng, garbage, 2)
 }

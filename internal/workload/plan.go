@@ -45,26 +45,50 @@ type PlanObj struct {
 type Plan struct {
 	Objs  []PlanObj
 	Roots []int
+
+	// ptrSlab and dataSlab are the unused tails of the slabs NewObj carves
+	// the objects' slot lists from, so a plan is built in a few allocations
+	// rather than two per object. The benchmark generators drop them when
+	// they finish, so a generated plan holds nothing but Objs and Roots.
+	ptrSlab  []int
+	dataSlab []object.Word
+}
+
+// minSlab is the size, in elements, of the smallest slab NewObj allocates.
+// A new slab also holds at least two elements per object already in the
+// plan, so the number of slabs grows only logarithmically with the plan.
+const minSlab = 1024
+
+// carve returns the next n elements of *slab, first replacing the slab with
+// a fresh one of at least grow elements when fewer than n remain. The result
+// is capped at n, so appending to it can never overwrite the next object's
+// slots, and is non-nil even when n is zero.
+func carve[T any](slab *[]T, n, grow int) []T {
+	if n == 0 {
+		return []T{}
+	}
+	if len(*slab) < n {
+		*slab = make([]T, max(n, grow, minSlab))
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // NewObj appends an object with the given shape, all pointer slots nil and
 // all data words zero, and returns its index.
 func (p *Plan) NewObj(pi, delta int) int {
+	ptrs := carve(&p.ptrSlab, pi, 2*len(p.Objs))
+	for i := range ptrs {
+		ptrs[i] = -1
+	}
 	p.Objs = append(p.Objs, PlanObj{
 		Pi:    pi,
 		Delta: delta,
-		Ptrs:  makeNilPtrs(pi),
-		Data:  make([]object.Word, delta),
+		Ptrs:  ptrs,
+		Data:  carve(&p.dataSlab, delta, 2*len(p.Objs)),
 	})
 	return len(p.Objs) - 1
-}
-
-func makeNilPtrs(pi int) []int {
-	s := make([]int, pi)
-	for i := range s {
-		s[i] = -1
-	}
-	return s
 }
 
 // Link sets pointer slot slot of object from to refer to object to.
@@ -124,8 +148,19 @@ func (p *Plan) LiveStats() (objects, words int) {
 
 // Realize allocates the plan's objects into h (in plan order), wires their
 // pointer slots and data words, and installs the root set. The heap's
-// current space must have room for Words() words.
+// current space must have room for Words() words. A plan that fails
+// Validate is rejected before anything is written: the slot lists are
+// copied straight into the heap's words, so a list longer than its declared
+// shape would otherwise overwrite the next object.
 func (p *Plan) Realize(h *heap.Heap) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	return p.realize(h)
+}
+
+// realize is Realize for a plan that has passed Validate.
+func (p *Plan) realize(h *heap.Heap) error {
 	addrs := make([]object.Addr, len(p.Objs))
 	for i := range p.Objs {
 		o := &p.Objs[i]
@@ -134,16 +169,17 @@ func (p *Plan) Realize(h *heap.Heap) error {
 			return fmt.Errorf("workload: realizing object %d/%d: %w", i, len(p.Objs), err)
 		}
 		addrs[i] = a
-		for j, w := range o.Data {
-			h.SetData(a, j, w)
-		}
 	}
+	words := h.Mem()
 	for i := range p.Objs {
-		for s, t := range p.Objs[i].Ptrs {
+		o := &p.Objs[i]
+		slots := words[object.PtrSlot(addrs[i], 0):]
+		for s, t := range o.Ptrs {
 			if t >= 0 {
-				h.SetPtr(addrs[i], s, addrs[t])
+				slots[s] = object.Word(addrs[t])
 			}
 		}
+		copy(slots[o.Pi:], o.Data)
 	}
 	h.ClearRoots()
 	for _, r := range p.Roots {
@@ -159,14 +195,18 @@ func (p *Plan) Realize(h *heap.Heap) error {
 // BuildHeap creates a heap sized for the plan (semispaces hold the plan plus
 // headroom) and realizes the plan into it. The paper dimensioned its heaps
 // at twice the minimal size; headroom 2.0 reproduces that rule of thumb
-// relative to the live set.
+// relative to the live set. Like Realize, it rejects a plan that fails
+// Validate.
 func (p *Plan) BuildHeap(headroom float64) (*heap.Heap, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	if headroom < 1.05 {
 		headroom = 1.05
 	}
 	semi := int(float64(p.Words())*headroom) + 64
 	h := heap.New(semi)
-	if err := p.Realize(h); err != nil {
+	if err := p.realize(h); err != nil {
 		return nil, err
 	}
 	return h, nil

@@ -37,6 +37,17 @@ func (p *Plan) BalancedTree(branch, depth, innerDelta, leafDelta int) int {
 	return root
 }
 
+// treeSize returns the number of nodes BalancedTree(branch, depth, ...)
+// appends.
+func treeSize(branch, depth int) int {
+	n, level := 0, 1
+	for d := 0; d <= depth; d++ {
+		n += level
+		level *= branch
+	}
+	return n
+}
+
 // DegeneratePath appends a binary-tree path of n nodes — the shape a binary
 // search tree assumes under sorted insertion. Each node has two pointer
 // slots; only one is used, alternating sides, so the graph is maximally

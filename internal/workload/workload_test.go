@@ -3,10 +3,12 @@ package workload
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"hwgc/internal/gcalgo"
+	"hwgc/internal/heap"
 	"hwgc/internal/object"
 )
 
@@ -154,7 +156,7 @@ func TestShapeProperties(t *testing.T) {
 // TestJavacHubSkew checks the javac reference-popularity skew: the hottest
 // object must attract a large share of all incoming references.
 func TestJavacHubSkew(t *testing.T) {
-	p := javacPlan(1, 42)
+	p := generate(javacPlan)(1, 42)
 	indeg := make(map[int]int)
 	for i := range p.Objs {
 		for _, c := range p.Objs[i].Ptrs {
@@ -201,6 +203,62 @@ func TestPlanPrimitives(t *testing.T) {
 	}
 	if h.Ptr(h.Root(0), 1) == object.NilPtr {
 		t.Fatal("edge not realized")
+	}
+}
+
+// TestNewObjSlotLists checks the slab-carved slot lists: each is capped at
+// its own length, so appending to one cannot overwrite the next object's
+// slots, and empty lists are non-nil so they encode as [] rather than null.
+func TestNewObjSlotLists(t *testing.T) {
+	p := &Plan{}
+	a := p.NewObj(1, 1)
+	b := p.NewObj(1, 1)
+	c := p.NewObj(0, 0)
+	_ = append(p.Objs[a].Ptrs, 7)
+	_ = append(p.Objs[a].Data, 7)
+	if p.Objs[b].Ptrs[0] != -1 || p.Objs[b].Data[0] != 0 {
+		t.Fatalf("append to object %d reached object %d: %+v", a, b, p.Objs[b])
+	}
+	if p.Objs[c].Ptrs == nil || p.Objs[c].Data == nil {
+		t.Fatalf("empty slot lists are nil: %+v", p.Objs[c])
+	}
+}
+
+// TestRealizeRejectsMalformedPlans builds plans programmatically — the way
+// library callers do — and breaks one invariant in each. Realize copies
+// slot lists straight into the heap, so each must be refused with an error
+// before anything is written.
+func TestRealizeRejectsMalformedPlans(t *testing.T) {
+	cases := map[string]func(p *Plan){
+		"extra data word":      func(p *Plan) { p.Objs[0].Data = append(p.Objs[0].Data, 9) },
+		"missing data word":    func(p *Plan) { p.Objs[0].Data = p.Objs[0].Data[:0] },
+		"extra pointer slot":   func(p *Plan) { p.Objs[0].Ptrs = append(p.Objs[0].Ptrs, 1) },
+		"missing pointer slot": func(p *Plan) { p.Objs[0].Ptrs = p.Objs[0].Ptrs[:1] },
+		"pointer past end":     func(p *Plan) { p.Objs[0].Ptrs[0] = len(p.Objs) },
+		"pointer below nil":    func(p *Plan) { p.Objs[0].Ptrs[1] = -2 },
+		"root past end":        func(p *Plan) { p.AddRoot(len(p.Objs)) },
+		"π out of range":       func(p *Plan) { p.Objs[1].Pi = object.MaxPi + 1 },
+		"δ negative":           func(p *Plan) { p.Objs[1].Delta = -1 },
+		"π far below zero":     func(p *Plan) { p.Objs[1].Pi = -1000 },
+		"no objects":           func(p *Plan) { p.Objs = nil; p.Roots = nil },
+	}
+	for name, corrupt := range cases {
+		p := &Plan{}
+		a := p.NewObj(2, 1)
+		b := p.NewObj(0, 3)
+		p.Link(a, 0, b)
+		p.AddRoot(a)
+		corrupt(p)
+		h := heap.New(256)
+		if err := p.Realize(h); err == nil {
+			t.Errorf("%s: Realize accepted the plan", name)
+		}
+		if h.UsedWords() != 0 || slices.ContainsFunc(h.Mem(), func(w object.Word) bool { return w != 0 }) {
+			t.Errorf("%s: Realize wrote to the heap before rejecting the plan", name)
+		}
+		if _, err := p.BuildHeap(2.0); err == nil {
+			t.Errorf("%s: BuildHeap accepted the plan", name)
+		}
 	}
 }
 
