@@ -1,11 +1,12 @@
 // Command gcfleet fronts a fleet of gcserved backends with a single
 // gcserved-compatible endpoint set. Requests are routed by the content key
 // of their canonical plan over a consistent-hash ring (so repeats land on
-// the backend whose cache is already warm), failures fail over to the next
-// ring replica under a capped-backoff retry policy, unhealthy backends are
-// quarantined by per-backend circuit breakers fed by /healthz probing, and
-// POST /v1/batch scatter-gathers mixed collect/sweep experiments with
-// per-item partial-failure reporting.
+// the backend whose cache is already warm), a collect or sweep result seen
+// twice is kept in an edge cache and served by the fleet itself from then
+// on, failures fail over to the next ring replica under a capped-backoff
+// retry policy, unhealthy backends are quarantined by per-backend circuit
+// breakers fed by /healthz probing, and POST /v1/batch scatter-gathers mixed
+// collect/sweep experiments with per-item partial-failure reporting.
 //
 // Usage:
 //
@@ -14,12 +15,14 @@
 //	        [-timeout 60s] [-hedge-quantile 0] [-hedge-min 20ms]
 //	        [-health-interval 2s] [-breaker-failures 3] [-breaker-cooldown 5s]
 //	        [-batch-inflight 4] [-export-wait 30s] [-registry-limit 4096]
-//	        [-sweep-poll 250ms] [-drain 30s]
+//	        [-sweep-poll 250ms] [-cache-entries 1024] [-cache-mb 64]
+//	        [-drain 30s]
 //
 // Endpoints (same wire format as one gcserved):
 //
-//	POST /v1/collect   routed to the key's ring owner, proxied verbatim
-//	POST /v1/sweep     routed to the key's ring owner, proxied verbatim
+//	POST /v1/collect   served from the edge cache, else routed to the key's
+//	                   ring owner and proxied verbatim
+//	POST /v1/sweep     same as /v1/collect
 //	POST /v1/batch     scatter-gather over the fleet, per-item results
 //	POST /v1/jobs      async jobs, routed by the job's content key
 //	GET  /v1/jobs/{id} job status/result/events, routed like the submit
@@ -88,6 +91,8 @@ func parseOptions(args []string) (addr string, opts cluster.Options, drain time.
 		exportWait     = fs.Duration("export-wait", 30*time.Second, "how long a migration export waits for a running job's next snapshot boundary")
 		registryLimit  = fs.Int("registry-limit", 4096, "job submissions remembered for dead-owner rescue during rebalance")
 		sweepPoll      = fs.Duration("sweep-poll", 250*time.Millisecond, "per-point result poll interval of the fleet sweep engine")
+		cacheEntries   = fs.Int("cache-entries", 1024, "edge result cache entry bound (negative = disabled)")
+		cacheMB        = fs.Int64("cache-mb", 64, "edge result cache size bound in MiB (negative = disabled)")
 		drainFlag      = fs.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -126,6 +131,8 @@ func parseOptions(args []string) (addr string, opts cluster.Options, drain time.
 		ExportWait:       *exportWait,
 		RegistryLimit:    *registryLimit,
 		SweepPoll:        *sweepPoll,
+		CacheEntries:     *cacheEntries,
+		CacheBytes:       *cacheMB << 20,
 	}, *drainFlag, nil
 }
 

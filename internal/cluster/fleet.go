@@ -23,13 +23,15 @@
 //     point's job to its cache-owning backend by content key, and
 //     aggregates the ranked frontier locally — byte-identical to what a
 //     single backend would serve for the same space;
+//   - an edge result cache for /v1/collect and /v1/sweep: a key's terminal
+//     200 reply is stored at the fleet on its second sighting, and later
+//     requests for it are answered with no backend exchange;
 //   - fleet-level Prometheus metrics on /metrics.
 //
 // The design follows the paper's synchronization discipline at fleet
-// scale: the common case (a healthy owner backend with a warm cache) is
-// contention-free, every stall has an accounted cause (breaker opens,
-// failovers, retries, hedges), and overload is an explicit bounded
-// rejection, never an invisible convoy.
+// scale: the common case (a fleet-edge hit) is contention-free, every
+// stall has an accounted cause (breaker opens, failovers, retries, hedges),
+// and overload is an explicit bounded rejection, never an invisible convoy.
 package cluster
 
 import (
@@ -101,6 +103,11 @@ type Options struct {
 	// SweepPoll is the per-point result poll interval of the fleet sweep
 	// engine (default 250ms; tests shrink it).
 	SweepPoll time.Duration
+	// CacheEntries / CacheBytes bound the edge result cache for /v1/collect
+	// and /v1/sweep, as on gcserved (defaults 1024 entries and 64 MiB); a
+	// negative value disables it.
+	CacheEntries int
+	CacheBytes   int64
 }
 
 func (o Options) withDefaults() Options {
@@ -149,6 +156,12 @@ func (o Options) withDefaults() Options {
 	if o.SweepPoll <= 0 {
 		o.SweepPoll = 250 * time.Millisecond
 	}
+	if o.CacheEntries == 0 {
+		o.CacheEntries = 1024
+	}
+	if o.CacheBytes == 0 {
+		o.CacheBytes = 64 << 20
+	}
 	return o
 }
 
@@ -186,6 +199,9 @@ type Fleet struct {
 	removed  map[string]*Backend // left the ring; retained as migration sources
 	nextIdx  int                 // monotonic backend index so re-adds get fresh IDs
 
+	edge       *edgeCache // nil when disabled
+	replyLimit int64      // largest backend reply body relayed (tests shrink it)
+
 	registry *jobRegistry     // canonical submit bodies, for dead-owner rescue
 	emetrics *elastic.Metrics // gcelastic_* counters, appended to /metrics
 	migrator *elastic.Migrator
@@ -215,17 +231,24 @@ func New(opts Options) (*Fleet, error) {
 		return nil, fmt.Errorf("cluster: fleet needs at least one backend")
 	}
 	f := &Fleet{
-		opts:     opts,
-		backends: make(map[string]*Backend, len(opts.Backends)),
-		removed:  make(map[string]*Backend),
-		nextIdx:  len(opts.Backends),
-		registry: newJobRegistry(opts.RegistryLimit),
-		emetrics: elastic.NewMetrics(),
-		stop:     make(chan struct{}),
-		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
-		sleep:    sleepCtx,
+		opts:       opts,
+		backends:   make(map[string]*Backend, len(opts.Backends)),
+		removed:    make(map[string]*Backend),
+		nextIdx:    len(opts.Backends),
+		edge:       newEdgeCache(opts.CacheEntries, opts.CacheBytes),
+		replyLimit: maxProxyBodyBytes,
+		registry:   newJobRegistry(opts.RegistryLimit),
+		emetrics:   elastic.NewMetrics(),
+		stop:       make(chan struct{}),
+		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
+		sleep:      sleepCtx,
 	}
-	f.metrics = NewMetrics(f.Backends)
+	f.metrics = NewMetrics(f.Backends, func() int64 {
+		if f.edge == nil {
+			return 0
+		}
+		return f.edge.Bytes()
+	})
 	ids := make([]string, 0, len(opts.Backends))
 	for i, raw := range opts.Backends {
 		b, err := newBackend(i, raw, opts.BreakerThreshold, opts.BreakerCooldown, opts.BatchInflight)
@@ -421,11 +444,15 @@ func (f *Fleet) send(ctx context.Context, b *Backend, method, path string, body 
 		return sendResult{backend: b, err: err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBodyBytes))
+	// One byte past the limit tells a reply at the limit from a longer one.
+	data, err := io.ReadAll(io.LimitReader(resp.Body, f.replyLimit+1))
 	if err != nil {
 		return sendResult{backend: b, err: err}
 	}
 	f.metrics.exchanges.With(b.id, strconv.Itoa(resp.StatusCode)).Add(1)
+	if int64(len(data)) > f.replyLimit {
+		return sendResult{backend: b, err: fmt.Errorf("%w (%d bytes)", errReplyTooLarge, f.replyLimit)}
+	}
 	return sendResult{backend: b, status: resp.StatusCode, header: resp.Header, body: data}
 }
 
@@ -433,11 +460,20 @@ func (f *Fleet) send(ctx context.Context, b *Backend, method, path string, body 
 // are the largest; 64 MiB is far above any real reply).
 const maxProxyBodyBytes = 64 << 20
 
+// errReplyTooLarge fails an exchange whose reply body exceeds the proxy
+// limit: relaying a truncated body as a 200 would be a wrong answer.
+var errReplyTooLarge = errors.New("cluster: backend reply exceeds the proxy body limit")
+
 // terminal classifies an exchange outcome: true means return it to the
 // caller as-is (2xx, 3xx and non-429 4xx — the backend answered
-// authoritatively), false means retry/failover (transport error, 5xx, 429).
+// authoritatively — or an oversized reply, which every deterministic
+// replica would repeat), false means retry/failover (transport error, 5xx,
+// 429).
 func terminal(r sendResult) bool {
-	return r.err == nil && r.status < 500 && r.status != http.StatusTooManyRequests
+	if r.err != nil {
+		return errors.Is(r.err, errReplyTooLarge)
+	}
+	return r.status < 500 && r.status != http.StatusTooManyRequests
 }
 
 // do routes one request for key across the ring replicas under the retry
@@ -494,7 +530,7 @@ func (f *Fleet) do(ctx context.Context, method, path, key string, body []byte) (
 			switch {
 			case terminal(res):
 				res.backend.breaker.Record(true)
-				return res, nil
+				return res, res.err
 			case res.status == http.StatusTooManyRequests:
 				// Deliberate backpressure: the backend is alive, just
 				// busy. Honor its Retry-After before the next round.
@@ -613,15 +649,15 @@ func (f *Fleet) settleHedgeLoser(loser sendResult) {
 		return
 	}
 	switch {
-	case loser.err != nil && errors.Is(loser.err, context.Canceled):
+	case errors.Is(loser.err, context.Canceled):
 		b.breaker.Cancel()
-	case loser.err != nil || loser.status >= 500:
+	case terminal(loser) || loser.status == http.StatusTooManyRequests:
+		// Terminal replies and 429 backpressure both prove liveness.
+		b.breaker.Record(true)
+	default:
 		b.breaker.Record(false)
 		b.errors.Add(1)
 		f.metrics.backendFailures.Add(1)
-	default:
-		// Terminal replies and 429 backpressure both prove liveness.
-		b.breaker.Record(true)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // fakeBackend is a switchable stand-in for one gcserved: mode "ok" echoes
 // a deterministic body derived from the request (so byte-identity across
 // backends holds, like the real deterministic simulator), mode "fail"
-// returns 503 everywhere, mode "slow" answers after a delay, and mode
-// "busy" returns 429 with a Retry-After.
+// returns 503 everywhere, mode "slow" answers after a delay, mode "busy"
+// returns 429 with a Retry-After, and mode "reject" returns 400.
 type fakeBackend struct {
 	ts       *httptest.Server
 	mode     atomic.Value // string
@@ -50,6 +50,9 @@ func newFakeBackend(t *testing.T, delay time.Duration) *fakeBackend {
 		case "busy":
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "queue full", http.StatusTooManyRequests)
+			return
+		case "reject":
+			http.Error(w, "invalid request", http.StatusBadRequest)
 			return
 		case "slow":
 			time.Sleep(fb.delay)
@@ -131,7 +134,8 @@ func seedOwnedBy(t *testing.T, f *Fleet, b *Backend) int64 {
 
 func TestFleetCacheAffineRouting(t *testing.T) {
 	fakes := []*fakeBackend{newFakeBackend(t, 0), newFakeBackend(t, 0), newFakeBackend(t, 0)}
-	f, _ := newTestFleet(t, Options{}, fakes...)
+	// Edge cache off: every repeat must be routed, not answered at the fleet.
+	f, _ := newTestFleet(t, Options{CacheEntries: -1}, fakes...)
 
 	// The same request, repeatedly: always the same backend.
 	body := collectBody(7)
@@ -175,7 +179,8 @@ func TestFleetCacheAffineRouting(t *testing.T) {
 
 func TestFleetFailoverTripsBreakerAndReroutes(t *testing.T) {
 	fakes := []*fakeBackend{newFakeBackend(t, 0), newFakeBackend(t, 0), newFakeBackend(t, 0)}
-	f, _ := newTestFleet(t, Options{BreakerThreshold: 2, BreakerCooldown: time.Hour}, fakes...)
+	// Edge cache off: the repeated key must keep reaching backends.
+	f, _ := newTestFleet(t, Options{BreakerThreshold: 2, BreakerCooldown: time.Hour, CacheEntries: -1}, fakes...)
 
 	victim := f.Backends()[0]
 	var victimFake *fakeBackend

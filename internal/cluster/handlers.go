@@ -9,6 +9,7 @@ import (
 	"net/http"
 
 	"hwgc"
+	"hwgc/internal/plan"
 )
 
 // maxBodyBytes bounds single-request bodies, matching the backend limit.
@@ -33,58 +34,67 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// handleCollect and handleSweep proxy the single-request endpoints: the
-// fleet canonicalizes locally (so equivalent spellings share one key and
-// one owner), routes by content key, and forwards the canonical body. The
-// backend reply is passed through verbatim — byte-identical to what the
-// owner would serve directly.
+// handleCollect and handleSweep serve the single-request endpoints: the
+// fleet decodes as strictly as gcserved and canonicalizes locally (so
+// equivalent spellings share one key and one owner), answers from its edge
+// cache when it can, and otherwise routes by content key and forwards the
+// canonical body. Either way the reply body is the backend's verbatim —
+// byte-identical to what the owner would serve directly.
 func (f *Fleet) handleCollect(w http.ResponseWriter, r *http.Request) {
-	f.proxyRequest(w, r, func(body []byte) (string, []byte, error) {
+	f.proxyRequest(w, r, func(body io.Reader) ([]byte, error) {
 		var req hwgc.CollectRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", nil, err
+		if err := plan.DecodeStrict(body, &req); err != nil {
+			return nil, err
 		}
-		canon, err := req.CanonicalJSON()
-		if err != nil {
-			return "", nil, err
-		}
-		return hwgc.KeyBytes(canon), canon, nil
+		return req.CanonicalJSON()
 	})
 }
 
 func (f *Fleet) handleSweep(w http.ResponseWriter, r *http.Request) {
-	f.proxyRequest(w, r, func(body []byte) (string, []byte, error) {
+	f.proxyRequest(w, r, func(body io.Reader) ([]byte, error) {
 		var req hwgc.SweepRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", nil, err
+		if err := plan.DecodeStrict(body, &req); err != nil {
+			return nil, err
 		}
-		canon, err := req.CanonicalJSON()
-		if err != nil {
-			return "", nil, err
-		}
-		return hwgc.KeyBytes(canon), canon, nil
+		return req.CanonicalJSON()
 	})
 }
 
-// proxyRequest is the shared single-request proxy path.
-func (f *Fleet) proxyRequest(w http.ResponseWriter, r *http.Request, canonicalize func([]byte) (string, []byte, error)) {
+// proxyRequest is the shared single-request path.
+func (f *Fleet) proxyRequest(w http.ResponseWriter, r *http.Request, canonicalize func(io.Reader) ([]byte, error)) {
 	if !requirePost(w, r) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	raw, err := readAll(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
-	key, canon, err := canonicalize(raw)
+	canon, err := canonicalize(r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
+	key := hwgc.KeyBytes(canon)
+	ek := edgeKey(r.URL.Path, key)
+	admit := false
+	if f.edge != nil {
+		if body, backend, ok := f.edge.GetOrigin(ek); ok {
+			f.metrics.cacheHits.Add(1)
+			// The header set of a proxied backend hit.
+			h := w.Header()
+			h.Set("Content-Type", "application/json")
+			h.Set("X-Cache", "HIT")
+			h.Set("X-Cache-Key", key)
+			h.Set("X-Fleet-Backend", backend)
+			_, _ = w.Write(body)
+			return
+		}
+		f.metrics.cacheMisses.Add(1)
+		admit = f.edge.sighted(ek)
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
 	defer cancel()
 	res, err := f.do(ctx, http.MethodPost, r.URL.Path, key, canon)
+	if admit && err == nil && res.status == http.StatusOK {
+		f.edge.PutOrigin(ek, res.backend.id, res.body)
+	}
 	f.finishProxy(w, res, err)
 }
 
@@ -107,6 +117,8 @@ func (f *Fleet) finishProxy(w http.ResponseWriter, res sendResult, err error) {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		f.metrics.exhausted.Add(1)
 		writeError(w, http.StatusGatewayTimeout, "fleet deadline (%s) exceeded", f.opts.Timeout)
+	case errors.Is(err, errReplyTooLarge):
+		writeError(w, http.StatusBadGateway, "backend %s: %v", res.backend.id, err)
 	case errors.Is(err, ErrExhausted) && res.status != 0:
 		// Out of attempts but we do hold a last reply (a 429 or 5xx):
 		// surface it so the client sees the backend's own signal.

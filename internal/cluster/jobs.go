@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"hwgc"
+	"hwgc/internal/plan"
 )
 
 // jobSubmit mirrors gcserved's POST /v1/jobs body: exactly one of Collect
@@ -31,13 +32,8 @@ func (f *Fleet) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	raw, err := readAll(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
 	var sub jobSubmit
-	if err := json.Unmarshal(raw, &sub); err != nil {
+	if err := plan.DecodeStrict(r.Body, &sub); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
@@ -45,7 +41,10 @@ func (f *Fleet) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "exactly one of Collect or Sweep must be set")
 		return
 	}
-	var canon []byte
+	var (
+		canon []byte
+		err   error
+	)
 	if sub.Collect != nil {
 		if _, err = sub.Collect.Key(); err == nil { // canonicalizes in place
 			canon, err = sub.Collect.CanonicalJSON()

@@ -29,12 +29,15 @@ type Metrics struct {
 	batchRequests   *stats.Int
 	batchItems      *stats.Int
 	batchFailed     *stats.Int
+	cacheHits       *stats.Int     // requests answered from the edge cache
+	cacheMisses     *stats.Int     // edge-cache lookups that went to a backend
 	latency         *stats.Summary // merged exchange latency across backends
 }
 
 // NewMetrics returns an empty fleet counter set whose per-backend series
-// are sampled from backends at scrape time.
-func NewMetrics(backends func() []*Backend) *Metrics {
+// are sampled from backends, and the edge-cache size from cacheBytes, at
+// scrape time.
+func NewMetrics(backends func() []*Backend, cacheBytes func() int64) *Metrics {
 	m := &Metrics{}
 	start := time.Now()
 	r := &m.Registry
@@ -73,6 +76,9 @@ func NewMetrics(backends func() []*Backend) *Metrics {
 	m.batchRequests = r.Counter("gcfleet_batch_requests_total", "/v1/batch requests served.")
 	m.batchItems = r.Counter("gcfleet_batch_items_total", "Batch items scattered across the fleet.")
 	m.batchFailed = r.Counter("gcfleet_batch_item_failures_total", "Batch items that did not complete with status 200.")
+	m.cacheHits = r.Counter("gcfleet_cache_hits_total", "Collect/sweep requests answered from the fleet edge cache (no backend exchange).")
+	m.cacheMisses = r.Counter("gcfleet_cache_misses_total", "Collect/sweep edge-cache lookups that were routed to a backend.")
+	r.GaugeFunc("gcfleet_cache_bytes", "Bytes of reply bodies held in the fleet edge cache.", cacheBytes)
 	// Hedged exchanges count once, as seen by the caller; the hedge delay is
 	// derived from this summary's quantile.
 	m.latency = r.Summary("gcfleet_request_seconds", "Backend exchange latency as seen by the fleet (upper-bound quantiles).", 0.5, 0.95, 0.99)

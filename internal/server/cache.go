@@ -12,6 +12,10 @@ import (
 // produce, so the cache is a pure fast path: it changes latency, never
 // results.
 //
+// Each entry may also carry an origin: the id of the server that produced
+// the body, for a cache that fronts other servers (gcfleet's edge cache
+// stores the backend id it names on hits). gcserved leaves it empty.
+//
 // The cache is bounded both by entry count and by total body bytes; the
 // least-recently-used entries are evicted first.
 type Cache struct {
@@ -24,8 +28,9 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	body []byte
+	key    string
+	origin string
+	body   []byte
 }
 
 // NewCache creates a cache bounded to maxEntries responses and maxBytes
@@ -43,19 +48,31 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 // Get returns the cached response body for key, marking it most recently
 // used. The caller must not modify the returned slice.
 func (c *Cache) Get(key string) ([]byte, bool) {
+	body, _, ok := c.GetOrigin(key)
+	return body, ok
+}
+
+// GetOrigin is Get that also returns the origin the body was stored with.
+func (c *Cache) GetOrigin(key string) (body []byte, origin string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
 	c.ll.MoveToFront(e)
-	return e.Value.(*cacheEntry).body, true
+	ent := e.Value.(*cacheEntry)
+	return ent.body, ent.origin, true
 }
 
 // Put stores body under key, evicting least-recently-used entries as needed
 // to respect both bounds. Bodies larger than the byte bound are not cached.
-func (c *Cache) Put(key string, body []byte) {
+func (c *Cache) Put(key string, body []byte) { c.PutOrigin(key, "", body) }
+
+// PutOrigin is Put that records which server produced body. A key already
+// present keeps its first origin: results are deterministic, so any
+// producer's bytes are the same.
+func (c *Cache) PutOrigin(key, origin string, body []byte) {
 	if c.maxEntries <= 0 || c.maxBytes <= 0 || int64(len(body)) > c.maxBytes {
 		return
 	}
@@ -67,7 +84,7 @@ func (c *Cache) Put(key string, body []byte) {
 		c.ll.MoveToFront(e)
 		return
 	}
-	e := c.ll.PushFront(&cacheEntry{key: key, body: body})
+	e := c.ll.PushFront(&cacheEntry{key: key, origin: origin, body: body})
 	c.items[key] = e
 	c.bytes += int64(len(body))
 	for c.ll.Len() > c.maxEntries || c.bytes > c.maxBytes {
