@@ -2,18 +2,14 @@
 // pool over a bounded job queue with 429 backpressure, a content-addressed
 // LRU result cache (simulations are deterministic, so hits are
 // byte-identical), per-request deadlines, Prometheus-format metrics and
-// graceful shutdown that drains admitted jobs. With -checkpoint-dir set,
-// long collections checkpoint their simulator state every -checkpoint-cycles
-// clock cycles: shutdown preempts in-flight jobs at a snapshot boundary
-// instead of waiting them out, and a restarted server resumes them from disk
-// with byte-identical results.
+// graceful shutdown that drains admitted jobs.
 //
 // Usage:
 //
 //	gcserved [-addr :8080] [-workers N] [-queue 64] [-cache-entries 1024]
 //	         [-cache-mb 64] [-timeout 60s] [-max-scale 64] [-retry-after 1s]
-//	         [-checkpoint-dir DIR] [-checkpoint-cycles 200000]
 //	         [-jobs-dir DIR] [-job-classes interactive:8,batch:1] [-job-runners 2]
+//	         [-checkpoint-cycles 200000]
 //
 // Endpoints:
 //
@@ -29,7 +25,12 @@
 // Submissions, transitions and results are WAL-logged in -jobs-dir, running
 // jobs checkpoint every -checkpoint-cycles and yield to higher-priority
 // classes at those boundaries, and a restarted server resumes unfinished
-// jobs with byte-identical results.
+// jobs with byte-identical results. POST /v1/collect then runs as a job
+// too: the worker submits it and runs the job itself (or waits, if the job
+// is already running), so shutdown preempts it at a checkpoint boundary
+// (503) instead of waiting it out, and the next server on the same
+// -jobs-dir finishes it. -job-runners sizes the async pool only; sync
+// collects never queue behind async jobs.
 //
 // The job tier also mounts parameter-space sweeps (see internal/sweep):
 // POST /v1/sweeps expands a versioned SweepSpace spec into canonical
@@ -82,9 +83,8 @@ func parseOptions(args []string) (addr string, opts server.Options, drain time.D
 		maxScale     = fs.Int("max-scale", 64, "largest accepted workload scale (-1 = unlimited)")
 		retryAfter   = fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses (rounded up to whole seconds)")
 		drainFlag    = fs.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
-		ckptDir      = fs.String("checkpoint-dir", "", "directory for simulation checkpoints; enables preempt-on-shutdown and crash recovery")
-		ckptCycles   = fs.Int64("checkpoint-cycles", 0, "clock cycles between checkpoints (0 = default 200000)")
-		jobsDir      = fs.String("jobs-dir", "", "directory for the durable async job tier (WAL + job checkpoints); enables /v1/jobs")
+		ckptCycles   = fs.Int64("checkpoint-cycles", 0, "clock cycles between job checkpoints (0 = default 200000)")
+		jobsDir      = fs.String("jobs-dir", "", "directory for the durable job tier (WAL + job checkpoints); enables /v1/jobs and runs collects as jobs")
 		jobClasses   = fs.String("job-classes", "", "async job priority classes as name:weight,... (default interactive:8,batch:1)")
 		jobRunners   = fs.Int("job-runners", 0, "async job runners (0 = default 2)")
 	)
@@ -100,13 +100,8 @@ func parseOptions(args []string) (addr string, opts server.Options, drain time.D
 	if *ckptCycles < 0 {
 		return "", server.Options{}, 0, fmt.Errorf("-checkpoint-cycles must be nonnegative, got %d", *ckptCycles)
 	}
-	if *ckptCycles > 0 && *ckptDir == "" {
-		return "", server.Options{}, 0, fmt.Errorf("-checkpoint-cycles requires -checkpoint-dir")
-	}
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return "", server.Options{}, 0, fmt.Errorf("-checkpoint-dir: %v", err)
-		}
+	if *ckptCycles > 0 && *jobsDir == "" {
+		return "", server.Options{}, 0, fmt.Errorf("-checkpoint-cycles requires -jobs-dir")
 	}
 	if *jobClasses != "" && *jobsDir == "" {
 		return "", server.Options{}, 0, fmt.Errorf("-job-classes requires -jobs-dir")
@@ -130,7 +125,6 @@ func parseOptions(args []string) (addr string, opts server.Options, drain time.D
 		Timeout:          *timeout,
 		MaxScale:         *maxScale,
 		RetryAfter:       *retryAfter,
-		CheckpointDir:    *ckptDir,
 		CheckpointCycles: *ckptCycles,
 		JobsDir:          *jobsDir,
 		JobClasses:       *jobClasses,
@@ -168,8 +162,8 @@ func run(addr string, opts server.Options, drain time.Duration) error {
 	dctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	// Drain the serving layer before the HTTP layer: handlers of in-flight
-	// jobs only unblock once the pool drains (checkpointed jobs preempt at
-	// their next snapshot boundary when draining begins), and hs.Shutdown
+	// jobs only unblock once the pool drains (with -jobs-dir, collects
+	// preempt at their next checkpoint boundary), and hs.Shutdown
 	// waits for those very handlers — the reverse order deadlocks until the
 	// drain deadline. New requests keep getting clean 503s meanwhile.
 	if err := srv.Shutdown(dctx); err != nil {

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -100,21 +99,21 @@ func TestParseOptionsErrors(t *testing.T) {
 		t.Error("negative -checkpoint-cycles accepted")
 	}
 	if _, _, _, err := parseOptions([]string{"-checkpoint-cycles", "100"}); err == nil {
-		t.Error("-checkpoint-cycles without -checkpoint-dir accepted")
+		t.Error("-checkpoint-cycles without -jobs-dir accepted")
+	}
+	if _, _, _, err := parseOptions([]string{"-checkpoint-dir", t.TempDir()}); err == nil {
+		t.Error("removed -checkpoint-dir flag accepted")
 	}
 }
 
-func TestParseOptionsCheckpointFlags(t *testing.T) {
-	dir := t.TempDir() + "/ckpts"
-	_, opts, _, err := parseOptions([]string{"-checkpoint-dir", dir, "-checkpoint-cycles", "5000"})
+func TestParseOptionsJobsCheckpointFlags(t *testing.T) {
+	dir := t.TempDir() + "/jobs"
+	_, opts, _, err := parseOptions([]string{"-jobs-dir", dir, "-checkpoint-cycles", "5000", "-job-runners", "3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.CheckpointDir != dir || opts.CheckpointCycles != 5000 {
-		t.Errorf("checkpoint options not wired: %+v", opts)
-	}
-	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
-		t.Errorf("checkpoint dir not created: %v", err)
+	if opts.JobsDir != dir || opts.CheckpointCycles != 5000 || opts.JobRunners != 3 {
+		t.Errorf("job tier options not wired: %+v", opts)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,15 +48,21 @@ type Options struct {
 	// runs between checkpoint boundaries (default 200000).
 	CheckpointCycles int64
 	// RetainTerminal bounds how many terminal jobs (and their result
-	// bodies) survive WAL compaction at startup (default 1024).
+	// bodies) survive WAL compaction (default 1024). Compaction runs at
+	// startup and again each time that many jobs have finished, so the job
+	// table and the log hold fewer than twice this many terminal jobs.
 	RetainTerminal int
 	// Aging is the scheduler's anti-starvation bonus per losing pick;
 	// non-positive selects the default.
 	Aging float64
-	// OnResult, when set, is called (outside manager locks) with every
-	// completed job's ID and encoded result body — gcserved uses it to
-	// populate the synchronous result cache.
-	OnResult func(id string, body []byte)
+	// OnResult, when set, is called with no manager locks held for every
+	// job that completes here: its ID, its encoded result body and, for a
+	// collection this manager ran, the response (nil for sweeps and for
+	// results imported already finished). A job run here is reported before
+	// its done transition is published, so a waiter woken by that
+	// transition sees the hook's effects. gcserved uses it to fill its
+	// result cache and its collect scenario series.
+	OnResult func(id string, body []byte, resp *hwgc.CollectResponse)
 	// CheckpointHook, when set, is called after every checkpoint save with
 	// no locks held; tests use it to make preemption and crashes
 	// deterministic.
@@ -119,9 +126,10 @@ type Manager struct {
 	mu       sync.Mutex
 	wal      *WAL
 	jobs     map[string]*job
-	order    []string    // job IDs in submission order (compaction retention)
-	aux      []AuxRecord // auxiliary subsystem records, in append order
-	running  map[string]*job
+	order    []string        // job IDs in submission order
+	aux      []AuxRecord     // auxiliary subsystem records, in append order
+	running  map[string]*job // jobs on the runner pool (not RunHere)
+	finished int             // terminal transitions since the last compaction
 	closed   bool
 	draining chan struct{}
 	wg       sync.WaitGroup
@@ -147,6 +155,7 @@ const maxAuxRetain = 4096
 type runCtx struct {
 	dispatched time.Time
 	fresh      bool // no prior progress at dispatch
+	pooled     bool // dispatched by a pool runner, not by RunHere
 	observed   bool // time-to-first-checkpoint already recorded
 }
 
@@ -386,9 +395,9 @@ func (m *Manager) sweepCheckpoints() error {
 	return nil
 }
 
-// compact drops the oldest terminal jobs beyond the retention bound and,
-// when rewrite is set (the replayed log was non-empty), rewrites the WAL to
-// exactly the surviving table — bounding log growth across restarts.
+// compact drops the oldest-finished terminal jobs beyond the retention
+// bound and, when rewrite is set, rewrites the WAL to exactly the surviving
+// table — bounding log growth across restarts and at runtime.
 func (m *Manager) compact(rewrite bool) error {
 	var terminal []string
 	for _, id := range m.order {
@@ -396,6 +405,9 @@ func (m *Manager) compact(rewrite bool) error {
 			terminal = append(terminal, id)
 		}
 	}
+	sort.SliceStable(terminal, func(a, b int) bool {
+		return m.jobs[terminal[a]].Finished.Before(m.jobs[terminal[b]].Finished)
+	})
 	if drop := len(terminal) - m.opts.RetainTerminal; drop > 0 {
 		for _, id := range terminal[:drop] {
 			delete(m.jobs, id)
@@ -429,6 +441,8 @@ func (m *Manager) compact(rewrite bool) error {
 		}
 		switch j.State {
 		case StateQueued: // implied by recSubmit
+		case StateRunning: // a runtime compaction; replay re-queues it
+			recs = append(recs, walRecord{Type: recState, ID: j.ID, State: StateRunning, Point: j.Point, At: j.Started})
 		case StateCheckpointed:
 			recs = append(recs, walRecord{Type: recState, ID: j.ID, State: StateCheckpointed, Point: j.Point, Cycle: j.Cycle, At: j.Started})
 		case StateFailed, StateCancelled, StateMigrated:
@@ -561,11 +575,31 @@ func (m *Manager) runner() {
 		if j == nil {
 			return
 		}
-		m.runJob(j)
+		m.runJob(j, true)
 	}
 }
 
-func (m *Manager) runJob(j *job) {
+// RunHere runs a queued or checkpointed job on the calling goroutine instead
+// of leaving it for the runner pool, and reports whether it did. The run is
+// the pool's — same checkpoints, WAL records, events and OnResult — but it
+// occupies no runner: it is never a preemption victim and is not charged to
+// its class's fair share. A job that is running, parked for an export,
+// terminal or unknown, or a draining manager, is left alone.
+func (m *Manager) RunHere(id string) bool {
+	m.mu.Lock()
+	j, ok := m.jobs[id]
+	if !ok || m.closed || !m.sched.Remove(j) {
+		m.mu.Unlock()
+		return false
+	}
+	m.wg.Add(1) // Drain waits for this run like a runner's
+	m.mu.Unlock()
+	defer m.wg.Done()
+	m.runJob(j, false)
+	return true
+}
+
+func (m *Manager) runJob(j *job, pooled bool) {
 	m.mu.Lock()
 	if j.cancel.Load() {
 		m.finishLocked(j, cancelOutcome(j), nil, "")
@@ -574,7 +608,7 @@ func (m *Manager) runJob(j *job) {
 	}
 	j.preempt.Store(false)
 	now := m.opts.Clock()
-	rcx := &runCtx{dispatched: now, fresh: j.Point == 0 && !j.HasCkpt}
+	rcx := &runCtx{dispatched: now, fresh: j.Point == 0 && !j.HasCkpt, pooled: pooled}
 	j.State = StateRunning
 	if j.Started.IsZero() {
 		j.Started = now
@@ -585,24 +619,26 @@ func (m *Manager) runJob(j *job) {
 		m.metrics.resumes.Add(1)
 	}
 	_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateRunning, Point: j.Point, At: now})
-	m.running[j.ID] = j
-	m.metrics.running.Add(1)
+	if pooled {
+		m.running[j.ID] = j
+		m.metrics.running.Add(1)
+	}
 	j.events.emit(StateRunning, j.Point, j.Cycle, "")
 	m.mu.Unlock()
 
-	body, err := m.execute(j, rcx)
+	body, resp, err := m.execute(j, rcx)
+	if cb := m.opts.OnResult; err == nil && cb != nil {
+		cb(j.ID, body, resp)
+	}
 
 	m.mu.Lock()
-	delete(m.running, j.ID)
-	m.metrics.running.Add(-1)
-	var notify func()
+	if pooled {
+		delete(m.running, j.ID)
+		m.metrics.running.Add(-1)
+	}
 	switch {
 	case err == nil:
 		m.finishLocked(j, StateDone, body, "")
-		if cb := m.opts.OnResult; cb != nil {
-			id := j.ID
-			notify = func() { cb(id, body) }
-		}
 	case errors.Is(err, errCancelled):
 		m.finishLocked(j, cancelOutcome(j), nil, "")
 	case errors.Is(err, errPreempted):
@@ -626,9 +662,6 @@ func (m *Manager) runJob(j *job) {
 		m.finishLocked(j, StateFailed, nil, err.Error())
 	}
 	m.mu.Unlock()
-	if notify != nil {
-		notify()
-	}
 }
 
 // cancelOutcome maps a cancelled job to its terminal state: a cancel raised
@@ -641,9 +674,10 @@ func cancelOutcome(j *job) State {
 }
 
 // finishLocked moves j to a terminal state, persists the transition, removes
-// its checkpoint file and emits the terminal event. Callers hold m.mu. WAL
-// append errors are tolerated here: the in-memory state still serves, and
-// determinism makes re-execution after a restart safe.
+// its checkpoint file, emits the terminal event and, every RetainTerminal
+// finishes, compacts the table and the log. Callers hold m.mu. WAL errors
+// are tolerated here: the in-memory state still serves, and determinism
+// makes re-execution after a restart safe.
 func (m *Manager) finishLocked(j *job, state State, body []byte, errMsg string) {
 	now := m.opts.Clock()
 	j.State = state
@@ -669,36 +703,43 @@ func (m *Manager) finishLocked(j *job, state State, body []byte, errMsg string) 
 		os.Remove(m.ckptPath(j.ID))
 	}
 	j.events.emit(state, j.Point, j.Cycle, errMsg)
+	if m.finished++; m.finished >= m.opts.RetainTerminal && !m.closed {
+		m.finished = 0
+		_ = m.compact(true)
+	}
 }
 
-func (m *Manager) execute(j *job, rcx *runCtx) ([]byte, error) {
+// execute runs j to completion or a yield, returning the encoded body and,
+// for a collect job, its response.
+func (m *Manager) execute(j *job, rcx *runCtx) ([]byte, *hwgc.CollectResponse, error) {
 	if j.Kind == KindCollect {
 		return m.executeCollect(j, rcx)
 	}
-	return m.executeSweep(j, rcx)
+	body, err := m.executeSweep(j, rcx)
+	return body, nil, err
 }
 
-func (m *Manager) executeCollect(j *job, rcx *runCtx) ([]byte, error) {
+func (m *Manager) executeCollect(j *job, rcx *runCtx) ([]byte, *hwgc.CollectResponse, error) {
 	var req hwgc.CollectRequest
 	if err := json.Unmarshal(j.Req, &req); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rc, err := m.startOrResume(j, req, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := m.stepPoint(j, rc, 0, rcx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	resp, err := rc.Response()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var buf bytes.Buffer
 	if err := resp.Encode(&buf); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes(), resp, nil
 }
 
 func (m *Manager) executeSweep(j *job, rcx *runCtx) ([]byte, error) {
@@ -798,7 +839,9 @@ func (m *Manager) stepPoint(j *job, rc *hwgc.RequestCollection, point int, rcx *
 		if err != nil {
 			return err
 		}
-		m.sched.Charge(j.Class)
+		if rcx.pooled {
+			m.sched.Charge(j.Class)
+		}
 		if done {
 			return nil
 		}

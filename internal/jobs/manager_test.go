@@ -102,7 +102,7 @@ func TestJobsCollectLifecycle(t *testing.T) {
 	}
 	canonical := collectCanonical(t, 4, 0)
 	var gotResult atomic.Bool
-	m.opts.OnResult = func(id string, body []byte) { gotResult.Store(true) }
+	m.opts.OnResult = func(id string, body []byte, resp *hwgc.CollectResponse) { gotResult.Store(true) }
 
 	info, accepted, err := m.Submit(KindCollect, "", canonical)
 	if err != nil || !accepted {
@@ -495,6 +495,198 @@ func TestJobsCheckpointSweep(t *testing.T) {
 	if len(files) != 0 {
 		t.Fatalf("unswept checkpoints: %v", files)
 	}
+}
+
+// TestJobsCorruptCheckpointReclaimed covers a known job whose checkpoint
+// file is corrupted between a crash and the restart: the startup sweep must
+// reclaim the file instead of resuming from it, and the job must restart
+// from scratch and still finish byte-identical to an uninterrupted run.
+func TestJobsCorruptCheckpointReclaimed(t *testing.T) {
+	dir := t.TempDir()
+	canonical := collectCanonical(t, 4, 0)
+	id := hwgc.KeyBytes(canonical)
+
+	// Wedge the first manager inside its first checkpoint hook: the
+	// in-process equivalent of SIGKILL right after the save.
+	checkpointed := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	m1, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 2000, CheckpointHook: func(string) {
+		once.Do(func() { close(checkpointed) })
+		<-release
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		close(release)
+		drainManager(t, m1)
+	}()
+	if _, _, err := m1.Submit(KindCollect, "", canonical); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-checkpointed:
+	case <-time.After(60 * time.Second):
+		t.Fatal("job never checkpointed")
+	}
+	path := m1.ckptPath(id)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-100] ^= 0xff // inside the snapshot: the CRC no longer matches
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainManager(t, m2)
+	if got := m2.Metrics().ckptReclaims.Load(); got != 1 {
+		t.Fatalf("reclaimed = %d, want 1 (the corrupt checkpoint)", got)
+	}
+	waitState(t, m2, id, StateDone)
+	if got := m2.Metrics().resumes.Load(); got != 0 {
+		t.Fatalf("resumes = %d: the corrupt checkpoint was resumed", got)
+	}
+	if got := m2.Metrics().freshStarts.Load(); got != 1 {
+		t.Fatalf("fresh starts = %d, want 1", got)
+	}
+	body, _, err := m2.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := collectBody(t, 4, 0); !bytes.Equal(body, want) {
+		t.Fatal("result after reclaiming the corrupt checkpoint differs from uninterrupted run")
+	}
+}
+
+// TestJobsRetentionBoundedAtRuntime checks that finished jobs do not pile
+// up while the process lives: every RetainTerminal finishes the table is cut
+// back to the newest-finished RetainTerminal jobs and the WAL is rewritten,
+// so neither ever holds 2×RetainTerminal finished jobs, and a restart
+// replays exactly the retained ones.
+func TestJobsRetentionBoundedAtRuntime(t *testing.T) {
+	const retain = 3
+	dir := t.TempDir()
+	m, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 1 << 40, RetainTerminal: retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walSize := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, walName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	var perJob, maxSize int64
+	var last string
+	for seed := int64(0); seed < 3*retain+1; seed++ {
+		info, _, err := m.Submit(KindCollect, "", collectCanonical(t, 8, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, info.ID, StateDone)
+		last = info.ID
+		if n := len(m.List(false)); n >= 2*retain {
+			t.Fatalf("after %d finished jobs the table holds %d, want < %d", seed+1, n, 2*retain)
+		}
+		size := walSize()
+		if seed == 0 {
+			perJob = size - int64(len(walMagic))
+		}
+		maxSize = max(maxSize, size)
+	}
+	if bound := int64(len(walMagic)) + 2*retain*perJob; maxSize >= bound {
+		t.Fatalf("WAL grew to %d bytes, want < %d (2×%d jobs of %d bytes)", maxSize, bound, retain, perJob)
+	}
+	if got := m.Metrics().walCompactions.Load(); got != 3 {
+		t.Fatalf("runtime compactions = %d, want 3 (one per %d finishes)", got, retain)
+	}
+	if _, _, err := m.Result(last); err != nil {
+		t.Fatalf("newest result compacted away: %v", err)
+	}
+	drainManager(t, m)
+
+	m2, err := Open(Options{Dir: dir, Runners: 1, RetainTerminal: retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainManager(t, m2)
+	if n := len(m2.List(false)); n != retain {
+		t.Fatalf("restart replayed %d jobs, want %d", n, retain)
+	}
+	if _, _, err := m2.Result(last); err != nil {
+		t.Fatalf("newest result lost across restart: %v", err)
+	}
+}
+
+// TestJobsRunHere wedges the only runner inside a job's checkpoint hook and
+// runs a second, equal-class job with RunHere: it runs on the caller to a
+// byte-identical result while the runner is still held, takes no runner
+// (no preemption, gcjobs_running stays 1), and a finished or running job is
+// not run again.
+func TestJobsRunHere(t *testing.T) {
+	long := collectCanonical(t, 4, 0)
+	longID := hwgc.KeyBytes(long)
+	held := make(chan struct{})
+	hold := make(chan struct{})
+	var once, unhold sync.Once
+	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, CheckpointCycles: 25000, CheckpointHook: func(id string) {
+		if id == longID {
+			once.Do(func() {
+				close(held)
+				<-hold
+			})
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		unhold.Do(func() { close(hold) })
+		drainManager(t, m)
+	}()
+	if _, _, err := m.Submit(KindCollect, "", long); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held:
+	case <-time.After(60 * time.Second):
+		t.Fatal("runner never reached a checkpoint")
+	}
+	info, _, err := m.Submit(KindCollect, "", collectCanonical(t, 4, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.State != StateQueued {
+		t.Fatalf("second job is %s, want queued behind the held runner", info.State)
+	}
+	if !m.RunHere(info.ID) {
+		t.Fatal("RunHere did not run the queued job")
+	}
+	body, _, err := m.Result(info.ID)
+	if err != nil {
+		t.Fatalf("job run here is not done: %v", err)
+	}
+	if want := collectBody(t, 4, 7); !bytes.Equal(body, want) {
+		t.Fatal("job run here differs from uninterrupted run")
+	}
+	if m.RunHere(info.ID) || m.RunHere(longID) {
+		t.Fatal("RunHere ran a finished or running job")
+	}
+	if got := m.Metrics().running.Load(); got != 1 {
+		t.Fatalf("gcjobs_running = %d, want 1 (the pool's job only)", got)
+	}
+	if got := m.Metrics().preemptions.Load(); got != 0 {
+		t.Fatalf("preemptions = %d, want 0", got)
+	}
+	unhold.Do(func() { close(hold) })
+	waitState(t, m, longID, StateDone)
 }
 
 func TestJobsEventsStream(t *testing.T) {

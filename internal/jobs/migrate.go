@@ -284,7 +284,7 @@ func (m *Manager) Import(env *ExportedJob) (Info, bool, error) {
 		m.metrics.completed.Add(1)
 		if cb := m.opts.OnResult; cb != nil {
 			id, body := j.ID, j.ResultBody
-			notify = func() { cb(id, body) }
+			notify = func() { cb(id, body, nil) }
 		}
 	case StateCheckpointed:
 		if err := writeCheckpoint(m.ckptPath(j.ID), checkpoint{Point: env.Point, Cycle: env.Cycle, Snap: env.Snapshot}); err == nil {

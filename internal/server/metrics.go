@@ -29,12 +29,6 @@ type Metrics struct {
 	batchItems   *stats.Int // batch items executed (any outcome)
 	batchFailed  *stats.Int // batch items that did not end 200
 
-	checkpointsSaved     *stats.Int
-	checkpointsResumed   *stats.Int
-	jobsPreempted        *stats.Int
-	recoveriesEnqueued   *stats.Int
-	checkpointsReclaimed *stats.Int
-
 	// Concurrent-collection scenario counters, aggregated from every
 	// collect response whose config ran the built-in mutator.
 	concRuns           *stats.CounterVec // by barrier mode
@@ -78,11 +72,6 @@ func NewMetrics(q *Queue, c *Cache) *Metrics {
 	m.jobsSkipped = r.Counter("gcserved_jobs_skipped_total", "Queued jobs skipped because their deadline expired first.")
 	m.batchItems = r.Counter("gcserved_batch_items_total", "Batch items executed via /v1/batch.")
 	m.batchFailed = r.Counter("gcserved_batch_item_failures_total", "Batch items that did not complete with status 200.")
-	m.checkpointsSaved = r.Counter("gcserved_checkpoints_saved_total", "Simulation snapshots persisted to the checkpoint directory.")
-	m.checkpointsResumed = r.Counter("gcserved_checkpoints_resumed_total", "Collect jobs resumed from an on-disk checkpoint.")
-	m.jobsPreempted = r.Counter("gcserved_jobs_preempted_total", "Collect jobs checkpointed and stopped because the server was draining.")
-	m.recoveriesEnqueued = r.Counter("gcserved_recoveries_enqueued_total", "Orphaned checkpoints enqueued for background completion at startup.")
-	m.checkpointsReclaimed = r.Counter("gcserved_checkpoint_files_reclaimed_total", "Unreadable, stale or leftover checkpoint files deleted by the startup and resume sweeps.")
 	m.concRuns = r.CounterVec("gcserved_concurrent_collections_total", "Collect responses produced with the built-in concurrent mutator, by write-barrier mode.", "barrier")
 	m.barrierInvocations = r.Counter("gcserved_barrier_invocations_total", "Write-barrier invocations across all served concurrent collections.")
 	m.barrierCycles = r.Counter("gcserved_barrier_cycles_total", "Mutator cycles spent inside the write barrier across all served concurrent collections.")

@@ -77,26 +77,26 @@ type Options struct {
 	MaxScale int
 	// RetryAfter is the hint returned with 429 responses (default 1s).
 	RetryAfter time.Duration
-	// CheckpointDir, when set, enables checkpointed execution of collect
-	// jobs: the simulation state is snapshotted to this directory every
-	// CheckpointCycles clock cycles, shutdown preempts running jobs at the
-	// next checkpoint boundary instead of waiting them out, and a restarted
-	// server resumes orphaned checkpoints from where they stopped.
-	CheckpointDir string
-	// CheckpointCycles is the snapshot interval in simulated clock cycles
-	// (default 200000; only meaningful with CheckpointDir or JobsDir).
+	// CheckpointCycles is the snapshot interval, in simulated clock cycles,
+	// of every collection the job tier runs, synchronous collects included
+	// (default 200000; only meaningful with JobsDir).
 	CheckpointCycles int64
 	// JobsDir, when set, mounts the durable async job tier (/v1/jobs): a
 	// write-ahead log and checkpoint files live in this directory, and a
-	// restarted server resumes unfinished jobs from it.
+	// restarted server resumes unfinished jobs from it. Synchronous
+	// collects then run as jobs too: the worker that pops one submits it
+	// and runs the job itself, or waits for it if it is already running,
+	// so it dedupes onto running work, checkpoints, is preempted by
+	// Shutdown and resumes after a restart.
 	JobsDir string
 	// JobClasses is the priority-class specification ("name:weight,...")
 	// for async jobs (default jobs.DefaultClasses; only meaningful with
 	// JobsDir).
 	JobClasses string
-	// JobRunners is the number of async job runners, separate from the
-	// synchronous worker pool so queued jobs cannot starve interactive
-	// requests of workers (default 2; only meaningful with JobsDir).
+	// JobRunners is the number of async job runners (default 2; only
+	// meaningful with JobsDir). A synchronous collect whose job is still
+	// waiting for a runner runs it on the worker that popped it instead,
+	// so queued async jobs cannot starve interactive requests.
 	JobRunners int
 }
 
@@ -144,10 +144,7 @@ type Server struct {
 	mux     *http.ServeMux
 	wg      sync.WaitGroup
 
-	// ckpt is non-nil when Options.CheckpointDir is set; draining is
-	// closed when Shutdown begins, which checkpointed jobs poll at each
-	// snapshot boundary.
-	ckpt     *checkpointStore
+	// draining is closed when Shutdown begins.
 	draining chan struct{}
 
 	// jobs is the durable async job manager, non-nil when Options.JobsDir
@@ -165,10 +162,6 @@ type Server struct {
 	// the response body. Tests substitute these to control job duration.
 	runCollect func(req hwgc.CollectRequest) ([]byte, error)
 	runSweep   func(req hwgc.SweepRequest) ([]byte, error)
-
-	// checkpointHook, when set by a test, runs after every checkpoint save
-	// (in the worker goroutine) so tests can preempt at an exact boundary.
-	checkpointHook func(key string)
 }
 
 // New creates a Server. Call Start to spin up the worker pool. It fails
@@ -184,10 +177,6 @@ func New(opts Options) (*Server, error) {
 	s.queue = NewQueue(s.opts.QueueDepth)
 	s.metrics = NewMetrics(s.queue, s.cache)
 	s.runCollect = func(req hwgc.CollectRequest) ([]byte, error) { return encodeCollectObserved(req, s.metrics) }
-	if s.opts.CheckpointDir != "" {
-		s.ckpt = &checkpointStore{dir: s.opts.CheckpointDir}
-		s.runCollect = s.runCheckpointed
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/collect", s.handleCollect)
 	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
@@ -200,20 +189,18 @@ func New(opts Options) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Job IDs are the same content address the synchronous path uses as
-		// its cache key, so finished job results feed the result cache and
-		// later synchronous requests for the same work hit it for free.
 		mgr, err := jobs.Open(jobs.Options{
 			Dir:              s.opts.JobsDir,
 			Classes:          classes,
 			Runners:          s.opts.JobRunners,
 			CheckpointCycles: s.opts.CheckpointCycles,
-			OnResult:         func(id string, body []byte) { s.cache.Put(id, body) },
+			OnResult:         s.onJobResult,
 		})
 		if err != nil {
 			return nil, err
 		}
 		s.jobs = mgr
+		s.runCollect = s.collectViaJobs
 		s.mux.HandleFunc("/v1/jobs", s.handleJobs)
 		s.mux.HandleFunc("/v1/jobs/", s.handleJobByID)
 		// The sweep coordinator plans spaces into collect jobs and dedupes
@@ -261,17 +248,12 @@ func encodeSweep(req hwgc.SweepRequest) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Start launches the worker pool and, when checkpointing is enabled,
-// enqueues recovery jobs for checkpoints orphaned by a previous process.
-// Idempotent.
+// Start launches the worker pool. Idempotent.
 func (s *Server) Start() {
 	s.startOnce.Do(func() {
 		for i := 0; i < s.opts.Workers; i++ {
 			s.wg.Add(1)
 			go s.worker()
-		}
-		if s.ckpt != nil {
-			s.recoverCheckpoints()
 		}
 	})
 }
@@ -295,11 +277,13 @@ func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 func (s *Server) Sweeps() *sweep.Coordinator { return s.sweeps }
 
 // Shutdown drains gracefully: admission stops (new jobs get 503), every
-// job already admitted is executed — except checkpointed collect jobs,
-// which persist their state at the next snapshot boundary and stop with
-// ErrPreempted — and the worker pool exits. It returns nil once the pool
-// has drained, or ctx.Err() if ctx expires first (the workers keep
-// draining in the background in that case).
+// job already admitted is executed, and the worker pool exits. With
+// JobsDir set, collects are jobs: a running one stops at its next
+// checkpoint boundary and a queued one stays queued, both durably in the
+// WAL, and their waiting requests get ErrPreempted (503); the next server
+// on the same JobsDir finishes them. It returns nil once the pool has
+// drained, or ctx.Err() if ctx expires first (the workers keep draining in
+// the background in that case).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopOnce.Do(func() {
 		close(s.draining)

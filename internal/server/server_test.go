@@ -256,7 +256,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // Concurrent-collection scenarios must surface in the scrape: one series
 // per barrier mode plus the aggregated barrier and floating-garbage
-// counters, fed by both the direct and the checkpointed execution path.
+// counters, fed by the in-process execution path (the job tier's result
+// hook is covered by TestJobsCollectsObservedOnce).
 func TestMetricsConcurrentCollections(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	for _, body := range []string{

@@ -42,7 +42,7 @@ func newHarness(t *testing.T, dir string) *harness {
 	t.Helper()
 	cache := newTestCache()
 	m, err := jobs.Open(jobs.Options{Dir: dir, Runners: 2, CheckpointCycles: 5000,
-		OnResult: func(id string, body []byte) { cache.Put(id, body) }})
+		OnResult: func(id string, body []byte, _ *hwgc.CollectResponse) { cache.Put(id, body) }})
 	if err != nil {
 		t.Fatal(err)
 	}
