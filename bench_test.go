@@ -49,24 +49,61 @@ func runSim(b *testing.B, bench string, cfg Config) Stats {
 	return st
 }
 
-// benchScaling implements Fig. 5 and Fig. 6: per benchmark, per core count,
-// report simulated cycles and the speedup over the 1-core run.
-func benchScaling(b *testing.B, base Config) {
+// A simCase is one named collection of a workload at scale 1 and benchSeed.
+// Its name is the sub-benchmark's and, prefixed by its family, the row's in
+// testdata/pins.json.
+type simCase struct {
+	name  string
+	bench string
+	cfg   Config
+}
+
+// A simFamily is a benchmark's case list plus the deterministic metrics it
+// reports per case. TestPins iterates the same families, so a case is
+// spelled once and pinned exactly where it is benchmarked.
+type simFamily struct {
+	name    string
+	cases   []simCase
+	metrics func(testing.TB, Stats) pinned
+}
+
+// scalingCases are the points of Fig. 5 (and Fig. 6 on base): every
+// workload at every paper core count, in that order.
+func scalingCases(base Config) []simCase {
+	var cases []simCase
 	for _, bench := range Workloads() {
-		b.Run(bench, func(b *testing.B) {
-			baseCycles := map[string]int64{}
-			for _, cores := range PaperCoreCounts {
-				b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-					cfg := base
-					cfg.Cores = cores
-					st := runSim(b, bench, cfg)
-					if cores == 1 {
-						baseCycles[bench] = st.Cycles
-					}
-					if c1, ok := baseCycles[bench]; ok && st.Cycles > 0 {
-						b.ReportMetric(float64(c1)/float64(st.Cycles), "speedup")
-					}
-				})
+		for _, cores := range PaperCoreCounts {
+			cfg := base
+			cfg.Cores = cores
+			cases = append(cases, simCase{fmt.Sprintf("%s/cores=%d", bench, cores), bench, cfg})
+		}
+	}
+	return cases
+}
+
+func cyclesOnly(_ testing.TB, st Stats) pinned { return pinned{"gc-clock-cycles": st.Cycles} }
+
+var (
+	fig5 = simFamily{"Fig5", scalingCases(Config{}), cyclesOnly}
+	fig6 = simFamily{"Fig6", scalingCases(Config{ExtraMemLatency: 20}), cyclesOnly}
+)
+
+// benchFamily runs each case of f as a sub-benchmark reporting f's metrics,
+// plus its speedup over the 1-core run of the same workload when one came
+// earlier in the case list (as in Fig. 5 and Fig. 6).
+func benchFamily(b *testing.B, f simFamily) {
+	oneCore := map[string]int64{}
+	for _, c := range f.cases {
+		b.Run(c.name, func(b *testing.B) {
+			st := runSim(b, c.bench, c.cfg)
+			for name, v := range f.metrics(b, st) {
+				b.ReportMetric(float64(v), name)
+			}
+			if c.cfg.Cores == 1 {
+				oneCore[c.bench] = st.Cycles
+			}
+			if c1, ok := oneCore[c.bench]; ok && st.Cycles > 0 {
+				b.ReportMetric(float64(c1)/float64(st.Cycles), "speedup")
 			}
 		})
 	}
@@ -74,12 +111,12 @@ func benchScaling(b *testing.B, base Config) {
 
 // BenchmarkFig5 regenerates Figure 5: GC speedup for 1..16 cores with the
 // prototype's memory parameters.
-func BenchmarkFig5(b *testing.B) { benchScaling(b, Config{}) }
+func BenchmarkFig5(b *testing.B) { benchFamily(b, fig5) }
 
 // BenchmarkFig6 regenerates Figure 6: the same sweep with an artificial 20
 // clock cycles added to every memory access — scalability improves because
 // more stalled cores are needed to exhaust the memory bandwidth.
-func BenchmarkFig6(b *testing.B) { benchScaling(b, Config{ExtraMemLatency: 20}) }
+func BenchmarkFig6(b *testing.B) { benchFamily(b, fig6) }
 
 // BenchmarkTab1 regenerates Table I: the fraction of clock cycles during
 // which the work list is empty.
@@ -336,111 +373,66 @@ func BenchmarkConcurrent(b *testing.B) {
 	b.ReportMetric(float64(ms.Ops), "mutator-ops")
 }
 
-// BenchmarkBarrierModes is extension E4: the same concurrent collection under
-// each write-barrier mode, through the config-driven mutator path the serving
-// stack uses. The reported gc-clock-cycles and barrier-cycles are exact
-// deterministic simulation outputs; CI pins them against BENCH_8.json so a
-// change to barrier cost attribution cannot land silently.
-func BenchmarkBarrierModes(b *testing.B) {
-	for _, mode := range []BarrierMode{BarrierNone, BarrierSATB, BarrierIncUpdate} {
-		name := string(mode)
-		if name == "" {
-			name = "none"
-		}
-		b.Run(name, func(b *testing.B) {
-			var st Stats
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				h, err := BuildWorkload("jlisp", 1, benchSeed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				st, err = Collect(h, Config{Cores: 8, MutatorOps: 1 << 40, BarrierMode: mode})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if st.Mutator == nil {
-				b.Fatal("concurrent run reported no mutator stats")
-			}
-			b.ReportMetric(float64(st.Cycles), "gc-clock-cycles")
-			b.ReportMetric(float64(st.Mutator.BarrierCycles), "barrier-cycles")
-			b.ReportMetric(float64(st.Mutator.FloatingWords), "floating-words")
-		})
+// barrierModes is extension E4: the same concurrent jlisp collection under
+// each write-barrier mode, through the config-driven mutator path the
+// serving stack uses. Cycles, barrier cycles and floating words are exact
+// deterministic outputs, so a change to barrier cost attribution, mutator
+// scheduling or shade accounting shows in TestPins.
+var barrierModes = simFamily{"BarrierModes", []simCase{
+	{"none", "jlisp", Config{Cores: 8, MutatorOps: 1 << 40}},
+	{"satb", "jlisp", Config{Cores: 8, MutatorOps: 1 << 40, BarrierMode: BarrierSATB}},
+	{"incupdate", "jlisp", Config{Cores: 8, MutatorOps: 1 << 40, BarrierMode: BarrierIncUpdate}},
+}, func(tb testing.TB, st Stats) pinned {
+	if st.Mutator == nil {
+		tb.Fatal("concurrent run reported no mutator stats")
 	}
-}
+	return pinned{
+		"gc-clock-cycles": st.Cycles,
+		"barrier-cycles":  st.Mutator.BarrierCycles,
+		"floating-words":  st.Mutator.FloatingWords,
+	}
+}}
 
-// BenchmarkNUMAModes is extension E5: the same collection on the flat
-// machine and on a 4-domain NUMA machine under naive and locality-aware
-// tospace placement. The reported gc-clock-cycles and the local/remote
-// access split are exact deterministic simulation outputs; CI pins them
-// against BENCH_9.json so a change to domain classification or placement
-// cannot land silently.
-func BenchmarkNUMAModes(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"flat", Config{Cores: 8}},
-		{"naive", Config{Cores: 8, NUMADomains: 4}},
-		{"local", Config{Cores: 8, NUMADomains: 4, NUMAPlacement: PlacementLocal}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var st Stats
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				h, err := BuildWorkload("jlisp", 1, benchSeed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				st, err = Collect(h, mode.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(st.Cycles), "gc-clock-cycles")
-			b.ReportMetric(float64(st.Mem.LocalAccesses), "local-accesses")
-			b.ReportMetric(float64(st.Mem.RemoteAccesses), "remote-accesses")
-		})
+// numaModes is extension E5: the jlisp collection on the flat machine and
+// on a 4-domain NUMA machine under naive and locality-aware tospace
+// placement. Cycles and the local/remote access split are exact, so a
+// change to domain classification or placement shows in TestPins.
+var numaModes = simFamily{"NUMAModes", []simCase{
+	{"flat", "jlisp", Config{Cores: 8}},
+	{"naive", "jlisp", Config{Cores: 8, NUMADomains: 4}},
+	{"local", "jlisp", Config{Cores: 8, NUMADomains: 4, NUMAPlacement: PlacementLocal}},
+}, func(_ testing.TB, st Stats) pinned {
+	return pinned{
+		"gc-clock-cycles": st.Cycles,
+		"local-accesses":  st.Mem.LocalAccesses,
+		"remote-accesses": st.Mem.RemoteAccesses,
 	}
-}
+}}
 
-// BenchmarkCacheModel is the cache half of extension E5: the collection
-// with the private-L1/shared-L2 model on, alone and composed with NUMA.
-// gc-clock-cycles and the hit/miss words are exact deterministic outputs;
-// CI pins them against BENCH_9.json so a change to tag handling, MSHR
-// accounting or the hit-latency path cannot land silently.
-func BenchmarkCacheModel(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"cache", Config{Cores: 8, L1Sets: 16}},
-		{"cache-numa", Config{Cores: 8, L1Sets: 16, NUMADomains: 4}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var st Stats
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				h, err := BuildWorkload("jlisp", 1, benchSeed)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				st, err = Collect(h, mode.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if st.Mem.L1Hits == 0 {
-				b.Fatal("cache run recorded no L1 hits")
-			}
-			b.ReportMetric(float64(st.Cycles), "gc-clock-cycles")
-			b.ReportMetric(float64(st.Mem.L1Hits), "l1-hit-words")
-			b.ReportMetric(float64(st.Mem.L2Hits), "l2-hit-words")
-			b.ReportMetric(float64(st.Mem.L2Misses), "dram-words")
-		})
+// cacheModels is the cache half of extension E5: the private-L1/shared-L2
+// model alone and composed with NUMA. Cycles and the hit/miss words are
+// exact, so a change to tag handling, MSHR accounting or the hit-latency
+// path shows in TestPins.
+var cacheModels = simFamily{"CacheModel", []simCase{
+	{"cache", "jlisp", Config{Cores: 8, L1Sets: 16}},
+	{"cache-numa", "jlisp", Config{Cores: 8, L1Sets: 16, NUMADomains: 4}},
+}, func(tb testing.TB, st Stats) pinned {
+	if st.Mem.L1Hits == 0 {
+		tb.Fatal("cache run recorded no L1 hits")
 	}
-}
+	return pinned{
+		"gc-clock-cycles": st.Cycles,
+		"l1-hit-words":    st.Mem.L1Hits,
+		"l2-hit-words":    st.Mem.L2Hits,
+		"dram-words":      st.Mem.L2Misses,
+	}
+}}
+
+// BenchmarkBarrierModes times the barrierModes cases.
+func BenchmarkBarrierModes(b *testing.B) { benchFamily(b, barrierModes) }
+
+// BenchmarkNUMAModes times the numaModes cases.
+func BenchmarkNUMAModes(b *testing.B) { benchFamily(b, numaModes) }
+
+// BenchmarkCacheModel times the cacheModels cases.
+func BenchmarkCacheModel(b *testing.B) { benchFamily(b, cacheModels) }

@@ -5,23 +5,41 @@ import (
 	"testing"
 )
 
-// BenchmarkSnapshotRoundTrip measures one full checkpoint round trip —
-// capture + encode to bytes, then decode + rebuild a runnable machine —
-// taken mid-collection, where the scan frontier, lock registers and
-// in-flight memory transactions are all live. snapshot-bytes reports the
-// serialized size.
-func BenchmarkSnapshotRoundTrip(b *testing.B) {
+// midRunCollection starts the 8-core search collection and steps it 1000
+// cycles, to where the scan frontier, lock registers and in-flight memory
+// transactions are all live.
+func midRunCollection(tb testing.TB) *Collection {
+	tb.Helper()
 	h, err := BuildWorkload("search", 1, benchSeed)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	col, err := StartCollection(h, Config{Cores: 8})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if done, err := col.StepCycles(1000); err != nil || done {
-		b.Fatalf("stepping to checkpoint: done=%v err=%v", done, err)
+		tb.Fatalf("stepping to checkpoint: done=%v err=%v", done, err)
 	}
+	return col
+}
+
+// snapshotPins is BenchmarkSnapshotRoundTrip's deterministic metric: the
+// serialized size of the midRunCollection snapshot.
+func snapshotPins(tb testing.TB) pinned {
+	snap, err := midRunCollection(tb).Snapshot()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pinned{"snapshot-bytes": int64(len(snap))}
+}
+
+// BenchmarkSnapshotRoundTrip measures one full checkpoint round trip —
+// capture + encode to bytes, then decode + rebuild a runnable machine —
+// taken mid-collection. snapshot-bytes reports the serialized size;
+// TestPins holds it.
+func BenchmarkSnapshotRoundTrip(b *testing.B) {
+	col := midRunCollection(b)
 	var size int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -37,59 +55,74 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	b.ReportMetric(float64(size), "snapshot-bytes")
 }
 
+// checkpointIntervals are BenchmarkCheckpointedCollect's variants: a plain
+// Collect (0) and checkpoint-every-N runs.
+var checkpointIntervals = []int64{0, 50000, 5000}
+
+func checkpointCaseName(every int64) string {
+	if every == 0 {
+		return "plain"
+	}
+	return fmt.Sprintf("every=%d", every)
+}
+
+// collectCheckpointed collects h on 8 cores, snapshotting every `every`
+// cycles (never if 0), and returns the cycles and checkpoint count.
+func collectCheckpointed(tb testing.TB, h *Heap, every int64) pinned {
+	tb.Helper()
+	if every == 0 {
+		st, err := Collect(h, Config{Cores: 8})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return pinned{"gc-clock-cycles": st.Cycles}
+	}
+	col, err := StartCollection(h, Config{Cores: 8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var checkpoints int64
+	for {
+		done, err := col.StepCycles(every)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if done {
+			break
+		}
+		if _, err := col.Snapshot(); err != nil {
+			tb.Fatal(err)
+		}
+		checkpoints++
+	}
+	st, err := col.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pinned{"gc-clock-cycles": st.Cycles, "checkpoints": checkpoints}
+}
+
 // BenchmarkCheckpointedCollect measures the overhead of checkpoint-every-N
-// execution against a plain run of the same collection. gc-clock-cycles
-// must be identical across all variants — checkpointing is observation,
-// not perturbation — so the benchmark gate's exact-match rule holds the
-// determinism contract, while ns/op shows the wall-clock cost of the
-// snapshots.
+// execution against a plain run of the same search collection. The cycles
+// must be identical across all variants — checkpointing is observation, not
+// perturbation — and TestPins holds them and the checkpoint counts; ns/op
+// shows the wall-clock cost of the snapshots.
 func BenchmarkCheckpointedCollect(b *testing.B) {
-	run := func(b *testing.B, every int64) {
-		b.Helper()
-		var st Stats
-		var checkpoints int
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			h, err := BuildWorkload("search", 1, benchSeed)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if every == 0 {
-				if st, err = Collect(h, Config{Cores: 8}); err != nil {
-					b.Fatal(err)
-				}
-				continue
-			}
-			col, err := StartCollection(h, Config{Cores: 8})
-			if err != nil {
-				b.Fatal(err)
-			}
-			checkpoints = 0
-			for {
-				done, err := col.StepCycles(every)
+	for _, every := range checkpointIntervals {
+		b.Run(checkpointCaseName(every), func(b *testing.B) {
+			var m pinned
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				h, err := BuildWorkload("search", 1, benchSeed)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if done {
-					break
-				}
-				if _, err := col.Snapshot(); err != nil {
-					b.Fatal(err)
-				}
-				checkpoints++
+				b.StartTimer()
+				m = collectCheckpointed(b, h, every)
 			}
-			if st, err = col.Finish(); err != nil {
-				b.Fatal(err)
+			for name, v := range m {
+				b.ReportMetric(float64(v), name)
 			}
-		}
-		b.ReportMetric(float64(st.Cycles), "gc-clock-cycles")
-		if every > 0 {
-			b.ReportMetric(float64(checkpoints), "checkpoints")
-		}
-	}
-	b.Run("plain", func(b *testing.B) { run(b, 0) })
-	for _, every := range []int64{50000, 5000} {
-		b.Run(fmt.Sprintf("every=%d", every), func(b *testing.B) { run(b, every) })
+		})
 	}
 }
