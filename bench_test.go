@@ -348,31 +348,6 @@ func BenchmarkHeaderCache(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrent is extension E3 (paper §V-B outlook): a concurrent
-// collection with a churning mutator on the coprocessor's mutator port.
-// The key metric is the worst single mutator operation latency — the
-// concurrent analogue of the stop-the-world pause.
-func BenchmarkConcurrent(b *testing.B) {
-	var ms MutatorStats
-	var st Stats
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		h, err := BuildWorkload("jlisp", 1, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		driver := NewConcurrentChurn(h, benchSeed, 1<<40, 200)
-		b.StartTimer()
-		st, ms, err = CollectConcurrent(h, Config{Cores: 8}, driver, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(st.Cycles), "gc-clock-cycles")
-	b.ReportMetric(float64(ms.MaxOpLatency), "worst-mutator-op")
-	b.ReportMetric(float64(ms.Ops), "mutator-ops")
-}
-
 // barrierModes is extension E4: the same concurrent jlisp collection under
 // each write-barrier mode, through the config-driven mutator path the
 // serving stack uses. Cycles, barrier cycles and floating words are exact

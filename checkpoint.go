@@ -3,7 +3,6 @@ package hwgc
 import (
 	"fmt"
 
-	"hwgc/internal/core"
 	"hwgc/internal/machine"
 	"hwgc/internal/snapshot"
 )
@@ -111,13 +110,13 @@ type RequestCollection struct {
 // same heap image.
 func buildRequestHeap(req *CollectRequest) (*Heap, *Plan, error) {
 	if req.Plan != nil {
-		h, err := req.Plan.BuildHeap(core.DefaultHeadroom)
+		h, err := req.Plan.BuildHeap(defaultHeadroom)
 		if err != nil {
 			return nil, nil, fmt.Errorf("hwgc: building plan: %w", err)
 		}
 		return h, req.Plan, nil
 	}
-	return core.BuildBench(req.Bench, req.Scale, req.Seed)
+	return buildBench(req.Bench, req.Scale, req.Seed)
 }
 
 // StartCollectRequest canonicalizes req, builds its heap and begins the
@@ -168,7 +167,7 @@ func ResumeCollectRequest(req CollectRequest, snap []byte) (*RequestCollection, 
 	if req.Plan != nil {
 		rc.plan = req.Plan
 	} else {
-		if _, rc.plan, err = core.BuildBench(req.Bench, req.Scale, req.Seed); err != nil {
+		if _, rc.plan, err = buildBench(req.Bench, req.Scale, req.Seed); err != nil {
 			return nil, err
 		}
 	}

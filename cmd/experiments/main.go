@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [flags] <fig5|fig6|tab1|tab2|fifo|markopt|bandwidth|numa|baselines|all>
+//	experiments [flags] <fig5|fig6|tab1|tab2|fifo|markopt|bandwidth|stride|hdrcache|heapsize|pauses|robustness|seeds|barriers|numa|baselines|all>
 //
 // Flags:
 //
@@ -85,8 +85,6 @@ func run(cmd string) error {
 		return pauses()
 	case "robustness":
 		return robustness()
-	case "concurrent":
-		return concurrent()
 	case "barriers":
 		return barriers()
 	case "numa":
@@ -94,7 +92,7 @@ func run(cmd string) error {
 	case "seeds":
 		return seeds()
 	case "all":
-		for _, c := range []string{"fig5", "fig6", "tab1", "tab2", "fifo", "markopt", "bandwidth", "stride", "hdrcache", "heapsize", "pauses", "robustness", "seeds", "concurrent", "barriers", "numa", "baselines"} {
+		for _, c := range []string{"fig5", "fig6", "tab1", "tab2", "fifo", "markopt", "bandwidth", "stride", "hdrcache", "heapsize", "pauses", "robustness", "seeds", "barriers", "numa", "baselines"} {
 			if err := run(c); err != nil {
 				return err
 			}
@@ -102,12 +100,12 @@ func run(cmd string) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown experiment %q (have fig5 fig6 tab1 tab2 fifo markopt bandwidth stride hdrcache heapsize pauses robustness seeds concurrent barriers numa baselines all)", cmd)
+		return fmt.Errorf("unknown experiment %q (have fig5 fig6 tab1 tab2 fifo markopt bandwidth stride hdrcache heapsize pauses robustness seeds barriers numa baselines all)", cmd)
 	}
 }
 
 func fig(n int, base hwgc.Config) error {
-	rows, err := experiments.Scaling(experiments.Benches(), experiments.PaperCoreCounts, opts(base))
+	rows, err := experiments.Scaling(experiments.Benches(), hwgc.PaperCoreCounts, opts(base))
 	if err != nil {
 		return err
 	}
@@ -137,7 +135,7 @@ func fig(n int, base hwgc.Config) error {
 }
 
 func tab1() error {
-	rows, err := experiments.EmptyWorklist(experiments.Benches(), experiments.PaperCoreCounts, opts(experiments.Fig5Config()))
+	rows, err := experiments.EmptyWorklist(experiments.Benches(), hwgc.PaperCoreCounts, opts(experiments.Fig5Config()))
 	if err != nil {
 		return err
 	}
@@ -329,41 +327,27 @@ func seeds() error {
 	return t.Write(os.Stdout)
 }
 
-func concurrent() error {
-	rows, err := experiments.Concurrent([]string{"jlisp", "javac", "jflex", "db"}, 8, 2, opts(experiments.Fig5Config()))
-	if err != nil {
-		return err
-	}
-	t := stats.NewTable(
-		"Extension E3 (paper §V-B outlook): concurrent collection, 8 cores, wait-until-black barrier",
-		"Application", "STW pause", "Concurrent GC cycles", "Mutator ops", "Allocs", "Worst mutator op", "Barrier share")
-	for _, r := range rows {
-		t.Add(r.Bench, fmt.Sprint(r.STWPause), fmt.Sprint(r.ConcCycles),
-			fmt.Sprint(r.MutOps), fmt.Sprint(r.MutAllocs),
-			fmt.Sprintf("%d cycles", r.MaxOpLatency), fmt.Sprintf("%.0f%%", r.BarrierPct))
-	}
-	return t.Write(os.Stdout)
-}
-
 func barriers() error {
 	rows, err := experiments.Barriers([]string{"jlisp", "javac", "jflex", "db"}, 8, opts(experiments.Fig5Config()))
 	if err != nil {
 		return err
 	}
 	t := stats.NewTable(
-		"Extension E4: write-barrier comparison, 8 cores, built-in churn mutator on the mutator port",
-		"Application", "Barrier", "STW pause", "Concurrent GC cycles", "Invocations", "Barrier cycles", "Floating words", "Mark term.", "Worst mutator op")
+		"Extensions E3/E4: concurrent collection under each write barrier, 8 cores, built-in churn mutator on the mutator port (E3 = the none rows)",
+		"Application", "Barrier", "STW pause", "Concurrent GC cycles", "Mutator ops", "Allocs", "Invocations", "Barrier cycles",
+		"Floating words", "Mark term.", "Worst mutator op", "Wait-until-black share")
 	for _, r := range rows {
 		t.Add(r.Bench, r.Mode, fmt.Sprint(r.STWPause), fmt.Sprint(r.Cycles),
+			fmt.Sprint(r.MutOps), fmt.Sprint(r.MutAllocs),
 			fmt.Sprint(r.BarrierInvocations), fmt.Sprint(r.BarrierCycles),
 			fmt.Sprint(r.FloatingWords), fmt.Sprint(r.MarkTermCycles),
-			fmt.Sprintf("%d cycles", r.MaxOpLatency))
+			fmt.Sprintf("%d cycles", r.MaxOpLatency), fmt.Sprintf("%.0f%%", r.WaitStallPct))
 	}
 	return t.Write(os.Stdout)
 }
 
 func numa() error {
-	rows, err := experiments.NUMA([]string{"jlisp", "db"}, experiments.PaperCoreCounts, opts(experiments.Fig5Config()))
+	rows, err := experiments.NUMA([]string{"jlisp", "db"}, hwgc.PaperCoreCounts, opts(experiments.Fig5Config()))
 	if err != nil {
 		return err
 	}

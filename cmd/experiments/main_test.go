@@ -12,7 +12,7 @@ func TestRunEachExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment subcommands are slow")
 	}
-	for _, cmd := range []string{"tab1", "fifo", "markopt", "heapsize", "robustness", "stride", "hdrcache", "concurrent"} {
+	for _, cmd := range []string{"tab1", "fifo", "markopt", "heapsize", "robustness", "stride", "hdrcache", "barriers", "numa"} {
 		cmd := cmd
 		t.Run(cmd, func(t *testing.T) {
 			out := captureStdout(t, func() {

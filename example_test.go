@@ -82,14 +82,15 @@ func ExampleRunBaseline() {
 }
 
 // Collect concurrently with a running mutator (the paper's §V-B outlook):
-// the worst single mutator stall replaces the stop-the-world pause.
-func ExampleCollectConcurrent() {
+// the built-in churn mutator runs on the coprocessor's mutator port, and
+// its worst single stall replaces the stop-the-world pause.
+func ExampleCollect_concurrent() {
 	h, _ := hwgc.BuildWorkload("jlisp", 1, 42)
-	driver := hwgc.NewConcurrentChurn(h, 42, 1<<40, 50)
-	st, ms, err := hwgc.CollectConcurrent(h, hwgc.Config{Cores: 8}, driver, 2)
+	st, err := hwgc.Collect(h, hwgc.Config{Cores: 8, MutatorOps: 1 << 40, MutatorAllocs: 50})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ms := st.Mutator
 	fmt.Printf("mutator kept running during GC: %v, worst stall far below the cycle: %v\n",
 		ms.Ops > 0, ms.MaxOpLatency*4 < st.Cycles)
 	// Output:

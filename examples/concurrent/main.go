@@ -5,11 +5,12 @@
 // The example collects the same heap twice: once stop-the-world (the
 // application pauses for the whole cycle) and once concurrently (the
 // application's worst pause is its longest single stalled operation), and
-// prints both.
+// prints both. The concurrent run is an ordinary Collect with the built-in
+// churn mutator switched on through Config.MutatorOps.
 //
 // Run with:
 //
-//	go run ./examples/concurrent [-bench jlisp] [-cores 8] [-period 2]
+//	go run ./examples/concurrent [-bench jlisp] [-cores 8] [-period 4]
 package main
 
 import (
@@ -24,16 +25,11 @@ import (
 func main() {
 	bench := flag.String("bench", "jlisp", "workload ("+strings.Join(hwgc.Workloads(), ", ")+")")
 	cores := flag.Int("cores", 8, "GC coprocessor cores")
-	period := flag.Int("period", 2, "cycles between mutator operations")
+	period := flag.Int("period", 4, "cycles between mutator operations")
 	flag.Parse()
 
-	spec, err := hwgc.Workload(*bench)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// Stop-the-world run.
-	h1, err := spec.Plan(1, 42).BuildHeap(3.0)
+	h1, err := hwgc.BuildWorkload(*bench, 1, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,18 +38,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Concurrent run on an identical heap: the driver chases pointers,
-	// reads and writes fields, and allocates, one operation every -period
-	// cycles, for the whole collection.
-	h2, err := spec.Plan(1, 42).BuildHeap(3.0)
+	// Concurrent run on an identical heap: the built-in churn mutator chases
+	// pointers, reads and writes fields, stores pointers and allocates, one
+	// operation every -period cycles, for the whole collection.
+	h2, err := hwgc.BuildWorkload(*bench, 1, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	driver := hwgc.NewConcurrentChurn(h2, 42, 1<<40, 400)
-	st, ms, err := hwgc.CollectConcurrent(h2, hwgc.Config{Cores: *cores}, driver, *period)
+	st, err := hwgc.Collect(h2, hwgc.Config{Cores: *cores, MutatorOps: 1 << 40, MutatorPeriod: *period})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ms := st.Mutator
 
 	fmt.Printf("workload %s, %d GC cores\n\n", *bench, *cores)
 	fmt.Printf("stop-the-world:  collection %8d cycles — the application pauses for all of them\n", stw.Cycles)

@@ -33,10 +33,10 @@
 package hwgc
 
 import (
+	"fmt"
 	"io"
 
 	"hwgc/internal/baseline"
-	"hwgc/internal/core"
 	"hwgc/internal/gcalgo"
 	"hwgc/internal/heap"
 	"hwgc/internal/machine"
@@ -70,21 +70,12 @@ type (
 	WorkloadSpec = workload.Spec
 	// Graph is the canonical logical object graph used for verification.
 	Graph = gcalgo.Graph
-	// RunResult is the outcome of one verified benchmark collection.
-	RunResult = core.RunResult
 	// Monitor samples the coprocessor's internal signals while it runs.
 	Monitor = trace.Monitor
 	// Mutator drives a heap through allocation and collection cycles.
 	Mutator = mutator.Mutator
 	// ChurnConfig parameterizes Mutator.RunChurn.
 	ChurnConfig = mutator.ChurnConfig
-	// MutOp is one operation of a concurrent-mode mutator (the paper's
-	// Section V-B "next step", implemented as an extension).
-	MutOp = machine.MutOp
-	// MutKind enumerates concurrent mutator operations.
-	MutKind = machine.MutKind
-	// MutDriver produces a concurrent mutator's operation stream.
-	MutDriver = machine.MutDriver
 	// MutatorStats reports a concurrent mutator's progress and stalls.
 	MutatorStats = machine.MutatorStats
 	// BarrierMode selects the write-barrier discipline the concurrent
@@ -116,18 +107,6 @@ const (
 	PlacementLocal = machine.PlacementLocal
 )
 
-// Concurrent mutator operation kinds.
-const (
-	MutNop       = machine.MutNop
-	MutLoadRoot  = machine.MutLoadRoot
-	MutStoreRoot = machine.MutStoreRoot
-	MutLoadPtr   = machine.MutLoadPtr
-	MutStorePtr  = machine.MutStorePtr
-	MutLoadData  = machine.MutLoadData
-	MutStoreData = machine.MutStoreData
-	MutAlloc     = machine.MutAlloc
-)
-
 // NilPtr is the null object reference.
 const NilPtr = object.NilPtr
 
@@ -146,9 +125,39 @@ func Collect(h *Heap, cfg Config) (Stats, error) {
 }
 
 // CollectVerified is Collect plus an oracle check that the collection
-// preserved the logical object graph exactly and compacted perfectly.
+// preserved the logical object graph exactly and compacted perfectly. With
+// the built-in concurrent mutator (Config.MutatorOps) the heap graph changes
+// during the collection, so the stop-the-world oracle cannot predict the
+// outcome; verification then falls back to the structural integrity check.
 func CollectVerified(h *Heap, cfg Config) (Stats, error) {
-	return core.CollectOnce(h, cfg, true)
+	concurrent := cfg.WithDefaults().MutatorOps > 0
+	var before *Graph
+	if !concurrent {
+		var err error
+		if before, err = gcalgo.Snapshot(h); err != nil {
+			return Stats{}, fmt.Errorf("hwgc: pre-GC snapshot: %w", err)
+		}
+	}
+	st, err := Collect(h, cfg)
+	if err != nil {
+		return Stats{}, err
+	}
+	if concurrent {
+		if err := h.CheckIntegrity(); err != nil {
+			return Stats{}, fmt.Errorf("hwgc: concurrent collection verification failed: %w", err)
+		}
+	} else if err := gcalgo.VerifyCollection(before, h); err != nil {
+		return Stats{}, fmt.Errorf("hwgc: collection verification failed: %w", err)
+	}
+	return st, nil
+}
+
+// collect is CollectVerified when verify is set and Collect otherwise.
+func collect(h *Heap, cfg Config, verify bool) (Stats, error) {
+	if verify {
+		return CollectVerified(h, cfg)
+	}
+	return Collect(h, cfg)
 }
 
 // CollectTraced runs Collect with a Monitor attached, sampling the
@@ -160,28 +169,6 @@ func CollectTraced(h *Heap, cfg Config, mon *Monitor) (Stats, error) {
 	}
 	mon.Attach(m)
 	return m.Collect()
-}
-
-// NewConcurrentChurn returns a deterministic MutDriver performing a
-// randomized pointer-chasing / field-writing / allocating workload over the
-// heap's roots, for use with CollectConcurrent.
-func NewConcurrentChurn(h *Heap, seed int64, maxOps, maxAllocs int64) MutDriver {
-	return machine.NewConcurrentChurn(h, seed, maxOps, maxAllocs)
-}
-
-// CollectConcurrent runs one collection cycle with a mutator executing
-// concurrently on the coprocessor's mutator port, under a wait-until-black
-// access barrier (the extension of the paper's Section V-B outlook). The
-// driver supplies the mutator's operations; period is the number of idle
-// cycles between them. Returns the collection statistics and the mutator's
-// side of the story, whose MaxOpLatency is the concurrent analogue of the
-// stop-the-world pause.
-func CollectConcurrent(h *Heap, cfg Config, driver MutDriver, period int) (Stats, MutatorStats, error) {
-	m, err := machine.New(h, cfg)
-	if err != nil {
-		return Stats{}, MutatorStats{}, err
-	}
-	return m.CollectConcurrent(driver, period)
 }
 
 // CollectSequential runs the untimed reference implementation of Cheney's
@@ -230,36 +217,111 @@ func WritePlan(w io.Writer, p *Plan) error { return plan.Write(w, p) }
 // Workload returns the named benchmark workload.
 func Workload(name string) (WorkloadSpec, error) { return workload.Get(name) }
 
+// DefaultSeed is the workload seed used when a request or experiment
+// leaves it unset, chosen once so every table and figure is reproducible bit
+// for bit.
+const DefaultSeed int64 = 42
+
+// defaultHeadroom follows the paper's rule of thumb of dimensioning the heap
+// at twice the minimal size.
+const defaultHeadroom = 2.0
+
+// PaperCoreCounts are the coprocessor sizes measured in the paper (1, 2, 4,
+// 8, 16).
+var PaperCoreCounts = []int{1, 2, 4, 8, 16}
+
+// RunResult describes one verified collection of one benchmark heap.
+type RunResult struct {
+	Benchmark string
+	Stats     Stats
+	// PlanObjects/PlanWords: total allocated (live + garbage).
+	PlanObjects int
+	PlanWords   int
+	// LiveObjects/LiveWords: reachable from the roots, i.e. surviving.
+	LiveObjects int
+	LiveWords   int
+}
+
+// buildBench constructs a fresh heap and its plan for the named benchmark.
+func buildBench(bench string, scale int, seed int64) (*Heap, *Plan, error) {
+	spec, err := workload.Get(bench)
+	if err != nil {
+		return nil, nil, err
+	}
+	if scale < 1 {
+		scale = 1
+	}
+	plan := spec.Plan(scale, seed)
+	h, err := plan.BuildHeap(defaultHeadroom)
+	if err != nil {
+		return nil, nil, fmt.Errorf("hwgc: building %s: %w", bench, err)
+	}
+	return h, plan, nil
+}
+
 // BuildWorkload constructs a fresh heap holding the named benchmark's object
 // graph at the given scale and seed.
 func BuildWorkload(name string, scale int, seed int64) (*Heap, error) {
-	h, _, err := core.BuildBench(name, scale, seed)
+	h, _, err := buildBench(name, scale, seed)
 	return h, err
 }
 
 // RunBenchmark builds the named benchmark and runs one collection with cfg,
 // verifying the result against the reference oracle when verify is set.
 func RunBenchmark(name string, scale int, seed int64, cfg Config, verify bool) (RunResult, error) {
-	return core.RunBenchmark(name, scale, seed, cfg, verify)
+	h, plan, err := buildBench(name, scale, seed)
+	if err != nil {
+		return RunResult{}, err
+	}
+	// Take the plan's statistics first: the plan is then unreferenced, so
+	// the Go collector can free it while the simulation runs.
+	res := RunResult{Benchmark: name, PlanObjects: len(plan.Objs), PlanWords: plan.Words()}
+	res.LiveObjects, res.LiveWords = plan.LiveStats()
+	if res.Stats, err = collect(h, cfg, verify); err != nil {
+		return RunResult{}, fmt.Errorf("hwgc: %s: %w", name, err)
+	}
+	return res, nil
 }
 
 // RunPlan builds a heap from a custom plan and runs one collection with cfg,
 // verifying against the reference oracle when verify is set. name labels the
 // result (the CLI uses the plan's file name; the server uses "plan").
 func RunPlan(name string, p *Plan, cfg Config, verify bool) (RunResult, error) {
-	return core.RunPlan(name, p, cfg, verify)
+	h, err := p.BuildHeap(defaultHeadroom)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("hwgc: building plan: %w", err)
+	}
+	st, err := collect(h, cfg, verify)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("hwgc: %s: %w", name, err)
+	}
+	liveObj, liveWords := p.LiveStats()
+	return RunResult{
+		Benchmark:   name,
+		Stats:       st,
+		PlanObjects: len(p.Objs),
+		PlanWords:   p.Words(),
+		LiveObjects: liveObj,
+		LiveWords:   liveWords,
+	}, nil
 }
 
 // SweepCores runs the named benchmark once per core count on identically
-// built heaps — the measurement underlying the paper's Figures 5/6 and
-// Table I.
+// built fresh heaps and returns the results in order — the measurement
+// underlying the paper's Figures 5/6 and Table I.
 func SweepCores(name string, coreCounts []int, scale int, seed int64, cfg Config, verify bool) ([]RunResult, error) {
-	return core.SweepCores(name, coreCounts, scale, seed, cfg, verify)
+	out := make([]RunResult, 0, len(coreCounts))
+	for _, n := range coreCounts {
+		c := cfg
+		c.Cores = n
+		r, err := RunBenchmark(name, scale, seed, c, verify)
+		if err != nil {
+			return nil, fmt.Errorf("hwgc: sweep %s at %d cores: %w", name, n, err)
+		}
+		out = append(out, r)
+	}
+	return out, nil
 }
-
-// PaperCoreCounts are the coprocessor sizes measured in the paper (1, 2, 4,
-// 8, 16).
-var PaperCoreCounts = []int{1, 2, 4, 8, 16}
 
 // BaselineResult describes one software-parallel baseline collection.
 type BaselineResult = baseline.Result

@@ -9,21 +9,16 @@ package experiments
 import (
 	"fmt"
 
-	"hwgc/internal/core"
-	"hwgc/internal/gcconc"
-	"hwgc/internal/gcnuma"
-	"hwgc/internal/machine"
-	"hwgc/internal/mutator"
+	"hwgc"
 	"hwgc/internal/stats"
-	"hwgc/internal/workload"
 )
 
 // Options configure an experiment run.
 type Options struct {
 	Scale  int   // workload scale factor (default 1)
-	Seed   int64 // workload seed (default core.DefaultSeed)
+	Seed   int64 // workload seed (default hwgc.DefaultSeed)
 	Verify bool  // verify every collection against the oracle
-	Base   core.Config
+	Base   hwgc.Config
 }
 
 func (o Options) norm() Options {
@@ -31,7 +26,7 @@ func (o Options) norm() Options {
 		o.Scale = 1
 	}
 	if o.Seed == 0 {
-		o.Seed = core.DefaultSeed
+		o.Seed = hwgc.DefaultSeed
 	}
 	return o
 }
@@ -51,7 +46,7 @@ func Scaling(benches []string, coreCounts []int, o Options) ([]ScalingRow, error
 	o = o.norm()
 	rows := make([]ScalingRow, 0, len(benches))
 	for _, b := range benches {
-		res, err := core.SweepCores(b, coreCounts, o.Scale, o.Seed, o.Base, o.Verify)
+		res, err := hwgc.SweepCores(b, coreCounts, o.Scale, o.Seed, o.Base, o.Verify)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +74,7 @@ func EmptyWorklist(benches []string, coreCounts []int, o Options) ([]EmptyRow, e
 	o = o.norm()
 	rows := make([]EmptyRow, 0, len(benches))
 	for _, b := range benches {
-		res, err := core.SweepCores(b, coreCounts, o.Scale, o.Seed, o.Base, o.Verify)
+		res, err := hwgc.SweepCores(b, coreCounts, o.Scale, o.Seed, o.Base, o.Verify)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +92,7 @@ func EmptyWorklist(benches []string, coreCounts []int, o Options) ([]EmptyRow, e
 type StallRow struct {
 	Bench string
 	Total int64
-	Mean  machine.CoreStats
+	Mean  hwgc.CoreStats
 }
 
 // StallBreakdown measures the clock-cycle distribution of Table II.
@@ -107,7 +102,7 @@ func StallBreakdown(benches []string, cores int, o Options) ([]StallRow, error) 
 	cfg.Cores = cores
 	rows := make([]StallRow, 0, len(benches))
 	for _, b := range benches {
-		r, err := core.RunBenchmark(b, o.Scale, o.Seed, cfg, o.Verify)
+		r, err := hwgc.RunBenchmark(b, o.Scale, o.Seed, cfg, o.Verify)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +135,7 @@ func FIFOSweep(bench string, capacities []int, cores int, o Options) ([]FIFOPoin
 		} else {
 			cfg.FIFOCapacity = capn
 		}
-		r, err := core.RunBenchmark(bench, o.Scale, o.Seed, cfg, o.Verify)
+		r, err := hwgc.RunBenchmark(bench, o.Scale, o.Seed, cfg, o.Verify)
 		if err != nil {
 			return nil, err
 		}
@@ -170,12 +165,12 @@ func MarkOpt(benches []string, cores int, o Options) ([]MarkOptRow, error) {
 	for _, b := range benches {
 		cfg := o.Base
 		cfg.Cores = cores
-		off, err := core.RunBenchmark(b, o.Scale, o.Seed, cfg, o.Verify)
+		off, err := hwgc.RunBenchmark(b, o.Scale, o.Seed, cfg, o.Verify)
 		if err != nil {
 			return nil, err
 		}
 		cfg.OptUnlockedMarkRead = true
-		on, err := core.RunBenchmark(b, o.Scale, o.Seed, cfg, o.Verify)
+		on, err := hwgc.RunBenchmark(b, o.Scale, o.Seed, cfg, o.Verify)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +200,7 @@ func BandwidthSweep(bench string, bandwidths []int, o Options) ([]BandwidthPoint
 	for _, bw := range bandwidths {
 		cfg := o.Base
 		cfg.MemBandwidth = bw
-		res, err := core.SweepCores(bench, []int{1, 16}, o.Scale, o.Seed, cfg, o.Verify)
+		res, err := hwgc.SweepCores(bench, []int{1, 16}, o.Scale, o.Seed, cfg, o.Verify)
 		if err != nil {
 			return nil, err
 		}
@@ -223,11 +218,11 @@ func Benches() []string {
 }
 
 // Fig5Config returns the base configuration of Figure 5 (prototype memory).
-func Fig5Config() core.Config { return core.Config{} }
+func Fig5Config() hwgc.Config { return hwgc.Config{} }
 
 // Fig6Config returns the base configuration of Figure 6: an artificial 20
 // clock cycles added to each memory access.
-func Fig6Config() core.Config { return core.Config{ExtraMemLatency: 20} }
+func Fig6Config() hwgc.Config { return hwgc.Config{ExtraMemLatency: 20} }
 
 // FormatScaling renders scaling rows as a table.
 func FormatScaling(title string, rows []ScalingRow) *stats.Table {
@@ -265,7 +260,7 @@ func StrideSweep(bench string, strides []int, coreCounts []int, o Options) ([]St
 	for _, sw := range strides {
 		cfg := o.Base
 		cfg.StrideWords = sw
-		res, err := core.SweepCores(bench, coreCounts, o.Scale, o.Seed, cfg, o.Verify)
+		res, err := hwgc.SweepCores(bench, coreCounts, o.Scale, o.Seed, cfg, o.Verify)
 		if err != nil {
 			return nil, err
 		}
@@ -296,12 +291,12 @@ func HeaderCache(benches []string, lines, cores int, o Options) ([]HeaderCacheRo
 	for _, b := range benches {
 		cfg := o.Base
 		cfg.Cores = cores
-		off, err := core.RunBenchmark(b, o.Scale, o.Seed, cfg, o.Verify)
+		off, err := hwgc.RunBenchmark(b, o.Scale, o.Seed, cfg, o.Verify)
 		if err != nil {
 			return nil, err
 		}
 		cfg.HeaderCacheLines = lines
-		on, err := core.RunBenchmark(b, o.Scale, o.Seed, cfg, o.Verify)
+		on, err := hwgc.RunBenchmark(b, o.Scale, o.Seed, cfg, o.Verify)
 		if err != nil {
 			return nil, err
 		}
@@ -335,9 +330,13 @@ type HeapSizePoint struct {
 // proportional to the live set, not the heap.
 func HeapSizeSweep(bench string, headrooms []float64, o Options) ([]HeapSizePoint, error) {
 	o = o.norm()
-	spec, err := workload.Get(bench)
+	spec, err := hwgc.Workload(bench)
 	if err != nil {
 		return nil, err
+	}
+	collect := hwgc.Collect
+	if o.Verify {
+		collect = hwgc.CollectVerified
 	}
 	out := make([]HeapSizePoint, 0, len(headrooms))
 	for _, hr := range headrooms {
@@ -350,7 +349,7 @@ func HeapSizeSweep(bench string, headrooms []float64, o Options) ([]HeapSizePoin
 			if err != nil {
 				return nil, err
 			}
-			st, err := core.CollectOnce(h, cfg, o.Verify)
+			st, err := collect(h, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -386,12 +385,12 @@ func Pauses(coreCounts []int, semiWords, ops int, o Options) ([]PausePoint, erro
 	for _, n := range coreCounts {
 		cfg := o.Base
 		cfg.Cores = n
-		mu, err := mutator.New(semiWords, cfg)
+		mu, err := hwgc.NewMutator(semiWords, cfg)
 		if err != nil {
 			return nil, err
 		}
 		mu.Verify = o.Verify
-		if _, err := mu.RunChurn(mutator.ChurnConfig{Ops: ops, RootSlots: 64, MaxPi: 4, MaxDelta: 12, Seed: o.Seed}); err != nil {
+		if _, err := mu.RunChurn(hwgc.ChurnConfig{Ops: ops, RootSlots: 64, MaxPi: 4, MaxDelta: 12, Seed: o.Seed}); err != nil {
 			return nil, err
 		}
 		pt := PausePoint{Cores: n, Collections: len(mu.Collections())}
@@ -418,7 +417,7 @@ func ScaleRobustness(bench string, scales []int, o Options) ([]BandwidthPoint, e
 	for _, sc := range scales {
 		oo := o
 		oo.Scale = sc
-		res, err := core.SweepCores(bench, []int{1, 16}, oo.Scale, oo.Seed, oo.Base, oo.Verify)
+		res, err := hwgc.SweepCores(bench, []int{1, 16}, oo.Scale, oo.Seed, oo.Base, oo.Verify)
 		if err != nil {
 			return nil, err
 		}
@@ -428,75 +427,6 @@ func ScaleRobustness(bench string, scales []int, o Options) ([]BandwidthPoint, e
 		})
 	}
 	return out, nil
-}
-
-// ConcurrentRow compares a stop-the-world collection with a concurrent one
-// on the same heap.
-type ConcurrentRow struct {
-	Bench        string
-	STWPause     int64 // cycles of the stop-the-world collection
-	ConcCycles   int64 // cycles of the concurrent collection
-	MutOps       int64 // mutator operations completed during it
-	MutAllocs    int64
-	MaxOpLatency int64 // worst single mutator operation — the pause analogue
-	BarrierPct   float64
-}
-
-// Concurrent runs the Section V-B extension: the same collection once
-// stop-the-world and once with a churning mutator on the coprocessor's
-// mutator port, reporting the worst mutator stall against the STW pause.
-func Concurrent(benches []string, cores, period int, o Options) ([]ConcurrentRow, error) {
-	o = o.norm()
-	rows := make([]ConcurrentRow, 0, len(benches))
-	for _, b := range benches {
-		spec, err := workload.Get(b)
-		if err != nil {
-			return nil, err
-		}
-		cfg := o.Base
-		cfg.Cores = cores
-
-		h1, err := spec.Plan(o.Scale, o.Seed).BuildHeap(3.0)
-		if err != nil {
-			return nil, err
-		}
-		m1, err := machine.New(h1, cfg)
-		if err != nil {
-			return nil, err
-		}
-		stw, err := m1.Collect()
-		if err != nil {
-			return nil, err
-		}
-
-		h2, err := spec.Plan(o.Scale, o.Seed).BuildHeap(3.0)
-		if err != nil {
-			return nil, err
-		}
-		m2, err := machine.New(h2, cfg)
-		if err != nil {
-			return nil, err
-		}
-		driver := machine.NewConcurrentChurn(h2, o.Seed*31, 1<<40, 500)
-		st, ms, err := m2.CollectConcurrent(driver, period)
-		if err != nil {
-			return nil, err
-		}
-		barrierPct := 0.0
-		if ms.StallCycles > 0 {
-			barrierPct = 100 * float64(ms.BarrierStalls) / float64(ms.StallCycles)
-		}
-		rows = append(rows, ConcurrentRow{
-			Bench:        b,
-			STWPause:     stw.Cycles,
-			ConcCycles:   st.Cycles,
-			MutOps:       ms.Ops,
-			MutAllocs:    ms.Allocs,
-			MaxOpLatency: ms.MaxOpLatency,
-			BarrierPct:   barrierPct,
-		})
-	}
-	return rows, nil
 }
 
 // SeedStats summarizes a benchmark's 16-core speedup across several
@@ -516,7 +446,7 @@ func SeedRobustness(benches []string, seeds []int64, o Options) ([]SeedStats, er
 	for _, b := range benches {
 		st := SeedStats{Bench: b, Min: 1e18, Max: -1}
 		for _, seed := range seeds {
-			res, err := core.SweepCores(b, []int{1, 16}, o.Scale, seed, o.Base, o.Verify)
+			res, err := hwgc.SweepCores(b, []int{1, 16}, o.Scale, seed, o.Base, o.Verify)
 			if err != nil {
 				return nil, err
 			}
@@ -535,50 +465,154 @@ func SeedRobustness(benches []string, seeds []int64, o Options) ([]SeedStats, er
 	return out, nil
 }
 
+// Variant is one member of a scenario family: Label names it in tables and
+// Apply derives its configuration from the family's base configuration.
+type Variant struct {
+	Label string
+	Apply func(hwgc.Config) hwgc.Config
+}
+
+// VariantResult is one variant's verified run.
+type VariantResult struct {
+	Label  string
+	Config hwgc.Config // the variant's configuration, before WithDefaults
+	Stats  hwgc.Stats
+}
+
+// CompareVariants runs one (benchmark, scale, seed) once per variant, each
+// on an identically built fresh heap, and returns the results in variant
+// order. With o.Verify set, each run is checked against the oracle (or, for
+// a concurrent run, structurally). Deterministic: the same inputs always
+// yield bit-identical Stats.
+func CompareVariants(bench string, variants []Variant, o Options) ([]VariantResult, error) {
+	o = o.norm()
+	out := make([]VariantResult, 0, len(variants))
+	for _, v := range variants {
+		cfg := v.Apply(o.Base)
+		r, err := hwgc.RunBenchmark(bench, o.Scale, o.Seed, cfg, o.Verify)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s/%s: %w", bench, v.Label, err)
+		}
+		out = append(out, VariantResult{Label: v.Label, Config: cfg, Stats: r.Stats})
+	}
+	return out, nil
+}
+
+// defaultMutatorOps is the operation budget a barrier variant gives the
+// built-in mutator when the base config leaves MutatorOps unset: effectively
+// unbounded, so the mutator churns for the whole collection.
+const defaultMutatorOps = 1 << 40
+
+// BarrierVariants is the concurrent-collection family (extensions E3/E4):
+// the stop-the-world baseline ("stw", no mutator), then the built-in churn
+// mutator under each write-barrier discipline — no barrier, Yuasa-style
+// snapshot-at-the-beginning deletion, Dijkstra-style incremental update.
+// Every mutator parameter keeps the base's value, or the library default.
+var BarrierVariants = []Variant{
+	{"stw", func(c hwgc.Config) hwgc.Config {
+		c.BarrierMode, c.MutatorOps = hwgc.BarrierNone, 0
+		return c
+	}},
+	concurrentVariant("none", hwgc.BarrierNone),
+	concurrentVariant("satb", hwgc.BarrierSATB),
+	concurrentVariant("incupdate", hwgc.BarrierIncUpdate),
+}
+
+func concurrentVariant(label string, mode hwgc.BarrierMode) Variant {
+	return Variant{label, func(c hwgc.Config) hwgc.Config {
+		c.BarrierMode = mode
+		if c.MutatorOps <= 0 {
+			c.MutatorOps = defaultMutatorOps
+		}
+		return c
+	}}
+}
+
+// defaultDomains is the NUMA domain count a placement variant uses when the
+// base config leaves NUMADomains unset: four, a typical socket count for
+// the multi-core hosts the paper's FPGA prototype stands in for.
+const defaultDomains = 4
+
+// NUMAVariants is the locality family (extension E5, after Auhagen et al.,
+// GC for multicore NUMA machines): the flat uniform-memory baseline with
+// every NUMA knob stripped, then a NUMA machine with naive interleaved
+// tospace (a copied word lands remote with probability (D-1)/D) and with
+// locality-aware placement (each core's evacuation window is served by its
+// own domain). Penalty and interleave keep the base's values, or the
+// library defaults.
+var NUMAVariants = []Variant{
+	{"flat", func(c hwgc.Config) hwgc.Config {
+		c.NUMADomains, c.NUMAPlacement = 0, hwgc.PlacementNaive
+		return c
+	}},
+	numaVariant("naive", hwgc.PlacementNaive),
+	numaVariant("local", hwgc.PlacementLocal),
+}
+
+func numaVariant(label string, p hwgc.NUMAPlacement) Variant {
+	return Variant{label, func(c hwgc.Config) hwgc.Config {
+		c.NUMAPlacement = p
+		if c.NUMADomains <= 0 {
+			c.NUMADomains = defaultDomains
+		}
+		return c
+	}}
+}
+
 // BarrierRow is one (benchmark, barrier mode) line of the write-barrier
-// comparison: the gcconc scenario family's cycle-accurate answer to "what
-// does each barrier discipline cost, and how much garbage does it float".
+// comparison: the cycle-accurate answer to "what does each barrier
+// discipline cost, and how much garbage does it float". The "none" rows are
+// extension E3, concurrent collection under the wait-until-black access
+// barrier alone.
 type BarrierRow struct {
 	Bench              string
 	Mode               string // "none", "satb", "incupdate"
 	STWPause           int64  // cycles of the stop-the-world baseline
 	Cycles             int64  // cycles of the concurrent collection
 	MutOps             int64  // mutator operations completed during it
+	MutAllocs          int64  // objects the mutator allocated during it
 	BarrierInvocations int64
 	BarrierCycles      int64
-	FloatingWords      int64 // garbage retained only because the barrier shaded it
-	MarkTermCycles     int64 // tail between the last marking work and scan termination
-	MaxOpLatency       int64 // worst single mutator operation — the pause analogue
+	FloatingWords      int64   // garbage retained only because the barrier shaded it
+	MarkTermCycles     int64   // tail between the last marking work and scan termination
+	MaxOpLatency       int64   // worst single mutator operation — the pause analogue
+	WaitStallPct       float64 // share of mutator stall cycles spent waiting until black
 }
 
-// Barriers runs the concurrent-collection scenario family (extension E4):
-// each benchmark collected once stop-the-world and once per write-barrier
-// mode with the built-in churn mutator on the coprocessor's mutator port,
-// comparing barrier cost, floating garbage and mark termination across the
-// disciplines.
+// Barriers runs BarrierVariants over each benchmark at the given core
+// count: one row per concurrent variant, each next to the stop-the-world
+// pause of the same heap.
 func Barriers(benches []string, cores int, o Options) ([]BarrierRow, error) {
-	o = o.norm()
+	o.Base.Cores = cores
 	var rows []BarrierRow
 	for _, b := range benches {
-		base := o.Base
-		base.Cores = cores
-		cmp, err := gcconc.Compare(b, o.Scale, o.Seed, base, o.Verify)
+		res, err := CompareVariants(b, BarrierVariants, o)
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range cmp.Rows {
+		stw := res[0].Stats.Cycles
+		for _, r := range res[1:] {
 			ms := r.Stats.Mutator
+			if ms == nil {
+				return nil, fmt.Errorf("experiments: %s/%s: run reported no mutator statistics", b, r.Label)
+			}
+			waitPct := 0.0
+			if ms.StallCycles > 0 {
+				waitPct = 100 * float64(ms.BarrierStalls) / float64(ms.StallCycles)
+			}
 			rows = append(rows, BarrierRow{
 				Bench:              b,
-				Mode:               gcconc.Label(r.Scenario.Config.BarrierMode),
-				STWPause:           cmp.STW.Cycles,
+				Mode:               r.Label,
+				STWPause:           stw,
 				Cycles:             r.Stats.Cycles,
 				MutOps:             ms.Ops,
+				MutAllocs:          ms.Allocs,
 				BarrierInvocations: ms.BarrierInvocations,
 				BarrierCycles:      ms.BarrierCycles,
 				FloatingWords:      ms.FloatingWords,
 				MarkTermCycles:     ms.MarkTermCycles,
 				MaxOpLatency:       ms.MaxOpLatency,
+				WaitStallPct:       waitPct,
 			})
 		}
 	}
@@ -586,9 +620,9 @@ func Barriers(benches []string, cores int, o Options) ([]BarrierRow, error) {
 }
 
 // NUMARow is one (benchmark, core count, placement mode) line of the
-// locality comparison: the gcnuma scenario family's answer to "how much of
-// the collector's DRAM traffic crosses a domain boundary, and what does
-// locality-aware tospace placement buy back".
+// locality comparison: "how much of the collector's DRAM traffic crosses a
+// domain boundary, and what does locality-aware tospace placement buy
+// back".
 type NUMARow struct {
 	Bench           string
 	Cores           int
@@ -610,34 +644,43 @@ func (r NUMARow) Slowdown() float64 {
 	return float64(r.Cycles) / float64(r.FlatCycles)
 }
 
-// NUMA runs the locality scenario family (extension E5): each benchmark
-// collected at each core count on the flat machine and on a NUMA machine
-// under naive and locality-aware tospace placement, comparing remote-access
-// fractions and cycle counts. Rows are grouped by benchmark, then core
-// count, then gcnuma.Modes() order.
+// remoteFraction is the remote share of st's domain-classified DRAM
+// acceptances, in [0, 1]; zero when the NUMA model was off.
+func remoteFraction(st hwgc.Stats) float64 {
+	total := st.Mem.LocalAccesses + st.Mem.RemoteAccesses
+	if total == 0 {
+		return 0
+	}
+	return float64(st.Mem.RemoteAccesses) / float64(total)
+}
+
+// NUMA runs NUMAVariants over each benchmark at each core count. Rows are
+// grouped by benchmark, then core count, then NUMAVariants order.
 func NUMA(benches []string, coreCounts []int, o Options) ([]NUMARow, error) {
-	o = o.norm()
 	var rows []NUMARow
 	for _, b := range benches {
 		for _, cores := range coreCounts {
-			base := o.Base
-			base.Cores = cores
-			cmp, err := gcnuma.Compare(b, o.Scale, o.Seed, base, o.Verify)
+			o.Base.Cores = cores
+			res, err := CompareVariants(b, NUMAVariants, o)
 			if err != nil {
 				return nil, err
 			}
-			flat := cmp.Flat().Stats.Cycles
-			for _, r := range cmp.Rows {
+			flat := res[0].Stats.Cycles
+			for _, r := range res {
+				mem := r.Stats.Mem
+				if r.Config.NUMADomains > 0 && mem.LocalAccesses+mem.RemoteAccesses == 0 {
+					return nil, fmt.Errorf("experiments: %s/%s: run classified no accesses", b, r.Label)
+				}
 				rows = append(rows, NUMARow{
 					Bench:           b,
 					Cores:           cores,
-					Mode:            gcnuma.Label(r.Scenario.Mode),
+					Mode:            r.Label,
 					Cycles:          r.Stats.Cycles,
 					FlatCycles:      flat,
-					LocalAccesses:   r.Stats.Mem.LocalAccesses,
-					RemoteAccesses:  r.Stats.Mem.RemoteAccesses,
-					RemoteFraction:  r.RemoteFraction(),
-					DomainConflicts: r.Stats.Mem.DomainConflicts,
+					LocalAccesses:   mem.LocalAccesses,
+					RemoteAccesses:  mem.RemoteAccesses,
+					RemoteFraction:  remoteFraction(r.Stats),
+					DomainConflicts: mem.DomainConflicts,
 				})
 			}
 		}

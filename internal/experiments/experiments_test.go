@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"hwgc"
 )
 
 // The experiment tests use a reduced benchmark subset so the whole suite
@@ -271,5 +273,139 @@ func TestSeedRobustness(t *testing.T) {
 	}
 	if r.Max-r.Min > 3 {
 		t.Errorf("speedup unstable across seeds: %+v", r)
+	}
+}
+
+// TestCompareVariants runs both scenario families on jlisp at 4 cores: each
+// family's run is repeatable bit for bit, its rows carry the per-family
+// signatures, and its variants keep the knobs a base config overrides.
+func TestCompareVariants(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		variants  []Variant
+		checkName string
+		check     func(t *testing.T, rs []VariantResult)
+		applyName string
+		override  hwgc.Config   // a base that sets the knob the family defaults
+		want      []hwgc.Config // each variant applied to override, in order
+	}{
+		{"barriers", BarrierVariants, "counters", checkBarrierRows, "defaults",
+			hwgc.Config{Cores: 2, MutatorOps: 7},
+			[]hwgc.Config{
+				{Cores: 2},
+				{Cores: 2, MutatorOps: 7},
+				{Cores: 2, MutatorOps: 7, BarrierMode: hwgc.BarrierSATB},
+				{Cores: 2, MutatorOps: 7, BarrierMode: hwgc.BarrierIncUpdate},
+			}},
+		{"numa", NUMAVariants, "locality", checkNUMARows, "mode_mapping",
+			hwgc.Config{Cores: 2, NUMADomains: 8, NUMARemotePenalty: 3},
+			[]hwgc.Config{
+				{Cores: 2, NUMARemotePenalty: 3, NUMAPlacement: hwgc.PlacementNaive},
+				{Cores: 2, NUMADomains: 8, NUMARemotePenalty: 3, NUMAPlacement: hwgc.PlacementNaive},
+				{Cores: 2, NUMADomains: 8, NUMARemotePenalty: 3, NUMAPlacement: hwgc.PlacementLocal},
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := Options{Base: hwgc.Config{Cores: 4}, Verify: true}
+			a, err := CompareVariants("jlisp", tc.variants, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a) != len(tc.variants) {
+				t.Fatalf("CompareVariants returned %d rows, want %d", len(a), len(tc.variants))
+			}
+			for i := range a {
+				if a[i].Label != tc.variants[i].Label {
+					t.Fatalf("row %d is %q, want %q", i, a[i].Label, tc.variants[i].Label)
+				}
+			}
+			t.Run("deterministic", func(t *testing.T) {
+				b, err := CompareVariants("jlisp", tc.variants, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range a {
+					if diffs := a[i].Stats.DiffFields(&b[i].Stats); diffs != nil {
+						t.Fatalf("%s: repeated run differs: %v", a[i].Label, diffs)
+					}
+				}
+			})
+			t.Run(tc.checkName, func(t *testing.T) { tc.check(t, a) })
+			t.Run(tc.applyName, func(t *testing.T) {
+				for i, v := range tc.variants {
+					if c := v.Apply(tc.override); c != tc.want[i] {
+						t.Fatalf("%s applied to %+v = %+v, want %+v", v.Label, tc.override, c, tc.want[i])
+					}
+				}
+			})
+		})
+	}
+}
+
+func checkBarrierRows(t *testing.T, rs []VariantResult) {
+	if rs[0].Stats.Mutator != nil {
+		t.Fatal("stop-the-world baseline reported mutator statistics")
+	}
+	for _, r := range rs[1:] {
+		if r.Config.MutatorOps != defaultMutatorOps {
+			t.Fatalf("%s: MutatorOps = %d, want %d", r.Label, r.Config.MutatorOps, int64(defaultMutatorOps))
+		}
+		ms := r.Stats.Mutator
+		if ms == nil {
+			t.Fatalf("%s: no mutator statistics", r.Label)
+		}
+		if ms.Ops == 0 || ms.PtrStores == 0 {
+			t.Fatalf("%s: mutator made no progress: %+v", r.Label, ms)
+		}
+		if r.Label == "none" {
+			if ms.BarrierInvocations != 0 || ms.BarrierCycles != 0 || ms.ShadedObjects != 0 {
+				t.Fatalf("none: barrier fired: %+v", ms)
+			}
+		} else {
+			if ms.BarrierInvocations == 0 || ms.BarrierCycles == 0 {
+				t.Fatalf("%s: barrier never fired: %+v", r.Label, ms)
+			}
+			if ms.BarrierCycles < ms.BarrierInvocations {
+				t.Fatalf("%s: fewer barrier cycles than invocations: %+v", r.Label, ms)
+			}
+		}
+		if ms.FloatingWords < 0 || ms.FloatingObjects > ms.ShadedObjects {
+			t.Fatalf("%s: implausible floating garbage: %+v", r.Label, ms)
+		}
+		if ms.MarkTermCycles < 0 || ms.MarkTermCycles > r.Stats.Cycles {
+			t.Fatalf("%s: mark-termination cycles out of range: %+v", r.Label, ms)
+		}
+	}
+}
+
+func checkNUMARows(t *testing.T, rs []VariantResult) {
+	flat, naive, local := rs[0], rs[1], rs[2]
+	if flat.Stats.Mem.LocalAccesses != 0 || flat.Stats.Mem.RemoteAccesses != 0 {
+		t.Fatalf("flat baseline classified accesses: %+v", flat.Stats.Mem)
+	}
+	if remoteFraction(flat.Stats) != 0 {
+		t.Fatal("flat baseline has a nonzero remote fraction")
+	}
+	for _, r := range rs[1:] {
+		if r.Config.NUMADomains != defaultDomains {
+			t.Fatalf("%s: domains = %d, want default %d", r.Label, r.Config.NUMADomains, defaultDomains)
+		}
+		if f := remoteFraction(r.Stats); f <= 0 || f >= 1 {
+			t.Fatalf("%s: remote fraction %f out of (0, 1)", r.Label, f)
+		}
+		// NUMA penalties can only slow the collection down.
+		if r.Stats.Cycles < flat.Stats.Cycles {
+			t.Fatalf("%s: NUMA run faster than the flat baseline (%d < %d)",
+				r.Label, r.Stats.Cycles, flat.Stats.Cycles)
+		}
+	}
+	// Locality-aware placement must cut the remote share, and with it the
+	// cycle count must not regress past the naive policy.
+	if remoteFraction(local.Stats) >= remoteFraction(naive.Stats) {
+		t.Fatalf("local placement did not reduce the remote fraction: %f >= %f",
+			remoteFraction(local.Stats), remoteFraction(naive.Stats))
+	}
+	if local.Stats.Cycles > naive.Stats.Cycles {
+		t.Fatalf("local placement slower than naive: %d > %d", local.Stats.Cycles, naive.Stats.Cycles)
 	}
 }

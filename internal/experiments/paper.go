@@ -5,9 +5,6 @@ package experiments
 // test suite to assert that the reproduction preserves the paper's
 // qualitative shape.
 
-// PaperCoreCounts are the coprocessor sizes of Tables I/II and Figures 5/6.
-var PaperCoreCounts = []int{1, 2, 4, 8, 16}
-
 // PaperTable1 is the paper's Table I: fraction (in percent) of clock cycles
 // during which the work list is empty, per benchmark, for 1/2/4/8/16 cores.
 var PaperTable1 = map[string][5]float64{

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+
+	"hwgc"
 )
 
 // WriteReport runs the complete evaluation — every table and figure of the
@@ -22,7 +24,7 @@ func WriteReport(w io.Writer, o Options) error {
 	}
 
 	// Figure 5.
-	rows, err := Scaling(Benches(), PaperCoreCounts, o)
+	rows, err := Scaling(Benches(), hwgc.PaperCoreCounts, o)
 	if err != nil {
 		return err
 	}
@@ -50,7 +52,7 @@ func WriteReport(w io.Writer, o Options) error {
 	// Figure 6.
 	o6 := o
 	o6.Base = Fig6Config()
-	rows6, err := Scaling(Benches(), PaperCoreCounts, o6)
+	rows6, err := Scaling(Benches(), hwgc.PaperCoreCounts, o6)
 	if err != nil {
 		return err
 	}
@@ -67,7 +69,7 @@ func WriteReport(w io.Writer, o Options) error {
 	}
 
 	// Table I.
-	emp, err := EmptyWorklist(Benches(), PaperCoreCounts, o)
+	emp, err := EmptyWorklist(Benches(), hwgc.PaperCoreCounts, o)
 	if err != nil {
 		return err
 	}
@@ -166,31 +168,17 @@ func WriteReport(w io.Writer, o Options) error {
 		return err
 	}
 
-	conc, err := Concurrent([]string{"jlisp", "javac"}, 8, 2, o)
-	if err != nil {
-		return err
-	}
-	if err := p("## E3 — concurrent collection (8 cores)\n\n| Application | STW pause | Worst concurrent mutator op |\n|---|---|---|\n"); err != nil {
-		return err
-	}
-	for _, r := range conc {
-		if err := p("| %s | %d | %d |\n", r.Bench, r.STWPause, r.MaxOpLatency); err != nil {
-			return err
-		}
-	}
-	if err := p("\n"); err != nil {
-		return err
-	}
-
 	bar, err := Barriers([]string{"jlisp", "javac"}, 8, o)
 	if err != nil {
 		return err
 	}
-	if err := p("## E4 — write-barrier comparison (8 cores)\n\n| Application | Barrier | GC cycles | Barrier cycles | Floating words | Mark term. |\n|---|---|---|---|---|---|\n"); err != nil {
+	if err := p("## E3/E4 — concurrent collection and write barriers (8 cores)\n\n" +
+		"| Application | Barrier | STW pause | GC cycles | Worst mutator op | Barrier cycles | Floating words | Mark term. |\n|---|---|---|---|---|---|---|---|\n"); err != nil {
 		return err
 	}
 	for _, r := range bar {
-		if err := p("| %s | %s | %d | %d | %d | %d |\n", r.Bench, r.Mode, r.Cycles, r.BarrierCycles, r.FloatingWords, r.MarkTermCycles); err != nil {
+		if err := p("| %s | %s | %d | %d | %d | %d | %d | %d |\n", r.Bench, r.Mode, r.STWPause, r.Cycles,
+			r.MaxOpLatency, r.BarrierCycles, r.FloatingWords, r.MarkTermCycles); err != nil {
 			return err
 		}
 	}

@@ -5,13 +5,13 @@ import (
 	"hwgc/internal/object"
 )
 
-// churnState is the built-in config-driven churn mutator: the same kind of
-// randomized pointer-chasing / field-writing / allocating workload as
-// NewConcurrentChurn, but with pointer *stores* in the mix (so the write
-// barrier has something to do) and with all of its state in plain fields —
-// an explicit splitmix64 PRNG instead of a captured *rand.Rand — so a
-// machine snapshot can carry it and a restore resumes the operation stream
-// bit-identically.
+// churnState is the built-in config-driven churn mutator: a randomized
+// pointer-chasing / field-writing / pointer-storing / allocating workload
+// over the heap's root set, a generic stand-in for an application running
+// while the coprocessor collects. Pointer stores give the write barrier
+// something to do, and all of its state sits in plain fields — an explicit
+// splitmix64 PRNG — so a machine snapshot can carry it and a restore
+// resumes the operation stream bit-identically.
 type churnState struct {
 	h         *heap.Heap
 	rng       uint64
@@ -41,8 +41,11 @@ func (c *churnState) next() uint64 {
 
 func (c *churnState) intn(n int) int { return int(c.next() % uint64(n)) }
 
-// shape reads an object's static shape through the heap — untimed
-// meta-knowledge, like a compiler knowing its types (see NewConcurrentChurn).
+// shape reads an object's static shape (π, δ) through the heap — untimed
+// meta-knowledge, like a compiler knowing its types, while every field access
+// goes through the timed mutator port. It is safe at any point of the
+// collection: the mutator only holds tospace references, and both gray and
+// black tospace headers carry the correct π and δ.
 func (c *churnState) shape(a object.Addr) (pi, delta int) {
 	hd := c.h.Header(a)
 	return hd.Pi, hd.Delta

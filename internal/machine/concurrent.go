@@ -556,27 +556,3 @@ func (u *mutCore) complete() {
 	u.waitLeft = u.period
 	u.st = muWait
 }
-
-// CollectConcurrent runs one collection cycle with the mutator executing
-// concurrently through the machine's mutator port: driver supplies the
-// operation stream, period is the number of idle cycles between operations
-// (the mutator's "speed" relative to the 25 MHz core clock). The roots are
-// processed stop-the-world at the start, exactly as in Collect; from the
-// moment the scan loop starts, the mutator runs under the wait-until-black
-// access barrier. The returned MutatorStats describe the mutator's side.
-func (m *Machine) CollectConcurrent(driver MutDriver, period int) (Stats, MutatorStats, error) {
-	if driver == nil {
-		return Stats{}, MutatorStats{}, fmt.Errorf("machine: nil mutator driver")
-	}
-	m.mut = newMutCore(m, driver, period)
-	defer func() { m.mut = nil }()
-	st, err := m.Collect()
-	if err != nil {
-		return Stats{}, MutatorStats{}, err
-	}
-	ms := m.mut.stats
-	if st.Mutator != nil {
-		ms = *st.Mutator // includes the end-of-cycle floating-garbage walk
-	}
-	return st, ms, nil
-}

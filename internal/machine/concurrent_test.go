@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,30 @@ import (
 	"hwgc/internal/object"
 	"hwgc/internal/workload"
 )
+
+// CollectConcurrent is the test-only scripted-driver seam: it runs one
+// collection cycle with driver's operation stream executing concurrently
+// through the machine's mutator port, period idle cycles apart. The roots
+// are processed stop-the-world at the start, exactly as in Collect; from
+// the moment the scan loop starts, the mutator runs under the
+// wait-until-black access barrier. Production code attaches the built-in
+// churn mutator through Config.MutatorOps instead.
+func (m *Machine) CollectConcurrent(driver MutDriver, period int) (Stats, MutatorStats, error) {
+	if driver == nil {
+		return Stats{}, MutatorStats{}, fmt.Errorf("machine: nil mutator driver")
+	}
+	m.mut = newMutCore(m, driver, period)
+	defer func() { m.mut = nil }()
+	st, err := m.Collect()
+	if err != nil {
+		return Stats{}, MutatorStats{}, err
+	}
+	ms := m.mut.stats
+	if st.Mutator != nil {
+		ms = *st.Mutator // includes the end-of-cycle floating-garbage walk
+	}
+	return st, ms, nil
+}
 
 // shadowModel mirrors, in plain Go, every mutation the concurrent driver
 // performs, so the heap after a concurrent collection can be checked
@@ -361,8 +386,9 @@ func TestConcurrentDriverErrors(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurnDriver runs the production churn driver (the one the
-// experiment harness uses) and verifies heap integrity afterwards.
+// TestConcurrentChurnDriver runs the built-in churn mutator (the one
+// Config.MutatorOps attaches, as the experiment harness and the serving
+// stack use it) and verifies heap integrity afterwards.
 func TestConcurrentChurnDriver(t *testing.T) {
 	for _, bench := range []string{"jlisp", "javac"} {
 		spec, _ := workload.Get(bench)
@@ -370,13 +396,13 @@ func TestConcurrentChurnDriver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		driver := NewConcurrentChurn(h, 11, 1<<40, 150)
-		m, _ := New(h, Config{Cores: 8})
-		st, ms, err := m.CollectConcurrent(driver, 1)
+		m, _ := New(h, Config{Cores: 8, MutatorOps: 1 << 40, MutatorAllocs: 150, MutatorSeed: 11, MutatorPeriod: 1})
+		st, err := m.Collect()
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)
 		}
-		if ms.Ops == 0 || ms.Allocs == 0 {
+		ms := st.Mutator
+		if ms == nil || ms.Ops == 0 || ms.Allocs == 0 {
 			t.Fatalf("%s: driver did nothing: %+v", bench, ms)
 		}
 		if err := h.CheckIntegrity(); err != nil {
@@ -391,25 +417,27 @@ func TestConcurrentChurnDriver(t *testing.T) {
 	}
 }
 
-// TestConcurrentDeterminism: same driver seed, same everything.
+// TestConcurrentDeterminism: same mutator seed, same everything.
 func TestConcurrentDeterminism(t *testing.T) {
-	run := func() (Stats, MutatorStats) {
+	run := func() Stats {
 		spec, _ := workload.Get("jlisp")
 		h, err := spec.Plan(1, 13).BuildHeap(3.0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, _ := New(h, Config{Cores: 4})
-		st, ms, err := m.CollectConcurrent(NewConcurrentChurn(h, 13, 2000, 100), 2)
+		m, _ := New(h, Config{Cores: 4, MutatorOps: 2000, MutatorAllocs: 100, MutatorSeed: 13, MutatorPeriod: 2})
+		st, err := m.Collect()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st, ms
+		if st.Mutator == nil || st.Mutator.Ops == 0 {
+			t.Fatalf("mutator never ran: %+v", st.Mutator)
+		}
+		return st
 	}
-	s1, m1 := run()
-	s2, m2 := run()
-	if s1.Cycles != s2.Cycles || m1 != m2 {
-		t.Fatalf("concurrent mode not deterministic: %d/%+v vs %d/%+v", s1.Cycles, m1, s2.Cycles, m2)
+	s1, s2 := run(), run()
+	if diffs := s1.DiffFields(&s2); diffs != nil {
+		t.Fatalf("concurrent mode not deterministic: %v", diffs)
 	}
 }
 

@@ -152,7 +152,8 @@ type Config struct {
 
 	// BarrierMode selects the concurrent mutator's write barrier ("",
 	// "satb" or "incupdate"; "none" normalizes to ""). It only takes effect
-	// when a mutator is attached — via MutatorOps or CollectConcurrent.
+	// when a mutator is attached — via MutatorOps, or the test-only scripted
+	// driver of the machine package's tests.
 	//
 	// The new fields carry `omitempty` so the canonical JSON encoding of
 	// every pre-existing configuration — and with it every content-derived
@@ -161,10 +162,10 @@ type Config struct {
 
 	// MutatorOps, when positive, attaches the built-in deterministic churn
 	// mutator to the collection: Collect then runs concurrently with a
-	// synthetic application issuing at most MutatorOps operations. This is
-	// the config-driven form of CollectConcurrent, reachable from the
-	// canonical request codec so the whole serving stack (cache, jobs,
-	// sweeps, replay, snapshots) can run concurrent scenarios.
+	// synthetic application issuing at most MutatorOps operations. It is
+	// the one concurrent-collection path, reachable from the canonical
+	// request codec so the whole serving stack (cache, jobs, sweeps, replay,
+	// snapshots) can run concurrent scenarios.
 	MutatorOps int64 `json:",omitempty"`
 	// MutatorAllocs caps the churn mutator's concurrent allocations
 	// (default 500 when MutatorOps is set).
@@ -253,8 +254,9 @@ func (c Config) WithDefaults() Config {
 	} else {
 		// Without a built-in mutator the sub-parameters are inert; zero them
 		// so configurations differing only in dead knobs canonicalize (and
-		// cache) identically. BarrierMode is kept: external CollectConcurrent
-		// drivers use it without setting MutatorOps.
+		// cache) identically. BarrierMode is kept: the test-only scripted
+		// driver uses it without setting MutatorOps, and zeroing it would
+		// move existing content keys.
 		c.MutatorOps = 0
 		c.MutatorAllocs = 0
 		c.MutatorSeed = 0

@@ -31,7 +31,7 @@ type Machine struct {
 	mut        *mutCore
 	mutStarted bool
 	// mutBuiltin marks a mutator constructed from Config.MutatorOps (the
-	// snapshot-able churn driver) rather than supplied to CollectConcurrent.
+	// snapshot-able churn driver) rather than the test-only scripted driver.
 	mutBuiltin bool
 	// lastWork is the cycle of the most recent marking progress (an object
 	// blackened or a black-at-birth frame stepped over); scanEnd − lastWork
@@ -230,7 +230,7 @@ func (m *Machine) BeginCollect() {
 	m.sb.Reset(base, base)
 	if m.cfg.MutatorOps > 0 && (m.mut == nil || m.mutBuiltin) {
 		// Config-driven concurrent mode: attach the built-in churn mutator.
-		// An external CollectConcurrent driver, when present, wins.
+		// The test-only scripted driver, when present, wins.
 		ch := newChurnState(m.heap, m.cfg)
 		m.mut = newMutCore(m, ch.drive, m.cfg.MutatorPeriod)
 		m.mut.churn = ch

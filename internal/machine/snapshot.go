@@ -46,8 +46,8 @@ type State struct {
 	Strides     []StrideEntryState
 
 	// Mut is the built-in concurrent mutator's port; nil in stop-the-world
-	// mode. Only the config-driven churn mutator is capturable — an external
-	// CollectConcurrent driver's program state lives outside the machine.
+	// mode. Only the config-driven churn mutator is capturable — the
+	// test-only scripted driver's program state lives outside the machine.
 	Mut *MutState
 }
 
@@ -153,7 +153,7 @@ func (m *Machine) Snapshot() (*State, error) {
 		return nil, fmt.Errorf("machine: Snapshot of a failed collection: %w", m.err)
 	}
 	if m.mut != nil && !m.mutBuiltin {
-		return nil, fmt.Errorf("machine: Snapshot unsupported with an external mutator driver")
+		return nil, fmt.Errorf("machine: Snapshot unsupported with a scripted mutator driver")
 	}
 	st := &State{
 		Config: m.cfg,

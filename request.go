@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"hwgc/internal/core"
 )
 
 // This file defines the canonical request/response encoding shared by the
@@ -54,7 +52,7 @@ func (r *CollectRequest) Canonicalize() error {
 			r.Scale = 1
 		}
 		if r.Seed == 0 {
-			r.Seed = core.DefaultSeed
+			r.Seed = DefaultSeed
 		}
 	}
 	r.Config = r.Config.WithDefaults()
@@ -134,7 +132,7 @@ func (r *SweepRequest) Canonicalize() error {
 		r.Scale = 1
 	}
 	if r.Seed == 0 {
-		r.Seed = core.DefaultSeed
+		r.Seed = DefaultSeed
 	}
 	r.Config = r.Config.WithDefaults()
 	if err := r.Config.Validate(); err != nil {

@@ -1,24 +1,20 @@
-package core
+package hwgc
 
-import (
-	"testing"
-
-	"hwgc/internal/workload"
-)
+import "testing"
 
 func TestBuildBench(t *testing.T) {
-	h, plan, err := BuildBench("jlisp", 1, 7)
+	h, plan, err := buildBench("jlisp", 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.UsedWords() != plan.Words() {
 		t.Fatalf("heap holds %d words, plan says %d", h.UsedWords(), plan.Words())
 	}
-	if _, _, err := BuildBench("nope", 1, 7); err == nil {
+	if _, _, err := buildBench("nope", 1, 7); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 	// Scale below 1 is clamped.
-	if _, _, err := BuildBench("jlisp", 0, 7); err != nil {
+	if _, _, err := buildBench("jlisp", 0, 7); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -60,12 +56,12 @@ func TestSweepCores(t *testing.T) {
 }
 
 func TestCollectOnceDetectsForeignCorruption(t *testing.T) {
-	// CollectOnce with verify must pass on a clean heap.
-	h, _, err := BuildBench("jlisp", 1, 3)
+	// CollectVerified must pass on a clean heap.
+	h, _, err := buildBench("jlisp", 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CollectOnce(h, Config{Cores: 2}, true); err != nil {
+	if _, err := CollectVerified(h, Config{Cores: 2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -83,10 +79,7 @@ func TestPaperCoreCounts(t *testing.T) {
 	if len(PaperCoreCounts) != 5 || PaperCoreCounts[0] != 1 || PaperCoreCounts[4] != 16 {
 		t.Fatalf("paper core counts wrong: %v", PaperCoreCounts)
 	}
-	for _, n := range PaperCoreCounts {
-		if _, err := workload.Get("jlisp"); err != nil {
-			t.Fatal(err)
-		}
-		_ = n
+	if _, err := Workload("jlisp"); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 
-	"hwgc/internal/core"
 	"hwgc/internal/plan"
 )
 
@@ -290,11 +289,11 @@ func (s *SweepSpace) Canonicalize() error {
 	}
 	s.Scales = dedupeInts(s.Scales)
 	if len(s.Seeds) == 0 {
-		s.Seeds = []int64{core.DefaultSeed}
+		s.Seeds = []int64{DefaultSeed}
 	}
 	for i, sd := range s.Seeds {
 		if sd == 0 {
-			s.Seeds[i] = core.DefaultSeed
+			s.Seeds[i] = DefaultSeed
 		}
 	}
 	s.Seeds = dedupeInt64s(s.Seeds)

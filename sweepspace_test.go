@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"hwgc/internal/core"
 )
 
 func int64p(v int64) *int64 { return &v }
@@ -21,8 +19,8 @@ func TestSweepSpaceCanonicalizeDefaults(t *testing.T) {
 	if len(s.Scales) != 1 || s.Scales[0] != 1 {
 		t.Fatalf("Scales = %v, want [1]", s.Scales)
 	}
-	if len(s.Seeds) != 1 || s.Seeds[0] != core.DefaultSeed {
-		t.Fatalf("Seeds = %v, want [%d]", s.Seeds, core.DefaultSeed)
+	if len(s.Seeds) != 1 || s.Seeds[0] != DefaultSeed {
+		t.Fatalf("Seeds = %v, want [%d]", s.Seeds, DefaultSeed)
 	}
 	if s.MaxPoints != MaxSweepSpacePoints {
 		t.Fatalf("MaxPoints = %d, want %d", s.MaxPoints, MaxSweepSpacePoints)
@@ -58,7 +56,7 @@ func TestSweepSpaceCanonicalizationIsSpellingInvariant(t *testing.T) {
 		V:       1,
 		Benches: []string{"jlisp", "javac"},
 		Scales:  []int{1, 2},
-		Seeds:   []int64{7, core.DefaultSeed},
+		Seeds:   []int64{7, DefaultSeed},
 		Axes: []SweepAxis{
 			{Field: "Cores", Values: []int64{1, 4}},
 			{Field: "MemLatency", Values: []int64{10, 20}},
