@@ -241,6 +241,42 @@ func BenchmarkReference(b *testing.B) {
 	}
 }
 
+// BenchmarkOracle measures the verification oracle's layers on javacc: the
+// canonical graph walk (Snapshot), the full post-collection check (Verify)
+// and the structural walk alone (CheckIntegrity). Verify and CheckIntegrity
+// run on the heap after a reference collection, as CollectVerified runs them.
+func BenchmarkOracle(b *testing.B) {
+	h, err := BuildWorkload("javacc", 1, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	before, err := Snapshot(h)
+	if err != nil {
+		b.Fatal(err)
+	}
+	collected := h.Clone()
+	if _, _, err := CollectSequential(collected); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"snapshot", func() error { _, err := Snapshot(h); return err }},
+		{"verify", func() error { return Verify(before, collected) }},
+		{"integrity", collected.CheckIntegrity},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSimulatorThroughput reports how fast the cycle-stepped simulator
 // itself runs (simulated clock cycles per second of wall time), for sizing
 // larger experiments.

@@ -5,11 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzDecodeBatchRequest checks that arbitrary input never panics the
-// /v1/batch request decoder, and that every accepted batch is servable:
-// each item either preps cleanly (canonical path/key/body) or fails with a
-// per-item error — never a panic, and never an item that preps to an
-// invalid key.
 // FuzzSweepSpaceDecode checks that arbitrary input never panics the sweep
 // spec decoder, and that every accepted space upholds the planner's
 // invariants: canonicalization is a fixed point (re-decoding canonical
@@ -69,6 +64,11 @@ func FuzzSweepSpaceDecode(f *testing.F) {
 	})
 }
 
+// FuzzDecodeBatchRequest checks that arbitrary input never panics the
+// /v1/batch request decoder, and that every accepted batch is servable:
+// each item either preps cleanly (canonical path/key/body) or fails with a
+// per-item error — never a panic, and never an item that preps to an
+// invalid key.
 func FuzzDecodeBatchRequest(f *testing.F) {
 	f.Add(`{"Items":[{"Collect":{"Bench":"jlisp","Config":{}}}]}`)
 	f.Add(`{"Items":[{"Sweep":{"Bench":"javac","Cores":[1,2,4],"Config":{"Cores":4}}}]}`)

@@ -107,59 +107,90 @@ type Graph struct {
 // validates that every traversed pointer refers to an object base within the
 // current space.
 func Snapshot(h *heap.Heap) (*Graph, error) {
-	// Valid object bases in the current space.
-	bases := make(map[object.Addr]bool)
-	h.Objects(h.CurSpace(), h.AllocPtr(), func(b object.Addr, _ object.Word) bool {
-		bases[b] = true
+	mem := h.Mem()
+	base, alloc := h.Base(h.CurSpace()), h.AllocPtr()
+
+	// index maps each word of [base, alloc) to 0 (not an object base), -1
+	// (a base not yet discovered) or i+1 (the base of node i). The same pass
+	// counts objects and body words, which bound the BFS's node, queue and
+	// slot slabs, so the walk below allocates nothing per object.
+	index := make([]int32, alloc-base)
+	objs, ptrWords, dataWords := 0, 0, 0
+	h.Objects(h.CurSpace(), alloc, func(b object.Addr, w object.Word) bool {
+		index[b-base] = -1
+		objs++
+		ptrWords += object.Pi(w)
+		dataWords += object.Delta(w)
 		return true
 	})
+	nodes := make([]Node, 0, objs)
+	queue := make([]object.Addr, 0, objs)
+	ptrSlab := make([]int, ptrWords)
+	dataSlab := make([]object.Word, dataWords)
+
+	// visit returns p's node index (-1 for nil), numbering p if it is new,
+	// and false if p is not an object base.
+	visit := func(p object.Addr) (int, bool) {
+		if p == object.NilPtr {
+			return -1, true
+		}
+		if p < base || p >= alloc {
+			return 0, false
+		}
+		switch x := index[p-base]; {
+		case x == 0:
+			return 0, false
+		case x > 0:
+			return int(x - 1), true
+		}
+		i := len(queue)
+		index[p-base] = int32(i + 1)
+		queue = append(queue, p)
+		return i, true
+	}
+	const notBase = "gcalgo: %s refers to %d, not a live object base"
 
 	g := &Graph{}
-	index := make(map[object.Addr]int)
-	var queue []object.Addr
-
-	visit := func(p object.Addr, what string) (int, error) {
-		if p == object.NilPtr {
-			return -1, nil
+	if roots := h.Roots(); len(roots) > 0 {
+		g.Roots = make([]int, len(roots))
+		for ri, r := range roots {
+			i, ok := visit(r)
+			if !ok {
+				return nil, fmt.Errorf(notBase, fmt.Sprintf("root %d", ri), r)
+			}
+			g.Roots[ri] = i
 		}
-		if !bases[p] {
-			return 0, fmt.Errorf("gcalgo: %s refers to %d, not a live object base", what, p)
-		}
-		if i, ok := index[p]; ok {
-			return i, nil
-		}
-		i := len(index)
-		index[p] = i
-		queue = append(queue, p)
-		return i, nil
-	}
-
-	for ri, r := range h.Roots() {
-		i, err := visit(r, fmt.Sprintf("root %d", ri))
-		if err != nil {
-			return nil, err
-		}
-		g.Roots = append(g.Roots, i)
 	}
 
 	for qi := 0; qi < len(queue); qi++ {
 		b := queue[qi]
-		hd := h.Header(b)
-		if hd.Mark || hd.Gray {
+		w := mem[b]
+		if object.Marked(w) || object.GrayBit(w) {
 			return nil, fmt.Errorf("gcalgo: live object at %d still has GC bits set", b)
 		}
-		n := Node{Pi: hd.Pi, Delta: hd.Delta}
-		for i := 0; i < hd.Pi; i++ {
-			ci, err := visit(h.Ptr(b, i), fmt.Sprintf("pointer %d of object %d", i, b))
-			if err != nil {
-				return nil, err
+		// Ptrs and Data stay nil when π or δ is 0, so a Graph deep-equals
+		// one built by appending slot by slot.
+		n := Node{Pi: object.Pi(w), Delta: object.Delta(w)}
+		if n.Pi > 0 {
+			n.Ptrs, ptrSlab = ptrSlab[:n.Pi:n.Pi], ptrSlab[n.Pi:]
+			for i := range n.Ptrs {
+				p := h.Ptr(b, i)
+				ci, ok := visit(p)
+				if !ok {
+					return nil, fmt.Errorf(notBase, fmt.Sprintf("pointer %d of object %d", i, b), p)
+				}
+				n.Ptrs[i] = ci
 			}
-			n.Ptrs = append(n.Ptrs, ci)
 		}
-		for i := 0; i < hd.Delta; i++ {
-			n.Data = append(n.Data, h.Data(b, i))
+		if n.Delta > 0 {
+			n.Data, dataSlab = dataSlab[:n.Delta:n.Delta], dataSlab[n.Delta:]
+			d := object.DataSlot(b, n.Pi, 0)
+			copy(n.Data, mem[d:d+object.Addr(n.Delta)])
 		}
-		g.Nodes = append(g.Nodes, n)
+		nodes = append(nodes, n)
+	}
+	if len(nodes) > 0 {
+		g.Nodes = nodes
 	}
 	return g, nil
 }

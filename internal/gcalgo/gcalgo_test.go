@@ -201,31 +201,9 @@ func TestCollectOverflowDetected(t *testing.T) {
 // canonical snapshot (testing/quick property).
 func TestCollectEquivalenceQuick(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := heap.New(4096)
-		n := 1 + rng.Intn(40)
-		addrs := make([]object.Addr, 0, n)
-		for i := 0; i < n; i++ {
-			a, err := h.Alloc(rng.Intn(4), rng.Intn(6))
-			if err != nil {
-				return false
-			}
-			hd := h.Header(a)
-			for j := 0; j < hd.Delta; j++ {
-				h.SetData(a, j, rng.Uint64())
-			}
-			addrs = append(addrs, a)
-		}
-		for _, a := range addrs {
-			hd := h.Header(a)
-			for s := 0; s < hd.Pi; s++ {
-				if rng.Intn(4) != 0 {
-					h.SetPtr(a, s, addrs[rng.Intn(len(addrs))])
-				}
-			}
-		}
-		for r := 0; r < 1+rng.Intn(3); r++ {
-			h.AddRoot(addrs[rng.Intn(len(addrs))])
+		h, err := randomHeap(rand.New(rand.NewSource(seed)))
+		if err != nil {
+			return false
 		}
 		before, err := Snapshot(h)
 		if err != nil {
@@ -245,4 +223,35 @@ func TestCollectEquivalenceQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomHeap builds a random cyclic graph of up to 40 objects with random
+// data, some nil pointer slots and one to three roots.
+func randomHeap(rng *rand.Rand) (*heap.Heap, error) {
+	h := heap.New(4096)
+	n := 1 + rng.Intn(40)
+	addrs := make([]object.Addr, 0, n)
+	for i := 0; i < n; i++ {
+		a, err := h.Alloc(rng.Intn(4), rng.Intn(6))
+		if err != nil {
+			return nil, err
+		}
+		hd := h.Header(a)
+		for j := 0; j < hd.Delta; j++ {
+			h.SetData(a, j, rng.Uint64())
+		}
+		addrs = append(addrs, a)
+	}
+	for _, a := range addrs {
+		hd := h.Header(a)
+		for s := 0; s < hd.Pi; s++ {
+			if rng.Intn(4) != 0 {
+				h.SetPtr(a, s, addrs[rng.Intn(len(addrs))])
+			}
+		}
+	}
+	for r := 0; r < 1+rng.Intn(3); r++ {
+		h.AddRoot(addrs[rng.Intn(len(addrs))])
+	}
+	return h, nil
 }

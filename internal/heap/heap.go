@@ -208,22 +208,23 @@ func (h *Heap) Clone() *Heap {
 }
 
 // CheckIntegrity validates the structural invariants of the current space:
-// objects tile it exactly from base to the allocation pointer, headers are
-// clean (no mark/gray bits, header word 1 zero), and every pointer slot and
-// root refers to nil or to an object base inside the current space.
+// objects tile it exactly from base to the allocation pointer, headers carry
+// no mark or gray bits, and every pointer slot and root refers to nil or to
+// an object base inside the current space. Header word 1 is reserved; the
+// mutator zeroes it at allocation but collectors are not required to rewrite
+// it, so it is not checked. Roots are checked in order, then pointer slots in
+// address order, so the error always names the first violation.
 func (h *Heap) CheckIntegrity() error {
 	base := h.Base(h.cur)
-	bases := make(map[object.Addr]bool)
+	// isBase is a bitset over [base, alloc) marking the object bases.
+	isBase := make([]uint64, (h.alloc-base+63)/64)
 	a := base
 	for a < h.alloc {
 		w := h.mem[a]
-		hd := object.Decode(w)
-		if hd.Mark || hd.Gray {
-			return fmt.Errorf("heap: object at %d has GC bits set (%+v)", a, hd)
+		if object.Marked(w) || object.GrayBit(w) {
+			return fmt.Errorf("heap: object at %d has GC bits set (%+v)", a, object.Decode(w))
 		}
-		// Header word 1 is reserved; the mutator zeroes it at allocation but
-		// collectors are not required to rewrite it, so it is not checked.
-		bases[a] = true
+		isBase[(a-base)/64] |= 1 << ((a - base) % 64)
 		next := a + object.Addr(object.SizeWords(w))
 		if next > h.alloc {
 			return fmt.Errorf("heap: object at %d (size %d) overruns alloc pointer %d", a, object.SizeWords(w), h.alloc)
@@ -233,25 +234,20 @@ func (h *Heap) CheckIntegrity() error {
 	if a != h.alloc {
 		return fmt.Errorf("heap: objects end at %d, alloc pointer at %d", a, h.alloc)
 	}
-	check := func(what string, p object.Addr) error {
-		if p == object.NilPtr {
-			return nil
-		}
-		if !bases[p] {
-			return fmt.Errorf("heap: %s refers to %d, not an object base in the current space", what, p)
-		}
-		return nil
+	valid := func(p object.Addr) bool {
+		return p == object.NilPtr ||
+			p >= base && p < h.alloc && isBase[(p-base)/64]&(1<<((p-base)%64)) != 0
 	}
+	const notBase = "heap: %s refers to %d, not an object base in the current space"
 	for i, r := range h.roots {
-		if err := check(fmt.Sprintf("root %d", i), r); err != nil {
-			return err
+		if !valid(r) {
+			return fmt.Errorf(notBase, fmt.Sprintf("root %d", i), r)
 		}
 	}
-	for b := range bases {
-		hd := object.Decode(h.mem[b])
-		for i := 0; i < hd.Pi; i++ {
-			if err := check(fmt.Sprintf("pointer %d of object %d", i, b), h.Ptr(b, i)); err != nil {
-				return err
+	for b := base; b < h.alloc; b += object.Addr(object.SizeWords(h.mem[b])) {
+		for i := 0; i < object.Pi(h.mem[b]); i++ {
+			if p := h.Ptr(b, i); !valid(p) {
+				return fmt.Errorf(notBase, fmt.Sprintf("pointer %d of object %d", i, b), p)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -209,6 +210,29 @@ func TestCheckIntegrityDetectsCorruption(t *testing.T) {
 	h.Mem()[h.Root(0)] = object.Header{Pi: 0, Delta: object.MaxDelta}.Encode() // overruns alloc
 	if err := h.CheckIntegrity(); err == nil {
 		t.Error("size overrun not detected")
+	}
+}
+
+// TestCheckIntegrityNamesLowestBadObject: with several bad pointer slots the
+// error always names the lowest-addressed offending object, on every call.
+func TestCheckIntegrityNamesLowestBadObject(t *testing.T) {
+	h := New(100)
+	var objs []object.Addr
+	for i := 0; i < 6; i++ {
+		a, err := h.Alloc(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, a)
+		h.AddRoot(a)
+	}
+	h.Mem()[object.PtrSlot(objs[2], 0)] = object.Word(objs[0] + 1)  // interior pointer
+	h.Mem()[object.PtrSlot(objs[4], 0)] = object.Word(h.AllocPtr()) // past alloc
+	want := fmt.Sprintf("heap: pointer 0 of object %d refers to %d, not an object base in the current space", objs[2], objs[0]+1)
+	for i := 0; i < 50; i++ {
+		if err := h.CheckIntegrity(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: got %v, want %q", i, err, want)
+		}
 	}
 }
 
