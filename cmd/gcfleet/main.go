@@ -7,6 +7,10 @@
 // retry policy, unhealthy backends are quarantined by per-backend circuit
 // breakers fed by /healthz probing, and POST /v1/batch scatter-gathers mixed
 // collect/sweep experiments with per-item partial-failure reporting.
+// Parameter-space sweeps run on the same sweep coordinator as gcserved's,
+// with a point runner that sends each point's job to its ring owner and
+// polls its result every -sweep-poll; sweep state lives in the proxy's
+// memory.
 //
 // Usage:
 //
@@ -30,7 +34,8 @@
 //	                   to their cache-owning backends by content key
 //	GET  /v1/sweeps/{id}[/events]  progress + ranked frontier aggregated
 //	                   at the proxy; SSE with Last-Event-ID resume
-//	DELETE /v1/sweeps/{id}  cancel a running sweep
+//	DELETE /v1/sweeps/{id}  cancel a running sweep: pending points are
+//	                   cancelled at once, their unshared jobs best-effort
 //	GET  /v1/workloads proxied from any live backend
 //	GET  /healthz      fleet health (ok while any backend is admissible)
 //	GET  /metrics      fleet-level Prometheus counters
@@ -90,7 +95,7 @@ func parseOptions(args []string) (addr string, opts cluster.Options, drain time.
 		batchInflight  = fs.Int("batch-inflight", 4, "concurrent batch items per backend")
 		exportWait     = fs.Duration("export-wait", 30*time.Second, "how long a migration export waits for a running job's next snapshot boundary")
 		registryLimit  = fs.Int("registry-limit", 4096, "job submissions remembered for dead-owner rescue during rebalance")
-		sweepPoll      = fs.Duration("sweep-poll", 250*time.Millisecond, "per-point result poll interval of the fleet sweep engine")
+		sweepPoll      = fs.Duration("sweep-poll", 250*time.Millisecond, "per-point result poll interval of the fleet sweep runner")
 		cacheEntries   = fs.Int("cache-entries", 1024, "edge result cache entry bound (negative = disabled)")
 		cacheMB        = fs.Int64("cache-mb", 64, "edge result cache size bound in MiB (negative = disabled)")
 		drainFlag      = fs.Duration("drain", 30*time.Second, "graceful shutdown drain budget")

@@ -77,18 +77,12 @@ func (f *Fleet) topology() topologyBody {
 }
 
 func (f *Fleet) writeTopology(w http.ResponseWriter, code int) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(f.topology())
+	writeJSON(w, code, f.topology())
 }
 
 // handleAdminTopology serves GET /v1/admin/topology.
 func (f *Fleet) handleAdminTopology(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires GET", r.URL.Path)
+	if !requireGet(w, r) {
 		return
 	}
 	f.writeTopology(w, http.StatusOK)
@@ -162,10 +156,5 @@ func (f *Fleet) handleAdminRebalance(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
-	rep := f.Rebalance(r.Context())
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(rep)
+	writeJSON(w, http.StatusOK, f.Rebalance(r.Context()))
 }

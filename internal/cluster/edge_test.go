@@ -314,6 +314,7 @@ func TestFleetDecodesLikeGCServed(t *testing.T) {
 	}
 	collect := `{"Bench":"jlisp","Config":{"Cores":2}}`
 	sweep := `{"Bench":"jlisp","Cores":[1,2],"Config":{}}`
+	space := `{"Space":{"Benches":["jlisp"],"Seeds":[5],"Base":{},"Axes":[{"Field":"Cores","Values":[1]}]}}`
 	for _, tc := range []struct {
 		name, path, body string
 		want             int
@@ -332,6 +333,11 @@ func TestFleetDecodesLikeGCServed(t *testing.T) {
 		{"job unknown nested field", "/v1/jobs", `{"Collect":{"Bench":"javac","Config":{"Coress":16}}}`, http.StatusBadRequest},
 		{"job trailing value", "/v1/jobs", `{"Collect":` + collect + `} {}`, http.StatusBadRequest},
 		{"job non-JSON", "/v1/jobs", `nope`, http.StatusBadRequest},
+		{"sweeps unknown field", "/v1/sweeps", strings.TrimSuffix(space, "}") + `,"Bogus":1}`, http.StatusBadRequest},
+		{"sweeps unknown nested field", "/v1/sweeps", `{"Space":{"Benches":["jlisp"],"Seedz":[5]}}`, http.StatusBadRequest},
+		{"sweeps trailing value", "/v1/sweeps", space + ` {}`, http.StatusBadRequest},
+		{"sweeps non-JSON", "/v1/sweeps", `nope`, http.StatusBadRequest},
+		{"sweeps trailing newline", "/v1/sweeps", space + "\n", http.StatusAccepted},
 	} {
 		direct := status(backend.URL+tc.path, tc.body)
 		via := status(fleet.URL+tc.path, tc.body)

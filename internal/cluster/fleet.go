@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"hwgc/internal/elastic"
+	"hwgc/internal/sweep"
 )
 
 // Options configures a Fleet. Zero values select the defaults.
@@ -101,7 +102,7 @@ type Options struct {
 	// to reach its next snapshot boundary (default 30s).
 	ExportWait time.Duration
 	// SweepPoll is the per-point result poll interval of the fleet sweep
-	// engine (default 250ms; tests shrink it).
+	// runner (default 250ms; tests shrink it).
 	SweepPoll time.Duration
 	// CacheEntries / CacheBytes bound the edge result cache for /v1/collect
 	// and /v1/sweep, as on gcserved (defaults 1024 entries and 64 MiB); a
@@ -205,7 +206,7 @@ type Fleet struct {
 	registry *jobRegistry     // canonical submit bodies, for dead-owner rescue
 	emetrics *elastic.Metrics // gcelastic_* counters, appended to /metrics
 	migrator *elastic.Migrator
-	sweeps   *fleetSweeps // proxy-side sweep planner/aggregator
+	sweeps   *sweep.Coordinator // proxy-side sweep planner/aggregator
 
 	rebalanceMu sync.Mutex // serializes migration passes
 
@@ -280,7 +281,7 @@ func New(opts Options) (*Fleet, error) {
 		Logf:       log.Printf,
 		ExportWait: opts.ExportWait,
 	}
-	f.sweeps = newFleetSweeps(f)
+	f.sweeps = sweep.New(sweepRunner{f})
 	f.mux = http.NewServeMux()
 	f.mux.HandleFunc("/v1/collect", f.handleCollect)
 	f.mux.HandleFunc("/v1/sweep", f.handleSweep)
@@ -314,7 +315,7 @@ func (f *Fleet) Start() {
 // both.
 func (f *Fleet) Close() {
 	f.stopOnce.Do(func() { close(f.stop) })
-	f.sweeps.close()
+	f.sweeps.Close()
 	f.wg.Wait()
 }
 

@@ -25,10 +25,28 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	_ = json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeJSON serves v as indented JSON.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
+}
+
 func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
+		return false
+	}
+	return true
+}
+
+func requireGet(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
+		writeError(w, http.StatusMethodNotAllowed, "%s requires GET", r.URL.Path)
 		return false
 	}
 	return true
@@ -145,17 +163,10 @@ func copyHeader(w http.ResponseWriter, from http.Header, name string) {
 	}
 }
 
-func readAll(r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	return io.ReadAll(r.Body)
-}
-
 // handleWorkloads forwards GET /v1/workloads to a healthy backend (the
 // listing is identical on every backend).
 func (f *Fleet) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires GET", r.URL.Path)
+	if !requireGet(w, r) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
@@ -196,16 +207,12 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if h.Status != "ok" {
 		code = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(h)
+	writeJSON(w, code, h)
 }
 
 func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = f.metrics.Write(w)
 	_ = f.emetrics.Write(w)
-	_ = f.sweeps.metrics.Write(w)
+	_ = f.sweeps.Metrics().Write(w)
 }

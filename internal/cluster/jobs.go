@@ -116,27 +116,18 @@ func (f *Fleet) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		}
 		f.proxyJobPath(w, r, id, r.Method)
 	case "result":
-		if !requireGetFleet(w, r) {
+		if !requireGet(w, r) {
 			return
 		}
 		f.proxyJobPath(w, r, id, http.MethodGet)
 	case "events":
-		if !requireGetFleet(w, r) {
+		if !requireGet(w, r) {
 			return
 		}
 		f.streamJobEvents(w, r, id)
 	default:
 		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
 	}
-}
-
-func requireGetFleet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires GET", r.URL.Path)
-		return false
-	}
-	return true
 }
 
 // proxyJobPath forwards a bodyless by-id request under the standard

@@ -3,13 +3,14 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
-	"sync"
 
 	"hwgc"
+	"hwgc/internal/events"
+	"hwgc/internal/plan"
 	"hwgc/internal/sweep"
 )
 
@@ -26,110 +27,39 @@ const sweepPointInflight = 8
 // can never duplicate work that still exists anywhere.
 const maxSweepResubmits = 16
 
-// fleetSweeps is the proxy-side sweep engine: it expands a SweepSpace
-// locally (the same canonical planner the backends use, so the sweep ID and
-// every point key are identical fleet-wide), routes each point's job to the
-// backend that owns its content key, polls results with failover, and
-// aggregates the frontier at the proxy. State reuses the execution-agnostic
-// sweep.Tracker, which makes the aggregated frontier byte-identical to what
-// a single gcserved would serve for the same space: both rank the same
-// deterministic outcomes through the same pure function.
-type fleetSweeps struct {
-	f       *Fleet
-	metrics *sweep.Metrics
+// sweepRunner is the fleet's sweep.Runner. The proxy's Coordinator expands
+// a SweepSpace locally (the same canonical planner the backends use, so the
+// sweep ID and every point key are identical fleet-wide); this runner routes
+// each point's job to the backend that owns its content key and polls the
+// result with failover. The frontier is aggregated at the proxy by the same
+// tracker a single gcserved uses, so it is byte-identical to what one
+// backend would serve for the same space. Sweeps live in the proxy's
+// memory only: the backends' job WALs hold the durable work.
+type sweepRunner struct{ f *Fleet }
 
-	mu      sync.Mutex
-	sweeps  map[string]*sweep.Tracker
-	cancels map[string]context.CancelFunc
-	wg      sync.WaitGroup
-}
+// Admit passes the class through: the backends own the class set, and a
+// class they reject fails each point with their 400.
+func (sweepRunner) Admit(_ string, _ []byte, class string) (string, error) { return class, nil }
 
-func newFleetSweeps(f *Fleet) *fleetSweeps {
-	return &fleetSweeps{
-		f:       f,
-		metrics: sweep.NewMetrics(),
-		sweeps:  make(map[string]*sweep.Tracker),
-		cancels: make(map[string]context.CancelFunc),
-	}
-}
+func (sweepRunner) Cancelled(string) error { return nil }
 
-// close cancels every point driver and waits for them to exit.
-func (fs *fleetSweeps) close() {
-	fs.mu.Lock()
-	for _, cancel := range fs.cancels {
-		cancel()
-	}
-	fs.mu.Unlock()
-	fs.wg.Wait()
-}
+func (sweepRunner) Persisted() ([]sweep.Persisted, error) { return nil, nil }
 
-// submit plans the space and starts driving its points. Idempotent on the
-// canonical space: a second submission of the same design returns the
-// existing sweep with accepted=false and spawns nothing.
-func (fs *fleetSweeps) submit(space *hwgc.SweepSpace, class string) (sweep.Info, bool, error) {
-	canon, err := space.CanonicalJSON()
-	if err != nil {
-		return sweep.Info{}, false, err
-	}
-	id := hwgc.KeyBytes(canon)
-	points, err := space.Points()
-	if err != nil {
-		return sweep.Info{}, false, err
-	}
-
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if t, ok := fs.sweeps[id]; ok {
-		fs.metrics.NoteSweepDeduped()
-		return t.Info(), false, nil
-	}
-	t := sweep.NewTracker(id, space, class, points, fs.metrics, nil)
-	fs.sweeps[id] = t
-	ctx, cancel := context.WithCancel(context.Background())
-	fs.cancels[id] = cancel
-	fs.wg.Add(1)
-	go fs.run(ctx, t)
-	return t.Info(), true, nil
-}
-
-// run drives every point of one sweep under the inflight bound.
-func (fs *fleetSweeps) run(ctx context.Context, t *sweep.Tracker) {
-	defer fs.wg.Done()
-	sem := make(chan struct{}, sweepPointInflight)
-	var pwg sync.WaitGroup
-	for i := range t.Points {
-		select {
-		case <-ctx.Done():
-			pwg.Wait()
-			return
-		case <-fs.f.stop:
-			pwg.Wait()
-			return
-		case sem <- struct{}{}:
-		}
-		pwg.Add(1)
-		go func(index int) {
-			defer pwg.Done()
-			defer func() { <-sem }()
-			fs.drivePoint(ctx, t, index)
-		}(i)
-	}
-	pwg.Wait()
-}
+func (sweepRunner) Inflight() int { return sweepPointInflight }
 
 // submitPoint sends one point's job to its ring owner. Returns whether the
 // submission was freshly accepted (202) as opposed to deduped onto an
 // existing job (200).
-func (fs *fleetSweeps) submitPoint(ctx context.Context, t *sweep.Tracker, p hwgc.SweepPoint) (accepted bool, fatal string, err error) {
+func (sr sweepRunner) submitPoint(ctx context.Context, class string, p hwgc.SweepPoint) (accepted bool, fatal string, err error) {
 	fwd := struct {
 		Collect json.RawMessage
 		Class   string `json:",omitempty"`
-	}{Collect: p.Canonical, Class: t.Class}
+	}{Collect: p.Canonical, Class: class}
 	body, err := json.Marshal(fwd)
 	if err != nil {
 		return false, fmt.Sprintf("encoding point: %v", err), nil
 	}
-	res, err := fs.f.do(ctx, http.MethodPost, "/v1/jobs", p.Key, body)
+	res, err := sr.f.do(ctx, http.MethodPost, "/v1/jobs", p.Key, body)
 	if err != nil {
 		return false, "", err
 	}
@@ -138,7 +68,7 @@ func (fs *fleetSweeps) submitPoint(ctx context.Context, t *sweep.Tracker, p hwgc
 		// Remember the canonical submission so the elastic rebalance pass
 		// can rescue this point from a dead owner, exactly like a directly
 		// submitted job.
-		fs.f.registry.Record(p.Key, body)
+		sr.f.registry.Record(p.Key, body)
 		return res.status == http.StatusAccepted, "", nil
 	case res.status >= 400 && res.status < 500:
 		return false, fmt.Sprintf("point rejected: status %d: %s", res.status, res.body), nil
@@ -147,46 +77,45 @@ func (fs *fleetSweeps) submitPoint(ctx context.Context, t *sweep.Tracker, p hwgc
 	}
 }
 
-// drivePoint runs one point to a terminal tracker transition: submit the
-// job to its content-key owner, then poll its result with ring failover,
-// resubmitting (bounded) when the current owner no longer knows the job.
-func (fs *fleetSweeps) drivePoint(ctx context.Context, t *sweep.Tracker, index int) {
-	p := t.Points[index]
-	resubmits := 0
-	accepted, fatal, err := fs.submitPoint(ctx, t, p)
+// RunPoint submits the point's job to its content-key owner, then polls its
+// result with ring failover, resubmitting (bounded) when the current owner
+// no longer knows the job.
+func (sr sweepRunner) RunPoint(ctx context.Context, class string, index int, p hwgc.SweepPoint) sweep.Result {
+	var out sweep.Result
+	poll := sr.f.opts.SweepPoll
+	accepted, fatal, err := sr.submitPoint(ctx, class, p)
 	for err != nil {
 		// Transport-level turbulence (all breakers open, fleet restart
 		// window): back off on the poll interval and try again until the
 		// sweep is cancelled.
-		if sleepErr := fs.f.sleep(ctx, fs.f.opts.SweepPoll); sleepErr != nil {
-			fs.cancelPoint(t, index)
-			return
+		if sr.f.sleep(ctx, poll) != nil {
+			return out
 		}
-		accepted, fatal, err = fs.submitPoint(ctx, t, p)
+		accepted, fatal, err = sr.submitPoint(ctx, class, p)
 	}
 	if fatal != "" {
-		fs.failPoint(t, index, fatal)
-		return
+		out.Err = fatal
+		return out
 	}
-	deduped := !accepted
+	if accepted {
+		out.Jobs++
+	}
 
-	for {
-		if err := fs.f.sleep(ctx, fs.f.opts.SweepPoll); err != nil {
-			fs.cancelPoint(t, index)
-			return
+	for resubmits := 0; ; {
+		if sr.f.sleep(ctx, poll) != nil {
+			return out
 		}
-		res, err := fs.f.do(ctx, http.MethodGet, "/v1/jobs/"+p.Key+"/result", p.Key, nil)
+		res, err := sr.f.do(ctx, http.MethodGet, "/v1/jobs/"+p.Key+"/result", p.Key, nil)
 		switch {
 		case err == nil && res.status == http.StatusOK:
 			var resp hwgc.CollectResponse
 			if jerr := json.Unmarshal(res.body, &resp); jerr != nil {
-				fs.failPoint(t, index, fmt.Sprintf("decoding point result: %v", jerr))
-				return
+				out.Err = fmt.Sprintf("decoding point result: %v", jerr)
+				return out
 			}
-			fs.completePoint(t, index, sweep.PointOutcome{
-				Index: index, Key: p.Key, Req: p.Req, Result: resp.Result,
-			}, deduped)
-			return
+			out.Outcome = sweep.PointOutcome{Index: index, Key: p.Key, Req: p.Req, Result: resp.Result}
+			out.Deduped = !accepted
+			return out
 		case err == nil && res.status == http.StatusAccepted:
 			// Still running on its owner.
 		case err == nil && (res.status == http.StatusNotFound || res.status == http.StatusGone):
@@ -195,27 +124,26 @@ func (fs *fleetSweeps) drivePoint(ctx context.Context, t *sweep.Tracker, index i
 			// direct client cancelled it. Idempotent resubmission re-homes
 			// the point on the current owner.
 			if resubmits >= maxSweepResubmits {
-				fs.failPoint(t, index, fmt.Sprintf("point lost after %d resubmits: status %d", resubmits, res.status))
-				return
+				out.Err = fmt.Sprintf("point lost after %d resubmits: status %d", resubmits, res.status)
+				return out
 			}
 			resubmits++
-			if acc, fatal2, serr := fs.submitPoint(ctx, t, p); serr == nil {
+			if acc, fatal2, serr := sr.submitPoint(ctx, class, p); serr == nil {
 				if fatal2 != "" {
-					fs.failPoint(t, index, fatal2)
-					return
+					out.Err = fatal2
+					return out
 				}
 				if acc {
-					deduped = false
-					fs.noteJobSubmitted(t)
+					accepted = true
+					out.Jobs++
 				}
 			}
 		case err == nil && res.status == http.StatusBadGateway:
 			// The owner answered authoritatively: the job itself failed.
-			fs.failPoint(t, index, fmt.Sprintf("point failed: %s", res.body))
-			return
+			out.Err = fmt.Sprintf("point failed: %s", res.body)
+			return out
 		case ctx.Err() != nil:
-			fs.cancelPoint(t, index)
-			return
+			return out
 			// Everything else — 5xx routing turbulence, ErrNoBackends while
 			// breakers cool down, attempt exhaustion — is transient during
 			// topology changes; the next poll retries.
@@ -223,93 +151,12 @@ func (fs *fleetSweeps) drivePoint(ctx context.Context, t *sweep.Tracker, index i
 	}
 }
 
-// Tracker transitions run under the sweep-table lock (the Tracker itself is
-// lock-free by contract).
-func (fs *fleetSweeps) completePoint(t *sweep.Tracker, index int, o sweep.PointOutcome, deduped bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t.CompletePoint(index, o, deduped)
-}
-
-func (fs *fleetSweeps) failPoint(t *sweep.Tracker, index int, msg string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t.FailPoint(index, msg)
-}
-
-func (fs *fleetSweeps) cancelPoint(t *sweep.Tracker, index int) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t.CancelPoint(index)
-}
-
-func (fs *fleetSweeps) noteJobSubmitted(t *sweep.Tracker) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t.NoteJobSubmitted()
-}
-
-// get returns a sweep's progress snapshot.
-func (fs *fleetSweeps) get(id string) (sweep.Info, bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	t, ok := fs.sweeps[id]
-	if !ok {
-		return sweep.Info{}, false
-	}
-	return t.Info(), true
-}
-
-// cancel stops a running sweep: every pending point transitions to
-// cancelled immediately (so the terminal state is deterministic), the point
-// drivers are torn down, and the points' backend jobs are cancelled
-// best-effort — skipping any job another live sweep still depends on.
-func (fs *fleetSweeps) cancel(id string) (sweep.Info, bool, error) {
-	fs.mu.Lock()
-	t, ok := fs.sweeps[id]
-	if !ok {
-		fs.mu.Unlock()
-		return sweep.Info{}, false, sweep.ErrNotFound
-	}
-	if t.Terminal() {
-		info := t.Info()
-		fs.mu.Unlock()
-		return info, false, sweep.ErrTerminal
-	}
-	t.MarkCancelRequested()
-	pending := t.PendingKeys()
-	shared := make(map[string]bool)
-	for oid, other := range fs.sweeps {
-		if oid == id || other.Terminal() {
-			continue
-		}
-		for _, k := range other.PendingKeys() {
-			shared[k] = true
-		}
-	}
-	if cancel, ok := fs.cancels[id]; ok {
-		cancel()
-		delete(fs.cancels, id)
-	}
-	for i := range t.Points {
-		t.CancelPoint(i)
-	}
-	info := t.Info()
-	fs.mu.Unlock()
-
-	fs.wg.Add(1)
-	go func() {
-		defer fs.wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), fs.f.opts.Timeout)
-		defer cancel()
-		for _, k := range pending {
-			if shared[k] {
-				continue
-			}
-			_, _ = fs.f.do(ctx, http.MethodDelete, "/v1/jobs/"+k, k, nil)
-		}
-	}()
-	return info, true, nil
+// CancelJob DELETEs the point's job at its owner under the standard
+// retry/failover policy.
+func (sr sweepRunner) CancelJob(key string) {
+	ctx, cancel := context.WithTimeout(context.Background(), sr.f.opts.Timeout)
+	defer cancel()
+	_, _ = sr.f.do(ctx, http.MethodDelete, "/v1/jobs/"+key, key, nil)
 }
 
 // handleSweeps serves POST /v1/sweeps at the fleet: plan locally, fan the
@@ -319,16 +166,11 @@ func (f *Fleet) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	raw, err := readAll(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
 	var body struct {
 		Space *hwgc.SweepSpace
 		Class string `json:",omitempty"`
 	}
-	if err := json.Unmarshal(raw, &body); err != nil {
+	if err := plan.DecodeStrict(r.Body, &body); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
@@ -340,7 +182,7 @@ func (f *Fleet) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid sweep space: %v", err)
 		return
 	}
-	info, accepted, err := f.sweeps.submit(body.Space, body.Class)
+	info, accepted, err := f.sweeps.Submit(body.Space, body.Class)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "submitting sweep: %v", err)
 		return
@@ -350,7 +192,7 @@ func (f *Fleet) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusAccepted
 	}
 	w.Header().Set("Location", "/v1/sweeps/"+info.ID)
-	writeSweepInfoFleet(w, code, info)
+	writeJSON(w, code, info)
 }
 
 // handleSweepByID routes /v1/sweeps/{id} and /v1/sweeps/{id}/events at the
@@ -367,118 +209,42 @@ func (f *Fleet) handleSweepByID(w http.ResponseWriter, r *http.Request) {
 	case "":
 		switch r.Method {
 		case http.MethodGet:
-			info, ok := f.sweeps.get(id)
-			if !ok {
+			info, err := f.sweeps.Get(id)
+			if err != nil {
 				writeError(w, http.StatusNotFound, "no such sweep %q", id)
 				return
 			}
-			writeSweepInfoFleet(w, http.StatusOK, info)
+			writeJSON(w, http.StatusOK, info)
 		case http.MethodDelete:
-			info, ok, err := f.sweeps.cancel(id)
+			info, err := f.sweeps.Cancel(id)
 			switch {
-			case err == sweep.ErrNotFound:
+			case errors.Is(err, sweep.ErrNotFound):
 				writeError(w, http.StatusNotFound, "no such sweep %q", id)
-			case err == sweep.ErrTerminal:
+			case errors.Is(err, sweep.ErrTerminal):
 				writeError(w, http.StatusConflict, "sweep %s is already %s", id, info.State)
-			case !ok:
+			case err != nil:
 				writeError(w, http.StatusInternalServerError, "cancelling sweep: %v", err)
 			default:
-				writeSweepInfoFleet(w, http.StatusOK, info)
+				writeJSON(w, http.StatusOK, info)
 			}
 		default:
 			w.Header().Set("Allow", "GET, DELETE")
 			writeError(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
 		}
 	case "events":
-		if !requireGetFleet(w, r) {
+		if !requireGet(w, r) {
 			return
 		}
-		f.serveSweepEventsFleet(w, r, id)
+		history, live, stop, err := f.sweeps.Subscribe(id)
+		if err != nil {
+			writeError(w, http.StatusNotFound, "no such sweep %q", id)
+			return
+		}
+		defer stop()
+		if err := events.Serve(w, r, history, live, f.stop); err != nil {
+			writeError(w, http.StatusInternalServerError, "%v", err)
+		}
 	default:
 		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
-	}
-}
-
-func writeSweepInfoFleet(w http.ResponseWriter, code int, info sweep.Info) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(info)
-}
-
-// fleetLastEventID mirrors the backend's SSE resume contract: the
-// Last-Event-ID header a reconnecting EventSource sends, with
-// ?last_event_id= as a curl-friendly fallback.
-func fleetLastEventID(r *http.Request) int64 {
-	v := r.Header.Get("Last-Event-ID")
-	if v == "" {
-		v = r.URL.Query().Get("last_event_id")
-	}
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-// serveSweepEventsFleet streams the aggregated sweep's events as SSE from
-// the proxy's own tracker — same wire format and Last-Event-ID resume
-// semantics as one gcserved.
-func (f *Fleet) serveSweepEventsFleet(w http.ResponseWriter, r *http.Request, id string) {
-	f.sweeps.mu.Lock()
-	t, ok := f.sweeps.sweeps[id]
-	f.sweeps.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such sweep %q", id)
-		return
-	}
-	fl, flok := w.(http.Flusher)
-	if !flok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	history, live := t.Events.Subscribe()
-	defer t.Events.Unsubscribe(live)
-	resumeFrom := fleetLastEventID(r)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	write := func(ev sweep.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return true
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-			return true
-		}
-		fl.Flush()
-		return ev.Type == sweep.StateDone || ev.Type == sweep.StateCancelled
-	}
-	for _, ev := range history {
-		if ev.Seq <= resumeFrom {
-			continue
-		}
-		if write(ev) {
-			return
-		}
-	}
-	if live == nil {
-		return
-	}
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok || write(ev) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		case <-f.stop:
-			return
-		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hwgc"
 	"hwgc/internal/sweep"
 )
 
@@ -234,6 +235,155 @@ func TestFleetSweepEndToEnd(t *testing.T) {
 		if !strings.Contains(mbuf.String(), want) {
 			t.Errorf("fleet metrics missing %q", want)
 		}
+	}
+}
+
+// TestFleetSweepCancel cancels a running fleet sweep: the DELETE settles
+// every pending point at once, a second DELETE conflicts, the point jobs no
+// other sweep waits for end cancelled on the backend, and a point job that
+// another live sweep shares keeps running to its result.
+func TestFleetSweepCancel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e test boots real simulators")
+	}
+	_, backend := startJobsBackend(t) // one runner: the points queue
+	f, err := New(Options{
+		Backends:       []string{backend.URL},
+		HealthInterval: -1,
+		SweepPoll:      10 * time.Millisecond,
+		Timeout:        30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fleet := httptest.NewServer(f.Handler())
+	defer fleet.Close()
+	client := &http.Client{Timeout: time.Minute}
+
+	// Eight points fill the proxy's in-flight window at once; the other
+	// sweep's single point is the same job as the victim's seed-8 point.
+	const victimBody = `{"Space":{"Benches":["javac"],"Seeds":[1,2,3,4,5,6,7,8],"Base":{},"Axes":[{"Field":"Cores","Values":[2]}]}}`
+	const sharerBody = `{"Space":{"Benches":["javac"],"Seeds":[8],"Base":{},"Axes":[{"Field":"Cores","Values":[2]}]}}`
+	pointKeys := func(body string) []string {
+		t.Helper()
+		var req struct{ Space *hwgc.SweepSpace }
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		points, err := req.Space.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for _, p := range points {
+			keys = append(keys, p.Key)
+		}
+		return keys
+	}
+	victimKeys, sharedKey := pointKeys(victimBody), pointKeys(sharerBody)[0]
+
+	res, victim := postSweepFleet(t, client, fleet.URL, victimBody)
+	if res.StatusCode != http.StatusAccepted || victim.Points != len(victimKeys) {
+		t.Fatalf("submit: status %d info %+v", res.StatusCode, victim)
+	}
+	res, sharer := postSweepFleet(t, client, fleet.URL, sharerBody)
+	if res.StatusCode != http.StatusAccepted {
+		t.Fatalf("sharer submit: status %d", res.StatusCode)
+	}
+	// jobState reads a point job's state on the backend ("" while unknown).
+	jobState := func(key string) string {
+		t.Helper()
+		res, err := client.Get(backend.URL + "/v1/jobs/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		var info jobInfoBody
+		if res.StatusCode != http.StatusOK || json.NewDecoder(res.Body).Decode(&info) != nil {
+			return ""
+		}
+		return info.State
+	}
+	// Cancel once every point job has reached the backend, so the cancel
+	// has queued jobs to reach.
+	for end := time.Now().Add(30 * time.Second); ; {
+		known := 0
+		for _, k := range victimKeys {
+			if jobState(k) != "" {
+				known++
+			}
+		}
+		if known == len(victimKeys) {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatalf("only %d of %d point jobs reached the backend", known, len(victimKeys))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	del := func() (int, sweep.Info) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, fleet.URL+"/v1/sweeps/"+victim.ID, nil)
+		res, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		var info sweep.Info
+		if res.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(res.Body).Decode(&info); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return res.StatusCode, info
+	}
+	code, info := del()
+	if code != http.StatusOK {
+		t.Fatalf("cancel: status %d, want 200", code)
+	}
+	if info.State != sweep.StateCancelled || info.Completed+info.Cancelled+info.Failed != info.Points || info.Cancelled == 0 {
+		t.Fatalf("cancel reply = %+v", info)
+	}
+	if got := awaitSweepInfo(t, client, fleet.URL, victim.ID, time.Second, nil); got.State != sweep.StateCancelled {
+		t.Fatalf("after cancel: %+v", got)
+	}
+	if code, _ := del(); code != http.StatusConflict {
+		t.Fatalf("second cancel: status %d, want 409", code)
+	}
+
+	// The unshared point jobs end cancelled, except any the backend had
+	// already run; the shared one completes and so does its sweep.
+	cancelled := 0
+	for _, k := range victimKeys {
+		if k == sharedKey {
+			continue
+		}
+		var state string
+		for end := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			if state = jobState(k); state == "cancelled" || state == "done" {
+				break
+			}
+			if time.Now().After(end) {
+				t.Fatalf("point job %s still %q after the cancel", k, state)
+			}
+		}
+		if state == "cancelled" {
+			cancelled++
+		}
+	}
+	// One runner finishes a javac point in tens of milliseconds, so at most
+	// a couple had run before the cancel reached the backend.
+	if unshared := len(victimKeys) - 1; 2*cancelled < unshared {
+		t.Fatalf("%d of %d unshared point jobs cancelled on the backend", cancelled, unshared)
+	}
+	sharer = awaitSweepInfo(t, client, fleet.URL, sharer.ID, 60*time.Second, nil)
+	if sharer.State != sweep.StateDone || sharer.Completed != 1 {
+		t.Fatalf("sharing sweep = %+v", sharer)
+	}
+	if state := jobState(sharedKey); state != "done" {
+		t.Fatalf("shared point job state %q, want done", state)
 	}
 }
 

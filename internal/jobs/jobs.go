@@ -35,6 +35,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"hwgc/internal/events"
 )
 
 // State is a job's position in its lifecycle.
@@ -153,4 +155,22 @@ type Event struct {
 	Point int
 	Cycle int64
 	Error string `json:",omitempty"`
+}
+
+// Stamped and Frame make Event an events.Event: the SSE event name is the
+// state, and a terminal state ends the stream.
+func (ev Event) Stamped(seq int64, at time.Time) Event {
+	ev.Seq, ev.Time = seq, at
+	return ev
+}
+
+func (ev Event) Frame() (int64, string, bool) { return ev.Seq, string(ev.State), ev.State.Terminal() }
+
+// newEventLog returns a job's event log. The history is bounded: sweep
+// jobs emit one event per point transition and preemption, so 256 events
+// comfortably cover MaxSweepPoints plus pathological preemption storms. A
+// subscriber (a stalled SSE client) that falls 32 events behind loses
+// events rather than blocking the runner; the WAL is the record.
+func newEventLog(clock func() time.Time) *events.Log[Event] {
+	return events.NewLog[Event](clock, 256, 32)
 }

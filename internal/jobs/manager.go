@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/events"
 )
 
 // Sentinel errors returned by the Manager's lookup and transition methods.
@@ -114,7 +115,12 @@ type job struct {
 	migrateOut atomic.Bool  // a cancel is a migration handoff, not a user cancel
 	exporting  atomic.Int32 // exporters waiting for a checkpoint-boundary park
 	parked     bool         // held out of sched for an exporter (guarded by m.mu)
-	events     *eventLog
+	events     *events.Log[Event]
+}
+
+// emit records one lifecycle event on j's stream.
+func (j *job) emit(state State, point int, cycle int64, errMsg string) {
+	j.events.Emit(Event{State: state, Point: point, Cycle: cycle, Error: errMsg})
 }
 
 // Manager owns the job table, the WAL, the scheduler and the runner pool.
@@ -346,7 +352,7 @@ func (m *Manager) recover(recs []walRecord) error {
 	}
 	for _, id := range m.order {
 		j := m.jobs[id]
-		j.events.emit(j.State, j.Point, j.Cycle, j.ErrMsg)
+		j.emit(j.State, j.Point, j.Cycle, j.ErrMsg)
 	}
 	return nil
 }
@@ -506,7 +512,7 @@ func (m *Manager) Submit(kind, class string, canonical []byte) (Info, bool, erro
 			return Info{}, false, err
 		}
 		m.metrics.submitted.Add(1)
-		j.events.emit(StateQueued, j.Point, 0, "")
+		j.emit(StateQueued, j.Point, 0, "")
 	case ok:
 		m.metrics.deduped.Add(1)
 		info := m.infoLocked(j)
@@ -535,7 +541,7 @@ func (m *Manager) Submit(kind, class string, canonical []byte) (Info, bool, erro
 			return Info{}, false, err
 		}
 		m.metrics.submitted.Add(1)
-		j.events.emit(StateQueued, 0, 0, "")
+		j.emit(StateQueued, 0, 0, "")
 	}
 	info := m.infoLocked(j)
 	m.mu.Unlock()
@@ -623,7 +629,7 @@ func (m *Manager) runJob(j *job, pooled bool) {
 		m.running[j.ID] = j
 		m.metrics.running.Add(1)
 	}
-	j.events.emit(StateRunning, j.Point, j.Cycle, "")
+	j.emit(StateRunning, j.Point, j.Cycle, "")
 	m.mu.Unlock()
 
 	body, resp, err := m.execute(j, rcx)
@@ -646,7 +652,7 @@ func (m *Manager) runJob(j *job, pooled bool) {
 		j.Preemptions++
 		m.metrics.preemptions.Add(1)
 		_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateCheckpointed, Point: j.Point, Cycle: j.Cycle, At: m.opts.Clock()})
-		j.events.emit(StateCheckpointed, j.Point, j.Cycle, "")
+		j.emit(StateCheckpointed, j.Point, j.Cycle, "")
 		if j.exporting.Load() > 0 {
 			// An Export is waiting for exactly this park: hand the job over
 			// instead of racing it back into the scheduler, where an idle
@@ -702,7 +708,7 @@ func (m *Manager) finishLocked(j *job, state State, body []byte, errMsg string) 
 		j.HasCkpt = false
 		os.Remove(m.ckptPath(j.ID))
 	}
-	j.events.emit(state, j.Point, j.Cycle, errMsg)
+	j.emit(state, j.Point, j.Cycle, errMsg)
 	if m.finished++; m.finished >= m.opts.RetainTerminal && !m.closed {
 		m.finished = 0
 		_ = m.compact(true)
@@ -788,7 +794,7 @@ func (m *Manager) executeSweep(j *job, rcx *runCtx) ([]byte, error) {
 		j.HasCkpt = false
 		_ = m.wal.Append(walRecord{Type: recPoint, ID: j.ID, Point: point, Result: resJSON, At: m.opts.Clock()})
 		if point < len(sr.Cores)-1 {
-			j.events.emit(StateRunning, j.Point, 0, "")
+			j.emit(StateRunning, j.Point, 0, "")
 		}
 		m.mu.Unlock()
 		if removeCkpt {
@@ -957,8 +963,8 @@ func (m *Manager) Subscribe(id string) ([]Event, <-chan Event, func(), error) {
 	}
 	ev := j.events
 	m.mu.Unlock()
-	history, ch := ev.subscribe()
-	return history, ch, func() { ev.unsubscribe(ch) }, nil
+	history, ch := ev.Subscribe()
+	return history, ch, func() { ev.Unsubscribe(ch) }, nil
 }
 
 // AppendAux durably appends one auxiliary record to the jobs WAL. The

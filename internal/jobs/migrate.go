@@ -185,7 +185,7 @@ func (m *Manager) Export(ctx context.Context, id string) (*ExportedJob, error) {
 			// emitted after the clear, which makes the re-set stick.
 			j.preempt.Store(true)
 			ev := j.events
-			_, ch := ev.subscribe() // under m.mu: no missed-transition window
+			_, ch := ev.Subscribe() // under m.mu: no missed-transition window
 			m.mu.Unlock()
 			if ch == nil {
 				continue // already terminal; the loop top classifies it
@@ -193,10 +193,10 @@ func (m *Manager) Export(ctx context.Context, id string) (*ExportedJob, error) {
 			select {
 			case <-ch:
 			case <-ctx.Done():
-				ev.unsubscribe(ch)
+				ev.Unsubscribe(ch)
 				return nil, ctx.Err()
 			}
-			ev.unsubscribe(ch)
+			ev.Unsubscribe(ch)
 		}
 	}
 }
@@ -306,7 +306,7 @@ func (m *Manager) Import(env *ExportedJob) (Info, bool, error) {
 		}
 	}
 	m.metrics.imports.Add(1)
-	j.events.emit(j.State, j.Point, j.Cycle, "")
+	j.emit(j.State, j.Point, j.Cycle, "")
 	info := m.infoLocked(j)
 	m.mu.Unlock()
 	if notify != nil {

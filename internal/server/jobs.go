@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/events"
 	"hwgc/internal/jobs"
 	"hwgc/internal/plan"
 )
@@ -231,7 +232,15 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 			if !requireGet(w, r) {
 				return
 			}
-			s.serveJobEvents(w, r, id)
+			history, live, stop, err := s.jobs.Subscribe(id)
+			if err != nil {
+				writeError(w, http.StatusNotFound, "no such job %q", id)
+				return
+			}
+			defer stop()
+			if err := events.Serve(w, r, history, live, s.draining); err != nil {
+				writeError(w, http.StatusInternalServerError, "%v", err)
+			}
 		})(w, r)
 	case "checkpoint":
 		s.instrument("/v1/jobs/{id}/checkpoint", false, func(w http.ResponseWriter, r *http.Request) {
@@ -420,67 +429,5 @@ func (s *Server) serveJobResult(w http.ResponseWriter, id string) {
 	default:
 		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(s.opts.RetryAfter)))
 		writeJobInfo(w, http.StatusAccepted, info)
-	}
-}
-
-// serveJobEvents streams a job's lifecycle as Server-Sent Events: the
-// replayable history first, then live transitions until the job reaches a
-// terminal state or the client disconnects. Every event carries its Seq as
-// the SSE id, the State as the event name, and the Event JSON as data. A
-// reconnecting client resumes from its Last-Event-ID instead of replaying
-// from zero.
-func (s *Server) serveJobEvents(w http.ResponseWriter, r *http.Request, id string) {
-	history, live, stop, err := s.jobs.Subscribe(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "no such job %q", id)
-		return
-	}
-	defer stop()
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	resumeFrom := lastEventID(r)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	// write emits one event and reports whether the stream is over (a
-	// terminal state, or a dead connection).
-	write := func(ev jobs.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return true
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.State, data); err != nil {
-			return true
-		}
-		fl.Flush()
-		return ev.State.Terminal()
-	}
-	for _, ev := range history {
-		if ev.Seq <= resumeFrom {
-			continue
-		}
-		if write(ev) {
-			return
-		}
-	}
-	if live == nil {
-		return
-	}
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok || write(ev) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		case <-s.draining:
-			// Shutdown closes the stream; the history is replayable after
-			// restart, so the client reconnects and misses nothing.
-			return
-		}
 	}
 }

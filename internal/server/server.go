@@ -205,10 +205,7 @@ func New(opts Options) (*Server, error) {
 		s.mux.HandleFunc("/v1/jobs/", s.handleJobByID)
 		// The sweep coordinator plans spaces into collect jobs and dedupes
 		// points against the same result cache the job tier feeds.
-		coord, err := sweep.New(sweep.Options{Jobs: mgr, Lookup: s.cache.Get})
-		if err != nil {
-			return nil, err
-		}
+		coord := sweep.New(sweep.NewJobsRunner(mgr, s.cache.Get))
 		if err := coord.Recover(); err != nil {
 			return nil, err
 		}

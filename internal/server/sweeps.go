@@ -3,12 +3,11 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"hwgc"
+	"hwgc/internal/events"
 	"hwgc/internal/jobs"
 	"hwgc/internal/sweep"
 )
@@ -106,7 +105,15 @@ func (s *Server) handleSweepByID(w http.ResponseWriter, r *http.Request) {
 			if !requireGet(w, r) {
 				return
 			}
-			s.serveSweepEvents(w, r, id)
+			history, live, stop, err := s.sweeps.Subscribe(id)
+			if err != nil {
+				writeError(w, http.StatusNotFound, "no such sweep %q", id)
+				return
+			}
+			defer stop()
+			if err := events.Serve(w, r, history, live, s.draining); err != nil {
+				writeError(w, http.StatusInternalServerError, "%v", err)
+			}
 		})(w, r)
 	default:
 		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
@@ -133,79 +140,5 @@ func (s *Server) serveSweepCancel(w http.ResponseWriter, id string) {
 		writeError(w, http.StatusInternalServerError, "cancelling sweep: %v", err)
 	default:
 		writeSweepInfo(w, http.StatusOK, info)
-	}
-}
-
-// lastEventID extracts the SSE resume position: the Last-Event-ID header a
-// reconnecting EventSource sends automatically, with ?last_event_id= as a
-// curl-friendly fallback. Zero means "from the beginning".
-func lastEventID(r *http.Request) int64 {
-	v := r.Header.Get("Last-Event-ID")
-	if v == "" {
-		v = r.URL.Query().Get("last_event_id")
-	}
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-// serveSweepEvents streams a sweep's progress as Server-Sent Events: the
-// replayable history (from Last-Event-ID onward), then live events until
-// the sweep finishes or the client disconnects. Every event carries its Seq
-// as the SSE id, the Type as the event name, and the Event JSON as data.
-func (s *Server) serveSweepEvents(w http.ResponseWriter, r *http.Request, id string) {
-	history, live, stop, err := s.sweeps.Subscribe(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "no such sweep %q", id)
-		return
-	}
-	defer stop()
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	resumeFrom := lastEventID(r)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	write := func(ev sweep.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return true
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-			return true
-		}
-		fl.Flush()
-		return ev.Type == sweep.StateDone || ev.Type == sweep.StateCancelled
-	}
-	for _, ev := range history {
-		if ev.Seq <= resumeFrom {
-			continue
-		}
-		if write(ev) {
-			return
-		}
-	}
-	if live == nil {
-		return
-	}
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok || write(ev) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		case <-s.draining:
-			return
-		}
 	}
 }

@@ -46,10 +46,7 @@ func newHarness(t *testing.T, dir string) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Options{Jobs: m, Lookup: cache.Get})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := New(NewJobsRunner(m, cache.Get))
 	if err := c.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -277,5 +274,83 @@ func TestSweepCoordinatorErrors(t *testing.T) {
 	}
 	if _, _, err := h.c.Submit(&hwgc.SweepSpace{}, ""); err == nil {
 		t.Fatal("Submit accepted an invalid space")
+	}
+}
+
+// blockingRunner is a Runner whose points never finish on their own: each
+// RunPoint waits for its context, and CancelJob records the key.
+type blockingRunner struct {
+	mu        sync.Mutex
+	cancelled []string
+}
+
+func (r *blockingRunner) Admit(_ string, _ []byte, class string) (string, error) { return class, nil }
+func (r *blockingRunner) Cancelled(string) error                                 { return nil }
+func (r *blockingRunner) Persisted() ([]Persisted, error)                        { return nil, nil }
+func (r *blockingRunner) Inflight() int                                          { return 0 }
+
+func (r *blockingRunner) RunPoint(ctx context.Context, _ string, _ int, _ hwgc.SweepPoint) Result {
+	<-ctx.Done()
+	return Result{Err: "must be dropped"}
+}
+
+func (r *blockingRunner) CancelJob(key string) {
+	r.mu.Lock()
+	r.cancelled = append(r.cancelled, key)
+	r.mu.Unlock()
+}
+
+// Cancel settles every pending point at once and cancels the point jobs
+// no other live sweep shares; results that arrive after the cancel or
+// Close are dropped.
+func TestSweepCancelSharedPoints(t *testing.T) {
+	r := &blockingRunner{}
+	c := New(r)
+	victim, _, err := c.Submit(testSpace(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharer := testSpace()
+	sharer.Axes[0].Values = []int64{8}
+	sinfo, _, err := c.Submit(sharer, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.Cancel(victim.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.State != StateCancelled || info.Cancelled != 4 || info.Completed+info.Failed != 0 {
+		t.Fatalf("cancel info = %+v", info)
+	}
+	if _, err := c.Cancel(victim.ID); err != ErrTerminal {
+		t.Fatalf("second cancel err = %v, want ErrTerminal", err)
+	}
+	c.Close() // waits for the background job cancels
+
+	points, err := testSpace().Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharedPoints, err := sharer.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, p := range points {
+		if p.Key != sharedPoints[0].Key {
+			want[p.Key] = true
+		}
+	}
+	if len(want) != 3 || len(r.cancelled) != 3 {
+		t.Fatalf("cancelled jobs %v, want the 3 unshared of %d points", r.cancelled, len(points))
+	}
+	for _, k := range r.cancelled {
+		if !want[k] {
+			t.Fatalf("cancelled job %s is shared or foreign", k)
+		}
+	}
+	if got, _ := c.Get(sinfo.ID); got.State != StateRunning || got.Failed != 0 {
+		t.Fatalf("sharing sweep after Close = %+v", got)
 	}
 }

@@ -1,8 +1,9 @@
 package sweep
 
 import (
-	"sync"
 	"time"
+
+	"hwgc/internal/events"
 )
 
 // Event is one entry in a sweep's SSE stream. Type is one of:
@@ -33,89 +34,21 @@ type Event struct {
 }
 
 // terminal reports whether ev ends the stream.
-func (ev *Event) terminal() bool { return ev.Type == "done" || ev.Type == "cancelled" }
+func (ev Event) terminal() bool { return ev.Type == "done" || ev.Type == "cancelled" }
 
-// maxEvents bounds the replay history per sweep: a full-cap sweep emits one
-// point event per point plus frontier updates, so the ring covers
-// 2*MaxSweepSpacePoints with headroom.
-const maxEvents = 16384
-
-// subBuffer is each subscriber's channel capacity; a stalled SSE client
-// loses events rather than blocking completions (the sweep Info remains the
-// authoritative record, and Last-Event-ID replays what the ring still holds).
-const subBuffer = 64
-
-// EventLog is one sweep's event history plus its live subscribers. It
-// mirrors the jobs event log, with sequence numbers exposed for SSE resume.
-type EventLog struct {
-	mu    sync.Mutex
-	seq   int64
-	ring  []Event
-	subs  map[chan Event]struct{}
-	done  bool
-	clock func() time.Time
+// Stamped and Frame make Event an events.Event: the SSE event name is the
+// type, and a done or cancelled event ends the stream.
+func (ev Event) Stamped(seq int64, at time.Time) Event {
+	ev.Seq, ev.Time = seq, at
+	return ev
 }
 
-// NewEventLog returns an empty log stamping events with clock (nil selects
-// time.Now).
-func NewEventLog(clock func() time.Time) *EventLog {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &EventLog{subs: make(map[chan Event]struct{}), clock: clock}
-}
+func (ev Event) Frame() (int64, string, bool) { return ev.Seq, ev.Type, ev.terminal() }
 
-// Emit assigns the next sequence number and timestamp to ev, records it and
-// fans it out. A terminal event closes every subscriber channel after
-// delivery.
-func (l *EventLog) Emit(ev Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.seq++
-	ev.Seq = l.seq
-	ev.Time = l.clock()
-	l.ring = append(l.ring, ev)
-	if len(l.ring) > maxEvents {
-		l.ring = l.ring[len(l.ring)-maxEvents:]
-	}
-	for ch := range l.subs {
-		select {
-		case ch <- ev:
-		default: // slow subscriber: drop
-		}
-	}
-	if ev.terminal() {
-		l.done = true
-		for ch := range l.subs {
-			close(ch)
-			delete(l.subs, ch)
-		}
-	}
-}
-
-// Subscribe returns the replayable history and a live channel (nil when the
-// sweep is already terminal). Call Unsubscribe when done.
-func (l *EventLog) Subscribe() ([]Event, chan Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	history := append([]Event(nil), l.ring...)
-	if l.done {
-		return history, nil
-	}
-	ch := make(chan Event, subBuffer)
-	l.subs[ch] = struct{}{}
-	return history, ch
-}
-
-// Unsubscribe detaches ch. Safe to call after a terminal event closed it.
-func (l *EventLog) Unsubscribe(ch chan Event) {
-	if ch == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.subs[ch]; ok {
-		delete(l.subs, ch)
-		close(ch)
-	}
-}
+// newEventLog returns a sweep's event log. A full-cap sweep emits one point
+// event per point plus frontier updates, so 16384 events of history cover
+// 2*MaxSweepSpacePoints with headroom. A stalled SSE client that falls 64
+// events behind loses events rather than blocking completions: the sweep
+// Info remains the authoritative record, and Last-Event-ID replays what the
+// ring still holds.
+func newEventLog() *events.Log[Event] { return events.NewLog[Event](nil, 16384, 64) }

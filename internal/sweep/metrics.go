@@ -6,7 +6,7 @@ import (
 
 // Metrics is the sweep subsystem's counter set, declared against a
 // stats.Registry and written as part of the /metrics scrape (gcserved
-// writes its coordinator's set; gcfleet writes the proxy aggregator's).
+// and gcfleet each write their coordinator's set).
 type Metrics struct {
 	stats.Registry
 
@@ -42,8 +42,3 @@ func NewMetrics() *Metrics {
 	m.latency = r.Summary("gcsweep_sweep_seconds", "Submit-to-finish sweep latency (upper-bound quantile estimates).", 0.5, 0.99)
 	return m
 }
-
-// NoteSweepDeduped counts a submission coalesced onto an existing sweep.
-// The Coordinator bumps this internally; the fleet aggregator, which keeps
-// its own sweep table, reports its dedupes through here.
-func (m *Metrics) NoteSweepDeduped() { m.sweepsDeduped.Add(1) }

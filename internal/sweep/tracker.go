@@ -1,10 +1,12 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
 	"time"
 
 	"hwgc"
+	"hwgc/internal/events"
 )
 
 // Sweep states.
@@ -41,23 +43,24 @@ type Info struct {
 	Finished      time.Time `json:",omitempty"`
 }
 
-// Tracker holds one sweep's execution-agnostic state: the planned points,
+// tracker holds one sweep's runner-agnostic state: the planned points,
 // per-point status, running counters, the current frontier, and the event
-// log. The jobs-backed Coordinator (gcserved) and the fleet aggregator
-// (gcfleet) both drive a Tracker through its Complete/Fail/CancelPoint
-// transitions; the Tracker recomputes the frontier and detects the finish.
-// All methods on Tracker must be called under the owner's lock — it does no
-// locking of its own, because every owner already serializes transitions
-// with sweep-table lookups.
-type Tracker struct {
+// log. The Coordinator drives it through its Complete/Fail/CancelPoint
+// transitions; the tracker recomputes the frontier and detects the finish.
+// ID, Space, Class and Points never change, Events locks itself and stop
+// is safe to call from any goroutine; everything else must be used under
+// the Coordinator's lock, which already serializes transitions with
+// sweep-table lookups.
+type tracker struct {
 	ID        string
 	Space     *hwgc.SweepSpace
 	Class     string
 	Points    []hwgc.SweepPoint
+	Events    *events.Log[Event]
 	State     string
-	Events    *EventLog
 	Submitted time.Time
 	Finished  time.Time
+	stop      context.CancelFunc // cancels the sweep's runner context
 
 	status          []pointStatus
 	outcomes        []PointOutcome // completed outcomes, append order
@@ -71,20 +74,16 @@ type Tracker struct {
 	cancelRequested bool
 
 	metrics *Metrics
-	clock   func() time.Time
 }
 
-// NewTracker registers a freshly planned sweep: counters start at zero, the
+// newTracker registers a freshly planned sweep: counters start at zero, the
 // "planned" event is emitted, and the active gauge rises.
-func NewTracker(id string, space *hwgc.SweepSpace, class string, points []hwgc.SweepPoint, m *Metrics, clock func() time.Time) *Tracker {
-	if clock == nil {
-		clock = time.Now
-	}
-	t := &Tracker{
+func newTracker(id string, space *hwgc.SweepSpace, class string, points []hwgc.SweepPoint, m *Metrics) *tracker {
+	t := &tracker{
 		ID: id, Space: space, Class: class, Points: points,
-		State: StateRunning, Events: NewEventLog(clock),
-		Submitted: clock(), status: make([]pointStatus, len(points)),
-		metrics: m, clock: clock,
+		State: StateRunning, Events: newEventLog(),
+		Submitted: time.Now(), status: make([]pointStatus, len(points)),
+		metrics: m,
 	}
 	m.sweepsSubmitted.Add(1)
 	m.sweepsActive.Add(1)
@@ -93,20 +92,20 @@ func NewTracker(id string, space *hwgc.SweepSpace, class string, points []hwgc.S
 	return t
 }
 
-// NoteJobSubmitted records that a point spawned a fresh job execution.
-func (t *Tracker) NoteJobSubmitted() { t.jobsSub++ }
+// NoteJobsSubmitted records n fresh job executions spawned by a point.
+func (t *tracker) NoteJobsSubmitted(n int) { t.jobsSub += n }
 
 // Terminal reports whether the sweep has finished.
-func (t *Tracker) Terminal() bool { return t.State != StateRunning }
+func (t *tracker) Terminal() bool { return t.State != StateRunning }
 
 // PointPending reports whether the point at index still awaits a terminal
 // transition.
-func (t *Tracker) PointPending(index int) bool {
+func (t *tracker) PointPending(index int) bool {
 	return index >= 0 && index < len(t.status) && t.status[index] == pointPending
 }
 
 // PendingKeys returns the content keys of every still-pending point.
-func (t *Tracker) PendingKeys() []string {
+func (t *tracker) PendingKeys() []string {
 	var keys []string
 	for i, st := range t.status {
 		if st == pointPending {
@@ -118,15 +117,12 @@ func (t *Tracker) PendingKeys() []string {
 
 // MarkCancelRequested records a DELETE so the terminal state becomes
 // cancelled once the outstanding points settle.
-func (t *Tracker) MarkCancelRequested() { t.cancelRequested = true }
-
-// CancelRequested reports whether DELETE was called on this sweep.
-func (t *Tracker) CancelRequested() bool { return t.cancelRequested }
+func (t *tracker) MarkCancelRequested() { t.cancelRequested = true }
 
 // CompletePoint transitions the point at index to done with its outcome.
 // deduped marks a completion satisfied without a new execution (result
 // cache hit or coalesce onto an existing job's result).
-func (t *Tracker) CompletePoint(index int, outcome PointOutcome, deduped bool) {
+func (t *tracker) CompletePoint(index int, outcome PointOutcome, deduped bool) {
 	if !t.PointPending(index) {
 		return
 	}
@@ -146,7 +142,7 @@ func (t *Tracker) CompletePoint(index int, outcome PointOutcome, deduped bool) {
 }
 
 // FailPoint transitions the point at index to failed.
-func (t *Tracker) FailPoint(index int, errMsg string) {
+func (t *tracker) FailPoint(index int, errMsg string) {
 	if !t.PointPending(index) {
 		return
 	}
@@ -164,7 +160,7 @@ func (t *Tracker) FailPoint(index int, errMsg string) {
 }
 
 // CancelPoint transitions the point at index to cancelled.
-func (t *Tracker) CancelPoint(index int) {
+func (t *tracker) CancelPoint(index int) {
 	if !t.PointPending(index) {
 		return
 	}
@@ -181,7 +177,7 @@ func (t *Tracker) CancelPoint(index int) {
 // refreshFrontier recomputes the ranking and emits a frontier event when it
 // changed. Encoded-bytes comparison makes "changed" exact: a completion
 // that does not alter the ranking stays silent.
-func (t *Tracker) refreshFrontier() {
+func (t *tracker) refreshFrontier() {
 	fr := Frontier(t.Space.Objective, t.Space.TopK, t.outcomes)
 	b, err := json.Marshal(fr)
 	if err != nil {
@@ -200,7 +196,7 @@ func (t *Tracker) refreshFrontier() {
 }
 
 // maybeFinish closes the sweep once every point is terminal.
-func (t *Tracker) maybeFinish() {
+func (t *tracker) maybeFinish() {
 	if t.State != StateRunning {
 		return
 	}
@@ -209,7 +205,7 @@ func (t *Tracker) maybeFinish() {
 			return
 		}
 	}
-	t.Finished = t.clock()
+	t.Finished = time.Now()
 	typ := StateDone
 	if t.cancelRequested {
 		typ = StateCancelled
@@ -227,17 +223,17 @@ func (t *Tracker) maybeFinish() {
 }
 
 // Frontier returns the current ranking.
-func (t *Tracker) Frontier() []FrontierEntry {
+func (t *tracker) Frontier() []FrontierEntry {
 	return append([]FrontierEntry(nil), t.frontier...)
 }
 
 // FrontierJSON returns the current ranking's canonical encoding.
-func (t *Tracker) FrontierJSON() []byte {
+func (t *tracker) FrontierJSON() []byte {
 	return append([]byte(nil), t.frontierJSON...)
 }
 
 // Info returns the sweep's progress snapshot.
-func (t *Tracker) Info() Info {
+func (t *tracker) Info() Info {
 	return Info{
 		ID: t.ID, State: t.State, Objective: t.Space.Objective, Class: t.Class,
 		Points: len(t.Points), Completed: len(t.outcomes), Failed: t.failed,
