@@ -10,11 +10,12 @@ import (
 
 // This file defines the batch request/response encoding behind
 // POST /v1/batch, served identically by one gcserved (internal/server runs
-// every item through its own cache and worker pool) and by the gcfleet
-// coordinator (internal/cluster shards items across backends by content
-// key and gathers the results). Because both tiers build the response from
-// the same deterministic per-item bodies and the same encoder, a fleet
-// batch reply is byte-identical to a single-node reply for the same items.
+// every item's collect points through its own cache and worker pool) and
+// by the gcfleet coordinator (internal/cluster shards the points across
+// backends by content key and gathers the results). Because both tiers
+// build the response from the same deterministic per-item bodies and the
+// same encoder, a fleet batch reply is byte-identical to a single-node
+// reply for the same items.
 
 // MaxBatchItems bounds the number of items one batch request may carry.
 const MaxBatchItems = 256
@@ -26,38 +27,32 @@ type BatchItem struct {
 	Sweep   *SweepRequest   `json:",omitempty"`
 }
 
-// Prep canonicalizes the item in place and returns the single-request
-// endpoint path it maps to, its content key, and its canonical JSON body —
-// everything a server or fleet needs to execute or route it.
-func (it *BatchItem) Prep() (path, key string, body []byte, err error) {
+// Points canonicalizes the item in place and returns its content key and
+// the collect points it runs: a collect item is its own single point, and a
+// sweep item's key is the sweep key over the sweep's points in core order.
+// Both tiers run every point on their collect path, so a batch sweep item
+// shares cache entries, jobs and fleet owners with the equivalent
+// collects.
+func (it *BatchItem) Points() (key string, pts []SweepPoint, err error) {
 	switch {
 	case it.Collect == nil && it.Sweep == nil:
-		return "", "", nil, fmt.Errorf("hwgc: batch item needs a Collect or Sweep request")
+		return "", nil, fmt.Errorf("hwgc: batch item needs a Collect or Sweep request")
 	case it.Collect != nil && it.Sweep != nil:
-		return "", "", nil, fmt.Errorf("hwgc: batch item has both a Collect and a Sweep request")
+		return "", nil, fmt.Errorf("hwgc: batch item has both a Collect and a Sweep request")
 	case it.Collect != nil:
-		body, err = it.Collect.CanonicalJSON()
-		path = "/v1/collect"
+		body, err := it.Collect.CanonicalJSON()
+		if err != nil {
+			return "", nil, err
+		}
+		key = KeyBytes(body)
+		return key, []SweepPoint{{Key: key, Canonical: body, Req: *it.Collect}}, nil
 	default:
-		body, err = it.Sweep.CanonicalJSON()
-		path = "/v1/sweep"
+		if key, err = it.Sweep.Key(); err != nil {
+			return "", nil, err
+		}
+		pts, err = it.Sweep.Points()
+		return key, pts, err
 	}
-	if err != nil {
-		return "", "", nil, err
-	}
-	return path, KeyBytes(body), body, nil
-}
-
-// Scale returns the workload scale the item requests (for server-side
-// MaxScale admission checks).
-func (it *BatchItem) Scale() int {
-	switch {
-	case it.Collect != nil:
-		return it.Collect.Scale
-	case it.Sweep != nil:
-		return it.Sweep.Scale
-	}
-	return 0
 }
 
 // BatchRequest is the POST /v1/batch body: a list of collect/sweep items

@@ -6,17 +6,14 @@ import (
 	"testing"
 )
 
-func TestBatchItemPrep(t *testing.T) {
+func TestBatchItemPoints(t *testing.T) {
 	it := BatchItem{Collect: &CollectRequest{Bench: "jlisp", Config: Config{Cores: 2}}}
-	path, key, body, err := it.Prep()
+	key, pts, err := it.Points()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path != "/v1/collect" {
-		t.Errorf("path = %q, want /v1/collect", path)
-	}
-	if key != KeyBytes(body) {
-		t.Errorf("key %q does not match KeyBytes of the canonical body", key)
+	if len(pts) != 1 || pts[0].Key != key || key != KeyBytes(pts[0].Canonical) {
+		t.Fatalf("collect item: key %q, points %+v", key, pts)
 	}
 	want, err := it.Collect.Key()
 	if err != nil {
@@ -26,21 +23,33 @@ func TestBatchItemPrep(t *testing.T) {
 		t.Errorf("batch item key %q != single-request key %q", key, want)
 	}
 
+	// A sweep item's key is the sweep key; its points are the collects of
+	// its core counts, each keyed like the same /v1/collect request.
 	sw := BatchItem{Sweep: &SweepRequest{Bench: "jlisp", Cores: []int{1, 2}}}
-	path, _, _, err = sw.Prep()
+	key, pts, err = sw.Points()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path != "/v1/sweep" {
-		t.Errorf("sweep path = %q, want /v1/sweep", path)
+	if want, _ := sw.Sweep.Key(); key != want {
+		t.Errorf("sweep item key %q != sweep key %q", key, want)
+	}
+	if len(pts) != 2 {
+		t.Fatalf("sweep item has %d points, want 2", len(pts))
+	}
+	for i, n := range []int{1, 2} {
+		c := CollectRequest{Bench: "jlisp", Config: Config{Cores: n}}
+		if want, _ := c.Key(); pts[i].Key != want {
+			t.Errorf("point %d key %q != collect key %q", i, pts[i].Key, want)
+		}
 	}
 
 	for name, bad := range map[string]BatchItem{
 		"empty": {},
 		"both":  {Collect: &CollectRequest{Bench: "jlisp"}, Sweep: &SweepRequest{Bench: "jlisp"}},
 		"bogus": {Collect: &CollectRequest{Bench: "no-such-bench"}},
+		"cores": {Sweep: &SweepRequest{Bench: "jlisp", Cores: []int{0}}},
 	} {
-		if _, _, _, err := bad.Prep(); err == nil {
+		if _, _, err := bad.Points(); err == nil {
 			t.Errorf("%s item accepted", name)
 		}
 	}

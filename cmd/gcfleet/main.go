@@ -1,12 +1,13 @@
 // Command gcfleet fronts a fleet of gcserved backends with a single
 // gcserved-compatible endpoint set. Requests are routed by the content key
 // of their canonical plan over a consistent-hash ring (so repeats land on
-// the backend whose cache is already warm), a collect or sweep result seen
-// twice is kept in an edge cache and served by the fleet itself from then
-// on, failures fail over to the next ring replica under a capped-backoff
-// retry policy, unhealthy backends are quarantined by per-backend circuit
-// breakers fed by /healthz probing, and POST /v1/batch scatter-gathers mixed
-// collect/sweep experiments with per-item partial-failure reporting.
+// the backend whose cache is already warm), a collect result seen twice is
+// kept in an edge cache and served by the fleet itself from then on, a core
+// sweep runs as its collect points, each routed to its own owner, failures
+// fail over to the next ring replica under a capped-backoff retry policy,
+// unhealthy backends are quarantined by per-backend circuit breakers fed by
+// /healthz probing, and POST /v1/batch scatter-gathers mixed collect/sweep
+// experiments with per-item partial-failure reporting.
 // Parameter-space sweeps run on the same sweep coordinator as gcserved's,
 // with a point runner that sends each point's job to its ring owner and
 // polls its result every -sweep-poll; sweep state lives in the proxy's
@@ -26,9 +27,11 @@
 //
 //	POST /v1/collect   served from the edge cache, else routed to the key's
 //	                   ring owner and proxied verbatim
-//	POST /v1/sweep     same as /v1/collect
+//	POST /v1/sweep     expanded into its collect points, each answered like
+//	                   /v1/collect by its own owner; the reply is assembled
+//	                   at the fleet, byte-identical to one gcserved's
 //	POST /v1/batch     scatter-gather over the fleet, per-item results
-//	POST /v1/jobs      async jobs, routed by the job's content key
+//	POST /v1/jobs      async collect jobs, routed by the job's content key
 //	GET  /v1/jobs/{id} job status/result/events, routed like the submit
 //	POST /v1/sweeps    sweep spec planned at the proxy, points fanned out
 //	                   to their cache-owning backends by content key

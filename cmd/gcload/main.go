@@ -21,11 +21,15 @@
 // identity is checked only for fully-successful batches, whose encodings
 // are deterministic.
 //
-// With -async, each logical request is instead submitted as a durable job
-// (POST /v1/jobs, optionally with -class) and its result polled every
-// -poll until done. The report then carries two separate distributions:
-// submit latency (how fast the server durably accepts work) and end-to-end
-// latency (submit through completed result). -async excludes -batch.
+// With -sweepreq, each request is a POST /v1/sweep core sweep, which both
+// gcserved and gcfleet run as one collect per core count.
+//
+// With -async, each logical request is instead submitted as a durable
+// collect job (POST /v1/jobs, optionally with -class) and its result
+// polled every -poll until done. The report then carries two separate
+// distributions: submit latency (how fast the server durably accepts work)
+// and end-to-end latency (submit through completed result). -async
+// excludes -batch and -sweepreq: jobs are collects only.
 //
 // Usage:
 //
@@ -117,7 +121,7 @@ func main() {
 	flag.Parse()
 
 	if cfg.sweepSpec != "" {
-		ok, err := runSweepMode(cfg, os.Stdout)
+		ok, err := runSpaceMode(cfg, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gcload:", err)
 			os.Exit(1)
@@ -315,31 +319,20 @@ func (cfg *loadConfig) body(v int) ([]byte, error) {
 	return req.CanonicalJSON()
 }
 
-// asyncBody wraps the canonical request for seed variant v in the
+// asyncBody wraps the canonical collect for seed variant v in the
 // POST /v1/jobs submit envelope. The inner request is canonicalized first
 // so every worker hitting the same variant submits identical bytes and
 // dedupes onto one job.
 func (cfg *loadConfig) asyncBody(v int) ([]byte, error) {
-	seed := int64(v + 1)
-	sub := struct {
-		Collect *hwgc.CollectRequest `json:",omitempty"`
-		Sweep   *hwgc.SweepRequest   `json:",omitempty"`
-		Class   string               `json:",omitempty"`
-	}{Class: cfg.class}
-	if cfg.sweepReq {
-		sub.Sweep = &hwgc.SweepRequest{Bench: cfg.bench, Scale: cfg.scale, Seed: seed,
-			Config: cfg.config()}
-		if _, err := sub.Sweep.Key(); err != nil {
-			return nil, err
-		}
-	} else {
-		sub.Collect = &hwgc.CollectRequest{Bench: cfg.bench, Scale: cfg.scale, Seed: seed,
-			Config: cfg.config()}
-		if _, err := sub.Collect.Key(); err != nil {
-			return nil, err
-		}
+	req := hwgc.CollectRequest{Bench: cfg.bench, Scale: cfg.scale, Seed: int64(v + 1),
+		Config: cfg.config()}
+	if _, err := req.Key(); err != nil {
+		return nil, err
 	}
-	return json.Marshal(sub)
+	return json.Marshal(struct {
+		Collect *hwgc.CollectRequest
+		Class   string `json:",omitempty"`
+	}{&req, cfg.class})
 }
 
 // batchBody builds the mixed collect/sweep batch for seed variant v: every
@@ -364,7 +357,7 @@ func (cfg *loadConfig) batchBody(v int) ([]byte, error) {
 		return nil, err
 	}
 	for i := range req.Items {
-		if _, _, _, err := req.Items[i].Prep(); err != nil {
+		if _, _, err := req.Items[i].Points(); err != nil {
 			return nil, fmt.Errorf("batch item %d: %w", i, err)
 		}
 	}
@@ -386,6 +379,9 @@ func runLoad(cfg loadConfig) (*report, error) {
 	}
 	if cfg.async && cfg.batch > 0 {
 		return nil, fmt.Errorf("-async and -batch are mutually exclusive")
+	}
+	if cfg.async && cfg.sweepReq {
+		return nil, fmt.Errorf("-async submits collect jobs only; drop -async to POST sweeps to /v1/sweep")
 	}
 	if cfg.class != "" && !cfg.async {
 		return nil, fmt.Errorf("-class requires -async")

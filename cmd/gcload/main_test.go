@@ -252,6 +252,9 @@ func TestRunLoadValidation(t *testing.T) {
 	if _, err := runLoad(loadConfig{requests: 1, workers: 1, bench: "jlisp", async: true, batch: 4, poll: time.Millisecond}); err == nil {
 		t.Error("-async with -batch accepted")
 	}
+	if _, err := runLoad(loadConfig{requests: 1, workers: 1, bench: "jlisp", async: true, sweepReq: true, poll: time.Millisecond}); err == nil || !strings.Contains(err.Error(), "drop -async") {
+		t.Errorf("-async with -sweepreq: err %v, want a rejection saying to drop -async", err)
+	}
 	if _, err := runLoad(loadConfig{requests: 1, workers: 1, bench: "jlisp", class: "interactive"}); err == nil {
 		t.Error("-class without -async accepted")
 	}
@@ -298,7 +301,7 @@ func TestSweepModeAgainstLiveServer(t *testing.T) {
 
 	cfg := loadConfig{url: ts.URL, sweepSpec: spec, timeout: 60 * time.Second}
 	var out strings.Builder
-	ok, err := runSweepMode(cfg, &out)
+	ok, err := runSpaceMode(cfg, &out)
 	if err != nil {
 		t.Fatalf("sweep mode: %v\n%s", err, out.String())
 	}
@@ -316,7 +319,7 @@ func TestSweepModeAgainstLiveServer(t *testing.T) {
 	// Resubmitting the identical space must coalesce onto the finished
 	// sweep: same ID, zero new jobs, and the done event replays immediately.
 	out.Reset()
-	ok, err = runSweepMode(cfg, &out)
+	ok, err = runSpaceMode(cfg, &out)
 	if err != nil || !ok {
 		t.Fatalf("deduped sweep mode: ok=%v err=%v\n%s", ok, err, out.String())
 	}
@@ -325,10 +328,10 @@ func TestSweepModeAgainstLiveServer(t *testing.T) {
 	}
 
 	// Mode exclusions are errors, not silent fallbacks.
-	if _, err := runSweepMode(loadConfig{sweepSpec: spec, batch: 4}, io.Discard); err == nil {
+	if _, err := runSpaceMode(loadConfig{sweepSpec: spec, batch: 4}, io.Discard); err == nil {
 		t.Error("-sweep with -batch accepted")
 	}
-	if _, err := runSweepMode(loadConfig{sweepSpec: spec, async: true}, io.Discard); err == nil {
+	if _, err := runSpaceMode(loadConfig{sweepSpec: spec, async: true}, io.Discard); err == nil {
 		t.Error("-sweep with -async accepted")
 	}
 }

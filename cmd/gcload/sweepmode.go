@@ -16,14 +16,14 @@ import (
 	"hwgc/internal/sweep"
 )
 
-// runSweepMode drives one parameter-space sweep end to end: submit the spec
+// runSpaceMode drives one parameter-space sweep end to end: submit the spec
 // to POST /v1/sweeps, follow the SSE event stream (reconnecting with
 // Last-Event-ID on drops), and report submit latency, completion time and
 // frontier-convergence latency — the time from submit to the last ranking
 // change, which is the number an exploration user actually waits for: the
 // moment the top of the frontier stopped moving. Returns ok=false when the
 // sweep finished with failures or was cancelled.
-func runSweepMode(cfg loadConfig, w io.Writer) (bool, error) {
+func runSpaceMode(cfg loadConfig, w io.Writer) (bool, error) {
 	if cfg.batch > 0 || cfg.async || cfg.sweepReq {
 		return false, fmt.Errorf("-sweep excludes -batch, -async and -sweepreq")
 	}

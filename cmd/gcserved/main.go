@@ -15,6 +15,8 @@
 //
 //	POST /v1/collect   {"Bench":"javac","Scale":1,"Seed":42,"Config":{"Cores":16}}
 //	POST /v1/sweep     {"Bench":"javac","Cores":[1,2,4,8,16],"Config":{}}
+//	                   one collect per core count, each under its collect
+//	                   key, at most -workers at a time; one reply
 //	POST /v1/batch     {"Items":[{"Collect":{...}},{"Sweep":{...}}]}
 //	GET  /v1/workloads
 //	GET  /healthz
@@ -22,14 +24,15 @@
 //
 // With -jobs-dir set, the durable async job tier is mounted as well:
 // POST /v1/jobs, GET /v1/jobs/{id}[/result|/events], DELETE /v1/jobs/{id}.
+// A job is one collect; sweeps run their points as collect jobs.
 // Submissions, transitions and results are WAL-logged in -jobs-dir, running
 // jobs checkpoint every -checkpoint-cycles and yield to higher-priority
 // classes at those boundaries, and a restarted server resumes unfinished
-// jobs with byte-identical results. POST /v1/collect then runs as a job
-// too: the worker submits it and runs the job itself (or waits, if the job
-// is already running), so shutdown preempts it at a checkpoint boundary
-// (503) instead of waiting it out, and the next server on the same
-// -jobs-dir finishes it. -job-runners sizes the async pool only; sync
+// jobs with byte-identical results. POST /v1/collect (and every point of a
+// POST /v1/sweep) then runs as a job too: the worker submits it and runs
+// the job itself (or waits, if the job is already running), so shutdown
+// preempts it at a checkpoint boundary (503) instead of waiting it out, and
+// the next server on the same -jobs-dir finishes it. -job-runners sizes the async pool only; sync
 // collects never queue behind async jobs.
 //
 // The job tier also mounts parameter-space sweeps (see internal/sweep):

@@ -66,8 +66,8 @@ func FuzzSweepSpaceDecode(f *testing.F) {
 
 // FuzzDecodeBatchRequest checks that arbitrary input never panics the
 // /v1/batch request decoder, and that every accepted batch is servable:
-// each item either preps cleanly (canonical path/key/body) or fails with a
-// per-item error — never a panic, and never an item that preps to an
+// each item either expands cleanly into keyed collect points or fails with
+// a per-item error — never a panic, and never an item that expands to an
 // invalid key.
 func FuzzDecodeBatchRequest(f *testing.F) {
 	f.Add(`{"Items":[{"Collect":{"Bench":"jlisp","Config":{}}}]}`)
@@ -85,15 +85,17 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 			t.Fatalf("accepted batch with %d items outside (0, %d]", len(req.Items), MaxBatchItems)
 		}
 		for i := range req.Items {
-			path, key, body, err := req.Items[i].Prep()
+			key, pts, err := req.Items[i].Points()
 			if err != nil {
 				continue // a per-item failure at serve time: fine
 			}
-			if path != "/v1/collect" && path != "/v1/sweep" {
-				t.Fatalf("item %d prepped to unknown path %q", i, path)
+			if len(key) != 64 || len(pts) == 0 {
+				t.Fatalf("item %d expanded to key %q with %d points", i, key, len(pts))
 			}
-			if len(key) != 64 || len(body) == 0 {
-				t.Fatalf("item %d prepped to key %q body len %d", i, key, len(body))
+			for _, p := range pts {
+				if len(p.Key) != 64 || p.Key != KeyBytes(p.Canonical) {
+					t.Fatalf("item %d point %d keyed %q", i, p.Index, p.Key)
+				}
 			}
 		}
 	})

@@ -343,3 +343,30 @@ func TestFragmentationAccounting(t *testing.T) {
 		t.Errorf("chunked wasted %d words, more than one chunk per worker", res2.WastedWords)
 	}
 }
+
+// TestChunkedOversizedPublishRace collects blob (the one benchmark with
+// objects larger than a chunk) with 8 chunked workers, repeatedly over one
+// reused heap so that tospace holds stale words from earlier cycles. A
+// one-object chunk that reaches the shared stack before its copy is
+// published is scanned from those stale words by another worker; the race
+// detector reports it, and the scan can index far outside the heap.
+func TestChunkedOversizedPublishRace(t *testing.T) {
+	c, _ := ByName("chunked")
+	spec, _ := workload.Get("blob")
+	h, err := spec.Plan(1, 21).BuildHeap(2.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		before, err := gcalgo.Snapshot(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Collect(h, 8); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if err := VerifyPreserved(before, h); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+	}
+}

@@ -100,17 +100,23 @@ func (g *chunked) Collect(h *heap.Heap, workers int) (Result, error) {
 				alloc = struct{ start, cur, end, scanned object.Addr }{}
 			}
 
+			// oversized holds the one-object ranges of dedicated
+			// allocations until their copy is published.
+			var oversized []chunkRef
+
 			allocObj := func(size int) (object.Addr, error) {
 				if size > chunkWords || chunkWords-size == 1 {
-					// Oversized for a chunk: dedicated allocation. The
-					// resulting range is never handed to the shared stack,
-					// so the evacuating worker must scan it itself; hand it
-					// over as a one-object "chunk".
+					// Oversized for a chunk: dedicated allocation. The range
+					// belongs to no allocation chunk, so it is handed to the
+					// shared stack as a one-object "chunk" — by resolve, once
+					// claimEvacuate has copied the body and published the
+					// header. Pushing it here would let another worker scan
+					// the frame before it holds the object.
 					a, ok := c.bump(size, sc)
 					if !ok {
 						return 0, errTospaceOverflow
 					}
-					full.Put(chunkRef{a, a + object.Addr(size)}, sc)
+					oversized = append(oversized, chunkRef{a, a + object.Addr(size)})
 					return a, nil
 				}
 				// The chunk allocation discipline mirrors the LAB one: never
@@ -133,6 +139,10 @@ func (g *chunked) Collect(h *heap.Heap, workers int) (Result, error) {
 				if evac {
 					objs[w]++
 				}
+				for _, ref := range oversized {
+					full.Put(ref, sc)
+				}
+				oversized = oversized[:0]
 				return fwd, err
 			}
 

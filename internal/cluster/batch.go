@@ -14,11 +14,11 @@ import (
 const maxBatchBodyBytes = 16 << 20
 
 // handleBatch serves POST /v1/batch on the fleet: scatter-gather. Every
-// item is canonicalized locally, routed to its ring owner (so the item
-// still hits the cache that already holds its result), executed via the
-// per-item single-request endpoint under the full retry/failover policy,
-// and gathered into the same BatchResponse encoding one gcserved produces
-// — per-item partial failures, never a hung batch.
+// item is canonicalized locally and run as its collect points, each routed
+// to its ring owner (so it still hits the cache that already holds its
+// result) under the full retry/failover policy, and the items are gathered
+// into the same BatchResponse encoding one gcserved produces — per-item
+// partial failures, never a hung batch.
 func (f *Fleet) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
@@ -41,7 +41,7 @@ func (f *Fleet) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // runBatch scatters the items across the fleet and gathers per-item
 // results in request order. Concurrency is bounded per backend (each
-// item's route acquires its primary owner's semaphore before sending), so
+// point's route acquires its primary owner's semaphore before sending), so
 // a large batch cannot monopolize any single backend's admission queue.
 func (f *Fleet) runBatch(ctx context.Context, req *hwgc.BatchRequest) *hwgc.BatchResponse {
 	resp := &hwgc.BatchResponse{Items: make([]hwgc.BatchItemResult, len(req.Items))}
@@ -61,47 +61,35 @@ func (f *Fleet) runBatch(ctx context.Context, req *hwgc.BatchRequest) *hwgc.Batc
 	return resp
 }
 
+// runBatchItem runs one item as its collect points, each routed like a
+// sweep point (edge cache, owner semaphore, retry/failover), and reports
+// the item's result or its first failing point in core order.
 func (f *Fleet) runBatchItem(ctx context.Context, i int, it *hwgc.BatchItem) hwgc.BatchItemResult {
-	path, key, body, err := it.Prep()
+	key, pts, err := it.Points()
 	if err != nil {
 		return hwgc.BatchItemResult{Index: i, Status: http.StatusBadRequest, Error: err.Error()}
 	}
-
-	// Bounded per-backend concurrency: the semaphore of the item's primary
-	// owner gates the item, whichever replica ends up serving it.
-	owner := f.primaryFor(key)
-	if owner == nil {
-		return hwgc.BatchItemResult{Index: i, Key: key, Status: http.StatusServiceUnavailable,
-			Error: "no backend for key"}
+	body, _, failed := f.runItem(ctx, it, pts)
+	if failed != nil {
+		status, msg := failed.status()
+		return hwgc.BatchItemResult{Index: i, Key: key, Status: status, Error: msg}
 	}
-	select {
-	case owner.sem <- struct{}{}:
-		defer func() { <-owner.sem }()
-	case <-ctx.Done():
-		return hwgc.BatchItemResult{Index: i, Key: key, Status: http.StatusGatewayTimeout,
-			Error: fmt.Sprintf("batch deadline exceeded while waiting for backend slot: %v", ctx.Err())}
-	}
+	return hwgc.BatchItemResult{Index: i, Key: key, Status: http.StatusOK, Body: body}
+}
 
-	ictx, cancel := context.WithTimeout(ctx, f.opts.Timeout)
-	defer cancel()
-	res, err := f.do(ictx, http.MethodPost, path, key, body)
+// status maps a failed point onto a batch item's status and error.
+func (p *pointReply) status() (int, string) {
 	switch {
-	case err == nil && res.status == http.StatusOK:
-		return hwgc.BatchItemResult{Index: i, Key: key, Status: http.StatusOK, Body: res.body}
-	case err == nil || res.status != 0:
+	case p.err == nil || p.res.status != 0:
 		// An authoritative non-200 (400, or a surfaced 429/5xx after
 		// exhausting retries): report the backend's own status.
-		return hwgc.BatchItemResult{Index: i, Key: key, Status: res.status,
-			Error: itemError(res)}
-	case errors.Is(err, ErrNoBackends):
-		return hwgc.BatchItemResult{Index: i, Key: key, Status: http.StatusServiceUnavailable,
-			Error: err.Error()}
+		return p.res.status, itemError(p.res)
+	case errors.Is(p.err, ErrNoBackends):
+		return http.StatusServiceUnavailable, p.err.Error()
+	case errors.Is(p.err, context.DeadlineExceeded), errors.Is(p.err, context.Canceled):
+		return http.StatusGatewayTimeout, p.err.Error()
 	default:
-		status := http.StatusBadGateway
-		if ictx.Err() != nil {
-			status = http.StatusGatewayTimeout
-		}
-		return hwgc.BatchItemResult{Index: i, Key: key, Status: status, Error: err.Error()}
+		return http.StatusBadGateway, p.err.Error()
 	}
 }
 

@@ -101,7 +101,8 @@ func TestElasticChaosE2E(t *testing.T) {
 	victim := f.Backends()[0]
 	victimTS := backends[0]
 
-	// Build the job mix: sweeps are long enough to still be in flight when
+	// Build the job mix: one-core jlisp collects at scale 2 (about 61k
+	// simulated cycles each) are long enough to still be in flight when
 	// the chaos hits. At least four of them are owned by the victim, so the
 	// kill is guaranteed to strand work that only rescue/migration can save.
 	type chaosJob struct {
@@ -111,32 +112,32 @@ func TestElasticChaosE2E(t *testing.T) {
 		submit   []byte
 	}
 	var jobsList []chaosJob
-	mkSweep := func(seed int64) chaosJob {
-		req := hwgc.SweepRequest{Bench: "jlisp", Cores: []int{8, 4, 2, 1}, Seed: seed}
+	mkCollect := func(seed int64) chaosJob {
+		req := hwgc.CollectRequest{Bench: "jlisp", Scale: 2, Seed: seed, Config: hwgc.Config{Cores: 1}}
 		canon, err := req.CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return chaosJob{
 			id:       hwgc.KeyBytes(canon),
-			syncPath: "/v1/sweep",
+			syncPath: "/v1/collect",
 			syncBody: canon,
-			submit:   []byte(`{"Sweep":` + string(canon) + `}`),
+			submit:   []byte(`{"Collect":` + string(canon) + `}`),
 		}
 	}
 	victimOwned := 0
 	for seed := int64(1); victimOwned < 4 && seed < 10000; seed++ {
-		j := mkSweep(seed)
+		j := mkCollect(seed)
 		if f.primaryFor(j.id) == victim {
 			jobsList = append(jobsList, j)
 			victimOwned++
 		}
 	}
 	if victimOwned < 4 {
-		t.Fatal("could not find victim-owned sweep seeds")
+		t.Fatal("could not find victim-owned collect seeds")
 	}
 	for seed := int64(10001); len(jobsList) < 10; seed++ {
-		jobsList = append(jobsList, mkSweep(seed))
+		jobsList = append(jobsList, mkCollect(seed))
 	}
 
 	for i, j := range jobsList {
@@ -163,6 +164,29 @@ func TestElasticChaosE2E(t *testing.T) {
 	jres, jbody := post(fleet.URL+"/v1/admin/backends", joinBody)
 	if jres.StatusCode != http.StatusCreated {
 		t.Fatalf("join: %d: %s", jres.StatusCode, jbody)
+	}
+	// The victim-owned jobs (the first four) must all still be in flight,
+	// on the victim or already migrated to the joiner.
+	inFlight := map[string]bool{}
+	for _, ts := range append(backends, joiner) {
+		res, err := client.Get(ts.URL + "/v1/jobs?active=true")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var active struct{ Jobs []jobs.Info }
+		err = json.NewDecoder(res.Body).Decode(&active)
+		res.Body.Close()
+		if err != nil {
+			t.Fatalf("active list of %s: %v", ts.URL, err)
+		}
+		for _, info := range active.Jobs {
+			inFlight[info.ID] = true
+		}
+	}
+	for i, j := range jobsList[:4] {
+		if !inFlight[j.id] {
+			t.Fatalf("victim-owned job %d (%s) finished before the kill", i, j.id[:12])
+		}
 	}
 	victimTS.CloseClientConnections()
 	victimTS.Close()

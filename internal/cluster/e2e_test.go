@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -223,5 +224,136 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 	if survivors != 2 {
 		t.Errorf("only %d surviving backends took traffic, want 2", survivors)
+	}
+}
+
+// TestFleetSweepRoutesPointsByCollectKey: a default five-point /v1/sweep
+// through a three-backend fleet runs each point as a /v1/collect on the
+// ring owner of that point's collect key, so the points spread over more
+// than one backend; the assembled reply is byte-identical to a single
+// gcserved's; and an immediate repeat is answered entirely from cache.
+func TestFleetSweepRoutesPointsByCollectKey(t *testing.T) {
+	type exchange struct {
+		backend          int
+		path, key, cache string
+	}
+	var (
+		mu   sync.Mutex
+		seen []exchange
+		urls []string
+	)
+	for i := 0; i < 3; i++ {
+		s, _ := startGCServed(t)
+		i := i
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, r)
+			if r.URL.Path != "/healthz" {
+				mu.Lock()
+				seen = append(seen, exchange{i, r.URL.Path, hwgc.KeyBytes(body), rec.Header().Get("X-Cache")})
+				mu.Unlock()
+			}
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			_, _ = w.Write(rec.Body.Bytes())
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	_, reference := startGCServed(t)
+	f, err := New(Options{Backends: urls, HealthInterval: -1, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fleet := httptest.NewServer(f.Handler())
+	defer fleet.Close()
+
+	// Ring placement depends on the backends' (random) ports: take the
+	// first seed whose points have more than one owner, so the spread is
+	// there to observe.
+	var (
+		req   hwgc.SweepRequest
+		pts   []hwgc.SweepPoint
+		owner = map[string]string{} // point key -> owner base URL
+	)
+	for seed := int64(1); ; seed++ {
+		if seed > 100 {
+			t.Fatal("no seed in 1..100 spreads the points over two owners")
+		}
+		req = hwgc.SweepRequest{Bench: "jlisp", Seed: seed}
+		if pts, err = req.Points(); err != nil {
+			t.Fatal(err)
+		}
+		owners := map[string]bool{}
+		for _, p := range pts {
+			owner[p.Key] = f.primaryFor(p.Key).baseURL
+			owners[owner[p.Key]] = true
+		}
+		if len(owners) > 1 {
+			break
+		}
+	}
+	if len(pts) != len(hwgc.PaperCoreCounts) {
+		t.Fatalf("default sweep has %d points, want %d", len(pts), len(hwgc.PaperCoreCounts))
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepKey, _ := req.Key()
+	post := func(url string) (*http.Response, []byte) {
+		t.Helper()
+		res, err := http.Post(url+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		b, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", url, res.StatusCode, b)
+		}
+		return res, b
+	}
+	_, want := post(reference.URL)
+
+	for round, wantCache := range []string{"MISS", "HIT"} {
+		mu.Lock()
+		seen = nil
+		mu.Unlock()
+		res, got := post(fleet.URL)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round %d: fleet sweep differs from single-node gcserved", round)
+		}
+		if res.Header.Get("X-Cache") != wantCache || res.Header.Get("X-Cache-Key") != sweepKey {
+			t.Errorf("round %d: X-Cache %q, X-Cache-Key %q; want %q and the sweep key", round,
+				res.Header.Get("X-Cache"), res.Header.Get("X-Cache-Key"), wantCache)
+		}
+		if b := res.Header.Get("X-Fleet-Backend"); b != "" {
+			t.Errorf("round %d: assembled sweep names backend %q", round, b)
+		}
+		mu.Lock()
+		got1 := append([]exchange(nil), seen...)
+		mu.Unlock()
+		if len(got1) != len(pts) {
+			t.Fatalf("round %d: %d backend exchanges, want one per point (%d): %+v", round, len(got1), len(pts), got1)
+		}
+		used := map[int]bool{}
+		for _, ex := range got1 {
+			if ex.path != "/v1/collect" || urls[ex.backend] != owner[ex.key] || ex.cache != wantCache {
+				t.Errorf("round %d: exchange %+v; want a /v1/collect %s on owner %s", round, ex, wantCache, owner[ex.key])
+			}
+			used[ex.backend] = true
+		}
+		if len(used) < 2 {
+			t.Errorf("round %d: points ran on %d backend(s), want more than one", round, len(used))
+		}
 	}
 }

@@ -184,36 +184,12 @@ func TestEdgeCacheBoundsUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestEdgeCacheCollectSweepNoAlias: entries are qualified by endpoint, so a
-// collect entry can never answer a sweep with the same content key.
-func TestEdgeCacheCollectSweepNoAlias(t *testing.T) {
-	fb := newFakeBackend(t, 0)
-	f, _ := newTestFleet(t, Options{}, fb)
-	req := hwgc.SweepRequest{Bench: "jlisp", Cores: []int{1, 2}, Seed: 9}
-	canon, err := req.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := hwgc.KeyBytes(canon)
-	// A collect entry under the sweep's content key.
-	f.edge.PutOrigin(edgeKey("/v1/collect", key), "b0", []byte(`"collect"`))
-	for i := 0; i < 3; i++ {
-		rec := fleetPost(t, f.Handler(), "/v1/sweep", canon)
-		want := fmt.Sprintf(`{"Echo":%q,"Path":"/v1/sweep"}`, key)
-		if rec.Code != http.StatusOK || rec.Body.String() != want {
-			t.Fatalf("sweep request %d: %d %s, want the sweep's own reply", i+1, rec.Code, rec.Body.String())
-		}
-	}
-	if fb.requests.Load() != 2 || f.metrics.cacheHits.Load() != 1 {
-		t.Errorf("exchanges %d, hits %d; want 2 and 1", fb.requests.Load(), f.metrics.cacheHits.Load())
-	}
-}
-
 // TestEdgeCacheHitMatchesBackend runs the fleet over live gcserved
 // backends: for a collect and a sweep, the fleet hit carries the same body
-// and the same four headers as the proxied backend hit before it, reaches no
-// backend, and (for the collect) equals the in-process
-// NewCollectResponse+Encode bytes.
+// and headers as the reply before it, whose points all hit a backend
+// cache, reaches no backend, and equals the in-process
+// NewCollectResponse/NewSweepResponse+Encode bytes. An assembled sweep
+// names no backend: its points may come from several.
 func TestEdgeCacheHitMatchesBackend(t *testing.T) {
 	var exchanges atomic.Int64
 	var urls []string
@@ -239,16 +215,24 @@ func TestEdgeCacheHitMatchesBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref bytes.Buffer
+	var ref, sweepRef bytes.Buffer
 	if err := resp.Encode(&ref); err != nil {
+		t.Fatal(err)
+	}
+	sresp, err := hwgc.NewSweepResponse(hwgc.SweepRequest{Bench: "jlisp", Cores: []int{1, 2}, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sresp.Encode(&sweepRef); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		path, body string
 		ref        []byte
+		headers    []string
 	}{
-		{"/v1/collect", `{"Bench":"jlisp","Seed":4,"Config":{"Cores":2}}`, ref.Bytes()},
-		{"/v1/sweep", `{"Bench":"jlisp","Cores":[1,2],"Seed":4,"Config":{}}`, nil},
+		{"/v1/collect", `{"Bench":"jlisp","Seed":4,"Config":{"Cores":2}}`, ref.Bytes(), edgeHeaders},
+		{"/v1/sweep", `{"Bench":"jlisp","Cores":[1,2],"Seed":4,"Config":{}}`, sweepRef.Bytes(), edgeHeaders[:3]},
 	} {
 		post := func() (http.Header, []byte) {
 			t.Helper()
@@ -266,7 +250,9 @@ func TestEdgeCacheHitMatchesBackend(t *testing.T) {
 			}
 			return res.Header, b
 		}
-		post() // first sighting: proxied, backend MISS
+		if hdr, _ := post(); hdr.Get("X-Cache") != "MISS" { // first sighting: proxied, backend MISS
+			t.Fatalf("%s: first reply X-Cache %q, want MISS", tc.path, hdr.Get("X-Cache"))
+		}
 		proxiedHdr, proxied := post()
 		if proxiedHdr.Get("X-Cache") != "HIT" {
 			t.Fatalf("%s: second reply X-Cache %q, want the owner's HIT", tc.path, proxiedHdr.Get("X-Cache"))
@@ -279,12 +265,20 @@ func TestEdgeCacheHitMatchesBackend(t *testing.T) {
 		if !bytes.Equal(hit, proxied) {
 			t.Errorf("%s: fleet hit body differs from the proxied reply", tc.path)
 		}
-		if tc.ref != nil && !bytes.Equal(hit, tc.ref) {
+		if !bytes.Equal(hit, tc.ref) {
 			t.Errorf("%s: fleet hit body differs from the in-process reference", tc.path)
 		}
-		for _, h := range edgeHeaders {
+		for _, h := range tc.headers {
 			if got, want := hitHdr.Get(h), proxiedHdr.Get(h); got != want || got == "" {
 				t.Errorf("%s: header %s = %q on the fleet hit, %q on the proxied reply", tc.path, h, got, want)
+			}
+		}
+		if tc.path == "/v1/sweep" {
+			if b := hitHdr.Get("X-Fleet-Backend") + proxiedHdr.Get("X-Fleet-Backend"); b != "" {
+				t.Errorf("assembled sweep names backend %q", b)
+			}
+			if key, _ := (&hwgc.SweepRequest{Bench: "jlisp", Cores: []int{1, 2}, Seed: 4}).Key(); hitHdr.Get("X-Cache-Key") != key {
+				t.Errorf("sweep X-Cache-Key %q, want the sweep key %q", hitHdr.Get("X-Cache-Key"), key)
 			}
 		}
 	}
@@ -302,19 +296,24 @@ func TestFleetDecodesLikeGCServed(t *testing.T) {
 	fleet := httptest.NewServer(f.Handler())
 	defer fleet.Close()
 
-	status := func(url, body string) int {
+	status := func(url, body string) (int, []byte) {
 		t.Helper()
 		res, err := http.Post(url, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _ = io.Copy(io.Discard, res.Body)
-		res.Body.Close()
-		return res.StatusCode
+		defer res.Body.Close()
+		b, err := io.ReadAll(res.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.StatusCode, b
 	}
 	collect := `{"Bench":"jlisp","Config":{"Cores":2}}`
 	sweep := `{"Bench":"jlisp","Cores":[1,2],"Config":{}}`
 	space := `{"Space":{"Benches":["jlisp"],"Seeds":[5],"Base":{},"Axes":[{"Field":"Cores","Values":[1]}]}}`
+	// Rows whose replies must also be byte-identical on both tiers.
+	sameBody := map[string]bool{"sweep trailing newline": true, "sweep invalid core count": true, "job sweep body": true}
 	for _, tc := range []struct {
 		name, path, body string
 		want             int
@@ -329,20 +328,25 @@ func TestFleetDecodesLikeGCServed(t *testing.T) {
 		{"sweep trailing value", "/v1/sweep", sweep + ` {}`, http.StatusBadRequest},
 		{"sweep non-JSON", "/v1/sweep", `[`, http.StatusBadRequest},
 		{"sweep trailing newline", "/v1/sweep", sweep + "\n", http.StatusOK},
+		{"sweep invalid core count", "/v1/sweep", `{"Bench":"jlisp","Cores":[2,0],"Config":{}}`, http.StatusBadRequest},
 		{"job unknown field", "/v1/jobs", `{"Collect":` + collect + `,"Bogus":1}`, http.StatusBadRequest},
 		{"job unknown nested field", "/v1/jobs", `{"Collect":{"Bench":"javac","Config":{"Coress":16}}}`, http.StatusBadRequest},
 		{"job trailing value", "/v1/jobs", `{"Collect":` + collect + `} {}`, http.StatusBadRequest},
 		{"job non-JSON", "/v1/jobs", `nope`, http.StatusBadRequest},
+		{"job sweep body", "/v1/jobs", `{"Sweep":` + sweep + `}`, http.StatusBadRequest},
 		{"sweeps unknown field", "/v1/sweeps", strings.TrimSuffix(space, "}") + `,"Bogus":1}`, http.StatusBadRequest},
 		{"sweeps unknown nested field", "/v1/sweeps", `{"Space":{"Benches":["jlisp"],"Seedz":[5]}}`, http.StatusBadRequest},
 		{"sweeps trailing value", "/v1/sweeps", space + ` {}`, http.StatusBadRequest},
 		{"sweeps non-JSON", "/v1/sweeps", `nope`, http.StatusBadRequest},
 		{"sweeps trailing newline", "/v1/sweeps", space + "\n", http.StatusAccepted},
 	} {
-		direct := status(backend.URL+tc.path, tc.body)
-		via := status(fleet.URL+tc.path, tc.body)
+		direct, directBody := status(backend.URL+tc.path, tc.body)
+		via, viaBody := status(fleet.URL+tc.path, tc.body)
 		if direct != tc.want || via != direct {
 			t.Errorf("%s: fleet status %d, gcserved status %d, want both %d", tc.name, via, direct, tc.want)
+		}
+		if sameBody[tc.name] && !bytes.Equal(viaBody, directBody) {
+			t.Errorf("%s: fleet body %s, gcserved body %s", tc.name, viaBody, directBody)
 		}
 	}
 }
@@ -359,7 +363,7 @@ func TestFleetRejectsOversizedReply(t *testing.T) {
 		}
 		exchanges.Add(1)
 		n := limit
-		if r.URL.Path == "/v1/collect" {
+		if r.URL.Path != "/v1/workloads" {
 			n++
 		}
 		w.Write(bytes.Repeat([]byte("x"), n))
@@ -384,7 +388,8 @@ func TestFleetRejectsOversizedReply(t *testing.T) {
 	if b := f.Backends()[0]; b.breaker.State() != BreakerClosed || b.errors.Load() != 0 {
 		t.Errorf("an oversized reply was charged to the backend as a failure")
 	}
-	rec := fleetPost(t, f.Handler(), "/v1/sweep", []byte(`{"Bench":"jlisp","Cores":[1],"Config":{}}`))
+	rec := httptest.NewRecorder()
+	f.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/workloads", nil))
 	if rec.Code != http.StatusOK || rec.Body.Len() != limit {
 		t.Errorf("reply at the limit: status %d, %d bytes; want 200 and %d", rec.Code, rec.Body.Len(), limit)
 	}

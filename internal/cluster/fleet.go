@@ -23,9 +23,13 @@
 //     point's job to its cache-owning backend by content key, and
 //     aggregates the ranked frontier locally — byte-identical to what a
 //     single backend would serve for the same space;
-//   - an edge result cache for /v1/collect and /v1/sweep: a key's terminal
-//     200 reply is stored at the fleet on its second sighting, and later
-//     requests for it are answered with no backend exchange;
+//   - core sweeps (/v1/sweep and batch sweep items) as their collect
+//     points: each point is routed to its own collect-key owner and the
+//     reply is assembled at the fleet, byte-identical to one gcserved's;
+//   - an edge result cache for collects (/v1/collect and sweep points): a
+//     key's terminal 200 reply is stored at the fleet on its second
+//     sighting, and later requests for it are answered with no backend
+//     exchange;
 //   - fleet-level Prometheus metrics on /metrics.
 //
 // The design follows the paper's synchronization discipline at fleet
@@ -104,9 +108,9 @@ type Options struct {
 	// SweepPoll is the per-point result poll interval of the fleet sweep
 	// runner (default 250ms; tests shrink it).
 	SweepPoll time.Duration
-	// CacheEntries / CacheBytes bound the edge result cache for /v1/collect
-	// and /v1/sweep, as on gcserved (defaults 1024 entries and 64 MiB); a
-	// negative value disables it.
+	// CacheEntries / CacheBytes bound the edge result cache for collects
+	// (/v1/collect and sweep points), as on gcserved (defaults 1024 entries
+	// and 64 MiB); a negative value disables it.
 	CacheEntries int
 	CacheBytes   int64
 }
@@ -457,8 +461,8 @@ func (f *Fleet) send(ctx context.Context, b *Backend, method, path string, body 
 	return sendResult{backend: b, status: resp.StatusCode, header: resp.Header, body: data}
 }
 
-// maxProxyBodyBytes bounds a proxied response body (sweeps over many cores
-// are the largest; 64 MiB is far above any real reply).
+// maxProxyBodyBytes bounds a proxied response body (64 MiB is far above
+// any real reply).
 const maxProxyBodyBytes = 64 << 20
 
 // errReplyTooLarge fails an exchange whose reply body exceeds the proxy

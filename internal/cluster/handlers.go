@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"sync"
 
 	"hwgc"
 	"hwgc/internal/plan"
@@ -52,68 +52,153 @@ func requireGet(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// handleCollect and handleSweep serve the single-request endpoints: the
-// fleet decodes as strictly as gcserved and canonicalizes locally (so
-// equivalent spellings share one key and one owner), answers from its edge
-// cache when it can, and otherwise routes by content key and forwards the
-// canonical body. Either way the reply body is the backend's verbatim —
-// byte-identical to what the owner would serve directly.
+// handleCollect serves POST /v1/collect: the fleet decodes as strictly as
+// gcserved and canonicalizes locally (so equivalent spellings share one key
+// and one owner), answers from its edge cache when it can, and otherwise
+// routes by content key and forwards the canonical body. Either way the
+// reply body is the backend's verbatim — byte-identical to what the owner
+// would serve directly.
 func (f *Fleet) handleCollect(w http.ResponseWriter, r *http.Request) {
-	f.proxyRequest(w, r, func(body io.Reader) ([]byte, error) {
-		var req hwgc.CollectRequest
-		if err := plan.DecodeStrict(body, &req); err != nil {
-			return nil, err
-		}
-		return req.CanonicalJSON()
-	})
-}
-
-func (f *Fleet) handleSweep(w http.ResponseWriter, r *http.Request) {
-	f.proxyRequest(w, r, func(body io.Reader) ([]byte, error) {
-		var req hwgc.SweepRequest
-		if err := plan.DecodeStrict(body, &req); err != nil {
-			return nil, err
-		}
-		return req.CanonicalJSON()
-	})
-}
-
-// proxyRequest is the shared single-request path.
-func (f *Fleet) proxyRequest(w http.ResponseWriter, r *http.Request, canonicalize func(io.Reader) ([]byte, error)) {
 	if !requirePost(w, r) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	canon, err := canonicalize(r.Body)
+	var req hwgc.CollectRequest
+	err := plan.DecodeStrict(r.Body, &req)
+	var canon []byte
+	if err == nil {
+		canon, err = req.CanonicalJSON()
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
 	key := hwgc.KeyBytes(canon)
-	ek := edgeKey(r.URL.Path, key)
-	admit := false
-	if f.edge != nil {
-		if body, backend, ok := f.edge.GetOrigin(ek); ok {
-			f.metrics.cacheHits.Add(1)
-			// The header set of a proxied backend hit.
-			h := w.Header()
-			h.Set("Content-Type", "application/json")
-			h.Set("X-Cache", "HIT")
-			h.Set("X-Cache-Key", key)
-			h.Set("X-Fleet-Backend", backend)
-			_, _ = w.Write(body)
-			return
-		}
-		f.metrics.cacheMisses.Add(1)
-		admit = f.edge.sighted(ek)
+	body, origin, hit, admit := f.edgeGet(key)
+	if hit {
+		// The header set of a proxied backend hit.
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("X-Cache", "HIT")
+		h.Set("X-Cache-Key", key)
+		h.Set("X-Fleet-Backend", origin)
+		_, _ = w.Write(body)
+		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
 	defer cancel()
-	res, err := f.do(ctx, http.MethodPost, r.URL.Path, key, canon)
-	if admit && err == nil && res.status == http.StatusOK {
-		f.edge.PutOrigin(ek, res.backend.id, res.body)
-	}
+	res, err := f.do(ctx, http.MethodPost, "/v1/collect", key, canon)
+	f.edgePut(admit, key, res, err)
 	f.finishProxy(w, res, err)
+}
+
+// handleSweep serves POST /v1/sweep by its collect points: the sweep is
+// canonicalized and expanded here (an invalid one is rejected before any
+// fan-out), every point is answered from the edge cache or routed to its
+// own collect-key owner, and the points' bodies are assembled into the
+// same reply bytes a single gcserved produces. X-Cache is HIT only when
+// every point was a hit; a failure is the first failing point's reply, in
+// core order.
+func (f *Fleet) handleSweep(w http.ResponseWriter, r *http.Request) {
+	if !requirePost(w, r) {
+		return
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var req hwgc.SweepRequest
+	err := plan.DecodeStrict(r.Body, &req)
+	var pts []hwgc.SweepPoint
+	if err == nil {
+		pts, err = req.Points()
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
+	defer cancel()
+	body, cached, failed := f.runItem(ctx, &hwgc.BatchItem{Sweep: &req}, pts)
+	if failed != nil {
+		f.finishProxy(w, failed.res, failed.err)
+		return
+	}
+	key, _ := req.Key()
+	state := "MISS"
+	if cached {
+		state = "HIT"
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("X-Cache", state)
+	h.Set("X-Cache-Key", key)
+	_, _ = w.Write(body)
+}
+
+// pointReply is the outcome of one collect point routed by routePoint.
+type pointReply struct {
+	res sendResult
+	err error
+	hit bool // answered by the edge cache or a backend cache
+}
+
+// runItem routes the collect points of a collect or a sweep concurrently.
+// The body is the collect's own, or the sweep's assembled from its points
+// in core order; cached reports whether every point was a cache hit. A
+// failure is the first failing point in core order.
+func (f *Fleet) runItem(ctx context.Context, it *hwgc.BatchItem, pts []hwgc.SweepPoint) (body []byte, cached bool, failed *pointReply) {
+	replies := make([]pointReply, len(pts))
+	var wg sync.WaitGroup
+	for i := range pts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			replies[i] = f.routePoint(ctx, pts[i].Key, pts[i].Canonical)
+		}(i)
+	}
+	wg.Wait()
+	bodies := make([][]byte, len(pts))
+	cached = true
+	for i := range replies {
+		if replies[i].err != nil || replies[i].res.status != http.StatusOK {
+			return nil, false, &replies[i]
+		}
+		bodies[i] = replies[i].res.body
+		cached = cached && replies[i].hit
+	}
+	if it.Sweep == nil {
+		return bodies[0], cached, nil
+	}
+	body, err := it.Sweep.ResponseBody(bodies)
+	if err != nil {
+		return nil, false, &pointReply{err: err}
+	}
+	return body, cached, nil
+}
+
+// routePoint answers one collect point of a sweep or batch: from the edge
+// cache when it can, and otherwise from the key's ring owner, under that
+// owner's semaphore (which bounds how many points of all sweeps and
+// batches one backend has in flight) and the standard retry/failover
+// policy, with a fresh deadline once the slot is held.
+func (f *Fleet) routePoint(ctx context.Context, key string, canon []byte) pointReply {
+	body, _, hit, admit := f.edgeGet(key)
+	if hit {
+		return pointReply{res: sendResult{status: http.StatusOK, body: body}, hit: true}
+	}
+	owner := f.primaryFor(key)
+	if owner == nil {
+		return pointReply{err: ErrNoBackends}
+	}
+	select {
+	case owner.sem <- struct{}{}:
+		defer func() { <-owner.sem }()
+	case <-ctx.Done():
+		return pointReply{err: fmt.Errorf("deadline exceeded while waiting for backend slot: %w", ctx.Err())}
+	}
+	pctx, cancel := context.WithTimeout(ctx, f.opts.Timeout)
+	defer cancel()
+	res, err := f.do(pctx, http.MethodPost, "/v1/collect", key, canon)
+	f.edgePut(admit, key, res, err)
+	return pointReply{res: res, err: err, hit: err == nil && res.header.Get("X-Cache") == "HIT"}
 }
 
 // finishProxy maps a routing outcome onto the client response.

@@ -9,16 +9,9 @@ import (
 	"strings"
 
 	"hwgc"
+	"hwgc/internal/jobs"
 	"hwgc/internal/plan"
 )
-
-// jobSubmit mirrors gcserved's POST /v1/jobs body: exactly one of Collect
-// or Sweep, plus an optional priority class.
-type jobSubmit struct {
-	Collect *hwgc.CollectRequest `json:",omitempty"`
-	Sweep   *hwgc.SweepRequest   `json:",omitempty"`
-	Class   string               `json:",omitempty"`
-}
 
 // handleJobs proxies POST /v1/jobs. The fleet canonicalizes the inner
 // request locally and routes by its content key — which is exactly the job
@@ -32,30 +25,14 @@ func (f *Fleet) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var sub jobSubmit
+	var sub jobs.SubmitRequest
 	if err := plan.DecodeStrict(r.Body, &sub); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	if (sub.Collect == nil) == (sub.Sweep == nil) {
-		writeError(w, http.StatusBadRequest, "exactly one of Collect or Sweep must be set")
-		return
-	}
-	var (
-		canon []byte
-		err   error
-	)
-	if sub.Collect != nil {
-		if _, err = sub.Collect.Key(); err == nil { // canonicalizes in place
-			canon, err = sub.Collect.CanonicalJSON()
-		}
-	} else {
-		if _, err = sub.Sweep.Key(); err == nil { // canonicalizes in place
-			canon, err = sub.Sweep.CanonicalJSON()
-		}
-	}
+	canon, err := sub.Canonical()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	key := hwgc.KeyBytes(canon)
@@ -64,17 +41,10 @@ func (f *Fleet) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// equivalent spelling forwards identical bytes (the backend then mints
 	// the identical job ID). Class validation is left to the backend — its
 	// 400 is authoritative and passes through.
-	fwd := struct {
-		Collect json.RawMessage `json:",omitempty"`
-		Sweep   json.RawMessage `json:",omitempty"`
-		Class   string          `json:",omitempty"`
-	}{Class: sub.Class}
-	if sub.Collect != nil {
-		fwd.Collect = canon
-	} else {
-		fwd.Sweep = canon
-	}
-	body, err := json.Marshal(fwd)
+	body, err := json.Marshal(struct {
+		Collect json.RawMessage
+		Class   string `json:",omitempty"`
+	}{canon, sub.Class})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding request: %v", err)
 		return

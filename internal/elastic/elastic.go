@@ -214,8 +214,8 @@ func (m *Migrator) migrate(ctx context.Context, src, dst BackendInfo, id string,
 	if receipt.Info.ID != id {
 		return fmt.Errorf("import receipt names job %s", receipt.Info.ID)
 	}
-	if receipt.Accepted && receipt.Info.Point != env.Point {
-		return fmt.Errorf("import adopted point %d, exported %d", receipt.Info.Point, env.Point)
+	if receipt.Accepted && receipt.Info.Cycle != env.Cycle {
+		return fmt.Errorf("import adopted cycle %d, exported %d", receipt.Info.Cycle, env.Cycle)
 	}
 	rep.Verified++
 	m.metric(func(mm *Metrics) { mm.migrationsVerified.Add(1) })
@@ -244,7 +244,6 @@ type jobListBody struct {
 type importReceipt struct {
 	Info     jobs.Info
 	Accepted bool
-	Point    int
 	Cycle    int64
 	SnapCRC  uint32
 }

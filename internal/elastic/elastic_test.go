@@ -104,9 +104,9 @@ func planFor(src, dst BackendInfo, ownerOrder ...string) Plan {
 func TestRebalanceZeroLossOrdering(t *testing.T) {
 	src := newScriptedBackend(t)
 	dst := newScriptedBackend(t)
-	src.list = []jobs.Info{{ID: testJobID, State: jobs.StateCheckpointed, Point: 1}}
-	src.envelope = &jobs.ExportedJob{V: 1, ID: testJobID, State: jobs.StateCheckpointed, Point: 1}
-	dst.receipt = &importReceipt{Info: jobs.Info{ID: testJobID, Point: 1}, Accepted: true, Point: 1}
+	src.list = []jobs.Info{{ID: testJobID, State: jobs.StateCheckpointed, Cycle: 500}}
+	src.envelope = &jobs.ExportedJob{V: 2, ID: testJobID, State: jobs.StateCheckpointed, Cycle: 500}
+	dst.receipt = &importReceipt{Info: jobs.Info{ID: testJobID, Cycle: 500}, Accepted: true, Cycle: 500}
 
 	met := NewMetrics()
 	m := &Migrator{Metrics: met, Logf: t.Logf}
@@ -156,9 +156,9 @@ func TestRebalanceZeroLossOrdering(t *testing.T) {
 func TestRebalanceVerifyGate(t *testing.T) {
 	src := newScriptedBackend(t)
 	dst := newScriptedBackend(t)
-	src.list = []jobs.Info{{ID: testJobID, State: jobs.StateCheckpointed, Point: 2}}
-	src.envelope = &jobs.ExportedJob{V: 1, ID: testJobID, State: jobs.StateCheckpointed, Point: 2}
-	dst.receipt = &importReceipt{Info: jobs.Info{ID: testJobID, Point: 0}, Accepted: true, Point: 0}
+	src.list = []jobs.Info{{ID: testJobID, State: jobs.StateCheckpointed, Cycle: 1000}}
+	src.envelope = &jobs.ExportedJob{V: 2, ID: testJobID, State: jobs.StateCheckpointed, Cycle: 1000}
+	dst.receipt = &importReceipt{Info: jobs.Info{ID: testJobID, Cycle: 0}, Accepted: true, Cycle: 0}
 
 	m := &Migrator{Logf: t.Logf}
 	rep := m.Rebalance(context.Background(), planFor(src.info("src"), dst.info("dst"), "dst"))
@@ -256,10 +256,10 @@ func TestRebalanceAvoidsInadmissibleDestination(t *testing.T) {
 	tripped := newScriptedBackend(t)
 	trippedInfo := tripped.info("tripped")
 	trippedInfo.Admissible = false
-	tripped.list = []jobs.Info{{ID: testJobID, State: jobs.StateCheckpointed, Point: 0}}
-	tripped.envelope = &jobs.ExportedJob{V: 1, ID: testJobID, State: jobs.StateCheckpointed, Point: 0}
+	tripped.list = []jobs.Info{{ID: testJobID, State: jobs.StateCheckpointed}}
+	tripped.envelope = &jobs.ExportedJob{V: 2, ID: testJobID, State: jobs.StateCheckpointed}
 	healthy := newScriptedBackend(t)
-	healthy.receipt = &importReceipt{Info: jobs.Info{ID: testJobID, Point: 0}, Accepted: true}
+	healthy.receipt = &importReceipt{Info: jobs.Info{ID: testJobID}, Accepted: true}
 
 	m := &Migrator{Logf: t.Logf}
 	p := Plan{

@@ -8,11 +8,15 @@ import (
 	"path/filepath"
 )
 
-// A job's checkpoint file holds one suspended collection point: which sweep
-// point it is, the clock cycle reached, and the machine snapshot produced by
-// RequestCollection.Snapshot. The framing follows the WAL's convention:
+// A job's checkpoint file holds one suspended collection: the clock cycle
+// reached and the machine snapshot produced by RequestCollection.Snapshot.
+// The framing follows the WAL's convention:
 //
 //	file = magic "HWGCJCK1" | u32 point | u64 cycle | u32 snapLen | snap | u32 crc32(IEEE, snap)
+//
+// The point field is always written as 0. It numbered the points of the
+// sweep jobs older versions ran; a file with a non-zero point belongs to
+// such a job and is stale.
 //
 // Files are written to a temp name, fsynced and renamed, so a crash leaves
 // either the previous checkpoint or the new one — never a torn file. An
@@ -25,7 +29,6 @@ const (
 
 // checkpoint is one decoded job checkpoint.
 type checkpoint struct {
-	Point int
 	Cycle int64
 	Snap  []byte
 }
@@ -40,7 +43,7 @@ func (m *Manager) ckptPath(id string) string {
 func writeCheckpoint(path string, ck checkpoint) error {
 	buf := make([]byte, 0, len(ckptMagic)+16+len(ck.Snap)+4)
 	buf = append(buf, ckptMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ck.Point))
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // point, see above
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(ck.Cycle))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ck.Snap)))
 	buf = append(buf, ck.Snap...)
@@ -75,10 +78,10 @@ func readCheckpoint(path string) (checkpoint, error) {
 		return checkpoint{}, fmt.Errorf("jobs: %s: bad checkpoint header", path)
 	}
 	off := len(ckptMagic)
-	ck := checkpoint{
-		Point: int(binary.LittleEndian.Uint32(data[off:])),
-		Cycle: int64(binary.LittleEndian.Uint64(data[off+4:])),
+	if point := binary.LittleEndian.Uint32(data[off:]); point != 0 {
+		return checkpoint{}, fmt.Errorf("jobs: %s: stale checkpoint of sweep point %d", path, point)
 	}
+	ck := checkpoint{Cycle: int64(binary.LittleEndian.Uint64(data[off+4:]))}
 	n := int(binary.LittleEndian.Uint32(data[off+12:]))
 	body := data[hdr:]
 	if n < 0 || len(body) != n+4 {

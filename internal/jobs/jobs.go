@@ -6,7 +6,7 @@
 // across priority classes with weighted fair queuing and anti-starvation
 // aging, and long-running collections are preempted at checkpoint
 // boundaries — reusing the snapshot machinery of hwgc.Collection — when
-// higher-priority work is waiting, so a 16-core sweep no longer blocks a
+// higher-priority work is waiting, so a long collection no longer blocks a
 // one-shot collect.
 //
 // The design carries the paper's synchronization discipline to the job
@@ -31,11 +31,13 @@
 package jobs
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
 
+	"hwgc"
 	"hwgc/internal/events"
 )
 
@@ -61,11 +63,41 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled || s == StateMigrated
 }
 
-// Job kinds.
-const (
-	KindCollect = "collect"
-	KindSweep   = "sweep"
-)
+// KindCollect is the kind of every job: one collection. Core sweeps run as
+// one collect job per point (POST /v1/sweep, /v1/sweeps). A WAL written
+// before sweeps ran that way may still hold "sweep" jobs: a finished one
+// keeps serving its stored body until retention compaction drops it, and
+// an unfinished one is failed when the WAL is replayed.
+const KindCollect = "collect"
+
+// SubmitRequest is the POST /v1/jobs body on both serving tiers: one
+// collect plus an optional priority class (default: the first configured
+// class). Sweep is decoded only so that a sweep body is answered with
+// ErrSweepJob instead of an unknown-field error.
+type SubmitRequest struct {
+	Collect *hwgc.CollectRequest `json:",omitempty"`
+	Sweep   *hwgc.SweepRequest   `json:",omitempty"`
+	Class   string               `json:",omitempty"`
+}
+
+// ErrSweepJob rejects a POST /v1/jobs body that carries a core sweep.
+var ErrSweepJob = errors.New("sweep jobs are not supported: POST a core sweep to /v1/sweep, or a SweepSpace to /v1/sweeps; both run each point as a collect job")
+
+// Canonical canonicalizes the body's collect in place and returns its
+// canonical bytes. An error is the 400 message both tiers answer with.
+func (r *SubmitRequest) Canonical() ([]byte, error) {
+	switch {
+	case r.Sweep != nil:
+		return nil, ErrSweepJob
+	case r.Collect == nil:
+		return nil, errors.New("Collect must be set")
+	}
+	canonical, err := r.Collect.CanonicalJSON()
+	if err != nil {
+		return nil, fmt.Errorf("invalid request: %w", err)
+	}
+	return canonical, nil
+}
 
 // ClassConfig names one priority class and its fair-share weight. A class
 // with weight w receives w shares of runner time while backlogged, and its
@@ -127,15 +159,11 @@ func ParseClasses(spec string) ([]ClassConfig, error) {
 // GET /v1/jobs/{id} and embedded in submit responses and SSE events.
 type Info struct {
 	ID    string
-	Kind  string // "collect" or "sweep"
+	Kind  string // KindCollect ("sweep" only for a job replayed from an old WAL)
 	Class string
 	State State
-	// Point/Points report sweep progress (completed points / total points);
-	// for collect jobs Points is 1.
-	Point  int
-	Points int
-	// Cycle is the clock cycle of the newest checkpoint within the current
-	// point (0 before the first checkpoint).
+	// Cycle is the clock cycle of the job's newest checkpoint (0 before the
+	// first checkpoint).
 	Cycle int64
 	// Preemptions counts how many times this job was preempted at a
 	// checkpoint boundary.
@@ -152,7 +180,6 @@ type Event struct {
 	Seq   int64
 	Time  time.Time
 	State State
-	Point int
 	Cycle int64
 	Error string `json:",omitempty"`
 }
@@ -166,11 +193,11 @@ func (ev Event) Stamped(seq int64, at time.Time) Event {
 
 func (ev Event) Frame() (int64, string, bool) { return ev.Seq, string(ev.State), ev.State.Terminal() }
 
-// newEventLog returns a job's event log. The history is bounded: sweep
-// jobs emit one event per point transition and preemption, so 256 events
-// comfortably cover MaxSweepPoints plus pathological preemption storms. A
-// subscriber (a stalled SSE client) that falls 32 events behind loses
-// events rather than blocking the runner; the WAL is the record.
+// newEventLog returns a job's event log. The history is bounded: a job
+// emits one event per transition, so 256 events comfortably cover
+// pathological preemption storms. A subscriber (a stalled SSE client) that
+// falls 32 events behind loses events rather than blocking the runner; the
+// WAL is the record.
 func newEventLog(clock func() time.Time) *events.Log[Event] {
 	return events.NewLog[Event](clock, 256, 32)
 }

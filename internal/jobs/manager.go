@@ -58,8 +58,8 @@ type Options struct {
 	Aging float64
 	// OnResult, when set, is called with no manager locks held for every
 	// job that completes here: its ID, its encoded result body and, for a
-	// collection this manager ran, the response (nil for sweeps and for
-	// results imported already finished). A job run here is reported before
+	// collection this manager ran, the response (nil for results imported
+	// already finished). A job run here is reported before
 	// its done transition is published, so a waiter woken by that
 	// transition sees the hook's effects. gcserved uses it to fill its
 	// result cache and its collect scenario series.
@@ -93,22 +93,19 @@ func (o Options) withDefaults() Options {
 // the runner polls at checkpoint boundaries without taking the lock.
 type job struct {
 	ID    string
-	Kind  string // KindCollect or KindSweep
+	Kind  string // KindCollect, or "sweep" for a job replayed from an old WAL
 	Class string
 	Req   json.RawMessage // canonical request JSON (the bytes the ID hashes)
 
 	State       State
-	Point       int // completed sweep points (0 for an unstarted job)
-	Points      int // total points (1 for collect)
 	Cycle       int64
 	Preemptions int64
 	ErrMsg      string
 	ResultBody  []byte
-	Results     []hwgc.RunResult // completed sweep point results, in order
 	Submitted   time.Time
 	Started     time.Time
 	Finished    time.Time
-	HasCkpt     bool // a checkpoint file exists for the current point
+	HasCkpt     bool // a checkpoint file exists for the job
 
 	preempt    atomic.Bool  // yield at the next checkpoint boundary
 	cancel     atomic.Bool  // cancel at the next checkpoint boundary
@@ -119,8 +116,8 @@ type job struct {
 }
 
 // emit records one lifecycle event on j's stream.
-func (j *job) emit(state State, point int, cycle int64, errMsg string) {
-	j.events.Emit(Event{State: state, Point: point, Cycle: cycle, Error: errMsg})
+func (j *job) emit(state State, cycle int64, errMsg string) {
+	j.events.Emit(Event{State: state, Cycle: cycle, Error: errMsg})
 }
 
 // Manager owns the job table, the WAL, the scheduler and the runner pool.
@@ -213,25 +210,6 @@ func Open(opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// countPoints returns how many collection points a canonical request runs.
-func countPoints(kind string, req json.RawMessage) (int, error) {
-	switch kind {
-	case KindCollect:
-		return 1, nil
-	case KindSweep:
-		var sr hwgc.SweepRequest
-		if err := json.Unmarshal(req, &sr); err != nil {
-			return 0, err
-		}
-		if len(sr.Cores) == 0 || len(sr.Cores) > hwgc.MaxSweepPoints {
-			return 0, fmt.Errorf("jobs: sweep request has %d points", len(sr.Cores))
-		}
-		return len(sr.Cores), nil
-	default:
-		return 0, fmt.Errorf("jobs: unknown kind %q", kind)
-	}
-}
-
 // recover rebuilds the job table from replayed WAL records, reconciles it
 // with the on-disk checkpoints, compacts the log and re-admits unfinished
 // work.
@@ -252,13 +230,9 @@ func (m *Manager) recover(recs []walRecord) error {
 				// the default class rather than stranding the job.
 				class = m.opts.Classes[0].Name
 			}
-			points, err := countPoints(rec.Kind, rec.Request)
-			if err != nil {
-				return fmt.Errorf("jobs: WAL job %s: %w", rec.ID, err)
-			}
 			j := &job{
 				ID: rec.ID, Kind: rec.Kind, Class: class, Req: rec.Request,
-				State: StateQueued, Points: points, Submitted: rec.At,
+				State: StateQueued, Submitted: rec.At,
 				events: newEventLog(m.opts.Clock),
 			}
 			m.jobs[rec.ID] = j
@@ -289,19 +263,8 @@ func (m *Manager) recover(recs []walRecord) error {
 				return fmt.Errorf("jobs: WAL job %s: bad state %q", rec.ID, rec.State)
 			}
 		case recPoint:
-			j := m.jobs[rec.ID]
-			if j == nil {
-				return fmt.Errorf("jobs: WAL point for unknown job %s", rec.ID)
-			}
-			if rec.Point != len(j.Results) {
-				return fmt.Errorf("jobs: WAL job %s: point %d out of order (have %d)", rec.ID, rec.Point, len(j.Results))
-			}
-			var res hwgc.RunResult
-			if err := json.Unmarshal(rec.Result, &res); err != nil {
-				return fmt.Errorf("jobs: WAL job %s point %d: %w", rec.ID, rec.Point, err)
-			}
-			j.Results = append(j.Results, res)
-			j.Point = len(j.Results)
+			// A completed point of an old WAL's sweep job; such jobs never
+			// resume, so the point is not needed.
 		case recResult:
 			j := m.jobs[rec.ID]
 			if j == nil {
@@ -322,8 +285,15 @@ func (m *Manager) recover(recs []walRecord) error {
 	// A job that was running when the process died restarts from its newest
 	// checkpoint (adopted below) or, failing that, from scratch — results
 	// are deterministic either way, so no duplicate execution is visible.
+	// An old WAL's unfinished sweep job is failed instead: sweeps now run as
+	// collect jobs, one per point, and the compaction below records that.
 	for _, j := range m.jobs {
-		if j.State == StateRunning {
+		switch {
+		case j.Kind != KindCollect && !j.State.Terminal():
+			j.State = StateFailed
+			j.ErrMsg = errLegacySweep
+			j.Finished = m.opts.Clock()
+		case j.State == StateRunning:
 			j.State = StateQueued
 		}
 	}
@@ -352,15 +322,18 @@ func (m *Manager) recover(recs []walRecord) error {
 	}
 	for _, id := range m.order {
 		j := m.jobs[id]
-		j.emit(j.State, j.Point, j.Cycle, j.ErrMsg)
+		j.emit(j.State, j.Cycle, j.ErrMsg)
 	}
 	return nil
 }
 
+// errLegacySweep fails an old WAL's unfinished sweep job.
+const errLegacySweep = "jobs: sweep jobs are no longer run; resubmit the sweep to POST /v1/sweep or /v1/sweeps, which run each point as a collect job"
+
 // sweepCheckpoints reconciles the checkpoint directory with the job table:
-// files for unknown or terminal jobs, unreadable files, stale files (from an
-// already-completed sweep point) and leftover temp files are reclaimed;
-// valid files promote their job to the checkpointed state for resume.
+// files for unknown or terminal jobs, unreadable or stale files and
+// leftover temp files are reclaimed; valid files promote their job to the
+// checkpointed state for resume.
 func (m *Manager) sweepCheckpoints() error {
 	entries, err := os.ReadDir(m.opts.Dir)
 	if err != nil {
@@ -389,7 +362,7 @@ func (m *Manager) sweepCheckpoints() error {
 			continue
 		}
 		ck, err := readCheckpoint(path)
-		if err != nil || ck.Point != j.Point {
+		if err != nil {
 			os.Remove(path)
 			m.metrics.ckptReclaims.Add(1)
 			continue
@@ -433,24 +406,12 @@ func (m *Manager) compact(rewrite bool) error {
 	for _, id := range m.order {
 		j := m.jobs[id]
 		recs = append(recs, walRecord{Type: recSubmit, ID: j.ID, Kind: j.Kind, Class: j.Class, Request: j.Req, At: j.Submitted})
-		if j.State != StateDone {
-			// Completed sweep points still matter for resume (and for
-			// reviving failed/cancelled sweeps); a done job only needs its
-			// result.
-			for i, res := range j.Results {
-				b, err := json.Marshal(res)
-				if err != nil {
-					return err
-				}
-				recs = append(recs, walRecord{Type: recPoint, ID: j.ID, Point: i, Result: b})
-			}
-		}
 		switch j.State {
 		case StateQueued: // implied by recSubmit
 		case StateRunning: // a runtime compaction; replay re-queues it
-			recs = append(recs, walRecord{Type: recState, ID: j.ID, State: StateRunning, Point: j.Point, At: j.Started})
+			recs = append(recs, walRecord{Type: recState, ID: j.ID, State: StateRunning, At: j.Started})
 		case StateCheckpointed:
-			recs = append(recs, walRecord{Type: recState, ID: j.ID, State: StateCheckpointed, Point: j.Point, Cycle: j.Cycle, At: j.Started})
+			recs = append(recs, walRecord{Type: recState, ID: j.ID, State: StateCheckpointed, Cycle: j.Cycle, At: j.Started})
 		case StateFailed, StateCancelled, StateMigrated:
 			recs = append(recs, walRecord{Type: recState, ID: j.ID, State: j.State, Error: j.ErrMsg, At: j.Finished})
 		case StateDone:
@@ -466,17 +427,12 @@ func (m *Manager) compact(rewrite bool) error {
 	return m.wal.Rewrite(recs)
 }
 
-// Submit registers a job for the canonical request bytes and returns its
-// Info. The job ID is the content address of the request (hwgc.KeyBytes), so
-// resubmitting the same request dedupes onto the existing job (accepted is
-// false and the live Info is returned). Failed and cancelled jobs are
-// revived by resubmission, keeping any completed sweep points.
-func (m *Manager) Submit(kind, class string, canonical []byte) (Info, bool, error) {
-	switch kind {
-	case KindCollect, KindSweep:
-	default:
-		return Info{}, false, fmt.Errorf("jobs: unknown kind %q", kind)
-	}
+// Submit registers a collect job for the canonical CollectRequest bytes
+// and returns its Info. The job ID is the content address of the request
+// (hwgc.KeyBytes), so resubmitting the same request dedupes onto the
+// existing job (accepted is false and the live Info is returned). Failed,
+// cancelled and migrated jobs are revived by resubmission.
+func (m *Manager) Submit(class string, canonical []byte) (Info, bool, error) {
 	if class == "" {
 		class = m.opts.Classes[0].Name
 	}
@@ -512,7 +468,7 @@ func (m *Manager) Submit(kind, class string, canonical []byte) (Info, bool, erro
 			return Info{}, false, err
 		}
 		m.metrics.submitted.Add(1)
-		j.emit(StateQueued, j.Point, 0, "")
+		j.emit(StateQueued, 0, "")
 	case ok:
 		m.metrics.deduped.Add(1)
 		info := m.infoLocked(j)
@@ -520,17 +476,12 @@ func (m *Manager) Submit(kind, class string, canonical []byte) (Info, bool, erro
 		return info, false, nil
 	default:
 		now := m.opts.Clock()
-		points, err := countPoints(kind, canonical)
-		if err != nil {
-			m.mu.Unlock()
-			return Info{}, false, err
-		}
 		j = &job{
-			ID: id, Kind: kind, Class: class, Req: append([]byte(nil), canonical...),
-			State: StateQueued, Points: points, Submitted: now,
+			ID: id, Kind: KindCollect, Class: class, Req: append([]byte(nil), canonical...),
+			State: StateQueued, Submitted: now,
 			events: newEventLog(m.opts.Clock),
 		}
-		if err := m.wal.Append(walRecord{Type: recSubmit, ID: id, Kind: kind, Class: class, Request: j.Req, At: now}); err != nil {
+		if err := m.wal.Append(walRecord{Type: recSubmit, ID: id, Kind: KindCollect, Class: class, Request: j.Req, At: now}); err != nil {
 			m.mu.Unlock()
 			return Info{}, false, err
 		}
@@ -541,7 +492,7 @@ func (m *Manager) Submit(kind, class string, canonical []byte) (Info, bool, erro
 			return Info{}, false, err
 		}
 		m.metrics.submitted.Add(1)
-		j.emit(StateQueued, 0, 0, "")
+		j.emit(StateQueued, 0, "")
 	}
 	info := m.infoLocked(j)
 	m.mu.Unlock()
@@ -614,7 +565,7 @@ func (m *Manager) runJob(j *job, pooled bool) {
 	}
 	j.preempt.Store(false)
 	now := m.opts.Clock()
-	rcx := &runCtx{dispatched: now, fresh: j.Point == 0 && !j.HasCkpt, pooled: pooled}
+	rcx := &runCtx{dispatched: now, fresh: !j.HasCkpt, pooled: pooled}
 	j.State = StateRunning
 	if j.Started.IsZero() {
 		j.Started = now
@@ -624,12 +575,12 @@ func (m *Manager) runJob(j *job, pooled bool) {
 	} else {
 		m.metrics.resumes.Add(1)
 	}
-	_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateRunning, Point: j.Point, At: now})
+	_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateRunning, At: now})
 	if pooled {
 		m.running[j.ID] = j
 		m.metrics.running.Add(1)
 	}
-	j.emit(StateRunning, j.Point, j.Cycle, "")
+	j.emit(StateRunning, j.Cycle, "")
 	m.mu.Unlock()
 
 	body, resp, err := m.execute(j, rcx)
@@ -651,8 +602,8 @@ func (m *Manager) runJob(j *job, pooled bool) {
 		j.State = StateCheckpointed
 		j.Preemptions++
 		m.metrics.preemptions.Add(1)
-		_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateCheckpointed, Point: j.Point, Cycle: j.Cycle, At: m.opts.Clock()})
-		j.emit(StateCheckpointed, j.Point, j.Cycle, "")
+		_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateCheckpointed, Cycle: j.Cycle, At: m.opts.Clock()})
+		j.emit(StateCheckpointed, j.Cycle, "")
 		if j.exporting.Load() > 0 {
 			// An Export is waiting for exactly this park: hand the job over
 			// instead of racing it back into the scheduler, where an idle
@@ -708,33 +659,25 @@ func (m *Manager) finishLocked(j *job, state State, body []byte, errMsg string) 
 		j.HasCkpt = false
 		os.Remove(m.ckptPath(j.ID))
 	}
-	j.emit(state, j.Point, j.Cycle, errMsg)
+	j.emit(state, j.Cycle, errMsg)
 	if m.finished++; m.finished >= m.opts.RetainTerminal && !m.closed {
 		m.finished = 0
 		_ = m.compact(true)
 	}
 }
 
-// execute runs j to completion or a yield, returning the encoded body and,
-// for a collect job, its response.
+// execute runs j to completion or a yield, returning the encoded body and
+// the collect response.
 func (m *Manager) execute(j *job, rcx *runCtx) ([]byte, *hwgc.CollectResponse, error) {
-	if j.Kind == KindCollect {
-		return m.executeCollect(j, rcx)
-	}
-	body, err := m.executeSweep(j, rcx)
-	return body, nil, err
-}
-
-func (m *Manager) executeCollect(j *job, rcx *runCtx) ([]byte, *hwgc.CollectResponse, error) {
 	var req hwgc.CollectRequest
 	if err := json.Unmarshal(j.Req, &req); err != nil {
 		return nil, nil, err
 	}
-	rc, err := m.startOrResume(j, req, 0)
+	rc, err := m.startOrResume(j, req)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := m.stepPoint(j, rc, 0, rcx); err != nil {
+	if err := m.step(j, rc, rcx); err != nil {
 		return nil, nil, err
 	}
 	resp, err := rc.Response()
@@ -748,83 +691,21 @@ func (m *Manager) executeCollect(j *job, rcx *runCtx) ([]byte, *hwgc.CollectResp
 	return buf.Bytes(), resp, nil
 }
 
-func (m *Manager) executeSweep(j *job, rcx *runCtx) ([]byte, error) {
-	var sr hwgc.SweepRequest
-	if err := json.Unmarshal(j.Req, &sr); err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	start := j.Point
-	results := append([]hwgc.RunResult(nil), j.Results...)
-	m.mu.Unlock()
-	for point := start; point < len(sr.Cores); point++ {
-		if point > start {
-			// Between-points boundary: a natural checkpoint with no
-			// snapshot needed — resume restarts at this point index.
-			if j.cancel.Load() {
-				return nil, errCancelled
-			}
-			if m.drainingNow() || j.preempt.Load() {
-				return nil, errPreempted
-			}
-		}
-		creq := hwgc.CollectRequest{Bench: sr.Bench, Scale: sr.Scale, Seed: sr.Seed, Config: sr.Config, Verify: sr.Verify}
-		creq.Config.Cores = sr.Cores[point]
-		rc, err := m.startOrResume(j, creq, point)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.stepPoint(j, rc, point, rcx); err != nil {
-			return nil, err
-		}
-		resp, err := rc.Response()
-		if err != nil {
-			return nil, err
-		}
-		resJSON, err := json.Marshal(resp.Result)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, resp.Result)
-		m.mu.Lock()
-		j.Results = append(j.Results, resp.Result)
-		j.Point = len(j.Results)
-		j.Cycle = 0
-		removeCkpt := j.HasCkpt
-		j.HasCkpt = false
-		_ = m.wal.Append(walRecord{Type: recPoint, ID: j.ID, Point: point, Result: resJSON, At: m.opts.Clock()})
-		if point < len(sr.Cores)-1 {
-			j.emit(StateRunning, j.Point, 0, "")
-		}
-		m.mu.Unlock()
-		if removeCkpt {
-			os.Remove(m.ckptPath(j.ID))
-		}
-	}
-	resp := hwgc.SweepResponse{Key: j.ID, Bench: sr.Bench, Cores: sr.Cores, Scale: sr.Scale, Seed: sr.Seed, Results: results}
-	var buf bytes.Buffer
-	if err := resp.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// startOrResume resumes the given point from the job's on-disk checkpoint
-// when one is valid for it, reclaiming the file otherwise, and falls back to
-// a fresh start.
-func (m *Manager) startOrResume(j *job, req hwgc.CollectRequest, point int) (*hwgc.RequestCollection, error) {
+// startOrResume resumes the job from its on-disk checkpoint when one is
+// valid, reclaiming the file otherwise, and falls back to a fresh start.
+func (m *Manager) startOrResume(j *job, req hwgc.CollectRequest) (*hwgc.RequestCollection, error) {
 	m.mu.Lock()
 	has := j.HasCkpt
 	m.mu.Unlock()
 	if has {
 		path := m.ckptPath(j.ID)
 		ck, err := readCheckpoint(path)
-		if err == nil && ck.Point == point {
+		if err == nil {
 			if rc, err := hwgc.ResumeCollectRequest(req, ck.Snap); err == nil {
 				return rc, nil
 			}
 		}
-		// Unreadable, stale or mismatched: reclaim and restart the point
+		// Unreadable, stale or mismatched: reclaim and restart the job
 		// from scratch — deterministic, so only time is lost.
 		os.Remove(path)
 		m.metrics.ckptReclaims.Add(1)
@@ -836,10 +717,10 @@ func (m *Manager) startOrResume(j *job, req hwgc.CollectRequest, point int) (*hw
 	return hwgc.StartCollectRequest(req)
 }
 
-// stepPoint drives one collection point checkpoint to checkpoint until it
+// step drives the job's collection checkpoint to checkpoint until it
 // completes (nil), fails, or must yield (errCancelled / errPreempted). Every
 // executed slice is charged to the job's class for fair-share accounting.
-func (m *Manager) stepPoint(j *job, rc *hwgc.RequestCollection, point int, rcx *runCtx) error {
+func (m *Manager) step(j *job, rc *hwgc.RequestCollection, rcx *runCtx) error {
 	for {
 		done, err := rc.StepCycles(m.opts.CheckpointCycles)
 		if err != nil {
@@ -856,7 +737,7 @@ func (m *Manager) stepPoint(j *job, rc *hwgc.RequestCollection, point int, rcx *
 			return err
 		}
 		cyc := rc.Cycle()
-		if err := writeCheckpoint(m.ckptPath(j.ID), checkpoint{Point: point, Cycle: cyc, Snap: snap}); err != nil {
+		if err := writeCheckpoint(m.ckptPath(j.ID), checkpoint{Cycle: cyc, Snap: snap}); err != nil {
 			return err
 		}
 		m.mu.Lock()
@@ -891,8 +772,7 @@ func (m *Manager) drainingNow() bool {
 
 func (m *Manager) infoLocked(j *job) Info {
 	return Info{
-		ID: j.ID, Kind: j.Kind, Class: j.Class, State: j.State,
-		Point: j.Point, Points: j.Points, Cycle: j.Cycle,
+		ID: j.ID, Kind: j.Kind, Class: j.Class, State: j.State, Cycle: j.Cycle,
 		Preemptions: j.Preemptions, Error: j.ErrMsg,
 		Submitted: j.Submitted, Started: j.Started, Finished: j.Finished,
 	}

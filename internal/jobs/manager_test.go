@@ -39,29 +39,6 @@ func collectBody(t *testing.T, cores int, seed int64) []byte {
 	return buf.Bytes()
 }
 
-func sweepCanonical(t *testing.T, cores []int) []byte {
-	t.Helper()
-	req := hwgc.SweepRequest{Bench: "search", Cores: cores}
-	b, err := req.CanonicalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func sweepBody(t *testing.T, cores []int) []byte {
-	t.Helper()
-	resp, err := hwgc.NewSweepResponse(hwgc.SweepRequest{Bench: "search", Cores: cores})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := resp.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func drainManager(t *testing.T, m *Manager) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -104,11 +81,11 @@ func TestJobsCollectLifecycle(t *testing.T) {
 	var gotResult atomic.Bool
 	m.opts.OnResult = func(id string, body []byte, resp *hwgc.CollectResponse) { gotResult.Store(true) }
 
-	info, accepted, err := m.Submit(KindCollect, "", canonical)
+	info, accepted, err := m.Submit("", canonical)
 	if err != nil || !accepted {
 		t.Fatalf("submit: accepted=%v err=%v", accepted, err)
 	}
-	if info.ID != hwgc.KeyBytes(canonical) || info.Class != "interactive" || info.Points != 1 {
+	if info.ID != hwgc.KeyBytes(canonical) || info.Class != "interactive" || info.Kind != KindCollect {
 		t.Fatalf("submit info = %+v", info)
 	}
 	done := waitState(t, m, info.ID, StateDone)
@@ -126,7 +103,7 @@ func TestJobsCollectLifecycle(t *testing.T) {
 		t.Fatal("OnResult not called")
 	}
 	// Resubmission dedupes onto the finished job.
-	again, accepted, err := m.Submit(KindCollect, "batch", canonical)
+	again, accepted, err := m.Submit("batch", canonical)
 	if err != nil || accepted {
 		t.Fatalf("resubmit: accepted=%v err=%v", accepted, err)
 	}
@@ -141,30 +118,6 @@ func TestJobsCollectLifecycle(t *testing.T) {
 		t.Fatalf("leftover checkpoints: %v", files)
 	}
 	drainManager(t, m)
-}
-
-func TestJobsSweepByteIdentical(t *testing.T) {
-	cores := []int{2, 4}
-	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, CheckpointCycles: 700})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainManager(t, m)
-	info, _, err := m.Submit(KindSweep, "batch", sweepCanonical(t, cores))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Points != 2 {
-		t.Fatalf("sweep points = %d", info.Points)
-	}
-	waitState(t, m, info.ID, StateDone)
-	body, _, err := m.Result(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := sweepBody(t, cores); !bytes.Equal(body, want) {
-		t.Fatalf("sweep job result differs from synchronous sweep")
-	}
 }
 
 // TestJobsPreemption is the scheduling acceptance test: while a batch job
@@ -187,12 +140,12 @@ func TestJobsPreemption(t *testing.T) {
 	m.opts.CheckpointHook = func(id string) {
 		// At the long job's first checkpoint, the interactive job arrives.
 		once.Do(func() {
-			if _, _, err := m.Submit(KindCollect, "interactive", shortCanonical); err != nil {
+			if _, _, err := m.Submit("interactive", shortCanonical); err != nil {
 				t.Errorf("interactive submit: %v", err)
 			}
 		})
 	}
-	longInfo, _, err := m.Submit(KindCollect, "batch", longCanonical)
+	longInfo, _, err := m.Submit("batch", longCanonical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +179,20 @@ func TestJobsPreemption(t *testing.T) {
 // execution.
 func TestJobsCrashRestart(t *testing.T) {
 	dir := t.TempDir()
-	canonical := sweepCanonical(t, []int{8, 1})
+	canonical := collectCanonical(t, 1, 0)
 	id := hwgc.KeyBytes(canonical)
 
 	checkpointed := make(chan struct{})
 	release := make(chan struct{})
-	var wedge, wedged atomic.Bool
-	m1, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 500, CheckpointHook: func(string) {
+	var (
+		wedge, wedged atomic.Bool
+		m1            *Manager
+		wedgedCycle   int64
+	)
+	m1, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 500, CheckpointHook: func(id string) {
 		if wedge.Load() && wedged.CompareAndSwap(false, true) {
+			info, _ := m1.Get(id)
+			wedgedCycle = info.Cycle
 			close(checkpointed)
 			<-release
 		} else if wedged.Load() {
@@ -247,22 +206,21 @@ func TestJobsCrashRestart(t *testing.T) {
 		close(release)
 		drainManager(t, m1)
 	}()
-	if _, _, err := m1.Submit(KindSweep, "batch", canonical); err != nil {
+	if _, _, err := m1.Submit("batch", canonical); err != nil {
 		t.Fatal(err)
 	}
-	// Let point 0 (cores 8) finish so the WAL holds a recPoint record, then
-	// wedge at the next checkpoint inside point 1.
+	// Let the job pass a few checkpoints, then wedge at the next one.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		info, err := m1.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Point >= 1 {
+		if info.Cycle >= 2000 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("point 0 never completed (state %s)", info.State)
+			t.Fatalf("job never passed cycle 2000 (state %s)", info.State)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -270,7 +228,7 @@ func TestJobsCrashRestart(t *testing.T) {
 	select {
 	case <-checkpointed:
 	case <-time.After(60 * time.Second):
-		t.Fatal("never checkpointed inside point 1")
+		t.Fatal("never checkpointed after wedging")
 	}
 
 	// "Process 2": same directory. The WAL must replay, the orphaned
@@ -286,8 +244,8 @@ func TestJobsCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("job lost across restart: %v", err)
 	}
-	if info.Point != 1 {
-		t.Fatalf("completed points lost across restart: %d", info.Point)
+	if info.Cycle != wedgedCycle {
+		t.Fatalf("checkpoint position lost across restart: cycle %d, want %d", info.Cycle, wedgedCycle)
 	}
 	waitState(t, m2, id, StateDone)
 	if m2.Metrics().resumes.Load() == 0 {
@@ -297,11 +255,11 @@ func TestJobsCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sweepBody(t, []int{8, 1}); !bytes.Equal(body, want) {
+	if want := collectBody(t, 1, 0); !bytes.Equal(body, want) {
 		t.Fatal("post-crash result differs from uninterrupted run")
 	}
 	// No duplicate execution: resubmitting returns the finished job.
-	if _, accepted, err := m2.Submit(KindSweep, "batch", canonical); err != nil || accepted {
+	if _, accepted, err := m2.Submit("batch", canonical); err != nil || accepted {
 		t.Fatalf("resubmit after recovery: accepted=%v err=%v", accepted, err)
 	}
 	drainManager(t, m2)
@@ -334,13 +292,13 @@ func TestJobsCancelQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wedge the only runner, then queue a second job behind it.
-	if _, _, err := m.Submit(KindCollect, "batch", collectCanonical(t, 4, 0)); err != nil {
+	if _, _, err := m.Submit("batch", collectCanonical(t, 4, 0)); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, m, hwgc.KeyBytes(collectCanonical(t, 4, 0)), StateRunning)
 	queued := collectCanonical(t, 4, 9)
 	qid := hwgc.KeyBytes(queued)
-	if _, _, err := m.Submit(KindCollect, "batch", queued); err != nil {
+	if _, _, err := m.Submit("batch", queued); err != nil {
 		t.Fatal(err)
 	}
 	info, err := m.Cancel(qid)
@@ -368,7 +326,7 @@ func TestJobsCancelQueued(t *testing.T) {
 		t.Fatalf("cancelled state not durable: %+v err=%v", info, err)
 	}
 	// Revival: resubmitting a cancelled job runs it.
-	if _, accepted, err := m2.Submit(KindCollect, "batch", queued); err != nil || !accepted {
+	if _, accepted, err := m2.Submit("batch", queued); err != nil || !accepted {
 		t.Fatalf("revival: accepted=%v err=%v", accepted, err)
 	}
 	waitState(t, m2, qid, StateDone)
@@ -397,7 +355,7 @@ func TestJobsCancelMidCheckpoint(t *testing.T) {
 	}
 	canonical := collectCanonical(t, 4, 0)
 	id := hwgc.KeyBytes(canonical)
-	if _, _, err := m.Submit(KindCollect, "batch", canonical); err != nil {
+	if _, _, err := m.Submit("batch", canonical); err != nil {
 		t.Fatal(err)
 	}
 	<-atBoundary
@@ -444,7 +402,7 @@ func TestJobsDeleteRacesCompletion(t *testing.T) {
 	}
 	canonical := collectCanonical(t, 4, 0)
 	id := hwgc.KeyBytes(canonical)
-	if _, _, err := m.Submit(KindCollect, "", canonical); err != nil {
+	if _, _, err := m.Submit("", canonical); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, m, id, StateDone)
@@ -477,7 +435,7 @@ func TestJobsCheckpointSweep(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "deadbeef"+ckptSuffix), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCheckpoint(filepath.Join(dir, strings.Repeat("ab", 32)+ckptSuffix), checkpoint{Point: 0, Snap: []byte("x")}); err != nil {
+	if err := writeCheckpoint(filepath.Join(dir, strings.Repeat("ab", 32)+ckptSuffix), checkpoint{Snap: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, ".ckpt-orphan"), nil, 0o644); err != nil {
@@ -522,7 +480,7 @@ func TestJobsCorruptCheckpointReclaimed(t *testing.T) {
 		close(release)
 		drainManager(t, m1)
 	}()
-	if _, _, err := m1.Submit(KindCollect, "", canonical); err != nil {
+	if _, _, err := m1.Submit("", canonical); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -586,7 +544,7 @@ func TestJobsRetentionBoundedAtRuntime(t *testing.T) {
 	var perJob, maxSize int64
 	var last string
 	for seed := int64(0); seed < 3*retain+1; seed++ {
-		info, _, err := m.Submit(KindCollect, "", collectCanonical(t, 8, seed))
+		info, _, err := m.Submit("", collectCanonical(t, 8, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -651,7 +609,7 @@ func TestJobsRunHere(t *testing.T) {
 		unhold.Do(func() { close(hold) })
 		drainManager(t, m)
 	}()
-	if _, _, err := m.Submit(KindCollect, "", long); err != nil {
+	if _, _, err := m.Submit("", long); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -659,7 +617,7 @@ func TestJobsRunHere(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("runner never reached a checkpoint")
 	}
-	info, _, err := m.Submit(KindCollect, "", collectCanonical(t, 4, 7))
+	info, _, err := m.Submit("", collectCanonical(t, 4, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,7 +655,7 @@ func TestJobsEventsStream(t *testing.T) {
 	defer drainManager(t, m)
 	canonical := collectCanonical(t, 4, 0)
 	id := hwgc.KeyBytes(canonical)
-	if _, _, err := m.Submit(KindCollect, "", canonical); err != nil {
+	if _, _, err := m.Submit("", canonical); err != nil {
 		t.Fatal(err)
 	}
 	history, ch, stop, err := m.Subscribe(id)
@@ -739,7 +697,7 @@ func TestJobsMetricsOutput(t *testing.T) {
 	}
 	defer drainManager(t, m)
 	canonical := collectCanonical(t, 4, 0)
-	if _, _, err := m.Submit(KindCollect, "", canonical); err != nil {
+	if _, _, err := m.Submit("", canonical); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, m, hwgc.KeyBytes(canonical), StateDone)

@@ -24,68 +24,53 @@ type ExportedJob struct {
 	// V is the envelope version; importers reject versions they don't know.
 	V    int
 	ID   string
-	Kind string // KindCollect or KindSweep
+	Kind string // KindCollect
 	// Class is advisory: the importer maps unknown classes to its default
 	// rather than rejecting, since class sets may differ across backends.
 	Class   string          `json:",omitempty"`
 	Request json.RawMessage // canonical request JSON (the bytes ID hashes)
 
-	// State is the exported position: StateQueued (restart the current
-	// point from scratch), StateCheckpointed (resume the current point from
-	// Snapshot at Cycle), or StateDone (ResultBody is final).
+	// State is the exported position: StateQueued (start from scratch),
+	// StateCheckpointed (resume from Snapshot at Cycle), or StateDone
+	// (ResultBody is final).
 	State State
-	Point int   // completed sweep points (0 for collect)
-	Cycle int64 // snapshot cycle within the current point (checkpointed only)
+	Cycle int64 // snapshot cycle (checkpointed only)
 
-	// Results are the completed sweep points, in order; len == Point.
-	Results []hwgc.RunResult `json:",omitempty"`
 	// ResultBody is the final encoded response (done only).
 	ResultBody []byte `json:",omitempty"`
-	// Snapshot is the S21 machine snapshot of the current point
-	// (checkpointed only), integrity-checked by SnapCRC.
+	// Snapshot is the S21 machine snapshot of the collection (checkpointed
+	// only), integrity-checked by SnapCRC.
 	Snapshot []byte `json:",omitempty"`
 	SnapCRC  uint32 `json:",omitempty"`
 }
 
-// exportVersion is the current envelope version.
-const exportVersion = 1
+// exportVersion is the current envelope version. Version 2 dropped the
+// sweep-job fields (Point, Results): every job is one collect.
+const exportVersion = 2
 
 // Validate checks the envelope's integrity and internal consistency: the
-// version, the content address, the point bounds, the snapshot checksum and
-// the snapshot's structural decodability. A truncated or tampered envelope
+// version, the kind, the content address, the snapshot checksum and the
+// snapshot's structural decodability. A truncated or tampered envelope
 // fails here with a clean error instead of corrupting the importing job
 // table.
 func (e *ExportedJob) Validate() error {
 	if e.V != exportVersion {
 		return fmt.Errorf("jobs: unsupported export version %d (want %d)", e.V, exportVersion)
 	}
-	points, err := countPoints(e.Kind, e.Request)
-	if err != nil {
-		return err
+	if e.Kind != KindCollect {
+		return fmt.Errorf("jobs: export of unknown job kind %q", e.Kind)
 	}
 	if got := hwgc.KeyBytes(e.Request); got != e.ID {
 		return fmt.Errorf("jobs: export ID %s does not match request content key %s", e.ID, got)
-	}
-	if e.Point < 0 || e.Point > points {
-		return fmt.Errorf("jobs: export point %d out of range (job has %d points)", e.Point, points)
-	}
-	if len(e.Results) != e.Point {
-		return fmt.Errorf("jobs: export carries %d point results for point %d", len(e.Results), e.Point)
 	}
 	switch e.State {
 	case StateQueued:
 		if len(e.Snapshot) != 0 {
 			return fmt.Errorf("jobs: queued export must not carry a snapshot")
 		}
-		if e.Point >= points {
-			return fmt.Errorf("jobs: queued export at point %d of %d", e.Point, points)
-		}
 	case StateCheckpointed:
 		if len(e.Snapshot) == 0 {
 			return fmt.Errorf("jobs: checkpointed export missing its snapshot")
-		}
-		if e.Point >= points {
-			return fmt.Errorf("jobs: checkpointed export at point %d of %d", e.Point, points)
 		}
 		if crc32.ChecksumIEEE(e.Snapshot) != e.SnapCRC {
 			return fmt.Errorf("jobs: export snapshot checksum mismatch (corrupt or truncated)")
@@ -157,18 +142,18 @@ func (m *Manager) Export(ctx context.Context, id string) (*ExportedJob, error) {
 			j.parked = false
 			env := m.envelopeLocked(j)
 			env.State = StateQueued
-			hasCkpt, point := j.HasCkpt, j.Point
+			hasCkpt := j.HasCkpt
 			m.mu.Unlock()
 			if hasCkpt {
-				if ck, err := readCheckpoint(m.ckptPath(id)); err == nil && ck.Point == point {
+				if ck, err := readCheckpoint(m.ckptPath(id)); err == nil {
 					env.State = StateCheckpointed
 					env.Cycle = ck.Cycle
 					env.Snapshot = ck.Snap
 					env.SnapCRC = crc32.ChecksumIEEE(ck.Snap)
 				}
-				// Unreadable or stale: export as queued at the current point —
-				// determinism means the importer re-runs the point and loses
-				// only time, never correctness.
+				// Unreadable or stale: export as queued — determinism means
+				// the importer re-runs the job and loses only time, never
+				// correctness.
 			}
 			m.mu.Lock()
 			// Enqueue fails only once the scheduler is closed (drain); the
@@ -210,13 +195,11 @@ func (m *Manager) envelopeLocked(j *job) *ExportedJob {
 		Kind:    j.Kind,
 		Class:   j.Class,
 		Request: append(json.RawMessage(nil), j.Req...),
-		Point:   j.Point,
-		Results: append([]hwgc.RunResult(nil), j.Results...),
 	}
 }
 
-// Import adopts a foreign envelope as a local job: the submission, completed
-// points and (for done jobs) the result are written to the WAL, the shipped
+// Import adopts a foreign envelope as a local job: the submission and (for
+// done jobs) the result are written to the WAL, the shipped
 // snapshot becomes a local checkpoint file, and the job is enqueued to
 // resume exactly where the exporter stopped. Import is idempotent by content
 // key: if any job with the envelope's ID already exists — in any state — the
@@ -245,15 +228,10 @@ func (m *Manager) Import(env *ExportedJob) (Info, bool, error) {
 		return info, false, nil
 	}
 	now := m.opts.Clock()
-	points, err := countPoints(env.Kind, env.Request)
-	if err != nil { // unreachable after Validate, but keep the invariant local
-		m.mu.Unlock()
-		return Info{}, false, err
-	}
 	j := &job{
 		ID: env.ID, Kind: env.Kind, Class: class,
 		Req:   append(json.RawMessage(nil), env.Request...),
-		State: StateQueued, Points: points, Submitted: now,
+		State: StateQueued, Submitted: now,
 		events: newEventLog(m.opts.Clock),
 	}
 	if err := m.wal.Append(walRecord{Type: recSubmit, ID: j.ID, Kind: j.Kind, Class: j.Class, Request: j.Req, At: now}); err != nil {
@@ -262,18 +240,8 @@ func (m *Manager) Import(env *ExportedJob) (Info, bool, error) {
 	}
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
-	for i, res := range env.Results {
-		b, err := json.Marshal(res)
-		if err != nil {
-			m.mu.Unlock()
-			return Info{}, false, err
-		}
-		// WAL append errors below are tolerated like runJob's: the in-memory
-		// job still runs, and determinism makes post-crash re-execution safe.
-		_ = m.wal.Append(walRecord{Type: recPoint, ID: j.ID, Point: i, Result: b, At: now})
-		j.Results = append(j.Results, res)
-		j.Point = len(j.Results)
-	}
+	// WAL append errors below are tolerated like runJob's: the in-memory job
+	// still runs, and determinism makes post-crash re-execution safe.
 	var notify func()
 	switch env.State {
 	case StateDone:
@@ -287,17 +255,17 @@ func (m *Manager) Import(env *ExportedJob) (Info, bool, error) {
 			notify = func() { cb(id, body, nil) }
 		}
 	case StateCheckpointed:
-		if err := writeCheckpoint(m.ckptPath(j.ID), checkpoint{Point: env.Point, Cycle: env.Cycle, Snap: env.Snapshot}); err == nil {
+		if err := writeCheckpoint(m.ckptPath(j.ID), checkpoint{Cycle: env.Cycle, Snap: env.Snapshot}); err == nil {
 			j.State = StateCheckpointed
 			j.Cycle = env.Cycle
 			j.HasCkpt = true
 			m.metrics.checkpoints.Add(1)
-			_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateCheckpointed, Point: j.Point, Cycle: j.Cycle, At: now})
+			_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateCheckpointed, Cycle: j.Cycle, At: now})
 		}
-		// On write failure the job stays queued at env.Point: the current
-		// point restarts from scratch, losing time but not correctness.
+		// On write failure the job stays queued: it restarts from scratch,
+		// losing time but not correctness.
 	case StateQueued:
-		// Nothing beyond the submission and points.
+		// Nothing beyond the submission.
 	}
 	if !j.State.Terminal() {
 		if err := m.sched.Enqueue(j); err != nil {
@@ -306,7 +274,7 @@ func (m *Manager) Import(env *ExportedJob) (Info, bool, error) {
 		}
 	}
 	m.metrics.imports.Add(1)
-	j.emit(j.State, j.Point, j.Cycle, "")
+	j.emit(j.State, j.Cycle, "")
 	info := m.infoLocked(j)
 	m.mu.Unlock()
 	if notify != nil {

@@ -33,12 +33,11 @@ func checkpointedEnvelope(t *testing.T, cores int, seed int64) *ExportedJob {
 		t.Fatal(err)
 	}
 	return &ExportedJob{
-		V:        1,
+		V:        exportVersion,
 		ID:       hwgc.KeyBytes(canonical),
 		Kind:     KindCollect,
 		Request:  canonical,
 		State:    StateCheckpointed,
-		Point:    0,
 		Cycle:    rc.Cycle(),
 		Snapshot: snap,
 		SnapCRC:  crc32.ChecksumIEEE(snap),
@@ -96,10 +95,11 @@ func TestImportRejectsCorrupt(t *testing.T) {
 			e.Snapshot = append([]byte(nil), e.Snapshot[:len(e.Snapshot)/2]...)
 			e.SnapCRC = crc32.ChecksumIEEE(e.Snapshot) // CRC "repaired": decode must still fail
 		},
-		"unknown version":    func(e *ExportedJob) { e.V = 99 },
-		"forged ID":          func(e *ExportedJob) { e.ID = strings.Repeat("ab", 32) },
-		"point out of range": func(e *ExportedJob) { e.Point = 7 },
-		"missing snapshot":   func(e *ExportedJob) { e.Snapshot, e.SnapCRC = nil, 0 },
+		"unknown version":  func(e *ExportedJob) { e.V = 99 },
+		"forged ID":        func(e *ExportedJob) { e.ID = strings.Repeat("ab", 32) },
+		"version 1":        func(e *ExportedJob) { e.V = 1 },
+		"sweep kind":       func(e *ExportedJob) { e.Kind = "sweep" },
+		"missing snapshot": func(e *ExportedJob) { e.Snapshot, e.SnapCRC = nil, 0 },
 	}
 	want := int64(0)
 	for name, mutate := range cases {
@@ -206,11 +206,11 @@ func TestMigrationSnapshotEquivalence(t *testing.T) {
 }
 
 // TestExportMigrateRelease is the full in-process migration path: a running
-// sweep is preempted at a snapshot boundary, exported, imported into a
+// collect is preempted at a snapshot boundary, exported, imported into a
 // second manager, resumed there byte-identically, and released as migrated
 // at the source.
 func TestExportMigrateRelease(t *testing.T) {
-	canonical := sweepCanonical(t, []int{8, 1})
+	canonical := collectCanonical(t, 1, 0)
 	id := hwgc.KeyBytes(canonical)
 
 	// The hook gates checkpoint boundaries: while gated, the runner parks in
@@ -245,22 +245,22 @@ func TestExportMigrateRelease(t *testing.T) {
 		drainManager(t, m1)
 	}()
 
-	if _, _, err := m1.Submit(KindSweep, "batch", canonical); err != nil {
+	if _, _, err := m1.Submit("batch", canonical); err != nil {
 		t.Fatal(err)
 	}
-	// Let point 0 complete so the envelope carries a point result, then gate
-	// the runner at a checkpoint inside point 1.
+	// Let the job pass a few checkpoints, then gate the runner at the next
+	// one.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		info, err := m1.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Point >= 1 {
+		if info.Cycle >= 2000 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("point 0 never completed (state %s)", info.State)
+			t.Fatalf("job never passed cycle 2000 (state %s)", info.State)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -268,7 +268,7 @@ func TestExportMigrateRelease(t *testing.T) {
 	select {
 	case <-entered:
 	case <-time.After(60 * time.Second):
-		t.Fatal("runner never reached a gated checkpoint in point 1")
+		t.Fatal("runner never reached a gated checkpoint")
 	}
 	m1.mu.Lock()
 	j := m1.jobs[id]
@@ -311,9 +311,9 @@ stepLoop:
 		t.Fatalf("export: %v", res.err)
 	}
 	env := res.env
-	if env.State != StateCheckpointed || env.Point != 1 || len(env.Snapshot) == 0 || len(env.Results) != 1 {
-		t.Fatalf("export envelope: state=%s point=%d snapshot=%dB results=%d, want a point-1 checkpoint",
-			env.State, env.Point, len(env.Snapshot), len(env.Results))
+	if env.State != StateCheckpointed || env.Cycle < 2000 || len(env.Snapshot) == 0 {
+		t.Fatalf("export envelope: state=%s cycle=%d snapshot=%dB, want a checkpoint past cycle 2000",
+			env.State, env.Cycle, len(env.Snapshot))
 	}
 	if err := env.Validate(); err != nil {
 		t.Fatalf("exported envelope fails its own validation: %v", err)
@@ -331,8 +331,8 @@ stepLoop:
 	if err != nil || !accepted {
 		t.Fatalf("import: accepted=%v err=%v", accepted, err)
 	}
-	if info.Point != 1 || info.State != StateCheckpointed {
-		t.Fatalf("imported at point %d state %s, want checkpointed at point 1", info.Point, info.State)
+	if info.Cycle != env.Cycle || info.State != StateCheckpointed {
+		t.Fatalf("imported at cycle %d state %s, want checkpointed at cycle %d", info.Cycle, info.State, env.Cycle)
 	}
 	waitState(t, m2, id, StateDone)
 	if m2.Metrics().resumes.Load() == 0 {
@@ -342,7 +342,7 @@ stepLoop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sweepBody(t, []int{8, 1}); !bytes.Equal(body, want) {
+	if want := collectBody(t, 1, 0); !bytes.Equal(body, want) {
 		t.Fatal("migrated result differs from uninterrupted run")
 	}
 

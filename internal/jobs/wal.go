@@ -33,8 +33,8 @@ const (
 // Record types.
 const (
 	recSubmit uint8 = 1 + iota // a new job: id, kind, class, canonical request
-	recState                   // a state transition: id, state, point, cycle, error
-	recPoint                   // a completed sweep point: id, point index, RunResult JSON
+	recState                   // a state transition: id, state, cycle, error
+	recPoint                   // reserved: a completed point of an old sweep job, skipped on replay
 	recResult                  // a final result body: id, encoded response bytes
 	recAux                     // an auxiliary subsystem record: kind holds the tag, body the payload
 )
@@ -48,17 +48,15 @@ type walRecord struct {
 	Class   string          `json:",omitempty"`
 	Request json.RawMessage `json:",omitempty"` // canonical request (recSubmit)
 	State   State           `json:",omitempty"`
-	Point   int             `json:",omitempty"`
 	Cycle   int64           `json:",omitempty"`
 	Error   string          `json:",omitempty"`
-	Result  json.RawMessage `json:",omitempty"` // RunResult (recPoint)
 	Body    []byte          `json:",omitempty"` // response body (recResult)
 	At      time.Time       `json:",omitempty"` // transition time, for Info fidelity across restarts
 }
 
 // maxWALRecordBytes bounds one record's payload: the largest legitimate
-// payload is a sweep response body (MaxSweepPoints results), far under this.
-// A length prefix beyond the bound is corruption, not data.
+// payloads are a collect response body and an inline-plan request, both far
+// under this. A length prefix beyond the bound is corruption, not data.
 const maxWALRecordBytes = 256 << 20
 
 // WAL is the append-only job log. Appends are serialized by the Manager's

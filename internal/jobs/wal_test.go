@@ -1,9 +1,17 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
+
+	"hwgc"
 )
 
 func openTestWAL(t *testing.T, dir string) (*WAL, []walRecord, *Metrics) {
@@ -25,7 +33,7 @@ func TestWALRoundTrip(t *testing.T) {
 	want := []walRecord{
 		{Type: recSubmit, ID: "a", Kind: KindCollect, Class: "batch", Request: []byte(`{"Bench":"search"}`)},
 		{Type: recState, ID: "a", State: StateRunning},
-		{Type: recPoint, ID: "a", Point: 0, Result: []byte(`{"PlanWords":7}`)},
+		{Type: recState, ID: "a", State: StateCheckpointed, Cycle: 7},
 		{Type: recResult, ID: "a", State: StateDone, Body: []byte("result-bytes")},
 	}
 	for _, rec := range want {
@@ -158,4 +166,120 @@ func TestWALRewriteCompacts(t *testing.T) {
 	if len(recs) != 2 || recs[0].Type != recSubmit || recs[1].Type != recState {
 		t.Fatalf("replay after compaction = %+v", recs)
 	}
+}
+
+// TestJobsLegacySweepWALReplay opens a jobs directory written by a version
+// that still ran core sweeps as multi-point jobs: a WAL holding "sweep"
+// jobs with point records and point-numbered state records, and the
+// checkpoint file of a sweep parked inside its second point. The layouts
+// did not change, so the directory opens. The finished sweep keeps serving
+// its stored body; the unfinished one is failed with an error naming
+// /v1/sweep and its checkpoint is reclaimed; collect jobs in the same log
+// replay and run as before; and the failure survives the next restart.
+func TestJobsLegacySweepWALReplay(t *testing.T) {
+	dir := t.TempDir()
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	sweepReq := func(cores string) []byte {
+		return []byte(`{"Bench":"search","Cores":[` + cores + `],"Scale":1,"Seed":42,"Config":{}}`)
+	}
+	doneSweep, parkedSweep := sweepReq("1,2"), sweepReq("4,8")
+	doneID, parkedID := hwgc.KeyBytes(doneSweep), hwgc.KeyBytes(parkedSweep)
+	queued := collectCanonical(t, 2, 0)
+	queuedID := hwgc.KeyBytes(queued)
+	doneBody := []byte("{\n  \"Key\": \"" + doneID + "\"\n}\n")
+
+	// The records exactly as the older version framed them: recState and
+	// recPoint payloads carry Point, recPoint also a RunResult.
+	type legacy struct {
+		ID      string          `json:",omitempty"`
+		Kind    string          `json:",omitempty"`
+		Class   string          `json:",omitempty"`
+		Request json.RawMessage `json:",omitempty"`
+		State   State           `json:",omitempty"`
+		Point   int             `json:",omitempty"`
+		Cycle   int64           `json:",omitempty"`
+		Result  json.RawMessage `json:",omitempty"`
+		Body    []byte          `json:",omitempty"`
+		At      time.Time       `json:",omitempty"`
+	}
+	log := []byte(walMagic)
+	for _, r := range []struct {
+		typ uint8
+		rec legacy
+	}{
+		{recSubmit, legacy{ID: doneID, Kind: "sweep", Class: "batch", Request: doneSweep, At: at}},
+		{recState, legacy{ID: doneID, State: StateRunning, At: at}},
+		{recPoint, legacy{ID: doneID, Point: 0, Result: json.RawMessage(`{"Benchmark":"search"}`), At: at}},
+		{recPoint, legacy{ID: doneID, Point: 1, Result: json.RawMessage(`{"Benchmark":"search"}`), At: at}},
+		{recResult, legacy{ID: doneID, State: StateDone, Body: doneBody, At: at}},
+		{recSubmit, legacy{ID: parkedID, Kind: "sweep", Class: "batch", Request: parkedSweep, At: at}},
+		{recState, legacy{ID: parkedID, State: StateRunning, At: at}},
+		{recPoint, legacy{ID: parkedID, Point: 0, Result: json.RawMessage(`{"Benchmark":"search"}`), At: at}},
+		{recState, legacy{ID: parkedID, State: StateCheckpointed, Point: 1, Cycle: 500, At: at}},
+		{recSubmit, legacy{ID: queuedID, Kind: KindCollect, Class: "batch", Request: queued, At: at}},
+	} {
+		payload, err := json.Marshal(r.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, r.typ)
+		log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
+		log = append(log, payload...)
+		log = binary.LittleEndian.AppendUint32(log, crc32.ChecksumIEEE(payload))
+	}
+	if err := os.WriteFile(filepath.Join(dir, walName), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The parked sweep's checkpoint file: point 1, as the older version
+	// numbered it.
+	ckpt := filepath.Join(dir, parkedID+ckptSuffix)
+	if err := writeCheckpoint(ckpt, checkpoint{Cycle: 500, Snap: []byte("snapshot")}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[len(ckptMagic):], 1)
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(m *Manager) {
+		t.Helper()
+		body, info, err := m.Result(doneID)
+		if err != nil || !bytes.Equal(body, doneBody) || info.Kind != "sweep" {
+			t.Fatalf("finished sweep: body %q, info %+v, err %v", body, info, err)
+		}
+		info, err = m.Get(parkedID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.State != StateFailed || !strings.Contains(info.Error, "/v1/sweep") {
+			t.Fatalf("unfinished sweep: state %s, error %q; want failed naming /v1/sweep", info.State, info.Error)
+		}
+	}
+	m, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 1 << 40})
+	if err != nil {
+		t.Fatalf("open legacy directory: %v", err)
+	}
+	check(m)
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("stale sweep checkpoint not reclaimed: %v", err)
+	}
+	if got := m.Metrics().ckptReclaims.Load(); got != 1 {
+		t.Fatalf("reclaimed = %d, want 1", got)
+	}
+	waitState(t, m, queuedID, StateDone)
+	if body, _, _ := m.Result(queuedID); !bytes.Equal(body, collectBody(t, 2, 0)) {
+		t.Fatal("replayed collect job's result differs from an uninterrupted run")
+	}
+	drainManager(t, m)
+
+	m2, err := Open(Options{Dir: dir, Runners: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainManager(t, m2)
+	check(m2)
 }

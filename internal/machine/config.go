@@ -141,7 +141,9 @@ type Config struct {
 	// StartupCycles and ShutdownCycles model Core 1's coordination with the
 	// main processor (Section V-E): stopping it and flushing its caches at
 	// the start, draining the GC store buffers and restarting it at the
-	// end. Negative values mean zero.
+	// end. Zero selects the default; a negative value means none, and
+	// WithDefaults writes every negative value as -1 so that canonicalizing
+	// twice gives the same config as canonicalizing once.
 	StartupCycles  int64
 	ShutdownCycles int64
 
@@ -230,13 +232,13 @@ func (c Config) WithDefaults() Config {
 		c.StartupCycles = DefaultStartupCycles
 	}
 	if c.StartupCycles < 0 {
-		c.StartupCycles = 0
+		c.StartupCycles = -1
 	}
 	if c.ShutdownCycles == 0 {
 		c.ShutdownCycles = DefaultShutdownCycles
 	}
 	if c.ShutdownCycles < 0 {
-		c.ShutdownCycles = 0
+		c.ShutdownCycles = -1
 	}
 	if c.BarrierMode == "none" {
 		c.BarrierMode = BarrierNone

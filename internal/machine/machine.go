@@ -405,7 +405,7 @@ func (m *Machine) FinishCollect() (Stats, error) {
 	}
 
 	st := Stats{
-		Cycles:              m.cycle + m.cfg.ShutdownCycles,
+		Cycles:              m.cycle + max(m.cfg.ShutdownCycles, 0),
 		EmptyWorklistCycles: m.emptyCycles,
 		PerCore:             make([]CoreStats, m.cfg.Cores),
 		FIFODrops:           m.fifoDrops,

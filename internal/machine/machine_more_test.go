@@ -36,9 +36,14 @@ func TestWithDefaults(t *testing.T) {
 		c.StartupCycles != DefaultStartupCycles || c.ShutdownCycles != DefaultShutdownCycles {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
-	c = Config{StartupCycles: -1, ShutdownCycles: -1}.WithDefaults()
-	if c.StartupCycles != 0 || c.ShutdownCycles != 0 {
+	// Every negative value canonicalizes to -1 ("none"), and a second pass
+	// keeps it there rather than reading it as "unset".
+	c = Config{StartupCycles: -7, ShutdownCycles: -1}.WithDefaults()
+	if c.StartupCycles != -1 || c.ShutdownCycles != -1 {
 		t.Fatalf("negative overrides wrong: %+v", c)
+	}
+	if again := c.WithDefaults(); again != c {
+		t.Fatalf("WithDefaults not idempotent: %+v then %+v", c, again)
 	}
 }
 

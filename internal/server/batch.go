@@ -39,9 +39,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})(w, r)
 }
 
-// runBatch executes every batch item with bounded concurrency (the worker
-// pool size — more in-flight submissions than workers only inflates queue
-// occupancy for unrelated traffic) and reports outcomes in request order.
+// runBatch executes every batch item and reports outcomes in request
+// order. Items are flattened into their collect points, and every point of
+// every item shares one bound of Workers in flight: more in-flight
+// submissions than workers only inflate queue occupancy for unrelated
+// traffic.
 func (s *Server) runBatch(r *http.Request, req *hwgc.BatchRequest) *hwgc.BatchResponse {
 	resp := &hwgc.BatchResponse{Items: make([]hwgc.BatchItemResult, len(req.Items))}
 	sem := make(chan struct{}, s.opts.Workers)
@@ -50,9 +52,7 @@ func (s *Server) runBatch(r *http.Request, req *hwgc.BatchRequest) *hwgc.BatchRe
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			resp.Items[i] = s.runBatchItem(r, i, &req.Items[i])
+			resp.Items[i] = s.runBatchItem(r, sem, i, &req.Items[i])
 		}(i)
 	}
 	wg.Wait()
@@ -62,27 +62,18 @@ func (s *Server) runBatch(r *http.Request, req *hwgc.BatchRequest) *hwgc.BatchRe
 	return resp
 }
 
-func (s *Server) runBatchItem(r *http.Request, i int, it *hwgc.BatchItem) hwgc.BatchItemResult {
-	path, key, _, err := it.Prep()
+func (s *Server) runBatchItem(r *http.Request, sem chan struct{}, i int, it *hwgc.BatchItem) hwgc.BatchItemResult {
+	key, pts, err := it.Points()
 	if err != nil {
 		return hwgc.BatchItemResult{Index: i, Status: http.StatusBadRequest, Error: err.Error()}
 	}
-	if s.opts.MaxScale > 0 && it.Scale() > s.opts.MaxScale {
+	if s.opts.MaxScale > 0 && pts[0].Req.Scale > s.opts.MaxScale {
 		return hwgc.BatchItemResult{Index: i, Key: key, Status: http.StatusBadRequest,
 			Error: "scale exceeds server limit"}
 	}
-	var (
-		kind string
-		run  func() ([]byte, error)
-	)
-	if path == "/v1/collect" {
-		kind, run = "collect", func() ([]byte, error) { return s.runCollect(*it.Collect) }
-	} else {
-		kind, run = "sweep", func() ([]byte, error) { return s.runSweep(*it.Sweep) }
-	}
-	body, _, err := s.execute(r.Context(), key, kind, run)
+	body, _, err := s.runItem(r.Context(), sem, it, pts)
 	if err != nil {
-		code, msg := s.executeStatus(kind, err)
+		code, msg := s.executeStatus(err)
 		return hwgc.BatchItemResult{Index: i, Key: key, Status: code, Error: msg}
 	}
 	return hwgc.BatchItemResult{Index: i, Key: key, Status: http.StatusOK, Body: body}

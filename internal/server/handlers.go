@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"hwgc"
@@ -98,7 +99,7 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 // queue), then bounded admission with backpressure, then waiting under the
 // per-request deadline. It is the common core of the single-request
 // endpoints and the /v1/batch items.
-func (s *Server) execute(ctx context.Context, key, kind string, run func() ([]byte, error)) (body []byte, cached bool, err error) {
+func (s *Server) execute(ctx context.Context, key string, run func() ([]byte, error)) (body []byte, cached bool, err error) {
 	if body, ok := s.cache.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
 		return body, true, nil
@@ -107,14 +108,14 @@ func (s *Server) execute(ctx context.Context, key, kind string, run func() ([]by
 
 	jctx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
 	defer cancel()
-	job := newJob(jctx, key, kind, run)
+	job := newJob(jctx, key, run)
 	body, err = s.submit(jctx, job)
 	return body, false, err
 }
 
 // executeStatus maps an execute error to the per-item/request HTTP status
 // and message, bumping the matching stall counters.
-func (s *Server) executeStatus(kind string, err error) (int, string) {
+func (s *Server) executeStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.metrics.queueFull.Add(1)
@@ -124,29 +125,49 @@ func (s *Server) executeStatus(kind string, err error) (int, string) {
 	case errors.Is(err, ErrPreempted):
 		return http.StatusServiceUnavailable, "job checkpointed and preempted by shutdown; retry after restart"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout, fmt.Sprintf("request deadline (%s) exceeded while %s", s.opts.Timeout, kind)
+		return http.StatusGatewayTimeout, fmt.Sprintf("request deadline (%s) exceeded while collect", s.opts.Timeout)
 	default:
-		return http.StatusInternalServerError, fmt.Sprintf("%s failed: %v", kind, err)
+		return http.StatusInternalServerError, fmt.Sprintf("collect failed: %v", err)
 	}
 }
 
-// serveJob is the HTTP wrapper of execute for the two single-request POST
-// endpoints.
-func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, key, kind string, run func() ([]byte, error)) {
-	body, cached, err := s.execute(r.Context(), key, kind, run)
-	if err == nil {
-		state := "MISS"
-		if cached {
-			state = "HIT"
+// runItem runs a collect or a sweep as its collect points: each goes
+// through execute under its own collect key, at most cap(sem) at a time.
+// The body is the collect's own, or the sweep's assembled from its points
+// in core order; cached reports whether every point was a cache hit. On
+// failure the error is that of the first failing point in core order.
+func (s *Server) runItem(ctx context.Context, sem chan struct{}, it *hwgc.BatchItem, pts []hwgc.SweepPoint) (body []byte, cached bool, err error) {
+	bodies := make([][]byte, len(pts))
+	hits := make([]bool, len(pts))
+	errs := make([]error, len(pts))
+	var wg sync.WaitGroup
+	for i := range pts {
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+			errs[i] = ctx.Err()
+			continue
 		}
-		writeResult(w, key, state, body)
-		return
+		wg.Add(1)
+		go func(i int) {
+			defer func() { <-sem; wg.Done() }()
+			req := pts[i].Req
+			bodies[i], hits[i], errs[i] = s.execute(ctx, pts[i].Key, func() ([]byte, error) { return s.runCollect(req) })
+		}(i)
 	}
-	code, msg := s.executeStatus(kind, err)
-	if code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RetryAfter)))
+	wg.Wait()
+	cached = true
+	for i := range pts {
+		if errs[i] != nil {
+			return nil, false, errs[i]
+		}
+		cached = cached && hits[i]
 	}
-	writeError(w, code, "%s", msg)
+	if it.Sweep == nil {
+		return bodies[0], cached, nil
+	}
+	body, err = it.Sweep.ResponseBody(bodies)
+	return body, cached, err
 }
 
 func writeResult(w http.ResponseWriter, key, cacheState string, body []byte) {
@@ -159,46 +180,51 @@ func writeResult(w http.ResponseWriter, key, cacheState string, body []byte) {
 
 func (s *Server) handleCollect(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/v1/collect", true, func(w http.ResponseWriter, r *http.Request) {
-		if !requirePost(w, r) {
-			return
-		}
 		var req hwgc.CollectRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		key, err := req.Key() // canonicalizes in place
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid request: %v", err)
-			return
-		}
-		if s.opts.MaxScale > 0 && req.Scale > s.opts.MaxScale {
-			writeError(w, http.StatusBadRequest, "scale %d exceeds server limit %d", req.Scale, s.opts.MaxScale)
-			return
-		}
-		s.serveJob(w, r, key, "collect", func() ([]byte, error) { return s.runCollect(req) })
+		s.serveItem(w, r, &req, &hwgc.BatchItem{Collect: &req})
 	})(w, r)
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/v1/sweep", true, func(w http.ResponseWriter, r *http.Request) {
-		if !requirePost(w, r) {
-			return
-		}
 		var req hwgc.SweepRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		key, err := req.Key() // canonicalizes in place
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid request: %v", err)
-			return
-		}
-		if s.opts.MaxScale > 0 && req.Scale > s.opts.MaxScale {
-			writeError(w, http.StatusBadRequest, "scale %d exceeds server limit %d", req.Scale, s.opts.MaxScale)
-			return
-		}
-		s.serveJob(w, r, key, "sweep", func() ([]byte, error) { return s.runSweep(req) })
+		s.serveItem(w, r, &req, &hwgc.BatchItem{Sweep: &req})
 	})(w, r)
+}
+
+// serveItem serves the two single-request POST endpoints: it decodes the
+// body into req, the collect or sweep of it, and runs it as its collect
+// points under one request deadline. A sweep thus takes at most Workers
+// queue slots however many points it has.
+func (s *Server) serveItem(w http.ResponseWriter, r *http.Request, req any, it *hwgc.BatchItem) {
+	if !requirePost(w, r) || !decodeJSON(w, r, req) {
+		return
+	}
+	key, pts, err := it.Points() // canonicalizes req in place
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		return
+	}
+	if scale := pts[0].Req.Scale; s.opts.MaxScale > 0 && scale > s.opts.MaxScale {
+		writeError(w, http.StatusBadRequest, "scale %d exceeds server limit %d", scale, s.opts.MaxScale)
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
+	defer cancel()
+	body, cached, err := s.runItem(ctx, make(chan struct{}, s.opts.Workers), it, pts)
+	if err != nil {
+		code, msg := s.executeStatus(err)
+		if code == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RetryAfter)))
+		}
+		writeError(w, code, "%s", msg)
+		return
+	}
+	state := "MISS"
+	if cached {
+		state = "HIT"
+	}
+	writeResult(w, key, state, body)
 }
 
 // workloadsBody is the GET /v1/workloads response.

@@ -43,7 +43,7 @@ func (s *Server) collectViaJobs(req hwgc.CollectRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub, _, err := s.jobs.Submit(jobs.KindCollect, "", canonical)
+	sub, _, err := s.jobs.Submit("", canonical)
 	if errors.Is(err, jobs.ErrDraining) {
 		return nil, ErrShuttingDown
 	}
@@ -97,15 +97,6 @@ func (s *Server) collectViaJobs(req hwgc.CollectRequest) ([]byte, error) {
 	}
 }
 
-// jobSubmitBody is the POST /v1/jobs request: exactly one of Collect or
-// Sweep, plus an optional priority class (default: the first configured
-// class).
-type jobSubmitBody struct {
-	Collect *hwgc.CollectRequest `json:",omitempty"`
-	Sweep   *hwgc.SweepRequest   `json:",omitempty"`
-	Class   string               `json:",omitempty"`
-}
-
 // writeJobInfo serves a job Info snapshot as indented JSON.
 func writeJobInfo(w http.ResponseWriter, code int, info jobs.Info) {
 	w.Header().Set("Content-Type", "application/json")
@@ -140,46 +131,24 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusMethodNotAllowed, "%s requires GET or POST", r.URL.Path)
 			return
 		}
-		var body jobSubmitBody
+		var body jobs.SubmitRequest
 		if !decodeJSON(w, r, &body) {
 			return
 		}
-		if (body.Collect == nil) == (body.Sweep == nil) {
-			writeError(w, http.StatusBadRequest, "exactly one of Collect or Sweep must be set")
+		canonical, err := body.Canonical()
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if body.Class != "" && !s.jobs.HasClass(body.Class) {
 			writeError(w, http.StatusBadRequest, "unknown job class %q", body.Class)
 			return
 		}
-		var (
-			kind      string
-			scale     int
-			canonical []byte
-			err       error
-		)
-		if body.Collect != nil {
-			kind = jobs.KindCollect
-			if _, err = body.Collect.Key(); err == nil { // canonicalizes in place
-				scale = body.Collect.Scale
-				canonical, err = body.Collect.CanonicalJSON()
-			}
-		} else {
-			kind = jobs.KindSweep
-			if _, err = body.Sweep.Key(); err == nil { // canonicalizes in place
-				scale = body.Sweep.Scale
-				canonical, err = body.Sweep.CanonicalJSON()
-			}
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid request: %v", err)
-			return
-		}
-		if s.opts.MaxScale > 0 && scale > s.opts.MaxScale {
+		if scale := body.Collect.Scale; s.opts.MaxScale > 0 && scale > s.opts.MaxScale {
 			writeError(w, http.StatusBadRequest, "scale %d exceeds server limit %d", scale, s.opts.MaxScale)
 			return
 		}
-		info, accepted, err := s.jobs.Submit(kind, body.Class, canonical)
+		info, accepted, err := s.jobs.Submit(body.Class, canonical)
 		switch {
 		case errors.Is(err, jobs.ErrDraining):
 			writeError(w, http.StatusServiceUnavailable, "server is shutting down")
@@ -279,7 +248,6 @@ const (
 type importReceipt struct {
 	Info     jobs.Info
 	Accepted bool // false: deduped onto an existing local job
-	Point    int
 	Cycle    int64
 	SnapCRC  uint32 `json:",omitempty"`
 }
@@ -354,7 +322,7 @@ func (s *Server) serveJobImport(w http.ResponseWriter, r *http.Request, id strin
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(importReceipt{Info: info, Accepted: accepted, Point: env.Point, Cycle: env.Cycle, SnapCRC: env.SnapCRC})
+	_ = enc.Encode(importReceipt{Info: info, Accepted: accepted, Cycle: env.Cycle, SnapCRC: env.SnapCRC})
 }
 
 // serveJobRelease finishes a job locally as migrated after its envelope has

@@ -109,10 +109,15 @@ func TestJobsEndpointValidation(t *testing.T) {
 		"unknown class": `{"Collect":{"Bench":"jlisp","Config":{}},"Class":"nope"}`,
 		"bad request":   `{"Collect":{"Config":{}}}`,
 		"not json":      `walrus`,
+		"sweep":         `{"Sweep":{"Bench":"jlisp","Cores":[1],"Config":{}}}`,
 	} {
 		resp, data := post(t, ts, "/v1/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, data)
+		}
+		// A sweep is no job: the 400 points at the sweep endpoints.
+		if name == "sweep" && !(bytes.Contains(data, []byte("/v1/sweep,")) && bytes.Contains(data, []byte("/v1/sweeps"))) {
+			t.Errorf("sweep job 400 does not name /v1/sweep and /v1/sweeps: %s", data)
 		}
 	}
 	// Unknown job resources.
@@ -148,9 +153,9 @@ func TestJobsEndpointCancel(t *testing.T) {
 	opts.JobRunners = 1
 	s, ts := newTestServer(t, opts)
 
-	// Wedge the single runner with a scaled-up sweep so the next job stays
-	// queued; same class as the victim, so no preemption interferes.
-	_, long := postJob(t, ts, `{"Sweep":{"Bench":"search","Scale":8,"Cores":[8,16],"Config":{}}}`)
+	// Wedge the single runner with a scaled-up collect so the next job
+	// stays queued; same class as the victim, so no preemption interferes.
+	_, long := postJob(t, ts, `{"Collect":{"Bench":"search","Scale":8,"Config":{"Cores":1}}}`)
 	waitJobState(t, s, long.ID, jobs.StateRunning)
 
 	_, victim := postJob(t, ts, `{"Collect":{"Bench":"jlisp","Seed":5,"Config":{}}}`)

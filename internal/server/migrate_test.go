@@ -51,8 +51,9 @@ func TestCheckpointMigrationOverHTTP(t *testing.T) {
 	_, tsDst := newTestServer(t, jobsOpts(t))
 	_, tsRef := newTestServer(t, Options{Workers: 1})
 
-	const sweepReq = `{"Bench":"jlisp","Cores":[8,4,2,1],"Config":{}}`
-	resp, info := postJob(t, tsSrc, `{"Sweep":`+sweepReq+`}`)
+	// A one-core collect at scale 2: about 61k simulated cycles.
+	const collectReq = `{"Bench":"jlisp","Scale":2,"Config":{"Cores":1}}`
+	resp, info := postJob(t, tsSrc, `{"Collect":`+collectReq+`}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d", resp.StatusCode)
 	}
@@ -84,14 +85,13 @@ func TestCheckpointMigrationOverHTTP(t *testing.T) {
 	var receipt struct {
 		Info     jobs.Info
 		Accepted bool
-		Point    int
 		Cycle    int64
 		SnapCRC  uint32
 	}
 	if err := json.Unmarshal(rbody, &receipt); err != nil {
 		t.Fatal(err)
 	}
-	if !receipt.Accepted || receipt.Info.ID != id || receipt.Point != env.Point || receipt.SnapCRC != env.SnapCRC {
+	if !receipt.Accepted || receipt.Info.ID != id || receipt.Cycle != env.Cycle || receipt.SnapCRC != env.SnapCRC {
 		t.Fatalf("receipt = %+v, want an echo of the imported envelope", receipt)
 	}
 
@@ -102,14 +102,14 @@ func TestCheckpointMigrationOverHTTP(t *testing.T) {
 	}
 
 	// The migrated job finishes on the destination byte-identical to an
-	// uninterrupted synchronous sweep.
+	// uninterrupted synchronous collect.
 	rresp, got := awaitResult(t, tsDst, id)
 	if rresp.StatusCode != http.StatusOK {
 		t.Fatalf("result status = %d: %s", rresp.StatusCode, got)
 	}
-	sresp, want := post(t, tsRef, "/v1/sweep", sweepReq)
+	sresp, want := post(t, tsRef, "/v1/collect", collectReq)
 	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("reference sweep status = %d", sresp.StatusCode)
+		t.Fatalf("reference collect status = %d", sresp.StatusCode)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("migrated result differs from uninterrupted synchronous run")
@@ -178,7 +178,7 @@ func liveEnvelope(t *testing.T, seed int64) *jobs.ExportedJob {
 		t.Fatal(err)
 	}
 	return &jobs.ExportedJob{
-		V:        1,
+		V:        2,
 		ID:       hwgc.KeyBytes(canonical),
 		Kind:     jobs.KindCollect,
 		Request:  canonical,

@@ -13,13 +13,12 @@ var (
 	ErrShuttingDown = errors.New("server: shutting down")
 )
 
-// Job is one unit of work for the pool: a canonicalized collect or sweep
-// request plus the context of the HTTP request that submitted it. The
+// Job is one unit of work for the pool: a canonicalized collect request
+// plus the context of the HTTP request that submitted it. The
 // worker invokes run and publishes the encoded response body (or error) by
 // closing done.
 type Job struct {
 	Key  string
-	Kind string // "collect" or "sweep", for logging
 	ctx  context.Context
 	run  func() ([]byte, error)
 	body []byte
@@ -27,8 +26,8 @@ type Job struct {
 	done chan struct{}
 }
 
-func newJob(ctx context.Context, key, kind string, run func() ([]byte, error)) *Job {
-	return &Job{Key: key, Kind: kind, ctx: ctx, run: run, done: make(chan struct{})}
+func newJob(ctx context.Context, key string, run func() ([]byte, error)) *Job {
+	return &Job{Key: key, ctx: ctx, run: run, done: make(chan struct{})}
 }
 
 func (j *Job) finish(body []byte, err error) {

@@ -10,7 +10,7 @@
 // Endpoints:
 //
 //	POST /v1/collect   run one collection (named benchmark or inline plan)
-//	POST /v1/sweep     run a Fig. 5-style core-count sweep
+//	POST /v1/sweep     run a Fig. 5-style core-count sweep as its collect points
 //	POST /v1/batch     run a list of collect/sweep items, per-item results
 //	GET  /v1/workloads list benchmark workloads and baselines
 //	GET  /healthz      liveness + pool state
@@ -19,7 +19,7 @@
 // With Options.JobsDir set, the durable async job tier (internal/jobs) is
 // mounted as well:
 //
-//	POST   /v1/jobs              submit a collect/sweep job (202 + job info)
+//	POST   /v1/jobs              submit a collect job (202 + job info)
 //	GET    /v1/jobs              list jobs (?active=true for non-terminal only)
 //	GET    /v1/jobs/{id}         job status
 //	GET    /v1/jobs/{id}/result  final result body (202 until done)
@@ -158,10 +158,10 @@ type Server struct {
 	startOnce sync.Once
 	stopOnce  sync.Once
 
-	// runCollect / runSweep execute one canonicalized request and encode
-	// the response body. Tests substitute these to control job duration.
+	// runCollect executes one canonicalized collect and encodes the
+	// response body; sweeps run as collects too. Tests substitute it to
+	// control job duration.
 	runCollect func(req hwgc.CollectRequest) ([]byte, error)
-	runSweep   func(req hwgc.SweepRequest) ([]byte, error)
 }
 
 // New creates a Server. Call Start to spin up the worker pool. It fails
@@ -171,7 +171,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:     opts.withDefaults(),
 		draining: make(chan struct{}),
-		runSweep: encodeSweep,
 	}
 	s.cache = NewCache(s.opts.CacheEntries, s.opts.CacheBytes)
 	s.queue = NewQueue(s.opts.QueueDepth)
@@ -226,18 +225,6 @@ func encodeCollectObserved(req hwgc.CollectRequest, m *Metrics) ([]byte, error) 
 		return nil, err
 	}
 	m.ObserveCollect(resp)
-	var b bytes.Buffer
-	if err := resp.Encode(&b); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-func encodeSweep(req hwgc.SweepRequest) ([]byte, error) {
-	resp, err := hwgc.NewSweepResponse(req)
-	if err != nil {
-		return nil, err
-	}
 	var b bytes.Buffer
 	if err := resp.Encode(&b); err != nil {
 		return nil, err

@@ -227,6 +227,138 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// TestSweepRunsCollectPoints: a sweep's points run on the collect path
+// under their collect keys, so they fill and read the same cache entries as
+// /v1/collect; X-Cache is HIT only when every point hit, and X-Cache-Key is
+// the sweep key. The body is the library's NewSweepResponse encoding.
+func TestSweepRunsCollectPoints(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	sweepReq := hwgc.SweepRequest{Bench: "jlisp", Cores: []int{1, 2, 4}}
+	key, _ := sweepReq.Key()
+	lib, err := hwgc.NewSweepResponse(sweepReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := lib.Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := post(t, ts, "/v1/sweep", `{"Bench":"jlisp","Cores":[1,2,4],"Config":{}}`)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("sweep: status %d, body differs from NewSweepResponse: %s", resp.StatusCode, body)
+	}
+	if resp.Header.Get("X-Cache") != "MISS" || resp.Header.Get("X-Cache-Key") != key {
+		t.Fatalf("sweep headers X-Cache %q X-Cache-Key %q, want MISS and the sweep key", resp.Header.Get("X-Cache"), resp.Header.Get("X-Cache-Key"))
+	}
+	// A point is the collect of its core count: already cached.
+	if resp, _ := post(t, ts, "/v1/collect", `{"Bench":"jlisp","Config":{"Cores":2}}`); resp.Header.Get("X-Cache") != "HIT" {
+		t.Fatalf("collect of a sweep point: X-Cache %q, want HIT", resp.Header.Get("X-Cache"))
+	}
+	// One new point makes the sweep a MISS; the shared points still hit.
+	hits := s.metrics.cacheHits.Load()
+	if resp, _ := post(t, ts, "/v1/sweep", `{"Bench":"jlisp","Cores":[4,8],"Config":{}}`); resp.Header.Get("X-Cache") != "MISS" {
+		t.Fatalf("partly cached sweep: X-Cache %q, want MISS", resp.Header.Get("X-Cache"))
+	}
+	if got := s.metrics.cacheHits.Load() - hits; got != 1 {
+		t.Fatalf("partly cached sweep: %d point hits, want 1", got)
+	}
+	if resp, _ := post(t, ts, "/v1/sweep", `{"Bench":"jlisp","Cores":[1,2,4],"Config":{}}`); resp.Header.Get("X-Cache") != "HIT" {
+		t.Fatalf("repeated sweep: X-Cache %q, want HIT", resp.Header.Get("X-Cache"))
+	}
+}
+
+// TestSweepPointsBoundedByWorkers: at most Workers points of one request
+// are in flight, so a sweep (or a batch of sweeps) never takes more queue
+// slots than the pool can run: with one worker and a one-slot queue none
+// of their points is rejected.
+func TestSweepPointsBoundedByWorkers(t *testing.T) {
+	_, ts := slowServer(t, Options{Workers: 1, QueueDepth: 1}, 20*time.Millisecond)
+	if resp, body := post(t, ts, "/v1/sweep", `{"Bench":"jlisp","Config":{}}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("5-point sweep: status %d: %s", resp.StatusCode, body)
+	}
+	batch := `{"Items":[
+		{"Sweep":{"Bench":"jlisp","Seed":3,"Cores":[1,2,4]}},
+		{"Collect":{"Bench":"jlisp","Seed":4,"Config":{}}},
+		{"Sweep":{"Bench":"jlisp","Seed":5,"Cores":[1,2]}},
+		{"Collect":{"Bench":"jlisp","Seed":6,"Config":{}}}
+	]}`
+	resp, body := post(t, ts, "/v1/batch", batch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch of sweeps: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestSweepReportsFirstFailingPoint: a failed sweep answers with its first
+// failing point in core order, with that point's status; a 429 keeps its
+// Retry-After hint.
+func TestSweepReportsFirstFailingPoint(t *testing.T) {
+	s, err := New(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.runCollect = func(req hwgc.CollectRequest) ([]byte, error) {
+		switch req.Config.Cores {
+		case 2:
+			return nil, fmt.Errorf("boom at 2 cores")
+		case 4:
+			return nil, ErrQueueFull
+		case 8:
+			return nil, fmt.Errorf("boom at 8 cores")
+		}
+		return []byte(`{}`), nil
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		_ = s.Shutdown(context.Background())
+	})
+	resp, body := post(t, ts, "/v1/sweep", `{"Bench":"jlisp","Cores":[1,8,2],"Config":{}}`)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "boom at 8 cores") {
+		t.Fatalf("status %d body %s, want 500 from the 8-core point", resp.StatusCode, body)
+	}
+	resp, body = post(t, ts, "/v1/sweep", `{"Bench":"jlisp","Cores":[4,2],"Config":{}}`)
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("status %d (Retry-After %q) body %s, want 429 with Retry-After from the 4-core point",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+	}
+	resp, body = post(t, ts, "/v1/batch", `{"Items":[{"Sweep":{"Bench":"jlisp","Cores":[1,2,8]}}]}`)
+	br, err := hwgc.DecodeBatchResponse(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := br.Items[0]; it.Status != http.StatusInternalServerError || !strings.Contains(it.Error, "boom at 2 cores") {
+		t.Fatalf("batch sweep item %+v, want 500 from the 2-core point", it)
+	}
+}
+
+// TestCollectNegativeStartupShutdown: a request with StartupCycles and
+// ShutdownCycles of -1 runs with neither phase, as the library does, and
+// its body's Key is the cache key it is served under.
+func TestCollectNegativeStartupShutdown(t *testing.T) {
+	for _, opts := range []Options{{Workers: 1}, jobsOpts(t)} {
+		_, ts := newTestServer(t, opts)
+		resp, body := post(t, ts, "/v1/collect", `{"Bench":"jlisp","Config":{"Cores":2,"StartupCycles":-1,"ShutdownCycles":-1}}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var cr hwgc.CollectResponse
+		if err := json.Unmarshal(body, &cr); err != nil {
+			t.Fatal(err)
+		}
+		if cr.Key != resp.Header.Get("X-Cache-Key") {
+			t.Errorf("body Key %s, X-Cache-Key %s", cr.Key, resp.Header.Get("X-Cache-Key"))
+		}
+		want, err := hwgc.RunBenchmark("jlisp", 1, hwgc.DefaultSeed, hwgc.Config{Cores: 2, StartupCycles: -1, ShutdownCycles: -1}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := cr.Result.Stats.DiffFields(&want.Stats); d != nil {
+			t.Errorf("served Stats differ from RunBenchmark: %v", d)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 7})
 	post(t, ts, "/v1/collect", `{"Bench":"jlisp","Config":{"Cores":2}}`)

@@ -122,7 +122,7 @@ func (r *JobsRunner) RunPoint(ctx context.Context, class string, index int, p hw
 				// An undecodable cache body falls through to a fresh execution.
 			}
 		}
-		_, accepted, err := r.jobs.Submit(jobs.KindCollect, class, p.Canonical)
+		_, accepted, err := r.jobs.Submit(class, p.Canonical)
 		if err != nil {
 			res.Err = err.Error()
 			return res

@@ -1,6 +1,7 @@
 package hwgc
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -166,12 +167,26 @@ func (r *SweepRequest) Key() (string, error) {
 	return KeyBytes(b), nil
 }
 
-// Run canonicalizes r and executes the sweep it describes.
-func (r *SweepRequest) Run() ([]RunResult, error) {
+// Points canonicalizes r and expands it into its collect points, one per
+// core count, in order: the sweep's Bench, Scale, Seed, Config and Verify
+// with Config.Cores set to the point's core count. A point's Key and
+// Canonical bytes are those of the same collect posted to /v1/collect, so
+// a sweep point shares that collect's cache entry, job and fleet owner.
+func (r *SweepRequest) Points() ([]SweepPoint, error) {
 	if err := r.Canonicalize(); err != nil {
 		return nil, err
 	}
-	return SweepCores(r.Bench, r.Cores, r.Scale, r.Seed, r.Config, r.Verify)
+	pts := make([]SweepPoint, len(r.Cores))
+	for i, n := range r.Cores {
+		req := CollectRequest{Bench: r.Bench, Scale: r.Scale, Seed: r.Seed, Config: r.Config, Verify: r.Verify}
+		req.Config.Cores = n
+		canonical, err := req.CanonicalJSON()
+		if err != nil {
+			return nil, err
+		}
+		pts[i] = SweepPoint{Index: i, Key: KeyBytes(canonical), Canonical: canonical, Req: req}
+	}
+	return pts, nil
 }
 
 // CollectResponse is the result encoding for one collection, produced
@@ -224,18 +239,59 @@ type SweepResponse struct {
 	Results []RunResult
 }
 
-// NewSweepResponse runs the (possibly non-canonical) sweep request and
-// wraps the results in the shared response encoding.
+// NewSweepResponse runs the (possibly non-canonical) sweep request's
+// points one after another and wraps the results in the shared response
+// encoding.
 func NewSweepResponse(req SweepRequest) (*SweepResponse, error) {
-	key, err := req.Key() // canonicalizes req in place
+	pts, err := req.Points()
 	if err != nil {
 		return nil, err
 	}
-	results, err := req.Run()
+	results := make([]RunResult, len(pts))
+	for i := range pts {
+		if results[i], err = pts[i].Req.Run(); err != nil {
+			return nil, fmt.Errorf("hwgc: sweep %s at %d cores: %w", req.Bench, req.Cores[i], err)
+		}
+	}
+	return req.Response(results)
+}
+
+// Response assembles the reply of the canonical sweep r from its points'
+// results, in core order. Key is the sweep's own content key. Every
+// producer of a SweepResponse goes through here, so the library, gcserved
+// and gcfleet cannot drift apart.
+func (r *SweepRequest) Response(results []RunResult) (*SweepResponse, error) {
+	key, err := r.Key()
 	if err != nil {
 		return nil, err
 	}
-	return &SweepResponse{Key: key, Bench: req.Bench, Cores: req.Cores, Scale: req.Scale, Seed: req.Seed, Results: results}, nil
+	if len(results) != len(r.Cores) {
+		return nil, fmt.Errorf("hwgc: sweep has %d core counts but %d results", len(r.Cores), len(results))
+	}
+	return &SweepResponse{Key: key, Bench: r.Bench, Cores: r.Cores, Scale: r.Scale, Seed: r.Seed, Results: results}, nil
+}
+
+// ResponseBody assembles and encodes the reply of the canonical sweep r
+// from its points' /v1/collect reply bodies, in core order: the serving
+// tiers run the points as collects and answer the sweep with these bytes.
+func (r *SweepRequest) ResponseBody(pointBodies [][]byte) ([]byte, error) {
+	results := make([]RunResult, len(pointBodies))
+	for i, b := range pointBodies {
+		var cr CollectResponse
+		if err := json.Unmarshal(b, &cr); err != nil {
+			return nil, fmt.Errorf("hwgc: decoding sweep point %d: %w", i, err)
+		}
+		results[i] = cr.Result
+	}
+	resp, err := r.Response(results)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := resp.Encode(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Encode writes the response in the service's wire format (indented JSON,

@@ -88,13 +88,12 @@ func TestPlanRequestCanonicalization(t *testing.T) {
 }
 
 func TestSweepRequestDefaultsAndRun(t *testing.T) {
-	r := SweepRequest{Bench: "jlisp", Cores: []int{1, 2}}
-	results, err := r.Run()
+	resp, err := NewSweepResponse(SweepRequest{Bench: "jlisp", Cores: []int{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
+	if len(resp.Results) != 2 {
+		t.Fatalf("got %d results", len(resp.Results))
 	}
 
 	d := SweepRequest{Bench: "jlisp"}
@@ -205,5 +204,103 @@ func TestCollectResponseCodecCompat(t *testing.T) {
 	}
 	if back.Result.Stats.Mutator.BarrierInvocations == 0 {
 		t.Fatal("concurrent response carries zero barrier invocations")
+	}
+}
+
+// TestCanonicalizeIdempotent: canonicalizing twice gives what canonicalizing
+// once gives, so a request's key never depends on how many layers
+// canonicalized it. Negative StartupCycles/ShutdownCycles ("none") used to
+// turn into the defaults on a second pass.
+func TestCanonicalizeIdempotent(t *testing.T) {
+	cfgs := []Config{
+		{Cores: 2, StartupCycles: -1, ShutdownCycles: -1},
+		{Cores: 4, StartupCycles: -9},
+		{ShutdownCycles: -64, NUMADomains: 2, L1Sets: 8},
+		{MutatorOps: 100, BarrierMode: "none", NUMAPlacement: "naive"},
+	}
+	for _, cfg := range cfgs {
+		once := CollectRequest{Bench: "jlisp", Config: cfg}
+		b1, err := once.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		twice := once
+		b2, err := twice.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Errorf("collect %+v: once %s, twice %s", cfg, b1, b2)
+		}
+
+		sw := SweepRequest{Bench: "jlisp", Cores: []int{1, 2}, Config: cfg}
+		s1, err := sw.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := sw.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(s1, s2) {
+			t.Errorf("sweep %+v: once %s, twice %s", cfg, s1, s2)
+		}
+	}
+
+	// Generated configurations: every point a SweepSpace plans is already
+	// canonical, so re-canonicalizing it keeps its bytes and key.
+	space := SweepSpace{
+		Benches: []string{"jlisp"},
+		Axes: []SweepAxis{
+			{Field: "StartupCycles", Values: []int64{-7, -1, 0, 16}},
+			{Field: "ShutdownCycles", Values: []int64{-1, 0}},
+			{Field: "Cores", Values: []int64{1, 4}},
+		},
+	}
+	pts, err := space.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 3*2*2 { // -7 and -1 are the same "none"
+		t.Fatalf("space planned %d points, want 12", len(pts))
+	}
+	for _, p := range pts {
+		req := p.Req
+		b, err := req.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, p.Canonical) || KeyBytes(b) != p.Key {
+			t.Errorf("point %d: re-canonicalized to %s, planned %s", p.Index, b, p.Canonical)
+		}
+	}
+}
+
+// TestNegativeStartupShutdownHonoured: the response path runs the
+// configuration the key names — no startup and no shutdown phase — and
+// gives the same Stats as the library call.
+func TestNegativeStartupShutdownHonoured(t *testing.T) {
+	cfg := Config{Cores: 2, StartupCycles: -1, ShutdownCycles: -1}
+	want, err := RunBenchmark("jlisp", 1, DefaultSeed, cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := NewCollectResponse(CollectRequest{Bench: "jlisp", Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := resp.Result.Stats.DiffFields(&want.Stats); d != nil {
+		t.Fatalf("response Stats differ from RunBenchmark: %v", d)
+	}
+	def, err := RunBenchmark("jlisp", 1, DefaultSeed, Config{Cores: 2}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.Cycles >= def.Stats.Cycles {
+		t.Errorf("no startup/shutdown ran %d cycles, the defaults %d", want.Stats.Cycles, def.Stats.Cycles)
+	}
+	defKey, _ := (&CollectRequest{Bench: "jlisp", Config: Config{Cores: 2}}).Key()
+	if resp.Key == defKey {
+		t.Error("the -1/-1 request shares the default config's key")
 	}
 }
