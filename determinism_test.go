@@ -216,7 +216,7 @@ func TestFastForwardSkipsCycles(t *testing.T) {
 	}
 }
 
-// TestProbeForcesStepping guards the tracing contract: with a Probe
+// TestProbeForcesStepping guards the tracing contract: with a probe
 // attached, the machine must step every cycle (no jumps), invoke the probe
 // once per cycle, and still produce the exact Stats of the stepped run.
 func TestProbeForcesStepping(t *testing.T) {
@@ -231,12 +231,12 @@ func TestProbeForcesStepping(t *testing.T) {
 		t.Fatal(err)
 	}
 	var probed int64
-	m.Probe = func(cycle int64, mm *machine.Machine) {
+	m.AddProbe(func(cycle int64, mm *machine.Machine) {
 		if cycle != probed+1 {
 			t.Fatalf("probe cycle %d after %d: a cycle was skipped", cycle, probed)
 		}
 		probed = cycle
-	}
+	})
 	st, err := m.Collect()
 	if err != nil {
 		t.Fatal(err)

@@ -238,10 +238,11 @@ func TestFleetSweepEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFleetSweepCancel cancels a running fleet sweep: the DELETE settles
-// every pending point at once, a second DELETE conflicts, the point jobs no
-// other sweep waits for end cancelled on the backend, and a point job that
-// another live sweep shares keeps running to its result.
+// TestFleetSweepCancel cancels a running fleet sweep while a long job holds
+// the backend's one runner: the DELETE settles every pending point at once,
+// a second DELETE conflicts, every point job no other sweep waits for ends
+// cancelled on the backend, and a point job that another live sweep shares
+// runs to its result once the runner is free.
 func TestFleetSweepCancel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e test boots real simulators")
@@ -283,15 +284,7 @@ func TestFleetSweepCancel(t *testing.T) {
 	}
 	victimKeys, sharedKey := pointKeys(victimBody), pointKeys(sharerBody)[0]
 
-	res, victim := postSweepFleet(t, client, fleet.URL, victimBody)
-	if res.StatusCode != http.StatusAccepted || victim.Points != len(victimKeys) {
-		t.Fatalf("submit: status %d info %+v", res.StatusCode, victim)
-	}
-	res, sharer := postSweepFleet(t, client, fleet.URL, sharerBody)
-	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("sharer submit: status %d", res.StatusCode)
-	}
-	// jobState reads a point job's state on the backend ("" while unknown).
+	// jobState reads a job's state on the backend ("" while unknown).
 	jobState := func(key string) string {
 		t.Helper()
 		res, err := client.Get(backend.URL + "/v1/jobs/" + key)
@@ -304,6 +297,35 @@ func TestFleetSweepCancel(t *testing.T) {
 			return ""
 		}
 		return info.State
+	}
+	// Occupy the backend's one runner with a long collect in the points'
+	// class, so no point job runs before the cancel. The weight is equal,
+	// so a queued point never preempts it. Every access of the long collect
+	// waits a million cycles, and the cache model turns fast-forward off,
+	// so it would step for many minutes; the test cancels it.
+	res, err := client.Post(backend.URL+"/v1/jobs", "application/json", strings.NewReader(
+		`{"Collect":{"Bench":"search","Config":{"Cores":1,"L1Sets":1,"ExtraMemLatency":1000000,"MaxCycles":100000000000}},"Class":"interactive"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var long jobInfoBody
+	if err := json.NewDecoder(res.Body).Decode(&long); err != nil || res.StatusCode != http.StatusAccepted {
+		t.Fatalf("long job submit: status %d err %v", res.StatusCode, err)
+	}
+	res.Body.Close()
+	for end := time.Now().Add(30 * time.Second); jobState(long.ID) != "running"; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("long job %s state %q, want running", long.ID, jobState(long.ID))
+		}
+	}
+
+	res, victim := postSweepFleet(t, client, fleet.URL, victimBody)
+	if res.StatusCode != http.StatusAccepted || victim.Points != len(victimKeys) {
+		t.Fatalf("submit: status %d info %+v", res.StatusCode, victim)
+	}
+	res, sharer := postSweepFleet(t, client, fleet.URL, sharerBody)
+	if res.StatusCode != http.StatusAccepted {
+		t.Fatalf("sharer submit: status %d", res.StatusCode)
 	}
 	// Cancel once every point job has reached the backend, so the cancel
 	// has queued jobs to reach.
@@ -353,9 +375,8 @@ func TestFleetSweepCancel(t *testing.T) {
 		t.Fatalf("second cancel: status %d, want 409", code)
 	}
 
-	// The unshared point jobs end cancelled, except any the backend had
-	// already run; the shared one completes and so does its sweep.
-	cancelled := 0
+	// Every unshared point job was still queued behind the long job, so
+	// every one ends cancelled.
 	for _, k := range victimKeys {
 		if k == sharedKey {
 			continue
@@ -369,14 +390,20 @@ func TestFleetSweepCancel(t *testing.T) {
 				t.Fatalf("point job %s still %q after the cancel", k, state)
 			}
 		}
-		if state == "cancelled" {
-			cancelled++
+		if state != "cancelled" {
+			t.Fatalf("unshared point job %s ended %q, want cancelled", k, state)
 		}
 	}
-	// One runner finishes a javac point in tens of milliseconds, so at most
-	// a couple had run before the cancel reached the backend.
-	if unshared := len(victimKeys) - 1; 2*cancelled < unshared {
-		t.Fatalf("%d of %d unshared point jobs cancelled on the backend", cancelled, unshared)
+	// Freeing the runner lets the shared point job run; it completes, and so
+	// does the sweep that shares it.
+	req, _ := http.NewRequest(http.MethodDelete, backend.URL+"/v1/jobs/"+long.ID, nil)
+	res, err = client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("long job cancel: status %d", res.StatusCode)
 	}
 	sharer = awaitSweepInfo(t, client, fleet.URL, sharer.ID, 60*time.Second, nil)
 	if sharer.State != sweep.StateDone || sharer.Completed != 1 {

@@ -20,7 +20,7 @@ type SpaceStats struct {
 // Stats walks the current space and summarizes it.
 func (h *Heap) Stats() SpaceStats {
 	var s SpaceStats
-	h.Objects(h.cur, h.alloc, func(base object.Addr, hdr object.Word) bool {
+	h.Objects(h.st.Cur, h.st.Alloc, func(base object.Addr, hdr object.Word) bool {
 		s.Objects++
 		size := object.SizeWords(hdr)
 		s.Words += size
@@ -31,7 +31,7 @@ func (h *Heap) Stats() SpaceStats {
 		}
 		return true
 	})
-	for _, r := range h.roots {
+	for _, r := range h.st.Roots {
 		if r != object.NilPtr {
 			s.Roots++
 		}
@@ -45,16 +45,16 @@ func (h *Heap) Stats() SpaceStats {
 // output is deterministic.
 func (h *Heap) Dump(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "heap: space %d, %d/%d words used, %d roots\n",
-		h.cur, h.UsedWords(), h.semi, len(h.roots)); err != nil {
+		h.st.Cur, h.UsedWords(), h.st.Semi, len(h.st.Roots)); err != nil {
 		return err
 	}
-	for i, r := range h.roots {
+	for i, r := range h.st.Roots {
 		if _, err := fmt.Fprintf(w, "root[%d] = %d\n", i, r); err != nil {
 			return err
 		}
 	}
 	var derr error
-	h.Objects(h.cur, h.alloc, func(base object.Addr, hdr object.Word) bool {
+	h.Objects(h.st.Cur, h.st.Alloc, func(base object.Addr, hdr object.Word) bool {
 		hd := object.Decode(hdr)
 		flags := ""
 		if hd.Mark {

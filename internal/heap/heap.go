@@ -26,12 +26,7 @@ var ErrSpaceFull = errors.New("heap: semispace full")
 // Heap is a two-semispace object heap over a flat word array. Word 0 of the
 // array is reserved so that address 0 can serve as the nil pointer.
 type Heap struct {
-	mem      []object.Word
-	semi     int // words per semispace
-	cur      int // index (0/1) of the space the mutator allocates in
-	alloc    object.Addr
-	roots    []object.Addr
-	allocCnt int64
+	st State // the whole heap; a snapshot copies it
 }
 
 // New creates a heap with two semispaces of semiWords words each.
@@ -39,48 +34,45 @@ func New(semiWords int) *Heap {
 	if semiWords < object.HeaderWords+1 {
 		panic("heap: semispace too small")
 	}
-	h := &Heap{
-		mem:  make([]object.Word, 1+2*semiWords),
-		semi: semiWords,
-	}
-	h.alloc = h.Base(0)
+	h := &Heap{st: State{Semi: semiWords, Mem: make([]object.Word, 1+2*semiWords)}}
+	h.st.Alloc = h.Base(0)
 	return h
 }
 
 // Mem exposes the backing word array (shared with the memory model).
-func (h *Heap) Mem() []object.Word { return h.mem }
+func (h *Heap) Mem() []object.Word { return h.st.Mem }
 
 // SemiWords returns the size of one semispace in words.
-func (h *Heap) SemiWords() int { return h.semi }
+func (h *Heap) SemiWords() int { return h.st.Semi }
 
 // Base returns the base address of semispace s (0 or 1).
 func (h *Heap) Base(s int) object.Addr {
 	if s == 0 {
 		return 1
 	}
-	return 1 + object.Addr(h.semi)
+	return 1 + object.Addr(h.st.Semi)
 }
 
 // Limit returns the first address past semispace s.
-func (h *Heap) Limit(s int) object.Addr { return h.Base(s) + object.Addr(h.semi) }
+func (h *Heap) Limit(s int) object.Addr { return h.Base(s) + object.Addr(h.st.Semi) }
 
 // CurSpace returns the index of the space the mutator allocates in.
-func (h *Heap) CurSpace() int { return h.cur }
+func (h *Heap) CurSpace() int { return h.st.Cur }
 
 // OtherSpace returns the index of the space a collection would copy into.
-func (h *Heap) OtherSpace() int { return 1 - h.cur }
+func (h *Heap) OtherSpace() int { return 1 - h.st.Cur }
 
 // AllocPtr returns the current bump-allocation pointer.
-func (h *Heap) AllocPtr() object.Addr { return h.alloc }
+func (h *Heap) AllocPtr() object.Addr { return h.st.Alloc }
 
 // UsedWords returns the number of words allocated in the current space.
-func (h *Heap) UsedWords() int { return int(h.alloc - h.Base(h.cur)) }
+func (h *Heap) UsedWords() int { return int(h.st.Alloc - h.Base(h.st.Cur)) }
 
 // FreeWords returns the words remaining in the current space.
-func (h *Heap) FreeWords() int { return h.semi - h.UsedWords() }
+func (h *Heap) FreeWords() int { return h.st.Semi - h.UsedWords() }
 
 // AllocCount returns the total number of objects allocated since creation.
-func (h *Heap) AllocCount() int64 { return h.allocCnt }
+func (h *Heap) AllocCount() int64 { return h.st.AllocCnt }
 
 // InSpace reports whether a is a valid object address inside space s.
 func (h *Heap) InSpace(a object.Addr, s int) bool {
@@ -95,75 +87,75 @@ func (h *Heap) Alloc(pi, delta int) (object.Addr, error) {
 		return object.NilPtr, fmt.Errorf("heap: invalid object shape π=%d δ=%d", pi, delta)
 	}
 	size := object.Size(pi, delta)
-	if int(h.alloc)+size > int(h.Limit(h.cur)) {
+	if int(h.st.Alloc)+size > int(h.Limit(h.st.Cur)) {
 		return object.NilPtr, ErrSpaceFull
 	}
-	base := h.alloc
-	h.alloc += object.Addr(size)
-	h.mem[base] = object.Header{Pi: pi, Delta: delta}.Encode()
-	h.mem[base+1] = 0
+	base := h.st.Alloc
+	h.st.Alloc += object.Addr(size)
+	h.st.Mem[base] = object.Header{Pi: pi, Delta: delta}.Encode()
+	h.st.Mem[base+1] = 0
 	for i := 0; i < pi+delta; i++ {
-		h.mem[base+object.HeaderWords+object.Addr(i)] = 0
+		h.st.Mem[base+object.HeaderWords+object.Addr(i)] = 0
 	}
-	h.allocCnt++
+	h.st.AllocCnt++
 	return base, nil
 }
 
 // HeaderWord returns header word 0 of the object at base.
-func (h *Heap) HeaderWord(base object.Addr) object.Word { return h.mem[base] }
+func (h *Heap) HeaderWord(base object.Addr) object.Word { return h.st.Mem[base] }
 
 // Header returns the decoded header of the object at base.
-func (h *Heap) Header(base object.Addr) object.Header { return object.Decode(h.mem[base]) }
+func (h *Heap) Header(base object.Addr) object.Header { return object.Decode(h.st.Mem[base]) }
 
 // SetPtr stores a reference into pointer slot i of the object at base.
 func (h *Heap) SetPtr(base object.Addr, i int, target object.Addr) {
-	hd := object.Decode(h.mem[base])
+	hd := object.Decode(h.st.Mem[base])
 	if i < 0 || i >= hd.Pi {
 		panic(fmt.Sprintf("heap: pointer slot %d out of range (π=%d)", i, hd.Pi))
 	}
-	h.mem[object.PtrSlot(base, i)] = object.Word(target)
+	h.st.Mem[object.PtrSlot(base, i)] = object.Word(target)
 }
 
 // Ptr loads pointer slot i of the object at base.
 func (h *Heap) Ptr(base object.Addr, i int) object.Addr {
-	return object.Addr(h.mem[object.PtrSlot(base, i)])
+	return object.Addr(h.st.Mem[object.PtrSlot(base, i)])
 }
 
 // SetData stores a data word into data slot i of the object at base.
 func (h *Heap) SetData(base object.Addr, i int, w object.Word) {
-	hd := object.Decode(h.mem[base])
+	hd := object.Decode(h.st.Mem[base])
 	if i < 0 || i >= hd.Delta {
 		panic(fmt.Sprintf("heap: data slot %d out of range (δ=%d)", i, hd.Delta))
 	}
-	h.mem[object.DataSlot(base, hd.Pi, i)] = w
+	h.st.Mem[object.DataSlot(base, hd.Pi, i)] = w
 }
 
 // Data loads data word i of the object at base.
 func (h *Heap) Data(base object.Addr, i int) object.Word {
-	hd := object.Decode(h.mem[base])
-	return h.mem[object.DataSlot(base, hd.Pi, i)]
+	hd := object.Decode(h.st.Mem[base])
+	return h.st.Mem[object.DataSlot(base, hd.Pi, i)]
 }
 
 // Roots returns the root set (aliased, not copied).
-func (h *Heap) Roots() []object.Addr { return h.roots }
+func (h *Heap) Roots() []object.Addr { return h.st.Roots }
 
 // NumRoots returns the number of root slots.
-func (h *Heap) NumRoots() int { return len(h.roots) }
+func (h *Heap) NumRoots() int { return len(h.st.Roots) }
 
 // AddRoot appends a root slot referring to target and returns its index.
 func (h *Heap) AddRoot(target object.Addr) int {
-	h.roots = append(h.roots, target)
-	return len(h.roots) - 1
+	h.st.Roots = append(h.st.Roots, target)
+	return len(h.st.Roots) - 1
 }
 
 // Root returns the value of root slot i.
-func (h *Heap) Root(i int) object.Addr { return h.roots[i] }
+func (h *Heap) Root(i int) object.Addr { return h.st.Roots[i] }
 
 // SetRoot overwrites root slot i.
-func (h *Heap) SetRoot(i int, target object.Addr) { h.roots[i] = target }
+func (h *Heap) SetRoot(i int, target object.Addr) { h.st.Roots[i] = target }
 
 // ClearRoots empties the root set.
-func (h *Heap) ClearRoots() { h.roots = h.roots[:0] }
+func (h *Heap) ClearRoots() { h.st.Roots = h.st.Roots[:0] }
 
 // FinishCycle completes a collection cycle: the space the collector copied
 // into becomes the current space and the allocation pointer is set to the
@@ -174,8 +166,8 @@ func (h *Heap) FinishCycle(finalFree object.Addr) {
 	if finalFree < h.Base(to) || finalFree > h.Limit(to) {
 		panic(fmt.Sprintf("heap: final free pointer %d outside tospace", finalFree))
 	}
-	h.cur = to
-	h.alloc = finalFree
+	h.st.Cur = to
+	h.st.Alloc = finalFree
 }
 
 // Objects iterates over the contiguously allocated objects of space s, from
@@ -185,7 +177,7 @@ func (h *Heap) FinishCycle(finalFree object.Addr) {
 func (h *Heap) Objects(s int, limit object.Addr, fn func(base object.Addr, hdr object.Word) bool) {
 	a := h.Base(s)
 	for a < limit {
-		w := h.mem[a]
+		w := h.st.Mem[a]
 		if !fn(a, w) {
 			return
 		}
@@ -196,15 +188,7 @@ func (h *Heap) Objects(s int, limit object.Addr, fn func(base object.Addr, hdr o
 // Clone returns a deep copy of the heap (memory, roots, space state). The
 // verification oracle collects on a clone and compares outcomes.
 func (h *Heap) Clone() *Heap {
-	c := &Heap{
-		mem:      append([]object.Word(nil), h.mem...),
-		semi:     h.semi,
-		cur:      h.cur,
-		alloc:    h.alloc,
-		roots:    append([]object.Addr(nil), h.roots...),
-		allocCnt: h.allocCnt,
-	}
-	return c
+	return &Heap{st: *h.CaptureState()}
 }
 
 // CheckIntegrity validates the structural invariants of the current space:
@@ -215,37 +199,37 @@ func (h *Heap) Clone() *Heap {
 // it, so it is not checked. Roots are checked in order, then pointer slots in
 // address order, so the error always names the first violation.
 func (h *Heap) CheckIntegrity() error {
-	base := h.Base(h.cur)
+	base := h.Base(h.st.Cur)
 	// isBase is a bitset over [base, alloc) marking the object bases.
-	isBase := make([]uint64, (h.alloc-base+63)/64)
+	isBase := make([]uint64, (h.st.Alloc-base+63)/64)
 	a := base
-	for a < h.alloc {
-		w := h.mem[a]
+	for a < h.st.Alloc {
+		w := h.st.Mem[a]
 		if object.Marked(w) || object.GrayBit(w) {
 			return fmt.Errorf("heap: object at %d has GC bits set (%+v)", a, object.Decode(w))
 		}
 		isBase[(a-base)/64] |= 1 << ((a - base) % 64)
 		next := a + object.Addr(object.SizeWords(w))
-		if next > h.alloc {
-			return fmt.Errorf("heap: object at %d (size %d) overruns alloc pointer %d", a, object.SizeWords(w), h.alloc)
+		if next > h.st.Alloc {
+			return fmt.Errorf("heap: object at %d (size %d) overruns alloc pointer %d", a, object.SizeWords(w), h.st.Alloc)
 		}
 		a = next
 	}
-	if a != h.alloc {
-		return fmt.Errorf("heap: objects end at %d, alloc pointer at %d", a, h.alloc)
+	if a != h.st.Alloc {
+		return fmt.Errorf("heap: objects end at %d, alloc pointer at %d", a, h.st.Alloc)
 	}
 	valid := func(p object.Addr) bool {
 		return p == object.NilPtr ||
-			p >= base && p < h.alloc && isBase[(p-base)/64]&(1<<((p-base)%64)) != 0
+			p >= base && p < h.st.Alloc && isBase[(p-base)/64]&(1<<((p-base)%64)) != 0
 	}
 	const notBase = "heap: %s refers to %d, not an object base in the current space"
-	for i, r := range h.roots {
+	for i, r := range h.st.Roots {
 		if !valid(r) {
 			return fmt.Errorf(notBase, fmt.Sprintf("root %d", i), r)
 		}
 	}
-	for b := base; b < h.alloc; b += object.Addr(object.SizeWords(h.mem[b])) {
-		for i := 0; i < object.Pi(h.mem[b]); i++ {
+	for b := base; b < h.st.Alloc; b += object.Addr(object.SizeWords(h.st.Mem[b])) {
+		for i := 0; i < object.Pi(h.st.Mem[b]); i++ {
 			if p := h.Ptr(b, i); !valid(p) {
 				return fmt.Errorf(notBase, fmt.Sprintf("pointer %d of object %d", i, b), p)
 			}

@@ -104,7 +104,9 @@ type MutatorStats struct {
 	MarkTermCycles     int64 // cycles between the last marking work and termination
 }
 
-type mutState int
+// mutState is an alias of int so that the live register is MutState.St
+// itself.
+type mutState = int
 
 const (
 	muWait mutState = iota // inter-operation period
@@ -127,37 +129,49 @@ const (
 	muShadeWait  // waiting for the shade's header load
 )
 
-// mutCore is the mutator port.
+// mutCore is the mutator port. Its registers are its MutState, except the
+// three churn and termination fields at the end of MutState: the churn
+// driver and the Machine own those, the live copies stay zero, and Snapshot
+// fills them in.
 type mutCore struct {
+	MutState
 	m      *Machine
 	id     int // memory port / free-lock identity (== cfg.Cores)
 	driver MutDriver
 	period int
 
-	regs     []object.Addr
-	lastData object.Word
-
-	st       mutState
-	op       MutOp
-	seq      int64
-	waitLeft int
-	opStart  int64
-
-	allocBase object.Addr
-	initIdx   int
-
-	// Write-barrier state: the object currently being shaded, and the set of
-	// objects the barrier has retained this cycle (ordered for snapshots;
-	// the map is a derived index).
-	shadeTarget object.Addr
-	shaded      []object.Addr
-	shadedSet   map[object.Addr]bool
+	// shadedSet indexes Shaded; RestoreMachine rebuilds it.
+	shadedSet map[object.Addr]bool
 
 	// churn is non-nil for the built-in config-driven mutator; its PRNG
 	// state is part of the machine snapshot.
 	churn *churnState
+}
 
-	stats MutatorStats
+// MutState is the register file, micro-state, write-barrier state and churn
+// PRNG of the built-in concurrent mutator.
+type MutState struct {
+	Regs     []object.Addr
+	LastData object.Word
+	St       mutState
+	Op       MutOp
+	Seq      int64
+	WaitLeft int
+	OpStart  int64
+
+	AllocBase object.Addr
+	InitIdx   int
+
+	// Write-barrier state: the object currently being shaded, and the
+	// objects the barrier has retained this cycle, in shading order.
+	ShadeTarget object.Addr
+	Shaded      []object.Addr
+
+	Stats MutatorStats
+
+	ChurnRng    uint64
+	ChurnAllocs int64
+	LastWork    int64
 }
 
 func newMutCore(m *Machine, driver MutDriver, period int) *mutCore {
@@ -165,32 +179,31 @@ func newMutCore(m *Machine, driver MutDriver, period int) *mutCore {
 		period = 1
 	}
 	return &mutCore{
-		m:      m,
-		id:     m.cfg.Cores,
-		driver: driver,
-		period: period,
-		regs:   make([]object.Addr, MutatorRegisters),
-		st:     muWait,
+		MutState: MutState{Regs: make([]object.Addr, MutatorRegisters), St: muWait},
+		m:        m,
+		id:       m.cfg.Cores,
+		driver:   driver,
+		period:   period,
 	}
 }
 
 // idle reports whether the mutator has no operation in flight.
-func (u *mutCore) idle() bool { return u.st == muWait || u.st == muDone }
+func (u *mutCore) idle() bool { return u.St == muWait || u.St == muDone }
 
 // fail aborts the collection with a mutator-side error.
 func (u *mutCore) fail(format string, args ...any) {
 	u.m.failf("machine: concurrent mutator: "+format, args...)
-	u.st = muDone
+	u.St = muDone
 }
 
 // step advances the mutator port by one clock cycle. draining suppresses
 // fetching new operations (the collection is finishing).
 func (u *mutCore) step(draining bool) {
-	switch u.st {
+	switch u.St {
 	case muOldIssue, muOldWait, muShadeIssue, muShadeWait:
-		u.stats.BarrierCycles++
+		u.Stats.BarrierCycles++
 	}
-	switch u.st {
+	switch u.St {
 	case muDone:
 		return
 
@@ -198,8 +211,8 @@ func (u *mutCore) step(draining bool) {
 		if draining {
 			return
 		}
-		u.waitLeft--
-		if u.waitLeft <= 0 {
+		u.WaitLeft--
+		if u.WaitLeft <= 0 {
 			u.fetch()
 		}
 
@@ -211,23 +224,23 @@ func (u *mutCore) step(draining bool) {
 
 	case muHdrWait:
 		if !u.m.mem.LoadReady(u.id, mem.HeaderLoad) {
-			u.stats.StallCycles++
+			u.Stats.StallCycles++
 			return
 		}
 		hdr := u.m.mem.TakeLoad(u.id, mem.HeaderLoad)
 		if object.GrayBit(hdr) {
 			// Under copy by a scanning core: wait until black. Re-polling
 			// costs a fresh header load each time, as it would on the bus.
-			u.stats.BarrierStalls++
-			u.stats.StallCycles++
-			u.st = muBarrier
+			u.Stats.BarrierStalls++
+			u.Stats.StallCycles++
+			u.St = muBarrier
 			return
 		}
 		u.execute()
 
 	case muBarrier:
-		u.stats.BarrierStalls++
-		u.stats.StallCycles++
+		u.Stats.BarrierStalls++
+		u.Stats.StallCycles++
 		u.issueBarrierHdr()
 
 	case muBodyIssue:
@@ -235,14 +248,14 @@ func (u *mutCore) step(draining bool) {
 
 	case muBodyWait:
 		if !u.m.mem.LoadReady(u.id, mem.BodyLoad) {
-			u.stats.StallCycles++
+			u.Stats.StallCycles++
 			return
 		}
 		w := u.m.mem.TakeLoad(u.id, mem.BodyLoad)
-		if u.op.Kind == MutLoadPtr {
-			u.regs[u.op.Reg2] = object.Addr(w)
+		if u.Op.Kind == MutLoadPtr {
+			u.Regs[u.Op.Reg2] = object.Addr(w)
 		} else {
-			u.lastData = w
+			u.LastData = w
 		}
 		u.complete()
 
@@ -254,7 +267,7 @@ func (u *mutCore) step(draining bool) {
 
 	case muOldWait:
 		if !u.m.mem.LoadReady(u.id, mem.BodyLoad) {
-			u.stats.StallCycles++
+			u.Stats.StallCycles++
 			return
 		}
 		old := object.Addr(u.m.mem.TakeLoad(u.id, mem.BodyLoad))
@@ -265,11 +278,11 @@ func (u *mutCore) step(draining bool) {
 		u.shade(old)
 
 	case muShadeIssue:
-		u.shade(u.shadeTarget)
+		u.shade(u.ShadeTarget)
 
 	case muShadeWait:
 		if !u.m.mem.LoadReady(u.id, mem.HeaderLoad) {
-			u.stats.StallCycles++
+			u.Stats.StallCycles++
 			return
 		}
 		u.m.mem.TakeLoad(u.id, mem.HeaderLoad)
@@ -288,14 +301,14 @@ func (u *mutCore) step(draining bool) {
 
 // fetch asks the driver for the next operation and starts it.
 func (u *mutCore) fetch() {
-	op, ok := u.driver(u.seq, u.regs, u.lastData)
+	op, ok := u.driver(u.Seq, u.Regs, u.LastData)
 	if !ok {
-		u.st = muDone
+		u.St = muDone
 		return
 	}
-	u.op = op
-	u.seq++
-	u.opStart = u.m.cycle
+	u.Op = op
+	u.Seq++
+	u.OpStart = u.m.cycle
 	switch op.Kind {
 	case MutNop:
 		u.complete()
@@ -303,13 +316,13 @@ func (u *mutCore) fetch() {
 		if err := u.checkReg(op.Reg); err != nil || !u.checkRoot(op.RootIdx) {
 			return
 		}
-		u.regs[op.Reg] = u.m.heap.Root(op.RootIdx)
+		u.Regs[op.Reg] = u.m.heap.Root(op.RootIdx)
 		u.complete()
 	case MutStoreRoot:
 		if err := u.checkReg(op.Reg); err != nil || !u.checkRoot(op.RootIdx) {
 			return
 		}
-		u.m.heap.SetRoot(op.RootIdx, u.regs[op.Reg])
+		u.m.heap.SetRoot(op.RootIdx, u.Regs[op.Reg])
 		u.complete()
 	case MutLoadPtr, MutStorePtr, MutLoadData, MutStoreData:
 		if err := u.checkReg(op.Reg); err != nil {
@@ -320,8 +333,8 @@ func (u *mutCore) fetch() {
 				return
 			}
 		}
-		if u.regs[op.Reg] == object.NilPtr {
-			u.fail("op %d dereferences nil register %d", u.seq-1, op.Reg)
+		if u.Regs[op.Reg] == object.NilPtr {
+			u.fail("op %d dereferences nil register %d", u.Seq-1, op.Reg)
 			return
 		}
 		u.issueBarrierHdr()
@@ -330,17 +343,17 @@ func (u *mutCore) fetch() {
 			return
 		}
 		if op.Pi < 0 || op.Pi > object.MaxPi || op.Delta < 0 || op.Delta > object.MaxDelta {
-			u.fail("op %d allocates invalid shape π=%d δ=%d", u.seq-1, op.Pi, op.Delta)
+			u.fail("op %d allocates invalid shape π=%d δ=%d", u.Seq-1, op.Pi, op.Delta)
 			return
 		}
 		u.tryAllocLock()
 	default:
-		u.fail("op %d has unknown kind %d", u.seq-1, op.Kind)
+		u.fail("op %d has unknown kind %d", u.Seq-1, op.Kind)
 	}
 }
 
 func (u *mutCore) checkReg(r int) error {
-	if r < 0 || r >= len(u.regs) {
+	if r < 0 || r >= len(u.Regs) {
 		u.fail("register %d out of range", r)
 		return fmt.Errorf("bad register")
 	}
@@ -357,33 +370,33 @@ func (u *mutCore) checkRoot(i int) bool {
 
 // issueBarrierHdr starts (or re-polls) the access barrier's header load.
 func (u *mutCore) issueBarrierHdr() {
-	if !u.m.mem.IssueLoad(u.id, mem.HeaderLoad, u.regs[u.op.Reg]) {
-		u.stats.StallCycles++
-		u.st = muHdrIssue
+	if !u.m.mem.IssueLoad(u.id, mem.HeaderLoad, u.Regs[u.Op.Reg]) {
+		u.Stats.StallCycles++
+		u.St = muHdrIssue
 		return
 	}
-	u.st = muHdrWait
+	u.St = muHdrWait
 }
 
 // execute runs the field access once the barrier has admitted it. Slot
 // bounds are validated against the (now stable) header implied shape via
 // the heap, which is exact because the object is black.
 func (u *mutCore) execute() {
-	base := u.regs[u.op.Reg]
+	base := u.Regs[u.Op.Reg]
 	hd := u.m.heap.Header(base)
-	switch u.op.Kind {
+	switch u.Op.Kind {
 	case MutLoadPtr, MutStorePtr:
-		if u.op.Slot < 0 || u.op.Slot >= hd.Pi {
-			u.fail("op %d: pointer slot %d out of range (π=%d)", u.seq-1, u.op.Slot, hd.Pi)
+		if u.Op.Slot < 0 || u.Op.Slot >= hd.Pi {
+			u.fail("op %d: pointer slot %d out of range (π=%d)", u.Seq-1, u.Op.Slot, hd.Pi)
 			return
 		}
 	case MutLoadData, MutStoreData:
-		if u.op.Slot < 0 || u.op.Slot >= hd.Delta {
-			u.fail("op %d: data slot %d out of range (δ=%d)", u.seq-1, u.op.Slot, hd.Delta)
+		if u.Op.Slot < 0 || u.Op.Slot >= hd.Delta {
+			u.fail("op %d: data slot %d out of range (δ=%d)", u.Seq-1, u.Op.Slot, hd.Delta)
 			return
 		}
 	}
-	switch u.op.Kind {
+	switch u.Op.Kind {
 	case MutLoadPtr, MutLoadData:
 		u.issueBodyLoad()
 	case MutStorePtr:
@@ -401,12 +414,12 @@ func (u *mutCore) startBarrier() {
 		// Deletion barrier: the old value of the slot must be read before it
 		// is overwritten — one timed body load, plus a shade of the old
 		// target when it is non-nil.
-		u.stats.BarrierInvocations++
+		u.Stats.BarrierInvocations++
 		u.issueOldLoad()
 	case BarrierIncUpdate:
 		// Insertion barrier: the new target is shaded. Nil stores are free.
-		u.stats.BarrierInvocations++
-		if tgt := u.regs[u.op.Reg2]; tgt != object.NilPtr {
+		u.Stats.BarrierInvocations++
+		if tgt := u.Regs[u.Op.Reg2]; tgt != object.NilPtr {
 			u.shade(tgt)
 			return
 		}
@@ -419,11 +432,11 @@ func (u *mutCore) startBarrier() {
 // issueOldLoad starts the SATB barrier's load of the slot's current value.
 func (u *mutCore) issueOldLoad() {
 	if !u.m.mem.IssueLoad(u.id, mem.BodyLoad, u.bodyAddr()) {
-		u.stats.StallCycles++
-		u.st = muOldIssue
+		u.Stats.StallCycles++
+		u.St = muOldIssue
 		return
 	}
-	u.st = muOldWait
+	u.St = muOldWait
 }
 
 // shade retains target for the current marking cycle: one header load
@@ -432,10 +445,10 @@ func (u *mutCore) issueOldLoad() {
 // the FIFO's strict publish order must not be disturbed). The shaded set
 // feeds the floating-garbage accounting at the end of the collection.
 func (u *mutCore) shade(target object.Addr) {
-	u.shadeTarget = target
+	u.ShadeTarget = target
 	if !u.m.mem.IssueLoad(u.id, mem.HeaderLoad, target) {
-		u.stats.StallCycles++
-		u.st = muShadeIssue
+		u.Stats.StallCycles++
+		u.St = muShadeIssue
 		return
 	}
 	if !u.shadedSet[target] {
@@ -443,44 +456,44 @@ func (u *mutCore) shade(target object.Addr) {
 			u.shadedSet = make(map[object.Addr]bool)
 		}
 		u.shadedSet[target] = true
-		u.shaded = append(u.shaded, target)
-		u.stats.ShadedObjects++
+		u.Shaded = append(u.Shaded, target)
+		u.Stats.ShadedObjects++
 	}
-	u.st = muShadeWait
+	u.St = muShadeWait
 }
 
 func (u *mutCore) bodyAddr() object.Addr {
-	base := u.regs[u.op.Reg]
-	if u.op.Kind == MutLoadPtr || u.op.Kind == MutStorePtr {
-		return object.PtrSlot(base, u.op.Slot)
+	base := u.Regs[u.Op.Reg]
+	if u.Op.Kind == MutLoadPtr || u.Op.Kind == MutStorePtr {
+		return object.PtrSlot(base, u.Op.Slot)
 	}
 	hd := u.m.heap.Header(base)
-	return object.DataSlot(base, hd.Pi, u.op.Slot)
+	return object.DataSlot(base, hd.Pi, u.Op.Slot)
 }
 
 func (u *mutCore) issueBodyLoad() {
 	if !u.m.mem.IssueLoad(u.id, mem.BodyLoad, u.bodyAddr()) {
-		u.stats.StallCycles++
-		u.st = muBodyIssue
+		u.Stats.StallCycles++
+		u.St = muBodyIssue
 		return
 	}
-	u.st = muBodyWait
+	u.St = muBodyWait
 }
 
 func (u *mutCore) issueBodyStore() {
 	var w object.Word
-	if u.op.Kind == MutStorePtr {
-		w = object.Word(u.regs[u.op.Reg2])
+	if u.Op.Kind == MutStorePtr {
+		w = object.Word(u.Regs[u.Op.Reg2])
 	} else {
-		w = u.op.Data
+		w = u.Op.Data
 	}
 	if !u.m.mem.IssueStore(u.id, mem.BodyStore, u.bodyAddr(), w) {
-		u.stats.StallCycles++
-		u.st = muBodyStore
+		u.Stats.StallCycles++
+		u.St = muBodyStore
 		return
 	}
-	if u.op.Kind == MutStorePtr {
-		u.stats.PtrStores++
+	if u.Op.Kind == MutStorePtr {
+		u.Stats.PtrStores++
 	}
 	u.complete()
 }
@@ -489,17 +502,17 @@ func (u *mutCore) issueBodyStore() {
 func (u *mutCore) tryAllocLock() {
 	sb := u.m.sb
 	if !sb.TryAcquireFree(u.id) {
-		u.stats.AllocLock++
-		u.stats.StallCycles++
-		u.st = muAllocLock
+		u.Stats.AllocLock++
+		u.Stats.StallCycles++
+		u.St = muAllocLock
 		return
 	}
-	u.allocBase = sb.Free()
-	size := object.Addr(object.Size(u.op.Pi, u.op.Delta))
-	if u.allocBase+size > u.m.toLimit {
+	u.AllocBase = sb.Free()
+	size := object.Addr(object.Size(u.Op.Pi, u.Op.Delta))
+	if u.AllocBase+size > u.m.toLimit {
 		sb.ReleaseFree(u.id)
 		u.fail("allocation outpaced the collector: free %d + %d exceeds tospace limit %d",
-			u.allocBase, size, u.m.toLimit)
+			u.AllocBase, size, u.m.toLimit)
 		return
 	}
 	u.issueAllocHdr()
@@ -509,21 +522,21 @@ func (u *mutCore) tryAllocLock() {
 // then releases the lock (one cycle held in the uncontended case, like the
 // evacuation path).
 func (u *mutCore) issueAllocHdr() {
-	hdr := object.Header{Pi: u.op.Pi, Delta: u.op.Delta}.Encode()
-	if !u.m.mem.IssueStore(u.id, mem.HeaderStore, u.allocBase, hdr) {
-		u.stats.StallCycles++
-		u.st = muAllocHdr
+	hdr := object.Header{Pi: u.Op.Pi, Delta: u.Op.Delta}.Encode()
+	if !u.m.mem.IssueStore(u.id, mem.HeaderStore, u.AllocBase, hdr) {
+		u.Stats.StallCycles++
+		u.St = muAllocHdr
 		return
 	}
-	u.m.hc.Update(u.allocBase, hdr)
-	if u.m.fifo.Push(u.allocBase, hdr) {
+	u.m.hc.Update(u.AllocBase, hdr)
+	if u.m.fifo.Push(u.AllocBase, hdr) {
 		u.m.fifoDrops++
 	}
 	sb := u.m.sb
-	sb.SetFree(u.id, u.allocBase+object.Addr(object.Size(u.op.Pi, u.op.Delta)))
+	sb.SetFree(u.id, u.AllocBase+object.Addr(object.Size(u.Op.Pi, u.Op.Delta)))
 	sb.ReleaseFree(u.id)
-	u.initIdx = 0
-	u.st = muAllocInit
+	u.InitIdx = 0
+	u.St = muAllocInit
 	u.allocInit()
 }
 
@@ -531,28 +544,28 @@ func (u *mutCore) issueAllocHdr() {
 // index 0 covers header word 1, indices 1..π+δ cover the body, so the frame
 // is fully defined before the mutator uses it.
 func (u *mutCore) allocInit() {
-	body := u.op.Pi + u.op.Delta
-	if u.initIdx <= body {
-		if !u.m.mem.IssueStore(u.id, mem.BodyStore, u.allocBase+1+object.Addr(u.initIdx), 0) {
-			u.stats.StallCycles++
+	body := u.Op.Pi + u.Op.Delta
+	if u.InitIdx <= body {
+		if !u.m.mem.IssueStore(u.id, mem.BodyStore, u.AllocBase+1+object.Addr(u.InitIdx), 0) {
+			u.Stats.StallCycles++
 			return // retry this index next cycle
 		}
-		u.initIdx++
-		if u.initIdx <= body {
+		u.InitIdx++
+		if u.InitIdx <= body {
 			return // one word per cycle
 		}
 	}
-	u.regs[u.op.Reg] = u.allocBase
-	u.stats.Allocs++
+	u.Regs[u.Op.Reg] = u.AllocBase
+	u.Stats.Allocs++
 	u.complete()
 }
 
 // complete finishes the current operation and returns to the inter-op wait.
 func (u *mutCore) complete() {
-	u.stats.Ops++
-	if lat := u.m.cycle - u.opStart; lat > u.stats.MaxOpLatency {
-		u.stats.MaxOpLatency = lat
+	u.Stats.Ops++
+	if lat := u.m.cycle - u.OpStart; lat > u.Stats.MaxOpLatency {
+		u.Stats.MaxOpLatency = lat
 	}
-	u.waitLeft = u.period
-	u.st = muWait
+	u.WaitLeft = u.period
+	u.St = muWait
 }

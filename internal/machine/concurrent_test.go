@@ -28,7 +28,7 @@ func (m *Machine) CollectConcurrent(driver MutDriver, period int) (Stats, Mutato
 	if err != nil {
 		return Stats{}, MutatorStats{}, err
 	}
-	ms := m.mut.stats
+	ms := m.mut.Stats
 	if st.Mutator != nil {
 		ms = *st.Mutator // includes the end-of-cycle floating-garbage walk
 	}

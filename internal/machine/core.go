@@ -11,8 +11,9 @@ import (
 // register operations and uncontended lock micro-operations are folded into
 // the same cycle as the operation they accompany, matching the paper's
 // statement that synchronization operations incur no clock-cycle penalty in
-// the uncontended case.
-type coreState int
+// the uncontended case. It is an alias of int so that the live register is
+// CoreState.St itself.
+type coreState = int
 
 const (
 	sIdle           coreState = iota // waiting for work / for the init barrier
@@ -45,60 +46,67 @@ const (
 	barrierDone        // released when every core has detected termination
 )
 
-// core is one microprogrammed GC core. All fields are driven exclusively by
-// the machine's single-threaded cycle loop.
+// core is one microprogrammed GC core. Its registers are its CoreState;
+// all of them are driven exclusively by the machine's single-threaded cycle
+// loop.
 type core struct {
+	CoreState
 	id int
 	m  *Machine
-	st coreState
+}
+
+// CoreState is the register file and micro-state of one GC core. The live
+// core keeps its registers here, so a snapshot copies the struct.
+type CoreState struct {
+	St coreState
 
 	// Registers describing the object currently being scanned.
-	objTo    object.Addr // tospace frame base
-	backlink object.Addr // fromspace original base
-	attrs    object.Word // gray header word (attribute source for blackening)
-	pi       int
-	delta    int
-	bodyPos  int         // current body word index (pointer area first, then data)
-	bodyEnd  int         // end of this work unit (whole body, or one stride)
-	dataWord object.Word // data word held across a blocked body store
+	ObjTo    object.Addr // tospace frame base
+	Backlink object.Addr // fromspace original base
+	Attrs    object.Word // gray header word (attribute source for blackening)
+	Pi       int
+	Delta    int
+	BodyPos  int         // current body word index (pointer area first, then data)
+	BodyEnd  int         // end of this work unit (whole body, or one stride)
+	DataWord object.Word // data word held across a blocked body store
 
 	// Registers for the child currently being resolved.
-	childPtr object.Addr // fromspace address of the child
-	childHdr object.Word // child's fromspace header
-	newPtr   object.Addr // resolved tospace address to install
-	evacAddr object.Addr // tospace frame allocated for the child
-	grayHdr  object.Word // gray header to install in the new frame
+	ChildPtr object.Addr // fromspace address of the child
+	ChildHdr object.Word // child's fromspace header
+	NewPtr   object.Addr // resolved tospace address to install
+	EvacAddr object.Addr // tospace frame allocated for the child
+	GrayHdr  object.Word // gray header to install in the new frame
 
 	// Root processing (Core 1 only).
-	rootIdx     int
-	inRoots     bool
-	startupLeft int64
+	RootIdx     int
+	InRoots     bool
+	StartupLeft int64
 
 	// First machine cycle at which a load-wait step can make progress; the
-	// cycle loop skips the core's step while m.cycle < sleepUntil (the
+	// cycle loop skips the core's step while m.cycle < SleepUntil (the
 	// skipped cycles' stall counts were added up front, see stallOnLoad).
-	sleepUntil int64
+	SleepUntil int64
 
-	stats CoreStats
+	Stats CoreStats
 }
 
 // step advances the core by one clock cycle.
 func (c *core) step() {
-	switch c.st {
+	switch c.St {
 	case sIdle:
 		// Cores other than Core 1 wait at the synchronizing
 		// micro-instruction until Core 1 has initialized scan and free and
 		// evacuated the roots (Section V-C, barrier synchronization).
 		if c.m.sb.Barrier(barrierInit, c.id) {
-			c.st = sGrabScan
+			c.St = sGrabScan
 		}
 
 	case sStartup:
-		c.startupLeft--
-		if c.startupLeft <= 0 {
-			c.inRoots = true
-			c.rootIdx = 0
-			c.st = sRoots
+		c.StartupLeft--
+		if c.StartupLeft <= 0 {
+			c.InRoots = true
+			c.RootIdx = 0
+			c.St = sRoots
 		}
 
 	case sRoots:
@@ -113,7 +121,7 @@ func (c *core) step() {
 	case sScanHdrWait:
 		hdr, doneAt, ok := c.m.mem.PollLoad(c.id, mem.HeaderLoad)
 		if !ok {
-			c.stallOnLoad(doneAt, &c.stats.HeaderLoadStall)
+			c.stallOnLoad(doneAt, &c.Stats.HeaderLoadStall)
 			return
 		}
 		c.m.hc.Update(c.m.sb.Scan(), hdr)
@@ -125,11 +133,11 @@ func (c *core) step() {
 	case sPtrLoadWait:
 		w, doneAt, ok := c.m.mem.PollLoad(c.id, mem.BodyLoad)
 		if !ok {
-			c.stallOnLoad(doneAt, &c.stats.BodyLoadStall)
+			c.stallOnLoad(doneAt, &c.Stats.BodyLoadStall)
 			return
 		}
-		c.childPtr = object.Addr(w)
-		c.stats.PointersSeen++
+		c.ChildPtr = object.Addr(w)
+		c.Stats.PointersSeen++
 		c.beginChild()
 
 	case sChildPeekIssue:
@@ -138,7 +146,7 @@ func (c *core) step() {
 	case sChildPeekWait:
 		hdr, doneAt, ok := c.m.mem.PollLoad(c.id, mem.HeaderLoad)
 		if !ok {
-			c.stallOnLoad(doneAt, &c.stats.HeaderLoadStall)
+			c.stallOnLoad(doneAt, &c.Stats.HeaderLoadStall)
 			return
 		}
 		// Note: unlike the locked header read, the peek result must NOT be
@@ -159,10 +167,10 @@ func (c *core) step() {
 	case sChildHdrWait:
 		hdr, doneAt, ok := c.m.mem.PollLoad(c.id, mem.HeaderLoad)
 		if !ok {
-			c.stallOnLoad(doneAt, &c.stats.HeaderLoadStall)
+			c.stallOnLoad(doneAt, &c.Stats.HeaderLoadStall)
 			return
 		}
-		c.m.hc.Update(c.childPtr, hdr)
+		c.m.hc.Update(c.ChildPtr, hdr)
 		c.consumeChildHdr(hdr)
 
 	case sFreeAcquire:
@@ -183,27 +191,27 @@ func (c *core) step() {
 	case sDataWait:
 		w, doneAt, ok := c.m.mem.PollLoad(c.id, mem.BodyLoad)
 		if !ok {
-			c.stallOnLoad(doneAt, &c.stats.BodyLoadStall)
+			c.stallOnLoad(doneAt, &c.Stats.BodyLoadStall)
 			return
 		}
-		c.dataWord = w
+		c.DataWord = w
 		c.storeDataWord()
 
 	case sDataStore:
 		c.storeDataWord()
 
 	case sBlacken:
-		blk := object.BlackHeader(c.attrs)
-		if !c.m.mem.IssueStore(c.id, mem.HeaderStore, c.objTo, blk) {
-			c.stats.HeaderStoreStall++
+		blk := object.BlackHeader(c.Attrs)
+		if !c.m.mem.IssueStore(c.id, mem.HeaderStore, c.ObjTo, blk) {
+			c.Stats.HeaderStoreStall++
 			return
 		}
-		c.m.hc.Update(c.objTo, blk)
-		c.stats.ObjectsScanned++
+		c.m.hc.Update(c.ObjTo, blk)
+		c.Stats.ObjectsScanned++
 		if c.m.mut != nil {
 			c.m.lastWork = c.m.cycle
 		}
-		c.st = sGrabScan
+		c.St = sGrabScan
 
 	case sDone:
 		// Poll the final barrier so the machine can observe completion.
@@ -229,7 +237,7 @@ func (c *core) stallOnLoad(doneAt int64, counter *int64) {
 		// c.m.cycle .. c.m.cycle+d-1, of which one is counted above.
 		if d := doneAt - c.m.mem.Cycle(); d > 1 {
 			*counter += d - 1
-			c.sleepUntil = c.m.cycle + d
+			c.SleepUntil = c.m.cycle + d
 		}
 	}
 }
@@ -240,24 +248,24 @@ func (c *core) stallOnLoad(doneAt int64, counter *int64) {
 // object uses the regular child-resolution path.
 func (c *core) stepRoots() {
 	roots := c.m.heap.Roots()
-	if c.rootIdx >= len(roots) {
+	if c.RootIdx >= len(roots) {
 		// Root evacuation finished: release the other cores into the scan
 		// loop. Core 1 itself proceeds once the barrier reports complete,
 		// which is immediate because all other cores arrived while waiting.
-		c.inRoots = false
+		c.InRoots = false
 		if c.m.sb.Barrier(barrierInit, c.id) {
-			c.st = sGrabScan
+			c.St = sGrabScan
 		} else {
-			c.st = sIdle
+			c.St = sIdle
 		}
 		return
 	}
-	c.childPtr = roots[c.rootIdx]
-	if c.childPtr == object.NilPtr {
-		c.rootIdx++
+	c.ChildPtr = roots[c.RootIdx]
+	if c.ChildPtr == object.NilPtr {
+		c.RootIdx++
 		return
 	}
-	c.stats.PointersSeen++
+	c.Stats.PointersSeen++
 	c.beginChild()
 }
 
@@ -277,14 +285,14 @@ func (c *core) grabScan() {
 		c.m.emptyObserved = true
 		sb.SetBusy(c.id, false)
 		if sb.AllIdle() {
-			c.st = sDone
+			c.St = sDone
 			c.m.doneCount++
 			sb.Barrier(barrierDone, c.id)
 		}
 		return
 	}
 	if !sb.TryAcquireScan(c.id) {
-		c.stats.ScanLockStall++
+		c.Stats.ScanLockStall++
 		return
 	}
 	scan, free := sb.Scan(), sb.Free()
@@ -295,7 +303,7 @@ func (c *core) grabScan() {
 		sb.ReleaseScan(c.id)
 		sb.SetBusy(c.id, false)
 		if sb.AllIdle() {
-			c.st = sDone
+			c.St = sDone
 			c.m.doneCount++
 			sb.Barrier(barrierDone, c.id)
 		}
@@ -311,11 +319,11 @@ func (c *core) grabScan() {
 	}
 	if !c.m.cfg.DisableFIFO {
 		if hdr, ok := c.m.fifo.PopIf(scan); ok {
-			c.stats.FIFOHits++
+			c.Stats.FIFOHits++
 			c.beginObject(hdr)
 			return
 		}
-		c.stats.FIFOMisses++
+		c.Stats.FIFOMisses++
 	}
 	// FIFO miss: the gray header must be loaded from memory while the scan
 	// lock is held — scan cannot be advanced before the object's size is
@@ -330,11 +338,11 @@ func (c *core) issueScanHdr() {
 		return
 	}
 	if !c.m.mem.IssueLoad(c.id, mem.HeaderLoad, c.m.sb.Scan()) {
-		c.stats.HeaderLoadStall++
-		c.st = sScanHdrIssue
+		c.Stats.HeaderLoadStall++
+		c.St = sScanHdrIssue
 		return
 	}
-	c.st = sScanHdrWait
+	c.St = sScanHdrWait
 }
 
 // beginObject consumes a gray tospace header. In whole-object mode it
@@ -351,10 +359,10 @@ func (c *core) beginObject(hdr object.Word) {
 		sb.SetScan(c.id, scan+object.Addr(object.SizeWords(hdr)))
 		sb.ReleaseScan(c.id)
 		if c.m.mut != nil {
-			c.m.mut.stats.FramesSkipped++
+			c.m.mut.Stats.FramesSkipped++
 			c.m.lastWork = c.m.cycle
 		}
-		c.st = sGrabScan
+		c.St = sGrabScan
 		return
 	}
 	if c.m.cfg.StrideWords > 0 {
@@ -367,8 +375,8 @@ func (c *core) beginObject(hdr object.Word) {
 	sb := c.m.sb
 	scan := sb.Scan()
 	c.loadFrameRegs(scan, hdr)
-	c.bodyPos = 0
-	c.bodyEnd = c.pi + c.delta
+	c.BodyPos = 0
+	c.BodyEnd = c.Pi + c.Delta
 	sb.SetScan(c.id, scan+object.Addr(object.SizeWords(hdr)))
 	sb.ReleaseScan(c.id)
 	c.advanceBody()
@@ -376,11 +384,11 @@ func (c *core) beginObject(hdr object.Word) {
 
 // loadFrameRegs fills the per-core object registers from a gray header.
 func (c *core) loadFrameRegs(objTo object.Addr, hdr object.Word) {
-	c.objTo = objTo
-	c.attrs = hdr
-	c.backlink = object.Link(hdr)
-	c.pi = object.Pi(hdr)
-	c.delta = object.Delta(hdr)
+	c.ObjTo = objTo
+	c.Attrs = hdr
+	c.Backlink = object.Link(hdr)
+	c.Pi = object.Pi(hdr)
+	c.Delta = object.Delta(hdr)
 }
 
 // dispatchStride hands the calling core the next stride of the frame at
@@ -400,13 +408,13 @@ func (c *core) dispatchStride(hdr object.Word) {
 	if !c.m.strides.Dispatch(scan, hdr, final) {
 		// Completion table full: stall in place holding the scan lock, as
 		// the hardware CAM would. Other cores drain it independently.
-		c.stats.StrideTableStall++
+		c.Stats.StrideTableStall++
 		return
 	}
-	c.stats.Strides++
+	c.Stats.Strides++
 	c.loadFrameRegs(scan, hdr)
-	c.bodyPos = start
-	c.bodyEnd = end
+	c.BodyPos = start
+	c.BodyEnd = end
 	if final {
 		sb.SetScan(c.id, scan+object.Addr(object.SizeWords(hdr)))
 		c.m.scanFrameValid = false
@@ -418,13 +426,13 @@ func (c *core) dispatchStride(hdr object.Word) {
 	c.advanceBody()
 }
 
-// advanceBody continues the current work unit at bodyPos: pointer slots
+// advanceBody continues the current work unit at BodyPos: pointer slots
 // first, then data words, then completion.
 func (c *core) advanceBody() {
 	switch {
-	case c.bodyPos >= c.bodyEnd:
+	case c.BodyPos >= c.BodyEnd:
 		c.finishWorkUnit()
-	case c.bodyPos < c.pi:
+	case c.BodyPos < c.Pi:
 		c.issuePtrLoad()
 	default:
 		c.issueDataLoad()
@@ -435,29 +443,29 @@ func (c *core) advanceBody() {
 // blackened; in stride mode only the last outstanding stride blackens.
 func (c *core) finishWorkUnit() {
 	if c.m.cfg.StrideWords <= 0 {
-		c.st = sBlacken
+		c.St = sBlacken
 		return
 	}
-	if c.m.strides.Complete(c.objTo) {
-		c.st = sBlacken
+	if c.m.strides.Complete(c.ObjTo) {
+		c.St = sBlacken
 		return
 	}
-	c.st = sGrabScan
+	c.St = sGrabScan
 }
 
 func (c *core) issuePtrLoad() {
-	if !c.m.mem.IssueLoad(c.id, mem.BodyLoad, object.PtrSlot(c.backlink, c.bodyPos)) {
-		c.stats.BodyLoadStall++
-		c.st = sPtrLoad
+	if !c.m.mem.IssueLoad(c.id, mem.BodyLoad, object.PtrSlot(c.Backlink, c.BodyPos)) {
+		c.Stats.BodyLoadStall++
+		c.St = sPtrLoad
 		return
 	}
-	c.st = sPtrLoadWait
+	c.St = sPtrLoadWait
 }
 
-// beginChild starts resolving childPtr to its tospace address.
+// beginChild starts resolving ChildPtr to its tospace address.
 func (c *core) beginChild() {
-	if c.childPtr == object.NilPtr {
-		c.newPtr = object.NilPtr
+	if c.ChildPtr == object.NilPtr {
+		c.NewPtr = object.NilPtr
 		c.finishPtr()
 		return
 	}
@@ -469,16 +477,16 @@ func (c *core) beginChild() {
 }
 
 func (c *core) issueChildPeek() {
-	if hdr, ok := c.m.hc.Lookup(c.childPtr); ok {
+	if hdr, ok := c.m.hc.Lookup(c.ChildPtr); ok {
 		c.consumePeekHdr(hdr)
 		return
 	}
-	if !c.m.mem.IssueLoad(c.id, mem.HeaderLoad, c.childPtr) {
-		c.stats.HeaderLoadStall++
-		c.st = sChildPeekIssue
+	if !c.m.mem.IssueLoad(c.id, mem.HeaderLoad, c.ChildPtr) {
+		c.Stats.HeaderLoadStall++
+		c.St = sChildPeekIssue
 		return
 	}
-	c.st = sChildPeekWait
+	c.St = sChildPeekWait
 }
 
 // consumePeekHdr acts on an unlocked header read of the child (the Section
@@ -488,7 +496,7 @@ func (c *core) consumePeekHdr(hdr object.Word) {
 	if object.Marked(hdr) {
 		// Fast path: the mark bit is already set, so the forwarding pointer
 		// is stable and no header lock is needed.
-		c.newPtr = object.Link(hdr)
+		c.NewPtr = object.Link(hdr)
 		c.finishPtr()
 		return
 	}
@@ -496,25 +504,25 @@ func (c *core) consumePeekHdr(hdr object.Word) {
 }
 
 func (c *core) tryLockChild() {
-	if !c.m.sb.TryLockHeader(c.id, c.childPtr) {
-		c.stats.HeaderLockStall++
-		c.st = sChildLock
+	if !c.m.sb.TryLockHeader(c.id, c.ChildPtr) {
+		c.Stats.HeaderLockStall++
+		c.St = sChildLock
 		return
 	}
 	c.issueChildHdr()
 }
 
 func (c *core) issueChildHdr() {
-	if hdr, ok := c.m.hc.Lookup(c.childPtr); ok {
+	if hdr, ok := c.m.hc.Lookup(c.ChildPtr); ok {
 		c.consumeChildHdr(hdr)
 		return
 	}
-	if !c.m.mem.IssueLoad(c.id, mem.HeaderLoad, c.childPtr) {
-		c.stats.HeaderLoadStall++
-		c.st = sChildHdrIssue
+	if !c.m.mem.IssueLoad(c.id, mem.HeaderLoad, c.ChildPtr) {
+		c.Stats.HeaderLoadStall++
+		c.St = sChildHdrIssue
 		return
 	}
-	c.st = sChildHdrWait
+	c.St = sChildHdrWait
 }
 
 // consumeChildHdr acts on the locked header read of the child: marked
@@ -524,12 +532,12 @@ func (c *core) consumeChildHdr(hdr object.Word) {
 	if object.Marked(hdr) {
 		// Already evacuated (possibly by another core while we waited for
 		// the header lock): follow the forwarding pointer.
-		c.newPtr = object.Link(hdr)
+		c.NewPtr = object.Link(hdr)
 		c.m.sb.UnlockHeader(c.id)
 		c.finishPtr()
 		return
 	}
-	c.childHdr = hdr
+	c.ChildHdr = hdr
 	c.tryFree()
 }
 
@@ -550,95 +558,95 @@ func (c *core) consumeChildHdr(hdr object.Word) {
 func (c *core) tryFree() {
 	sb := c.m.sb
 	if !sb.TryAcquireFree(c.id) {
-		c.stats.FreeLockStall++
-		c.st = sFreeAcquire
+		c.Stats.FreeLockStall++
+		c.St = sFreeAcquire
 		return
 	}
-	c.evacAddr = sb.Free()
-	c.grayHdr = object.GrayHeader(c.childHdr, c.childPtr)
+	c.EvacAddr = sb.Free()
+	c.GrayHdr = object.GrayHeader(c.ChildHdr, c.ChildPtr)
 	c.issueEvacGrayStore()
 }
 
 func (c *core) issueEvacGrayStore() {
-	size := object.Addr(object.SizeWords(c.childHdr))
-	if c.evacAddr+size > c.m.toLimit {
+	size := object.Addr(object.SizeWords(c.ChildHdr))
+	if c.EvacAddr+size > c.m.toLimit {
 		c.m.failf("machine: tospace overflow evacuating object %d (size %d) at free %d, limit %d",
-			c.childPtr, size, c.evacAddr, c.m.toLimit)
+			c.ChildPtr, size, c.EvacAddr, c.m.toLimit)
 		return
 	}
-	if !c.m.mem.IssueStore(c.id, mem.HeaderStore, c.evacAddr, c.grayHdr) {
-		c.stats.HeaderStoreStall++
-		c.st = sEvacGrayStore
+	if !c.m.mem.IssueStore(c.id, mem.HeaderStore, c.EvacAddr, c.GrayHdr) {
+		c.Stats.HeaderStoreStall++
+		c.St = sEvacGrayStore
 		return
 	}
-	c.m.hc.Update(c.evacAddr, c.grayHdr)
+	c.m.hc.Update(c.EvacAddr, c.GrayHdr)
 	sb := c.m.sb
-	if c.m.fifo.Push(c.evacAddr, c.grayHdr) {
+	if c.m.fifo.Push(c.EvacAddr, c.GrayHdr) {
 		c.m.fifoDrops++
 	}
-	sb.SetFree(c.id, c.evacAddr+size)
+	sb.SetFree(c.id, c.EvacAddr+size)
 	sb.ReleaseFree(c.id)
-	c.st = sEvacFwdStore
+	c.St = sEvacFwdStore
 }
 
 func (c *core) issueEvacFwdStore() {
-	fwdHdr := object.WithMark(c.childHdr, c.evacAddr)
-	if !c.m.mem.IssueStore(c.id, mem.HeaderStore, c.childPtr, fwdHdr) {
-		c.stats.HeaderStoreStall++
-		c.st = sEvacFwdStore
+	fwdHdr := object.WithMark(c.ChildHdr, c.EvacAddr)
+	if !c.m.mem.IssueStore(c.id, mem.HeaderStore, c.ChildPtr, fwdHdr) {
+		c.Stats.HeaderStoreStall++
+		c.St = sEvacFwdStore
 		return
 	}
-	c.m.hc.Update(c.childPtr, fwdHdr)
+	c.m.hc.Update(c.ChildPtr, fwdHdr)
 	c.m.sb.UnlockHeader(c.id)
-	c.newPtr = c.evacAddr
-	c.stats.ObjectsEvacuated++
+	c.NewPtr = c.EvacAddr
+	c.Stats.ObjectsEvacuated++
 	c.finishPtr()
 }
 
 // finishPtr installs the resolved pointer: into the root slot when Core 1 is
 // evacuating roots, or into the tospace copy's pointer area otherwise.
 func (c *core) finishPtr() {
-	if c.inRoots {
-		c.m.heap.SetRoot(c.rootIdx, c.newPtr)
-		c.rootIdx++
-		c.st = sRoots
+	if c.InRoots {
+		c.m.heap.SetRoot(c.RootIdx, c.NewPtr)
+		c.RootIdx++
+		c.St = sRoots
 		return
 	}
 	c.issuePtrStore()
 }
 
 func (c *core) issuePtrStore() {
-	if !c.m.mem.IssueStore(c.id, mem.BodyStore, object.PtrSlot(c.objTo, c.bodyPos), object.Word(c.newPtr)) {
-		c.stats.BodyStoreStall++
-		c.st = sPtrStore
+	if !c.m.mem.IssueStore(c.id, mem.BodyStore, object.PtrSlot(c.ObjTo, c.BodyPos), object.Word(c.NewPtr)) {
+		c.Stats.BodyStoreStall++
+		c.St = sPtrStore
 		return
 	}
-	c.stats.WordsCopied++
-	c.bodyPos++
+	c.Stats.WordsCopied++
+	c.BodyPos++
 	c.advanceBody()
 }
 
 func (c *core) issueDataLoad() {
-	if !c.m.mem.IssueLoad(c.id, mem.BodyLoad, object.DataSlot(c.backlink, c.pi, c.bodyPos-c.pi)) {
-		c.stats.BodyLoadStall++
-		c.st = sDataLoad
+	if !c.m.mem.IssueLoad(c.id, mem.BodyLoad, object.DataSlot(c.Backlink, c.Pi, c.BodyPos-c.Pi)) {
+		c.Stats.BodyLoadStall++
+		c.St = sDataLoad
 		return
 	}
-	c.st = sDataWait
+	c.St = sDataWait
 }
 
 // storeDataWord forwards the held data word to the tospace copy and, when
 // possible, issues the next data load in the same cycle (the load buffer was
 // freed by the take that preceded this call).
 func (c *core) storeDataWord() {
-	if !c.m.mem.IssueStore(c.id, mem.BodyStore, object.DataSlot(c.objTo, c.pi, c.bodyPos-c.pi), c.dataWord) {
-		c.stats.BodyStoreStall++
-		c.st = sDataStore
+	if !c.m.mem.IssueStore(c.id, mem.BodyStore, object.DataSlot(c.ObjTo, c.Pi, c.BodyPos-c.Pi), c.DataWord) {
+		c.Stats.BodyStoreStall++
+		c.St = sDataStore
 		return
 	}
-	c.stats.WordsCopied++
-	c.bodyPos++
-	if c.bodyPos < c.bodyEnd {
+	c.Stats.WordsCopied++
+	c.BodyPos++
+	if c.BodyPos < c.BodyEnd {
 		c.issueDataLoad()
 		return
 	}

@@ -34,9 +34,10 @@ import (
 //     by another core, observing an empty work list (with its busy bit
 //     already cleared and termination not yet reached), idling at an
 //     incomplete barrier, counting down startup, or done;
-//   - the per-cycle Probe hook is nil (internal/trace samples signals every
-//     cycle) and no concurrent mutator is attached (it executes an operation
-//     stream on its own port every cycle).
+//   - no per-cycle probe is attached (internal/trace samples signals every
+//     cycle), and Machine.fastForwardable holds: no concurrent mutator (it
+//     executes an operation stream on its own port every cycle), no cache
+//     model, and NoFastForward unset.
 //
 // Anything else — a core that could acquire a lock, take a ready load, or
 // make any other transition — vetoes the jump for that cycle; the loop then
@@ -64,7 +65,7 @@ const ffInfinity = int64(math.MaxInt64)
 // cycles (relative to now) its step first makes progress. A wakeIn of
 // ffInfinity means the core only wakes through another core's transition.
 func (m *Machine) deadCore(c *core) (kind ffStall, wakeIn int64, dead bool) {
-	switch c.st {
+	switch c.St {
 	case sDone:
 		// Re-registers its (already recorded) barrier arrival; no effect.
 		return ffNone, ffInfinity, true
@@ -77,9 +78,9 @@ func (m *Machine) deadCore(c *core) (kind ffStall, wakeIn int64, dead bool) {
 		return ffNone, ffInfinity, true
 
 	case sStartup:
-		// Pure countdown; the step that decrements startupLeft to zero
+		// Pure countdown; the step that decrements StartupLeft to zero
 		// transitions to root processing.
-		return ffNone, c.startupLeft, true
+		return ffNone, c.StartupLeft, true
 
 	case sGrabScan:
 		sb := m.sb
@@ -103,11 +104,11 @@ func (m *Machine) deadCore(c *core) (kind ffStall, wakeIn int64, dead bool) {
 		return ffScanLock, ffInfinity, true
 
 	case sScanHdrWait, sChildPeekWait, sChildHdrWait:
-		if c.sleepUntil > m.cycle {
-			// Sleeping: the stall cycles through sleepUntil-1 were already
+		if c.SleepUntil > m.cycle {
+			// Sleeping: the stall cycles through SleepUntil-1 were already
 			// added when the core went to sleep (core.stallOnLoad), so the
 			// jump must not add them again.
-			return ffNone, c.sleepUntil - m.cycle, true
+			return ffNone, c.SleepUntil - m.cycle, true
 		}
 		if doneAt, ok := m.mem.LoadPending(c.id, mem.HeaderLoad); ok {
 			// Completion at doneAt (memory clock) is observed by the step
@@ -117,8 +118,8 @@ func (m *Machine) deadCore(c *core) (kind ffStall, wakeIn int64, dead bool) {
 		return 0, 0, false
 
 	case sPtrLoadWait, sDataWait:
-		if c.sleepUntil > m.cycle {
-			return ffNone, c.sleepUntil - m.cycle, true
+		if c.SleepUntil > m.cycle {
+			return ffNone, c.SleepUntil - m.cycle, true
 		}
 		if doneAt, ok := m.mem.LoadPending(c.id, mem.BodyLoad); ok {
 			return ffBodyLoad, doneAt - m.mem.Cycle() + 1, true
@@ -126,7 +127,7 @@ func (m *Machine) deadCore(c *core) (kind ffStall, wakeIn int64, dead bool) {
 		return 0, 0, false
 
 	case sChildLock:
-		if m.sb.HeaderLockConflict(c.id, c.childPtr) {
+		if m.sb.HeaderLockConflict(c.id, c.ChildPtr) {
 			return ffHeaderLock, ffInfinity, true
 		}
 		return 0, 0, false
@@ -192,23 +193,23 @@ func (m *Machine) fastForward(maxCycles, scanEnd int64, emptyCycles *int64) {
 	for i, c := range m.cores {
 		switch m.ffKinds[i] {
 		case ffHeaderLoad:
-			c.stats.HeaderLoadStall += jump
+			c.Stats.HeaderLoadStall += jump
 		case ffBodyLoad:
-			c.stats.BodyLoadStall += jump
+			c.Stats.BodyLoadStall += jump
 		case ffScanLock:
-			c.stats.ScanLockStall += jump
+			c.Stats.ScanLockStall += jump
 			scanConf += jump
 		case ffHeaderLock:
-			c.stats.HeaderLockStall += jump
+			c.Stats.HeaderLockStall += jump
 			hdrConf += jump
 		case ffFreeLock:
-			c.stats.FreeLockStall += jump
+			c.Stats.FreeLockStall += jump
 			freeConf += jump
 		case ffEmpty:
 			sawEmpty = true
 		}
-		if c.st == sStartup {
-			c.startupLeft -= jump
+		if c.St == sStartup {
+			c.StartupLeft -= jump
 		}
 	}
 	if scanConf != 0 || freeConf != 0 || hdrConf != 0 {

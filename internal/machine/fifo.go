@@ -17,21 +17,28 @@ import "hwgc/internal/object"
 // address: a pop only hits when the head entry's address matches the scan
 // pointer, so dropped entries naturally turn into FIFO misses that fall back
 // to a memory header load.
+//
+// The live entries are Entries[head:]; Snapshot writes out only those.
 type headerFIFO struct {
-	cap      int
-	entries  []fifoEntry
+	FIFOState
 	head     int
+	cap      int
 	disabled bool
-
-	hits     int64
-	misses   int64
-	drops    int64
-	maxDepth int
 }
 
-type fifoEntry struct {
-	addr object.Addr
-	hdr  object.Word
+// FIFOState is the header FIFO's live entries (head first) and counters.
+type FIFOState struct {
+	Entries  []FIFOEntryState
+	Hits     int64
+	Misses   int64
+	Drops    int64
+	MaxDepth int
+}
+
+// FIFOEntryState is one buffered gray header.
+type FIFOEntryState struct {
+	Addr object.Addr
+	Hdr  object.Word
 }
 
 func newHeaderFIFO(capacity int, disabled bool) *headerFIFO {
@@ -40,25 +47,24 @@ func newHeaderFIFO(capacity int, disabled bool) *headerFIFO {
 
 // Reset empties the FIFO and its statistics for a new collection cycle.
 func (f *headerFIFO) Reset() {
-	f.entries = f.entries[:0]
+	f.FIFOState = FIFOState{Entries: f.Entries[:0]}
 	f.head = 0
-	f.hits, f.misses, f.drops, f.maxDepth = 0, 0, 0, 0
 }
 
 // Len returns the number of buffered entries.
-func (f *headerFIFO) Len() int { return len(f.entries) - f.head }
+func (f *headerFIFO) Len() int { return len(f.Entries) - f.head }
 
 // Push buffers the gray header written to the tospace frame at addr. It
 // reports whether the entry was dropped because the FIFO was full or
 // disabled.
 func (f *headerFIFO) Push(addr object.Addr, hdr object.Word) (dropped bool) {
 	if f.disabled || f.Len() >= f.cap {
-		f.drops++
+		f.Drops++
 		return true
 	}
-	f.entries = append(f.entries, fifoEntry{addr, hdr})
-	if d := f.Len(); d > f.maxDepth {
-		f.maxDepth = d
+	f.Entries = append(f.Entries, FIFOEntryState{addr, hdr})
+	if d := f.Len(); d > f.MaxDepth {
+		f.MaxDepth = d
 	}
 	return false
 }
@@ -67,22 +73,22 @@ func (f *headerFIFO) Push(addr object.Addr, hdr object.Word) (dropped bool) {
 // hit). Otherwise it reports a miss and the caller must load the header from
 // memory.
 func (f *headerFIFO) PopIf(addr object.Addr) (object.Word, bool) {
-	if f.Len() > 0 && f.entries[f.head].addr == addr {
-		hdr := f.entries[f.head].hdr
+	if f.Len() > 0 && f.Entries[f.head].Addr == addr {
+		hdr := f.Entries[f.head].Hdr
 		f.head++
-		if f.head == len(f.entries) { // reclaim storage when drained
-			f.entries = f.entries[:0]
+		if f.head == len(f.Entries) { // reclaim storage when drained
+			f.Entries = f.Entries[:0]
 			f.head = 0
-		} else if f.head >= 1024 && f.head*2 >= len(f.entries) {
+		} else if f.head >= 1024 && f.head*2 >= len(f.Entries) {
 			// Compact once the consumed prefix dominates, bounding the
 			// backing array to O(occupancy) rather than O(total pushes).
-			n := copy(f.entries, f.entries[f.head:])
-			f.entries = f.entries[:n]
+			n := copy(f.Entries, f.Entries[f.head:])
+			f.Entries = f.Entries[:n]
 			f.head = 0
 		}
-		f.hits++
+		f.Hits++
 		return hdr, true
 	}
-	f.misses++
+	f.Misses++
 	return 0, false
 }

@@ -9,8 +9,8 @@ func TestFIFOOrderAndHits(t *testing.T) {
 			t.Fatalf("push %d dropped below capacity", i)
 		}
 	}
-	if f.Len() != 3 || f.maxDepth != 3 {
-		t.Fatalf("len=%d maxDepth=%d", f.Len(), f.maxDepth)
+	if f.Len() != 3 || f.MaxDepth != 3 {
+		t.Fatalf("len=%d maxDepth=%d", f.Len(), f.MaxDepth)
 	}
 	for i := 1; i <= 3; i++ {
 		hdr, ok := f.PopIf(uint32(i * 10))
@@ -18,8 +18,8 @@ func TestFIFOOrderAndHits(t *testing.T) {
 			t.Fatalf("pop %d: ok=%v hdr=%d", i, ok, hdr)
 		}
 	}
-	if f.hits != 3 || f.Len() != 0 {
-		t.Fatalf("hits=%d len=%d", f.hits, f.Len())
+	if f.Hits != 3 || f.Len() != 0 {
+		t.Fatalf("hits=%d len=%d", f.Hits, f.Len())
 	}
 }
 
@@ -29,7 +29,7 @@ func TestFIFOMismatchIsMiss(t *testing.T) {
 	if _, ok := f.PopIf(20); ok {
 		t.Fatal("mismatched pop hit")
 	}
-	if f.misses != 1 || f.Len() != 1 {
+	if f.Misses != 1 || f.Len() != 1 {
 		t.Fatalf("miss not recorded; len=%d", f.Len())
 	}
 	// The head entry stays for its real consumer.
@@ -45,8 +45,8 @@ func TestFIFODropOnFull(t *testing.T) {
 	if !f.Push(30, 3) {
 		t.Fatal("push above capacity not dropped")
 	}
-	if f.drops != 1 {
-		t.Fatalf("drops=%d", f.drops)
+	if f.Drops != 1 {
+		t.Fatalf("drops=%d", f.Drops)
 	}
 	// Consumption order: 10 hit, 20 hit, 30 miss (dropped).
 	if _, ok := f.PopIf(10); !ok {
@@ -75,7 +75,7 @@ func TestFIFOReset(t *testing.T) {
 	f.Push(10, 1)
 	f.PopIf(99)
 	f.Reset()
-	if f.Len() != 0 || f.hits != 0 || f.misses != 0 || f.drops != 0 || f.maxDepth != 0 {
+	if f.Len() != 0 || f.Hits != 0 || f.Misses != 0 || f.Drops != 0 || f.MaxDepth != 0 {
 		t.Fatal("reset incomplete")
 	}
 }
@@ -91,8 +91,8 @@ func TestFIFOStorageReclaim(t *testing.T) {
 				t.Fatal("lost entry")
 			}
 		}
-		if len(f.entries) != 0 || f.head != 0 {
-			t.Fatalf("storage not reclaimed after drain: len=%d head=%d", len(f.entries), f.head)
+		if len(f.Entries) != 0 || f.head != 0 {
+			t.Fatalf("storage not reclaimed after drain: len=%d head=%d", len(f.Entries), f.head)
 		}
 	}
 }

@@ -22,17 +22,23 @@ import "hwgc/internal/object"
 // that would delay the load in the comparator array has already updated the
 // cache — so hits are always consistent.
 type headerCache struct {
-	lines []headerCacheLine
-	mask  uint32
-
-	hits   int64
-	misses int64
+	HeaderCacheState
+	mask uint32
 }
 
-type headerCacheLine struct {
-	valid bool
-	addr  object.Addr
-	data  object.Word
+// HeaderCacheState is the header cache's lines and counters. Lines is empty
+// when the cache is disabled.
+type HeaderCacheState struct {
+	Lines  []HeaderCacheLineState
+	Hits   int64
+	Misses int64
+}
+
+// HeaderCacheLineState is one direct-mapped cache line.
+type HeaderCacheLineState struct {
+	Valid bool
+	Addr  object.Addr
+	Data  object.Word
 }
 
 // newHeaderCache creates a cache with the given number of lines (rounded up
@@ -45,19 +51,20 @@ func newHeaderCache(lines int) *headerCache {
 	for n < lines {
 		n <<= 1
 	}
-	return &headerCache{lines: make([]headerCacheLine, n), mask: uint32(n - 1)}
+	return &headerCache{
+		HeaderCacheState: HeaderCacheState{Lines: make([]HeaderCacheLineState, n)},
+		mask:             uint32(n - 1),
+	}
 }
 
 // Enabled reports whether the cache has any lines.
-func (c *headerCache) Enabled() bool { return len(c.lines) > 0 }
+func (c *headerCache) Enabled() bool { return len(c.Lines) > 0 }
 
 // Reset invalidates the cache for a new collection cycle (the semispaces
 // flip, so all entries are stale).
 func (c *headerCache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = headerCacheLine{}
-	}
-	c.hits, c.misses = 0, 0
+	clear(c.Lines)
+	c.HeaderCacheState = HeaderCacheState{Lines: c.Lines}
 }
 
 // Lookup returns the cached header for addr, if present.
@@ -65,12 +72,12 @@ func (c *headerCache) Lookup(addr object.Addr) (object.Word, bool) {
 	if !c.Enabled() {
 		return 0, false
 	}
-	l := &c.lines[addr&c.mask]
-	if l.valid && l.addr == addr {
-		c.hits++
-		return l.data, true
+	l := &c.Lines[addr&c.mask]
+	if l.Valid && l.Addr == addr {
+		c.Hits++
+		return l.Data, true
 	}
-	c.misses++
+	c.Misses++
 	return 0, false
 }
 
@@ -80,5 +87,5 @@ func (c *headerCache) Update(addr object.Addr, data object.Word) {
 	if !c.Enabled() {
 		return
 	}
-	c.lines[addr&c.mask] = headerCacheLine{valid: true, addr: addr, data: data}
+	c.Lines[addr&c.mask] = HeaderCacheLineState{Valid: true, Addr: addr, Data: data}
 }

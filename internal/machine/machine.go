@@ -66,18 +66,12 @@ type Machine struct {
 	// computed once per Collect.
 	microSleep bool
 
-	// Probe, when non-nil, is invoked after every simulated clock cycle;
-	// the monitoring framework (internal/trace) uses it to sample signals.
-	// Probe is the original single-slot hook, kept working for existing
-	// callers; new code should prefer AddProbe, which multiplexes any number
-	// of observers. When both are set, Probe fires before the AddProbe list.
-	Probe func(cycle int64, m *Machine)
-
 	// probes holds the observers registered via AddProbe, invoked in
-	// registration order after every cycle (after the legacy Probe).
+	// registration order after every cycle; the monitoring framework
+	// (internal/trace) uses one to sample signals.
 	probes []func(cycle int64, m *Machine)
 
-	// NoFastForward forces per-cycle stepping even when no Probe is
+	// NoFastForward forces per-cycle stepping even when no probe is
 	// attached. The determinism suite uses it to check that fast-forwarded
 	// collections are bit-identical to stepped ones. It deliberately lives
 	// on the Machine rather than in Config: Stats embeds the Config, which
@@ -144,7 +138,7 @@ func (m *Machine) FIFODepth() int { return m.fifo.Len() }
 func (m *Machine) Cycle() int64 { return m.cycle }
 
 // CoreState returns a short description of core i's state (tracing).
-func (m *Machine) CoreState(i int) string { return coreStateName(m.cores[i].st) }
+func (m *Machine) CoreState(i int) string { return coreStateName(m.cores[i].St) }
 
 // fail records a fatal simulation error; the cycle loop aborts on the next
 // iteration.
@@ -164,12 +158,11 @@ const (
 	phaseDone                        // terminated, awaiting FinishCollect
 )
 
-// AddProbe registers an additional per-cycle observer, invoked after every
-// simulated clock cycle in registration order (after the legacy Probe
-// field, if set). Like Probe, any registered observer forces full per-cycle
-// stepping — fast-forward and micro-sleep are disabled so every cycle is
-// observable. Probes registered mid-collection take effect from the next
-// cycle; they are not captured by Snapshot.
+// AddProbe registers a per-cycle observer, invoked after every simulated
+// clock cycle in registration order. Any registered observer forces full
+// per-cycle stepping — fast-forward and micro-sleep are disabled so every
+// cycle is observable. Probes registered mid-collection take effect from
+// the next cycle; they are not captured by Snapshot.
 func (m *Machine) AddProbe(p func(cycle int64, m *Machine)) {
 	if p == nil {
 		return
@@ -178,18 +171,11 @@ func (m *Machine) AddProbe(p func(cycle int64, m *Machine)) {
 	m.microSleep = false
 }
 
-// ClearProbes removes every observer registered with AddProbe (the legacy
-// Probe field is untouched).
-func (m *Machine) ClearProbes() { m.probes = nil }
-
 // probing reports whether any per-cycle observer is attached.
-func (m *Machine) probing() bool { return m.Probe != nil || len(m.probes) > 0 }
+func (m *Machine) probing() bool { return len(m.probes) > 0 }
 
-// fireProbes invokes the legacy Probe and then the AddProbe observers.
+// fireProbes invokes the AddProbe observers.
 func (m *Machine) fireProbes() {
-	if m.Probe != nil {
-		m.Probe(m.cycle, m)
-	}
 	for _, p := range m.probes {
 		p(m.cycle, m)
 	}
@@ -270,14 +256,14 @@ func (m *Machine) BeginCollect() {
 	}
 	for i := range m.coreBuf {
 		c := &m.coreBuf[i]
-		*c = core{id: i, m: m, st: sIdle}
+		*c = core{id: i, m: m} // St == sIdle
 		if i == 0 {
 			if m.cfg.StartupCycles > 0 {
-				c.st = sStartup
-				c.startupLeft = m.cfg.StartupCycles
+				c.St = sStartup
+				c.StartupLeft = m.cfg.StartupCycles
 			} else {
-				c.st = sRoots
-				c.inRoots = true
+				c.St = sRoots
+				c.InRoots = true
 			}
 		}
 		m.cores[i] = c
@@ -285,7 +271,7 @@ func (m *Machine) BeginCollect() {
 	m.doneCount = 0
 	m.ffJumps = 0
 	m.ffSkipped = 0
-	m.microSleep = !m.probing() && !m.NoFastForward && m.mut == nil && m.cfg.L1Sets == 0
+	m.microSleep = !m.probing() && m.fastForwardable()
 
 	m.maxCycles = m.cfg.MaxCycles
 	if m.maxCycles <= 0 {
@@ -334,7 +320,7 @@ func (m *Machine) StepCycle() (done bool, err error) {
 	}
 	cores := m.coreBuf
 	for i := range cores {
-		if c := &cores[i]; c.sleepUntil <= m.cycle {
+		if c := &cores[i]; c.SleepUntil <= m.cycle {
 			c.step()
 		}
 		// else load-waiting: stalls pre-added by stallOnLoad.
@@ -342,7 +328,7 @@ func (m *Machine) StepCycle() (done bool, err error) {
 	if m.err != nil {
 		return false, m.err
 	}
-	if m.scanStart < 0 && !m.cores[0].inRoots && m.cores[0].st != sStartup && m.cores[0].st != sRoots {
+	if m.scanStart < 0 && !m.cores[0].InRoots && m.cores[0].St != sStartup && m.cores[0].St != sRoots {
 		m.scanStart = m.cycle
 		m.mutStarted = true
 	}
@@ -362,10 +348,7 @@ func (m *Machine) StepCycle() (done bool, err error) {
 		// Monitoring samples signals on every cycle, so tracing forces
 		// full per-cycle stepping (no fast-forward).
 		m.fireProbes()
-	} else if !m.NoFastForward && m.mut == nil && m.cfg.L1Sets == 0 {
-		// The cache model structurally disables fast-forward (like the
-		// mutator): a stalled port's wake-up depends on MSHR occupancy and
-		// tag state, which a jump cannot reproduce exactly.
+	} else if m.fastForwardable() {
 		m.fastForward(m.maxCycles, m.scanEnd, &m.emptyCycles)
 	}
 	return false, nil
@@ -409,9 +392,9 @@ func (m *Machine) FinishCollect() (Stats, error) {
 		EmptyWorklistCycles: m.emptyCycles,
 		PerCore:             make([]CoreStats, m.cfg.Cores),
 		FIFODrops:           m.fifoDrops,
-		FIFOMaxDepth:        m.fifo.maxDepth,
-		HeaderCacheHits:     m.hc.hits,
-		HeaderCacheMisses:   m.hc.misses,
+		FIFOMaxDepth:        m.fifo.MaxDepth,
+		HeaderCacheHits:     m.hc.Hits,
+		HeaderCacheMisses:   m.hc.Misses,
 		FinalFree:           finalFree,
 		LiveWords:           int64(finalFree - base),
 		Mem:                 m.mem.Stats(),
@@ -422,12 +405,12 @@ func (m *Machine) FinishCollect() (Stats, error) {
 		st.ScanCycles = m.scanEnd - m.scanStart
 	}
 	for i, c := range m.cores {
-		st.PerCore[i] = c.stats
-		st.LiveObjects += c.stats.ObjectsScanned
+		st.PerCore[i] = c.Stats
+		st.LiveObjects += c.Stats.ObjectsScanned
 	}
 
 	if m.mut != nil {
-		ms := m.mut.stats
+		ms := m.mut.Stats
 		if m.scanEnd >= 0 {
 			last := m.lastWork
 			if last < m.scanStart {
@@ -436,7 +419,7 @@ func (m *Machine) FinishCollect() (Stats, error) {
 			ms.MarkTermCycles = m.scanEnd - last
 		}
 		m.countFloating(&ms, base, finalFree)
-		m.mut.stats = ms
+		m.mut.Stats = ms
 		st.Mutator = &ms
 	}
 
@@ -450,7 +433,7 @@ func (m *Machine) FinishCollect() (Stats, error) {
 // mutator's registers survived only because the barrier retained them. The
 // walk is untimed bookkeeping over the (not yet flipped) tospace image.
 func (m *Machine) countFloating(ms *MutatorStats, base, finalFree object.Addr) {
-	if len(m.mut.shaded) == 0 {
+	if len(m.mut.Shaded) == 0 {
 		return
 	}
 	h := m.heap
@@ -465,7 +448,7 @@ func (m *Machine) countFloating(ms *MutatorStats, base, finalFree object.Addr) {
 	for i := 0; i < h.NumRoots(); i++ {
 		push(h.Root(i))
 	}
-	for _, r := range m.mut.regs {
+	for _, r := range m.mut.Regs {
 		push(r)
 	}
 	for len(stack) > 0 {
@@ -476,7 +459,7 @@ func (m *Machine) countFloating(ms *MutatorStats, base, finalFree object.Addr) {
 			push(h.Ptr(a, i))
 		}
 	}
-	for _, s := range m.mut.shaded {
+	for _, s := range m.mut.Shaded {
 		if s >= base && s < finalFree && !reach[s] {
 			hd := h.Header(s)
 			ms.FloatingObjects++
@@ -498,6 +481,16 @@ func (m *Machine) Resume() (Stats, error) {
 		}
 	}
 	return m.FinishCollect()
+}
+
+// fastForwardable reports whether the configuration lets the cycle loop
+// skip dead cycles: fast-forward jumps in StepCycle and core micro-sleep.
+// Probes, which must see every cycle, are checked by the callers. The
+// mutator and the cache model structurally disable both: the mutator's
+// next operation and a stalled port's wake-up (which depends on MSHR
+// occupancy and tag state) are not something a jump can reproduce exactly.
+func (m *Machine) fastForwardable() bool {
+	return !m.NoFastForward && m.mut == nil && m.cfg.L1Sets == 0
 }
 
 // allDone reports whether every core has detected termination.

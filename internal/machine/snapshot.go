@@ -17,7 +17,12 @@ import (
 // as the original would have — Stats and final heap image are bit-identical
 // to the uninterrupted run.
 //
-// State is plain data (no cross-references into a live machine); the
+// The live machine keeps these registers in the same types: each core
+// embeds its CoreState, the FIFO, header cache and mutator embed theirs, and
+// the heap, memory scheduler and synchronization block keep theirs in their
+// own State types. Snapshot is therefore a deep copy out and RestoreMachine
+// a validate-then-copy-in; neither shares a slice with the other side, so a
+// State may be restored any number of times. State is plain data; the
 // snapshot package serializes it.
 type State struct {
 	Config Config
@@ -49,92 +54,6 @@ type State struct {
 	// mode. Only the config-driven churn mutator is capturable — the
 	// test-only scripted driver's program state lives outside the machine.
 	Mut *MutState
-}
-
-// MutState is the register file, micro-state, write-barrier state and churn
-// PRNG of the built-in concurrent mutator.
-type MutState struct {
-	Regs     []object.Addr
-	LastData object.Word
-	St       int
-	Op       MutOp
-	Seq      int64
-	WaitLeft int
-	OpStart  int64
-
-	AllocBase object.Addr
-	InitIdx   int
-
-	ShadeTarget object.Addr
-	Shaded      []object.Addr
-
-	Stats MutatorStats
-
-	ChurnRng    uint64
-	ChurnAllocs int64
-	LastWork    int64
-}
-
-// CoreState is the register file and micro-state of one GC core.
-type CoreState struct {
-	St          int
-	ObjTo       object.Addr
-	Backlink    object.Addr
-	Attrs       object.Word
-	Pi          int
-	Delta       int
-	BodyPos     int
-	BodyEnd     int
-	DataWord    object.Word
-	ChildPtr    object.Addr
-	ChildHdr    object.Word
-	NewPtr      object.Addr
-	EvacAddr    object.Addr
-	GrayHdr     object.Word
-	RootIdx     int
-	InRoots     bool
-	StartupLeft int64
-	SleepUntil  int64
-	Stats       CoreStats
-}
-
-// FIFOState is the header FIFO's live entries (head first) and counters.
-type FIFOState struct {
-	Entries  []FIFOEntryState
-	Hits     int64
-	Misses   int64
-	Drops    int64
-	MaxDepth int
-}
-
-// FIFOEntryState is one buffered gray header.
-type FIFOEntryState struct {
-	Addr object.Addr
-	Hdr  object.Word
-}
-
-// HeaderCacheState is the header cache's lines and counters. Lines is empty
-// when the cache is disabled.
-type HeaderCacheState struct {
-	Lines  []HeaderCacheLineState
-	Hits   int64
-	Misses int64
-}
-
-// HeaderCacheLineState is one direct-mapped cache line.
-type HeaderCacheLineState struct {
-	Valid bool
-	Addr  object.Addr
-	Data  object.Word
-}
-
-// StrideEntryState is one stride-table CAM entry.
-type StrideEntryState struct {
-	Used        bool
-	ObjTo       object.Addr
-	Attrs       object.Word
-	Outstanding int
-	Final       bool
 }
 
 // Heap exposes the heap the machine collects (snapshot and tests).
@@ -179,67 +98,23 @@ func (m *Machine) Snapshot() (*State, error) {
 		Cores: make([]CoreState, len(m.coreBuf)),
 	}
 	for i := range m.coreBuf {
-		c := &m.coreBuf[i]
-		st.Cores[i] = CoreState{
-			St:          int(c.st),
-			ObjTo:       c.objTo,
-			Backlink:    c.backlink,
-			Attrs:       c.attrs,
-			Pi:          c.pi,
-			Delta:       c.delta,
-			BodyPos:     c.bodyPos,
-			BodyEnd:     c.bodyEnd,
-			DataWord:    c.dataWord,
-			ChildPtr:    c.childPtr,
-			ChildHdr:    c.childHdr,
-			NewPtr:      c.newPtr,
-			EvacAddr:    c.evacAddr,
-			GrayHdr:     c.grayHdr,
-			RootIdx:     c.rootIdx,
-			InRoots:     c.inRoots,
-			StartupLeft: c.startupLeft,
-			SleepUntil:  c.sleepUntil,
-			Stats:       c.stats,
-		}
+		st.Cores[i] = m.coreBuf[i].CoreState
 	}
-	f := m.fifo
-	st.FIFO = FIFOState{Hits: f.hits, Misses: f.misses, Drops: f.drops, MaxDepth: f.maxDepth}
-	for _, e := range f.entries[f.head:] {
-		st.FIFO.Entries = append(st.FIFO.Entries, FIFOEntryState{Addr: e.addr, Hdr: e.hdr})
-	}
-	st.HeaderCache = HeaderCacheState{Hits: m.hc.hits, Misses: m.hc.misses}
-	for _, l := range m.hc.lines {
-		st.HeaderCache.Lines = append(st.HeaderCache.Lines, HeaderCacheLineState{
-			Valid: l.valid, Addr: l.addr, Data: l.data,
-		})
-	}
+	st.FIFO = m.fifo.FIFOState
+	st.FIFO.Entries = append([]FIFOEntryState(nil), m.fifo.Entries[m.fifo.head:]...)
+	st.HeaderCache = m.hc.HeaderCacheState
+	st.HeaderCache.Lines = append([]HeaderCacheLineState(nil), m.hc.Lines...)
 	if m.strides != nil {
-		for _, e := range m.strides.entries {
-			st.Strides = append(st.Strides, StrideEntryState{
-				Used: e.used, ObjTo: e.objTo, Attrs: e.attrs,
-				Outstanding: e.outstanding, Final: e.final,
-			})
-		}
+		st.Strides = append([]StrideEntryState(nil), m.strides.entries...)
 	}
 	if u := m.mut; u != nil {
-		ms := &MutState{
-			Regs:        append([]object.Addr(nil), u.regs...),
-			LastData:    u.lastData,
-			St:          int(u.st),
-			Op:          u.op,
-			Seq:         u.seq,
-			WaitLeft:    u.waitLeft,
-			OpStart:     u.opStart,
-			AllocBase:   u.allocBase,
-			InitIdx:     u.initIdx,
-			ShadeTarget: u.shadeTarget,
-			Shaded:      append([]object.Addr(nil), u.shaded...),
-			Stats:       u.stats,
-			ChurnRng:    u.churn.rng,
-			ChurnAllocs: u.churn.allocs,
-			LastWork:    m.lastWork,
-		}
-		st.Mut = ms
+		ms := u.MutState
+		ms.Regs = append([]object.Addr(nil), u.Regs...)
+		ms.Shaded = append([]object.Addr(nil), u.Shaded...)
+		ms.ChurnRng = u.churn.rng
+		ms.ChurnAllocs = u.churn.allocs
+		ms.LastWork = m.lastWork
+		st.Mut = &ms
 	}
 	return st, nil
 }
@@ -301,75 +176,39 @@ func RestoreMachine(st *State) (*Machine, error) {
 	m.doneCount = 0
 	for i := range st.Cores {
 		s := &st.Cores[i]
-		if s.St < int(sIdle) || s.St > int(sDone) {
+		if s.St < sIdle || s.St > sDone {
 			return nil, fmt.Errorf("machine: snapshot core %d in unknown state %d", i, s.St)
 		}
 		if s.InRoots && (s.RootIdx < 0 || s.RootIdx > h.NumRoots()) {
 			return nil, fmt.Errorf("machine: snapshot core %d root index %d out of range", i, s.RootIdx)
 		}
 		c := &m.coreBuf[i]
-		*c = core{
-			id:          i,
-			m:           m,
-			st:          coreState(s.St),
-			objTo:       s.ObjTo,
-			backlink:    s.Backlink,
-			attrs:       s.Attrs,
-			pi:          s.Pi,
-			delta:       s.Delta,
-			bodyPos:     s.BodyPos,
-			bodyEnd:     s.BodyEnd,
-			dataWord:    s.DataWord,
-			childPtr:    s.ChildPtr,
-			childHdr:    s.ChildHdr,
-			newPtr:      s.NewPtr,
-			evacAddr:    s.EvacAddr,
-			grayHdr:     s.GrayHdr,
-			rootIdx:     s.RootIdx,
-			inRoots:     s.InRoots,
-			startupLeft: s.StartupLeft,
-			sleepUntil:  s.SleepUntil,
-			stats:       s.Stats,
-		}
-		if c.st == sDone {
+		*c = core{CoreState: *s, id: i, m: m}
+		if c.St == sDone {
 			m.doneCount++
 		}
 		m.cores[i] = c
 	}
 
-	m.fifo.Reset()
-	for _, e := range st.FIFO.Entries {
-		m.fifo.entries = append(m.fifo.entries, fifoEntry{addr: e.Addr, hdr: e.Hdr})
+	if !m.fifo.disabled && len(st.FIFO.Entries) > m.fifo.cap {
+		return nil, fmt.Errorf("machine: snapshot FIFO holds %d entries, capacity %d", len(st.FIFO.Entries), m.fifo.cap)
 	}
-	if !m.fifo.disabled && m.fifo.Len() > m.fifo.cap {
-		return nil, fmt.Errorf("machine: snapshot FIFO holds %d entries, capacity %d", m.fifo.Len(), m.fifo.cap)
-	}
-	m.fifo.hits = st.FIFO.Hits
-	m.fifo.misses = st.FIFO.Misses
-	m.fifo.drops = st.FIFO.Drops
-	m.fifo.maxDepth = st.FIFO.MaxDepth
+	m.fifo.FIFOState = st.FIFO
+	m.fifo.Entries = append([]FIFOEntryState(nil), st.FIFO.Entries...)
 
-	if len(st.HeaderCache.Lines) != len(m.hc.lines) {
+	if len(st.HeaderCache.Lines) != len(m.hc.Lines) {
 		return nil, fmt.Errorf("machine: snapshot header cache has %d lines, config builds %d",
-			len(st.HeaderCache.Lines), len(m.hc.lines))
+			len(st.HeaderCache.Lines), len(m.hc.Lines))
 	}
-	for i, l := range st.HeaderCache.Lines {
-		m.hc.lines[i] = headerCacheLine{valid: l.Valid, addr: l.Addr, data: l.Data}
-	}
-	m.hc.hits = st.HeaderCache.Hits
-	m.hc.misses = st.HeaderCache.Misses
+	m.hc.HeaderCacheState = st.HeaderCache
+	m.hc.Lines = append([]HeaderCacheLineState(nil), st.HeaderCache.Lines...)
 
 	if m.strides != nil {
 		if len(st.Strides) != len(m.strides.entries) {
 			return nil, fmt.Errorf("machine: snapshot stride table has %d entries, config builds %d",
 				len(st.Strides), len(m.strides.entries))
 		}
-		for i, e := range st.Strides {
-			m.strides.entries[i] = strideEntry{
-				used: e.Used, objTo: e.ObjTo, attrs: e.Attrs,
-				outstanding: e.Outstanding, final: e.Final,
-			}
-		}
+		copy(m.strides.entries, st.Strides)
 	} else if len(st.Strides) > 0 {
 		return nil, fmt.Errorf("machine: snapshot has stride state but strides are disabled")
 	}
@@ -381,7 +220,7 @@ func RestoreMachine(st *State) (*Machine, error) {
 		if len(s.Regs) != MutatorRegisters {
 			return nil, fmt.Errorf("machine: snapshot mutator has %d registers, want %d", len(s.Regs), MutatorRegisters)
 		}
-		if s.St < int(muWait) || s.St > int(muShadeWait) {
+		if s.St < muWait || s.St > muShadeWait {
 			return nil, fmt.Errorf("machine: snapshot mutator in unknown state %d", s.St)
 		}
 		ch := newChurnState(h, cfg)
@@ -389,24 +228,16 @@ func RestoreMachine(st *State) (*Machine, error) {
 		ch.allocs = s.ChurnAllocs
 		u := newMutCore(m, ch.drive, cfg.MutatorPeriod)
 		u.churn = ch
-		copy(u.regs, s.Regs)
-		u.lastData = s.LastData
-		u.st = mutState(s.St)
-		u.op = s.Op
-		u.seq = s.Seq
-		u.waitLeft = s.WaitLeft
-		u.opStart = s.OpStart
-		u.allocBase = s.AllocBase
-		u.initIdx = s.InitIdx
-		u.shadeTarget = s.ShadeTarget
-		u.shaded = append([]object.Addr(nil), s.Shaded...)
-		for _, a := range u.shaded {
-			if u.shadedSet == nil {
-				u.shadedSet = make(map[object.Addr]bool, len(u.shaded))
+		u.MutState = *s
+		u.Regs = append([]object.Addr(nil), s.Regs...)
+		u.Shaded = append([]object.Addr(nil), s.Shaded...)
+		u.ChurnRng, u.ChurnAllocs, u.LastWork = 0, 0, 0
+		if len(u.Shaded) > 0 {
+			u.shadedSet = make(map[object.Addr]bool, len(u.Shaded))
+			for _, a := range u.Shaded {
+				u.shadedSet[a] = true
 			}
-			u.shadedSet[a] = true
 		}
-		u.stats = s.Stats
 		m.mut = u
 		m.mutBuiltin = true
 		m.lastWork = s.LastWork
@@ -431,7 +262,7 @@ func RestoreMachine(st *State) (*Machine, error) {
 	m.ffJumps = st.FFJumps
 	m.ffSkipped = st.FFSkipped
 	m.NoFastForward = st.NoFastForward
-	m.microSleep = !m.NoFastForward && m.mut == nil && cfg.L1Sets == 0 // no probe on a fresh restore
+	m.microSleep = m.fastForwardable() // no probe on a fresh restore
 	m.phase = phaseRunning
 	return m, nil
 }

@@ -147,7 +147,7 @@ func TestSnapshotAdversarialCycles(t *testing.T) {
 		"mid-barrier": func(m *Machine) bool {
 			arrived := 0
 			for _, c := range m.cores {
-				if c.st == sIdle {
+				if c.St == sIdle {
 					arrived++
 				}
 			}
@@ -240,8 +240,8 @@ func TestSnapshotPhaseErrors(t *testing.T) {
 	}
 }
 
-// TestAddProbeMultiplexes checks that multiple AddProbe observers and the
-// legacy Probe field all fire, in order, every cycle.
+// TestAddProbeMultiplexes checks that multiple AddProbe observers all fire,
+// in registration order, every cycle.
 func TestAddProbeMultiplexes(t *testing.T) {
 	h := buildBench(t, "jlisp", 1)
 	m, err := New(h, Config{Cores: 2})
@@ -249,36 +249,31 @@ func TestAddProbeMultiplexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []string
-	var legacy, a, b int64
-	m.Probe = func(cycle int64, _ *Machine) {
-		legacy++
-		if len(order) < 3 {
-			order = append(order, "legacy")
-		}
-	}
+	var a, b int64
 	m.AddProbe(func(cycle int64, _ *Machine) {
 		a++
 		if len(order) < 3 {
 			order = append(order, "a")
 		}
 	})
-	m.AddProbe(func(cycle int64, _ *Machine) { b++ })
+	m.AddProbe(func(cycle int64, _ *Machine) {
+		b++
+		if len(order) < 3 {
+			order = append(order, "b")
+		}
+	})
 	st, err := m.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy == 0 || legacy != a || a != b {
-		t.Fatalf("probe counts diverge: legacy=%d a=%d b=%d", legacy, a, b)
+	if a == 0 || a != b {
+		t.Fatalf("probe counts diverge: a=%d b=%d", a, b)
 	}
 	// Probes fire after every cycle except the final one.
-	if want := st.Cycles - m.cfg.ShutdownCycles - 1; legacy != want {
-		t.Fatalf("probes fired %d times, want %d", legacy, want)
+	if want := st.Cycles - m.cfg.ShutdownCycles - 1; a != want {
+		t.Fatalf("probes fired %d times, want %d", a, want)
 	}
-	if len(order) != 3 || order[0] != "legacy" || order[1] != "a" || order[2] != "legacy" {
-		t.Fatalf("probe order = %v, want legacy,a,legacy", order)
-	}
-	m.ClearProbes()
-	if len(m.probes) != 0 {
-		t.Fatal("ClearProbes left observers behind")
+	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "a" {
+		t.Fatalf("probe order = %v, want a,b,a", order)
 	}
 }

@@ -21,33 +21,32 @@ import "hwgc/internal/object"
 // dispatching stalls (holding the scan lock) when it is full, exactly as a
 // full hardware CAM would.
 type strideTable struct {
-	entries []strideEntry
+	entries []StrideEntryState
 }
 
-type strideEntry struct {
-	used        bool
-	objTo       object.Addr
-	attrs       object.Word
-	outstanding int
-	final       bool
+// StrideEntryState is one stride-table CAM entry.
+type StrideEntryState struct {
+	Used        bool
+	ObjTo       object.Addr
+	Attrs       object.Word
+	Outstanding int
+	Final       bool
 }
 
 func newStrideTable(cores int) *strideTable {
-	return &strideTable{entries: make([]strideEntry, 2*cores)}
+	return &strideTable{entries: make([]StrideEntryState, 2*cores)}
 }
 
 // Reset clears the table for a new collection cycle.
 func (t *strideTable) Reset() {
-	for i := range t.entries {
-		t.entries[i] = strideEntry{}
-	}
+	clear(t.entries)
 }
 
 // Live returns the number of occupied entries (tracing and tests).
 func (t *strideTable) Live() int {
 	n := 0
 	for i := range t.entries {
-		if t.entries[i].used {
+		if t.entries[i].Used {
 			n++
 		}
 	}
@@ -61,21 +60,21 @@ func (t *strideTable) Dispatch(objTo object.Addr, attrs object.Word, final bool)
 	free := -1
 	for i := range t.entries {
 		e := &t.entries[i]
-		if e.used && e.objTo == objTo {
-			e.outstanding++
+		if e.Used && e.ObjTo == objTo {
+			e.Outstanding++
 			if final {
-				e.final = true
+				e.Final = true
 			}
 			return true
 		}
-		if !e.used && free < 0 {
+		if !e.Used && free < 0 {
 			free = i
 		}
 	}
 	if free < 0 {
 		return false
 	}
-	t.entries[free] = strideEntry{used: true, objTo: objTo, attrs: attrs, outstanding: 1, final: final}
+	t.entries[free] = StrideEntryState{Used: true, ObjTo: objTo, Attrs: attrs, Outstanding: 1, Final: final}
 	return true
 }
 
@@ -85,13 +84,13 @@ func (t *strideTable) Dispatch(objTo object.Addr, attrs object.Word, final bool)
 func (t *strideTable) Complete(objTo object.Addr) bool {
 	for i := range t.entries {
 		e := &t.entries[i]
-		if e.used && e.objTo == objTo {
-			e.outstanding--
-			if e.final && e.outstanding == 0 {
-				*e = strideEntry{}
+		if e.Used && e.ObjTo == objTo {
+			e.Outstanding--
+			if e.Final && e.Outstanding == 0 {
+				*e = StrideEntryState{}
 				return true
 			}
-			if e.outstanding < 0 {
+			if e.Outstanding < 0 {
 				panic("machine: stride completion underflow")
 			}
 			return false

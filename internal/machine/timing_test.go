@@ -9,8 +9,8 @@ import (
 	"hwgc/internal/workload"
 )
 
-// probeRecorder samples machine-internal signals every cycle through the
-// Probe hook, like the prototype's 32-signal tracer.
+// probeRecorder samples machine-internal signals every cycle through an
+// AddProbe hook, like the prototype's 32-signal tracer.
 type probeRecorder struct {
 	scanOwnerCycles   int64 // cycles the scan lock was held by someone
 	freeOwnerCycles   int64
@@ -21,7 +21,7 @@ type probeRecorder struct {
 }
 
 func (p *probeRecorder) attach(m *Machine) {
-	m.Probe = func(cycle int64, m *Machine) {
+	m.AddProbe(func(cycle int64, m *Machine) {
 		sb := m.SB()
 		if sb.ScanOwner() >= 0 {
 			p.scanOwnerCycles++
@@ -45,7 +45,7 @@ func (p *probeRecorder) attach(m *Machine) {
 			fmt.Fprintf(&b, " scan=%d free=%d", sb.Scan(), sb.Free())
 			p.states = append(p.states, b.String())
 		}
-	}
+	})
 }
 
 // TestFreeLockHeldOneCycle pins the evacuation path's timing: the free lock

@@ -230,26 +230,28 @@ const (
 	numClasses  = 4
 )
 
-// buffer is one single-entry per-core per-port buffer.
-type buffer struct {
-	valid    bool // request present (issued by the core)
-	accepted bool // accepted by the controller (loads only; stores free on acceptance)
-	ready    bool // load data available
-	class    uint8
-	addr     object.Addr
-	data     object.Word
-	doneAt   int64
+// LoadBuffer is one single-entry per-core load-port buffer. Class is the
+// completion class of an accepted load (classDRAM when the memory hierarchy
+// is disabled).
+type LoadBuffer struct {
+	Valid    bool // request present (issued by the core)
+	Accepted bool // accepted by the controller
+	Ready    bool // load data available
+	Class    uint8
+	Addr     object.Addr
+	Data     object.Word
+	DoneAt   int64
 }
 
-// inflightStore is a store that has been accepted but not yet committed; it
+// InflightStore is a store that has been accepted but not yet committed; it
 // is tracked so the comparator array can delay same-address header loads.
 // Because every store is accepted with the same latency, the inflight list
-// is ordered by doneAt and commits strip a prefix.
-type inflightStore struct {
-	addr   object.Addr
-	data   object.Word
-	header bool
-	doneAt int64
+// is ordered by DoneAt and commits strip a prefix.
+type InflightStore struct {
+	Addr   object.Addr
+	Data   object.Word
+	Header bool
+	DoneAt int64
 }
 
 // Stats holds the memory system's performance counters. The
@@ -276,13 +278,13 @@ type Stats struct {
 	MSHRFullStalls  int64 `json:",omitempty"` // load issues rejected because every MSHR was busy
 }
 
-// storeReq is a store waiting in a core's store-port queue for acceptance.
-// seq is a global issue sequence number used by the comparator array to keep
+// StoreReq is a store waiting in a core's store-port queue for acceptance.
+// Seq is a global issue sequence number used by the comparator array to keep
 // same-address header stores in issue order.
-type storeReq struct {
-	addr object.Addr
-	data object.Word
-	seq  int64
+type StoreReq struct {
+	Addr object.Addr
+	Data object.Word
+	Seq  int64
 }
 
 // storeRing is a fixed-capacity FIFO of write-behind stores for one store
@@ -290,12 +292,12 @@ type storeReq struct {
 // a plain slice queue — the queue is bounded by StoreQueueDepth, so the
 // backing array is allocated once per core and reused for the whole run.
 type storeRing struct {
-	buf  []storeReq
+	buf  []StoreReq
 	head int
 	n    int
 }
 
-func (r *storeRing) push(s storeReq) {
+func (r *storeRing) push(s StoreReq) {
 	p := r.head + r.n
 	if p >= len(r.buf) {
 		p -= len(r.buf)
@@ -304,7 +306,7 @@ func (r *storeRing) push(s storeReq) {
 	r.n++
 }
 
-func (r *storeRing) front() *storeReq { return &r.buf[r.head] }
+func (r *storeRing) front() *StoreReq { return &r.buf[r.head] }
 
 func (r *storeRing) pop() {
 	r.head++
@@ -315,7 +317,7 @@ func (r *storeRing) pop() {
 }
 
 // at returns the i-th queued store in FIFO order.
-func (r *storeRing) at(i int) *storeReq {
+func (r *storeRing) at(i int) *StoreReq {
 	p := r.head + i
 	if p >= len(r.buf) {
 		p -= len(r.buf)
@@ -378,12 +380,12 @@ type Memory struct {
 	interleave   int
 	busyUntil    []int64
 	cycle        int64
-	bufs         [][numPorts]buffer // load ports only
-	storeQ       [][2]storeRing     // store ports: [0]=HeaderStore, [1]=BodyStore
-	inflight     []inflightStore    // accepted stores, ordered by doneAt
-	inflightHead int                // first uncommitted entry of inflight
-	rr           int                // round-robin arbitration pointer
-	seq          int64              // store issue sequence numbers
+	bufs         [][numPorts]LoadBuffer // load ports only
+	storeQ       [][2]storeRing         // store ports: [0]=HeaderStore, [1]=BodyStore
+	inflight     []InflightStore        // accepted stores, ordered by DoneAt
+	inflightHead int                    // first uncommitted entry of inflight
+	rr           int                    // round-robin arbitration pointer
+	seq          int64                  // store issue sequence numbers
 	stats        Stats
 
 	// Derived occupancy counters, maintained incrementally so the per-cycle
@@ -436,8 +438,8 @@ type Memory struct {
 	l2Sets, l2Ways int
 	mshrs          int
 	lineWords      int
-	l1             [][]cacheLine // per core, l1Sets*l1Ways lines
-	l2             []cacheLine   // shared, l2Sets*l2Ways lines
+	l1             [][]CacheLineState // per core, l1Sets*l1Ways lines
+	l2             []CacheLineState   // shared, l2Sets*l2Ways lines
 	lruTick        int64
 	mshrInUse      int
 	stCnt          []int32 // pending stores per address (cache model only)
@@ -447,11 +449,11 @@ type Memory struct {
 	extraComp [numClasses - 1]intRing
 }
 
-// cacheLine is one tag-only line of the L1 or L2 model.
-type cacheLine struct {
-	valid bool
-	tag   int64
-	last  int64 // lruTick at last touch
+// CacheLineState is one tag-only line of the L1 or L2 model.
+type CacheLineState struct {
+	Valid bool
+	Tag   int64
+	Last  int64 // lruTick at last touch
 }
 
 // storeIdx maps a store port to its queue index.
@@ -496,7 +498,7 @@ func New(data []object.Word, cfg Config) *Memory {
 		m.domBudget = make([]int, m.domains)
 	}
 	if m.l1Sets > 0 {
-		m.l2 = make([]cacheLine, m.l2Sets*m.l2Ways)
+		m.l2 = make([]CacheLineState, m.l2Sets*m.l2Ways)
 		m.stCnt = make([]int32, len(data))
 	}
 	m.hdrCnt = make([]int32, len(data))
@@ -578,34 +580,34 @@ func (m *Memory) AttachCores(n int) {
 		for i := range m.storeQ {
 			q := &m.storeQ[i][0] // storeIdx(HeaderStore) == 0
 			for j := 0; j < q.n; j++ {
-				m.hdrCnt[q.at(j).addr] = 0
+				m.hdrCnt[q.at(j).Addr] = 0
 			}
 			if m.stCnt != nil {
 				for j := range m.storeQ[i] {
 					q := &m.storeQ[i][j]
 					for k := 0; k < q.n; k++ {
-						m.stCnt[q.at(k).addr] = 0
+						m.stCnt[q.at(k).Addr] = 0
 					}
 				}
 			}
 		}
 	}
 	for _, s := range m.inflight[m.inflightHead:] {
-		if s.header {
-			m.hdrCnt[s.addr] = 0
+		if s.Header {
+			m.hdrCnt[s.Addr] = 0
 		}
 		if m.stCnt != nil {
-			m.stCnt[s.addr] = 0
+			m.stCnt[s.Addr] = 0
 		}
 	}
 
 	if cap(m.bufs) >= n {
 		m.bufs = m.bufs[:n]
 		for i := range m.bufs {
-			m.bufs[i] = [numPorts]buffer{}
+			m.bufs[i] = [numPorts]LoadBuffer{}
 		}
 	} else {
-		m.bufs = make([][numPorts]buffer, n)
+		m.bufs = make([][numPorts]LoadBuffer, n)
 	}
 	if cap(m.storeQ) >= n {
 		m.storeQ = m.storeQ[:n]
@@ -616,7 +618,7 @@ func (m *Memory) AttachCores(n int) {
 		for j := range m.storeQ[i] {
 			r := &m.storeQ[i][j]
 			if len(r.buf) != m.sqDepth {
-				r.buf = make([]storeReq, m.sqDepth)
+				r.buf = make([]StoreReq, m.sqDepth)
 			}
 			r.head, r.n = 0, 0
 		}
@@ -644,9 +646,9 @@ func (m *Memory) AttachCores(n int) {
 		// Caches start cold each collection cycle: the main processor owned
 		// the hierarchy in between, so no GC-visible line survives.
 		if len(m.l1) != n {
-			m.l1 = make([][]cacheLine, n)
+			m.l1 = make([][]CacheLineState, n)
 			for i := range m.l1 {
-				m.l1[i] = make([]cacheLine, m.l1Sets*m.l1Ways)
+				m.l1[i] = make([]CacheLineState, m.l1Sets*m.l1Ways)
 			}
 		} else {
 			for i := range m.l1 {
@@ -686,13 +688,13 @@ func (m *Memory) Cycle() int64 { return m.cycle }
 
 // probe looks line up in a set-associative tag array, touching its LRU
 // stamp on a hit.
-func (m *Memory) probe(lines []cacheLine, sets, ways int, line int64) bool {
+func (m *Memory) probe(lines []CacheLineState, sets, ways int, line int64) bool {
 	way := lines[int(line%int64(sets))*ways:]
 	tag := line / int64(sets)
 	for i := 0; i < ways; i++ {
-		if way[i].valid && way[i].tag == tag {
+		if way[i].Valid && way[i].Tag == tag {
 			m.lruTick++
-			way[i].last = m.lruTick
+			way[i].Last = m.lruTick
 			return true
 		}
 	}
@@ -701,27 +703,27 @@ func (m *Memory) probe(lines []cacheLine, sets, ways int, line int64) bool {
 
 // fill installs line into a set-associative tag array, evicting the
 // least-recently-used way (lowest index on ties, for determinism).
-func (m *Memory) fill(lines []cacheLine, sets, ways int, line int64) {
+func (m *Memory) fill(lines []CacheLineState, sets, ways int, line int64) {
 	way := lines[int(line%int64(sets))*ways:]
 	tag := line / int64(sets)
 	victim := 0
 	for i := 0; i < ways; i++ {
-		if way[i].valid && way[i].tag == tag {
+		if way[i].Valid && way[i].Tag == tag {
 			victim = i
 			break
 		}
-		if !way[i].valid {
-			if way[victim].valid {
+		if !way[i].Valid {
+			if way[victim].Valid {
 				victim = i
 			}
 			continue
 		}
-		if way[victim].valid && way[i].last < way[victim].last {
+		if way[victim].Valid && way[i].Last < way[victim].Last {
 			victim = i
 		}
 	}
 	m.lruTick++
-	way[victim] = cacheLine{valid: true, tag: tag, last: m.lruTick}
+	way[victim] = CacheLineState{Valid: true, Tag: tag, Last: m.lruTick}
 }
 
 // cacheLookup probes L1 then L2 for core's access to addr, returning the
@@ -767,7 +769,7 @@ func (m *Memory) IssueLoad(core int, port Port, addr object.Addr) bool {
 		panic("mem: IssueLoad on store port " + port.String())
 	}
 	b := &m.bufs[core][port]
-	if b.valid {
+	if b.Valid {
 		return false
 	}
 	if m.l1Sets > 0 {
@@ -781,10 +783,10 @@ func (m *Memory) IssueLoad(core int, port Port, addr object.Addr) bool {
 				if cls == classL2 {
 					lat = HitLatencyL2
 				}
-				*b = buffer{valid: true, accepted: true, class: cls, addr: addr, doneAt: m.cycle + lat}
+				*b = LoadBuffer{Valid: true, Accepted: true, Class: cls, Addr: addr, DoneAt: m.cycle + lat}
 				m.validLoads++
 				m.acceptedLoads++
-				m.ring(cls).push(b.doneAt<<16 | int64(core)<<1 | int64(port>>1))
+				m.ring(cls).push(b.DoneAt<<16 | int64(core)<<1 | int64(port>>1))
 				m.stats.TotalRequests++
 				return true
 			}
@@ -799,7 +801,7 @@ func (m *Memory) IssueLoad(core int, port Port, addr object.Addr) bool {
 		}
 		m.mshrInUse++
 	}
-	*b = buffer{valid: true, addr: addr}
+	*b = LoadBuffer{Valid: true, Addr: addr}
 	m.unaccepted++
 	m.validLoads++
 	m.waiting[core] |= 1 << port
@@ -812,7 +814,7 @@ func (m *Memory) IssueLoad(core int, port Port, addr object.Addr) bool {
 // completed and its data may be taken.
 func (m *Memory) LoadReady(core int, port Port) bool {
 	b := &m.bufs[core][port]
-	return b.valid && b.ready
+	return b.Valid && b.Ready
 }
 
 // LoadPending returns the completion cycle of the accepted, not yet
@@ -821,8 +823,8 @@ func (m *Memory) LoadReady(core int, port Port) bool {
 // fast-forward uses this as the core's next possible wake-up event.
 func (m *Memory) LoadPending(core int, port Port) (doneAt int64, ok bool) {
 	b := &m.bufs[core][port]
-	if b.valid && b.accepted && !b.ready {
-		return b.doneAt, true
+	if b.Valid && b.Accepted && !b.Ready {
+		return b.DoneAt, true
 	}
 	return 0, false
 }
@@ -834,14 +836,14 @@ func (m *Memory) LoadPending(core int, port Port) (doneAt int64, ok bool) {
 // acceptance.
 func (m *Memory) PollLoad(core int, port Port) (w object.Word, doneAt int64, ok bool) {
 	b := &m.bufs[core][port]
-	if b.valid && b.ready {
-		w = b.data
-		*b = buffer{}
+	if b.Valid && b.Ready {
+		w = b.Data
+		*b = LoadBuffer{}
 		m.validLoads--
 		return w, 0, true
 	}
-	if b.accepted {
-		return 0, b.doneAt, false
+	if b.Accepted {
+		return 0, b.DoneAt, false
 	}
 	return 0, 0, false
 }
@@ -849,11 +851,11 @@ func (m *Memory) PollLoad(core int, port Port) (w object.Word, doneAt int64, ok 
 // TakeLoad consumes a completed load and frees the buffer.
 func (m *Memory) TakeLoad(core int, port Port) object.Word {
 	b := &m.bufs[core][port]
-	if !b.valid || !b.ready {
+	if !b.Valid || !b.Ready {
 		panic("mem: TakeLoad before completion on " + port.String())
 	}
-	w := b.data
-	*b = buffer{}
+	w := b.Data
+	*b = LoadBuffer{}
 	m.validLoads--
 	return w
 }
@@ -870,7 +872,7 @@ func (m *Memory) IssueStore(core int, port Port, addr object.Addr, w object.Word
 		return false
 	}
 	m.seq++
-	q.push(storeReq{addr, w, m.seq})
+	q.push(StoreReq{addr, w, m.seq})
 	m.unaccepted++
 	m.storeQueued++
 	m.waiting[core] |= 1 << port
@@ -910,7 +912,7 @@ func (m *Memory) headerStoreOrderedBefore(addr object.Addr, seq int64) bool {
 		}
 		q := &m.storeQ[i][0]
 		for j := 0; j < q.n; j++ {
-			if s := q.at(j); s.addr == addr && s.seq < seq {
+			if s := q.at(j); s.Addr == addr && s.Seq < seq {
 				return true
 			}
 		}
@@ -931,17 +933,17 @@ func (m *Memory) headerStorePending(addr object.Addr) bool {
 // once it dominates the backing array (amortized O(1) per commit).
 func (m *Memory) commitDue() {
 	h := m.inflightHead
-	if h == len(m.inflight) || m.inflight[h].doneAt > m.cycle {
+	if h == len(m.inflight) || m.inflight[h].DoneAt > m.cycle {
 		return
 	}
-	for h < len(m.inflight) && m.inflight[h].doneAt <= m.cycle {
+	for h < len(m.inflight) && m.inflight[h].DoneAt <= m.cycle {
 		s := &m.inflight[h]
-		m.data[s.addr] = s.data
-		if s.header {
-			m.hdrCnt[s.addr] -= hdrCntInflightOne
+		m.data[s.Addr] = s.Data
+		if s.Header {
+			m.hdrCnt[s.Addr] -= hdrCntInflightOne
 		}
 		if m.stCnt != nil {
-			m.stCnt[s.addr]--
+			m.stCnt[s.Addr]--
 		}
 		h++
 	}
@@ -986,13 +988,13 @@ func (m *Memory) drainRing(r *intRing) {
 		}
 		ci := int(e >> 1 & 0x7fff)
 		b := &m.bufs[ci][Port(e&1)<<1] // portIdx 0 -> HeaderLoad(0), 1 -> BodyLoad(2)
-		b.data = m.data[b.addr]
-		b.ready = true
+		b.Data = m.data[b.Addr]
+		b.Ready = true
 		m.acceptedLoads--
-		if m.l1Sets > 0 && b.class < classL1 {
+		if m.l1Sets > 0 && b.Class < classL1 {
 			// A completed miss releases its MSHR and fills both levels.
 			m.mshrInUse--
-			m.cacheFill(ci, b.addr)
+			m.cacheFill(ci, b.Addr)
 		}
 		r.pop()
 	}
@@ -1041,14 +1043,14 @@ func (m *Memory) settle() {
 // counts.
 func (m *Memory) commitFlat() {
 	h := m.inflightHead
-	if h == len(m.inflight) || m.inflight[h].doneAt > m.cycle {
+	if h == len(m.inflight) || m.inflight[h].DoneAt > m.cycle {
 		return
 	}
-	for h < len(m.inflight) && m.inflight[h].doneAt <= m.cycle {
+	for h < len(m.inflight) && m.inflight[h].DoneAt <= m.cycle {
 		s := &m.inflight[h]
-		m.data[s.addr] = s.data
-		if s.header {
-			m.hdrCnt[s.addr] -= hdrCntInflightOne
+		m.data[s.Addr] = s.Data
+		if s.Header {
+			m.hdrCnt[s.Addr] -= hdrCntInflightOne
 		}
 		h++
 	}
@@ -1065,8 +1067,8 @@ func (m *Memory) drainFlat() {
 			return
 		}
 		b := &m.bufs[e>>1&0x7fff][Port(e&1)<<1]
-		b.data = m.data[b.addr]
-		b.ready = true
+		b.Data = m.data[b.Addr]
+		b.Ready = true
 		m.acceptedLoads--
 		r.pop()
 	}
@@ -1135,45 +1137,45 @@ func (m *Memory) acceptCore(ci int, budget *int) bool {
 		p := Port(bits.TrailingZeros8(w))
 		if p.IsLoad() {
 			b := &m.bufs[ci][p]
-			if p == HeaderLoad && m.headerStorePending(b.addr) {
+			if p == HeaderLoad && m.headerStorePending(b.Addr) {
 				m.stats.OrderDelays++
 				continue
 			}
-			if !m.bankReady(b.addr, false) {
+			if !m.bankReady(b.Addr, false) {
 				continue
 			}
-			if !m.domainReady(ci, b.addr, false) {
+			if !m.domainReady(ci, b.Addr, false) {
 				continue
 			}
-			m.bankReady(b.addr, true)
-			m.domainReady(ci, b.addr, true)
-			b.accepted = true
-			b.doneAt = m.cycle + m.accessLatency(ci, b.addr, &b.class)
+			m.bankReady(b.Addr, true)
+			m.domainReady(ci, b.Addr, true)
+			b.Accepted = true
+			b.DoneAt = m.cycle + m.accessLatency(ci, b.Addr, &b.Class)
 			m.unaccepted--
 			m.acceptedLoads++
 			m.clearWaiting(ci, p)
-			m.ring(b.class).push(b.doneAt<<16 | int64(ci)<<1 | int64(p>>1)) // HeaderLoad=0, BodyLoad=1
+			m.ring(b.Class).push(b.DoneAt<<16 | int64(ci)<<1 | int64(p>>1)) // HeaderLoad=0, BodyLoad=1
 		} else {
 			q := &m.storeQ[ci][storeIdx(p)]
 			s := q.front()
-			if p == HeaderStore && m.headerStoreOrderedBefore(s.addr, s.seq) {
+			if p == HeaderStore && m.headerStoreOrderedBefore(s.Addr, s.Seq) {
 				m.stats.OrderDelays++
 				continue
 			}
-			if !m.bankReady(s.addr, false) {
+			if !m.bankReady(s.Addr, false) {
 				continue
 			}
-			if !m.domainReady(ci, s.addr, false) {
+			if !m.domainReady(ci, s.Addr, false) {
 				continue
 			}
-			m.bankReady(s.addr, true)
-			m.domainReady(ci, s.addr, true)
+			m.bankReady(s.Addr, true)
+			m.domainReady(ci, s.Addr, true)
 			var cls uint8
-			st := inflightStore{
-				addr:   s.addr,
-				data:   s.data,
-				header: p.IsHeader(),
-				doneAt: m.cycle + m.accessLatency(ci, s.addr, &cls),
+			st := InflightStore{
+				Addr:   s.Addr,
+				Data:   s.Data,
+				Header: p.IsHeader(),
+				DoneAt: m.cycle + m.accessLatency(ci, s.Addr, &cls),
 			}
 			if m.hier {
 				m.insertInflight(st)
@@ -1182,7 +1184,7 @@ func (m *Memory) acceptCore(ci int, budget *int) bool {
 			}
 			if p == HeaderStore {
 				// The queued store becomes an accepted, uncommitted one.
-				m.hdrCnt[s.addr] += hdrCntInflightOne - hdrCntQueuedOne
+				m.hdrCnt[s.Addr] += hdrCntInflightOne - hdrCntQueuedOne
 			}
 			q.pop()
 			if q.n == 0 {
@@ -1206,32 +1208,32 @@ func (m *Memory) acceptCoreFlat(ci int, budget *int) bool {
 		p := Port(bits.TrailingZeros8(w))
 		if p.IsLoad() {
 			b := &m.bufs[ci][p]
-			if p == HeaderLoad && m.headerStorePending(b.addr) {
+			if p == HeaderLoad && m.headerStorePending(b.Addr) {
 				m.stats.OrderDelays++
 				continue
 			}
-			b.accepted = true
-			b.doneAt = m.cycle + m.lat
+			b.Accepted = true
+			b.DoneAt = m.cycle + m.lat
 			m.unaccepted--
 			m.acceptedLoads++
 			m.clearWaiting(ci, p)
-			m.completions.push(b.doneAt<<16 | int64(ci)<<1 | int64(p>>1)) // HeaderLoad=0, BodyLoad=1
+			m.completions.push(b.DoneAt<<16 | int64(ci)<<1 | int64(p>>1)) // HeaderLoad=0, BodyLoad=1
 		} else {
 			q := &m.storeQ[ci][storeIdx(p)]
 			s := q.front()
 			if p == HeaderStore {
-				if m.headerStoreOrderedBefore(s.addr, s.seq) {
+				if m.headerStoreOrderedBefore(s.Addr, s.Seq) {
 					m.stats.OrderDelays++
 					continue
 				}
 				// The queued store becomes an accepted, uncommitted one.
-				m.hdrCnt[s.addr] += hdrCntInflightOne - hdrCntQueuedOne
+				m.hdrCnt[s.Addr] += hdrCntInflightOne - hdrCntQueuedOne
 			}
-			m.inflight = append(m.inflight, inflightStore{
-				addr:   s.addr,
-				data:   s.data,
-				header: p == HeaderStore,
-				doneAt: m.cycle + m.lat,
+			m.inflight = append(m.inflight, InflightStore{
+				Addr:   s.Addr,
+				Data:   s.Data,
+				Header: p == HeaderStore,
+				DoneAt: m.cycle + m.lat,
 			})
 			q.pop()
 			if q.n == 0 {
@@ -1294,17 +1296,17 @@ func (m *Memory) domainReady(ci int, addr object.Addr, claim bool) bool {
 // same-address header store is clamped to commit no earlier than an
 // in-flight one, preserving the comparator array's issue-order guarantee
 // when domain penalties give the two stores different latencies.
-func (m *Memory) insertInflight(st inflightStore) {
-	if st.header && m.hdrCnt[st.addr]>>16 > 0 {
+func (m *Memory) insertInflight(st InflightStore) {
+	if st.Header && m.hdrCnt[st.Addr]>>16 > 0 {
 		for i := m.inflightHead; i < len(m.inflight); i++ {
-			if f := &m.inflight[i]; f.header && f.addr == st.addr && f.doneAt > st.doneAt {
-				st.doneAt = f.doneAt
+			if f := &m.inflight[i]; f.Header && f.Addr == st.Addr && f.DoneAt > st.DoneAt {
+				st.DoneAt = f.DoneAt
 			}
 		}
 	}
 	i := len(m.inflight)
 	m.inflight = append(m.inflight, st)
-	for i > m.inflightHead && m.inflight[i-1].doneAt > st.doneAt {
+	for i > m.inflightHead && m.inflight[i-1].DoneAt > st.DoneAt {
 		m.inflight[i] = m.inflight[i-1]
 		i--
 	}
@@ -1331,7 +1333,7 @@ func (m *Memory) LastInflightDoneAt() int64 {
 	if m.inflightHead == len(m.inflight) {
 		return 0
 	}
-	return m.inflight[len(m.inflight)-1].doneAt
+	return m.inflight[len(m.inflight)-1].DoneAt
 }
 
 // FastForwardBy advances the scheduler delta cycles in one jump, applying

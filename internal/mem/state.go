@@ -6,41 +6,19 @@ import (
 	"hwgc/internal/object"
 )
 
-// The snapshot state of the memory scheduler captures only the primary
-// state — the clock, arbitration pointer, per-core buffers and queues, the
-// in-flight split transactions, and the load-completion order. The derived
-// occupancy counters (unaccepted, storeQueued, validLoads, acceptedLoads),
-// the per-address header-store counters and the waiting bitmaps are all
-// recomputed from it on restore, so a snapshot cannot encode an
-// inconsistent scheduler.
-
-// LoadBuffer is the serializable form of one single-entry load buffer.
-// Class is the completion class of an accepted load (0 when the memory
-// hierarchy is disabled, where classDRAM is the only class).
-type LoadBuffer struct {
-	Valid    bool
-	Accepted bool
-	Ready    bool
-	Class    uint8
-	Addr     object.Addr
-	Data     object.Word
-	DoneAt   int64
-}
-
-// StoreReq is one store waiting in a write-behind queue.
-type StoreReq struct {
-	Addr object.Addr
-	Data object.Word
-	Seq  int64
-}
-
-// InflightStore is one accepted, not yet committed store.
-type InflightStore struct {
-	Addr   object.Addr
-	Data   object.Word
-	Header bool
-	DoneAt int64
-}
+// The live scheduler keeps its load buffers, queued and in-flight stores and
+// cache lines as the State's own element types (LoadBuffer, StoreReq,
+// InflightStore, CacheLineState), so CaptureState copies them out — the
+// store and completion rings in FIFO order — and RestoreState validates and
+// copies them back in.
+//
+// The snapshot holds only the primary state: the clock, arbitration
+// pointer, per-core buffers and queues, the in-flight split transactions,
+// and the load-completion order. The derived occupancy counters
+// (unaccepted, storeQueued, validLoads, acceptedLoads, mshrInUse), the
+// per-address store counters (hdrCnt, stCnt) and the waiting bitmaps
+// (waiting, waitMask) are all recomputed from it on restore, so a snapshot
+// cannot encode an inconsistent scheduler.
 
 // CoreIOState is the per-core slice of the scheduler state: the two load
 // buffers and the two write-behind store queues (in FIFO order).
@@ -49,13 +27,6 @@ type CoreIOState struct {
 	BodyLoad     LoadBuffer
 	HeaderStores []StoreReq
 	BodyStores   []StoreReq
-}
-
-// CacheLineState is one tag-only line of the L1/L2 model.
-type CacheLineState struct {
-	Valid bool
-	Tag   int64
-	Last  int64
 }
 
 // State is the complete serializable state of the memory scheduler
@@ -93,26 +64,6 @@ func (r *intRing) at(i int) int64 {
 	return r.buf[p]
 }
 
-func captureBuffer(b *buffer) LoadBuffer {
-	return LoadBuffer{
-		Valid:    b.valid,
-		Accepted: b.accepted,
-		Ready:    b.ready,
-		Class:    b.class,
-		Addr:     b.addr,
-		Data:     b.data,
-		DoneAt:   b.doneAt,
-	}
-}
-
-func captureLines(lines []cacheLine) []CacheLineState {
-	out := make([]CacheLineState, len(lines))
-	for i, l := range lines {
-		out[i] = CacheLineState{Valid: l.valid, Tag: l.tag, Last: l.last}
-	}
-	return out
-}
-
 func captureRing(r *intRing) []int64 {
 	var out []int64
 	for i := 0; i < r.n; i++ {
@@ -127,8 +78,7 @@ func captureQueue(q *storeRing) []StoreReq {
 	}
 	out := make([]StoreReq, q.n)
 	for i := range out {
-		s := q.at(i)
-		out[i] = StoreReq{Addr: s.addr, Data: s.data, Seq: s.seq}
+		out[i] = *q.at(i)
 	}
 	return out
 }
@@ -146,17 +96,13 @@ func (m *Memory) CaptureState() *State {
 	}
 	for i := range m.bufs {
 		st.Cores[i] = CoreIOState{
-			HeaderLoad:   captureBuffer(&m.bufs[i][HeaderLoad]),
-			BodyLoad:     captureBuffer(&m.bufs[i][BodyLoad]),
+			HeaderLoad:   m.bufs[i][HeaderLoad],
+			BodyLoad:     m.bufs[i][BodyLoad],
 			HeaderStores: captureQueue(&m.storeQ[i][storeIdx(HeaderStore)]),
 			BodyStores:   captureQueue(&m.storeQ[i][storeIdx(BodyStore)]),
 		}
 	}
-	for _, s := range m.inflight[m.inflightHead:] {
-		st.Inflight = append(st.Inflight, InflightStore{
-			Addr: s.addr, Data: s.data, Header: s.header, DoneAt: s.doneAt,
-		})
-	}
+	st.Inflight = append([]InflightStore(nil), m.inflight[m.inflightHead:]...)
 	st.Completions = captureRing(&m.completions)
 	if m.hier {
 		st.RemoteComp = captureRing(&m.extraComp[classRemote-1])
@@ -167,9 +113,9 @@ func (m *Memory) CaptureState() *State {
 		st.LRUTick = m.lruTick
 		st.L1 = make([][]CacheLineState, len(m.l1))
 		for i := range m.l1 {
-			st.L1[i] = captureLines(m.l1[i])
+			st.L1[i] = append([]CacheLineState(nil), m.l1[i]...)
 		}
-		st.L2 = captureLines(m.l2)
+		st.L2 = append([]CacheLineState(nil), m.l2...)
 	}
 	return st
 }
@@ -306,16 +252,8 @@ func (m *Memory) RestoreState(st *State) error {
 	m.stats = st.Stats
 	copy(m.busyUntil, st.BusyUntil)
 
-	restoreBuffer := func(b *buffer, s LoadBuffer) {
-		*b = buffer{
-			valid:    s.Valid,
-			accepted: s.Accepted,
-			ready:    s.Ready,
-			class:    s.Class,
-			addr:     s.Addr,
-			data:     s.Data,
-			doneAt:   s.DoneAt,
-		}
+	restoreBuffer := func(b *LoadBuffer, s LoadBuffer) {
+		*b = s
 		if s.Valid {
 			m.validLoads++
 			if !s.Accepted {
@@ -331,7 +269,7 @@ func (m *Memory) RestoreState(st *State) error {
 	restoreQueue := func(q *storeRing, reqs []StoreReq, header bool) {
 		q.head, q.n = 0, 0
 		for _, s := range reqs {
-			q.push(storeReq{addr: s.Addr, data: s.Data, seq: s.Seq})
+			q.push(s)
 			m.unaccepted++
 			m.storeQueued++
 			if header {
@@ -354,7 +292,7 @@ func (m *Memory) RestoreState(st *State) error {
 		restoreQueue(&m.storeQ[i][storeIdx(BodyStore)], c.BodyStores, false)
 		var w uint8
 		for _, p := range loadPorts {
-			if b := &m.bufs[i][p]; b.valid && !b.accepted {
+			if b := &m.bufs[i][p]; b.Valid && !b.Accepted {
 				w |= 1 << p
 			}
 		}
@@ -370,10 +308,8 @@ func (m *Memory) RestoreState(st *State) error {
 	}
 	m.inflight = m.inflight[:0]
 	m.inflightHead = 0
+	m.inflight = append(m.inflight, st.Inflight...)
 	for _, s := range st.Inflight {
-		m.inflight = append(m.inflight, inflightStore{
-			addr: s.Addr, data: s.Data, header: s.Header, doneAt: s.DoneAt,
-		})
 		if s.Header {
 			m.hdrCnt[s.Addr] += hdrCntInflightOne
 		}
@@ -404,13 +340,9 @@ func (m *Memory) RestoreState(st *State) error {
 	if m.l1Sets > 0 {
 		m.lruTick = st.LRUTick
 		for i := range m.l1 {
-			for j, l := range st.L1[i] {
-				m.l1[i][j] = cacheLine{valid: l.Valid, tag: l.Tag, last: l.Last}
-			}
+			copy(m.l1[i], st.L1[i])
 		}
-		for j, l := range st.L2 {
-			m.l2[j] = cacheLine{valid: l.Valid, tag: l.Tag, last: l.Last}
-		}
+		copy(m.l2, st.L2)
 	}
 	return nil
 }

@@ -17,6 +17,16 @@ import (
 // captureState runs a collection to a checkpoint and snapshots it.
 func captureState(t testing.TB, bench string, cfg machine.Config, cycles int64) *machine.State {
 	t.Helper()
+	st, err := startCollect(t, bench, cfg, cycles).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// startCollect runs a collection to a checkpoint and returns its machine.
+func startCollect(t testing.TB, bench string, cfg machine.Config, cycles int64) *machine.Machine {
+	t.Helper()
 	spec, err := workload.Get(bench)
 	if err != nil {
 		t.Fatal(err)
@@ -35,11 +45,7 @@ func captureState(t testing.TB, bench string, cfg machine.Config, cycles int64) 
 	} else if done {
 		t.Fatalf("collection finished before cycle %d", cycles)
 	}
-	st, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return m
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {

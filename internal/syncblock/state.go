@@ -6,10 +6,11 @@ import (
 	"hwgc/internal/object"
 )
 
-// State is the complete serializable state of the synchronization block
-// mid-collection: scan/free registers and lock owners, per-core header-lock
-// registers, ScanState busy bits, barrier arrival bits, and the event
-// counters. The derived busyCount and per-barrier arrival counts are
+// State is the complete state of the synchronization block mid-collection:
+// scan/free registers and lock owners, per-core header-lock registers,
+// ScanState busy bits, barrier arrival bits, and the event counters. The
+// live SB keeps its registers in a State, so capture and restore are
+// copies; the derived busyCount and per-barrier arrival counts are
 // recomputed on restore.
 type State struct {
 	Cores     int
@@ -23,77 +24,63 @@ type State struct {
 	Stats     Stats
 }
 
-// CaptureState returns a deep copy of the SB's state.
-func (s *SB) CaptureState() *State {
-	st := &State{
-		Cores:     s.n,
-		Scan:      s.scan,
-		Free:      s.free,
-		ScanOwner: s.scanOwner,
-		FreeOwner: s.freeOwner,
-		HeaderReg: append([]object.Addr(nil), s.headerReg...),
-		Busy:      append([]bool(nil), s.busy...),
-		Barriers:  make([][]bool, len(s.barriers)),
-		Stats:     s.stats,
-	}
-	for id, arr := range s.barriers {
+// clone returns a copy of st that shares no slice with it.
+func (st *State) clone() *State {
+	c := *st
+	c.HeaderReg = append([]object.Addr(nil), st.HeaderReg...)
+	c.Busy = append([]bool(nil), st.Busy...)
+	c.Barriers = make([][]bool, len(st.Barriers))
+	for id, arr := range st.Barriers {
 		if arr != nil {
-			st.Barriers[id] = append([]bool(nil), arr...)
+			c.Barriers[id] = append([]bool(nil), arr...)
 		}
 	}
-	return st
+	return &c
 }
 
-// RestoreState overwrites the SB's state from a captured state, validating
-// shapes and owner ranges. The SB must have been created for the same core
-// count.
+// CaptureState returns a deep copy of the SB's state.
+func (s *SB) CaptureState() *State { return s.st.clone() }
+
+// RestoreState overwrites the SB's state with a copy of a captured state,
+// validating shapes and owner ranges, and recomputes the derived busy and
+// arrival counts. The SB must have been created for the same core count.
 func (s *SB) RestoreState(st *State) error {
 	if st == nil {
 		return fmt.Errorf("syncblock: nil state")
 	}
-	if st.Cores != s.n {
-		return fmt.Errorf("syncblock: state for %d cores, SB has %d", st.Cores, s.n)
+	n := s.st.Cores
+	if st.Cores != n {
+		return fmt.Errorf("syncblock: state for %d cores, SB has %d", st.Cores, n)
 	}
-	if len(st.HeaderReg) != s.n || len(st.Busy) != s.n {
+	if len(st.HeaderReg) != n || len(st.Busy) != n {
 		return fmt.Errorf("syncblock: state register lengths %d/%d, want %d",
-			len(st.HeaderReg), len(st.Busy), s.n)
+			len(st.HeaderReg), len(st.Busy), n)
 	}
-	if st.ScanOwner < noOwner || st.ScanOwner >= s.n {
+	if st.ScanOwner < noOwner || st.ScanOwner >= n {
 		return fmt.Errorf("syncblock: scan owner %d out of range", st.ScanOwner)
 	}
-	if st.FreeOwner < noOwner || st.FreeOwner >= s.n {
+	if st.FreeOwner < noOwner || st.FreeOwner >= n {
 		return fmt.Errorf("syncblock: free owner %d out of range", st.FreeOwner)
 	}
 	for id, arr := range st.Barriers {
-		if arr != nil && len(arr) != s.n {
-			return fmt.Errorf("syncblock: barrier %d has %d arrival bits, want %d", id, len(arr), s.n)
+		if arr != nil && len(arr) != n {
+			return fmt.Errorf("syncblock: barrier %d has %d arrival bits, want %d", id, len(arr), n)
 		}
 	}
-	s.scan = st.Scan
-	s.free = st.Free
-	s.scanOwner = st.ScanOwner
-	s.freeOwner = st.FreeOwner
-	copy(s.headerReg, st.HeaderReg)
+	s.st = *st.clone()
 	s.busyCount = 0
-	for i, b := range st.Busy {
-		s.busy[i] = b
+	for _, b := range s.st.Busy {
 		if b {
 			s.busyCount++
 		}
 	}
-	s.barriers = make([][]bool, len(st.Barriers))
-	s.arrived = make([]int, len(st.Barriers))
-	for id, arr := range st.Barriers {
-		if arr == nil {
-			continue
-		}
-		s.barriers[id] = append([]bool(nil), arr...)
+	s.arrived = make([]int, len(s.st.Barriers))
+	for id, arr := range s.st.Barriers {
 		for _, a := range arr {
 			if a {
 				s.arrived[id]++
 			}
 		}
 	}
-	s.stats = st.Stats
 	return nil
 }

@@ -54,17 +54,12 @@ type Stats struct {
 // SB is the synchronization block shared by all cores of the coprocessor.
 // It is not safe for concurrent use; the machine drives it cycle by cycle.
 type SB struct {
-	n         int
-	scan      object.Addr
-	free      object.Addr
-	scanOwner int
-	freeOwner int
-	headerReg []object.Addr // per core; NilPtr = unlocked
-	busy      []bool
-	busyCount int      // number of set busy bits, maintained incrementally
-	barriers  [][]bool // arrival bits, indexed by barrier id
-	arrived   []int    // arrival count per barrier id (len == len(barriers))
-	stats     Stats
+	// st holds the registers; a snapshot copies it. HeaderReg holds NilPtr
+	// for an unlocked core, and Barriers the arrival bits by barrier id.
+	st State
+
+	busyCount int   // number of set busy bits, maintained incrementally
+	arrived   []int // arrival count per barrier id (len == len(st.Barriers))
 }
 
 // New creates a synchronization block for n cores.
@@ -72,114 +67,116 @@ func New(n int) *SB {
 	if n < 1 {
 		panic("syncblock: need at least one core")
 	}
-	sb := &SB{n: n}
-	sb.headerReg = make([]object.Addr, n)
-	sb.busy = make([]bool, n)
-	sb.scanOwner = noOwner
-	sb.freeOwner = noOwner
-	return sb
+	return &SB{st: State{
+		Cores:     n,
+		ScanOwner: noOwner,
+		FreeOwner: noOwner,
+		HeaderReg: make([]object.Addr, n),
+		Busy:      make([]bool, n),
+	}}
 }
 
 // Cores returns the number of cores attached to the SB.
-func (s *SB) Cores() int { return s.n }
+func (s *SB) Cores() int { return s.st.Cores }
 
 // Reset prepares the SB for a new collection cycle with the given initial
 // scan and free register values.
 func (s *SB) Reset(scan, free object.Addr) {
-	s.scan = scan
-	s.free = free
-	s.scanOwner = noOwner
-	s.freeOwner = noOwner
-	for i := range s.headerReg {
-		s.headerReg[i] = object.NilPtr
-		s.busy[i] = false
+	clear(s.st.HeaderReg) // NilPtr
+	clear(s.st.Busy)
+	for _, arr := range s.st.Barriers {
+		clear(arr)
 	}
+	clear(s.arrived)
 	s.busyCount = 0
-	for id, arr := range s.barriers {
-		for i := range arr {
-			arr[i] = false
-		}
-		s.arrived[id] = 0
+	s.st = State{
+		Cores:     s.st.Cores,
+		Scan:      scan,
+		Free:      free,
+		ScanOwner: noOwner,
+		FreeOwner: noOwner,
+		HeaderReg: s.st.HeaderReg,
+		Busy:      s.st.Busy,
+		Barriers:  s.st.Barriers,
 	}
-	s.stats = Stats{}
 }
 
 // Stats returns a copy of the synchronization counters.
-func (s *SB) Stats() Stats { return s.stats }
+func (s *SB) Stats() Stats { return s.st.Stats }
 
 // Scan reads the scan register (readable by all cores every cycle).
-func (s *SB) Scan() object.Addr { return s.scan }
+func (s *SB) Scan() object.Addr { return s.st.Scan }
 
 // Free reads the free register (readable by all cores every cycle).
-func (s *SB) Free() object.Addr { return s.free }
+func (s *SB) Free() object.Addr { return s.st.Free }
 
 // TryAcquireScan attempts to acquire the scan lock for core. At most one
 // core may modify the scan register per cycle; static priority is realized
 // by the machine's core stepping order.
 func (s *SB) TryAcquireScan(core int) bool {
-	if s.scanOwner == core {
+	if s.st.ScanOwner == core {
 		return true
 	}
-	if s.scanOwner != noOwner {
-		s.stats.ScanConflicts++
+	if s.st.ScanOwner != noOwner {
+		s.st.Stats.ScanConflicts++
 		return false
 	}
-	s.scanOwner = core
-	s.stats.ScanAcquisitions++
+	s.st.ScanOwner = core
+	s.st.Stats.ScanAcquisitions++
 	return true
 }
 
 // ReleaseScan releases the scan lock held by core.
 func (s *SB) ReleaseScan(core int) {
-	if s.scanOwner != core {
-		panic(fmt.Sprintf("syncblock: core %d releasing scan lock owned by %d", core, s.scanOwner))
+	if s.st.ScanOwner != core {
+		panic(fmt.Sprintf("syncblock: core %d releasing scan lock owned by %d", core, s.st.ScanOwner))
 	}
-	s.scanOwner = noOwner
+	s.st.ScanOwner = noOwner
 }
 
 // SetScan writes the scan register; only the lock owner may do so.
 func (s *SB) SetScan(core int, a object.Addr) {
-	if s.scanOwner != core {
+	if s.st.ScanOwner != core {
 		panic(fmt.Sprintf("syncblock: core %d writing scan without lock", core))
 	}
-	s.scan = a
+	s.st.Scan = a
 }
 
 // TryAcquireFree attempts to acquire the free lock for core.
 func (s *SB) TryAcquireFree(core int) bool {
-	if s.freeOwner == core {
+	if s.st.FreeOwner == core {
 		return true
 	}
-	if s.freeOwner != noOwner {
-		s.stats.FreeConflicts++
+	if s.st.FreeOwner != noOwner {
+		s.st.Stats.FreeConflicts++
 		return false
 	}
-	s.freeOwner = core
-	s.stats.FreeAcquisitions++
+	s.st.FreeOwner = core
+	s.st.Stats.FreeAcquisitions++
 	return true
 }
 
 // ReleaseFree releases the free lock held by core.
 func (s *SB) ReleaseFree(core int) {
-	if s.freeOwner != core {
-		panic(fmt.Sprintf("syncblock: core %d releasing free lock owned by %d", core, s.freeOwner))
+	if s.st.FreeOwner != core {
+		panic(fmt.Sprintf("syncblock: core %d releasing free lock owned by %d", core, s.st.FreeOwner))
 	}
-	s.freeOwner = noOwner
+	s.st.FreeOwner = noOwner
 }
 
 // SetFree writes the free register; only the lock owner may do so.
 func (s *SB) SetFree(core int, a object.Addr) {
-	if s.freeOwner != core {
+	if s.st.FreeOwner != core {
 		panic(fmt.Sprintf("syncblock: core %d writing free without lock", core))
 	}
-	s.free = a
+	s.st.Free = a
 }
 
 // ScanOwner returns the core currently holding the scan lock, or -1.
-func (s *SB) ScanOwner() int { return s.scanOwner }
+func (s *SB) ScanOwner() int { return s.st.ScanOwner }
 
 // FreeOwner returns the core currently holding the free lock, or -1.
-func (s *SB) FreeOwner() int { return s.freeOwner }
+func (s *SB) FreeOwner() int { return s.st.FreeOwner }
 
 // TryLockHeader attempts to set core's header-lock register to addr. The SB
 // compares addr against all other header-lock registers in parallel; on a
@@ -188,36 +185,36 @@ func (s *SB) TryLockHeader(core int, addr object.Addr) bool {
 	if addr == object.NilPtr {
 		panic("syncblock: cannot header-lock the nil address")
 	}
-	if s.headerReg[core] == addr {
+	if s.st.HeaderReg[core] == addr {
 		return true
 	}
-	if s.headerReg[core] != object.NilPtr {
-		panic(fmt.Sprintf("syncblock: core %d already holds header lock %d", core, s.headerReg[core]))
+	if s.st.HeaderReg[core] != object.NilPtr {
+		panic(fmt.Sprintf("syncblock: core %d already holds header lock %d", core, s.st.HeaderReg[core]))
 	}
-	for i, r := range s.headerReg {
+	for i, r := range s.st.HeaderReg {
 		if i != core && r == addr {
-			s.stats.HeaderConflicts++
+			s.st.Stats.HeaderConflicts++
 			return false
 		}
 	}
-	s.headerReg[core] = addr
-	s.stats.HeaderAcquisitions++
+	s.st.HeaderReg[core] = addr
+	s.st.Stats.HeaderAcquisitions++
 	return true
 }
 
 // UnlockHeader clears core's header-lock register.
 func (s *SB) UnlockHeader(core int) {
-	s.headerReg[core] = object.NilPtr
+	s.st.HeaderReg[core] = object.NilPtr
 }
 
 // HeaderLockOf returns the address in core's header-lock register (NilPtr if
 // unlocked).
-func (s *SB) HeaderLockOf(core int) object.Addr { return s.headerReg[core] }
+func (s *SB) HeaderLockOf(core int) object.Addr { return s.st.HeaderReg[core] }
 
 // SetBusy sets or clears core's busy bit in the ScanState register.
 func (s *SB) SetBusy(core int, b bool) {
-	if s.busy[core] != b {
-		s.busy[core] = b
+	if s.st.Busy[core] != b {
+		s.st.Busy[core] = b
 		if b {
 			s.busyCount++
 		} else {
@@ -227,7 +224,7 @@ func (s *SB) SetBusy(core int, b bool) {
 }
 
 // Busy reports core's busy bit.
-func (s *SB) Busy(core int) bool { return s.busy[core] }
+func (s *SB) Busy(core int) bool { return s.st.Busy[core] }
 
 // AllIdle reports whether no core currently has its busy bit set. Together
 // with scan == free this is the algorithm's termination condition; because
@@ -240,18 +237,18 @@ func (s *SB) AllIdle() bool { return s.busyCount == 0 }
 // every cycle until it reports true. Each id is used for one barrier per
 // collection cycle.
 func (s *SB) Barrier(id, core int) bool {
-	for id >= len(s.barriers) {
-		s.barriers = append(s.barriers, nil)
+	for id >= len(s.st.Barriers) {
+		s.st.Barriers = append(s.st.Barriers, nil)
 		s.arrived = append(s.arrived, 0)
 	}
-	if s.barriers[id] == nil {
-		s.barriers[id] = make([]bool, s.n)
+	if s.st.Barriers[id] == nil {
+		s.st.Barriers[id] = make([]bool, s.st.Cores)
 	}
-	if arr := s.barriers[id]; !arr[core] {
+	if arr := s.st.Barriers[id]; !arr[core] {
 		arr[core] = true
 		s.arrived[id]++
 	}
-	return s.arrived[id] == s.n
+	return s.arrived[id] == s.st.Cores
 }
 
 // BarrierComplete reports whether every core has already arrived at barrier
@@ -259,7 +256,7 @@ func (s *SB) Barrier(id, core int) bool {
 // prove that a core blocked at a synchronizing micro-instruction cannot be
 // released this cycle.
 func (s *SB) BarrierComplete(id int) bool {
-	return id < len(s.arrived) && s.arrived[id] == s.n
+	return id < len(s.arrived) && s.arrived[id] == s.st.Cores
 }
 
 // HeaderLockConflict reports whether a core other than core currently holds
@@ -267,7 +264,7 @@ func (s *SB) BarrierComplete(id int) bool {
 // would stall. The fast-forward path uses it to classify a core as dead in
 // the header-lock state.
 func (s *SB) HeaderLockConflict(core int, addr object.Addr) bool {
-	for i, r := range s.headerReg {
+	for i, r := range s.st.HeaderReg {
 		if i != core && r == addr {
 			return true
 		}
@@ -281,9 +278,9 @@ func (s *SB) HeaderLockConflict(core int, addr object.Addr) bool {
 // the skipped retries are added in bulk to keep Stats bit-identical to the
 // stepped run.
 func (s *SB) AddConflictStalls(scan, free, header int64) {
-	s.stats.ScanConflicts += scan
-	s.stats.FreeConflicts += free
-	s.stats.HeaderConflicts += header
+	s.st.Stats.ScanConflicts += scan
+	s.st.Stats.FreeConflicts += free
+	s.st.Stats.HeaderConflicts += header
 }
 
 // CheckLockOrder validates the fixed lock-ordering scheme scan < header <
@@ -296,7 +293,7 @@ func (s *SB) CheckLockOrder() error {
 	// core owns each of scan/free and that header registers are mutually
 	// distinct (when set).
 	seen := make(map[object.Addr]int)
-	for i, r := range s.headerReg {
+	for i, r := range s.st.HeaderReg {
 		if r == object.NilPtr {
 			continue
 		}
