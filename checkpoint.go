@@ -98,9 +98,11 @@ func DiffSnapshots(a, b []byte, ignore ...string) ([]string, error) {
 // identical to the uninterrupted NewCollectResponse encoding. gcserved uses
 // it to preempt heavy requests on shutdown and resume them on restart.
 type RequestCollection struct {
-	req    CollectRequest // canonicalized
-	key    string
-	plan   *Plan
+	req CollectRequest // canonicalized
+	key string
+	// res holds the plan's statistics, taken up front as RunBenchmark
+	// does, so the plan itself can be freed while the collection runs.
+	res    RunResult
 	before *Graph // pre-GC oracle graph, captured when req.Verify
 	col    *Collection
 }
@@ -130,7 +132,7 @@ func StartCollectRequest(req CollectRequest) (*RequestCollection, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc := &RequestCollection{req: req, key: key, plan: p}
+	rc := &RequestCollection{req: req, key: key, res: planResult(p)}
 	if req.Verify && !rc.concurrent() {
 		if rc.before, err = Snapshot(h); err != nil {
 			return nil, fmt.Errorf("hwgc: pre-GC snapshot: %w", err)
@@ -164,13 +166,13 @@ func ResumeCollectRequest(req CollectRequest, snap []byte) (*RequestCollection, 
 		return nil, err
 	}
 	rc := &RequestCollection{req: req, key: key, col: &Collection{m: m}}
-	if req.Plan != nil {
-		rc.plan = req.Plan
-	} else {
-		if _, rc.plan, err = buildBench(req.Bench, req.Scale, req.Seed); err != nil {
+	p := req.Plan
+	if p == nil {
+		if _, p, err = buildBench(req.Bench, req.Scale, req.Seed); err != nil {
 			return nil, err
 		}
 	}
+	rc.res = planResult(p)
 	if req.Verify && !rc.concurrent() {
 		h, _, err := buildRequestHeap(&rc.req)
 		if err != nil {
@@ -225,19 +227,7 @@ func (rc *RequestCollection) Response() (*CollectResponse, error) {
 	if rc.req.Plan != nil {
 		bench = "plan"
 	}
-	liveObj, liveWords := rc.plan.LiveStats()
-	return &CollectResponse{
-		Key:   rc.key,
-		Bench: bench,
-		Scale: rc.req.Scale,
-		Seed:  rc.req.Seed,
-		Result: RunResult{
-			Benchmark:   bench,
-			Stats:       st,
-			PlanObjects: len(rc.plan.Objs),
-			PlanWords:   rc.plan.Words(),
-			LiveObjects: liveObj,
-			LiveWords:   liveWords,
-		},
-	}, nil
+	res := rc.res
+	res.Benchmark, res.Stats = bench, st
+	return &CollectResponse{Key: rc.key, Bench: bench, Scale: rc.req.Scale, Seed: rc.req.Seed, Result: res}, nil
 }

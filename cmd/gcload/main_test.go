@@ -187,7 +187,7 @@ func TestBatchLoadAgainstLiveServer(t *testing.T) {
 // complete with a byte-identical result, and the report must carry the two
 // separate latency distributions.
 func TestAsyncLoadAgainstLiveServer(t *testing.T) {
-	srv, err := server.New(server.Options{Workers: 2, JobsDir: t.TempDir(), JobRunners: 2})
+	srv, err := server.New(server.Options{Workers: 2, JobsDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func (w testWriter) Write(p []byte) (int, error) {
 // event and verify the report covers convergence and the top frontier. A
 // second run must dedupe onto the finished sweep and still succeed.
 func TestSweepModeAgainstLiveServer(t *testing.T) {
-	srv, err := server.New(server.Options{Workers: 2, JobsDir: t.TempDir(), JobRunners: 2})
+	srv, err := server.New(server.Options{Workers: 2, JobsDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

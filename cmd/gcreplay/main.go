@@ -255,7 +255,9 @@ func stateAt(spec runSpec, cycle int64) (*machine.State, int64, error) {
 }
 
 // bisect finds the first clock cycle at which the two runs' machine states
-// differ (configuration differences themselves are ignored). It returns the
+// differ (configuration differences themselves, and the livelock bound
+// MaxCycles that the configuration's memory latency scales, are ignored).
+// It returns the
 // divergent cycle, the field-level diff there, and the two divergent states.
 // A divergence of -1 means the runs never differed.
 func bisect(a, b runSpec, progress func(cycle int64, diverged bool)) (int64, []string, *machine.State, *machine.State, error) {
@@ -284,7 +286,7 @@ func bisect(a, b runSpec, progress func(cycle int64, diverged bool)) (int64, []s
 		if err != nil {
 			return false, nil, nil, nil, fmt.Errorf("run B at cycle %d: %w", c, err)
 		}
-		d := snapshot.Diff(sa, sb, "Config")
+		d := snapshot.Diff(sa, sb, "Config", "MaxCycles")
 		if progress != nil {
 			progress(c, len(d) > 0)
 		}

@@ -1,14 +1,16 @@
-// Command gcserved serves the hwgc simulator over HTTP/JSON: a fixed worker
-// pool over a bounded job queue with 429 backpressure, a content-addressed
+// Command gcserved serves the hwgc simulator over HTTP/JSON: one job
+// manager (internal/jobs) whose -workers runners run every collect, with a
+// bounded queue of awaited jobs and 429 backpressure, a content-addressed
 // LRU result cache (simulations are deterministic, so hits are
 // byte-identical), per-request deadlines, Prometheus-format metrics and
-// graceful shutdown that drains admitted jobs.
+// graceful shutdown that drains admitted jobs. Concurrent misses for one
+// request run one simulation.
 //
 // Usage:
 //
 //	gcserved [-addr :8080] [-workers N] [-queue 64] [-cache-entries 1024]
 //	         [-cache-mb 64] [-timeout 60s] [-max-scale 64] [-retry-after 1s]
-//	         [-jobs-dir DIR] [-job-classes interactive:8,batch:1] [-job-runners 2]
+//	         [-jobs-dir DIR] [-job-classes interactive:8,batch:1]
 //	         [-checkpoint-cycles 200000]
 //
 // Endpoints:
@@ -22,18 +24,20 @@
 //	GET  /healthz
 //	GET  /metrics
 //
-// With -jobs-dir set, the durable async job tier is mounted as well:
-// POST /v1/jobs, GET /v1/jobs/{id}[/result|/events], DELETE /v1/jobs/{id}.
-// A job is one collect; sweeps run their points as collect jobs.
-// Submissions, transitions and results are WAL-logged in -jobs-dir, running
-// jobs checkpoint every -checkpoint-cycles and yield to higher-priority
-// classes at those boundaries, and a restarted server resumes unfinished
-// jobs with byte-identical results. POST /v1/collect (and every point of a
-// POST /v1/sweep) then runs as a job too: the worker submits it and runs
-// the job itself (or waits, if the job is already running), so shutdown
-// preempts it at a checkpoint boundary (503) instead of waiting it out, and
-// the next server on the same -jobs-dir finishes it. -job-runners sizes the async pool only; sync
-// collects never queue behind async jobs.
+// With -jobs-dir set, the job manager is durable and the async job tier is
+// mounted as well: POST /v1/jobs, GET /v1/jobs/{id}[/result|/events],
+// DELETE /v1/jobs/{id}. A job is one collect; sweeps run their points as
+// collect jobs. Submissions, transitions and results are WAL-logged in
+// -jobs-dir, running jobs checkpoint every -checkpoint-cycles and yield to
+// higher-priority classes at those boundaries, and a restarted server
+// resumes unfinished jobs with byte-identical results. A POST /v1/collect
+// miss (and every point of a POST /v1/sweep) is such a job too, so
+// shutdown preempts it at a checkpoint boundary (503) instead of waiting it
+// out, and the next server on the same -jobs-dir finishes it. The same
+// -workers runners run synchronous and async jobs; a queued job with a
+// waiting request runs ahead of queued async jobs of its class, and when
+// no runner is idle it makes a running async job of its class yield at its
+// next checkpoint boundary.
 //
 // The job tier also mounts parameter-space sweeps (see internal/sweep):
 // POST /v1/sweeps expands a versioned SweepSpace spec into canonical
@@ -87,9 +91,8 @@ func parseOptions(args []string) (addr string, opts server.Options, drain time.D
 		retryAfter   = fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses (rounded up to whole seconds)")
 		drainFlag    = fs.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
 		ckptCycles   = fs.Int64("checkpoint-cycles", 0, "clock cycles between job checkpoints (0 = default 200000)")
-		jobsDir      = fs.String("jobs-dir", "", "directory for the durable job tier (WAL + job checkpoints); enables /v1/jobs and runs collects as jobs")
+		jobsDir      = fs.String("jobs-dir", "", "directory for the durable job tier (WAL + job checkpoints); enables /v1/jobs and makes collects durable")
 		jobClasses   = fs.String("job-classes", "", "async job priority classes as name:weight,... (default interactive:8,batch:1)")
-		jobRunners   = fs.Int("job-runners", 0, "async job runners (0 = default 2)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return "", server.Options{}, 0, err
@@ -109,12 +112,6 @@ func parseOptions(args []string) (addr string, opts server.Options, drain time.D
 	if *jobClasses != "" && *jobsDir == "" {
 		return "", server.Options{}, 0, fmt.Errorf("-job-classes requires -jobs-dir")
 	}
-	if *jobRunners < 0 {
-		return "", server.Options{}, 0, fmt.Errorf("-job-runners must be nonnegative, got %d", *jobRunners)
-	}
-	if *jobRunners > 0 && *jobsDir == "" {
-		return "", server.Options{}, 0, fmt.Errorf("-job-runners requires -jobs-dir")
-	}
 	if *jobClasses != "" {
 		if _, err := jobs.ParseClasses(*jobClasses); err != nil {
 			return "", server.Options{}, 0, fmt.Errorf("-job-classes: %v", err)
@@ -131,7 +128,6 @@ func parseOptions(args []string) (addr string, opts server.Options, drain time.D
 		CheckpointCycles: *ckptCycles,
 		JobsDir:          *jobsDir,
 		JobClasses:       *jobClasses,
-		JobRunners:       *jobRunners,
 	}, *drainFlag, nil
 }
 
@@ -140,7 +136,6 @@ func run(addr string, opts server.Options, drain time.Duration) error {
 	if err != nil {
 		return err
 	}
-	srv.Start()
 
 	hs := &http.Server{
 		Addr:              addr,
@@ -153,7 +148,7 @@ func run(addr string, opts server.Options, drain time.Duration) error {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("gcserved: listening on %s (workers %d, queue %d)", addr, srv.Workers(), srv.Queue().Cap())
+	log.Printf("gcserved: listening on %s (workers %d, queue %d)", addr, srv.Workers(), srv.Jobs().Pool().QueueDepth)
 
 	select {
 	case err := <-errc:

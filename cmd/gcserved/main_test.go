@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"hwgc/internal/jobs"
 	"hwgc/internal/server"
 )
 
@@ -47,26 +51,37 @@ func TestParseOptionsRetryAfterWiring(t *testing.T) {
 			t.Fatalf("-retry-after %s: %v", tc.flag, err)
 		}
 
-		// Boot a server with a full queue so a POST gets a real 429.
+		// Boot a server whose one runner and one queue slot are taken by
+		// two long collects, so a third distinct POST gets a real 429.
 		opts.Workers = 1
 		opts.QueueDepth = 1
-		srv, err := server.New(opts) // never Start()ed: the one queue slot fills and stays full
+		srv, err := server.New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := []byte(`{"Bench":"jlisp","Config":{}}`)
-		first := httptest.NewRecorder()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			req := httptest.NewRequest("POST", "/v1/collect", bytes.NewReader(body))
-			srv.Handler().ServeHTTP(first, req)
-		}()
-		// Wait until the queued job occupies the slot.
-		deadline := time.Now().Add(time.Second)
-		for srv.Queue().Depth() == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
+		ctx, cancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		hold := func(seed int) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				body := fmt.Sprintf(`{"Bench":"search","Scale":16,"Seed":%d,"Config":{"Cores":1}}`, seed)
+				req := httptest.NewRequest("POST", "/v1/collect", strings.NewReader(body)).WithContext(ctx)
+				srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
+			}()
 		}
+		waitPool := func(what string, ok func(jobs.PoolStats) bool) {
+			for deadline := time.Now().Add(10 * time.Second); !ok(srv.Jobs().Pool()); {
+				if time.Now().After(deadline) {
+					t.Fatalf("pool never had %s: %+v", what, srv.Jobs().Pool())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		hold(1)
+		waitPool("a running job", func(p jobs.PoolStats) bool { return p.Running == 1 })
+		hold(2)
+		waitPool("a queued job", func(p jobs.PoolStats) bool { return p.SyncQueued == 1 })
 
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest("POST", "/v1/collect", bytes.NewReader([]byte(`{"Bench":"jlisp","Seed":99,"Config":{}}`)))
@@ -77,8 +92,11 @@ func TestParseOptionsRetryAfterWiring(t *testing.T) {
 		if got := rec.Header().Get("Retry-After"); got != tc.want {
 			t.Errorf("-retry-after %s: header %q, want %q", tc.flag, got, tc.want)
 		}
-		srv.Start() // drain the parked job so the goroutine exits
-		<-done
+		cancel() // withdraws the queued job; the running one finishes
+		wg.Wait()
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -104,15 +122,18 @@ func TestParseOptionsErrors(t *testing.T) {
 	if _, _, _, err := parseOptions([]string{"-checkpoint-dir", t.TempDir()}); err == nil {
 		t.Error("removed -checkpoint-dir flag accepted")
 	}
+	if _, _, _, err := parseOptions([]string{"-job-runners", "2"}); err == nil {
+		t.Error("removed -job-runners flag accepted: -workers sizes the one pool")
+	}
 }
 
 func TestParseOptionsJobsCheckpointFlags(t *testing.T) {
 	dir := t.TempDir() + "/jobs"
-	_, opts, _, err := parseOptions([]string{"-jobs-dir", dir, "-checkpoint-cycles", "5000", "-job-runners", "3"})
+	_, opts, _, err := parseOptions([]string{"-jobs-dir", dir, "-checkpoint-cycles", "5000"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.JobsDir != dir || opts.CheckpointCycles != 5000 || opts.JobRunners != 3 {
+	if opts.JobsDir != dir || opts.CheckpointCycles != 5000 {
 		t.Errorf("job tier options not wired: %+v", opts)
 	}
 }

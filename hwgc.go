@@ -275,12 +275,19 @@ func RunBenchmark(name string, scale int, seed int64, cfg Config, verify bool) (
 	}
 	// Take the plan's statistics first: the plan is then unreferenced, so
 	// the Go collector can free it while the simulation runs.
-	res := RunResult{Benchmark: name, PlanObjects: len(plan.Objs), PlanWords: plan.Words()}
-	res.LiveObjects, res.LiveWords = plan.LiveStats()
+	res := planResult(plan)
+	res.Benchmark = name
 	if res.Stats, err = collect(h, cfg, verify); err != nil {
 		return RunResult{}, fmt.Errorf("hwgc: %s: %w", name, err)
 	}
 	return res, nil
+}
+
+// planResult returns a RunResult holding p's statistics.
+func planResult(p *Plan) RunResult {
+	res := RunResult{PlanObjects: len(p.Objs), PlanWords: p.Words()}
+	res.LiveObjects, res.LiveWords = p.LiveStats()
+	return res
 }
 
 // RunPlan builds a heap from a custom plan and runs one collection with cfg,
@@ -291,19 +298,12 @@ func RunPlan(name string, p *Plan, cfg Config, verify bool) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, fmt.Errorf("hwgc: building plan: %w", err)
 	}
-	st, err := collect(h, cfg, verify)
-	if err != nil {
+	res := planResult(p)
+	res.Benchmark = name
+	if res.Stats, err = collect(h, cfg, verify); err != nil {
 		return RunResult{}, fmt.Errorf("hwgc: %s: %w", name, err)
 	}
-	liveObj, liveWords := p.LiveStats()
-	return RunResult{
-		Benchmark:   name,
-		Stats:       st,
-		PlanObjects: len(p.Objs),
-		PlanWords:   p.Words(),
-		LiveObjects: liveObj,
-		LiveWords:   liveWords,
-	}, nil
+	return res, nil
 }
 
 // SweepCores runs the named benchmark once per core count on identically

@@ -24,7 +24,6 @@ func startJobServed(t *testing.T) (*server.Server, *httptest.Server) {
 	s, err := server.New(server.Options{
 		Workers:          2,
 		JobsDir:          t.TempDir(),
-		JobRunners:       2,
 		CheckpointCycles: 2000,
 		Timeout:          30 * time.Second,
 	})

@@ -106,24 +106,29 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Error("fleet reply missing X-Fleet-Backend")
 	}
 
-	// Build a mixed collect/sweep batch.
+	// A mixed collect/sweep batch whose seeds start after seedBase.
 	const items = 24
-	var batch hwgc.BatchRequest
-	for i := 0; i < items; i++ {
-		if i%4 == 3 {
-			batch.Items = append(batch.Items, hwgc.BatchItem{Sweep: &hwgc.SweepRequest{
-				Bench: "db", Cores: []int{1, 2}, Seed: int64(i + 1),
-			}})
-		} else {
-			batch.Items = append(batch.Items, hwgc.BatchItem{Collect: &hwgc.CollectRequest{
-				Bench: "jlisp", Seed: int64(i + 1), Config: hwgc.Config{Cores: 2},
-			}})
+	makeBatch := func(seedBase int64) []byte {
+		var batch hwgc.BatchRequest
+		for i := 0; i < items; i++ {
+			seed := seedBase + int64(i+1)
+			if i%4 == 3 {
+				batch.Items = append(batch.Items, hwgc.BatchItem{Sweep: &hwgc.SweepRequest{
+					Bench: "db", Cores: []int{1, 2}, Seed: seed,
+				}})
+			} else {
+				batch.Items = append(batch.Items, hwgc.BatchItem{Collect: &hwgc.CollectRequest{
+					Bench: "jlisp", Seed: seed, Config: hwgc.Config{Cores: 2},
+				}})
+			}
 		}
+		body, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
 	}
-	batchBody, err := json.Marshal(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batchBody := makeBatch(0)
 
 	// Warm run with all three backends up: must match the single node
 	// byte-for-byte (same BatchResponse encoding, same per-item bodies).
@@ -151,8 +156,10 @@ func TestFleetEndToEnd(t *testing.T) {
 	}()
 	// Drive several batches through the degraded fleet; each must complete
 	// (the client timeout above would fail the test on any hung request).
+	// Each round has seeds of its own, so no cache on the fleet or the
+	// backends can answer it and every round reaches the victim's keys.
 	for round := 0; round < 3; round++ {
-		kres, killBatch := post(fleet.URL+"/v1/batch", batchBody)
+		kres, killBatch := post(fleet.URL+"/v1/batch", makeBatch(int64(100*(round+1))))
 		if kres.StatusCode != http.StatusOK && kres.StatusCode != http.StatusMultiStatus {
 			t.Fatalf("degraded batch round %d: status %d", round, kres.StatusCode)
 		}

@@ -18,10 +18,9 @@ import (
 func startJobsBackend(t *testing.T) (*server.Server, *httptest.Server) {
 	t.Helper()
 	s, err := server.New(server.Options{
-		Workers:    2,
-		Timeout:    30 * time.Second,
-		JobsDir:    t.TempDir(),
-		JobRunners: 1,
+		Workers: 1,
+		Timeout: 30 * time.Second,
+		JobsDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

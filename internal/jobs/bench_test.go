@@ -64,7 +64,7 @@ func drainBacklog(tb testing.TB) map[string]int64 {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	defer s.Close()
+	defer s.Close(false)
 	// A full backlog of both classes before the first pick, so every pick
 	// exercises the contended cross-class decision.
 	for n := 0; n < perClass; n++ {

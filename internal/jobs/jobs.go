@@ -1,8 +1,13 @@
-// Package jobs implements gcjobs, the durable asynchronous job subsystem
-// behind gcserved's /v1/jobs endpoints. It turns the synchronous serving
-// tier into one that can accept work it cannot finish immediately: a
-// write-ahead log (append-only, CRC-framed like internal/snapshot) persists
-// every submission and state transition, a scheduler shares the runner pool
+// Package jobs implements gcjobs, gcserved's one scheduler: every collect
+// the server runs — a synchronous /v1/collect miss (Manager.Collect), a
+// sweep or batch point, or a /v1/jobs submission — is a job of one Manager,
+// whose runner pool is the server's only pool. Without a directory the
+// Manager runs in memory (no WAL, no checkpoints, nothing to resume). With
+// one it is the durable asynchronous job subsystem behind the /v1/jobs
+// endpoints, which turns the synchronous serving tier into one that can
+// accept work it cannot finish immediately: a write-ahead log
+// (append-only, CRC-framed like internal/snapshot) persists every
+// submission and state transition, a scheduler shares the runner pool
 // across priority classes with weighted fair queuing and anti-starvation
 // aging, and long-running collections are preempted at checkpoint
 // boundaries — reusing the snapshot machinery of hwgc.Collection — when

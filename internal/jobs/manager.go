@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 
 	"hwgc"
 	"hwgc/internal/events"
+	"hwgc/internal/stats"
 )
 
 // Sentinel errors returned by the Manager's lookup and transition methods.
@@ -28,6 +30,14 @@ var (
 	ErrTerminal = errors.New("jobs: job already in a terminal state")
 	// ErrDraining reports a submission to a draining manager.
 	ErrDraining = errors.New("jobs: manager is draining")
+	// ErrQueueFull reports a Collect that would queue more jobs with a
+	// synchronous waiter than Options.QueueDepth allows.
+	ErrQueueFull = errors.New("jobs: queue full")
+	// ErrPreempted reports a Collect whose job a draining manager left
+	// checkpointed or queued, or that migrated to another backend: the job
+	// is durable, and the next manager on the same Dir (or the adopting
+	// backend) finishes it.
+	ErrPreempted = errors.New("jobs: job preempted by drain (checkpointed) or migrated")
 )
 
 // Internal control-flow sentinels for the runner loop.
@@ -39,12 +49,19 @@ var (
 // Options configures a Manager.
 type Options struct {
 	// Dir is the durable jobs directory: the WAL and per-job checkpoint
-	// files live here. Required.
+	// files live here. Empty selects memory mode: no WAL, no checkpoint
+	// files and nothing to resume, so a job never yields; Drain runs every
+	// admitted job to completion; and a terminal job leaves the table once
+	// its Collect waiters have its outcome.
 	Dir string
 	// Classes is the priority class set; empty selects DefaultClasses.
 	Classes []ClassConfig
 	// Runners is the number of concurrent job runners (default 2).
 	Runners int
+	// QueueDepth bounds the queued jobs that have a Collect waiter: a
+	// Collect that would queue one more fails with ErrQueueFull. Zero means
+	// unbounded. Submit and Import are not bounded.
+	QueueDepth int
 	// CheckpointCycles is the slice length: how many simulated cycles a job
 	// runs between checkpoint boundaries (default 200000).
 	CheckpointCycles int64
@@ -70,6 +87,10 @@ type Options struct {
 	CheckpointHook func(id string)
 	// Clock overrides time.Now for Info timestamps (tests).
 	Clock func() time.Time
+	// Run, when set, replaces the simulation of every job: the manager
+	// calls it with the job's request and takes its body as the result,
+	// with no checkpoints. For tests only; production leaves it nil.
+	Run func(req hwgc.CollectRequest) ([]byte, error)
 }
 
 func (o Options) withDefaults() Options {
@@ -113,6 +134,13 @@ type job struct {
 	exporting  atomic.Int32 // exporters waiting for a checkpoint-boundary park
 	parked     bool         // held out of sched for an exporter (guarded by m.mu)
 	events     *events.Log[Event]
+
+	// Guarded by Manager.mu: the Collect calls waiting for the job, whether
+	// a Submit or Import asked for it (then it is never withdrawn), and the
+	// channel the next state change closes for those waiters.
+	waiters int
+	async   bool
+	changed chan struct{}
 }
 
 // emit records one lifecycle event on j's stream.
@@ -127,15 +155,18 @@ type Manager struct {
 	metrics *Metrics
 
 	mu       sync.Mutex
-	wal      *WAL
+	wal      *WAL // nil in memory mode
 	jobs     map[string]*job
 	order    []string        // job IDs in submission order
 	aux      []AuxRecord     // auxiliary subsystem records, in append order
-	running  map[string]*job // jobs on the runner pool (not RunHere)
+	running  map[string]*job // jobs on a runner
 	finished int             // terminal transitions since the last compaction
 	closed   bool
 	draining chan struct{}
 	wg       sync.WaitGroup
+
+	ended     stats.Int // dispatches that ended: done, failed or yielded
+	withdrawn stats.Int // queued jobs withdrawn when their last waiter left
 }
 
 // AuxRecord is one auxiliary record riding the jobs WAL: a durable,
@@ -158,19 +189,16 @@ const maxAuxRetain = 4096
 type runCtx struct {
 	dispatched time.Time
 	fresh      bool // no prior progress at dispatch
-	pooled     bool // dispatched by a pool runner, not by RunHere
 	observed   bool // time-to-first-checkpoint already recorded
 }
 
 // Open replays the WAL in opts.Dir, sweeps the checkpoint directory, adopts
 // resumable work, compacts the log, and starts the runner pool. Jobs that
 // were queued or checkpointed when the previous process died are re-admitted
-// exactly where they left off.
+// exactly where they left off. With no Dir it starts an empty memory-mode
+// manager.
 func Open(opts Options) (*Manager, error) {
 	opts = opts.withDefaults()
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("jobs: Options.Dir is required")
-	}
 	if len(opts.Classes) == 0 {
 		cs, err := ParseClasses(DefaultClasses)
 		if err != nil {
@@ -178,30 +206,31 @@ func Open(opts Options) (*Manager, error) {
 		}
 		opts.Classes = cs
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
-	}
 	sched, err := NewScheduler(opts.Classes, opts.Aging)
-	if err != nil {
-		return nil, err
-	}
-	metrics := NewMetrics(sched.Depths)
-	wal, recs, err := OpenWAL(opts.Dir, metrics)
 	if err != nil {
 		return nil, err
 	}
 	m := &Manager{
 		opts:     opts,
 		sched:    sched,
-		metrics:  metrics,
-		wal:      wal,
+		metrics:  NewMetrics(sched.Depths),
 		jobs:     make(map[string]*job),
 		running:  make(map[string]*job),
 		draining: make(chan struct{}),
 	}
-	if err := m.recover(recs); err != nil {
-		wal.Close()
-		return nil, err
+	if opts.Dir != "" {
+		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+			return nil, err
+		}
+		wal, recs, err := OpenWAL(opts.Dir, m.metrics)
+		if err != nil {
+			return nil, err
+		}
+		m.wal = wal
+		if err := m.recover(recs); err != nil {
+			wal.Close()
+			return nil, err
+		}
 	}
 	for i := 0; i < opts.Runners; i++ {
 		m.wg.Add(1)
@@ -233,7 +262,7 @@ func (m *Manager) recover(recs []walRecord) error {
 			j := &job{
 				ID: rec.ID, Kind: rec.Kind, Class: class, Req: rec.Request,
 				State: StateQueued, Submitted: rec.At,
-				events: newEventLog(m.opts.Clock),
+				events: newEventLog(m.opts.Clock), async: true,
 			}
 			m.jobs[rec.ID] = j
 			m.order = append(m.order, rec.ID)
@@ -439,23 +468,119 @@ func (m *Manager) Submit(class string, canonical []byte) (Info, bool, error) {
 	if !m.sched.Class(class) {
 		return Info{}, false, fmt.Errorf("jobs: unknown class %q", class)
 	}
-	id := hwgc.KeyBytes(canonical)
 	m.mu.Lock()
-	if m.closed {
+	j, accepted, err := m.admitLocked(hwgc.KeyBytes(canonical), class, canonical, false)
+	if err != nil {
 		m.mu.Unlock()
-		return Info{}, false, ErrDraining
+		return Info{}, false, err
 	}
-	j, ok := m.jobs[id]
-	switch {
-	case ok && (j.State == StateFailed || j.State == StateCancelled || j.State == StateMigrated):
-		// Revive (for migrated jobs: the work moved away but a client asked
-		// this backend again, so it runs here afresh — determinism makes the
-		// duplicate execution harmless). The class sticks to the original
-		// submission.
-		now := m.opts.Clock()
-		if err := m.wal.Append(walRecord{Type: recState, ID: id, State: StateQueued, At: now}); err != nil {
+	j.async = true
+	info := m.infoLocked(j)
+	m.mu.Unlock()
+	if accepted {
+		m.maybePreempt(j)
+	}
+	return info, accepted, nil
+}
+
+// Collect runs the collect whose content key and canonical request bytes
+// are key and canonical (as hwgc.SweepPoint carries them) and returns its
+// encoded response body. It submits the job in the default class, or
+// dedupes onto the job already known under key; a queued job with a
+// Collect waiter runs ahead of every queued job without one in its class
+// and, with a Dir, makes a running job of its class that no Collect waits
+// for yield at its next checkpoint when no runner is idle. It fails with ErrQueueFull when that would queue more such jobs than
+// Options.QueueDepth, and ErrDraining once Drain has begun. It returns when
+// the job finishes, when ctx ends, or with ErrPreempted when a draining
+// manager with a Dir leaves the job queued or checkpointed (it stays in
+// the WAL for the next Open). When the last waiter gives up on a job that
+// is still queued, has no checkpoint and that no Submit or Import asked
+// for, the job is withdrawn, unless a draining manager with a Dir keeps it.
+func (m *Manager) Collect(ctx context.Context, key string, canonical []byte) ([]byte, error) {
+	class := m.opts.Classes[0].Name
+	m.mu.Lock()
+	j, _, err := m.admitLocked(key, class, canonical, true)
+	m.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	defer m.leave(j)
+	m.maybePreempt(j)
+	drain := m.draining // nil once its close has been seen
+	for {
+		m.mu.Lock()
+		var body []byte
+		done := true
+		switch {
+		case j.State == StateDone:
+			body = j.ResultBody
+		case j.State == StateFailed:
+			err = errors.New(j.ErrMsg)
+		case j.State == StateCancelled:
+			err = fmt.Errorf("jobs: collect job %s was cancelled", j.ID)
+		case j.State == StateMigrated:
+			err = ErrPreempted
+		case j.State != StateRunning && m.closed && m.opts.Dir != "":
+			err = ErrPreempted // queued or checkpointed: a draining manager runs it no further
+		default:
+			done = false
+		}
+		if done {
 			m.mu.Unlock()
-			return Info{}, false, err
+			return body, err
+		}
+		if j.changed == nil {
+			j.changed = make(chan struct{})
+		}
+		changed := j.changed
+		m.mu.Unlock()
+		select {
+		case <-changed:
+		case <-drain:
+			drain = nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// admitLocked returns the job with content key id, admitting it in class
+// when it is unknown and reviving it when it failed, was cancelled or
+// migrated away (the class sticks to the original submission). A sync
+// admission registers a Collect waiter and is refused with ErrQueueFull
+// when it would add a queued job with a waiter beyond Options.QueueDepth.
+// accepted reports a new or revived job. Callers hold m.mu.
+func (m *Manager) admitLocked(id, class string, canonical []byte, sync bool) (j *job, accepted bool, err error) {
+	if m.closed {
+		return nil, false, ErrDraining
+	}
+	full := sync && m.opts.QueueDepth > 0 && m.sched.SyncBacklog() >= m.opts.QueueDepth
+	j, ok := m.jobs[id]
+	if ok && !(j.State == StateFailed || j.State == StateCancelled || j.State == StateMigrated) {
+		if sync {
+			queued := j.State == StateQueued || j.State == StateCheckpointed
+			if j.waiters == 0 && queued && full {
+				return nil, false, ErrQueueFull
+			}
+			// A queued job gaining its first waiter re-enters its class
+			// queue in the sync-waited prefix.
+			if j.waiters++; j.waiters == 1 && m.sched.Remove(j) {
+				_ = m.sched.Enqueue(j)
+			}
+		}
+		m.metrics.deduped.Add(1)
+		return j, false, nil
+	}
+	if full {
+		return nil, false, ErrQueueFull
+	}
+	now := m.opts.Clock()
+	if ok {
+		// For migrated jobs: the work moved away but a client asked this
+		// backend again, so it runs here afresh — determinism makes the
+		// duplicate execution harmless.
+		if err := m.wal.Append(walRecord{Type: recState, ID: id, State: StateQueued, At: now}); err != nil {
+			return nil, false, err
 		}
 		j.State = StateQueued
 		j.ErrMsg = ""
@@ -463,61 +588,101 @@ func (m *Manager) Submit(class string, canonical []byte) (Info, bool, error) {
 		j.cancel.Store(false)
 		j.migrateOut.Store(false)
 		j.events = newEventLog(m.opts.Clock)
-		if err := m.sched.Enqueue(j); err != nil {
-			m.mu.Unlock()
-			return Info{}, false, err
-		}
-		m.metrics.submitted.Add(1)
-		j.emit(StateQueued, 0, "")
-	case ok:
-		m.metrics.deduped.Add(1)
-		info := m.infoLocked(j)
-		m.mu.Unlock()
-		return info, false, nil
-	default:
-		now := m.opts.Clock()
+	} else {
 		j = &job{
 			ID: id, Kind: KindCollect, Class: class, Req: append([]byte(nil), canonical...),
 			State: StateQueued, Submitted: now,
 			events: newEventLog(m.opts.Clock),
 		}
 		if err := m.wal.Append(walRecord{Type: recSubmit, ID: id, Kind: KindCollect, Class: class, Request: j.Req, At: now}); err != nil {
-			m.mu.Unlock()
-			return Info{}, false, err
+			return nil, false, err
 		}
 		m.jobs[id] = j
 		m.order = append(m.order, id)
-		if err := m.sched.Enqueue(j); err != nil {
-			m.mu.Unlock()
-			return Info{}, false, err
-		}
-		m.metrics.submitted.Add(1)
-		j.emit(StateQueued, 0, "")
 	}
-	info := m.infoLocked(j)
-	m.mu.Unlock()
-	m.maybePreempt(class)
-	return info, true, nil
+	if sync {
+		j.waiters++
+	}
+	if err := m.sched.Enqueue(j); err != nil {
+		return nil, false, err
+	}
+	m.metrics.submitted.Add(1)
+	j.emit(StateQueued, 0, "")
+	return j, true, nil
 }
 
-// maybePreempt flags the weakest running job for a checkpoint-boundary yield
-// when work of strictly higher weight is waiting and no runner is idle. The
-// strict inequality means equal-priority jobs never thrash each other.
-func (m *Manager) maybePreempt(class string) {
-	w := m.sched.Weight(class)
+// leave unregisters one Collect waiter of j. The last waiter to leave a
+// terminal memory-mode job drops it from the table. One that leaves a job
+// still queued withdraws it, unless a Submit or Import asked for it, it has
+// checkpointed progress, or a draining manager with a Dir keeps it in the
+// WAL for the next Open; a job kept queued leaves the sync-waited prefix.
+func (m *Manager) leave(j *job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.running) < m.opts.Runners || m.sched.Backlog() == 0 {
+	if j.waiters--; j.waiters > 0 {
+		return
+	}
+	switch {
+	case j.State.Terminal():
+		if m.opts.Dir == "" {
+			m.dropLocked(j)
+		}
+	case j.State != StateQueued && j.State != StateCheckpointed:
+		// Running: it finishes and reaches the result cache via OnResult.
+	case m.closed && m.opts.Dir != "":
+		// Durable: the next Open re-admits it where it left off.
+	case !j.async && !j.HasCkpt && m.sched.Remove(j):
+		m.finishLocked(j, StateCancelled, nil, errWithdrawn)
+	case !m.closed && m.sched.Remove(j):
+		_ = m.sched.Enqueue(j) // out of the sync-waited prefix
+	}
+}
+
+// errWithdrawn is the error of a job withdrawn because every Collect
+// waiting for it gave up before it started.
+const errWithdrawn = "jobs: withdrawn: every synchronous waiter gave up before it ran"
+
+// dropLocked removes a terminal job from the table. Callers hold m.mu.
+func (m *Manager) dropLocked(j *job) {
+	if m.jobs[j.ID] != j {
+		return
+	}
+	delete(m.jobs, j.ID)
+	if i := slices.Index(m.order, j.ID); i >= 0 {
+		m.order = slices.Delete(m.order, i, i+1)
+	}
+}
+
+// notifyLocked wakes the Collect waiters of j after a state change.
+// Callers hold m.mu.
+func (m *Manager) notifyLocked(j *job) {
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
+}
+
+// maybePreempt flags a running job for a checkpoint-boundary yield when j
+// waits for a runner and none is idle. The victim is the weakest running job
+// of strictly lower weight than j's class or, when a Collect waits for j, of
+// equal weight with no Collect waiting for it: a synchronous request waits
+// for at most one slice of async work in its own class. Sync-waited jobs
+// never preempt each other and equal-weight async jobs never thrash. In
+// memory mode nothing yields, so nothing is flagged.
+func (m *Manager) maybePreempt(j *job) {
+	w := m.sched.Weight(j.Class)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	waiting := j.State == StateQueued || j.State == StateCheckpointed
+	if m.opts.Dir == "" || !waiting || len(m.running) < m.opts.Runners {
 		return
 	}
 	var victim *job
-	vw := w
-	for _, j := range m.running {
-		if j.preempt.Load() {
-			continue
-		}
-		if jw := m.sched.Weight(j.Class); jw < vw {
-			victim, vw = j, jw
+	for _, r := range m.running {
+		rw := m.sched.Weight(r.Class)
+		eligible := rw < w || rw == w && j.waiters > 0 && r.waiters == 0
+		if eligible && !r.preempt.Load() && (victim == nil || rw < m.sched.Weight(victim.Class)) {
+			victim = r
 		}
 	}
 	if victim != nil {
@@ -532,32 +697,18 @@ func (m *Manager) runner() {
 		if j == nil {
 			return
 		}
-		m.runJob(j, true)
+		m.runJob(j)
 	}
 }
 
-// RunHere runs a queued or checkpointed job on the calling goroutine instead
-// of leaving it for the runner pool, and reports whether it did. The run is
-// the pool's — same checkpoints, WAL records, events and OnResult — but it
-// occupies no runner: it is never a preemption victim and is not charged to
-// its class's fair share. A job that is running, parked for an export,
-// terminal or unknown, or a draining manager, is left alone.
-func (m *Manager) RunHere(id string) bool {
+func (m *Manager) runJob(j *job) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok || m.closed || !m.sched.Remove(j) {
+	if m.closed && m.opts.Dir != "" {
+		// Picked just before Drain closed the scheduler: it stays queued,
+		// durably in the WAL, for the next Open.
 		m.mu.Unlock()
-		return false
+		return
 	}
-	m.wg.Add(1) // Drain waits for this run like a runner's
-	m.mu.Unlock()
-	defer m.wg.Done()
-	m.runJob(j, false)
-	return true
-}
-
-func (m *Manager) runJob(j *job, pooled bool) {
-	m.mu.Lock()
 	if j.cancel.Load() {
 		m.finishLocked(j, cancelOutcome(j), nil, "")
 		m.mu.Unlock()
@@ -565,7 +716,7 @@ func (m *Manager) runJob(j *job, pooled bool) {
 	}
 	j.preempt.Store(false)
 	now := m.opts.Clock()
-	rcx := &runCtx{dispatched: now, fresh: !j.HasCkpt, pooled: pooled}
+	rcx := &runCtx{dispatched: now, fresh: !j.HasCkpt}
 	j.State = StateRunning
 	if j.Started.IsZero() {
 		j.Started = now
@@ -576,10 +727,8 @@ func (m *Manager) runJob(j *job, pooled bool) {
 		m.metrics.resumes.Add(1)
 	}
 	_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateRunning, At: now})
-	if pooled {
-		m.running[j.ID] = j
-		m.metrics.running.Add(1)
-	}
+	m.running[j.ID] = j
+	m.metrics.running.Add(1)
 	j.emit(StateRunning, j.Cycle, "")
 	m.mu.Unlock()
 
@@ -589,10 +738,9 @@ func (m *Manager) runJob(j *job, pooled bool) {
 	}
 
 	m.mu.Lock()
-	if pooled {
-		delete(m.running, j.ID)
-		m.metrics.running.Add(-1)
-	}
+	delete(m.running, j.ID)
+	m.metrics.running.Add(-1)
+	m.ended.Add(1)
 	switch {
 	case err == nil:
 		m.finishLocked(j, StateDone, body, "")
@@ -604,6 +752,7 @@ func (m *Manager) runJob(j *job, pooled bool) {
 		m.metrics.preemptions.Add(1)
 		_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateCheckpointed, Cycle: j.Cycle, At: m.opts.Clock()})
 		j.emit(StateCheckpointed, j.Cycle, "")
+		m.notifyLocked(j)
 		if j.exporting.Load() > 0 {
 			// An Export is waiting for exactly this park: hand the job over
 			// instead of racing it back into the scheduler, where an idle
@@ -631,10 +780,11 @@ func cancelOutcome(j *job) State {
 }
 
 // finishLocked moves j to a terminal state, persists the transition, removes
-// its checkpoint file, emits the terminal event and, every RetainTerminal
-// finishes, compacts the table and the log. Callers hold m.mu. WAL errors
-// are tolerated here: the in-memory state still serves, and determinism
-// makes re-execution after a restart safe.
+// its checkpoint file, emits the terminal event, wakes its Collect waiters
+// and, every RetainTerminal finishes, compacts the table and the log; in
+// memory mode a job nobody waits for leaves the table instead. Callers
+// hold m.mu. WAL errors are tolerated here: the in-memory state still
+// serves, and determinism makes re-execution after a restart safe.
 func (m *Manager) finishLocked(j *job, state State, body []byte, errMsg string) {
 	now := m.opts.Clock()
 	j.State = state
@@ -651,8 +801,12 @@ func (m *Manager) finishLocked(j *job, state State, body []byte, errMsg string) 
 			m.metrics.failed.Add(1)
 		case StateMigrated:
 			m.metrics.migrated.Add(1)
-		default:
-			m.metrics.cancelled.Add(1)
+		case StateCancelled:
+			if errMsg == errWithdrawn {
+				m.withdrawn.Add(1)
+			} else {
+				m.metrics.cancelled.Add(1)
+			}
 		}
 	}
 	if j.HasCkpt {
@@ -660,6 +814,13 @@ func (m *Manager) finishLocked(j *job, state State, body []byte, errMsg string) 
 		os.Remove(m.ckptPath(j.ID))
 	}
 	j.emit(state, j.Cycle, errMsg)
+	m.notifyLocked(j)
+	if m.opts.Dir == "" {
+		if j.waiters == 0 {
+			m.dropLocked(j)
+		}
+		return
+	}
 	if m.finished++; m.finished >= m.opts.RetainTerminal && !m.closed {
 		m.finished = 0
 		_ = m.compact(true)
@@ -672,6 +833,10 @@ func (m *Manager) execute(j *job, rcx *runCtx) ([]byte, *hwgc.CollectResponse, e
 	var req hwgc.CollectRequest
 	if err := json.Unmarshal(j.Req, &req); err != nil {
 		return nil, nil, err
+	}
+	if m.opts.Run != nil {
+		body, err := m.opts.Run(req)
+		return body, nil, err
 	}
 	rc, err := m.startOrResume(j, req)
 	if err != nil {
@@ -720,17 +885,20 @@ func (m *Manager) startOrResume(j *job, req hwgc.CollectRequest) (*hwgc.RequestC
 // step drives the job's collection checkpoint to checkpoint until it
 // completes (nil), fails, or must yield (errCancelled / errPreempted). Every
 // executed slice is charged to the job's class for fair-share accounting.
+// In memory mode there is nothing to resume from, so a slice boundary
+// takes no snapshot and the job never yields.
 func (m *Manager) step(j *job, rc *hwgc.RequestCollection, rcx *runCtx) error {
 	for {
 		done, err := rc.StepCycles(m.opts.CheckpointCycles)
 		if err != nil {
 			return err
 		}
-		if rcx.pooled {
-			m.sched.Charge(j.Class)
-		}
+		m.sched.Charge(j.Class)
 		if done {
 			return nil
+		}
+		if m.opts.Dir == "" {
+			continue
 		}
 		snap, err := rc.Snapshot()
 		if err != nil {
@@ -887,6 +1055,28 @@ func (m *Manager) Depths() map[string]int64 { return m.sched.Depths() }
 // Backlog returns the total queued-job count.
 func (m *Manager) Backlog() int { return m.sched.Backlog() }
 
+// PoolStats is one sample of the runner pool.
+type PoolStats struct {
+	SyncQueued int   // queued jobs with a Collect waiter
+	QueueDepth int   // their bound, Options.QueueDepth (0: unbounded)
+	Running    int64 // jobs on a runner
+	Started    int64 // dispatches: fresh starts and resumes
+	Done       int64 // dispatches that ended: done, failed or yielded
+	Skipped    int64 // queued jobs withdrawn when their last waiter left
+}
+
+// Pool samples the runner pool.
+func (m *Manager) Pool() PoolStats {
+	return PoolStats{
+		SyncQueued: m.sched.SyncBacklog(),
+		QueueDepth: m.opts.QueueDepth,
+		Running:    m.metrics.running.Load(),
+		Started:    m.metrics.freshStarts.Load() + m.metrics.resumes.Load(),
+		Done:       m.ended.Load(),
+		Skipped:    m.withdrawn.Load(),
+	}
+}
+
 // Metrics returns the manager's counter set.
 func (m *Manager) Metrics() *Metrics { return m.metrics }
 
@@ -896,12 +1086,15 @@ func (m *Manager) DefaultClass() string { return m.opts.Classes[0].Name }
 // HasClass reports whether name is a configured class.
 func (m *Manager) HasClass(name string) bool { return m.sched.Class(name) }
 
-// Drain stops accepting submissions, lets every runner yield at its next
-// checkpoint boundary, and closes the WAL. Queued-but-unstarted jobs stay
-// queued in the WAL and are re-admitted on the next Open; running jobs are
-// checkpointed and resume on restart with byte-identical results. If ctx
-// expires first the WAL is left open (the process is exiting anyway; the
-// next Open recovers exactly as from a crash).
+// Drain stops accepting submissions and waits for the runners. With a
+// Dir, no queued job is dispatched any more, every running job yields at
+// its next checkpoint boundary, and the WAL is closed: queued jobs stay
+// queued in the WAL and are re-admitted on the next Open, and running
+// jobs are checkpointed and resume on restart with byte-identical
+// results. In memory mode, where nothing survives the process, every
+// admitted job runs to completion first. If ctx expires first the WAL is
+// left open (the process is exiting anyway; the next Open recovers
+// exactly as from a crash).
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	first := !m.closed
@@ -910,7 +1103,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	if first {
 		close(m.draining)
 	}
-	m.sched.Close()
+	m.sched.Close(m.opts.Dir == "")
 	done := make(chan struct{})
 	go func() { m.wg.Wait(); close(done) }()
 	select {

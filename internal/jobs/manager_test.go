@@ -583,70 +583,6 @@ func TestJobsRetentionBoundedAtRuntime(t *testing.T) {
 	}
 }
 
-// TestJobsRunHere wedges the only runner inside a job's checkpoint hook and
-// runs a second, equal-class job with RunHere: it runs on the caller to a
-// byte-identical result while the runner is still held, takes no runner
-// (no preemption, gcjobs_running stays 1), and a finished or running job is
-// not run again.
-func TestJobsRunHere(t *testing.T) {
-	long := collectCanonical(t, 4, 0)
-	longID := hwgc.KeyBytes(long)
-	held := make(chan struct{})
-	hold := make(chan struct{})
-	var once, unhold sync.Once
-	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, CheckpointCycles: 25000, CheckpointHook: func(id string) {
-		if id == longID {
-			once.Do(func() {
-				close(held)
-				<-hold
-			})
-		}
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		unhold.Do(func() { close(hold) })
-		drainManager(t, m)
-	}()
-	if _, _, err := m.Submit("", long); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-held:
-	case <-time.After(60 * time.Second):
-		t.Fatal("runner never reached a checkpoint")
-	}
-	info, _, err := m.Submit("", collectCanonical(t, 4, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.State != StateQueued {
-		t.Fatalf("second job is %s, want queued behind the held runner", info.State)
-	}
-	if !m.RunHere(info.ID) {
-		t.Fatal("RunHere did not run the queued job")
-	}
-	body, _, err := m.Result(info.ID)
-	if err != nil {
-		t.Fatalf("job run here is not done: %v", err)
-	}
-	if want := collectBody(t, 4, 7); !bytes.Equal(body, want) {
-		t.Fatal("job run here differs from uninterrupted run")
-	}
-	if m.RunHere(info.ID) || m.RunHere(longID) {
-		t.Fatal("RunHere ran a finished or running job")
-	}
-	if got := m.Metrics().running.Load(); got != 1 {
-		t.Fatalf("gcjobs_running = %d, want 1 (the pool's job only)", got)
-	}
-	if got := m.Metrics().preemptions.Load(); got != 0 {
-		t.Fatalf("preemptions = %d, want 0", got)
-	}
-	unhold.Do(func() { close(hold) })
-	waitState(t, m, longID, StateDone)
-}
-
 func TestJobsEventsStream(t *testing.T) {
 	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, CheckpointCycles: 1 << 40})
 	if err != nil {

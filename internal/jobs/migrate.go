@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -210,6 +211,9 @@ func (m *Manager) Import(env *ExportedJob) (Info, bool, error) {
 		m.metrics.importsRejected.Add(1)
 		return Info{}, false, err
 	}
+	if m.opts.Dir == "" {
+		return Info{}, false, errors.New("jobs: importing a checkpoint needs a jobs directory")
+	}
 	class := env.Class
 	if class == "" || !m.sched.Class(class) {
 		// Class sets may differ across backends; adopt into the default
@@ -232,7 +236,7 @@ func (m *Manager) Import(env *ExportedJob) (Info, bool, error) {
 		ID: env.ID, Kind: env.Kind, Class: class,
 		Req:   append(json.RawMessage(nil), env.Request...),
 		State: StateQueued, Submitted: now,
-		events: newEventLog(m.opts.Clock),
+		events: newEventLog(m.opts.Clock), async: true,
 	}
 	if err := m.wal.Append(walRecord{Type: recSubmit, ID: j.ID, Kind: j.Kind, Class: j.Class, Request: j.Req, At: now}); err != nil {
 		m.mu.Unlock()

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -26,13 +27,24 @@ import (
 // makes preemption a one-way street (interactive preempts batch, never the
 // reverse, and equal classes never thrash), and because a preempted job
 // loses no work — its state is checkpointed — the cost of a wrong guess is
-// one fsync, not a redo.
+// one fsync, not a redo. The one equal-weight case is a job with a
+// synchronous waiter: it may also flag a running job of its own weight that
+// nobody waits for synchronously, so a request waits for at most one slice
+// of async work (Manager.maybePreempt).
+//
+// Within a class, a job with a synchronous waiter (Manager.Collect) runs
+// ahead of every job without one: each class queue is a prefix of
+// sync-waited jobs in arrival order followed by the rest, so queued async
+// work never delays a synchronous request.
 type Scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	classes map[string]*schedClass
 	order   []string // class names, configuration order (deterministic ties)
 	closed  bool
+	// runQueued makes a closed scheduler hand out its queued jobs before
+	// Next returns nil.
+	runQueued bool
 
 	// aging is the pass bonus a backlogged class earns per losing pick.
 	aging float64
@@ -45,7 +57,8 @@ type Scheduler struct {
 type schedClass struct {
 	name   string
 	weight int
-	queue  []*job // FIFO; preempted jobs re-enter at the front
+	queue  []*job // sync-waited jobs, then preempted ones, then FIFO
+	nsync  int    // length of the sync-waited prefix of queue
 	pass   float64
 	age    int // consecutive picks lost while backlogged
 }
@@ -92,11 +105,13 @@ func (s *Scheduler) Weight(name string) int {
 	return 0
 }
 
-// Enqueue adds j to its class queue. Preempted (checkpointed) jobs go to
-// the front so intra-class order stays FIFO by submission; fresh jobs go to
-// the back. A class waking from idle has its pass clamped up to the global
-// virtual time so it cannot bank credit while idle and then starve everyone
-// else (the standard stride-scheduling re-admission rule); a class whose
+// Enqueue adds j to its class queue. A job with a synchronous waiter goes
+// to the end of the sync-waited prefix; a preempted (checkpointed) job goes
+// right behind that prefix so intra-class order stays FIFO by submission;
+// other jobs go to the back. The caller holds the manager's lock, which
+// guards j.waiters and j.State. A class waking from idle has its pass
+// clamped up to the global virtual time so it cannot bank credit while
+// idle and then starve everyone else (the standard stride-scheduling re-admission rule); a class whose
 // only job is merely cycling through the runner sits at the virtual-time
 // frontier already, so the clamp is a no-op for it and its earned advantage
 // survives.
@@ -113,9 +128,13 @@ func (s *Scheduler) Enqueue(j *job) error {
 	if len(c.queue) == 0 && c.pass < s.vtime {
 		c.pass = s.vtime
 	}
-	if j.State == StateCheckpointed {
-		c.queue = append([]*job{j}, c.queue...)
-	} else {
+	switch {
+	case j.waiters > 0:
+		c.queue = slices.Insert(c.queue, c.nsync, j)
+		c.nsync++
+	case j.State == StateCheckpointed:
+		c.queue = slices.Insert(c.queue, c.nsync, j)
+	default:
 		c.queue = append(c.queue, j)
 	}
 	s.cond.Signal()
@@ -123,16 +142,18 @@ func (s *Scheduler) Enqueue(j *job) error {
 }
 
 // Next blocks until a job is available (returning the fair-share pick) or
-// the scheduler is closed (returning nil).
+// the scheduler is closed (returning nil). A closed scheduler dispatches
+// nothing more, unless it was closed to run its queued jobs: then Next
+// returns nil once no job is left.
 func (s *Scheduler) Next() *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if j := s.pick(); j != nil {
-			return j
-		}
-		if s.closed {
+		if s.closed && !s.runQueued {
 			return nil
+		}
+		if j := s.pick(); j != nil || s.closed {
+			return j
 		}
 		s.cond.Wait()
 	}
@@ -162,6 +183,9 @@ func (s *Scheduler) pick() *job {
 	}
 	j := best.queue[0]
 	best.queue = best.queue[1:]
+	if best.nsync > 0 {
+		best.nsync--
+	}
 	best.age = 0
 	s.vtime = best.pass
 	for _, name := range s.order {
@@ -191,13 +215,15 @@ func (s *Scheduler) Remove(j *job) bool {
 	if !ok {
 		return false
 	}
-	for i, q := range c.queue {
-		if q == j {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			return true
-		}
+	i := slices.Index(c.queue, j)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.queue = slices.Delete(c.queue, i, i+1)
+	if i < c.nsync {
+		c.nsync--
+	}
+	return true
 }
 
 // Depths returns the queued-job count per class (for metrics and /healthz).
@@ -222,11 +248,25 @@ func (s *Scheduler) Backlog() int {
 	return n
 }
 
-// Close wakes every blocked Next with nil. Queued jobs stay queued (they
-// are durable in the WAL; a restart re-enqueues them).
-func (s *Scheduler) Close() {
+// SyncBacklog returns the queued jobs that have a synchronous waiter.
+func (s *Scheduler) SyncBacklog() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, c := range s.classes {
+		n += c.nsync
+	}
+	return n
+}
+
+// Close stops admission. Without runQueued every blocked Next returns nil
+// and queued jobs stay queued (they are durable in the WAL; a restart
+// re-enqueues them); with runQueued, Next still hands out every queued job
+// before it returns nil (the drain of a queue that is not durable).
+func (s *Scheduler) Close(runQueued bool) {
 	s.mu.Lock()
 	s.closed = true
+	s.runQueued = runQueued
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }

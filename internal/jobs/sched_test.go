@@ -169,7 +169,7 @@ func TestSchedulerCloseUnblocksNext(t *testing.T) {
 	s := testSched(t, "batch:1")
 	done := make(chan *job, 1)
 	go func() { done <- s.Next() }()
-	s.Close()
+	s.Close(false)
 	if j := <-done; j != nil {
 		t.Fatalf("Next returned %v after Close, want nil", j)
 	}

@@ -60,7 +60,8 @@ type walRecord struct {
 const maxWALRecordBytes = 256 << 20
 
 // WAL is the append-only job log. Appends are serialized by the Manager's
-// lock; the WAL itself only guards the file handle.
+// lock; the WAL itself only guards the file handle. A nil *WAL is the log of
+// a memory-mode Manager: every method succeeds and persists nothing.
 type WAL struct {
 	f       *os.File
 	path    string
@@ -166,6 +167,9 @@ func frame(rec walRecord) ([]byte, error) {
 // Append frames, writes and fsyncs one record. The record is durable when
 // Append returns nil.
 func (w *WAL) Append(rec walRecord) error {
+	if w == nil {
+		return nil
+	}
 	buf, err := frame(rec)
 	if err != nil {
 		return err
@@ -186,6 +190,9 @@ func (w *WAL) Append(rec walRecord) error {
 // temp file is written, fsynced once and renamed over the log, and the
 // handle swapped. On any error the original log remains untouched.
 func (w *WAL) Rewrite(recs []walRecord) error {
+	if w == nil {
+		return nil
+	}
 	tmp, err := os.CreateTemp(filepath.Dir(w.path), ".wal-*")
 	if err != nil {
 		return err
@@ -221,4 +228,9 @@ func (w *WAL) Rewrite(recs []walRecord) error {
 
 // Close closes the file handle. The Manager serializes Close against
 // Appends.
-func (w *WAL) Close() error { return w.f.Close() }
+func (w *WAL) Close() error {
+	if w == nil {
+		return nil
+	}
+	return w.f.Close()
+}

@@ -276,8 +276,17 @@ func (m *Machine) BeginCollect() {
 	m.maxCycles = m.cfg.MaxCycles
 	if m.maxCycles <= 0 {
 		// Generous livelock guard: even fully serialized, a collection
-		// processes at most one word per a few dozen cycles.
-		m.maxCycles = 1_000_000 + 200*int64(h.SemiWords())
+		// processes at most one word per a few dozen cycles at the default
+		// memory latency. The per-word allowance scales with the worst
+		// latency one access can see, so a latency-bound configuration is
+		// not mistaken for a livelock; at the default latency the factor
+		// is exactly 1.
+		base := int64(m.cfg.MemLatency)
+		if base <= 0 {
+			base = mem.DefaultLatency
+		}
+		worst := base + int64(m.cfg.ExtraMemLatency) + int64(m.cfg.NUMARemotePenalty)
+		m.maxCycles = 1_000_000 + 200*int64(h.SemiWords())*max(worst, mem.DefaultLatency)/mem.DefaultLatency
 	}
 	m.scanStart = -1
 	m.scanEnd = -1

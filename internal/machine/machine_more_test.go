@@ -121,6 +121,36 @@ func TestMaxCyclesGuard(t *testing.T) {
 	}
 }
 
+// TestLivelockBoundScalesWithLatency: with no MaxCycles the bound's
+// per-word allowance is scaled by the worst per-access latency over the
+// default latency, a factor of exactly 1 at the default latency (so
+// snapshots, which carry the bound, are unchanged there).
+func TestLivelockBoundScalesWithLatency(t *testing.T) {
+	spec, _ := workload.Get("jlisp")
+	for _, tc := range []struct {
+		cfg   Config
+		worst int64
+	}{
+		{Config{Cores: 2}, 3},
+		{Config{Cores: 2, MemLatency: 1}, 3}, // never below the default allowance
+		{Config{Cores: 2, ExtraMemLatency: 20}, 23},
+		{Config{Cores: 2, MemLatency: 5, ExtraMemLatency: 1000}, 1005},
+		{Config{Cores: 2, NUMADomains: 2}, 3 + 8},
+		{Config{Cores: 2, NUMADomains: 2, NUMARemotePenalty: 40, ExtraMemLatency: 20}, 3 + 20 + 40},
+	} {
+		h, _ := spec.Plan(1, 1).BuildHeap(2.0)
+		m, err := New(h, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.BeginCollect()
+		want := 1_000_000 + 200*int64(h.SemiWords())*tc.worst/3
+		if m.maxCycles != want {
+			t.Errorf("%+v: bound %d, want %d", tc.cfg, m.maxCycles, want)
+		}
+	}
+}
+
 func TestTospaceOverflowFails(t *testing.T) {
 	// Corrupt a live header to a huge size: evacuation must detect that the
 	// free pointer would overrun tospace.

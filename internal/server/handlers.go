@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/jobs"
 	"hwgc/internal/plan"
 )
 
@@ -94,13 +95,13 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// execute runs one canonicalized job through the shared serving path:
-// cache lookup first (the zero-cost fast path — a hit never touches the
-// queue), then bounded admission with backpressure, then waiting under the
-// per-request deadline. It is the common core of the single-request
-// endpoints and the /v1/batch items.
-func (s *Server) execute(ctx context.Context, key string, run func() ([]byte, error)) (body []byte, cached bool, err error) {
-	if body, ok := s.cache.Get(key); ok {
+// execute runs one collect point through the shared serving path: cache
+// lookup first (the zero-cost fast path — a hit never touches the queue),
+// then the job manager's bounded admission with backpressure, then waiting
+// under the per-request deadline. It is the common core of the
+// single-request endpoints and the /v1/batch items.
+func (s *Server) execute(ctx context.Context, pt *hwgc.SweepPoint) (body []byte, cached bool, err error) {
+	if body, ok := s.cache.Get(pt.Key); ok {
 		s.metrics.cacheHits.Add(1)
 		return body, true, nil
 	}
@@ -108,8 +109,10 @@ func (s *Server) execute(ctx context.Context, key string, run func() ([]byte, er
 
 	jctx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
 	defer cancel()
-	job := newJob(jctx, key, run)
-	body, err = s.submit(jctx, job)
+	body, err = s.jobs.Collect(jctx, pt.Key, pt.Canonical)
+	if err != nil && jctx.Err() != nil && errors.Is(err, jctx.Err()) {
+		s.metrics.timeouts.Add(1)
+	}
 	return body, false, err
 }
 
@@ -117,12 +120,12 @@ func (s *Server) execute(ctx context.Context, key string, run func() ([]byte, er
 // and message, bumping the matching stall counters.
 func (s *Server) executeStatus(err error) (int, string) {
 	switch {
-	case errors.Is(err, ErrQueueFull):
+	case errors.Is(err, jobs.ErrQueueFull):
 		s.metrics.queueFull.Add(1)
-		return http.StatusTooManyRequests, fmt.Sprintf("job queue full (depth %d); retry later", s.queue.Cap())
-	case errors.Is(err, ErrShuttingDown):
+		return http.StatusTooManyRequests, fmt.Sprintf("job queue full (depth %d); retry later", s.opts.QueueDepth)
+	case errors.Is(err, jobs.ErrDraining):
 		return http.StatusServiceUnavailable, "server is shutting down"
-	case errors.Is(err, ErrPreempted):
+	case errors.Is(err, jobs.ErrPreempted):
 		return http.StatusServiceUnavailable, "job checkpointed and preempted by shutdown; retry after restart"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout, fmt.Sprintf("request deadline (%s) exceeded while collect", s.opts.Timeout)
@@ -151,8 +154,7 @@ func (s *Server) runItem(ctx context.Context, sem chan struct{}, it *hwgc.BatchI
 		wg.Add(1)
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
-			req := pts[i].Req
-			bodies[i], hits[i], errs[i] = s.execute(ctx, pts[i].Key, func() ([]byte, error) { return s.runCollect(req) })
+			bodies[i], hits[i], errs[i] = s.execute(ctx, &pts[i])
 		}(i)
 	}
 	wg.Wait()
@@ -261,8 +263,8 @@ type healthBody struct {
 	QueueDepth int
 	QueueCap   int
 	CacheLen   int
-	// JobsQueued is the async job backlog across all classes (0 when the
-	// job tier is disabled).
+	// JobsQueued is the job manager's backlog across all classes: the
+	// QueueDepth-bounded jobs plus queued async jobs and sweep points.
 	JobsQueued int
 }
 
@@ -271,12 +273,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		body := healthBody{
 			Status:     "ok",
 			Workers:    s.opts.Workers,
-			QueueDepth: s.queue.Depth(),
-			QueueCap:   s.queue.Cap(),
+			QueueDepth: s.jobs.Pool().SyncQueued,
+			QueueCap:   s.opts.QueueDepth,
 			CacheLen:   s.cache.Len(),
-		}
-		if s.jobs != nil {
-			body.JobsQueued = s.jobs.Backlog()
+			JobsQueued: s.jobs.Backlog(),
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(body)
@@ -287,7 +287,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/metrics", false, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = s.metrics.Write(w)
-		if s.jobs != nil {
+		if s.opts.JobsDir != "" {
 			_ = s.jobs.Metrics().Write(w)
 		}
 		if s.sweeps != nil {

@@ -15,13 +15,6 @@ import (
 	"hwgc/internal/plan"
 )
 
-// ErrPreempted reports a synchronous collect whose job stopped at a
-// checkpoint boundary because the server is draining, or was migrated to
-// another backend. The client gets 503; the job is durable in the WAL, so
-// the next server on the same jobs directory (or the adopting backend)
-// finishes it instead of starting over.
-var ErrPreempted = errors.New("server: job preempted by shutdown (checkpointed)")
-
 // onJobResult receives every job the tier finishes. Job IDs are the same
 // content address the synchronous path uses as its cache key, so the body
 // feeds the result cache and later requests for the same work hit it; a
@@ -29,72 +22,6 @@ var ErrPreempted = errors.New("server: job preempted by shutdown (checkpointed)"
 func (s *Server) onJobResult(id string, body []byte, resp *hwgc.CollectResponse) {
 	s.cache.Put(id, body)
 	s.metrics.ObserveCollect(resp)
-}
-
-// collectViaJobs serves a synchronous collect as a job, inside the worker
-// that popped the request, so admission, backpressure and the request
-// deadline are those of every other sync request. The submission dedupes
-// onto any job or sweep point already running for the same content key;
-// a job still waiting for a runner is run right here (RunHere), so queued
-// async work never delays a sync request. Job events only wake the wait;
-// the job's state decides the outcome.
-func (s *Server) collectViaJobs(req hwgc.CollectRequest) ([]byte, error) {
-	canonical, err := req.CanonicalJSON()
-	if err != nil {
-		return nil, err
-	}
-	sub, _, err := s.jobs.Submit("", canonical)
-	if errors.Is(err, jobs.ErrDraining) {
-		return nil, ErrShuttingDown
-	}
-	if err != nil {
-		return nil, err
-	}
-	id := sub.ID
-	var live <-chan jobs.Event
-	stop := func() {}
-	defer func() { stop() }()
-	drain := s.draining // set to nil below once its close has been observed
-	for {
-		if live == nil {
-			// First pass, or the followed log ended: the job is terminal,
-			// or another submitter revived it onto a fresh log.
-			stop()
-			_, ch, unsub, err := s.jobs.Subscribe(id)
-			if err != nil {
-				return nil, err
-			}
-			live, stop = ch, unsub
-		}
-		body, info, err := s.jobs.Result(id)
-		switch {
-		case err == nil:
-			return body, nil
-		case info.State == jobs.StateFailed:
-			return nil, errors.New(info.Error)
-		case info.State == jobs.StateCancelled:
-			return nil, fmt.Errorf("server: collect job %s was cancelled", id)
-		case info.State == jobs.StateMigrated:
-			return nil, ErrPreempted
-		case drain == nil && info.State != jobs.StateRunning:
-			// Parked at a checkpoint, or never dispatched: a draining
-			// manager runs it no further.
-			return nil, ErrPreempted
-		case s.jobs.RunHere(id):
-			continue // ran to completion or a yield: re-read its state
-		}
-		if live == nil {
-			continue // revived after the subscription: follow its new log
-		}
-		select {
-		case _, ok := <-live:
-			if !ok {
-				live = nil
-			}
-		case <-drain:
-			drain = nil
-		}
-	}
 }
 
 // writeJobInfo serves a job Info snapshot as indented JSON.

@@ -23,7 +23,7 @@ const slowCollect = `{"Bench":"search","Config":{"Cores":4}}`
 const syncCkptCycles = 2000
 
 // slowCollectKey returns the content key of slowCollect and the byte-exact
-// response of the in-process path.
+// response of an uninterrupted library run.
 func slowCollectKey(t *testing.T) (string, []byte) {
 	t.Helper()
 	req := hwgc.CollectRequest{Bench: "search", Config: hwgc.Config{Cores: 4}}
@@ -31,11 +31,21 @@ func slowCollectKey(t *testing.T) (string, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := encodeCollect(req)
+	return key, libraryBody(t, req)
+}
+
+// libraryBody is hwgc.NewCollectResponse's encoding of req.
+func libraryBody(t *testing.T, req hwgc.CollectRequest) []byte {
+	t.Helper()
+	resp, err := hwgc.NewCollectResponse(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return key, body
+	var b bytes.Buffer
+	if err := resp.Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // scrape returns the server's /metrics text.
@@ -80,7 +90,7 @@ func postAsync(t *testing.T, ts *httptest.Server, path, body string) <-chan repl
 // request was answered 503 "checkpointed" with the job parked in the WAL.
 func preemptSyncCollect(t *testing.T, dir, key string) {
 	t.Helper()
-	s, err := New(Options{Workers: 1, JobsDir: dir, JobRunners: 1, CheckpointCycles: syncCkptCycles})
+	s, err := New(Options{Workers: 1, JobsDir: dir, CheckpointCycles: syncCkptCycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +143,7 @@ func TestJobsSyncCollectPreemptResume(t *testing.T) {
 	key, want := slowCollectKey(t)
 	preemptSyncCollect(t, dir, key)
 
-	_, ts := newTestServer(t, Options{Workers: 1, JobsDir: dir, JobRunners: 1})
+	_, ts := newTestServer(t, Options{Workers: 1, JobsDir: dir})
 	resp, got := post(t, ts, "/v1/collect", slowCollect)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("resumed request: status %d: %s", resp.StatusCode, got)
@@ -158,7 +168,7 @@ func TestJobsSyncRestartRecovery(t *testing.T) {
 	key, want := slowCollectKey(t)
 	preemptSyncCollect(t, dir, key)
 
-	s, _ := newTestServer(t, Options{Workers: 1, JobsDir: dir, JobRunners: 1})
+	s, _ := newTestServer(t, Options{Workers: 1, JobsDir: dir})
 	for deadline := time.Now().Add(30 * time.Second); ; {
 		if body, ok := s.Cache().Get(key); ok {
 			if !bytes.Equal(body, want) {
@@ -177,7 +187,7 @@ func TestJobsSyncRestartRecovery(t *testing.T) {
 // POSTs the same request synchronously: the sync request must dedupe onto
 // the running job (one execution) and return the job's exact bytes.
 func TestJobsSyncDedupesOntoAsync(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, JobsDir: t.TempDir(), JobRunners: 1, CheckpointCycles: syncCkptCycles})
+	_, ts := newTestServer(t, Options{Workers: 1, JobsDir: t.TempDir(), CheckpointCycles: syncCkptCycles})
 	key, want := slowCollectKey(t)
 
 	resp, info := postJob(t, ts, `{"Collect":`+slowCollect+`}`)
@@ -247,11 +257,12 @@ func TestJobsCollectsObservedOnce(t *testing.T) {
 
 // TestJobsSyncNotStarvedByAsync fills the only job runner and its queue
 // with long async jobs in the sync path's own class, then POSTs a distinct
-// sync collect: its worker runs the job itself instead of queueing it
-// behind them, so the request is answered within its Timeout while async
+// sync collect: its job goes to the front of the class queue, ahead of the
+// queued async jobs, and the running async job yields to it at its next
+// checkpoint, so the request is answered within its Timeout while async
 // work is still pending.
 func TestJobsSyncNotStarvedByAsync(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, JobsDir: t.TempDir(), JobRunners: 1,
+	s, ts := newTestServer(t, Options{Workers: 1, JobsDir: t.TempDir(),
 		CheckpointCycles: syncCkptCycles, Timeout: 30 * time.Second})
 	var ids []string
 	for seed := 1; seed <= 3; seed++ {

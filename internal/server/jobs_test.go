@@ -18,7 +18,7 @@ import (
 // fresh temp directory.
 func jobsOpts(t *testing.T) Options {
 	t.Helper()
-	return Options{Workers: 1, JobsDir: t.TempDir(), JobRunners: 1}
+	return Options{Workers: 1, JobsDir: t.TempDir()}
 }
 
 // postJob submits a job body and decodes the Info response.
@@ -150,7 +150,7 @@ func TestJobsEndpointValidation(t *testing.T) {
 // DELETE is a 409 conflict.
 func TestJobsEndpointCancel(t *testing.T) {
 	opts := jobsOpts(t)
-	opts.JobRunners = 1
+	opts.Workers = 1
 	s, ts := newTestServer(t, opts)
 
 	// Wedge the single runner with a scaled-up collect so the next job
@@ -290,18 +290,18 @@ func TestJobsSubmitAfterShutdown(t *testing.T) {
 // cache bounds must normalize to the defaults exactly like zero values do
 // for every other knob — a sign error must not disable the cache.
 func TestOptionsDefaultNormalization(t *testing.T) {
-	d := Options{CacheEntries: -1, CacheBytes: -5, Workers: -2, QueueDepth: -3, JobRunners: -4}.withDefaults()
+	d := Options{CacheEntries: -1, CacheBytes: -5, Workers: -2, QueueDepth: -3}.withDefaults()
 	if d.CacheEntries != 1024 {
 		t.Errorf("CacheEntries = %d, want 1024", d.CacheEntries)
 	}
 	if d.CacheBytes != 64<<20 {
 		t.Errorf("CacheBytes = %d, want %d", d.CacheBytes, 64<<20)
 	}
-	if d.Workers <= 0 || d.QueueDepth != 64 || d.JobRunners != 2 {
+	if d.Workers <= 0 || d.QueueDepth != 64 {
 		t.Errorf("other defaults regressed: %+v", d)
 	}
 	z := Options{}.withDefaults()
-	if z.CacheEntries != 1024 || z.CacheBytes != 64<<20 || z.JobRunners != 2 {
+	if z.CacheEntries != 1024 || z.CacheBytes != 64<<20 {
 		t.Errorf("zero-value defaults: %+v", z)
 	}
 }

@@ -31,17 +31,21 @@ func TestLoadBackpressureBoundedAndCacheIdentity(t *testing.T) {
 		CacheBytes:   8 << 20,
 		Timeout:      60 * time.Second,
 	}
-	s, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Real simulations, slowed enough that service time dominates request
 	// arrival jitter — otherwise the workers drain the queue faster than
 	// the client can fill it and backpressure never engages.
-	realRun := s.runCollect
-	s.runCollect = func(req hwgc.CollectRequest) ([]byte, error) {
+	s, err := newServer(opts, func(req hwgc.CollectRequest) ([]byte, error) {
 		time.Sleep(10 * time.Millisecond)
-		return realRun(req)
+		resp, err := hwgc.NewCollectResponse(req)
+		if err != nil {
+			return nil, err
+		}
+		var b bytes.Buffer
+		err = resp.Encode(&b)
+		return b.Bytes(), err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -81,7 +85,7 @@ func TestLoadBackpressureBoundedAndCacheIdentity(t *testing.T) {
 			defer wg.Done()
 			<-release
 			code, _ := doPost(1000 + i)
-			d := s.queue.Depth()
+			d := s.jobs.Pool().SyncQueued
 			mu.Lock()
 			statuses[code]++
 			if d > maxDepth {
@@ -157,7 +161,7 @@ func TestLoadBackpressureBoundedAndCacheIdentity(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown after load: %v", err)
 	}
-	if started, done := s.metrics.jobsStarted.Load(), s.metrics.jobsDone.Load(); started != done {
+	if started, done := s.jobs.Pool().Started, s.jobs.Pool().Done; started != done {
 		t.Fatalf("jobs started %d != done %d after drain", started, done)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/jobs"
 	"hwgc/internal/stats"
 )
 
@@ -16,18 +17,14 @@ import (
 type Metrics struct {
 	stats.Registry
 
-	requests     *stats.CounterVec // by path
-	responses    *stats.CounterVec // by HTTP status code
-	cacheHits    *stats.Int
-	cacheMisses  *stats.Int
-	queueFull    *stats.Int
-	timeouts     *stats.Int
-	inflightJobs *stats.Int
-	jobsStarted  *stats.Int
-	jobsDone     *stats.Int
-	jobsSkipped  *stats.Int // jobs whose context expired before a worker picked them up
-	batchItems   *stats.Int // batch items executed (any outcome)
-	batchFailed  *stats.Int // batch items that did not end 200
+	requests    *stats.CounterVec // by path
+	responses   *stats.CounterVec // by HTTP status code
+	cacheHits   *stats.Int
+	cacheMisses *stats.Int
+	queueFull   *stats.Int
+	timeouts    *stats.Int
+	batchItems  *stats.Int // batch items executed (any outcome)
+	batchFailed *stats.Int // batch items that did not end 200
 
 	// Concurrent-collection scenario counters, aggregated from every
 	// collect response whose config ran the built-in mutator.
@@ -50,9 +47,9 @@ type Metrics struct {
 	latency *stats.Summary
 }
 
-// NewMetrics returns an empty counter set whose queue and cache gauges are
-// sampled from q and c at scrape time.
-func NewMetrics(q *Queue, c *Cache) *Metrics {
+// NewMetrics returns an empty counter set whose queue, pool and cache
+// series are sampled from mgr and c at scrape time.
+func NewMetrics(mgr *jobs.Manager, c *Cache) *Metrics {
 	m := &Metrics{}
 	start := time.Now()
 	r := &m.Registry
@@ -62,14 +59,14 @@ func NewMetrics(q *Queue, c *Cache) *Metrics {
 	m.cacheMisses = r.Counter("gcserved_cache_misses_total", "Result-cache misses.")
 	r.GaugeFunc("gcserved_cache_entries", "Cached responses currently held.", func() int64 { return int64(c.Len()) })
 	r.GaugeFunc("gcserved_cache_bytes", "Bytes of cached response bodies currently held.", c.Bytes)
-	r.GaugeFunc("gcserved_queue_depth", "Jobs waiting in the bounded queue.", func() int64 { return int64(q.Depth()) })
-	r.GaugeFunc("gcserved_queue_capacity", "Capacity of the bounded job queue.", func() int64 { return int64(q.Cap()) })
+	r.GaugeFunc("gcserved_queue_depth", "Jobs waiting in the bounded queue.", func() int64 { return int64(mgr.Pool().SyncQueued) })
+	r.GaugeFunc("gcserved_queue_capacity", "Capacity of the bounded job queue.", func() int64 { return int64(mgr.Pool().QueueDepth) })
 	m.queueFull = r.Counter("gcserved_queue_full_total", "Requests rejected with 429 because the queue was full.")
 	m.timeouts = r.Counter("gcserved_timeouts_total", "Requests that hit their deadline before a result was ready.")
-	m.inflightJobs = r.Gauge("gcserved_jobs_inflight", "Jobs currently executing on the worker pool.")
-	m.jobsStarted = r.Counter("gcserved_jobs_started_total", "Jobs a worker began executing.")
-	m.jobsDone = r.Counter("gcserved_jobs_done_total", "Jobs that finished executing.")
-	m.jobsSkipped = r.Counter("gcserved_jobs_skipped_total", "Queued jobs skipped because their deadline expired first.")
+	r.GaugeFunc("gcserved_jobs_inflight", "Jobs currently executing on the worker pool.", func() int64 { return mgr.Pool().Running })
+	r.CounterFunc("gcserved_jobs_started_total", "Jobs a worker began executing.", func() int64 { return mgr.Pool().Started })
+	r.CounterFunc("gcserved_jobs_done_total", "Jobs that finished executing.", func() int64 { return mgr.Pool().Done })
+	r.CounterFunc("gcserved_jobs_skipped_total", "Queued jobs skipped because their deadline expired first.", func() int64 { return mgr.Pool().Skipped })
 	m.batchItems = r.Counter("gcserved_batch_items_total", "Batch items executed via /v1/batch.")
 	m.batchFailed = r.Counter("gcserved_batch_item_failures_total", "Batch items that did not complete with status 200.")
 	m.concRuns = r.CounterVec("gcserved_concurrent_collections_total", "Collect responses produced with the built-in concurrent mutator, by write-barrier mode.", "barrier")
@@ -92,9 +89,10 @@ func NewMetrics(q *Queue, c *Cache) *Metrics {
 // ObserveCollect aggregates the concurrent-collection and memory-hierarchy
 // counters of one completed collect response. Responses whose config ran
 // neither the mutator nor a hierarchy model are a no-op, as is a nil
-// receiver (tests that stub the runner).
+// response (a result imported already finished, or one from the test run
+// seam).
 func (m *Metrics) ObserveCollect(resp *hwgc.CollectResponse) {
-	if m == nil || resp == nil {
+	if resp == nil {
 		return
 	}
 	st := &resp.Result.Stats

@@ -46,7 +46,7 @@ func checkpointReq(t *testing.T, ts *httptest.Server, method, path string, body 
 func TestCheckpointMigrationOverHTTP(t *testing.T) {
 	// Frequent snapshot boundaries so the export preempt lands quickly.
 	_, tsSrc := newTestServer(t, Options{
-		Workers: 1, JobsDir: t.TempDir(), JobRunners: 1, CheckpointCycles: 500,
+		Workers: 1, JobsDir: t.TempDir(), CheckpointCycles: 500,
 	})
 	_, tsDst := newTestServer(t, jobsOpts(t))
 	_, tsRef := newTestServer(t, Options{Workers: 1})

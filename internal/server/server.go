@@ -2,10 +2,13 @@
 // subsystem. It turns the one-shot simulator library into a long-running
 // service with the same contention discipline the paper applies to GC
 // synchronization: the uncontended path is free (cache hits bypass the
-// queue entirely), contention is bounded (a fixed worker pool over a
-// bounded queue, with 429 backpressure instead of unbounded queueing), and
-// every stall is accounted for (queue depth, rejections, timeouts and
-// latency percentiles on /metrics).
+// queue entirely), contention is bounded (one pool of Workers runners over
+// one job manager, internal/jobs, whose queue of synchronously awaited
+// jobs is bounded, with 429 backpressure instead of unbounded queueing),
+// and every stall is accounted for (queue depth, rejections, timeouts and
+// latency percentiles on /metrics). Every collect, sweep point and batch
+// point that misses the cache runs as a job of that manager, so two
+// concurrent misses for one key run one simulation.
 //
 // Endpoints:
 //
@@ -16,8 +19,8 @@
 //	GET  /healthz      liveness + pool state
 //	GET  /metrics      Prometheus text-format counters
 //
-// With Options.JobsDir set, the durable async job tier (internal/jobs) is
-// mounted as well:
+// With Options.JobsDir set, the manager is durable (a WAL and checkpoint
+// files in that directory) and the async job tier is mounted as well:
 //
 //	POST   /v1/jobs              submit a collect job (202 + job info)
 //	GET    /v1/jobs              list jobs (?active=true for non-terminal only)
@@ -42,7 +45,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -57,10 +59,13 @@ import (
 
 // Options configures a Server. Zero values select the defaults.
 type Options struct {
-	// Workers is the number of simulation workers (default GOMAXPROCS).
+	// Workers is the number of job runners (default GOMAXPROCS): the one
+	// pool that runs synchronous collects, /v1/sweep and /v1/batch points
+	// and async jobs alike.
 	Workers int
-	// QueueDepth bounds the number of admitted-but-unstarted jobs
-	// (default 64). When the queue is full, POSTs get 429 + Retry-After.
+	// QueueDepth bounds the queued jobs that have a synchronous waiter
+	// (default 64). A collect miss beyond it gets 429 + Retry-After. Async
+	// jobs and /v1/sweeps points are not bounded by it.
 	QueueDepth int
 	// CacheEntries / CacheBytes bound the content-addressed result cache
 	// (defaults 1024 entries, 64 MiB).
@@ -69,7 +74,9 @@ type Options struct {
 	// Timeout is the per-request deadline covering queue wait and
 	// simulation time (default 60s). A simulation that has already started
 	// when the deadline fires runs to completion (the result is cached),
-	// but the waiting client gets 504.
+	// but the waiting client gets 504; a job still queued when its last
+	// waiter gives up is withdrawn, unless it has a checkpoint or the
+	// server is draining with JobsDir.
 	Timeout time.Duration
 	// MaxScale rejects requests whose Scale exceeds it (default 64;
 	// negative means unlimited) so one request cannot occupy a worker for
@@ -81,23 +88,17 @@ type Options struct {
 	// of every collection the job tier runs, synchronous collects included
 	// (default 200000; only meaningful with JobsDir).
 	CheckpointCycles int64
-	// JobsDir, when set, mounts the durable async job tier (/v1/jobs): a
-	// write-ahead log and checkpoint files live in this directory, and a
-	// restarted server resumes unfinished jobs from it. Synchronous
-	// collects then run as jobs too: the worker that pops one submits it
-	// and runs the job itself, or waits for it if it is already running,
-	// so it dedupes onto running work, checkpoints, is preempted by
+	// JobsDir, when set, makes the job manager durable and mounts the
+	// async job tier (/v1/jobs, /v1/sweeps): a write-ahead log and
+	// checkpoint files live in this directory, and a restarted server
+	// resumes unfinished jobs from it, synchronous collects included. A
+	// synchronous collect is then preempted at a checkpoint boundary by
 	// Shutdown and resumes after a restart.
 	JobsDir string
 	// JobClasses is the priority-class specification ("name:weight,...")
 	// for async jobs (default jobs.DefaultClasses; only meaningful with
-	// JobsDir).
+	// JobsDir). Synchronous collects run in the first class.
 	JobClasses string
-	// JobRunners is the number of async job runners (default 2; only
-	// meaningful with JobsDir). A synchronous collect whose job is still
-	// waiting for a runner runs it on the worker that popped it instead,
-	// so queued async jobs cannot starve interactive requests.
-	JobRunners int
 }
 
 func (o Options) withDefaults() Options {
@@ -128,54 +129,62 @@ func (o Options) withDefaults() Options {
 	if o.CheckpointCycles <= 0 {
 		o.CheckpointCycles = 200_000
 	}
-	if o.JobRunners <= 0 {
-		o.JobRunners = 2
-	}
 	return o
 }
 
 // Server is the simulation-serving subsystem: HTTP handlers in front of a
-// fixed worker pool over a bounded queue, with a result cache and metrics.
+// result cache and one job manager, with metrics.
 type Server struct {
 	opts    Options
 	metrics *Metrics
 	cache   *Cache
-	queue   *Queue
 	mux     *http.ServeMux
-	wg      sync.WaitGroup
 
 	// draining is closed when Shutdown begins.
 	draining chan struct{}
 
-	// jobs is the durable async job manager, non-nil when Options.JobsDir
-	// is set. Its runner pool is separate from the synchronous workers.
+	// jobs is the job manager: the one queue and runner pool every
+	// collect runs on. Durable when Options.JobsDir is set.
 	jobs *jobs.Manager
 
 	// sweeps is the parameter-space exploration coordinator, non-nil when
-	// the job tier is mounted. Sweep state rides the jobs WAL.
+	// JobsDir is set. Sweep state rides the jobs WAL.
 	sweeps *sweep.Coordinator
 
-	startOnce sync.Once
-	stopOnce  sync.Once
-
-	// runCollect executes one canonicalized collect and encodes the
-	// response body; sweeps run as collects too. Tests substitute it to
-	// control job duration.
-	runCollect func(req hwgc.CollectRequest) ([]byte, error)
+	stopOnce sync.Once
 }
 
-// New creates a Server. Call Start to spin up the worker pool. It fails
-// only when the async job tier is enabled and cannot be opened (bad class
-// spec, unreadable jobs directory, corrupt WAL).
-func New(opts Options) (*Server, error) {
+// New creates a Server and starts its job runners. It fails when the job
+// classes do not parse or, with JobsDir set, when the jobs directory
+// cannot be opened (unreadable directory, corrupt WAL).
+func New(opts Options) (*Server, error) { return newServer(opts, nil) }
+
+// newServer is New with the job manager's test seam: a non-nil run
+// replaces every simulation (jobs.Options.Run).
+func newServer(opts Options, run func(hwgc.CollectRequest) ([]byte, error)) (*Server, error) {
 	s := &Server{
 		opts:     opts.withDefaults(),
 		draining: make(chan struct{}),
 	}
 	s.cache = NewCache(s.opts.CacheEntries, s.opts.CacheBytes)
-	s.queue = NewQueue(s.opts.QueueDepth)
-	s.metrics = NewMetrics(s.queue, s.cache)
-	s.runCollect = func(req hwgc.CollectRequest) ([]byte, error) { return encodeCollectObserved(req, s.metrics) }
+	classes, err := jobs.ParseClasses(s.opts.JobClasses)
+	if err != nil {
+		return nil, err
+	}
+	mgr, err := jobs.Open(jobs.Options{
+		Dir:              s.opts.JobsDir,
+		Classes:          classes,
+		Runners:          s.opts.Workers,
+		QueueDepth:       s.opts.QueueDepth,
+		CheckpointCycles: s.opts.CheckpointCycles,
+		OnResult:         s.onJobResult,
+		Run:              run,
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.jobs = mgr
+	s.metrics = NewMetrics(mgr, s.cache)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/collect", s.handleCollect)
 	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
@@ -184,22 +193,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	if s.opts.JobsDir != "" {
-		classes, err := jobs.ParseClasses(s.opts.JobClasses)
-		if err != nil {
-			return nil, err
-		}
-		mgr, err := jobs.Open(jobs.Options{
-			Dir:              s.opts.JobsDir,
-			Classes:          classes,
-			Runners:          s.opts.JobRunners,
-			CheckpointCycles: s.opts.CheckpointCycles,
-			OnResult:         s.onJobResult,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.jobs = mgr
-		s.runCollect = s.collectViaJobs
 		s.mux.HandleFunc("/v1/jobs", s.handleJobs)
 		s.mux.HandleFunc("/v1/jobs/", s.handleJobByID)
 		// The sweep coordinator plans spaces into collect jobs and dedupes
@@ -215,127 +208,44 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-func encodeCollect(req hwgc.CollectRequest) ([]byte, error) {
-	return encodeCollectObserved(req, nil)
-}
-
-func encodeCollectObserved(req hwgc.CollectRequest, m *Metrics) ([]byte, error) {
-	resp, err := hwgc.NewCollectResponse(req)
-	if err != nil {
-		return nil, err
-	}
-	m.ObserveCollect(resp)
-	var b bytes.Buffer
-	if err := resp.Encode(&b); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// Start launches the worker pool. Idempotent.
-func (s *Server) Start() {
-	s.startOnce.Do(func() {
-		for i := 0; i < s.opts.Workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
-	})
-}
+// Start is a no-op: New starts the job runners. It remains for callers
+// written against the earlier two-step start.
+func (s *Server) Start() {}
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Workers returns the size of the worker pool (after defaulting).
+// Workers returns the size of the runner pool (after defaulting).
 func (s *Server) Workers() int { return s.opts.Workers }
-
-// Queue exposes the job queue state (for health reporting and tests).
-func (s *Server) Queue() *Queue { return s.queue }
 
 // Cache exposes the result cache (for tests).
 func (s *Server) Cache() *Cache { return s.cache }
 
-// Jobs exposes the async job manager (nil when JobsDir is unset).
+// Jobs exposes the job manager.
 func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 
 // Sweeps exposes the sweep coordinator (nil when JobsDir is unset).
 func (s *Server) Sweeps() *sweep.Coordinator { return s.sweeps }
 
-// Shutdown drains gracefully: admission stops (new jobs get 503), every
-// job already admitted is executed, and the worker pool exits. With
-// JobsDir set, collects are jobs: a running one stops at its next
-// checkpoint boundary and a queued one stays queued, both durably in the
-// WAL, and their waiting requests get ErrPreempted (503); the next server
-// on the same JobsDir finishes them. It returns nil once the pool has
-// drained, or ctx.Err() if ctx expires first (the workers keep draining in
-// the background in that case).
+// Shutdown drains gracefully: admission stops (new collects get 503) and
+// the job manager drains. Without JobsDir, every admitted job runs to
+// completion and its waiting requests get their results. With JobsDir,
+// no queued job is started any more and a running one stops at its next
+// checkpoint boundary, so the drain waits for at most one checkpoint
+// interval (CheckpointCycles simulated cycles) per runner; both stay
+// durably in the WAL, their waiting requests get 503 (jobs.ErrPreempted),
+// and the next server on the same JobsDir finishes them. It returns nil
+// once the pool has drained, or an error wrapping ctx.Err() if ctx expires
+// first (the runners keep draining in the background in that case).
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.stopOnce.Do(func() {
-		close(s.draining)
-		s.queue.Close()
-	})
-	s.Start() // a never-started pool must still drain admitted jobs
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
+	s.stopOnce.Do(func() { close(s.draining) })
 	// Stop the sweep watchers before draining the job tier they watch;
 	// in-flight sweeps stay durable in the WAL and resume on the next Open.
 	if s.sweeps != nil {
 		s.sweeps.Close()
 	}
-	// Drain the async job tier in parallel with the worker pool: running
-	// jobs stop at their next checkpoint boundary (durably, in the WAL), so
-	// this is bounded by one checkpoint interval, not by job length.
-	var jobsErr error
-	if s.jobs != nil {
-		jobsErr = s.jobs.Drain(ctx)
+	if err := s.jobs.Drain(ctx); err != nil {
+		return fmt.Errorf("server: shutdown: %w", err)
 	}
-	select {
-	case <-done:
-		return jobsErr
-	case <-ctx.Done():
-		return fmt.Errorf("server: shutdown: %w", ctx.Err())
-	}
-}
-
-// worker executes jobs until the queue is closed and drained.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		j, ok := s.queue.Pop()
-		if !ok {
-			return
-		}
-		if j.ctx.Err() != nil {
-			// The submitting request already gave up; don't burn a worker
-			// on a result nobody is waiting for.
-			s.metrics.jobsSkipped.Add(1)
-			j.finish(nil, j.ctx.Err())
-			continue
-		}
-		s.metrics.jobsStarted.Add(1)
-		s.metrics.inflightJobs.Add(1)
-		body, err := j.run()
-		if err == nil {
-			s.cache.Put(j.Key, body)
-		}
-		s.metrics.inflightJobs.Add(-1)
-		s.metrics.jobsDone.Add(1)
-		j.finish(body, err)
-	}
-}
-
-// submit pushes a job and waits for its result or the context deadline.
-func (s *Server) submit(ctx context.Context, j *Job) ([]byte, error) {
-	if err := s.queue.TryPush(j); err != nil {
-		return nil, err
-	}
-	select {
-	case <-j.done:
-		return j.body, j.err
-	case <-ctx.Done():
-		s.metrics.timeouts.Add(1)
-		return nil, ctx.Err()
-	}
+	return nil
 }

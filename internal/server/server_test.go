@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/jobs"
 )
 
 // newTestServer starts a server with opts plus an httptest front end and
@@ -292,20 +293,20 @@ func TestSweepPointsBoundedByWorkers(t *testing.T) {
 // failing point in core order, with that point's status; a 429 keeps its
 // Retry-After hint.
 func TestSweepReportsFirstFailingPoint(t *testing.T) {
-	s, err := New(Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.runCollect = func(req hwgc.CollectRequest) ([]byte, error) {
+	gate := make(chan struct{})
+	s, err := newServer(Options{Workers: 1, QueueDepth: 1}, func(req hwgc.CollectRequest) ([]byte, error) {
 		switch req.Config.Cores {
 		case 2:
 			return nil, fmt.Errorf("boom at 2 cores")
-		case 4:
-			return nil, ErrQueueFull
 		case 8:
 			return nil, fmt.Errorf("boom at 8 cores")
+		case 16:
+			<-gate // holds the runner
 		}
 		return []byte(`{}`), nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -317,10 +318,49 @@ func TestSweepReportsFirstFailingPoint(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "boom at 8 cores") {
 		t.Fatalf("status %d body %s, want 500 from the 8-core point", resp.StatusCode, body)
 	}
-	resp, body = post(t, ts, "/v1/sweep", `{"Bench":"jlisp","Cores":[4,2],"Config":{}}`)
-	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+
+	// Hold the runner and fill the queue slot with the 2-core job, so the
+	// 4-core point is refused by the full queue while the 2-core point
+	// joins the queued job and fails when it runs.
+	collect := func(cores int) <-chan reply {
+		return postAsync(t, ts, "/v1/collect", fmt.Sprintf(`{"Bench":"jlisp","Config":{"Cores":%d}}`, cores))
+	}
+	waitPool := func(what string, ok func(jobs.PoolStats) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !ok(s.jobs.Pool()); {
+			if time.Now().After(deadline) {
+				t.Fatalf("pool never had %s: %+v", what, s.jobs.Pool())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	held := []<-chan reply{collect(16)}
+	waitPool("a running job", func(p jobs.PoolStats) bool { return p.Running == 1 })
+	held = append(held, collect(2))
+	waitPool("a full queue", func(p jobs.PoolStats) bool { return p.SyncQueued == 1 })
+	sweep := postAsync(t, ts, "/v1/sweep", `{"Bench":"jlisp","Cores":[4,2],"Config":{}}`)
+	// With one worker the points run one at a time, in core order: once
+	// the 2-core point has joined the queued job, the 4-core point has
+	// been refused.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		var m bytes.Buffer
+		_ = s.jobs.Metrics().Write(&m)
+		if scrapeValue(t, m.String(), "gcjobs_deduped_total") > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the 2-core point never joined the queued job")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	r, ok := <-sweep
+	if !ok || r.code != http.StatusTooManyRequests || r.header.Get("Retry-After") == "" {
 		t.Fatalf("status %d (Retry-After %q) body %s, want 429 with Retry-After from the 4-core point",
-			resp.StatusCode, resp.Header.Get("Retry-After"), body)
+			r.code, r.header.Get("Retry-After"), r.body)
+	}
+	for _, r := range held {
+		<-r
 	}
 	resp, body = post(t, ts, "/v1/batch", `{"Items":[{"Sweep":{"Bench":"jlisp","Cores":[1,2,8]}}]}`)
 	br, err := hwgc.DecodeBatchResponse(bytes.NewReader(body))
@@ -359,6 +399,25 @@ func TestCollectNegativeStartupShutdown(t *testing.T) {
 	}
 }
 
+// TestCollectLatencyBound: a latency-bound collect is served, not failed as
+// a livelock: the default bound grows with the configured memory latency.
+func TestCollectLatencyBound(t *testing.T) {
+	for _, opts := range []Options{{Workers: 1}, jobsOpts(t)} {
+		_, ts := newTestServer(t, opts)
+		resp, body := post(t, ts, "/v1/collect", `{"Bench":"jlisp","Config":{"Cores":1,"ExtraMemLatency":1000}}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var cr hwgc.CollectResponse
+		if err := json.Unmarshal(body, &cr); err != nil {
+			t.Fatal(err)
+		}
+		if cr.Result.Stats.Cycles != 6_605_173 {
+			t.Errorf("cycles = %d, want 6605173", cr.Result.Stats.Cycles)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 7})
 	post(t, ts, "/v1/collect", `{"Bench":"jlisp","Config":{"Cores":2}}`)
@@ -388,8 +447,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // Concurrent-collection scenarios must surface in the scrape: one series
 // per barrier mode plus the aggregated barrier and floating-garbage
-// counters, fed by the in-process execution path (the job tier's result
-// hook is covered by TestJobsCollectsObservedOnce).
+// counters, fed by the job manager's result hook without a jobs directory
+// (TestJobsCollectsObservedOnce covers it with one).
 func TestMetricsConcurrentCollections(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	for _, body := range []string{
@@ -442,13 +501,12 @@ func scrapeValue(t *testing.T, text, name string) int64 {
 // no simulation), for deterministic backpressure and deadline tests.
 func slowServer(t *testing.T, opts Options, d time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.runCollect = func(req hwgc.CollectRequest) ([]byte, error) {
+	s, err := newServer(opts, func(req hwgc.CollectRequest) ([]byte, error) {
 		time.Sleep(d)
 		return []byte(fmt.Sprintf(`{"Bench":%q,"Seed":%d}`, req.Bench, req.Seed)), nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	s.Start()
 	ts := httptest.NewServer(s.Handler())

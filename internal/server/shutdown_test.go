@@ -17,15 +17,14 @@ import (
 // submissions are refused with 503, and Shutdown returns only after the
 // pool has drained.
 func TestGracefulShutdownDrains(t *testing.T) {
-	s, err := New(Options{Workers: 1, QueueDepth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
 	started := make(chan struct{}, 16)
-	s.runCollect = func(req hwgc.CollectRequest) ([]byte, error) {
+	s, err := newServer(Options{Workers: 1, QueueDepth: 8}, func(req hwgc.CollectRequest) ([]byte, error) {
 		started <- struct{}{}
 		time.Sleep(100 * time.Millisecond)
 		return []byte(fmt.Sprintf(`{"Seed":%d}`, req.Seed)), nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -52,9 +51,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	<-started // the first job is on the worker
 	// Wait until the other two are actually admitted to the queue; only
 	// admitted jobs are covered by the drain guarantee.
-	for deadline := time.Now().Add(5 * time.Second); s.queue.Depth() < n-1; {
+	for deadline := time.Now().Add(5 * time.Second); s.jobs.Pool().SyncQueued < n-1; {
 		if time.Now().After(deadline) {
-			t.Fatalf("jobs never queued (depth %d)", s.queue.Depth())
+			t.Fatalf("jobs never queued (depth %d)", s.jobs.Pool().SyncQueued)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -69,8 +68,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 	// Shutdown must not have returned before the queued jobs ran
 	// (3 × 100ms serialized on one worker, minus what already elapsed).
-	if s.metrics.jobsDone.Load() != n {
-		t.Fatalf("drained %d jobs, want %d (drain took %s)", s.metrics.jobsDone.Load(), n, drainTime)
+	if s.jobs.Pool().Done != n {
+		t.Fatalf("drained %d jobs, want %d (drain took %s)", s.jobs.Pool().Done, n, drainTime)
 	}
 
 	wg.Wait()
@@ -95,13 +94,12 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // TestShutdownHonorsContext checks that a too-short drain budget surfaces
 // as ctx.Err instead of hanging.
 func TestShutdownHonorsContext(t *testing.T) {
-	s, err := New(Options{Workers: 1, QueueDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.runCollect = func(req hwgc.CollectRequest) ([]byte, error) {
+	s, err := newServer(Options{Workers: 1, QueueDepth: 4}, func(req hwgc.CollectRequest) ([]byte, error) {
 		time.Sleep(300 * time.Millisecond)
 		return []byte(`{}`), nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	s.Start()
 	ts := httptest.NewServer(s.Handler())

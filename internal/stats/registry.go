@@ -82,6 +82,12 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	r.intFunc(name, help, "gauge", fn)
 }
 
+// CounterFunc registers an unlabelled int counter sampled from fn at
+// scrape time.
+func (r *Registry) CounterFunc(name, help string, fn func() int64) {
+	r.intFunc(name, help, "counter", fn)
+}
+
 func (r *Registry) intFunc(name, help, typ string, fn func() int64) {
 	r.add(name, help, typ, func(b []byte, name string) []byte {
 		return appendInt(appendSeries(b, name, nil, nil), fn())

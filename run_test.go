@@ -83,3 +83,36 @@ func TestPaperCoreCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLatencyBoundRequests: the default livelock bound grows with the
+// worst memory latency a configuration allows, so a latency-bound request
+// finishes (here exactly as it does under a generous explicit MaxCycles)
+// instead of failing as a livelock.
+func TestLatencyBoundRequests(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		req    CollectRequest
+		cycles int64
+	}{
+		{"jlisp/cores=1/extra-latency=1000", CollectRequest{Bench: "jlisp", Config: Config{Cores: 1, ExtraMemLatency: 1000}}, 6_605_173},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.req.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Cycles != tc.cycles {
+				t.Fatalf("cycles = %d, want %d", res.Stats.Cycles, tc.cycles)
+			}
+			explicit := tc.req
+			explicit.Config.MaxCycles = 100_000_000
+			ref, err := explicit.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Stats.Cycles != res.Stats.Cycles {
+				t.Fatalf("cycles %d under the default bound, %d under MaxCycles %d", res.Stats.Cycles, ref.Stats.Cycles, explicit.Config.MaxCycles)
+			}
+		})
+	}
+}
