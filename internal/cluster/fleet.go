@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"hwgc/internal/elastic"
+	"hwgc/internal/server"
 	"hwgc/internal/sweep"
 )
 
@@ -204,8 +205,9 @@ type Fleet struct {
 	removed  map[string]*Backend // left the ring; retained as migration sources
 	nextIdx  int                 // monotonic backend index so re-adds get fresh IDs
 
-	edge       *edgeCache // nil when disabled
-	replyLimit int64      // largest backend reply body relayed (tests shrink it)
+	edge       *edgeCache       // nil when disabled
+	memo       *server.BodyMemo // raw /v1/collect body -> key; nil with edge
+	replyLimit int64            // largest backend reply body relayed (tests shrink it)
 
 	registry *jobRegistry     // canonical submit bodies, for dead-owner rescue
 	emetrics *elastic.Metrics // gcelastic_* counters, appended to /metrics
@@ -241,6 +243,7 @@ func New(opts Options) (*Fleet, error) {
 		removed:    make(map[string]*Backend),
 		nextIdx:    len(opts.Backends),
 		edge:       newEdgeCache(opts.CacheEntries, opts.CacheBytes),
+		memo:       server.NewBodyMemo(opts.CacheEntries, opts.CacheBytes),
 		replyLimit: maxProxyBodyBytes,
 		registry:   newJobRegistry(opts.RegistryLimit),
 		emetrics:   elastic.NewMetrics(),
@@ -543,6 +546,13 @@ func (f *Fleet) do(ctx context.Context, method, path, key string, body []byte) (
 				if ra := parseRetryAfter(res.header, time.Second); ra > retryAfter {
 					retryAfter = ra
 				}
+			case res.err != nil && errors.Is(ctx.Err(), context.Canceled):
+				// The caller gave up mid-send (a client went away, a sweep
+				// was cancelled): no verdict on the backend. Counting it
+				// would let a burst of cancelled polls open a healthy
+				// backend's breaker and refuse the cancels that follow.
+				res.backend.breaker.Cancel()
+				return last, ctx.Err()
 			default: // transport error or 5xx
 				res.backend.breaker.Record(false)
 				res.backend.errors.Add(1)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -627,5 +628,71 @@ func TestFleetRemoveBackend(t *testing.T) {
 	}
 	if _, err := f.RemoveBackend("nope"); err == nil {
 		t.Error("removing unknown backend accepted")
+	}
+}
+
+// TestFleetCallerCancelIsNoBackendFailure: a send the caller cancels
+// mid-flight says nothing about the backend, so a burst of cancelled
+// requests (a sweep's polls when it is cancelled) never opens the breaker.
+func TestFleetCallerCancelIsNoBackendFailure(t *testing.T) {
+	fb := newFakeBackend(t, 200*time.Millisecond)
+	fb.mode.Store("slow")
+	f, _ := newTestFleet(t, Options{BreakerThreshold: 1}, fb)
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(10*time.Millisecond, cancel)
+		if _, err := f.do(ctx, http.MethodGet, "/v1/jobs/k/result", "k", nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("send %d: err %v, want context.Canceled", i, err)
+		}
+		cancel()
+	}
+	if got := f.Backends()[0].breaker.State(); got != BreakerClosed {
+		t.Errorf("breaker %s after caller cancels, want closed", got)
+	}
+	if n := f.metrics.backendFailures.Load(); n != 0 {
+		t.Errorf("backend failures = %d, want 0", n)
+	}
+}
+
+// TestSweepCancelJobRetries: a sweep point's cancel is retried until the
+// owner answers, and one given up when the fleet closes is counted.
+func TestSweepCancelJobRetries(t *testing.T) {
+	var deletes, failFirst atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodDelete {
+			return
+		}
+		if deletes.Add(1) <= failFirst.Load() {
+			http.Error(w, "boom", http.StatusServiceUnavailable)
+			return
+		}
+		w.Write([]byte(`{}`))
+	}))
+	defer ts.Close()
+	f, err := New(Options{Backends: []string{ts.URL}, HealthInterval: -1, MaxAttempts: 2, BreakerThreshold: 100,
+		BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond, SweepPoll: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failFirst.Store(5)
+	sweepRunner{f}.CancelJob("k")
+	if n := deletes.Load(); n != 6 {
+		t.Errorf("DELETEs sent = %d, want 6 (five 503s, then the answer)", n)
+	}
+	if n := f.metrics.exhausted.Load(); n != 0 {
+		t.Errorf("exhausted = %d after an answered cancel, want 0", n)
+	}
+
+	failFirst.Store(1 << 40)
+	done := make(chan struct{})
+	go func() {
+		sweepRunner{f}.CancelJob("k")
+		close(done)
+	}()
+	waitFor(t, 10*time.Second, func() bool { return deletes.Load() > 20 })
+	f.Close()
+	<-done
+	if n := f.metrics.exhausted.Load(); n != 1 {
+		t.Errorf("exhausted = %d after a cancel given up at close, want 1", n)
 	}
 }

@@ -5,15 +5,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"hwgc"
 	"hwgc/internal/plan"
+	"hwgc/internal/server"
 )
 
-// maxBodyBytes bounds single-request bodies, matching the backend limit.
-const maxBodyBytes = 8 << 20
+// maxBodyBytes bounds single-request bodies: the backend limit.
+const maxBodyBytes = server.MaxBodyBytes
 
 type errorBody struct {
 	Error string
@@ -55,41 +58,58 @@ func requireGet(w http.ResponseWriter, r *http.Request) bool {
 // handleCollect serves POST /v1/collect: the fleet decodes as strictly as
 // gcserved and canonicalizes locally (so equivalent spellings share one key
 // and one owner), answers from its edge cache when it can, and otherwise
-// routes by content key and forwards the canonical body. Either way the
-// reply body is the backend's verbatim — byte-identical to what the owner
-// would serve directly.
+// routes by content key and forwards the canonical body. The body goes
+// through the body memo, so a byte-identical repeat of an accepted body
+// skips JSON entirely. Either way the reply body is the backend's verbatim,
+// byte-identical to what the owner would serve directly, and it goes out
+// with a Content-Length in one write, as gcserved's does.
 func (f *Fleet) handleCollect(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req hwgc.CollectRequest
-	err := plan.DecodeStrict(r.Body, &req)
-	var canon []byte
-	if err == nil {
-		canon, err = req.CanonicalJSON()
-	}
+	pt, err := f.memo.ReadCollect(w, r, decodeCollect)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key := hwgc.KeyBytes(canon)
-	body, origin, hit, admit := f.edgeGet(key)
+	body, origin, hit, admit := f.edgeGet(pt.Key)
 	if hit {
 		// The header set of a proxied backend hit.
 		h := w.Header()
 		h.Set("Content-Type", "application/json")
 		h.Set("X-Cache", "HIT")
-		h.Set("X-Cache-Key", key)
+		h.Set("X-Cache-Key", pt.Key)
 		h.Set("X-Fleet-Backend", origin)
-		_, _ = w.Write(body)
+		writeBody(w, http.StatusOK, body)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
 	defer cancel()
-	res, err := f.do(ctx, http.MethodPost, "/v1/collect", key, canon)
-	f.edgePut(admit, key, res, err)
+	res, err := f.do(ctx, http.MethodPost, "/v1/collect", pt.Key, pt.Canonical)
+	f.edgePut(admit, pt.Key, res, err)
 	f.finishProxy(w, res, err)
+}
+
+// decodeCollect strictly decodes and canonicalizes a collect body.
+func decodeCollect(body io.Reader) (hwgc.SweepPoint, error) {
+	var req hwgc.CollectRequest
+	err := plan.DecodeStrict(body, &req)
+	var canon []byte
+	if err == nil {
+		canon, err = req.CanonicalJSON()
+	}
+	if err != nil {
+		return hwgc.SweepPoint{}, fmt.Errorf("invalid request: %w", err)
+	}
+	return hwgc.SweepPoint{Key: hwgc.KeyBytes(canon), Canonical: canon}, nil
+}
+
+// writeBody writes a buffered reply with its Content-Length, so it goes
+// out in one write instead of chunked.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	_, _ = w.Write(body)
 }
 
 // handleSweep serves POST /v1/sweep by its collect points: the sweep is
@@ -130,7 +150,7 @@ func (f *Fleet) handleSweep(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Type", "application/json")
 	h.Set("X-Cache", state)
 	h.Set("X-Cache-Key", key)
-	_, _ = w.Write(body)
+	writeBody(w, http.StatusOK, body)
 }
 
 // pointReply is the outcome of one collect point routed by routePoint.
@@ -212,8 +232,7 @@ func (f *Fleet) finishProxy(w http.ResponseWriter, res sendResult, err error) {
 		if res.backend != nil {
 			w.Header().Set("X-Fleet-Backend", res.backend.id)
 		}
-		w.WriteHeader(res.status)
-		_, _ = w.Write(res.body)
+		writeBody(w, res.status, res.body)
 	case errors.Is(err, ErrNoBackends):
 		f.metrics.exhausted.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "no healthy backend for this key (all breakers open)")
@@ -231,8 +250,7 @@ func (f *Fleet) finishProxy(w http.ResponseWriter, res sendResult, err error) {
 		if res.backend != nil {
 			w.Header().Set("X-Fleet-Backend", res.backend.id)
 		}
-		w.WriteHeader(res.status)
-		_, _ = w.Write(res.body)
+		writeBody(w, res.status, res.body)
 	default:
 		f.metrics.exhausted.Add(1)
 		writeError(w, http.StatusBadGateway, "all backends failed: %v", err)

@@ -152,11 +152,33 @@ func (sr sweepRunner) RunPoint(ctx context.Context, class string, index int, p h
 }
 
 // CancelJob DELETEs the point's job at its owner under the standard
-// retry/failover policy.
+// retry/failover policy, and keeps retrying on the poll interval until the
+// owner answers authoritatively (cancelled, already terminal, or unknown):
+// a cancel that is lost would leave a queued job that later burns a runner.
+// Only the fleet closing stops it; a cancel given up then is counted in
+// gcfleet_exhausted_total.
 func (sr sweepRunner) CancelJob(key string) {
-	ctx, cancel := context.WithTimeout(context.Background(), sr.f.opts.Timeout)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, _ = sr.f.do(ctx, http.MethodDelete, "/v1/jobs/"+key, key, nil)
+	go func() {
+		select {
+		case <-sr.f.stop:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	for {
+		dctx, dcancel := context.WithTimeout(ctx, sr.f.opts.Timeout)
+		_, err := sr.f.do(dctx, http.MethodDelete, "/v1/jobs/"+key, key, nil)
+		dcancel()
+		if err == nil {
+			return
+		}
+		if sr.f.sleep(ctx, sr.f.opts.SweepPoll) != nil {
+			sr.f.metrics.exhausted.Add(1)
+			return
+		}
+	}
 }
 
 // handleSweeps serves POST /v1/sweeps at the fleet: plan locally, fan the
