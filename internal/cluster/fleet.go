@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"hwgc/internal/elastic"
-	"hwgc/internal/server"
 	"hwgc/internal/sweep"
 )
 
@@ -205,9 +204,9 @@ type Fleet struct {
 	removed  map[string]*Backend // left the ring; retained as migration sources
 	nextIdx  int                 // monotonic backend index so re-adds get fresh IDs
 
-	edge       *edgeCache       // nil when disabled
-	memo       *server.BodyMemo // raw /v1/collect body -> key; nil with edge
-	replyLimit int64            // largest backend reply body relayed (tests shrink it)
+	edge       *edgeCache // nil when disabled
+	memo       *bodyMemo  // raw /v1/collect body -> key; nil with edge
+	replyLimit int64      // largest backend reply body relayed (tests shrink it)
 
 	registry *jobRegistry     // canonical submit bodies, for dead-owner rescue
 	emetrics *elastic.Metrics // gcelastic_* counters, appended to /metrics
@@ -243,13 +242,15 @@ func New(opts Options) (*Fleet, error) {
 		removed:    make(map[string]*Backend),
 		nextIdx:    len(opts.Backends),
 		edge:       newEdgeCache(opts.CacheEntries, opts.CacheBytes),
-		memo:       server.NewBodyMemo(opts.CacheEntries, opts.CacheBytes),
 		replyLimit: maxProxyBodyBytes,
 		registry:   newJobRegistry(opts.RegistryLimit),
 		emetrics:   elastic.NewMetrics(),
 		stop:       make(chan struct{}),
 		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 		sleep:      sleepCtx,
+	}
+	if f.edge != nil {
+		f.memo = newBodyMemo(opts.CacheEntries)
 	}
 	f.metrics = NewMetrics(f.Backends, func() int64 {
 		if f.edge == nil {

@@ -655,44 +655,53 @@ func TestFleetCallerCancelIsNoBackendFailure(t *testing.T) {
 }
 
 // TestSweepCancelJobRetries: a sweep point's cancel is retried until the
-// owner answers, and one given up when the fleet closes is counted.
+// owner answers; a key whose DELETE keeps failing holds back no other
+// key's cancel, and is given up and counted when the fleet closes or its
+// retry window of cancelRetryTimeouts request timeouts runs out.
 func TestSweepCancelJobRetries(t *testing.T) {
-	var deletes, failFirst atomic.Int64
+	var goodDeletes, goodAnswered, badDeletes atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodDelete {
-			return
-		}
-		if deletes.Add(1) <= failFirst.Load() {
+		switch r.URL.Path {
+		case "/v1/jobs/good":
+			if goodDeletes.Add(1) <= 5 {
+				http.Error(w, "boom", http.StatusServiceUnavailable)
+				return
+			}
+			goodAnswered.Add(1)
+			w.Write([]byte(`{}`))
+		case "/v1/jobs/bad":
+			badDeletes.Add(1)
 			http.Error(w, "boom", http.StatusServiceUnavailable)
-			return
 		}
-		w.Write([]byte(`{}`))
 	}))
 	defer ts.Close()
-	f, err := New(Options{Backends: []string{ts.URL}, HealthInterval: -1, MaxAttempts: 2, BreakerThreshold: 100,
-		BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond, SweepPoll: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	failFirst.Store(5)
-	sweepRunner{f}.CancelJob("k")
-	if n := deletes.Load(); n != 6 {
-		t.Errorf("DELETEs sent = %d, want 6 (five 503s, then the answer)", n)
-	}
-	if n := f.metrics.exhausted.Load(); n != 0 {
-		t.Errorf("exhausted = %d after an answered cancel, want 0", n)
+	newFleet := func(timeout time.Duration) *Fleet {
+		f, err := New(Options{Backends: []string{ts.URL}, HealthInterval: -1, MaxAttempts: 2, BreakerThreshold: 1 << 20,
+			BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond, SweepPoll: time.Millisecond, Timeout: timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
 
-	failFirst.Store(1 << 40)
-	done := make(chan struct{})
-	go func() {
-		sweepRunner{f}.CancelJob("k")
-		close(done)
-	}()
-	waitFor(t, 10*time.Second, func() bool { return deletes.Load() > 20 })
+	// The coordinator cancels a sweep's keys one after another: the failing
+	// key comes first.
+	f := newFleet(time.Minute)
+	sweepRunner{f}.CancelJob("bad")
+	sweepRunner{f}.CancelJob("good")
+	waitFor(t, 10*time.Second, func() bool { return goodAnswered.Load() == 1 })
+	waitFor(t, 10*time.Second, func() bool { return badDeletes.Load() > 20 })
 	f.Close()
-	<-done
-	if n := f.metrics.exhausted.Load(); n != 1 {
-		t.Errorf("exhausted = %d after a cancel given up at close, want 1", n)
+	if n := goodDeletes.Load(); n != 6 {
+		t.Errorf("good DELETEs sent = %d, want 6 (five 503s, then the answer)", n)
 	}
+	if n := f.metrics.exhausted.Load(); n != 1 {
+		t.Errorf("exhausted = %d after one cancel given up at close, want 1", n)
+	}
+
+	// With nothing closing the fleet, the retry window ends the cancel.
+	f = newFleet(20 * time.Millisecond)
+	defer f.Close()
+	sweepRunner{f}.CancelJob("bad")
+	waitFor(t, 10*time.Second, func() bool { return f.metrics.exhausted.Load() == 1 })
 }

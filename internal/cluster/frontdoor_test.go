@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"io"
 	"maps"
 	"net/http"
@@ -13,7 +15,6 @@ import (
 
 	"hwgc"
 	"hwgc/internal/plan"
-	"hwgc/internal/server"
 )
 
 // Request spellings shared by the front-door tests: the collect and sweep
@@ -137,12 +138,12 @@ func TestFleetReplyFraming(t *testing.T) {
 	}
 }
 
-// TestBodyMemoExact: on both tiers, the body memo changes no reply. A
-// repeat gives the same bytes and headers, equivalent spellings share one
-// key, a rejected body is rejected the same way every time and never
-// memoized, and the memo stays within the result-cache bound.
+// TestBodyMemoExact: the fleet's body memo changes no reply. On both tiers
+// (gcserved, which has no memo, is the reference) a repeat gives the same
+// bytes and headers, equivalent spellings share one key, and a rejected
+// body is rejected the same way every time; the fleet never memoizes it.
 func TestBodyMemoExact(t *testing.T) {
-	srv, backend := startJobsBackend(t)
+	_, backend := startJobsBackend(t)
 	f, err := New(Options{Backends: []string{backend.URL}, HealthInterval: -1, Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +155,8 @@ func TestBodyMemoExact(t *testing.T) {
 	for _, tier := range []struct {
 		name string
 		url  string
-		memo *server.BodyMemo
-	}{{"gcserved", backend.URL, srv.Memo()}, {"gcfleet", fleet.URL, f.memo}} {
+		memo *bodyMemo
+	}{{"gcserved", backend.URL, nil}, {"gcfleet", fleet.URL, f.memo}} {
 		first := frontPost(t, tier.url+"/v1/collect", memoCollect)
 		if first.status != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", tier.name, first.status, first.body)
@@ -181,8 +182,8 @@ func TestBodyMemoExact(t *testing.T) {
 				}
 			}
 		}
-		if n := tier.memo.Len(); n != 3 {
-			t.Errorf("%s: memo holds %d bodies after three spellings, want 3", tier.name, n)
+		if tier.memo != nil && tier.memo.c.Len() != 3 {
+			t.Errorf("%s: memo holds %d bodies after three spellings, want 3", tier.name, tier.memo.c.Len())
 		}
 		for _, tc := range decodeRejects {
 			a := frontPost(t, tier.url+tc.path, tc.body)
@@ -191,14 +192,15 @@ func TestBodyMemoExact(t *testing.T) {
 				t.Errorf("%s: %s: replies %d %s then %d %s", tier.name, tc.name, a.status, a.body, b.status, b.body)
 			}
 		}
-		if n := tier.memo.Len(); n != 3 {
-			t.Errorf("%s: memo holds %d bodies after the rejected rows, want 3", tier.name, n)
+		if tier.memo != nil && tier.memo.c.Len() != 3 {
+			t.Errorf("%s: memo holds %d bodies after the rejected rows, want 3", tier.name, tier.memo.c.Len())
 		}
 	}
 }
 
-// TestFleetBodyMemoBounds: the fleet's memo is bounded by CacheEntries and
-// does not exist with the edge cache off; either way replies are the same.
+// TestFleetBodyMemoBounds: the fleet's memo holds at most CacheEntries
+// bodies of at most memoMaxBody bytes, and does not exist with the edge
+// cache off; either way replies are the same.
 func TestFleetBodyMemoBounds(t *testing.T) {
 	_, backend := startGCServed(t)
 	var ref []byte
@@ -208,17 +210,23 @@ func TestFleetBodyMemoBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		fleet := httptest.NewServer(f.Handler())
-		for i := 0; i < 5; i++ {
-			// Five raw bodies, one request: one simulation.
-			r := frontPost(t, fleet.URL+"/v1/collect", memoCollect+strings.Repeat(" ", i))
+		// Five raw bodies of one request (one simulation), then one too
+		// large to hold.
+		for _, pad := range []int{0, 1, 2, 3, 4, memoMaxBody} {
+			r := frontPost(t, fleet.URL+"/v1/collect", memoCollect+strings.Repeat(" ", pad))
 			if ref == nil {
 				ref = r.body
 			}
 			if r.status != http.StatusOK || !bytes.Equal(r.body, ref) {
-				t.Errorf("CacheEntries %d: spelling %d: status %d or body differs", entries, i, r.status)
+				t.Errorf("CacheEntries %d: padding %d: status %d or body differs", entries, pad, r.status)
 			}
-			if entries > 0 && f.memo.Len() > entries {
-				t.Errorf("memo holds %d bodies, bound %d", f.memo.Len(), entries)
+			if entries > 0 && (f.memo.c.Len() > entries || f.memo.c.Bytes() > int64(entries)*memoMaxBody) {
+				t.Errorf("memo holds %d bodies of %d bytes, bound %d", f.memo.c.Len(), f.memo.c.Bytes(), entries)
+			}
+		}
+		if entries > 0 {
+			if _, _, ok := f.memo.c.GetOrigin(string(sha256Sum(memoCollect + strings.Repeat(" ", memoMaxBody)))); ok {
+				t.Errorf("a body over memoMaxBody was memoized")
 			}
 		}
 		if entries < 0 && f.memo != nil {
@@ -227,6 +235,11 @@ func TestFleetBodyMemoBounds(t *testing.T) {
 		fleet.Close()
 		f.Close()
 	}
+}
+
+func sha256Sum(s string) []byte {
+	sum := sha256.Sum256([]byte(s))
+	return sum[:]
 }
 
 // TestOversizedCollectBody: a body past the size limit gets the streaming
@@ -240,7 +253,7 @@ func TestOversizedCollectBody(t *testing.T) {
 	defer f.Close()
 	fleet := httptest.NewServer(f.Handler())
 	defer fleet.Close()
-	big := []byte(`{"Bench":"` + strings.Repeat("a", server.MaxBodyBytes) + `"}`)
+	big := []byte(`{"Bench":"` + strings.Repeat("a", maxBodyBytes) + `"}`)
 	for _, tc := range []struct{ url, want string }{
 		{backend.URL, `{"Error":"decoding request: http: request body too large"}` + "\n"},
 		{fleet.URL, `{"Error":"invalid request: http: request body too large"}` + "\n"},
@@ -281,24 +294,63 @@ func FuzzCollectBodyMemo(f *testing.F) {
 		if err == nil {
 			canon, err = req.CanonicalJSON()
 		}
-		memo := server.NewBodyMemo(4, 1<<20)
+		memo := newBodyMemo(4)
 		for i := 0; i < 2; i++ {
-			pt, merr := memo.Point(raw, decodeCollect)
+			key, mcanon, merr := memo.lookup(raw)
 			if err != nil {
 				if merr == nil || merr.Error() != "invalid request: "+err.Error() {
 					t.Fatalf("sighting %d: memo path error %v, direct error %v", i, merr, err)
 				}
-				if memo.Len() != 0 {
+				if memo.c.Len() != 0 {
 					t.Fatalf("sighting %d: a failed body was memoized", i)
 				}
 				continue
 			}
-			if merr != nil || pt.Key != hwgc.KeyBytes(canon) || !bytes.Equal(pt.Canonical, canon) {
-				t.Fatalf("sighting %d: memo path %s %q (err %v), direct %s %q", i, pt.Key, pt.Canonical, merr, hwgc.KeyBytes(canon), canon)
+			if merr != nil || key != hwgc.KeyBytes(canon) || !bytes.Equal(mcanon, canon) {
+				t.Fatalf("sighting %d: memo path %s %q (err %v), direct %s %q", i, key, mcanon, merr, hwgc.KeyBytes(canon), canon)
 			}
-			if memo.Len() != 1 {
-				t.Fatalf("sighting %d: memo holds %d bodies, want 1", i, memo.Len())
+			want := 1
+			if len(canon) > memoMaxBody {
+				want = 0
+			}
+			if memo.c.Len() != want {
+				t.Fatalf("sighting %d: memo holds %d bodies, want %d", i, memo.c.Len(), want)
 			}
 		}
 	})
+}
+
+// failingBody yields data, then fails with err.
+type failingBody struct {
+	data []byte
+	err  error
+}
+
+func (b *failingBody) Read(p []byte) (int, error) {
+	if len(b.data) == 0 {
+		return 0, b.err
+	}
+	n := copy(p, b.data)
+	b.data = b.data[n:]
+	return n, nil
+}
+
+// TestReadCollectReplaysReadError: a body whose read fails part-way is
+// decoded from the bytes read and then the same error, exactly as the
+// streaming decode sees it, and is not memoized.
+func TestReadCollectReplaysReadError(t *testing.T) {
+	broken := errors.New("connection reset")
+	for _, prefix := range []string{`{"Bench":"jl`, `{"Bench":"jlisp"} `, `nope`} {
+		_, _, want := decodeCollect(&failingBody{[]byte(prefix), broken})
+		memo := newBodyMemo(4)
+		r := httptest.NewRequest(http.MethodPost, "/v1/collect", &failingBody{[]byte(prefix), broken})
+		r.ContentLength = 64
+		_, _, got := memo.readCollect(httptest.NewRecorder(), r)
+		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+			t.Errorf("%q: readCollect error %v, streaming decode %v", prefix, got, want)
+		}
+		if memo.c.Len() != 0 {
+			t.Errorf("%q: a body that failed to read was memoized", prefix)
+		}
+	}
 }

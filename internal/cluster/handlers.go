@@ -12,11 +12,10 @@ import (
 
 	"hwgc"
 	"hwgc/internal/plan"
-	"hwgc/internal/server"
 )
 
-// maxBodyBytes bounds single-request bodies: the backend limit.
-const maxBodyBytes = server.MaxBodyBytes
+// maxBodyBytes bounds single-request bodies, matching the backend limit.
+const maxBodyBytes = 8 << 20
 
 type errorBody struct {
 	Error string
@@ -58,7 +57,7 @@ func requireGet(w http.ResponseWriter, r *http.Request) bool {
 // handleCollect serves POST /v1/collect: the fleet decodes as strictly as
 // gcserved and canonicalizes locally (so equivalent spellings share one key
 // and one owner), answers from its edge cache when it can, and otherwise
-// routes by content key and forwards the canonical body. The body goes
+// routes by content key and forwards the canonical body. A small body goes
 // through the body memo, so a byte-identical repeat of an accepted body
 // skips JSON entirely. Either way the reply body is the backend's verbatim,
 // byte-identical to what the owner would serve directly, and it goes out
@@ -67,41 +66,41 @@ func (f *Fleet) handleCollect(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
-	pt, err := f.memo.ReadCollect(w, r, decodeCollect)
+	key, canon, err := f.memo.readCollect(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	body, origin, hit, admit := f.edgeGet(pt.Key)
+	body, origin, hit, admit := f.edgeGet(key)
 	if hit {
 		// The header set of a proxied backend hit.
 		h := w.Header()
 		h.Set("Content-Type", "application/json")
 		h.Set("X-Cache", "HIT")
-		h.Set("X-Cache-Key", pt.Key)
+		h.Set("X-Cache-Key", key)
 		h.Set("X-Fleet-Backend", origin)
 		writeBody(w, http.StatusOK, body)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
 	defer cancel()
-	res, err := f.do(ctx, http.MethodPost, "/v1/collect", pt.Key, pt.Canonical)
-	f.edgePut(admit, pt.Key, res, err)
+	res, err := f.do(ctx, http.MethodPost, "/v1/collect", key, canon)
+	f.edgePut(admit, key, res, err)
 	f.finishProxy(w, res, err)
 }
 
-// decodeCollect strictly decodes and canonicalizes a collect body.
-func decodeCollect(body io.Reader) (hwgc.SweepPoint, error) {
+// decodeCollect strictly decodes and canonicalizes a collect body into its
+// content key and canonical bytes.
+func decodeCollect(body io.Reader) (key string, canon []byte, err error) {
 	var req hwgc.CollectRequest
-	err := plan.DecodeStrict(body, &req)
-	var canon []byte
+	err = plan.DecodeStrict(body, &req)
 	if err == nil {
 		canon, err = req.CanonicalJSON()
 	}
 	if err != nil {
-		return hwgc.SweepPoint{}, fmt.Errorf("invalid request: %w", err)
+		return "", nil, fmt.Errorf("invalid request: %w", err)
 	}
-	return hwgc.SweepPoint{Key: hwgc.KeyBytes(canon), Canonical: canon}, nil
+	return hwgc.KeyBytes(canon), canon, nil
 }
 
 // writeBody writes a buffered reply with its Content-Length, so it goes

@@ -151,34 +151,45 @@ func (sr sweepRunner) RunPoint(ctx context.Context, class string, index int, p h
 	}
 }
 
+// cancelRetryTimeouts bounds, in request timeouts, how long a sweep
+// point's cancel is retried while its owner gives no answer.
+const cancelRetryTimeouts = 3
+
 // CancelJob DELETEs the point's job at its owner under the standard
-// retry/failover policy, and keeps retrying on the poll interval until the
-// owner answers authoritatively (cancelled, already terminal, or unknown):
-// a cancel that is lost would leave a queued job that later burns a runner.
-// Only the fleet closing stops it; a cancel given up then is counted in
+// retry/failover policy. It runs in its own goroutine, so an owner that
+// does not answer holds back no other point's cancel. A lost cancel would
+// leave a queued job that later burns a runner, so a DELETE without an
+// authoritative answer (cancelled, already terminal, or unknown) is retried
+// on the poll interval for up to cancelRetryTimeouts request timeouts, or
+// until the fleet closes. A cancel given up is counted in
 // gcfleet_exhausted_total.
 func (sr sweepRunner) CancelJob(key string) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	f := sr.f
+	f.wg.Add(1)
 	go func() {
-		select {
-		case <-sr.f.stop:
-			cancel()
-		case <-ctx.Done():
+		defer f.wg.Done()
+		ctx, cancel := context.WithTimeout(context.Background(), cancelRetryTimeouts*f.opts.Timeout)
+		defer cancel()
+		go func() {
+			select {
+			case <-f.stop:
+				cancel()
+			case <-ctx.Done():
+			}
+		}()
+		for {
+			dctx, dcancel := context.WithTimeout(ctx, f.opts.Timeout)
+			_, err := f.do(dctx, http.MethodDelete, "/v1/jobs/"+key, key, nil)
+			dcancel()
+			if err == nil {
+				return
+			}
+			if f.sleep(ctx, f.opts.SweepPoll) != nil {
+				f.metrics.exhausted.Add(1)
+				return
+			}
 		}
 	}()
-	for {
-		dctx, dcancel := context.WithTimeout(ctx, sr.f.opts.Timeout)
-		_, err := sr.f.do(dctx, http.MethodDelete, "/v1/jobs/"+key, key, nil)
-		dcancel()
-		if err == nil {
-			return
-		}
-		if sr.f.sleep(ctx, sr.f.opts.SweepPoll) != nil {
-			sr.f.metrics.exhausted.Add(1)
-			return
-		}
-	}
 }
 
 // handleSweeps serves POST /v1/sweeps at the fleet: plan locally, fan the

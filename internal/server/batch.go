@@ -71,7 +71,7 @@ func (s *Server) runBatchItem(r *http.Request, sem chan struct{}, i int, it *hwg
 		return hwgc.BatchItemResult{Index: i, Key: key, Status: http.StatusBadRequest,
 			Error: "scale exceeds server limit"}
 	}
-	body, _, err := s.runItem(r.Context(), sem, it.Sweep, pts)
+	body, _, err := s.runItem(r.Context(), sem, it, pts)
 	if err != nil {
 		code, msg := s.executeStatus(err)
 		return hwgc.BatchItemResult{Index: i, Key: key, Status: code, Error: msg}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -16,9 +15,9 @@ import (
 	"hwgc/internal/plan"
 )
 
-// MaxBodyBytes bounds single-request bodies on both tiers; inline plans are
-// the only large payloads and 8 MiB of JSON is already a ~100k-object graph.
-const MaxBodyBytes = 8 << 20
+// maxBodyBytes bounds request bodies; inline plans are the only large
+// payloads and 8 MiB of JSON is already a ~100k-object graph.
+const maxBodyBytes = 8 << 20
 
 // errorBody is the JSON error envelope every non-2xx response carries.
 type errorBody struct {
@@ -67,7 +66,7 @@ func (s *Server) instrument(path string, observeLatency bool, h func(http.Respon
 
 // decodeJSON strictly decodes the request body into v.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := plan.DecodeStrict(r.Body, v); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return false
@@ -140,7 +139,7 @@ func (s *Server) executeStatus(err error) (int, string) {
 // The body is the collect's own, or the sweep's assembled from its points
 // in core order; cached reports whether every point was a cache hit. On
 // failure the error is that of the first failing point in core order.
-func (s *Server) runItem(ctx context.Context, sem chan struct{}, sweep *hwgc.SweepRequest, pts []hwgc.SweepPoint) (body []byte, cached bool, err error) {
+func (s *Server) runItem(ctx context.Context, sem chan struct{}, it *hwgc.BatchItem, pts []hwgc.SweepPoint) (body []byte, cached bool, err error) {
 	bodies := make([][]byte, len(pts))
 	hits := make([]bool, len(pts))
 	errs := make([]error, len(pts))
@@ -166,10 +165,10 @@ func (s *Server) runItem(ctx context.Context, sem chan struct{}, sweep *hwgc.Swe
 		}
 		cached = cached && hits[i]
 	}
-	if sweep == nil {
+	if it.Sweep == nil {
 		return bodies[0], cached, nil
 	}
-	body, err = sweep.ResponseBody(bodies)
+	body, err = it.Sweep.ResponseBody(bodies)
 	return body, cached, err
 }
 
@@ -181,68 +180,40 @@ func writeResult(w http.ResponseWriter, key, cacheState string, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// handleCollect serves POST /v1/collect. The body goes through the body
-// memo: a byte-identical repeat of an accepted body skips decoding and
-// canonicalization, and any other body is decoded by decodeCollect.
 func (s *Server) handleCollect(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/v1/collect", true, func(w http.ResponseWriter, r *http.Request) {
-		if !requirePost(w, r) {
-			return
-		}
-		pt, err := s.memo.ReadCollect(w, r, s.decodeCollect)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		s.serveItem(w, r, pt.Key, nil, []hwgc.SweepPoint{pt})
+		var req hwgc.CollectRequest
+		s.serveItem(w, r, &req, &hwgc.BatchItem{Collect: &req})
 	})(w, r)
-}
-
-// decodeCollect strictly decodes and canonicalizes a collect body and
-// applies the MaxScale admission check, so the memo only holds bodies this
-// server accepts.
-func (s *Server) decodeCollect(body io.Reader) (hwgc.SweepPoint, error) {
-	var req hwgc.CollectRequest
-	if err := plan.DecodeStrict(body, &req); err != nil {
-		return hwgc.SweepPoint{}, fmt.Errorf("decoding request: %w", err)
-	}
-	canon, err := req.CanonicalJSON()
-	if err != nil {
-		return hwgc.SweepPoint{}, fmt.Errorf("invalid request: %w", err)
-	}
-	if s.opts.MaxScale > 0 && req.Scale > s.opts.MaxScale {
-		return hwgc.SweepPoint{}, fmt.Errorf("scale %d exceeds server limit %d", req.Scale, s.opts.MaxScale)
-	}
-	return hwgc.SweepPoint{Key: hwgc.KeyBytes(canon), Canonical: canon, Req: req}, nil
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/v1/sweep", true, func(w http.ResponseWriter, r *http.Request) {
 		var req hwgc.SweepRequest
-		if !requirePost(w, r) || !decodeJSON(w, r, &req) {
-			return
-		}
-		key, pts, err := (&hwgc.BatchItem{Sweep: &req}).Points() // canonicalizes req in place
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid request: %v", err)
-			return
-		}
-		if s.opts.MaxScale > 0 && req.Scale > s.opts.MaxScale {
-			writeError(w, http.StatusBadRequest, "scale %d exceeds server limit %d", req.Scale, s.opts.MaxScale)
-			return
-		}
-		s.serveItem(w, r, key, &req, pts)
+		s.serveItem(w, r, &req, &hwgc.BatchItem{Sweep: &req})
 	})(w, r)
 }
 
-// serveItem serves the two single-request POST endpoints: it runs a
-// collect (sweep nil) or a sweep as its collect points under one request
-// deadline, so a sweep takes at most Workers queue slots however many
-// points it has.
-func (s *Server) serveItem(w http.ResponseWriter, r *http.Request, key string, sweep *hwgc.SweepRequest, pts []hwgc.SweepPoint) {
+// serveItem serves the two single-request POST endpoints: it decodes the
+// body into req, the collect or sweep of it, and runs it as its collect
+// points under one request deadline. A sweep thus takes at most Workers
+// queue slots however many points it has.
+func (s *Server) serveItem(w http.ResponseWriter, r *http.Request, req any, it *hwgc.BatchItem) {
+	if !requirePost(w, r) || !decodeJSON(w, r, req) {
+		return
+	}
+	key, pts, err := it.Points() // canonicalizes req in place
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		return
+	}
+	if scale := pts[0].Req.Scale; s.opts.MaxScale > 0 && scale > s.opts.MaxScale {
+		writeError(w, http.StatusBadRequest, "scale %d exceeds server limit %d", scale, s.opts.MaxScale)
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
-	body, cached, err := s.runItem(ctx, make(chan struct{}, s.opts.Workers), sweep, pts)
+	body, cached, err := s.runItem(ctx, make(chan struct{}, s.opts.Workers), it, pts)
 	if err != nil {
 		code, msg := s.executeStatus(err)
 		if code == http.StatusTooManyRequests {

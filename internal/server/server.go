@@ -138,7 +138,6 @@ type Server struct {
 	opts    Options
 	metrics *Metrics
 	cache   *Cache
-	memo    *BodyMemo // raw /v1/collect body -> key and canonical bytes
 	mux     *http.ServeMux
 
 	// draining is closed when Shutdown begins.
@@ -168,7 +167,6 @@ func newServer(opts Options, run func(hwgc.CollectRequest) ([]byte, error)) (*Se
 		draining: make(chan struct{}),
 	}
 	s.cache = NewCache(s.opts.CacheEntries, s.opts.CacheBytes)
-	s.memo = NewBodyMemo(s.opts.CacheEntries, s.opts.CacheBytes)
 	classes, err := jobs.ParseClasses(s.opts.JobClasses)
 	if err != nil {
 		return nil, err
@@ -222,9 +220,6 @@ func (s *Server) Workers() int { return s.opts.Workers }
 
 // Cache exposes the result cache (for tests).
 func (s *Server) Cache() *Cache { return s.cache }
-
-// Memo exposes the /v1/collect body memo (for tests).
-func (s *Server) Memo() *BodyMemo { return s.memo }
 
 // Jobs exposes the job manager.
 func (s *Server) Jobs() *jobs.Manager { return s.jobs }
