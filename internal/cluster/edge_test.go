@@ -285,7 +285,7 @@ func TestEdgeCacheHitMatchesBackend(t *testing.T) {
 }
 
 // TestFleetDecodesLikeGCServed: the fleet rejects exactly what a backend
-// rejects, on each endpoint it decodes.
+// rejects, on each endpoint it decodes, with the same reply bytes.
 func TestFleetDecodesLikeGCServed(t *testing.T) {
 	_, backend := startJobsBackend(t)
 	f, err := New(Options{Backends: []string{backend.URL}, HealthInterval: -1, Timeout: 30 * time.Second})
@@ -312,8 +312,6 @@ func TestFleetDecodesLikeGCServed(t *testing.T) {
 	collect := `{"Bench":"jlisp","Config":{"Cores":2}}`
 	sweep := `{"Bench":"jlisp","Cores":[1,2],"Config":{}}`
 	space := `{"Space":{"Benches":["jlisp"],"Seeds":[5],"Base":{},"Axes":[{"Field":"Cores","Values":[1]}]}}`
-	// Rows whose replies must also be byte-identical on both tiers.
-	sameBody := map[string]bool{"sweep trailing newline": true, "sweep invalid core count": true, "job sweep body": true}
 	for _, tc := range []struct {
 		name, path, body string
 		want             int
@@ -345,7 +343,9 @@ func TestFleetDecodesLikeGCServed(t *testing.T) {
 		if direct != tc.want || via != direct {
 			t.Errorf("%s: fleet status %d, gcserved status %d, want both %d", tc.name, via, direct, tc.want)
 		}
-		if sameBody[tc.name] && !bytes.Equal(viaBody, directBody) {
+		// An accepted sweep's reply carries its submission time, so only
+		// its status can match.
+		if tc.want != http.StatusAccepted && !bytes.Equal(viaBody, directBody) {
 			t.Errorf("%s: fleet body %s, gcserved body %s", tc.name, viaBody, directBody)
 		}
 	}

@@ -90,14 +90,15 @@ func (f *Fleet) handleCollect(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeCollect strictly decodes and canonicalizes a collect body into its
-// content key and canonical bytes.
+// content key and canonical bytes. Its errors are worded as gcserved words
+// them: "decoding request" for a body that does not decode, "invalid
+// request" for one that does not canonicalize.
 func decodeCollect(body io.Reader) (key string, canon []byte, err error) {
 	var req hwgc.CollectRequest
-	err = plan.DecodeStrict(body, &req)
-	if err == nil {
-		canon, err = req.CanonicalJSON()
+	if err := plan.DecodeStrict(body, &req); err != nil {
+		return "", nil, fmt.Errorf("decoding request: %w", err)
 	}
-	if err != nil {
+	if canon, err = req.CanonicalJSON(); err != nil {
 		return "", nil, fmt.Errorf("invalid request: %w", err)
 	}
 	return hwgc.KeyBytes(canon), canon, nil
@@ -124,11 +125,11 @@ func (f *Fleet) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req hwgc.SweepRequest
-	err := plan.DecodeStrict(r.Body, &req)
-	var pts []hwgc.SweepPoint
-	if err == nil {
-		pts, err = req.Points()
+	if err := plan.DecodeStrict(r.Body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return
 	}
+	pts, err := req.Points()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return

@@ -204,7 +204,7 @@ func (f *Fleet) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		Class string `json:",omitempty"`
 	}
 	if err := plan.DecodeStrict(r.Body, &body); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if body.Space == nil {

@@ -321,20 +321,35 @@ func TestOracleMatchesReferenceOnWorkload(t *testing.T) {
 	}
 }
 
+// corruptionSeeds is the seed corpus of the corruption fuzz targets. Its
+// heap has five objects at 1, 5, 10, 15 and 19 (alloc 22) in the space
+// [1, 257), wired 0→1, 1→{2,3}, 2→1, 3→{4,nil}; object 0 is the root.
+// Pointer slots, in address order, are at 3, 7, 8, 12, 17 and 18.
+var corruptionSeeds = func() []struct {
+	data []byte
+	c    corruption
+} {
+	heap := []byte{0x85, 0x06, 0x09, 0x02, 0x04, 0x00, 1, 2, 3, 1, 4, 5}
+	return []struct {
+		data []byte
+		c    corruption
+	}{
+		{heap, corruption{0, 0, 2}},          // interior pointer
+		{heap, corruption{0, 1, 22}},         // pointer at alloc
+		{heap, corruption{0, 5, 0xFFFFFFFF}}, // pointer past memory
+		{heap, corruption{1, 0, 300}},        // root in the other space
+		{heap, corruption{2, 2, 0}},          // mark bit
+		{heap, corruption{3, 4, 0}},          // gray bit
+	}
+}()
+
 // FuzzSnapshotCorruption builds a small heap from the fuzz bytes through the
 // heap API, applies one corruption, and checks that Snapshot and
 // CheckIntegrity neither panic nor disagree with their references.
 func FuzzSnapshotCorruption(f *testing.F) {
-	// Five objects at 1, 5, 10, 15 and 19 (alloc 22) in the space [1, 257),
-	// wired 0→1, 1→{2,3}, 2→1, 3→{4,nil}; object 0 is the root. Pointer
-	// slots, in address order, are at 3, 7, 8, 12, 17 and 18.
-	seed := []byte{0x85, 0x06, 0x09, 0x02, 0x04, 0x00, 1, 2, 3, 1, 4, 5}
-	f.Add(seed, uint8(0), uint16(0), uint32(2))          // interior pointer
-	f.Add(seed, uint8(0), uint16(1), uint32(22))         // pointer at alloc
-	f.Add(seed, uint8(0), uint16(5), uint32(0xFFFFFFFF)) // pointer past memory
-	f.Add(seed, uint8(1), uint16(0), uint32(300))        // root in the other space
-	f.Add(seed, uint8(2), uint16(2), uint32(0))          // mark bit
-	f.Add(seed, uint8(3), uint16(4), uint32(0))          // gray bit
+	for _, s := range corruptionSeeds {
+		f.Add(s.data, s.c.kind, s.c.target, s.c.addr)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, kind uint8, target uint16, addr uint32) {
 		h := fuzzHeap(data)
 		if !(corruption{kind, target, addr}).apply(h) {
@@ -344,6 +359,142 @@ func FuzzSnapshotCorruption(f *testing.F) {
 			t.Fatal(msg)
 		}
 	})
+}
+
+// refEqual is Graph.Equal as it was written before Matches shared its
+// checks, kept as the reference the in-place comparison must agree with.
+func refEqual(g, o *Graph) error {
+	if len(g.Roots) != len(o.Roots) {
+		return fmt.Errorf("gcalgo: root count differs: %d vs %d", len(g.Roots), len(o.Roots))
+	}
+	for i := range g.Roots {
+		if g.Roots[i] != o.Roots[i] {
+			return fmt.Errorf("gcalgo: root %d differs: node %d vs %d", i, g.Roots[i], o.Roots[i])
+		}
+	}
+	if len(g.Nodes) != len(o.Nodes) {
+		return fmt.Errorf("gcalgo: node count differs: %d vs %d", len(g.Nodes), len(o.Nodes))
+	}
+	for i := range g.Nodes {
+		a, b := &g.Nodes[i], &o.Nodes[i]
+		if a.Pi != b.Pi || a.Delta != b.Delta {
+			return fmt.Errorf("gcalgo: node %d shape differs: (π=%d,δ=%d) vs (π=%d,δ=%d)", i, a.Pi, a.Delta, b.Pi, b.Delta)
+		}
+		for j := range a.Ptrs {
+			if a.Ptrs[j] != b.Ptrs[j] {
+				return fmt.Errorf("gcalgo: node %d pointer %d differs: %d vs %d", i, j, a.Ptrs[j], b.Ptrs[j])
+			}
+		}
+		for j := range a.Data {
+			if a.Data[j] != b.Data[j] {
+				return fmt.Errorf("gcalgo: node %d data %d differs: %#x vs %#x", i, j, a.Data[j], b.Data[j])
+			}
+		}
+	}
+	return nil
+}
+
+// refMatches is the two-graph comparison VerifyCollection made before it
+// compared in place, built from the map-based reference walk and the
+// reference Equal, so it shares no code with Matches.
+func refMatches(g *Graph, h *heap.Heap) error {
+	after, err := refSnapshot(h)
+	if err != nil {
+		return err
+	}
+	return refEqual(g, after)
+}
+
+// refVerifyCollection is VerifyCollection by way of refMatches.
+func refVerifyCollection(before *Graph, h *heap.Heap) error {
+	if err := h.CheckIntegrity(); err != nil {
+		return err
+	}
+	if err := refMatches(before, h); err != nil {
+		return err
+	}
+	want := h.Base(h.CurSpace()) + object.Addr(before.LiveWords())
+	if h.AllocPtr() != want {
+		return fmt.Errorf("gcalgo: imperfect compaction: alloc pointer %d, want %d (live words %d)",
+			h.AllocPtr(), want, before.LiveWords())
+	}
+	return nil
+}
+
+// verifyAgrees reports how VerifyCollection, Matches and Equal of before
+// against h differ from their two-graph references, or "" if every error
+// text is the same.
+func verifyAgrees(before *Graph, h *heap.Heap) string {
+	if got, want := errText(VerifyCollection(before, h)), errText(refVerifyCollection(before, h)); got != want {
+		return fmt.Sprintf("VerifyCollection error %q, reference %q", got, want)
+	}
+	if got, want := errText(before.Matches(h)), errText(refMatches(before, h)); got != want {
+		return fmt.Sprintf("Matches error %q, reference %q", got, want)
+	}
+	if after, err := Snapshot(h); err == nil {
+		if got, want := errText(before.Equal(after)), errText(refEqual(before, after)); got != want {
+			return fmt.Sprintf("Equal error %q, reference %q", got, want)
+		}
+	}
+	return ""
+}
+
+// FuzzVerifyInPlace: on a fuzz heap, uncollected and after a reference
+// collection, with one corruption and, when flip is set, one data word
+// changed, the in-place oracle returns exactly the error of the two-graph
+// one (refVerifyCollection). Each corrupted heap is checked against the clean heap's graph, and,
+// when it still has a graph, that graph is checked against the clean
+// collected heap, so root, node-count, shape, pointer and data differences
+// all occur.
+func FuzzVerifyInPlace(f *testing.F) {
+	for _, s := range corruptionSeeds {
+		f.Add(s.data, s.c.kind, s.c.target, s.c.addr, uint16(0))
+		f.Add(s.data, s.c.kind, s.c.target, s.c.addr, uint16(3))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, kind uint8, target uint16, addr uint32, flip uint16) {
+		h := fuzzHeap(data)
+		before, err := Snapshot(h)
+		if err != nil {
+			t.Fatalf("fuzz heap has no graph: %v", err)
+		}
+		collected := h.Clone()
+		if _, _, err := Collect(collected); err != nil {
+			t.Fatal(err)
+		}
+		for _, clean := range []*heap.Heap{h, collected} {
+			if msg := verifyAgrees(before, clean); msg != "" {
+				t.Fatalf("clean heap: %s", msg)
+			}
+			x := clean.Clone()
+			(corruption{kind, target, addr}).apply(x)
+			if flip != 0 {
+				flipData(x, int(flip))
+			}
+			if msg := verifyAgrees(before, x); msg != "" {
+				t.Fatalf("corrupted heap: %s", msg)
+			}
+			if g, err := Snapshot(x); err == nil {
+				if msg := verifyAgrees(g, collected); msg != "" {
+					t.Fatalf("corrupted graph against the collected heap: %s", msg)
+				}
+			}
+		}
+	})
+}
+
+// flipData changes one data word of h's current space, the n-th (mod the
+// count) in address order; a heap without data words is left intact.
+func flipData(h *heap.Heap, n int) {
+	var slots []object.Addr
+	h.Objects(h.CurSpace(), h.AllocPtr(), func(b object.Addr, w object.Word) bool {
+		for i := 0; i < object.Delta(w); i++ {
+			slots = append(slots, object.DataSlot(b, object.Pi(w), i))
+		}
+		return true
+	})
+	if len(slots) > 0 {
+		h.Mem()[slots[n%len(slots)]] ^= 0x5a
+	}
 }
 
 // fuzzHeap builds a heap of up to 32 objects from data. Each leading byte up

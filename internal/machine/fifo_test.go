@@ -91,8 +91,47 @@ func TestFIFOStorageReclaim(t *testing.T) {
 				t.Fatal("lost entry")
 			}
 		}
-		if len(f.Entries) != 0 || f.head != 0 {
-			t.Fatalf("storage not reclaimed after drain: len=%d head=%d", len(f.Entries), f.head)
+		// A drained ring restarts at its front and keeps its storage,
+		// which is twice the deepest occupancy at most.
+		if f.Len() != 0 || f.head != 0 || len(f.Entries) > 2*100 {
+			t.Fatalf("storage not reclaimed after drain: len=%d head=%d ring=%d", f.Len(), f.head, len(f.Entries))
 		}
+	}
+}
+
+// TestFIFORingWrapsInOrder: interleaved pushes and pops wrap the ring many
+// times, and growth while wrapped keeps FIFO order; the ring never exceeds
+// the capacity, even when pushes overflow it.
+func TestFIFORingWrapsInOrder(t *testing.T) {
+	const capacity = 200
+	f := newHeaderFIFO(capacity, false)
+	var want []uint32 // the buffered addresses, head first
+	next := uint32(1)
+	for step := 0; step < 20000; step++ {
+		// Bursts of up to 7 pushes against up to 5 pops grow the ring to
+		// its capacity and then overflow it.
+		for i := 0; i < step%8; i++ {
+			dropped := f.Push(next, uint64(next)*3)
+			if dropped != (len(want) >= capacity) {
+				t.Fatalf("step %d: push dropped=%v at occupancy %d", step, dropped, len(want))
+			}
+			if !dropped {
+				want = append(want, next)
+			}
+			next++
+		}
+		for i := 0; i < step%6 && len(want) > 0; i++ {
+			hdr, ok := f.PopIf(want[0])
+			if !ok || hdr != uint64(want[0])*3 {
+				t.Fatalf("step %d: pop %d: ok=%v hdr=%d", step, want[0], ok, hdr)
+			}
+			want = want[1:]
+		}
+		if f.Len() != len(want) || len(f.Entries) > capacity {
+			t.Fatalf("step %d: len %d want %d, ring %d", step, f.Len(), len(want), len(f.Entries))
+		}
+	}
+	if f.Drops == 0 || f.MaxDepth != capacity {
+		t.Fatalf("drops=%d maxDepth=%d: the FIFO never filled", f.Drops, f.MaxDepth)
 	}
 }

@@ -101,7 +101,10 @@ func (m *Machine) Snapshot() (*State, error) {
 		st.Cores[i] = m.coreBuf[i].CoreState
 	}
 	st.FIFO = m.fifo.FIFOState
-	st.FIFO.Entries = append([]FIFOEntryState(nil), m.fifo.Entries[m.fifo.head:]...)
+	st.FIFO.Entries = nil
+	if m.fifo.n > 0 {
+		st.FIFO.Entries = m.fifo.live(make([]FIFOEntryState, m.fifo.n))
+	}
 	st.HeaderCache = m.hc.HeaderCacheState
 	st.HeaderCache.Lines = append([]HeaderCacheLineState(nil), m.hc.Lines...)
 	if m.strides != nil {
@@ -195,6 +198,7 @@ func RestoreMachine(st *State) (*Machine, error) {
 	}
 	m.fifo.FIFOState = st.FIFO
 	m.fifo.Entries = append([]FIFOEntryState(nil), st.FIFO.Entries...)
+	m.fifo.head, m.fifo.n = 0, len(st.FIFO.Entries)
 
 	if len(st.HeaderCache.Lines) != len(m.hc.Lines) {
 		return nil, fmt.Errorf("machine: snapshot header cache has %d lines, config builds %d",

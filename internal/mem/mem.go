@@ -325,19 +325,30 @@ func (r *storeRing) at(i int) *StoreReq {
 	return &r.buf[p]
 }
 
-// Per-address pending-header-store counters (Memory.hdrCnt): the comparator
-// array of the store scheduler needs, per address, how many header stores
-// are waiting in a write-behind queue (low 16 bits) and how many have been
-// accepted but not yet committed (high 16 bits). A flat array indexed by
-// word address makes every probe a single load; both halves drain back to
-// zero as the stores commit, and the addresses touched by an aborted
-// collection are re-zeroed from a dirty list (hdrDirty), so the array never
-// needs a full clear.
+// The comparator array's pending-store counters (Memory.hdrCnt, and under
+// the cache model Memory.stCnt) are fixed-size arrays of cntSlots counters
+// indexed by a hash of the word address, not one counter per heap word: the
+// hardware compares an address only with the few requests in flight, and
+// the scheduler's state should scale the same way. A slot counts the pending
+// stores of every address that hashes to it, so a zero slot proves that no
+// store to the address is pending — one load of a small array, the common
+// case — and a non-zero slot is resolved by an exact scan of the store
+// queues and the in-flight list, which together hold every pending store.
+// A hdrCnt slot packs the header stores waiting in a write-behind queue (low
+// 32 bits) and those accepted but not yet committed (high 32 bits); both
+// halves drain back to zero as the stores commit, and AttachCores clears the
+// arrays after an aborted collection, so they never need a per-word clear.
 const (
+	cntBits           = 12
+	cntSlots          = 1 << cntBits
 	hdrCntQueuedOne   = 1       // one queued header store
-	hdrCntInflightOne = 1 << 16 // one accepted, uncommitted header store
-	hdrCntQueuedMask  = 1<<16 - 1
+	hdrCntInflightOne = 1 << 32 // one accepted, uncommitted header store
+	hdrCntQueuedMask  = 1<<32 - 1
 )
+
+// cntSlot hashes a word address to its counter slot (Fibonacci hashing, so
+// nearby and power-of-two-strided addresses spread over the slots).
+func cntSlot(a object.Addr) uint32 { return uint32(a) * 0x9E3779B1 >> (32 - cntBits) }
 
 // intRing is a fixed-capacity FIFO of small integers (the load-completion
 // queue; capacity 2 entries per core bounds it).
@@ -391,11 +402,11 @@ type Memory struct {
 	// Derived occupancy counters, maintained incrementally so the per-cycle
 	// Tick can skip whole phases (and the machine's fast-forward can test
 	// quiescence) without scanning every buffer.
-	unaccepted    int     // issued requests not yet accepted (loads + queued stores)
-	storeQueued   int     // stores waiting in some core's write-behind queue
-	validLoads    int     // occupied load buffers (accepted or not, taken or not)
-	acceptedLoads int     // accepted loads whose data is not yet ready
-	hdrCnt        []int32 // pending header stores per address, len(data)
+	unaccepted    int              // issued requests not yet accepted (loads + queued stores)
+	storeQueued   int              // stores waiting in some core's write-behind queue
+	validLoads    int              // occupied load buffers (accepted or not, taken or not)
+	acceptedLoads int              // accepted loads whose data is not yet ready
+	hdrCnt        [cntSlots]uint64 // pending header stores per address slot
 
 	// waiting has one bit per port (1<<port) for every core with a request
 	// awaiting acceptance, so arbitration skips idle cores with one load.
@@ -442,7 +453,7 @@ type Memory struct {
 	l2             []CacheLineState   // shared, l2Sets*l2Ways lines
 	lruTick        int64
 	mshrInUse      int
-	stCnt          []int32 // pending stores per address (cache model only)
+	stCnt          [cntSlots]uint32 // pending stores per address slot (cache model only)
 
 	// extraComp holds the completion rings of the non-DRAM-local classes,
 	// indexed by class-1. Allocated only when hier is set.
@@ -499,9 +510,7 @@ func New(data []object.Word, cfg Config) *Memory {
 	}
 	if m.l1Sets > 0 {
 		m.l2 = make([]CacheLineState, m.l2Sets*m.l2Ways)
-		m.stCnt = make([]int32, len(data))
 	}
-	m.hdrCnt = make([]int32, len(data))
 	return m
 }
 
@@ -571,34 +580,13 @@ func (m *Memory) bankReady(a object.Addr, claim bool) bool {
 // Buffer and queue storage is reused across collection cycles of a reused
 // machine, so a steady-state mutator run does not allocate here.
 func (m *Memory) AttachCores(n int) {
-	// In a completed collection every pending header store drained, taking
-	// its hdrCnt entry back to zero. After an aborted one, the non-zero
-	// entries correspond exactly to the still-queued and the accepted but
-	// uncommitted header stores, so re-zero those before discarding the
-	// queues.
-	if m.storeQueued > 0 {
-		for i := range m.storeQ {
-			q := &m.storeQ[i][0] // storeIdx(HeaderStore) == 0
-			for j := 0; j < q.n; j++ {
-				m.hdrCnt[q.at(j).Addr] = 0
-			}
-			if m.stCnt != nil {
-				for j := range m.storeQ[i] {
-					q := &m.storeQ[i][j]
-					for k := 0; k < q.n; k++ {
-						m.stCnt[q.at(k).Addr] = 0
-					}
-				}
-			}
-		}
-	}
-	for _, s := range m.inflight[m.inflightHead:] {
-		if s.Header {
-			m.hdrCnt[s.Addr] = 0
-		}
-		if m.stCnt != nil {
-			m.stCnt[s.Addr] = 0
-		}
+	// In a completed collection every pending store drained, taking its
+	// counter slots back to zero. After an aborted one, the non-zero slots
+	// count exactly the still-queued and the accepted but uncommitted
+	// stores, which are discarded below.
+	if m.storeQueued > 0 || m.inflightHead < len(m.inflight) {
+		clear(m.hdrCnt[:])
+		clear(m.stCnt[:])
 	}
 
 	if cap(m.bufs) >= n {
@@ -776,7 +764,7 @@ func (m *Memory) IssueLoad(core int, port Port, addr object.Addr) bool {
 		// A pending store to the same address forces the load to memory so
 		// it observes the committed value's timing (and, for headers, the
 		// comparator array); the tags are not consulted.
-		bypass := m.stCnt[addr] != 0
+		bypass := m.storePending(addr)
 		if !bypass {
 			if cls, hit := m.cacheLookup(core, addr); hit {
 				lat := int64(HitLatencyL1)
@@ -878,10 +866,10 @@ func (m *Memory) IssueStore(core int, port Port, addr object.Addr, w object.Word
 	m.waiting[core] |= 1 << port
 	m.waitMask[core>>6] |= 1 << (core & 63)
 	if port == HeaderStore {
-		m.hdrCnt[addr] += hdrCntQueuedOne
+		m.hdrCnt[cntSlot(addr)] += hdrCntQueuedOne
 	}
-	if m.stCnt != nil {
-		m.stCnt[addr]++
+	if m.l1Sets > 0 {
+		m.stCnt[cntSlot(addr)]++
 	}
 	m.stats.TotalRequests++
 	return true
@@ -903,8 +891,8 @@ func (m *Memory) StoreBufferFree(core int, port Port) bool {
 // store is still buffered, and without this rule the gray header could
 // commit last.
 func (m *Memory) headerStoreOrderedBefore(addr object.Addr, seq int64) bool {
-	if m.hdrCnt[addr]&hdrCntQueuedMask < 2 {
-		return false // the probe itself is the only queued header store to addr
+	if m.hdrCnt[cntSlot(addr)]&hdrCntQueuedMask < 2 {
+		return false // the probe itself is the only queued header store to its slot
 	}
 	for i, w := range m.waiting {
 		if w&(1<<HeaderStore) == 0 {
@@ -924,7 +912,48 @@ func (m *Memory) headerStoreOrderedBefore(addr object.Addr, seq int64) bool {
 // either waiting in a store buffer or accepted but not yet committed. While
 // it is, the comparator array delays header loads from the same address.
 func (m *Memory) headerStorePending(addr object.Addr) bool {
-	return m.hdrCnt[addr] != 0
+	c := m.hdrCnt[cntSlot(addr)]
+	if c == 0 {
+		return false
+	}
+	return c&hdrCntQueuedMask != 0 && m.queuedStore(addr, 1<<HeaderStore) ||
+		c>>32 != 0 && m.inflightStore(addr, true)
+}
+
+// storePending reports whether any store to addr is pending, queued or in
+// flight: the cache model's load bypass.
+func (m *Memory) storePending(addr object.Addr) bool {
+	if m.stCnt[cntSlot(addr)] == 0 {
+		return false
+	}
+	return m.queuedStore(addr, 1<<HeaderStore|1<<BodyStore) || m.inflightStore(addr, false)
+}
+
+// queuedStore reports whether a store to addr waits in the write-behind
+// queue of some core, on the store ports in the waiting-bit mask ports.
+func (m *Memory) queuedStore(addr object.Addr, ports uint8) bool {
+	for i, w := range m.waiting {
+		for w &= ports; w != 0; w &= w - 1 {
+			q := &m.storeQ[i][storeIdx(Port(bits.TrailingZeros8(w)))]
+			for j := 0; j < q.n; j++ {
+				if q.at(j).Addr == addr {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// inflightStore reports whether a store to addr (a header store, when
+// header is set) has been accepted but not yet committed.
+func (m *Memory) inflightStore(addr object.Addr, header bool) bool {
+	for i := m.inflightHead; i < len(m.inflight); i++ {
+		if s := &m.inflight[i]; s.Addr == addr && (s.Header || !header) {
+			return true
+		}
+	}
+	return false
 }
 
 // commitDue commits the prefix of in-flight stores whose latency has
@@ -940,10 +969,10 @@ func (m *Memory) commitDue() {
 		s := &m.inflight[h]
 		m.data[s.Addr] = s.Data
 		if s.Header {
-			m.hdrCnt[s.Addr] -= hdrCntInflightOne
+			m.hdrCnt[cntSlot(s.Addr)] -= hdrCntInflightOne
 		}
-		if m.stCnt != nil {
-			m.stCnt[s.Addr]--
+		if m.l1Sets > 0 {
+			m.stCnt[cntSlot(s.Addr)]--
 		}
 		h++
 	}
@@ -1050,7 +1079,7 @@ func (m *Memory) commitFlat() {
 		s := &m.inflight[h]
 		m.data[s.Addr] = s.Data
 		if s.Header {
-			m.hdrCnt[s.Addr] -= hdrCntInflightOne
+			m.hdrCnt[cntSlot(s.Addr)] -= hdrCntInflightOne
 		}
 		h++
 	}
@@ -1184,7 +1213,7 @@ func (m *Memory) acceptCore(ci int, budget *int) bool {
 			}
 			if p == HeaderStore {
 				// The queued store becomes an accepted, uncommitted one.
-				m.hdrCnt[s.Addr] += hdrCntInflightOne - hdrCntQueuedOne
+				m.hdrCnt[cntSlot(s.Addr)] += hdrCntInflightOne - hdrCntQueuedOne
 			}
 			q.pop()
 			if q.n == 0 {
@@ -1227,7 +1256,7 @@ func (m *Memory) acceptCoreFlat(ci int, budget *int) bool {
 					continue
 				}
 				// The queued store becomes an accepted, uncommitted one.
-				m.hdrCnt[s.Addr] += hdrCntInflightOne - hdrCntQueuedOne
+				m.hdrCnt[cntSlot(s.Addr)] += hdrCntInflightOne - hdrCntQueuedOne
 			}
 			m.inflight = append(m.inflight, InflightStore{
 				Addr:   s.Addr,
@@ -1297,7 +1326,7 @@ func (m *Memory) domainReady(ci int, addr object.Addr, claim bool) bool {
 // in-flight one, preserving the comparator array's issue-order guarantee
 // when domain penalties give the two stores different latencies.
 func (m *Memory) insertInflight(st InflightStore) {
-	if st.Header && m.hdrCnt[st.Addr]>>16 > 0 {
+	if st.Header && m.hdrCnt[cntSlot(st.Addr)]>>32 > 0 {
 		for i := m.inflightHead; i < len(m.inflight); i++ {
 			if f := &m.inflight[i]; f.Header && f.Addr == st.Addr && f.DoneAt > st.DoneAt {
 				st.DoneAt = f.DoneAt

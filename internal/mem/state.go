@@ -16,7 +16,7 @@ import (
 // pointer, per-core buffers and queues, the in-flight split transactions,
 // and the load-completion order. The derived occupancy counters
 // (unaccepted, storeQueued, validLoads, acceptedLoads, mshrInUse), the
-// per-address store counters (hdrCnt, stCnt) and the waiting bitmaps
+// hashed pending-store counters (hdrCnt, stCnt) and the waiting bitmaps
 // (waiting, waitMask) are all recomputed from it on restore, so a snapshot
 // cannot encode an inconsistent scheduler.
 
@@ -122,7 +122,8 @@ func (m *Memory) CaptureState() *State {
 
 // RestoreState overwrites the scheduler's state from a captured state and
 // rebuilds every derived counter. AttachCores must have been called for the
-// same core count first (it has zeroed hdrCnt and sized the buffers).
+// same core count first (it has zeroed the store counters and sized the
+// buffers).
 func (m *Memory) RestoreState(st *State) error {
 	if st == nil {
 		return fmt.Errorf("mem: nil state")
@@ -273,10 +274,10 @@ func (m *Memory) RestoreState(st *State) error {
 			m.unaccepted++
 			m.storeQueued++
 			if header {
-				m.hdrCnt[s.Addr] += hdrCntQueuedOne
+				m.hdrCnt[cntSlot(s.Addr)] += hdrCntQueuedOne
 			}
-			if m.stCnt != nil {
-				m.stCnt[s.Addr]++
+			if m.l1Sets > 0 {
+				m.stCnt[cntSlot(s.Addr)]++
 			}
 		}
 	}
@@ -311,10 +312,10 @@ func (m *Memory) RestoreState(st *State) error {
 	m.inflight = append(m.inflight, st.Inflight...)
 	for _, s := range st.Inflight {
 		if s.Header {
-			m.hdrCnt[s.Addr] += hdrCntInflightOne
+			m.hdrCnt[cntSlot(s.Addr)] += hdrCntInflightOne
 		}
-		if m.stCnt != nil {
-			m.stCnt[s.Addr]++
+		if m.l1Sets > 0 {
+			m.stCnt[cntSlot(s.Addr)]++
 		}
 	}
 	restoreRing := func(r *intRing, comp []int64) {
