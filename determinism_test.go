@@ -18,11 +18,12 @@ import (
 
 // collectBoth builds the workload twice from the same seed and collects one
 // copy with fast-forwarding (and load-wait micro-sleep) enabled and the
-// other fully stepped. It returns both Stats and the fast-forwarding
-// machine's jump telemetry.
+// other fully stepped. It fails the test unless the two final heap images —
+// every word and every root — are identical, and returns both Stats and the
+// fast-forwarding machine's jump telemetry.
 func collectBoth(t *testing.T, bench string, scale int, seed int64, cfg Config) (ff, stepped Stats, jumps, skipped int64) {
 	t.Helper()
-	run := func(noFF bool) (Stats, int64, int64) {
+	run := func(noFF bool) (Stats, *Heap, int64, int64) {
 		h, err := BuildWorkload(bench, scale, seed)
 		if err != nil {
 			t.Fatalf("BuildWorkload(%s): %v", bench, err)
@@ -37,14 +38,39 @@ func collectBoth(t *testing.T, bench string, scale int, seed int64, cfg Config) 
 			t.Fatalf("Collect (NoFastForward=%v): %v", noFF, err)
 		}
 		j, s := m.FastForwardStats()
-		return st, j, s
+		return st, h, j, s
 	}
-	ff, jumps, skipped = run(false)
-	stepped, steppedJumps, _ := run(true)
+	ff, ffHeap, jumps, skipped := run(false)
+	stepped, steppedHeap, steppedJumps, _ := run(true)
 	if steppedJumps != 0 {
 		t.Fatalf("NoFastForward run still performed %d jumps", steppedJumps)
 	}
+	checkSameHeap(t, ffHeap, steppedHeap)
 	return ff, stepped, jumps, skipped
+}
+
+// checkSameHeap fails the test at the first word or root where the
+// fast-forwarded heap image differs from the stepped one.
+func checkSameHeap(t *testing.T, ff, stepped *Heap) {
+	t.Helper()
+	a, b := ff.Mem(), stepped.Mem()
+	if len(a) != len(b) {
+		t.Fatalf("fast-forwarded heap has %d words, stepped %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("fast-forwarded vs stepped heap: word %d is %#x, want %#x", i, a[i], b[i])
+		}
+	}
+	ra, rb := ff.Roots(), stepped.Roots()
+	if len(ra) != len(rb) {
+		t.Fatalf("fast-forwarded heap has %d roots, stepped %d", len(ra), len(rb))
+	}
+	for i := range ra {
+		if ra[i] != rb[i] {
+			t.Fatalf("fast-forwarded vs stepped heap: root %d is %d, want %d", i, ra[i], rb[i])
+		}
+	}
 }
 
 // checkIdentical fails the test with a per-field diff when the two Stats are
@@ -116,7 +142,8 @@ func TestBarrierModeDeterminism(t *testing.T) {
 // machinery interacts with the dead-cycle classification: added memory
 // latency (long stall windows), stride mode (scan-lock stalls while the
 // stride table fills), header cache, a tiny FIFO (frequent fallback header
-// loads), and the DRAM bank model (arbitration skips).
+// loads), the DRAM bank model (arbitration skips), and the edges of load
+// sleep at acceptance.
 func TestFastForwardDeterminismConfigs(t *testing.T) {
 	variants := []struct {
 		name string
@@ -131,6 +158,14 @@ func TestFastForwardDeterminismConfigs(t *testing.T) {
 		{"numa", Config{NUMADomains: 4, NUMARemotePenalty: 30}},
 		{"numa-local", Config{NUMADomains: 4, NUMAPlacement: PlacementLocal}},
 		{"numa-banks", Config{NUMADomains: 2, NUMABandwidth: 2, MemBanks: 4}},
+		// The edges of sleep at acceptance (Machine.sleepAccepted): a load
+		// accepted cycles after it was issued, a latency at which d <= 1
+		// and no core may sleep, a one-entry store queue, and a remote
+		// penalty that gives loads of one cycle two completion times.
+		{"bandwidth-1", Config{MemBandwidth: 1}},
+		{"latency-1", Config{MemLatency: 1}},
+		{"store-queue-1", Config{MemStoreQueueDepth: 1}},
+		{"extra-latency-numa-banks", Config{ExtraMemLatency: 20, MemBanks: 4, NUMADomains: 2}},
 	}
 	for _, v := range variants {
 		for _, cores := range []int{1, 4, 16} {

@@ -101,9 +101,10 @@ func TestElasticChaosE2E(t *testing.T) {
 	victimTS := backends[0]
 
 	// Build the job mix: one-core jlisp collects at scale 2 (about 61k
-	// simulated cycles each) are long enough to still be in flight when
-	// the chaos hits. At least four of them are owned by the victim, so the
-	// kill is guaranteed to strand work that only rescue/migration can save.
+	// simulated cycles, 30 checkpoints each). The first four are owned by
+	// the victim, so the kill strands work that only rescue/migration can
+	// save; they run at scale 4, twice as long, so that they are still in
+	// flight at the kill (see the wait below).
 	type chaosJob struct {
 		id       string
 		syncPath string
@@ -111,8 +112,8 @@ func TestElasticChaosE2E(t *testing.T) {
 		submit   []byte
 	}
 	var jobsList []chaosJob
-	mkCollect := func(seed int64) chaosJob {
-		req := hwgc.CollectRequest{Bench: "jlisp", Scale: 2, Seed: seed, Config: hwgc.Config{Cores: 1}}
+	mkCollect := func(seed int64, scale int) chaosJob {
+		req := hwgc.CollectRequest{Bench: "jlisp", Scale: scale, Seed: seed, Config: hwgc.Config{Cores: 1}}
 		canon, err := req.CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +127,7 @@ func TestElasticChaosE2E(t *testing.T) {
 	}
 	victimOwned := 0
 	for seed := int64(1); victimOwned < 4 && seed < 10000; seed++ {
-		j := mkCollect(seed)
+		j := mkCollect(seed, 4)
 		if f.primaryFor(j.id) == victim {
 			jobsList = append(jobsList, j)
 			victimOwned++
@@ -136,7 +137,7 @@ func TestElasticChaosE2E(t *testing.T) {
 		t.Fatal("could not find victim-owned collect seeds")
 	}
 	for seed := int64(10001); len(jobsList) < 10; seed++ {
-		jobsList = append(jobsList, mkCollect(seed))
+		jobsList = append(jobsList, mkCollect(seed, 2))
 	}
 
 	for i, j := range jobsList {
@@ -157,8 +158,34 @@ func TestElasticChaosE2E(t *testing.T) {
 	}
 
 	// Let the runners get into the work, then unleash the chaos: a new
-	// backend joins through the admin API, and the victim dies hard.
-	time.Sleep(100 * time.Millisecond)
+	// backend joins through the admin API, and the victim dies hard. The
+	// wait is on the victim's state, not a fixed time: it ends as soon as
+	// the victim has checkpointed one of its own jobs. Its two runners
+	// start two of them together and queue the other two behind them, and
+	// each is about 60 checkpoints long, so the join and the check below
+	// run long before any of the four can finish.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		started := false
+		for _, j := range jobsList[:4] {
+			res, err := client.Get(victimTS.URL + "/v1/jobs/" + j.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var info jobs.Info
+			err = json.NewDecoder(res.Body).Decode(&info)
+			res.Body.Close()
+			if err != nil {
+				t.Fatalf("victim job %s: %v", j.id[:12], err)
+			}
+			started = started || info.Cycle > 0
+		}
+		if started {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the victim checkpointed none of its jobs")
+		}
+	}
 	joinBody, _ := json.Marshal(addBackendBody{URL: joiner.URL})
 	jres, jbody := post(fleet.URL+"/v1/admin/backends", joinBody)
 	if jres.StatusCode != http.StatusCreated {

@@ -84,7 +84,8 @@ type CoreState struct {
 
 	// First machine cycle at which a load-wait step can make progress; the
 	// cycle loop skips the core's step while m.cycle < SleepUntil (the
-	// skipped cycles' stall counts were added up front, see stallOnLoad).
+	// skipped cycles' stall counts were added up front, see
+	// Machine.sleepAccepted).
 	SleepUntil int64
 
 	Stats CoreStats
@@ -119,9 +120,9 @@ func (c *core) step() {
 		c.issueScanHdr()
 
 	case sScanHdrWait:
-		hdr, doneAt, ok := c.m.mem.PollLoad(c.id, mem.HeaderLoad)
+		hdr, _, ok := c.m.mem.PollLoad(c.id, mem.HeaderLoad)
 		if !ok {
-			c.stallOnLoad(doneAt, &c.Stats.HeaderLoadStall)
+			c.Stats.HeaderLoadStall++
 			return
 		}
 		c.m.hc.Update(c.m.sb.Scan(), hdr)
@@ -131,9 +132,9 @@ func (c *core) step() {
 		c.issuePtrLoad()
 
 	case sPtrLoadWait:
-		w, doneAt, ok := c.m.mem.PollLoad(c.id, mem.BodyLoad)
+		w, _, ok := c.m.mem.PollLoad(c.id, mem.BodyLoad)
 		if !ok {
-			c.stallOnLoad(doneAt, &c.Stats.BodyLoadStall)
+			c.Stats.BodyLoadStall++
 			return
 		}
 		c.ChildPtr = object.Addr(w)
@@ -144,9 +145,9 @@ func (c *core) step() {
 		c.issueChildPeek()
 
 	case sChildPeekWait:
-		hdr, doneAt, ok := c.m.mem.PollLoad(c.id, mem.HeaderLoad)
+		hdr, _, ok := c.m.mem.PollLoad(c.id, mem.HeaderLoad)
 		if !ok {
-			c.stallOnLoad(doneAt, &c.Stats.HeaderLoadStall)
+			c.Stats.HeaderLoadStall++
 			return
 		}
 		// Note: unlike the locked header read, the peek result must NOT be
@@ -165,9 +166,9 @@ func (c *core) step() {
 		c.issueChildHdr()
 
 	case sChildHdrWait:
-		hdr, doneAt, ok := c.m.mem.PollLoad(c.id, mem.HeaderLoad)
+		hdr, _, ok := c.m.mem.PollLoad(c.id, mem.HeaderLoad)
 		if !ok {
-			c.stallOnLoad(doneAt, &c.Stats.HeaderLoadStall)
+			c.Stats.HeaderLoadStall++
 			return
 		}
 		c.m.hc.Update(c.ChildPtr, hdr)
@@ -189,9 +190,9 @@ func (c *core) step() {
 		c.issueDataLoad()
 
 	case sDataWait:
-		w, doneAt, ok := c.m.mem.PollLoad(c.id, mem.BodyLoad)
+		w, _, ok := c.m.mem.PollLoad(c.id, mem.BodyLoad)
 		if !ok {
-			c.stallOnLoad(doneAt, &c.Stats.BodyLoadStall)
+			c.Stats.BodyLoadStall++
 			return
 		}
 		c.DataWord = w
@@ -219,27 +220,16 @@ func (c *core) step() {
 	}
 }
 
-// stallOnLoad accounts one stalled cycle waiting on a load port; doneAt is
-// the load's completion cycle as reported by PollLoad (0 while it awaits
-// acceptance). Once the load has been accepted its completion cycle is
-// fixed, so the core's remaining stall cycles are known: they are added to
-// the counter up front and the core sleeps — the cycle loop skips its step —
-// until the cycle the data becomes visible. The accounting is arithmetic
-// identical to stepping through every waiting cycle; like the event-driven
-// fast-forward it is disabled under a Probe, a concurrent mutator, or
-// NoFastForward (m.microSleep).
-func (c *core) stallOnLoad(doneAt int64, counter *int64) {
-	*counter++
-	if doneAt > 0 && c.m.microSleep {
-		// The memory clock has not ticked for this machine cycle yet, so the
-		// load completes during the tick of machine cycle c.m.cycle+d-1 and
-		// the step of cycle c.m.cycle+d consumes it; the d waiting cycles are
-		// c.m.cycle .. c.m.cycle+d-1, of which one is counted above.
-		if d := doneAt - c.m.mem.Cycle(); d > 1 {
-			*counter += d - 1
-			c.SleepUntil = c.m.cycle + d
-		}
-	}
+// waitsOnHeaderLoad reports whether the core's step polls its header load
+// buffer.
+func (c *core) waitsOnHeaderLoad() bool {
+	return c.St == sScanHdrWait || c.St == sChildPeekWait || c.St == sChildHdrWait
+}
+
+// waitsOnBodyLoad reports whether the core's step polls its body load
+// buffer.
+func (c *core) waitsOnBodyLoad() bool {
+	return c.St == sPtrLoadWait || c.St == sDataWait
 }
 
 // stepRoots processes one root slot per cycle. Core 1 accesses the main

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"math/bits"
 
 	"hwgc/internal/mem"
 )
@@ -42,6 +43,11 @@ import (
 // Anything else — a core that could acquire a lock, take a ready load, or
 // make any other transition — vetoes the jump for that cycle; the loop then
 // steps normally, which is always correct.
+//
+// Most dead cores are asleep on a load (Machine.sleepAccepted): their stall
+// was added up front and their wake cycle is SleepUntil. The machine keeps
+// them out of its awake set, so a jump attempt classifies only the awake
+// cores and bounds the jump by the earliest sleeper's wake (ffPlan).
 
 // ffStall classifies what a dead core accumulates per skipped cycle.
 type ffStall uint8
@@ -60,10 +66,13 @@ const (
 // be released by another core's progress).
 const ffInfinity = int64(math.MaxInt64)
 
-// deadCore reports whether core c's next steps are provably dead, and if so
-// which counter it accumulates per skipped cycle and after how many further
-// cycles (relative to now) its step first makes progress. A wakeIn of
-// ffInfinity means the core only wakes through another core's transition.
+// deadCore reports whether awake core c's next steps are provably dead, and
+// if so which counter it accumulates per skipped cycle and after how many
+// further cycles (relative to now) its step first makes progress. A wakeIn
+// of ffInfinity means the core only wakes through another core's
+// transition. A sleeping core is always dead: it accumulates nothing (its
+// stall cycles were added when it went to sleep) and wakes at SleepUntil,
+// so ffPlan takes the sleepers' bound from Machine.nextWake instead.
 func (m *Machine) deadCore(c *core) (kind ffStall, wakeIn int64, dead bool) {
 	switch c.St {
 	case sDone:
@@ -104,12 +113,8 @@ func (m *Machine) deadCore(c *core) (kind ffStall, wakeIn int64, dead bool) {
 		return ffScanLock, ffInfinity, true
 
 	case sScanHdrWait, sChildPeekWait, sChildHdrWait:
-		if c.SleepUntil > m.cycle {
-			// Sleeping: the stall cycles through SleepUntil-1 were already
-			// added when the core went to sleep (core.stallOnLoad), so the
-			// jump must not add them again.
-			return ffNone, c.SleepUntil - m.cycle, true
-		}
+		// The core is awake, so its load was accepted with at most one
+		// cycle to go, or micro-sleep is off.
 		if doneAt, ok := m.mem.LoadPending(c.id, mem.HeaderLoad); ok {
 			// Completion at doneAt (memory clock) is observed by the step
 			// one cycle later.
@@ -118,9 +123,6 @@ func (m *Machine) deadCore(c *core) (kind ffStall, wakeIn int64, dead bool) {
 		return 0, 0, false
 
 	case sPtrLoadWait, sDataWait:
-		if c.SleepUntil > m.cycle {
-			return ffNone, c.SleepUntil - m.cycle, true
-		}
 		if doneAt, ok := m.mem.LoadPending(c.id, mem.BodyLoad); ok {
 			return ffBodyLoad, doneAt - m.mem.Cycle() + 1, true
 		}
@@ -145,52 +147,70 @@ func (m *Machine) deadCore(c *core) (kind ffStall, wakeIn int64, dead bool) {
 	return 0, 0, false
 }
 
-// fastForward attempts one event-driven jump at the end of the current
-// cycle. It is a no-op unless the whole machine is dead; then it advances
-// the clock to one cycle before the next wake-up event, accumulating every
-// skipped cycle's counters exactly as the stepped loop would have.
-func (m *Machine) fastForward(maxCycles, scanEnd int64, emptyCycles *int64) {
+// ffPlan decides the jump fastForward takes at the end of the current
+// cycle: 0 unless the whole machine is dead. counted marks the cores the
+// jump accounts for — a per-cycle stall counter, whose kind it leaves in
+// m.ffKinds, or a startup countdown.
+//
+// Only the awake cores are classified. The sleepers are dead, add nothing
+// per skipped cycle, and the earliest of them wakes at m.nextWake(), so the
+// decision is the one a walk over every core would reach.
+func (m *Machine) ffPlan(maxCycles, scanEnd int64) (jump int64, counted uint64) {
 	if !m.mem.Quiescent() {
-		return
+		return 0, 0
 	}
 	wakeIn := ffInfinity
-	for i, c := range m.cores {
+	if w := m.nextWake(); w != ffInfinity {
+		wakeIn = w - m.cycle
+	}
+	for s := m.awake; s != 0; s &= s - 1 {
+		i := bits.TrailingZeros64(s)
+		c := &m.coreBuf[i]
 		kind, w, dead := m.deadCore(c)
 		if !dead {
-			return
+			return 0, 0
 		}
-		m.ffKinds[i] = kind
-		if w < wakeIn {
-			wakeIn = w
+		if kind != ffNone || c.St == sStartup {
+			m.ffKinds[i] = kind
+			counted |= 1 << i
 		}
+		wakeIn = min(wakeIn, w)
 	}
 	if scanEnd >= 0 {
 		// Every core has terminated; the loop exits on the cycle the store
 		// pipeline drains, so that cycle must run normally.
 		if d := m.mem.LastInflightDoneAt(); d > 0 {
-			if w := d - m.mem.Cycle(); w < wakeIn {
-				wakeIn = w
-			}
+			wakeIn = min(wakeIn, d-m.mem.Cycle())
 		}
 	}
 	if wakeIn == ffInfinity {
 		// No event at all: a genuine livelock. Step normally into the
 		// MaxCycles guard rather than jumping blindly.
-		return
+		return 0, 0
 	}
-	jump := wakeIn - 1 // resume one full cycle before the event fires
+	jump = wakeIn - 1 // resume one full cycle before the event fires
 	if m.cycle+jump > maxCycles {
 		jump = maxCycles - m.cycle // preserve the livelock abort cycle
 	}
+	return jump, counted
+}
+
+// fastForward attempts one event-driven jump at the end of the current
+// cycle. It is a no-op unless the whole machine is dead; then it advances
+// the clock to one cycle before the next wake-up event, accumulating every
+// skipped cycle's counters exactly as the stepped loop would have.
+func (m *Machine) fastForward(maxCycles, scanEnd int64, emptyCycles *int64) {
+	jump, counted := m.ffPlan(maxCycles, scanEnd)
 	if jump <= 0 {
 		return
 	}
-
 	m.cycle += jump
 	m.mem.FastForwardBy(jump)
 	var scanConf, freeConf, hdrConf int64
 	sawEmpty := false
-	for i, c := range m.cores {
+	for s := counted; s != 0; s &= s - 1 {
+		i := bits.TrailingZeros64(s)
+		c := &m.coreBuf[i]
 		switch m.ffKinds[i] {
 		case ffHeaderLoad:
 			c.Stats.HeaderLoadStall += jump

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hwgc/internal/heap"
 	"hwgc/internal/mem"
@@ -38,8 +39,7 @@ type Machine struct {
 	// is the mark-termination latency reported in concurrent mode.
 	lastWork int64
 
-	cores         []*core
-	coreBuf       []core // backing storage for cores, reused across Collects
+	coreBuf       []core // the cores, reused across Collects
 	doneCount     int    // cores in sDone (they never leave it)
 	cycle         int64
 	fifoDrops     int64
@@ -62,9 +62,17 @@ type Machine struct {
 	ffSkipped int64
 	// microSleep allows individual cores waiting on an accepted load to
 	// pre-account their stall cycles and skip their steps until the data
-	// arrives (core.stallOnLoad). Gated exactly like fastForward, and
+	// arrives (sleepAccepted). Gated exactly like fastForward, and
 	// computed once per Collect.
 	microSleep bool
+	// awake has bit i set for every core i whose step the cycle loop runs:
+	// SleepUntil <= cycle. The other cores sleep, and sleepQ holds them in
+	// wake order — by SleepUntil, ties in the order they fell asleep — as
+	// a ring of sleepN entries from sleepHead; wakeDue pops the due ones.
+	awake     uint64
+	sleepQ    [MaxCores]wakeEntry
+	sleepHead int
+	sleepN    int
 
 	// probes holds the observers registered via AddProbe, invoked in
 	// registration order after every cycle; the monitoring framework
@@ -78,6 +86,19 @@ type Machine struct {
 	// must not differ between the two modes.
 	NoFastForward bool
 }
+
+// wakeEntry is one sleeping core and the cycle it wakes at.
+type wakeEntry struct {
+	at   int64
+	core int
+}
+
+// The awake set is one word, and sleepQ's ring index wraps with a mask:
+// Validate keeps Cores within MaxCores, a power of two no larger than 64.
+const (
+	_ = uint64(1) << (MaxCores - 1)
+	_ = uint(-(MaxCores & (MaxCores - 1)))
+)
 
 // New creates a coprocessor over h.
 func New(h *heap.Heap, cfg Config) (*Machine, error) {
@@ -138,7 +159,7 @@ func (m *Machine) FIFODepth() int { return m.fifo.Len() }
 func (m *Machine) Cycle() int64 { return m.cycle }
 
 // CoreState returns a short description of core i's state (tracing).
-func (m *Machine) CoreState(i int) string { return coreStateName(m.cores[i].St) }
+func (m *Machine) CoreState(i int) string { return coreStateName(m.coreBuf[i].St) }
 
 // fail records a fatal simulation error; the cycle loop aborts on the next
 // iteration.
@@ -251,7 +272,6 @@ func (m *Machine) BeginCollect() {
 
 	if len(m.coreBuf) != m.cfg.Cores {
 		m.coreBuf = make([]core, m.cfg.Cores)
-		m.cores = make([]*core, m.cfg.Cores)
 		m.ffKinds = make([]ffStall, m.cfg.Cores)
 	}
 	for i := range m.coreBuf {
@@ -266,8 +286,8 @@ func (m *Machine) BeginCollect() {
 				c.InRoots = true
 			}
 		}
-		m.cores[i] = c
 	}
+	m.resetAwake()
 	m.doneCount = 0
 	m.ffJumps = 0
 	m.ffSkipped = 0
@@ -327,17 +347,19 @@ func (m *Machine) StepCycle() (done bool, err error) {
 			return false, m.err
 		}
 	}
-	cores := m.coreBuf
-	for i := range cores {
-		if c := &cores[i]; c.SleepUntil <= m.cycle {
-			c.step()
-		}
-		// else load-waiting: stalls pre-added by stallOnLoad.
+	if m.nextWake() <= m.cycle {
+		m.wakeDue()
+	}
+	// Sleeping cores are skipped: their stall cycles were added when they
+	// went to sleep. The awake cores step in ascending index order, which is
+	// the fixed arbitration order of the lock and barrier micro-operations.
+	for s := m.awake; s != 0; s &= s - 1 {
+		m.coreBuf[bits.TrailingZeros64(s)].step()
 	}
 	if m.err != nil {
 		return false, m.err
 	}
-	if m.scanStart < 0 && !m.cores[0].InRoots && m.cores[0].St != sStartup && m.cores[0].St != sRoots {
+	if c0 := &m.coreBuf[0]; m.scanStart < 0 && !c0.InRoots && c0.St != sStartup && c0.St != sRoots {
 		m.scanStart = m.cycle
 		m.mutStarted = true
 	}
@@ -345,6 +367,9 @@ func (m *Machine) StepCycle() (done bool, err error) {
 		m.emptyCycles++
 	}
 	m.mem.Tick()
+	if m.microSleep {
+		m.sleepAccepted()
+	}
 
 	if m.scanEnd < 0 && m.allDone() {
 		m.scanEnd = m.cycle
@@ -361,6 +386,91 @@ func (m *Machine) StepCycle() (done bool, err error) {
 		m.fastForward(m.maxCycles, m.scanEnd, &m.emptyCycles)
 	}
 	return false, nil
+}
+
+// sleepAccepted puts to sleep every waiting core whose load the memory Tick
+// of this cycle accepted. The load's completion cycle is fixed at
+// acceptance, so the core's remaining stall is known: it is added to the
+// counter now, and the cycle loop skips the core until the step that takes
+// the data. The memory clock equals m.cycle after the Tick and the load
+// completes in the tick of cycle doneAt, so the steps of cycles m.cycle+1
+// .. doneAt would each only count one stall cycle — d = doneAt − m.cycle of
+// them — and the step of cycle m.cycle+1+d takes the data. With d <= 1
+// there is no step to save, and the core keeps polling. The accounting is
+// arithmetic identical to stepping through every waiting cycle; like the
+// event-driven fast-forward it is off under a probe, a concurrent mutator,
+// the cache model or NoFastForward (m.microSleep), and a core then polls
+// its load every cycle.
+func (m *Machine) sleepAccepted() {
+	now := m.mem.Cycle()
+	for _, a := range m.mem.AcceptedLoads() {
+		d := a.DoneAt - now
+		if d <= 1 {
+			continue
+		}
+		// An issued load leaves its core in the matching wait state until
+		// the core takes the data; only such a core may skip its polls.
+		c := &m.coreBuf[a.Core]
+		switch {
+		case a.Port == mem.HeaderLoad && c.waitsOnHeaderLoad():
+			c.Stats.HeaderLoadStall += d
+		case a.Port == mem.BodyLoad && c.waitsOnBodyLoad():
+			c.Stats.BodyLoadStall += d
+		default:
+			continue
+		}
+		m.sleep(c, m.cycle+1+d)
+	}
+}
+
+// sleep removes c from the awake set until cycle until, inserting it into
+// sleepQ behind every sleeper that wakes no later. Under the flat memory
+// model every load has the same latency, so a new sleeper goes to the back.
+func (m *Machine) sleep(c *core, until int64) {
+	c.SleepUntil = until
+	m.awake &^= 1 << c.id
+	i := m.sleepN
+	for ; i > 0; i-- {
+		prev := &m.sleepQ[(m.sleepHead+i-1)&(MaxCores-1)]
+		if prev.at <= until {
+			break
+		}
+		m.sleepQ[(m.sleepHead+i)&(MaxCores-1)] = *prev
+	}
+	m.sleepQ[(m.sleepHead+i)&(MaxCores-1)] = wakeEntry{until, c.id}
+	m.sleepN++
+}
+
+// nextWake returns the earliest SleepUntil among the sleeping cores, or
+// ffInfinity when none sleeps.
+func (m *Machine) nextWake() int64 {
+	if m.sleepN == 0 {
+		return ffInfinity
+	}
+	return m.sleepQ[m.sleepHead].at
+}
+
+// wakeDue returns to the awake set every sleeper whose SleepUntil has been
+// reached.
+func (m *Machine) wakeDue() {
+	for m.nextWake() <= m.cycle {
+		m.awake |= 1 << m.sleepQ[m.sleepHead].core
+		m.sleepHead = (m.sleepHead + 1) & (MaxCores - 1)
+		m.sleepN--
+	}
+}
+
+// resetAwake rebuilds the awake set and sleepQ from the cores' SleepUntil
+// registers (BeginCollect and RestoreMachine).
+func (m *Machine) resetAwake() {
+	m.awake, m.sleepHead, m.sleepN = 0, 0, 0
+	for i := range m.coreBuf {
+		if c := &m.coreBuf[i]; c.SleepUntil > m.cycle {
+			m.sleep(c, c.SleepUntil)
+		} else {
+			m.awake |= 1 << i
+		}
+	}
 }
 
 // StepCycles advances the collection until at least n more clock cycles
@@ -413,7 +523,8 @@ func (m *Machine) FinishCollect() (Stats, error) {
 	if m.scanStart >= 0 && m.scanEnd >= m.scanStart {
 		st.ScanCycles = m.scanEnd - m.scanStart
 	}
-	for i, c := range m.cores {
+	for i := range m.coreBuf {
+		c := &m.coreBuf[i]
 		st.PerCore[i] = c.Stats
 		st.LiveObjects += c.Stats.ObjectsScanned
 	}

@@ -174,7 +174,6 @@ func RestoreMachine(st *State) (*Machine, error) {
 	}
 
 	m.coreBuf = make([]core, cfg.Cores)
-	m.cores = make([]*core, cfg.Cores)
 	m.ffKinds = make([]ffStall, cfg.Cores)
 	m.doneCount = 0
 	for i := range st.Cores {
@@ -190,7 +189,6 @@ func RestoreMachine(st *State) (*Machine, error) {
 		if c.St == sDone {
 			m.doneCount++
 		}
-		m.cores[i] = c
 	}
 
 	if !m.fifo.disabled && len(st.FIFO.Entries) > m.fifo.cap {
@@ -254,6 +252,7 @@ func RestoreMachine(st *State) (*Machine, error) {
 	m.scanOff = st.ScanOff
 	m.mutStarted = st.MutStarted
 	m.cycle = st.Cycle
+	m.resetAwake()
 	m.fifoDrops = st.FIFODrops
 	m.toLimit = h.Limit(h.OtherSpace())
 	m.maxCycles = st.MaxCycles

@@ -146,12 +146,12 @@ func TestSnapshotAdversarialCycles(t *testing.T) {
 	preds := map[string]func(m *Machine) bool{
 		"mid-barrier": func(m *Machine) bool {
 			arrived := 0
-			for _, c := range m.cores {
-				if c.St == sIdle {
+			for i := range m.coreBuf {
+				if m.coreBuf[i].St == sIdle {
 					arrived++
 				}
 			}
-			return arrived > 0 && arrived < len(m.cores)
+			return arrived > 0 && arrived < len(m.coreBuf)
 		},
 		"held-lock": func(m *Machine) bool {
 			if m.sb.ScanOwner() >= 0 || m.sb.FreeOwner() >= 0 {

@@ -243,6 +243,14 @@ type LoadBuffer struct {
 	DoneAt   int64
 }
 
+// LoadAccept records one load accepted by the controller: the core and load
+// port it belongs to and its completion cycle.
+type LoadAccept struct {
+	Core   int
+	Port   Port
+	DoneAt int64
+}
+
 // InflightStore is a store that has been accepted but not yet committed; it
 // is tracked so the comparator array can delay same-address header loads.
 // Because every store is accepted with the same latency, the inflight list
@@ -416,6 +424,12 @@ type Memory struct {
 	// arbitration loop jumps between waiting cores instead of scanning all
 	// of them.
 	waitMask []uint64
+
+	// tickAccepts lists the loads the current Tick accepted, in acceptance
+	// order. It is cleared at the start of every Tick and is not part of the
+	// snapshot state: the machine reads it right after the Tick (see
+	// AcceptedLoads).
+	tickAccepts []LoadAccept
 
 	// completions queues accepted classDRAM loads in acceptance order.
 	// Latency is uniform within a class, so this is also completion order:
@@ -649,6 +663,7 @@ func (m *Memory) AttachCores(n int) {
 	}
 	m.inflight = m.inflight[:0]
 	m.inflightHead = 0
+	m.tickAccepts = m.tickAccepts[:0]
 	m.rr = 0
 	m.unaccepted = 0
 	m.storeQueued = 0
@@ -797,6 +812,11 @@ func (m *Memory) IssueLoad(core int, port Port, addr object.Addr) bool {
 	m.stats.TotalRequests++
 	return true
 }
+
+// AcceptedLoads returns the loads the last Tick accepted from the cores'
+// load buffers, in acceptance order. Loads that complete at issue (cache
+// hits) are not listed. The slice is reused by the next Tick.
+func (m *Memory) AcceptedLoads() []LoadAccept { return m.tickAccepts }
 
 // LoadReady reports whether the load previously issued on core/port has
 // completed and its data may be taken.
@@ -1033,6 +1053,7 @@ func (m *Memory) drainRing(r *intRing) {
 // stores, complete due loads, then accept up to Bandwidth new requests.
 func (m *Memory) Tick() {
 	m.cycle++
+	m.tickAccepts = m.tickAccepts[:0]
 
 	m.settle()
 
@@ -1107,8 +1128,6 @@ func (m *Memory) drainFlat() {
 // waiting requests.
 func (m *Memory) accept(n int) {
 	budget := m.bw
-	anyAccepted := false
-	flat := m.flat
 	if m.domBudget != nil {
 		for i := range m.domBudget {
 			m.domBudget[i] = m.domBW
@@ -1117,12 +1136,9 @@ func (m *Memory) accept(n int) {
 	// Visit waiting cores in round-robin order starting at rr — the ranges
 	// [rr, n) then [0, rr) — jumping between set bits of waitMask rather
 	// than scanning every core.
-	for pass := 0; pass < 2 && budget > 0 && m.unaccepted > 0; pass++ {
-		lo, hi := m.rr, n
-		if pass == 1 {
-			lo, hi = 0, m.rr
-		}
-		for wi := lo >> 6; wi<<6 < hi && budget > 0 && m.unaccepted > 0; wi++ {
+	lo, hi := m.rr, n
+	for pass := 0; pass < 2; pass++ {
+		for wi := lo >> 6; wi<<6 < hi; wi++ {
 			word := m.waitMask[wi]
 			if base := wi << 6; base < lo {
 				word &= ^uint64(0) << (lo - base)
@@ -1130,20 +1146,22 @@ func (m *Memory) accept(n int) {
 			if rem := hi - wi<<6; rem < 64 {
 				word &= 1<<rem - 1
 			}
-			for word != 0 && budget > 0 && m.unaccepted > 0 {
+			for ; word != 0; word &= word - 1 {
 				ci := wi<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				var ok bool
-				if flat {
-					ok = m.acceptCoreFlat(ci, &budget)
+				if m.flat {
+					budget = m.acceptCoreFlat(ci, budget)
 				} else {
-					ok = m.acceptCore(ci, &budget)
+					budget = m.acceptCore(ci, budget)
 				}
-				anyAccepted = anyAccepted || ok
+				if budget == 0 || m.unaccepted == 0 {
+					goto tally
+				}
 			}
 		}
+		lo, hi = 0, m.rr
 	}
-	if anyAccepted {
+tally:
+	if budget < m.bw {
 		m.stats.BusyCycles++
 	}
 	if budget == 0 {
@@ -1155,14 +1173,13 @@ func (m *Memory) accept(n int) {
 }
 
 // acceptCore tries to accept core ci's waiting requests, ports in fixed
-// order, decrementing *budget per acceptance. It reports whether anything was
-// accepted.
-func (m *Memory) acceptCore(ci int, budget *int) bool {
-	accepted := false
+// order, spending one unit of budget per acceptance. It returns the budget
+// left.
+func (m *Memory) acceptCore(ci int, budget int) int {
 	// Jump between waiting ports; ascending bit order is the fixed port
 	// priority. The local copy also skips requests whose bit is cleared
 	// mid-loop (each port is attempted at most once per cycle either way).
-	for w := m.waiting[ci]; w != 0 && *budget > 0; w &= w - 1 {
+	for w := m.waiting[ci]; w != 0 && budget > 0; w &= w - 1 {
 		p := Port(bits.TrailingZeros8(w))
 		if p.IsLoad() {
 			b := &m.bufs[ci][p]
@@ -1184,6 +1201,7 @@ func (m *Memory) acceptCore(ci int, budget *int) bool {
 			m.acceptedLoads++
 			m.clearWaiting(ci, p)
 			m.ring(b.Class).push(b.DoneAt<<16 | int64(ci)<<1 | int64(p>>1)) // HeaderLoad=0, BodyLoad=1
+			m.tickAccepts = append(m.tickAccepts, LoadAccept{ci, p, b.DoneAt})
 		} else {
 			q := &m.storeQ[ci][storeIdx(p)]
 			s := q.front()
@@ -1223,17 +1241,15 @@ func (m *Memory) acceptCore(ci int, budget *int) bool {
 			m.storeQueued--
 		}
 		m.stats.Accepted[p]++
-		*budget--
-		accepted = true
+		budget--
 	}
-	return accepted
+	return budget
 }
 
 // acceptCoreFlat is acceptCore on a flat configuration: every request is
 // a DRAM access of uniform latency, with no bank or domain to wait for.
-func (m *Memory) acceptCoreFlat(ci int, budget *int) bool {
-	accepted := false
-	for w := m.waiting[ci]; w != 0 && *budget > 0; w &= w - 1 {
+func (m *Memory) acceptCoreFlat(ci int, budget int) int {
+	for w := m.waiting[ci]; w != 0 && budget > 0; w &= w - 1 {
 		p := Port(bits.TrailingZeros8(w))
 		if p.IsLoad() {
 			b := &m.bufs[ci][p]
@@ -1247,6 +1263,7 @@ func (m *Memory) acceptCoreFlat(ci int, budget *int) bool {
 			m.acceptedLoads++
 			m.clearWaiting(ci, p)
 			m.completions.push(b.DoneAt<<16 | int64(ci)<<1 | int64(p>>1)) // HeaderLoad=0, BodyLoad=1
+			m.tickAccepts = append(m.tickAccepts, LoadAccept{ci, p, b.DoneAt})
 		} else {
 			q := &m.storeQ[ci][storeIdx(p)]
 			s := q.front()
@@ -1272,10 +1289,9 @@ func (m *Memory) acceptCoreFlat(ci int, budget *int) bool {
 			m.storeQueued--
 		}
 		m.stats.Accepted[p]++
-		*budget--
-		accepted = true
+		budget--
 	}
-	return accepted
+	return budget
 }
 
 // accessLatency returns the DRAM latency of core ci's access to addr and
