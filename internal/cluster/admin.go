@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+
+	"hwgc/internal/frontdoor"
 )
 
 // The admin API is the fleet's elastic-membership control plane:
@@ -77,12 +79,12 @@ func (f *Fleet) topology() topologyBody {
 }
 
 func (f *Fleet) writeTopology(w http.ResponseWriter, code int) {
-	writeJSON(w, code, f.topology())
+	frontdoor.WriteJSON(w, code, f.topology())
 }
 
 // handleAdminTopology serves GET /v1/admin/topology.
 func (f *Fleet) handleAdminTopology(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !frontdoor.RequireGet(w, r) {
 		return
 	}
 	f.writeTopology(w, http.StatusOK)
@@ -95,17 +97,17 @@ type addBackendBody struct {
 
 // handleAdminBackends serves POST /v1/admin/backends: health-gated join.
 func (f *Fleet) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
+	if !frontdoor.RequirePost(w, r) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, frontdoor.MaxBodyBytes)
 	var body addBackendBody
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
+		frontdoor.WriteError(w, http.StatusBadRequest, "invalid request: %v", err)
 		return
 	}
 	if body.URL == "" {
-		writeError(w, http.StatusBadRequest, "URL must be set")
+		frontdoor.WriteError(w, http.StatusBadRequest, "URL must be set")
 		return
 	}
 	_, _, err := f.AddBackend(body.URL)
@@ -114,11 +116,11 @@ func (f *Fleet) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 		f.goRebalance()
 		f.writeTopology(w, http.StatusCreated)
 	case errors.Is(err, ErrDuplicate):
-		writeError(w, http.StatusConflict, "%v", err)
+		frontdoor.WriteError(w, http.StatusConflict, "%v", err)
 	case errors.Is(err, ErrAdmission):
-		writeError(w, http.StatusBadGateway, "%v", err)
+		frontdoor.WriteError(w, http.StatusBadGateway, "%v", err)
 	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		frontdoor.WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 }
 
@@ -126,12 +128,12 @@ func (f *Fleet) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 func (f *Fleet) handleAdminBackendByID(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/admin/backends/")
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
+		frontdoor.WriteError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
 		return
 	}
 	if r.Method != http.MethodDelete {
 		w.Header().Set("Allow", http.MethodDelete)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires DELETE", r.URL.Path)
+		frontdoor.WriteError(w, http.StatusMethodNotAllowed, "%s requires DELETE", r.URL.Path)
 		return
 	}
 	_, err := f.RemoveBackend(id)
@@ -140,11 +142,11 @@ func (f *Fleet) handleAdminBackendByID(w http.ResponseWriter, r *http.Request) {
 		f.goRebalance()
 		f.writeTopology(w, http.StatusOK)
 	case errors.Is(err, ErrUnknownBackend):
-		writeError(w, http.StatusNotFound, "%v", err)
+		frontdoor.WriteError(w, http.StatusNotFound, "%v", err)
 	case errors.Is(err, ErrLastBackend):
-		writeError(w, http.StatusConflict, "%v", err)
+		frontdoor.WriteError(w, http.StatusConflict, "%v", err)
 	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		frontdoor.WriteError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
@@ -153,8 +155,8 @@ func (f *Fleet) handleAdminBackendByID(w http.ResponseWriter, r *http.Request) {
 // topology changes kick make this mostly an operator/testing convenience —
 // a deterministic "rebalance now and tell me what moved".
 func (f *Fleet) handleAdminRebalance(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
+	if !frontdoor.RequirePost(w, r) {
 		return
 	}
-	writeJSON(w, http.StatusOK, f.Rebalance(r.Context()))
+	frontdoor.WriteJSON(w, http.StatusOK, f.Rebalance(r.Context()))
 }

@@ -19,7 +19,7 @@ import (
 
 // startGCServed boots one real in-process gcserved behind an httptest
 // listener and returns both handles.
-func startGCServed(t *testing.T) (*server.Server, *httptest.Server) {
+func startGCServed(t testing.TB) (*server.Server, *httptest.Server) {
 	t.Helper()
 	s, err := server.New(server.Options{Workers: 2, Timeout: 30 * time.Second})
 	if err != nil {

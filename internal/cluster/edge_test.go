@@ -296,57 +296,28 @@ func TestFleetDecodesLikeGCServed(t *testing.T) {
 	fleet := httptest.NewServer(f.Handler())
 	defer fleet.Close()
 
-	status := func(url, body string) (int, []byte) {
-		t.Helper()
-		res, err := http.Post(url, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer res.Body.Close()
-		b, err := io.ReadAll(res.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.StatusCode, b
-	}
-	collect := `{"Bench":"jlisp","Config":{"Cores":2}}`
-	sweep := `{"Bench":"jlisp","Cores":[1,2],"Config":{}}`
-	space := `{"Space":{"Benches":["jlisp"],"Seeds":[5],"Base":{},"Axes":[{"Field":"Cores","Values":[1]}]}}`
-	for _, tc := range []struct {
+	type row struct {
 		name, path, body string
 		want             int
-	}{
-		{"collect unknown field", "/v1/collect", `{"Bench":"jlisp","Config":{},"Bogus":1}`, http.StatusBadRequest},
-		{"collect unknown nested field", "/v1/collect", `{"Bench":"javac","Config":{"Coress":16}}`, http.StatusBadRequest},
-		{"collect trailing value", "/v1/collect", collect + ` {}`, http.StatusBadRequest},
-		{"collect non-JSON", "/v1/collect", `nope`, http.StatusBadRequest},
-		{"collect trailing newline", "/v1/collect", collect + "\n", http.StatusOK},
-		{"sweep unknown field", "/v1/sweep", `{"Bench":"jlisp","Cores":[1],"Config":{},"Bogus":1}`, http.StatusBadRequest},
-		{"sweep unknown nested field", "/v1/sweep", `{"Bench":"jlisp","Cores":[1],"Config":{"Coress":16}}`, http.StatusBadRequest},
-		{"sweep trailing value", "/v1/sweep", sweep + ` {}`, http.StatusBadRequest},
-		{"sweep non-JSON", "/v1/sweep", `[`, http.StatusBadRequest},
-		{"sweep trailing newline", "/v1/sweep", sweep + "\n", http.StatusOK},
-		{"sweep invalid core count", "/v1/sweep", `{"Bench":"jlisp","Cores":[2,0],"Config":{}}`, http.StatusBadRequest},
-		{"job unknown field", "/v1/jobs", `{"Collect":` + collect + `,"Bogus":1}`, http.StatusBadRequest},
-		{"job unknown nested field", "/v1/jobs", `{"Collect":{"Bench":"javac","Config":{"Coress":16}}}`, http.StatusBadRequest},
-		{"job trailing value", "/v1/jobs", `{"Collect":` + collect + `} {}`, http.StatusBadRequest},
-		{"job non-JSON", "/v1/jobs", `nope`, http.StatusBadRequest},
-		{"job sweep body", "/v1/jobs", `{"Sweep":` + sweep + `}`, http.StatusBadRequest},
-		{"sweeps unknown field", "/v1/sweeps", strings.TrimSuffix(space, "}") + `,"Bogus":1}`, http.StatusBadRequest},
-		{"sweeps unknown nested field", "/v1/sweeps", `{"Space":{"Benches":["jlisp"],"Seedz":[5]}}`, http.StatusBadRequest},
-		{"sweeps trailing value", "/v1/sweeps", space + ` {}`, http.StatusBadRequest},
-		{"sweeps non-JSON", "/v1/sweeps", `nope`, http.StatusBadRequest},
-		{"sweeps trailing newline", "/v1/sweeps", space + "\n", http.StatusAccepted},
-	} {
-		direct, directBody := status(backend.URL+tc.path, tc.body)
-		via, viaBody := status(fleet.URL+tc.path, tc.body)
-		if direct != tc.want || via != direct {
-			t.Errorf("%s: fleet status %d, gcserved status %d, want both %d", tc.name, via, direct, tc.want)
+	}
+	rows := []row{
+		{"collect trailing newline", "/v1/collect", memoCollect + "\n", http.StatusOK},
+		{"sweep trailing newline", "/v1/sweep", memoSweep + "\n", http.StatusOK},
+		{"sweeps trailing newline", "/v1/sweeps", memoSpace + "\n", http.StatusAccepted},
+	}
+	for _, tc := range decodeRejects {
+		rows = append(rows, row{tc.name, tc.path, tc.body, http.StatusBadRequest})
+	}
+	for _, tc := range rows {
+		direct := frontPost(t, backend.URL+tc.path, tc.body)
+		via := frontPost(t, fleet.URL+tc.path, tc.body)
+		if direct.status != tc.want || via.status != direct.status {
+			t.Errorf("%s: fleet status %d, gcserved status %d, want both %d", tc.name, via.status, direct.status, tc.want)
 		}
 		// An accepted sweep's reply carries its submission time, so only
 		// its status can match.
-		if tc.want != http.StatusAccepted && !bytes.Equal(viaBody, directBody) {
-			t.Errorf("%s: fleet body %s, gcserved body %s", tc.name, viaBody, directBody)
+		if tc.want != http.StatusAccepted && !bytes.Equal(via.body, direct.body) {
+			t.Errorf("%s: fleet body %s, gcserved body %s", tc.name, via.body, direct.body)
 		}
 	}
 }

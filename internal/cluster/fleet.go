@@ -51,7 +51,9 @@ import (
 	"sync"
 	"time"
 
+	"hwgc"
 	"hwgc/internal/elastic"
+	"hwgc/internal/frontdoor"
 	"hwgc/internal/sweep"
 )
 
@@ -290,14 +292,28 @@ func New(opts Options) (*Fleet, error) {
 		ExportWait: opts.ExportWait,
 	}
 	f.sweeps = sweep.New(sweepRunner{f})
+	// A /v1/sweep or batch point is routed to its own owner, under that
+	// owner's semaphore: the front door adds no bound of its own.
+	door := &frontdoor.Door{
+		RunPoint:     f.runPoint,
+		WriteFailure: f.writeFailure,
+		ItemStatus:   f.itemStatus,
+		Timeout:      opts.Timeout,
+		OnBatch: func(resp *hwgc.BatchResponse) {
+			f.metrics.batchRequests.Add(1)
+			f.metrics.batchItems.Add(int64(len(resp.Items)))
+			f.metrics.batchFailed.Add(int64(resp.Failed))
+		},
+	}
+	sweeps := &frontdoor.Sweeps{Coord: f.sweeps, Stop: f.stop}
 	f.mux = http.NewServeMux()
 	f.mux.HandleFunc("/v1/collect", f.handleCollect)
-	f.mux.HandleFunc("/v1/sweep", f.handleSweep)
-	f.mux.HandleFunc("/v1/batch", f.handleBatch)
+	f.mux.HandleFunc("/v1/sweep", door.Sweep)
+	f.mux.HandleFunc("/v1/batch", door.Batch)
 	f.mux.HandleFunc("/v1/jobs", f.handleJobs)
 	f.mux.HandleFunc("/v1/jobs/", f.handleJobByID)
-	f.mux.HandleFunc("/v1/sweeps", f.handleSweeps)
-	f.mux.HandleFunc("/v1/sweeps/", f.handleSweepByID)
+	f.mux.HandleFunc("/v1/sweeps", sweeps.Submit)
+	f.mux.HandleFunc("/v1/sweeps/", sweeps.ByID)
 	f.mux.HandleFunc("/v1/workloads", f.handleWorkloads)
 	f.mux.HandleFunc("/v1/admin/backends", f.handleAdminBackends)
 	f.mux.HandleFunc("/v1/admin/backends/", f.handleAdminBackendByID)

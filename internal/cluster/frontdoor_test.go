@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"errors"
 	"io"
@@ -14,7 +15,9 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/frontdoor"
 	"hwgc/internal/plan"
+	"hwgc/internal/server"
 )
 
 // Request spellings shared by the front-door tests: the collect and sweep
@@ -25,7 +28,8 @@ const (
 	memoSpace   = `{"Space":{"Benches":["jlisp"],"Seeds":[5],"Base":{},"Axes":[{"Field":"Cores","Values":[1]}]}}`
 )
 
-// decodeRejects are the 400 rows of TestFleetDecodesLikeGCServed.
+// decodeRejects are the 400 rows of TestFleetDecodesLikeGCServed, and the
+// seeds of FuzzFrontDoorParity.
 var decodeRejects = []struct{ name, path, body string }{
 	{"collect unknown field", "/v1/collect", `{"Bench":"jlisp","Config":{},"Bogus":1}`},
 	{"collect unknown nested field", "/v1/collect", `{"Bench":"javac","Config":{"Coress":16}}`},
@@ -45,6 +49,11 @@ var decodeRejects = []struct{ name, path, body string }{
 	{"sweeps unknown nested field", "/v1/sweeps", `{"Space":{"Benches":["jlisp"],"Seedz":[5]}}`},
 	{"sweeps trailing value", "/v1/sweeps", memoSpace + ` {}`},
 	{"sweeps non-JSON", "/v1/sweeps", `nope`},
+	{"batch unknown field", "/v1/batch", `{"Items":[{"Collect":` + memoCollect + `}],"Bogus":1}`},
+	{"batch unknown nested field", "/v1/batch", `{"Items":[{"Collect":{"Bench":"javac","Config":{"Coress":16}}}]}`},
+	{"batch trailing value", "/v1/batch", `{"Items":[{"Collect":` + memoCollect + `}]} {}`},
+	{"batch non-JSON", "/v1/batch", `nope`},
+	{"batch no items", "/v1/batch", `{"Items":[]}`},
 }
 
 // frontReply is one HTTP exchange as the client saw it.
@@ -254,7 +263,7 @@ func TestOversizedCollectBody(t *testing.T) {
 	defer f.Close()
 	fleet := httptest.NewServer(f.Handler())
 	defer fleet.Close()
-	big := []byte(`{"Bench":"` + strings.Repeat("a", maxBodyBytes) + `"}`)
+	big := []byte(`{"Bench":"` + strings.Repeat("a", frontdoor.MaxBodyBytes) + `"}`)
 	const want = `{"Error":"decoding request: http: request body too large"}` + "\n"
 	for _, url := range []string{backend.URL, fleet.URL} {
 		for _, chunked := range []bool{false, true} {
@@ -354,4 +363,124 @@ func TestReadCollectReplaysReadError(t *testing.T) {
 			t.Errorf("%q: a body that failed to read was memoized", prefix)
 		}
 	}
+}
+
+// TestSweepsSubmitDuringShutdown: a /v1/sweeps submitted to a tier that is
+// shutting down is the same 503 on both tiers.
+func TestSweepsSubmitDuringShutdown(t *testing.T) {
+	s, backend := startJobsBackend(t)
+	f, err := New(Options{Backends: []string{backend.URL}, HealthInterval: -1, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := httptest.NewServer(f.Handler())
+	defer fleet.Close()
+	f.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"Error":"server is shutting down"}` + "\n"
+	for _, url := range []string{backend.URL, fleet.URL} {
+		if r := frontPost(t, url+"/v1/sweeps", memoSpace); r.status != http.StatusServiceUnavailable || string(r.body) != want {
+			t.Errorf("%s: %d %s, want 503 %s", url, r.status, r.body, want)
+		}
+	}
+}
+
+// TestFleetBatchItemCarriesBackendError: a batch item whose point the
+// backend rejects reads the same through the fleet as straight from the
+// backend: the backend's own status and error text.
+func TestFleetBatchItemCarriesBackendError(t *testing.T) {
+	s, err := server.New(server.Options{Workers: 1, MaxScale: 4, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := httptest.NewServer(s.Handler())
+	defer func() {
+		backend.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	}()
+	f, err := New(Options{Backends: []string{backend.URL}, HealthInterval: -1, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fleet := httptest.NewServer(f.Handler())
+	defer fleet.Close()
+
+	const batch = `{"Items":[{"Collect":{"Bench":"jlisp","Scale":8,"Config":{}}},{"Collect":` + memoCollect + `}]}`
+	var items [2][]hwgc.BatchItemResult
+	for i, url := range []string{backend.URL, fleet.URL} {
+		r := frontPost(t, url+"/v1/batch", batch)
+		br, err := hwgc.DecodeBatchResponse(bytes.NewReader(r.body))
+		if r.status != http.StatusMultiStatus || err != nil || len(br.Items) != 2 {
+			t.Fatalf("%s: status %d (%v): %s", url, r.status, err, r.body)
+		}
+		items[i] = br.Items
+	}
+	for i := range items[0] {
+		direct, via := items[0][i], items[1][i]
+		if via.Status != direct.Status || via.Error != direct.Error {
+			t.Errorf("item %d: fleet %d %q, gcserved %d %q", i, via.Status, via.Error, direct.Status, direct.Error)
+		}
+	}
+	if got := items[1][0]; got.Status != http.StatusBadRequest || got.Error != "scale 8 exceeds server limit 4" {
+		t.Errorf("over-scale item %d %q, want 400 and the backend's limit", got.Status, got.Error)
+	}
+}
+
+// accepted reports whether body is a request path runs: it decodes
+// strictly and, but for a batch, canonicalizes into collect points.
+func accepted(path string, body []byte) bool {
+	var it hwgc.BatchItem
+	var req any
+	switch path {
+	case "/v1/batch":
+		_, err := hwgc.DecodeBatchRequest(bytes.NewReader(body))
+		return err == nil
+	case "/v1/sweep":
+		it.Sweep = &hwgc.SweepRequest{}
+		req = it.Sweep
+	default:
+		it.Collect = &hwgc.CollectRequest{}
+		req = it.Collect
+	}
+	if plan.DecodeStrict(bytes.NewReader(body), req) != nil {
+		return false
+	}
+	_, _, err := it.Points()
+	return err == nil
+}
+
+// FuzzFrontDoorParity: every body one of the sync endpoints rejects gets the
+// same status and bytes from gcfleet as from gcserved. Bodies an endpoint
+// accepts are skipped there, so no simulation runs.
+func FuzzFrontDoorParity(f *testing.F) {
+	for _, tc := range decodeRejects {
+		f.Add([]byte(tc.body))
+	}
+	_, backend := startGCServed(f)
+	fl, err := New(Options{Backends: []string{backend.URL}, HealthInterval: -1, Timeout: 30 * time.Second})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(fl.Close)
+	fleet := httptest.NewServer(fl.Handler())
+	f.Cleanup(fleet.Close)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/v1/collect", "/v1/sweep", "/v1/batch"} {
+			if accepted(path, body) {
+				continue
+			}
+			direct := frontPost(t, backend.URL+path, string(body))
+			via := frontPost(t, fleet.URL+path, string(body))
+			if via.status != direct.status || !bytes.Equal(via.body, direct.body) {
+				t.Fatalf("%s %q: fleet %d %s, gcserved %d %s", path, body, via.status, via.body, direct.status, direct.body)
+			}
+		}
+	})
 }

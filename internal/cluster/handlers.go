@@ -2,57 +2,16 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"hwgc"
+	"hwgc/internal/frontdoor"
 	"hwgc/internal/plan"
 )
-
-// maxBodyBytes bounds single-request bodies, matching the backend limit.
-const maxBodyBytes = 8 << 20
-
-type errorBody struct {
-	Error string
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeJSON serves v as indented JSON.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func requirePost(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
-		return false
-	}
-	return true
-}
-
-func requireGet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires GET", r.URL.Path)
-		return false
-	}
-	return true
-}
 
 // handleCollect serves POST /v1/collect: the fleet decodes as strictly as
 // gcserved and canonicalizes locally (so equivalent spellings share one key
@@ -63,23 +22,19 @@ func requireGet(w http.ResponseWriter, r *http.Request) bool {
 // byte-identical to what the owner would serve directly, and it goes out
 // with a Content-Length in one write, as gcserved's does.
 func (f *Fleet) handleCollect(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
+	if !frontdoor.RequirePost(w, r) {
 		return
 	}
 	key, canon, err := f.memo.readCollect(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		frontdoor.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	body, origin, hit, admit := f.edgeGet(key)
 	if hit {
 		// The header set of a proxied backend hit.
-		h := w.Header()
-		h.Set("Content-Type", "application/json")
-		h.Set("X-Cache", "HIT")
-		h.Set("X-Cache-Key", key)
-		h.Set("X-Fleet-Backend", origin)
-		writeBody(w, http.StatusOK, body)
+		w.Header().Set("X-Fleet-Backend", origin)
+		frontdoor.WriteResult(w, key, "HIT", body)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
@@ -112,86 +67,87 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// handleSweep serves POST /v1/sweep by its collect points: the sweep is
-// canonicalized and expanded here (an invalid one is rejected before any
-// fan-out), every point is answered from the edge cache or routed to its
-// own collect-key owner, and the points' bodies are assembled into the
-// same reply bytes a single gcserved produces. X-Cache is HIT only when
-// every point was a hit; a failure is the first failing point's reply, in
-// core order.
-func (f *Fleet) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req hwgc.SweepRequest
-	if err := plan.DecodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	pts, err := req.Points()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
-	defer cancel()
-	body, cached, failed := f.runItem(ctx, &hwgc.BatchItem{Sweep: &req}, pts)
-	if failed != nil {
-		f.finishProxy(w, failed.res, failed.err)
-		return
-	}
-	key, _ := req.Key()
-	state := "MISS"
-	if cached {
-		state = "HIT"
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("X-Cache", state)
-	h.Set("X-Cache-Key", key)
-	writeBody(w, http.StatusOK, body)
-}
-
-// pointReply is the outcome of one collect point routed by routePoint.
+// pointReply is the outcome of one collect point routed by routePoint. As
+// the error of a failed point it carries the whole exchange, so a failed
+// /v1/sweep is answered with that point's own reply.
 type pointReply struct {
 	res sendResult
 	err error
 	hit bool // answered by the edge cache or a backend cache
 }
 
-// runItem routes the collect points of a collect or a sweep concurrently.
-// The body is the collect's own, or the sweep's assembled from its points
-// in core order; cached reports whether every point was a cache hit. A
-// failure is the first failing point in core order.
-func (f *Fleet) runItem(ctx context.Context, it *hwgc.BatchItem, pts []hwgc.SweepPoint) (body []byte, cached bool, failed *pointReply) {
-	replies := make([]pointReply, len(pts))
-	var wg sync.WaitGroup
-	for i := range pts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			replies[i] = f.routePoint(ctx, pts[i].Key, pts[i].Canonical)
-		}(i)
+func (p *pointReply) Error() string {
+	if p.err != nil {
+		return p.err.Error()
 	}
-	wg.Wait()
-	bodies := make([][]byte, len(pts))
-	cached = true
-	for i := range replies {
-		if replies[i].err != nil || replies[i].res.status != http.StatusOK {
-			return nil, false, &replies[i]
-		}
-		bodies[i] = replies[i].res.body
-		cached = cached && replies[i].hit
+	return fmt.Sprintf("backend replied %d", p.res.status)
+}
+
+func (p *pointReply) Unwrap() error { return p.err }
+
+// asPointReply returns the point reply err carries, or a reply that failed
+// with err (a sweep whose reply could not be assembled).
+func asPointReply(err error) *pointReply {
+	var p *pointReply
+	if errors.As(err, &p) {
+		return p
 	}
-	if it.Sweep == nil {
-		return bodies[0], cached, nil
+	return &pointReply{err: err}
+}
+
+// runPoint is the fleet's frontdoor.Door.RunPoint: the point routed by
+// routePoint, failing with its *pointReply unless its owner answered 200.
+func (f *Fleet) runPoint(ctx context.Context, pt *hwgc.SweepPoint) ([]byte, bool, error) {
+	p := f.routePoint(ctx, pt.Key, pt.Canonical)
+	if p.err != nil || p.res.status != http.StatusOK {
+		return nil, false, &p
 	}
-	body, err := it.Sweep.ResponseBody(bodies)
-	if err != nil {
-		return nil, false, &pointReply{err: err}
+	return p.res.body, p.hit, nil
+}
+
+// writeFailure answers a failed /v1/sweep with its first failing point's
+// reply, as a proxied /v1/collect of that point would be answered: the
+// backend's verbatim, with X-Fleet-Backend and Retry-After.
+func (f *Fleet) writeFailure(w http.ResponseWriter, err error) {
+	p := asPointReply(err)
+	f.finishProxy(w, p.res, p.err)
+}
+
+// itemStatus maps a failed point onto a batch item's status and error.
+func (f *Fleet) itemStatus(err error) (int, string) {
+	p := asPointReply(err)
+	switch {
+	case p.err == nil || p.res.status != 0:
+		// An authoritative non-200 (400, or a surfaced 429/5xx after
+		// exhausting retries): report the backend's own status and error.
+		return p.res.status, itemError(p.res)
+	case errors.Is(p.err, ErrNoBackends):
+		return http.StatusServiceUnavailable, p.err.Error()
+	case errors.Is(p.err, context.DeadlineExceeded), errors.Is(p.err, context.Canceled):
+		return http.StatusGatewayTimeout, p.err.Error()
+	default:
+		return http.StatusBadGateway, p.err.Error()
 	}
-	return body, cached, nil
+}
+
+// itemError condenses a failed exchange into the per-item Error string:
+// the backend's own error text when its reply carries one, so the item
+// reads as the backend's own batch item would.
+func itemError(res sendResult) string {
+	if res.err != nil {
+		return res.err.Error()
+	}
+	if msg := frontdoor.ErrorText(res.body); msg != "" {
+		return msg
+	}
+	return fmt.Sprintf("backend replied %d", res.status)
+}
+
+// primaryFor returns the live backend that owns key on the ring.
+func (f *Fleet) primaryFor(key string) *Backend {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.backends[f.ring.Owner(key)]
 }
 
 // routePoint answers one collect point of a sweep or batch: from the edge
@@ -235,12 +191,12 @@ func (f *Fleet) finishProxy(w http.ResponseWriter, res sendResult, err error) {
 		writeBody(w, res.status, res.body)
 	case errors.Is(err, ErrNoBackends):
 		f.metrics.exhausted.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "no healthy backend for this key (all breakers open)")
+		frontdoor.WriteError(w, http.StatusServiceUnavailable, "no healthy backend for this key (all breakers open)")
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		f.metrics.exhausted.Add(1)
-		writeError(w, http.StatusGatewayTimeout, "fleet deadline (%s) exceeded", f.opts.Timeout)
+		frontdoor.WriteError(w, http.StatusGatewayTimeout, "fleet deadline (%s) exceeded", f.opts.Timeout)
 	case errors.Is(err, errReplyTooLarge):
-		writeError(w, http.StatusBadGateway, "backend %s: %v", res.backend.id, err)
+		frontdoor.WriteError(w, http.StatusBadGateway, "backend %s: %v", res.backend.id, err)
 	case errors.Is(err, ErrExhausted) && res.status != 0:
 		// Out of attempts but we do hold a last reply (a 429 or 5xx):
 		// surface it so the client sees the backend's own signal.
@@ -253,7 +209,7 @@ func (f *Fleet) finishProxy(w http.ResponseWriter, res sendResult, err error) {
 		writeBody(w, res.status, res.body)
 	default:
 		f.metrics.exhausted.Add(1)
-		writeError(w, http.StatusBadGateway, "all backends failed: %v", err)
+		frontdoor.WriteError(w, http.StatusBadGateway, "all backends failed: %v", err)
 	}
 }
 
@@ -269,7 +225,7 @@ func copyHeader(w http.ResponseWriter, from http.Header, name string) {
 // handleWorkloads forwards GET /v1/workloads to a healthy backend (the
 // listing is identical on every backend).
 func (f *Fleet) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !frontdoor.RequireGet(w, r) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), f.opts.Timeout)
@@ -310,7 +266,7 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if h.Status != "ok" {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	frontdoor.WriteJSON(w, code, h)
 }
 
 func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -6,11 +6,10 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"hwgc"
+	"hwgc/internal/frontdoor"
 	"hwgc/internal/jobs"
-	"hwgc/internal/plan"
 )
 
 // handleJobs proxies POST /v1/jobs. The fleet canonicalizes the inner
@@ -21,18 +20,16 @@ import (
 // idempotent on the backend (dedup by content key), which is what makes the
 // fleet's retry/failover policy safe for this POST.
 func (f *Fleet) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
+	if !frontdoor.RequirePost(w, r) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var sub jobs.SubmitRequest
-	if err := plan.DecodeStrict(r.Body, &sub); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !frontdoor.DecodeJSON(w, r, &sub) {
 		return
 	}
 	canon, err := sub.Canonical()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		frontdoor.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	key := hwgc.KeyBytes(canon)
@@ -46,7 +43,7 @@ func (f *Fleet) handleJobs(w http.ResponseWriter, r *http.Request) {
 		Class   string `json:",omitempty"`
 	}{canon, sub.Class})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding request: %v", err)
+		frontdoor.WriteError(w, http.StatusInternalServerError, "encoding request: %v", err)
 		return
 	}
 
@@ -71,32 +68,30 @@ func (f *Fleet) handleJobs(w http.ResponseWriter, r *http.Request) {
 // backend that accepted the submission (with the usual replica failover —
 // a restarted owner replays its WAL and still knows the job).
 func (f *Fleet) handleJobByID(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	id, subPath, _ := strings.Cut(rest, "/")
-	if id == "" || strings.Contains(subPath, "/") {
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
+	id, subPath, ok := frontdoor.SplitID(w, r, "/v1/jobs/")
+	if !ok {
 		return
 	}
 	switch subPath {
 	case "":
 		if r.Method != http.MethodGet && r.Method != http.MethodDelete {
 			w.Header().Set("Allow", "GET, DELETE")
-			writeError(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
+			frontdoor.WriteError(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
 			return
 		}
 		f.proxyJobPath(w, r, id, r.Method)
 	case "result":
-		if !requireGet(w, r) {
+		if !frontdoor.RequireGet(w, r) {
 			return
 		}
 		f.proxyJobPath(w, r, id, http.MethodGet)
 	case "events":
-		if !requireGet(w, r) {
+		if !frontdoor.RequireGet(w, r) {
 			return
 		}
 		f.streamJobEvents(w, r, id)
 	default:
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
+		frontdoor.WriteError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
 	}
 }
 
@@ -120,7 +115,7 @@ func (f *Fleet) proxyJobPath(w http.ResponseWriter, r *http.Request, id, method 
 func (f *Fleet) streamJobEvents(w http.ResponseWriter, r *http.Request, id string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
+		frontdoor.WriteError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
 		return
 	}
 	replicas := f.replicasFor(id)
@@ -131,7 +126,7 @@ func (f *Fleet) streamJobEvents(w http.ResponseWriter, r *http.Request, id strin
 		b.requests.Add(1)
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, b.baseURL+r.URL.Path, nil)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "building request: %v", err)
+			frontdoor.WriteError(w, http.StatusInternalServerError, "building request: %v", err)
 			return
 		}
 		resp, err := f.client.Do(req)
@@ -177,5 +172,5 @@ func (f *Fleet) streamJobEvents(w http.ResponseWriter, r *http.Request, id strin
 		}
 	}
 	f.metrics.exhausted.Add(1)
-	writeError(w, http.StatusServiceUnavailable, "no admissible backend to stream job events")
+	frontdoor.WriteError(w, http.StatusServiceUnavailable, "no admissible backend to stream job events")
 }

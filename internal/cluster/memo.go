@@ -6,13 +6,14 @@ import (
 	"io"
 	"net/http"
 
+	"hwgc/internal/frontdoor"
 	"hwgc/internal/server"
 )
 
 // memoMaxBody is the largest /v1/collect body the memo reads whole, and the
 // largest canonical form it holds. A collect of a named benchmark is a few
-// hundred bytes; a larger body (an inline plan may be up to maxBodyBytes) is
-// decoded as a stream every time and never held.
+// hundred bytes; a larger body (an inline plan may be up to
+// frontdoor.MaxBodyBytes) is decoded as a stream every time and never held.
 const memoMaxBody = 4 << 10
 
 // bodyMemo is the fast path of the fleet's POST /v1/collect front door. It
@@ -34,11 +35,11 @@ func newBodyMemo(entries int) *bodyMemo {
 // readCollect returns the content key and canonical bytes of a POST
 // /v1/collect body. A body of declared length at most memoMaxBody goes
 // through the memo; any other body, and every body with the memo off
-// (m nil), is decoded as a stream under the maxBodyBytes limit, so an
-// oversized one gets the same 400. A body whose read fails is decoded from
+// (m nil), is decoded as a stream under the frontdoor.MaxBodyBytes limit, so
+// an oversized one gets the same 400. A body whose read fails is decoded from
 // the bytes read and then the same error, as the stream decode sees them.
 func (m *bodyMemo) readCollect(w http.ResponseWriter, r *http.Request) (key string, canon []byte, err error) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, frontdoor.MaxBodyBytes)
 	if m == nil || r.ContentLength < 0 || r.ContentLength > memoMaxBody {
 		return decodeCollect(r.Body)
 	}

@@ -3,14 +3,10 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"hwgc"
-	"hwgc/internal/events"
-	"hwgc/internal/plan"
 	"hwgc/internal/sweep"
 )
 
@@ -190,94 +186,4 @@ func (sr sweepRunner) CancelJob(key string) {
 			}
 		}
 	}()
-}
-
-// handleSweeps serves POST /v1/sweeps at the fleet: plan locally, fan the
-// points out to their cache-owning backends, aggregate here.
-func (f *Fleet) handleSweeps(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var body struct {
-		Space *hwgc.SweepSpace
-		Class string `json:",omitempty"`
-	}
-	if err := plan.DecodeStrict(r.Body, &body); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if body.Space == nil {
-		writeError(w, http.StatusBadRequest, "Space must be set")
-		return
-	}
-	if err := body.Space.Canonicalize(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid sweep space: %v", err)
-		return
-	}
-	info, accepted, err := f.sweeps.Submit(body.Space, body.Class)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "submitting sweep: %v", err)
-		return
-	}
-	code := http.StatusOK
-	if accepted {
-		code = http.StatusAccepted
-	}
-	w.Header().Set("Location", "/v1/sweeps/"+info.ID)
-	writeJSON(w, code, info)
-}
-
-// handleSweepByID routes /v1/sweeps/{id} and /v1/sweeps/{id}/events at the
-// fleet. Sweeps are aggregated at the proxy, so these serve local state —
-// no backend round trip.
-func (f *Fleet) handleSweepByID(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/sweeps/")
-	id, sub, _ := strings.Cut(rest, "/")
-	if id == "" || strings.Contains(sub, "/") {
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
-		return
-	}
-	switch sub {
-	case "":
-		switch r.Method {
-		case http.MethodGet:
-			info, err := f.sweeps.Get(id)
-			if err != nil {
-				writeError(w, http.StatusNotFound, "no such sweep %q", id)
-				return
-			}
-			writeJSON(w, http.StatusOK, info)
-		case http.MethodDelete:
-			info, err := f.sweeps.Cancel(id)
-			switch {
-			case errors.Is(err, sweep.ErrNotFound):
-				writeError(w, http.StatusNotFound, "no such sweep %q", id)
-			case errors.Is(err, sweep.ErrTerminal):
-				writeError(w, http.StatusConflict, "sweep %s is already %s", id, info.State)
-			case err != nil:
-				writeError(w, http.StatusInternalServerError, "cancelling sweep: %v", err)
-			default:
-				writeJSON(w, http.StatusOK, info)
-			}
-		default:
-			w.Header().Set("Allow", "GET, DELETE")
-			writeError(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
-		}
-	case "events":
-		if !requireGet(w, r) {
-			return
-		}
-		history, live, stop, err := f.sweeps.Subscribe(id)
-		if err != nil {
-			writeError(w, http.StatusNotFound, "no such sweep %q", id)
-			return
-		}
-		defer stop()
-		if err := events.Serve(w, r, history, live, f.stop); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
-	default:
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
-	}
 }

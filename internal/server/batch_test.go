@@ -159,6 +159,10 @@ func TestBatchRejectsBadRequests(t *testing.T) {
 	if br.Items[0].Status != http.StatusBadRequest || br.Items[1].Status != http.StatusOK {
 		t.Fatalf("per-item statuses %d/%d, want 400/200", br.Items[0].Status, br.Items[1].Status)
 	}
+	// The item is worded as a single request over the limit is.
+	if want := "scale 9 exceeds server limit 4"; br.Items[0].Error != want {
+		t.Errorf("over-scale item error %q, want %q", br.Items[0].Error, want)
+	}
 }
 
 // TestBatchItemBackpressure drives the queue full with external traffic and

@@ -7,28 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"hwgc"
+	"hwgc/internal/frontdoor"
 	"hwgc/internal/jobs"
-	"hwgc/internal/plan"
 )
-
-// maxBodyBytes bounds request bodies; inline plans are the only large
-// payloads and 8 MiB of JSON is already a ~100k-object graph.
-const maxBodyBytes = 8 << 20
-
-// errorBody is the JSON error envelope every non-2xx response carries.
-type errorBody struct {
-	Error string
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: fmt.Sprintf(format, args...)})
-}
 
 // statusRecorder captures the final status code for the request counters.
 type statusRecorder struct {
@@ -64,16 +48,6 @@ func (s *Server) instrument(path string, observeLatency bool, h func(http.Respon
 	}
 }
 
-// decodeJSON strictly decodes the request body into v.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := plan.DecodeStrict(r.Body, v); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return false
-	}
-	return true
-}
-
 // retryAfterSeconds converts the configured backpressure hint to the
 // integral seconds value of a Retry-After header, rounding up and clamping
 // to a minimum of 1: a sub-second hint must never be emitted as "0", which
@@ -84,15 +58,6 @@ func retryAfterSeconds(d time.Duration) int {
 		s = 1
 	}
 	return s
-}
-
-func requirePost(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires POST", r.URL.Path)
-		return false
-	}
-	return true
 }
 
 // execute runs one collect point through the shared serving path: cache
@@ -116,8 +81,8 @@ func (s *Server) execute(ctx context.Context, pt *hwgc.SweepPoint) (body []byte,
 	return body, false, err
 }
 
-// executeStatus maps an execute error to the per-item/request HTTP status
-// and message, bumping the matching stall counters.
+// executeStatus maps an execute error to the batch item's or request's
+// HTTP status and message, bumping the matching stall counters.
 func (s *Server) executeStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
@@ -134,99 +99,37 @@ func (s *Server) executeStatus(err error) (int, string) {
 	}
 }
 
-// runItem runs a collect or a sweep as its collect points: each goes
-// through execute under its own collect key, at most cap(sem) at a time.
-// The body is the collect's own, or the sweep's assembled from its points
-// in core order; cached reports whether every point was a cache hit. On
-// failure the error is that of the first failing point in core order.
-func (s *Server) runItem(ctx context.Context, sem chan struct{}, it *hwgc.BatchItem, pts []hwgc.SweepPoint) (body []byte, cached bool, err error) {
-	bodies := make([][]byte, len(pts))
-	hits := make([]bool, len(pts))
-	errs := make([]error, len(pts))
-	var wg sync.WaitGroup
-	for i := range pts {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			errs[i] = ctx.Err()
-			continue
+// writeFailure answers a /v1/collect or /v1/sweep request that failed with
+// err, with Retry-After on backpressure.
+func (s *Server) writeFailure(w http.ResponseWriter, err error) {
+	code, msg := s.executeStatus(err)
+	if code == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RetryAfter)))
+	}
+	frontdoor.WriteError(w, code, "%s", msg)
+}
+
+// checkScale is the MaxScale admission check of every entry that runs
+// collects: /v1/collect, /v1/sweep, batch items, /v1/jobs and /v1/sweeps.
+func (s *Server) checkScale(scale int) error {
+	if s.opts.MaxScale > 0 && scale > s.opts.MaxScale {
+		return fmt.Errorf("scale %d exceeds server limit %d", scale, s.opts.MaxScale)
+	}
+	return nil
+}
+
+// admitSweep vets a canonical /v1/sweeps space: a known class, and every
+// scale within MaxScale.
+func (s *Server) admitSweep(space *hwgc.SweepSpace, class string) error {
+	if class != "" && !s.jobs.HasClass(class) {
+		return fmt.Errorf("unknown job class %q", class)
+	}
+	for _, sc := range space.Scales {
+		if err := s.checkScale(sc); err != nil {
+			return err
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			bodies[i], hits[i], errs[i] = s.execute(ctx, &pts[i])
-		}(i)
 	}
-	wg.Wait()
-	cached = true
-	for i := range pts {
-		if errs[i] != nil {
-			return nil, false, errs[i]
-		}
-		cached = cached && hits[i]
-	}
-	if it.Sweep == nil {
-		return bodies[0], cached, nil
-	}
-	body, err = it.Sweep.ResponseBody(bodies)
-	return body, cached, err
-}
-
-func writeResult(w http.ResponseWriter, key, cacheState string, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", cacheState)
-	w.Header().Set("X-Cache-Key", key)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	_, _ = w.Write(body)
-}
-
-func (s *Server) handleCollect(w http.ResponseWriter, r *http.Request) {
-	s.instrument("/v1/collect", true, func(w http.ResponseWriter, r *http.Request) {
-		var req hwgc.CollectRequest
-		s.serveItem(w, r, &req, &hwgc.BatchItem{Collect: &req})
-	})(w, r)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.instrument("/v1/sweep", true, func(w http.ResponseWriter, r *http.Request) {
-		var req hwgc.SweepRequest
-		s.serveItem(w, r, &req, &hwgc.BatchItem{Sweep: &req})
-	})(w, r)
-}
-
-// serveItem serves the two single-request POST endpoints: it decodes the
-// body into req, the collect or sweep of it, and runs it as its collect
-// points under one request deadline. A sweep thus takes at most Workers
-// queue slots however many points it has.
-func (s *Server) serveItem(w http.ResponseWriter, r *http.Request, req any, it *hwgc.BatchItem) {
-	if !requirePost(w, r) || !decodeJSON(w, r, req) {
-		return
-	}
-	key, pts, err := it.Points() // canonicalizes req in place
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request: %v", err)
-		return
-	}
-	if scale := pts[0].Req.Scale; s.opts.MaxScale > 0 && scale > s.opts.MaxScale {
-		writeError(w, http.StatusBadRequest, "scale %d exceeds server limit %d", scale, s.opts.MaxScale)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
-	defer cancel()
-	body, cached, err := s.runItem(ctx, make(chan struct{}, s.opts.Workers), it, pts)
-	if err != nil {
-		code, msg := s.executeStatus(err)
-		if code == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.opts.RetryAfter)))
-		}
-		writeError(w, code, "%s", msg)
-		return
-	}
-	state := "MISS"
-	if cached {
-		state = "HIT"
-	}
-	writeResult(w, key, state, body)
+	return nil
 }
 
 // workloadsBody is the GET /v1/workloads response.
@@ -239,15 +142,10 @@ type workloadsBody struct {
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/v1/workloads", false, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			writeError(w, http.StatusMethodNotAllowed, "%s requires GET", r.URL.Path)
+		if !frontdoor.RequireGet(w, r) {
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(workloadsBody{
+		frontdoor.WriteJSON(w, http.StatusOK, workloadsBody{
 			Workloads:  hwgc.Workloads(),
 			Baselines:  hwgc.Baselines(),
 			CoreRange:  [2]int{1, 64},

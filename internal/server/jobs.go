@@ -6,11 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"hwgc"
 	"hwgc/internal/events"
+	"hwgc/internal/frontdoor"
 	"hwgc/internal/jobs"
 	"hwgc/internal/plan"
 )
@@ -22,15 +22,6 @@ import (
 func (s *Server) onJobResult(id string, body []byte, resp *hwgc.CollectResponse) {
 	s.cache.Put(id, body)
 	s.metrics.ObserveCollect(resp)
-}
-
-// writeJobInfo serves a job Info snapshot as indented JSON.
-func writeJobInfo(w http.ResponseWriter, code int, info jobs.Info) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(info)
 }
 
 // jobListBody is the GET /v1/jobs response.
@@ -47,41 +38,38 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.instrument("/v1/jobs", false, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet {
 			active := r.URL.Query().Get("active") == "true"
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(jobListBody{Jobs: s.jobs.List(active)})
+			frontdoor.WriteJSON(w, http.StatusOK, jobListBody{Jobs: s.jobs.List(active)})
 			return
 		}
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", "GET, POST")
-			writeError(w, http.StatusMethodNotAllowed, "%s requires GET or POST", r.URL.Path)
+			frontdoor.WriteError(w, http.StatusMethodNotAllowed, "%s requires GET or POST", r.URL.Path)
 			return
 		}
 		var body jobs.SubmitRequest
-		if !decodeJSON(w, r, &body) {
+		if !frontdoor.DecodeJSON(w, r, &body) {
 			return
 		}
 		canonical, err := body.Canonical()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			frontdoor.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if body.Class != "" && !s.jobs.HasClass(body.Class) {
-			writeError(w, http.StatusBadRequest, "unknown job class %q", body.Class)
+			frontdoor.WriteError(w, http.StatusBadRequest, "unknown job class %q", body.Class)
 			return
 		}
-		if scale := body.Collect.Scale; s.opts.MaxScale > 0 && scale > s.opts.MaxScale {
-			writeError(w, http.StatusBadRequest, "scale %d exceeds server limit %d", scale, s.opts.MaxScale)
+		if err := s.checkScale(body.Collect.Scale); err != nil {
+			frontdoor.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		info, accepted, err := s.jobs.Submit(body.Class, canonical)
 		switch {
 		case errors.Is(err, jobs.ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+			frontdoor.WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 			return
 		case err != nil:
-			writeError(w, http.StatusInternalServerError, "submitting job: %v", err)
+			frontdoor.WriteError(w, http.StatusInternalServerError, "submitting job: %v", err)
 			return
 		}
 		code := http.StatusOK // deduped onto an existing job
@@ -89,7 +77,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusAccepted
 		}
 		w.Header().Set("Location", "/v1/jobs/"+info.ID)
-		writeJobInfo(w, code, info)
+		frontdoor.WriteJSON(w, code, info)
 	})(w, r)
 }
 
@@ -97,10 +85,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 // /v1/jobs/{id}/events. Metric labels stay low-cardinality: the id is never
 // part of the label.
 func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	id, sub, _ := strings.Cut(rest, "/")
-	if id == "" || strings.Contains(sub, "/") {
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
+	id, sub, ok := frontdoor.SplitID(w, r, "/v1/jobs/")
+	if !ok {
 		return
 	}
 	switch sub {
@@ -113,29 +99,29 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 				s.serveJobCancel(w, id)
 			default:
 				w.Header().Set("Allow", "GET, DELETE")
-				writeError(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
+				frontdoor.WriteError(w, http.StatusMethodNotAllowed, "%s requires GET or DELETE", r.URL.Path)
 			}
 		})(w, r)
 	case "result":
 		s.instrument("/v1/jobs/{id}/result", false, func(w http.ResponseWriter, r *http.Request) {
-			if !requireGet(w, r) {
+			if !frontdoor.RequireGet(w, r) {
 				return
 			}
 			s.serveJobResult(w, id)
 		})(w, r)
 	case "events":
 		s.instrument("/v1/jobs/{id}/events", false, func(w http.ResponseWriter, r *http.Request) {
-			if !requireGet(w, r) {
+			if !frontdoor.RequireGet(w, r) {
 				return
 			}
 			history, live, stop, err := s.jobs.Subscribe(id)
 			if err != nil {
-				writeError(w, http.StatusNotFound, "no such job %q", id)
+				frontdoor.WriteError(w, http.StatusNotFound, "no such job %q", id)
 				return
 			}
 			defer stop()
 			if err := events.Serve(w, r, history, live, s.draining); err != nil {
-				writeError(w, http.StatusInternalServerError, "%v", err)
+				frontdoor.WriteError(w, http.StatusInternalServerError, "%v", err)
 			}
 		})(w, r)
 	case "checkpoint":
@@ -149,11 +135,11 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 				s.serveJobRelease(w, id)
 			default:
 				w.Header().Set("Allow", "GET, PUT, DELETE")
-				writeError(w, http.StatusMethodNotAllowed, "%s requires GET, PUT or DELETE", r.URL.Path)
+				frontdoor.WriteError(w, http.StatusMethodNotAllowed, "%s requires GET, PUT or DELETE", r.URL.Path)
 			}
 		})(w, r)
 	default:
-		writeError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
+		frontdoor.WriteError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
 	}
 }
 
@@ -188,7 +174,7 @@ func (s *Server) serveJobExport(w http.ResponseWriter, r *http.Request, id strin
 	if v := r.URL.Query().Get("wait"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, "invalid wait %q: want a positive duration", v)
+			frontdoor.WriteError(w, http.StatusBadRequest, "invalid wait %q: want a positive duration", v)
 			return
 		}
 		wait = min(d, exportWaitMax)
@@ -198,14 +184,14 @@ func (s *Server) serveJobExport(w http.ResponseWriter, r *http.Request, id strin
 	env, err := s.jobs.Export(ctx, id)
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		frontdoor.WriteError(w, http.StatusNotFound, "no such job %q", id)
 	case errors.Is(err, jobs.ErrTerminal):
-		writeError(w, http.StatusConflict, "job %s is not exportable: %v", id, err)
+		frontdoor.WriteError(w, http.StatusConflict, "job %s is not exportable: %v", id, err)
 	case errors.Is(err, context.DeadlineExceeded):
 		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(s.opts.RetryAfter)))
-		writeError(w, http.StatusServiceUnavailable, "job %s did not reach a checkpoint boundary within %s", id, wait)
+		frontdoor.WriteError(w, http.StatusServiceUnavailable, "job %s did not reach a checkpoint boundary within %s", id, wait)
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "exporting job: %v", err)
+		frontdoor.WriteError(w, http.StatusInternalServerError, "exporting job: %v", err)
 	default:
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(env)
@@ -221,35 +207,31 @@ func (s *Server) serveJobImport(w http.ResponseWriter, r *http.Request, id strin
 	r.Body = http.MaxBytesReader(w, r.Body, maxCheckpointBytes)
 	var env jobs.ExportedJob
 	if err := plan.DecodeStrict(r.Body, &env); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding checkpoint: %v", err)
+		frontdoor.WriteError(w, http.StatusBadRequest, "decoding checkpoint: %v", err)
 		return
 	}
 	if env.ID != id {
-		writeError(w, http.StatusBadRequest, "envelope ID %s does not match URL job %s", env.ID, id)
+		frontdoor.WriteError(w, http.StatusBadRequest, "envelope ID %s does not match URL job %s", env.ID, id)
 		return
 	}
 	if err := env.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid checkpoint: %v", err)
+		frontdoor.WriteError(w, http.StatusBadRequest, "invalid checkpoint: %v", err)
 		return
 	}
 	info, accepted, err := s.jobs.Import(&env)
 	switch {
 	case errors.Is(err, jobs.ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		frontdoor.WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "importing checkpoint: %v", err)
+		frontdoor.WriteError(w, http.StatusInternalServerError, "importing checkpoint: %v", err)
 		return
 	}
 	code := http.StatusOK
 	if accepted {
 		code = http.StatusCreated
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(importReceipt{Info: info, Accepted: accepted, Cycle: env.Cycle, SnapCRC: env.SnapCRC})
+	frontdoor.WriteJSON(w, code, importReceipt{Info: info, Accepted: accepted, Cycle: env.Cycle, SnapCRC: env.SnapCRC})
 }
 
 // serveJobRelease finishes a job locally as migrated after its envelope has
@@ -259,47 +241,38 @@ func (s *Server) serveJobRelease(w http.ResponseWriter, id string) {
 	info, err := s.jobs.Release(id)
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		frontdoor.WriteError(w, http.StatusNotFound, "no such job %q", id)
 	case errors.Is(err, jobs.ErrTerminal):
-		writeError(w, http.StatusConflict, "job %s is already %s", id, info.State)
+		frontdoor.WriteError(w, http.StatusConflict, "job %s is already %s", id, info.State)
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "releasing job: %v", err)
+		frontdoor.WriteError(w, http.StatusInternalServerError, "releasing job: %v", err)
 	default:
-		writeJobInfo(w, http.StatusOK, info)
+		frontdoor.WriteJSON(w, http.StatusOK, info)
 	}
-}
-
-func requireGet(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "%s requires GET", r.URL.Path)
-		return false
-	}
-	return true
 }
 
 func (s *Server) serveJobInfo(w http.ResponseWriter, id string) {
 	info, err := s.jobs.Get(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		frontdoor.WriteError(w, http.StatusNotFound, "no such job %q", id)
 		return
 	}
-	writeJobInfo(w, http.StatusOK, info)
+	frontdoor.WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) serveJobCancel(w http.ResponseWriter, id string) {
 	info, err := s.jobs.Cancel(id)
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		frontdoor.WriteError(w, http.StatusNotFound, "no such job %q", id)
 	case errors.Is(err, jobs.ErrTerminal):
 		// Cancel raced completion: the job already reached a final state,
 		// which the 409 body reports so the client can fetch the result.
-		writeError(w, http.StatusConflict, "job %s is already %s", id, info.State)
+		frontdoor.WriteError(w, http.StatusConflict, "job %s is already %s", id, info.State)
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "cancelling job: %v", err)
+		frontdoor.WriteError(w, http.StatusInternalServerError, "cancelling job: %v", err)
 	default:
-		writeJobInfo(w, http.StatusOK, info)
+		frontdoor.WriteJSON(w, http.StatusOK, info)
 	}
 }
 
@@ -311,18 +284,18 @@ func (s *Server) serveJobResult(w http.ResponseWriter, id string) {
 	body, info, err := s.jobs.Result(id)
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		frontdoor.WriteError(w, http.StatusNotFound, "no such job %q", id)
 	case err == nil:
-		writeResult(w, id, "JOB", body)
+		frontdoor.WriteResult(w, id, "JOB", body)
 	case info.State == jobs.StateFailed:
-		writeError(w, http.StatusBadGateway, "job failed: %s", info.Error)
+		frontdoor.WriteError(w, http.StatusBadGateway, "job failed: %s", info.Error)
 	case info.State == jobs.StateCancelled:
-		writeError(w, http.StatusGone, "job %s was cancelled", id)
+		frontdoor.WriteError(w, http.StatusGone, "job %s was cancelled", id)
 	case info.State == jobs.StateMigrated:
 		// The fleet tier re-routes by content key; a direct client re-submits.
-		writeError(w, http.StatusGone, "job %s migrated to another backend", id)
+		frontdoor.WriteError(w, http.StatusGone, "job %s migrated to another backend", id)
 	default:
 		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(s.opts.RetryAfter)))
-		writeJobInfo(w, http.StatusAccepted, info)
+		frontdoor.WriteJSON(w, http.StatusAccepted, info)
 	}
 }

@@ -53,6 +53,7 @@ import (
 	"time"
 
 	"hwgc"
+	"hwgc/internal/frontdoor"
 	"hwgc/internal/jobs"
 	"hwgc/internal/sweep"
 )
@@ -185,10 +186,25 @@ func newServer(opts Options, run func(hwgc.CollectRequest) ([]byte, error)) (*Se
 	}
 	s.jobs = mgr
 	s.metrics = NewMetrics(mgr, s.cache)
+	// A sync request runs its collect points through execute, at most
+	// Workers at a time: a sweep or batch takes at most Workers queue
+	// slots however many points it has.
+	door := &frontdoor.Door{
+		RunPoint:     s.execute,
+		WriteFailure: s.writeFailure,
+		ItemStatus:   s.executeStatus,
+		Admit:        func(req *hwgc.CollectRequest) error { return s.checkScale(req.Scale) },
+		Bound:        s.opts.Workers,
+		Timeout:      s.opts.Timeout,
+		OnBatch: func(resp *hwgc.BatchResponse) {
+			s.metrics.batchItems.Add(int64(len(resp.Items)))
+			s.metrics.batchFailed.Add(int64(resp.Failed))
+		},
+	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/collect", s.handleCollect)
-	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
+	s.mux.HandleFunc("/v1/collect", s.instrument("/v1/collect", true, door.Collect))
+	s.mux.HandleFunc("/v1/sweep", s.instrument("/v1/sweep", true, door.Sweep))
+	s.mux.HandleFunc("/v1/batch", s.instrument("/v1/batch", true, door.Batch))
 	s.mux.HandleFunc("/v1/workloads", s.handleWorkloads)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -202,8 +218,16 @@ func newServer(opts Options, run func(hwgc.CollectRequest) ([]byte, error)) (*Se
 			return nil, err
 		}
 		s.sweeps = coord
-		s.mux.HandleFunc("/v1/sweeps", s.handleSweeps)
-		s.mux.HandleFunc("/v1/sweeps/", s.handleSweepByID)
+		sweeps := &frontdoor.Sweeps{
+			Coord: coord,
+			Admit: s.admitSweep,
+			Stop:  s.draining,
+			Route: func(route string, h http.HandlerFunc) http.HandlerFunc {
+				return s.instrument(route, false, h)
+			},
+		}
+		s.mux.HandleFunc("/v1/sweeps", s.instrument("/v1/sweeps", false, sweeps.Submit))
+		s.mux.HandleFunc("/v1/sweeps/", sweeps.ByID)
 	}
 	return s, nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -310,6 +311,26 @@ func TestSweepsMaxScale(t *testing.T) {
 		`{"Space":{"Benches":["jlisp"],"Scales":[4],"Base":{}}}`)
 	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte("exceeds server limit")) {
 		t.Fatalf("over-scale sweep: %d %s", resp.StatusCode, data)
+	}
+}
+
+// TestSweepsSubmitAfterShutdown: once Shutdown begins, a sweep submission
+// is a 503, worded as every other submission refused by a draining server.
+func TestSweepsSubmitAfterShutdown(t *testing.T) {
+	s, err := New(jobsOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	resp, data := post(t, ts, "/v1/sweeps", `{"Space":{"Benches":["jlisp"],"Base":{}}}`)
+	if want := `{"Error":"server is shutting down"}` + "\n"; resp.StatusCode != http.StatusServiceUnavailable || string(data) != want {
+		t.Fatalf("sweep after shutdown: %d %s, want 503 %s", resp.StatusCode, data, want)
 	}
 }
 
