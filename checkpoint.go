@@ -12,8 +12,7 @@ import (
 // later resumed — in the same process or another one — finishing with
 // Stats and heap image bit-identical to the uninterrupted run. It is the
 // software stand-in for the FPGA prototype's state readback (paper Section
-// VI-A); cmd/gcreplay builds record/resume/bisect on it and gcserved uses
-// it for preempt/resume of heavy requests.
+// VI-A); cmd/gcreplay builds record/resume/bisect on it.
 
 // Collection is an in-progress, suspendable collection cycle.
 type Collection struct {
@@ -93,10 +92,11 @@ func DiffSnapshots(a, b []byte, ignore ...string) ([]string, error) {
 }
 
 // RequestCollection is a suspendable variant of NewCollectResponse: it runs
-// the simulation a canonical CollectRequest describes, but can checkpoint
-// between cycles and resume in a later process, and its Response is byte-
-// identical to the uninterrupted NewCollectResponse encoding. gcserved uses
-// it to preempt heavy requests on shutdown and resume them on restart.
+// the simulation a canonical CollectRequest describes in slices of cycles
+// that its holder may interleave with other work, and its Response is
+// byte-identical to the uninterrupted NewCollectResponse encoding. The job
+// tier runs every collect this way: a job preempted at a slice boundary
+// keeps its RequestCollection and continues from it later.
 type RequestCollection struct {
 	req CollectRequest // canonicalized
 	key string
@@ -144,47 +144,6 @@ func StartCollectRequest(req CollectRequest) (*RequestCollection, error) {
 	return rc, nil
 }
 
-// ResumeCollectRequest reconstructs a suspended request collection from a
-// snapshot taken by its Snapshot method. The request must be the same one
-// the snapshot was taken under (the configs are cross-checked); the pre-GC
-// verification graph and the plan statistics are rebuilt deterministically
-// from the request, the machine state comes from the snapshot.
-func ResumeCollectRequest(req CollectRequest, snap []byte) (*RequestCollection, error) {
-	key, err := req.Key()
-	if err != nil {
-		return nil, err
-	}
-	st, err := snapshot.Decode(snap)
-	if err != nil {
-		return nil, err
-	}
-	if want := req.Config.WithDefaults(); st.Config != want {
-		return nil, fmt.Errorf("hwgc: snapshot config %+v does not match request config %+v", st.Config, want)
-	}
-	m, err := machine.RestoreMachine(st)
-	if err != nil {
-		return nil, err
-	}
-	rc := &RequestCollection{req: req, key: key, col: &Collection{m: m}}
-	p := req.Plan
-	if p == nil {
-		if _, p, err = buildBench(req.Bench, req.Scale, req.Seed); err != nil {
-			return nil, err
-		}
-	}
-	rc.res = planResult(p)
-	if req.Verify && !rc.concurrent() {
-		h, _, err := buildRequestHeap(&rc.req)
-		if err != nil {
-			return nil, err
-		}
-		if rc.before, err = Snapshot(h); err != nil {
-			return nil, fmt.Errorf("hwgc: pre-GC snapshot: %w", err)
-		}
-	}
-	return rc, nil
-}
-
 // concurrent reports whether the request runs the built-in concurrent
 // mutator, in which case the stop-the-world oracle cannot predict the
 // outcome and verification uses the structural integrity check instead.
@@ -200,10 +159,6 @@ func (rc *RequestCollection) Cycle() int64 { return rc.col.Cycle() }
 func (rc *RequestCollection) StepCycles(n int64) (done bool, err error) {
 	return rc.col.StepCycles(n)
 }
-
-// Snapshot serializes the collection's state for a later
-// ResumeCollectRequest.
-func (rc *RequestCollection) Snapshot() ([]byte, error) { return rc.col.Snapshot() }
 
 // Response finishes the collection (driving it to completion if needed),
 // verifies it when the request asked for verification, and returns the

@@ -19,7 +19,7 @@
 //	        [-addr :8090] [-vnodes 128] [-replicas 3] [-attempts 4]
 //	        [-timeout 60s] [-hedge-quantile 0] [-hedge-min 20ms]
 //	        [-health-interval 2s] [-breaker-failures 3] [-breaker-cooldown 5s]
-//	        [-batch-inflight 4] [-export-wait 30s] [-registry-limit 4096]
+//	        [-batch-inflight 4] [-registry-limit 4096]
 //	        [-sweep-poll 250ms] [-cache-entries 1024] [-cache-mb 64]
 //	        [-drain 30s]
 //
@@ -43,12 +43,13 @@
 //	GET  /healthz      fleet health (ok while any backend is admissible)
 //	GET  /metrics      fleet-level Prometheus counters
 //
-// Admin (elastic membership — see internal/elastic):
+// Admin (elastic membership — see internal/cluster/rebalance.go):
 //
 //	POST   /v1/admin/backends      health-gated join of a new backend
-//	DELETE /v1/admin/backends/{id} remove a backend (drained by migration)
+//	DELETE /v1/admin/backends/{id} remove a backend (its jobs move to their new owners)
 //	GET    /v1/admin/topology      ring membership, shares, breaker states
-//	POST   /v1/admin/rebalance     synchronous checkpoint-migration pass
+//	POST   /v1/admin/rebalance     synchronous rebalance pass: moved jobs are
+//	                               resubmitted to their new owner, then released
 package main
 
 import (
@@ -96,7 +97,6 @@ func parseOptions(args []string) (addr string, opts cluster.Options, drain time.
 		brkFailures    = fs.Int("breaker-failures", 3, "consecutive failures that open a backend's circuit breaker")
 		brkCooldown    = fs.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before the half-open probe")
 		batchInflight  = fs.Int("batch-inflight", 4, "concurrent batch items per backend")
-		exportWait     = fs.Duration("export-wait", 30*time.Second, "how long a migration export waits for a running job's next snapshot boundary")
 		registryLimit  = fs.Int("registry-limit", 4096, "job submissions remembered for dead-owner rescue during rebalance")
 		sweepPoll      = fs.Duration("sweep-poll", 250*time.Millisecond, "per-point result poll interval of the fleet sweep runner")
 		cacheEntries   = fs.Int("cache-entries", 1024, "edge result cache entry bound (negative = disabled)")
@@ -136,7 +136,6 @@ func parseOptions(args []string) (addr string, opts cluster.Options, drain time.
 		BreakerThreshold: *brkFailures,
 		BreakerCooldown:  *brkCooldown,
 		BatchInflight:    *batchInflight,
-		ExportWait:       *exportWait,
 		RegistryLimit:    *registryLimit,
 		SweepPoll:        *sweepPoll,
 		CacheEntries:     *cacheEntries,

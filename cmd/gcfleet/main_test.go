@@ -34,7 +34,7 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if opts.HedgeQuantile != 0 || opts.HealthInterval != 2*time.Second {
 		t.Errorf("hedge/health defaults wrong: %+v", opts)
 	}
-	if opts.ExportWait != 30*time.Second || opts.RegistryLimit != 4096 {
+	if opts.RegistryLimit != 4096 {
 		t.Errorf("elastic defaults wrong: %+v", opts)
 	}
 	if opts.CacheEntries != 1024 || opts.CacheBytes != 64<<20 {
@@ -56,7 +56,7 @@ func TestParseOptionsAllFlags(t *testing.T) {
 		"-addr :7000 -backends http://x:1 -vnodes 16 -replicas 2 -attempts 5 -timeout 9s " +
 			"-hedge-quantile 0.9 -hedge-min 5ms -health-interval 1s " +
 			"-breaker-failures 7 -breaker-cooldown 3s -batch-inflight 2 " +
-			"-export-wait 11s -registry-limit 99 -cache-entries 7 -cache-mb 3 -drain 4s"))
+			"-registry-limit 99 -cache-entries 7 -cache-mb 3 -drain 4s"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestParseOptionsAllFlags(t *testing.T) {
 		opts.Timeout != 9*time.Second || opts.HedgeQuantile != 0.9 ||
 		opts.HedgeMinDelay != 5*time.Millisecond || opts.HealthInterval != time.Second ||
 		opts.BreakerThreshold != 7 || opts.BreakerCooldown != 3*time.Second ||
-		opts.BatchInflight != 2 || opts.ExportWait != 11*time.Second ||
+		opts.BatchInflight != 2 ||
 		opts.RegistryLimit != 99 || opts.CacheEntries != 7 || opts.CacheBytes != 3<<20 {
 		t.Errorf("parsed options: %+v", opts)
 	}

@@ -11,7 +11,6 @@
 //	gcserved [-addr :8080] [-workers N] [-queue 64] [-cache-entries 1024]
 //	         [-cache-mb 64] [-timeout 60s] [-max-scale 64] [-retry-after 1s]
 //	         [-jobs-dir DIR] [-job-classes interactive:8,batch:1]
-//	         [-checkpoint-cycles 200000]
 //
 // Endpoints:
 //
@@ -27,17 +26,17 @@
 // With -jobs-dir set, the job manager is durable and the async job tier is
 // mounted as well: POST /v1/jobs, GET /v1/jobs/{id}[/result|/events],
 // DELETE /v1/jobs/{id}. A job is one collect; sweeps run their points as
-// collect jobs. Submissions, transitions and results are WAL-logged in
-// -jobs-dir, running jobs checkpoint every -checkpoint-cycles and yield to
-// higher-priority classes at those boundaries, and a restarted server
-// resumes unfinished jobs with byte-identical results. A POST /v1/collect
-// miss (and every point of a POST /v1/sweep) is such a job too, so
-// shutdown preempts it at a checkpoint boundary (503) instead of waiting it
-// out, and the next server on the same -jobs-dir finishes it. The same
-// -workers runners run synchronous and async jobs; a queued job with a
-// waiting request runs ahead of queued async jobs of its class, and when
-// no runner is idle it makes a running async job of its class yield at its
-// next checkpoint boundary.
+// collect jobs. Submissions, results and terminal transitions are
+// WAL-logged in -jobs-dir, which holds nothing else, and a restarted server
+// re-runs unfinished jobs from their requests with byte-identical results.
+// A POST /v1/collect miss (and every point of a POST /v1/sweep) is such a
+// job too, so shutdown stops it at its next slice boundary (503) instead
+// of waiting it out, and the next server on the same -jobs-dir re-runs it.
+// The same -workers runners run synchronous and async jobs, with or
+// without -jobs-dir; a queued job with a waiting request runs ahead of
+// queued async jobs of its class, and when no runner is idle it makes a
+// running async job of its class yield at its next slice boundary, which
+// keeps its live collection in memory and continues from it later.
 //
 // The job tier also mounts parameter-space sweeps (see internal/sweep):
 // POST /v1/sweeps expands a versioned SweepSpace spec into canonical
@@ -90,8 +89,7 @@ func parseOptions(args []string) (addr string, opts server.Options, drain time.D
 		maxScale     = fs.Int("max-scale", 64, "largest accepted workload scale (-1 = unlimited)")
 		retryAfter   = fs.Duration("retry-after", time.Second, "Retry-After hint on 429 responses (rounded up to whole seconds)")
 		drainFlag    = fs.Duration("drain", 30*time.Second, "graceful shutdown drain budget")
-		ckptCycles   = fs.Int64("checkpoint-cycles", 0, "clock cycles between job checkpoints (0 = default 200000)")
-		jobsDir      = fs.String("jobs-dir", "", "directory for the durable job tier (WAL + job checkpoints); enables /v1/jobs and makes collects durable")
+		jobsDir      = fs.String("jobs-dir", "", "directory for the durable job tier's WAL; enables /v1/jobs and makes collects durable")
 		jobClasses   = fs.String("job-classes", "", "async job priority classes as name:weight,... (default interactive:8,batch:1)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -103,12 +101,6 @@ func parseOptions(args []string) (addr string, opts server.Options, drain time.D
 	if *retryAfter <= 0 {
 		return "", server.Options{}, 0, fmt.Errorf("-retry-after must be positive, got %s", *retryAfter)
 	}
-	if *ckptCycles < 0 {
-		return "", server.Options{}, 0, fmt.Errorf("-checkpoint-cycles must be nonnegative, got %d", *ckptCycles)
-	}
-	if *ckptCycles > 0 && *jobsDir == "" {
-		return "", server.Options{}, 0, fmt.Errorf("-checkpoint-cycles requires -jobs-dir")
-	}
 	if *jobClasses != "" && *jobsDir == "" {
 		return "", server.Options{}, 0, fmt.Errorf("-job-classes requires -jobs-dir")
 	}
@@ -118,16 +110,15 @@ func parseOptions(args []string) (addr string, opts server.Options, drain time.D
 		}
 	}
 	return *addrFlag, server.Options{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheEntries:     *cacheEntries,
-		CacheBytes:       *cacheMB << 20,
-		Timeout:          *timeout,
-		MaxScale:         *maxScale,
-		RetryAfter:       *retryAfter,
-		CheckpointCycles: *ckptCycles,
-		JobsDir:          *jobsDir,
-		JobClasses:       *jobClasses,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		CacheEntries: *cacheEntries,
+		CacheBytes:   *cacheMB << 20,
+		Timeout:      *timeout,
+		MaxScale:     *maxScale,
+		RetryAfter:   *retryAfter,
+		JobsDir:      *jobsDir,
+		JobClasses:   *jobClasses,
 	}, *drainFlag, nil
 }
 
@@ -161,7 +152,7 @@ func run(addr string, opts server.Options, drain time.Duration) error {
 	defer cancel()
 	// Drain the serving layer before the HTTP layer: handlers of in-flight
 	// jobs only unblock once the pool drains (with -jobs-dir, collects
-	// preempt at their next checkpoint boundary), and hs.Shutdown
+	// stop at their next slice boundary), and hs.Shutdown
 	// waits for those very handlers — the reverse order deadlocks until the
 	// drain deadline. New requests keep getting clean 503s meanwhile.
 	if err := srv.Shutdown(dctx); err != nil {

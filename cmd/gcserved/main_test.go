@@ -113,12 +113,6 @@ func TestParseOptionsErrors(t *testing.T) {
 	if _, _, _, err := parseOptions([]string{"-no-such-flag"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
-	if _, _, _, err := parseOptions([]string{"-checkpoint-cycles", "-1"}); err == nil {
-		t.Error("negative -checkpoint-cycles accepted")
-	}
-	if _, _, _, err := parseOptions([]string{"-checkpoint-cycles", "100"}); err == nil {
-		t.Error("-checkpoint-cycles without -jobs-dir accepted")
-	}
 	if _, _, _, err := parseOptions([]string{"-checkpoint-dir", t.TempDir()}); err == nil {
 		t.Error("removed -checkpoint-dir flag accepted")
 	}
@@ -127,14 +121,20 @@ func TestParseOptionsErrors(t *testing.T) {
 	}
 }
 
+// TestParseOptionsJobsCheckpointFlags: -jobs-dir and -job-classes are
+// wired, and the removed -checkpoint-cycles flag is refused, with or
+// without -jobs-dir.
 func TestParseOptionsJobsCheckpointFlags(t *testing.T) {
 	dir := t.TempDir() + "/jobs"
-	_, opts, _, err := parseOptions([]string{"-jobs-dir", dir, "-checkpoint-cycles", "5000"})
+	_, opts, _, err := parseOptions([]string{"-jobs-dir", dir, "-job-classes", "hi:4,lo:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.JobsDir != dir || opts.CheckpointCycles != 5000 {
+	if opts.JobsDir != dir || opts.JobClasses != "hi:4,lo:1" {
 		t.Errorf("job tier options not wired: %+v", opts)
+	}
+	if _, _, _, err := parseOptions([]string{"-jobs-dir", dir, "-checkpoint-cycles", "5000"}); err == nil {
+		t.Error("removed -checkpoint-cycles flag accepted")
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 //	POST   /v1/admin/backends      {"URL": "http://host:port"}  join a backend
 //	DELETE /v1/admin/backends/{id}                              remove a backend
 //	GET    /v1/admin/topology                                   current ring view
-//	POST   /v1/admin/rebalance                                  synchronous migration pass
+//	POST   /v1/admin/rebalance                                  synchronous rebalance pass
 //
 // Joins are health-gated (the candidate must answer a probe before taking
-// traffic); joins and removals both kick an asynchronous migration pass
-// that ships displaced jobs to their new owners.
+// traffic); joins and removals both kick an asynchronous rebalance pass
+// that resubmits displaced jobs to their new owners.
 
 // topologyBackend is one row of the admin topology report.
 type topologyBackend struct {
@@ -27,7 +27,7 @@ type topologyBackend struct {
 	URL     string
 	Breaker string
 	Up      bool
-	Removed bool    `json:",omitempty"` // migration source awaiting drain
+	Removed bool    `json:",omitempty"` // rebalance source awaiting drain
 	Share   float64 // fraction of the key space owned (0 once removed)
 }
 
@@ -46,7 +46,7 @@ func (f *Fleet) topology() topologyBody {
 	body := topologyBody{
 		Replicas:     f.opts.Replicas,
 		Vnodes:       f.opts.Vnodes,
-		KeysRemapped: f.emetrics.KeysRemappedFraction(),
+		KeysRemapped: f.emetrics.keysRemapped.Load(),
 	}
 	for _, id := range f.ring.Members() {
 		b := f.backends[id]
@@ -151,7 +151,7 @@ func (f *Fleet) handleAdminBackendByID(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAdminRebalance serves POST /v1/admin/rebalance: a synchronous
-// migration pass whose report is the response body. The async passes that
+// rebalance pass whose report is the response body. The async passes that
 // topology changes kick make this mostly an operator/testing convenience —
 // a deterministic "rebalance now and tell me what moved".
 func (f *Fleet) handleAdminRebalance(w http.ResponseWriter, r *http.Request) {

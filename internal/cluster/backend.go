@@ -26,7 +26,7 @@ type Backend struct {
 
 	// removed is set when the backend leaves the ring: in-flight exchanges
 	// may still settle against it, but it takes no probes and no breaker or
-	// metric attribution, and serves only as a migration source.
+	// metric attribution, and serves only as a rebalance source.
 	removed atomic.Bool
 	// wasOpen tracks the breaker's last observed open state so probeAll
 	// fires the rebalance trigger once per open transition, not per probe.

@@ -17,15 +17,14 @@ import (
 )
 
 // startJobServed boots one real gcserved with the durable async job tier
-// mounted and frequent snapshot boundaries (so migration exports preempt
-// quickly).
+// mounted and short slices (so a released job stops quickly).
 func startJobServed(t *testing.T) (*server.Server, *httptest.Server) {
 	t.Helper()
 	s, err := server.New(server.Options{
-		Workers:          2,
-		JobsDir:          t.TempDir(),
-		CheckpointCycles: 2000,
-		Timeout:          30 * time.Second,
+		Workers:     2,
+		JobsDir:     t.TempDir(),
+		SliceCycles: 2000,
+		Timeout:     30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,8 +43,8 @@ func startJobServed(t *testing.T) (*server.Server, *httptest.Server) {
 // TestElasticChaosE2E is the acceptance chaos run from the issue: three
 // real gcserved backends behind one gcfleet, a batch of async jobs in
 // flight, then — mid-run — a fourth backend joins through the admin API and
-// one original backend is killed. Every job must still finish (checkpoint
-// migration for reachable sources, registry rescue for the dead one) with
+// one original backend is killed. Every job must still finish (resubmission
+// from reachable sources, registry rescue for the dead one) with
 // results byte-identical to a single-node reference. Zero abandoned jobs.
 func TestElasticChaosE2E(t *testing.T) {
 	if testing.Short() {
@@ -71,7 +70,6 @@ func TestElasticChaosE2E(t *testing.T) {
 		// Also the probe timeout: generous enough that a loaded-but-live
 		// backend never trips its own breaker on a slow /healthz.
 		HealthInterval: 500 * time.Millisecond,
-		ExportWait:     10 * time.Second,
 		Timeout:        30 * time.Second,
 	})
 	if err != nil {
@@ -101,10 +99,11 @@ func TestElasticChaosE2E(t *testing.T) {
 	victimTS := backends[0]
 
 	// Build the job mix: one-core jlisp collects at scale 2 (about 61k
-	// simulated cycles, 30 checkpoints each). The first four are owned by
-	// the victim, so the kill strands work that only rescue/migration can
-	// save; they run at scale 4, twice as long, so that they are still in
-	// flight at the kill (see the wait below).
+	// simulated cycles, 30 slices each). The first four are owned by
+	// the victim, so the kill strands work that only rescue or resubmission
+	// can save; they are one-core javac collects at scale 16 (about 7.5M
+	// cycles, over half a second each even without -race), so that they
+	// are still in flight at the kill (see the wait below).
 	type chaosJob struct {
 		id       string
 		syncPath string
@@ -112,8 +111,8 @@ func TestElasticChaosE2E(t *testing.T) {
 		submit   []byte
 	}
 	var jobsList []chaosJob
-	mkCollect := func(seed int64, scale int) chaosJob {
-		req := hwgc.CollectRequest{Bench: "jlisp", Scale: scale, Seed: seed, Config: hwgc.Config{Cores: 1}}
+	mkCollect := func(bench string, seed int64, scale int) chaosJob {
+		req := hwgc.CollectRequest{Bench: bench, Scale: scale, Seed: seed, Config: hwgc.Config{Cores: 1}}
 		canon, err := req.CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +126,7 @@ func TestElasticChaosE2E(t *testing.T) {
 	}
 	victimOwned := 0
 	for seed := int64(1); victimOwned < 4 && seed < 10000; seed++ {
-		j := mkCollect(seed, 4)
+		j := mkCollect("javac", seed, 16)
 		if f.primaryFor(j.id) == victim {
 			jobsList = append(jobsList, j)
 			victimOwned++
@@ -137,10 +136,13 @@ func TestElasticChaosE2E(t *testing.T) {
 		t.Fatal("could not find victim-owned collect seeds")
 	}
 	for seed := int64(10001); len(jobsList) < 10; seed++ {
-		jobsList = append(jobsList, mkCollect(seed, 2))
+		jobsList = append(jobsList, mkCollect("jlisp", seed, 2))
 	}
 
-	for i, j := range jobsList {
+	// The victim-owned jobs go last: each submission fsyncs a WAL record,
+	// and the victim's jobs start running as soon as they are accepted.
+	for i := len(jobsList) - 1; i >= 0; i-- {
+		j := jobsList[i]
 		res, body := post(fleet.URL+"/v1/jobs", j.submit)
 		if res.StatusCode != http.StatusAccepted && res.StatusCode != http.StatusOK {
 			t.Fatalf("submit %d: status %d: %s", i, res.StatusCode, body)
@@ -160,10 +162,10 @@ func TestElasticChaosE2E(t *testing.T) {
 	// Let the runners get into the work, then unleash the chaos: a new
 	// backend joins through the admin API, and the victim dies hard. The
 	// wait is on the victim's state, not a fixed time: it ends as soon as
-	// the victim has checkpointed one of its own jobs. Its two runners
-	// start two of them together and queue the other two behind them, and
-	// each is about 60 checkpoints long, so the join and the check below
-	// run long before any of the four can finish.
+	// the victim has passed a slice boundary in one of its own jobs. Its two
+	// runners start two of them together and queue the other two behind
+	// them, and each is thousands of slices long, so the join and the check
+	// below run long before any of the four can finish.
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
 		started := false
 		for _, j := range jobsList[:4] {
@@ -183,7 +185,7 @@ func TestElasticChaosE2E(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("the victim checkpointed none of its jobs")
+			t.Fatal("the victim started none of its jobs")
 		}
 	}
 	joinBody, _ := json.Marshal(addBackendBody{URL: joiner.URL})
@@ -218,7 +220,7 @@ func TestElasticChaosE2E(t *testing.T) {
 	victimTS.Close()
 
 	// Drive recovery deterministically: synchronous rebalance passes move
-	// displaced jobs (checkpoint migration from live sources, registry
+	// displaced jobs (resubmission from live sources, registry
 	// rescue for the dead victim's), while result polling proves no job was
 	// abandoned and every result is byte-identical to the single-node
 	// reference.

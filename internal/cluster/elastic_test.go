@@ -8,8 +8,6 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"hwgc/internal/elastic"
 )
 
 // adminReq drives one admin-API request through the fleet handler.
@@ -259,7 +257,7 @@ func TestAdminRebalanceReport(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("rebalance: %d: %s", rec.Code, rec.Body.String())
 	}
-	var rep elastic.Report
+	var rep Report
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
 		t.Fatalf("report undecodable: %v", err)
 	}

@@ -44,7 +44,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -52,7 +51,6 @@ import (
 	"time"
 
 	"hwgc"
-	"hwgc/internal/elastic"
 	"hwgc/internal/frontdoor"
 	"hwgc/internal/sweep"
 )
@@ -104,9 +102,6 @@ type Options struct {
 	// RegistryLimit bounds the submission registry used to rescue jobs from
 	// dead backends during a rebalance (default 4096 entries).
 	RegistryLimit int
-	// ExportWait bounds how long a migration export waits for a running job
-	// to reach its next snapshot boundary (default 30s).
-	ExportWait time.Duration
 	// SweepPoll is the per-point result poll interval of the fleet sweep
 	// runner (default 250ms; tests shrink it).
 	SweepPoll time.Duration
@@ -157,9 +152,6 @@ func (o Options) withDefaults() Options {
 	if o.RegistryLimit <= 0 {
 		o.RegistryLimit = 4096
 	}
-	if o.ExportWait <= 0 {
-		o.ExportWait = 30 * time.Second
-	}
 	if o.SweepPoll <= 0 {
 		o.SweepPoll = 250 * time.Millisecond
 	}
@@ -203,19 +195,18 @@ type Fleet struct {
 	mu       sync.RWMutex // guards ring, backends, removed and nextIdx
 	ring     *Ring
 	backends map[string]*Backend
-	removed  map[string]*Backend // left the ring; retained as migration sources
+	removed  map[string]*Backend // left the ring; retained as rebalance sources
 	nextIdx  int                 // monotonic backend index so re-adds get fresh IDs
 
 	edge       *edgeCache // nil when disabled
 	memo       *bodyMemo  // raw /v1/collect body -> key; nil with edge
 	replyLimit int64      // largest backend reply body relayed (tests shrink it)
 
-	registry *jobRegistry     // canonical submit bodies, for dead-owner rescue
-	emetrics *elastic.Metrics // gcelastic_* counters, appended to /metrics
-	migrator *elastic.Migrator
+	registry *jobRegistry       // canonical submit bodies, for job moves and rescue
+	emetrics *rebalanceMetrics  // gcelastic_* counters, appended to /metrics
 	sweeps   *sweep.Coordinator // proxy-side sweep planner/aggregator
 
-	rebalanceMu sync.Mutex // serializes migration passes
+	rebalanceMu sync.Mutex // serializes rebalance passes
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -246,7 +237,7 @@ func New(opts Options) (*Fleet, error) {
 		edge:       newEdgeCache(opts.CacheEntries, opts.CacheBytes),
 		replyLimit: maxProxyBodyBytes,
 		registry:   newJobRegistry(opts.RegistryLimit),
-		emetrics:   elastic.NewMetrics(),
+		emetrics:   newRebalanceMetrics(),
 		stop:       make(chan struct{}),
 		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 		sleep:      sleepCtx,
@@ -284,12 +275,6 @@ func New(opts Options) (*Fleet, error) {
 			MaxIdleConnsPerHost: 16,
 			IdleConnTimeout:     90 * time.Second,
 		}}
-	}
-	f.migrator = &elastic.Migrator{
-		Client:     f.client,
-		Metrics:    f.emetrics,
-		Logf:       log.Printf,
-		ExportWait: opts.ExportWait,
 	}
 	f.sweeps = sweep.New(sweepRunner{f})
 	// A /v1/sweep or batch point is routed to its own owner, under that
@@ -363,7 +348,7 @@ func (f *Fleet) Backends() []*Backend {
 // traffic. It returns the new backend and the fraction of sampled keys
 // whose owner changed (~1/(N+1) when the Nth+1 member joins, by minimal
 // remap). The caller is expected to kick a rebalance pass so jobs whose key
-// now routes to the newcomer migrate there.
+// now routes to the newcomer move there.
 func (f *Fleet) AddBackend(raw string) (*Backend, float64, error) {
 	f.mu.Lock()
 	idx := f.nextIdx
@@ -391,7 +376,7 @@ func (f *Fleet) AddBackend(raw string) (*Backend, float64, error) {
 	f.ring = ring
 	f.backends[b.id] = b
 	f.metrics.backendsAdded.Add(1)
-	f.emetrics.SetKeysRemappedFraction(frac)
+	f.emetrics.keysRemapped.Set(frac)
 	return b, frac, nil
 }
 
@@ -399,7 +384,7 @@ func (f *Fleet) AddBackend(raw string) (*Backend, float64, error) {
 // change, as opposed to a breaker trip which keeps ring ownership stable).
 // The remaining backends deterministically inherit only the removed
 // member's keys. The backend object is retained, marked removed, as a
-// checkpoint-migration source until a clean rebalance pass drains it; it
+// rebalance source until a clean rebalance pass drains it; it
 // takes no further probes, routing, or metric attribution. Returns the
 // fraction of sampled keys whose owner changed.
 func (f *Fleet) RemoveBackend(id string) (float64, error) {
@@ -422,7 +407,7 @@ func (f *Fleet) RemoveBackend(id string) (float64, error) {
 	b.removed.Store(true)
 	f.removed[id] = b
 	f.metrics.backendsRemoved.Add(1)
-	f.emetrics.SetKeysRemappedFraction(frac)
+	f.emetrics.keysRemapped.Set(frac)
 	return frac, nil
 }
 
@@ -769,12 +754,12 @@ func (f *Fleet) healthLoop() {
 func (f *Fleet) probeAll() {
 	for _, b := range f.Backends() {
 		if b.removed.Load() {
-			continue // left the ring: migration source only, never probed
+			continue // left the ring: rebalance source only, never probed
 		}
 		// Detect a fresh breaker-open transition before the Allow gate (an
 		// open breaker refuses Allow, which would hide the transition). A
 		// member whose breaker just opened has jobs stuck behind it until it
-		// recovers — kick one migration pass to move them to live owners.
+		// recovers — kick one rebalance pass to move them to live owners.
 		open := b.breaker.State() == BreakerOpen
 		if open && !b.wasOpen.Swap(true) {
 			f.goRebalance()

@@ -54,8 +54,8 @@ func (f *Fleet) handleJobs(w http.ResponseWriter, r *http.Request) {
 		copyHeader(w, res.header, "Location")
 		if res.status < http.StatusMultipleChoices {
 			// Remember the accepted submission so a rebalance pass can
-			// resubmit it from scratch if its owner dies before the job can
-			// be checkpoint-exported (dead-owner rescue).
+			// resubmit it to a new owner after a topology change, or after
+			// its owner dies.
 			f.registry.Record(key, body)
 		}
 	}

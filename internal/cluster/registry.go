@@ -3,15 +3,15 @@ package cluster
 import "sync"
 
 // jobRegistry remembers the canonical POST /v1/jobs body of every job the
-// fleet has routed, keyed by job ID (the request's content key). It is the
-// migration driver's rescue path: when a backend dies before its jobs can
-// be checkpoint-exported, the registry lets the driver resubmit them to the
-// new key owner from scratch — determinism makes the re-run's result
-// byte-identical, so a dead backend costs time, never answers.
+// fleet has routed, keyed by job ID (the request's content key). It is how
+// a rebalance pass moves a job: the body is resubmitted to the new key
+// owner, which re-runs the job from scratch — determinism makes the
+// re-run's result byte-identical, so a move or a dead backend costs time,
+// never answers.
 //
 // The registry is bounded FIFO: beyond the limit the oldest entries are
-// evicted. An evicted job can no longer be rescued from a dead backend, but
-// it remains migratable the normal way (checkpoint export from a live one).
+// evicted. An evicted job no longer moves: it finishes on the backend that
+// runs it, and cannot be rescued if that backend dies.
 type jobRegistry struct {
 	mu    sync.Mutex
 	limit int

@@ -442,7 +442,6 @@ func TestSweepChaosE2E(t *testing.T) {
 		BreakerCooldown:  time.Hour, // the kill stays visible: no half-open flapping
 		HealthInterval:   200 * time.Millisecond,
 		SweepPoll:        20 * time.Millisecond,
-		ExportWait:       10 * time.Second,
 		Timeout:          30 * time.Second,
 	})
 	if err != nil {
@@ -478,8 +477,8 @@ func TestSweepChaosE2E(t *testing.T) {
 	backends[0].CloseClientConnections()
 	backends[0].Close()
 
-	// Synchronous rebalance kicks accelerate recovery (checkpoint migration
-	// from live sources, registry rescue for the dead victim's jobs) while
+	// Synchronous rebalance kicks accelerate recovery (resubmission from
+	// live sources, registry rescue for the dead victim's jobs) while
 	// the fleet's own 404-driven resubmission re-homes orphaned points.
 	var lastKick time.Time
 	kick := func() {

@@ -2,32 +2,34 @@
 // the server runs — a synchronous /v1/collect miss (Manager.Collect), a
 // sweep or batch point, or a /v1/jobs submission — is a job of one Manager,
 // whose runner pool is the server's only pool. Without a directory the
-// Manager runs in memory (no WAL, no checkpoints, nothing to resume). With
-// one it is the durable asynchronous job subsystem behind the /v1/jobs
-// endpoints, which turns the synchronous serving tier into one that can
-// accept work it cannot finish immediately: a write-ahead log
-// (append-only, CRC-framed like internal/snapshot) persists every
-// submission and state transition, a scheduler shares the runner pool
-// across priority classes with weighted fair queuing and anti-starvation
-// aging, and long-running collections are preempted at checkpoint
-// boundaries — reusing the snapshot machinery of hwgc.Collection — when
-// higher-priority work is waiting, so a long collection no longer blocks a
-// one-shot collect.
+// Manager runs in memory (no WAL). With one it is the durable asynchronous
+// job subsystem behind the /v1/jobs endpoints, which turns the synchronous
+// serving tier into one that can accept work it cannot finish immediately:
+// a write-ahead log (append-only, CRC-framed like internal/snapshot)
+// persists every submission, result and terminal transition, a scheduler
+// shares the runner pool across priority classes with weighted fair
+// queuing and anti-starvation aging, and in both modes long-running
+// collections yield at slice boundaries when higher-priority work is
+// waiting, so a long collection no longer blocks a one-shot collect.
+//
+// Durability rests on determinism, not on snapshots: a job is durable
+// through its WAL submit record, and after a crash, a drain or a move to
+// another backend it re-runs from its request with a byte-identical result.
+// A job that yields to another one keeps its live collection in memory and
+// continues from it; at most Runners collections are parked at once.
 //
 // The design carries the paper's synchronization discipline to the job
-// level: the uncontended path is free (a lone job runs checkpoint to
-// checkpoint without ever being interrupted), contention is bounded (a
-// preempted job loses at most the work since its last checkpoint, which is
-// zero — the snapshot restore contract makes resumed results bit-identical),
-// and every stall is accounted for (per-class queue depth, preemption,
-// resume and WAL fsync metrics).
+// level: the uncontended path is free (a lone job runs slice to slice
+// without ever being interrupted), contention is bounded (a preempted job
+// loses no work: its collection is parked, not discarded), and every stall
+// is accounted for (per-class queue depth, preemption and WAL fsync
+// metrics).
 //
 // Job lifecycle:
 //
 //	queued -> running -> done | failed | cancelled | migrated
-//	            ^  |
-//	            |  v           (preemption / drain / crash, always at a
-//	         checkpointed       checkpoint boundary)
+//	  ^          |
+//	  +----------+    (preemption at a slice boundary; drain; crash)
 //
 // Submissions are idempotent: the job ID is the content address of the
 // canonical request (hwgc.KeyBytes), so resubmitting a request — or
@@ -49,10 +51,11 @@ import (
 // State is a job's position in its lifecycle.
 type State string
 
-// The job states, in lifecycle order. Checkpointed means "preempted at a
-// checkpoint boundary and waiting to be rescheduled"; it is a queue state,
-// not a terminal one. Migrated means "handed off to another backend via a
-// checkpoint export" — terminal locally, but the job lives on elsewhere.
+// The job states, in lifecycle order. Migrated means "resubmitted to
+// another backend and released here" — terminal locally, but the job lives
+// on elsewhere. Checkpointed is no state a job takes any more: older
+// versions wrote it to the WAL for a preempted job, and replay reads it as
+// queued.
 const (
 	StateQueued       State = "queued"
 	StateRunning      State = "running"
@@ -107,7 +110,7 @@ func (r *SubmitRequest) Canonical() ([]byte, error) {
 // ClassConfig names one priority class and its fair-share weight. A class
 // with weight w receives w shares of runner time while backlogged, and its
 // jobs preempt running jobs of strictly lower-weight classes at their next
-// checkpoint boundary.
+// slice boundary.
 type ClassConfig struct {
 	Name   string
 	Weight int
@@ -167,11 +170,12 @@ type Info struct {
 	Kind  string // KindCollect ("sweep" only for a job replayed from an old WAL)
 	Class string
 	State State
-	// Cycle is the clock cycle of the job's newest checkpoint (0 before the
-	// first checkpoint).
+	// Cycle is the clock cycle the job's collection reached at its newest
+	// slice boundary (0 before the first one, and after a restart, from
+	// which the job re-runs).
 	Cycle int64
-	// Preemptions counts how many times this job was preempted at a
-	// checkpoint boundary.
+	// Preemptions counts how many times this job yielded at a slice
+	// boundary.
 	Preemptions int64
 	Error       string    `json:",omitempty"`
 	Submitted   time.Time `json:",omitempty"`

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,25 +33,25 @@ var (
 	// synchronous waiter than Options.QueueDepth allows.
 	ErrQueueFull = errors.New("jobs: queue full")
 	// ErrPreempted reports a Collect whose job a draining manager left
-	// checkpointed or queued, or that migrated to another backend: the job
-	// is durable, and the next manager on the same Dir (or the adopting
-	// backend) finishes it.
-	ErrPreempted = errors.New("jobs: job preempted by drain (checkpointed) or migrated")
+	// queued, or that migrated to another backend: the job is durable in
+	// the WAL, and the next manager on the same Dir (or the backend it was
+	// resubmitted to) runs it again from its request.
+	ErrPreempted = errors.New("jobs: job preempted by drain or migrated")
 )
 
 // Internal control-flow sentinels for the runner loop.
 var (
-	errPreempted = errors.New("jobs: preempted at checkpoint boundary")
+	errPreempted = errors.New("jobs: preempted at a slice boundary")
 	errCancelled = errors.New("jobs: cancelled")
 )
 
 // Options configures a Manager.
 type Options struct {
-	// Dir is the durable jobs directory: the WAL and per-job checkpoint
-	// files live here. Empty selects memory mode: no WAL, no checkpoint
-	// files and nothing to resume, so a job never yields; Drain runs every
-	// admitted job to completion; and a terminal job leaves the table once
-	// its Collect waiters have its outcome.
+	// Dir is the durable jobs directory, which holds only the WAL: a job is
+	// durable through its submit record and re-runs from its request after
+	// a crash or a drain. Empty selects memory mode: no WAL, Drain runs
+	// every admitted job to completion, and a terminal job leaves the table
+	// once its Collect waiters have its outcome.
 	Dir string
 	// Classes is the priority class set; empty selects DefaultClasses.
 	Classes []ClassConfig
@@ -60,11 +59,12 @@ type Options struct {
 	Runners int
 	// QueueDepth bounds the queued jobs that have a Collect waiter: a
 	// Collect that would queue one more fails with ErrQueueFull. Zero means
-	// unbounded. Submit and Import are not bounded.
+	// unbounded. Submit is not bounded.
 	QueueDepth int
-	// CheckpointCycles is the slice length: how many simulated cycles a job
-	// runs between checkpoint boundaries (default 200000).
-	CheckpointCycles int64
+	// SliceCycles is the slice length: how many simulated cycles a job runs
+	// between the boundaries where it can be cancelled or yield (default
+	// 200000).
+	SliceCycles int64
 	// RetainTerminal bounds how many terminal jobs (and their result
 	// bodies) survive WAL compaction (default 1024). Compaction runs at
 	// startup and again each time that many jobs have finished, so the job
@@ -74,22 +74,20 @@ type Options struct {
 	// non-positive selects the default.
 	Aging float64
 	// OnResult, when set, is called with no manager locks held for every
-	// job that completes here: its ID, its encoded result body and, for a
-	// collection this manager ran, the response (nil for results imported
-	// already finished). A job run here is reported before
-	// its done transition is published, so a waiter woken by that
+	// job that completes here: its ID, its encoded result body and the
+	// response (nil when Run replaced the simulation). A job is reported
+	// before its done transition is published, so a waiter woken by that
 	// transition sees the hook's effects. gcserved uses it to fill its
 	// result cache and its collect scenario series.
 	OnResult func(id string, body []byte, resp *hwgc.CollectResponse)
-	// CheckpointHook, when set, is called after every checkpoint save with
-	// no locks held; tests use it to make preemption and crashes
-	// deterministic.
-	CheckpointHook func(id string)
+	// SliceHook, when set, is called at every slice boundary with no locks
+	// held; tests use it to make preemption and crashes deterministic.
+	SliceHook func(id string)
 	// Clock overrides time.Now for Info timestamps (tests).
 	Clock func() time.Time
 	// Run, when set, replaces the simulation of every job: the manager
 	// calls it with the job's request and takes its body as the result,
-	// with no checkpoints. For tests only; production leaves it nil.
+	// with no slices. For tests only; production leaves it nil.
 	Run func(req hwgc.CollectRequest) ([]byte, error)
 }
 
@@ -97,8 +95,8 @@ func (o Options) withDefaults() Options {
 	if o.Runners <= 0 {
 		o.Runners = 2
 	}
-	if o.CheckpointCycles <= 0 {
-		o.CheckpointCycles = 200_000
+	if o.SliceCycles <= 0 {
+		o.SliceCycles = 200_000
 	}
 	if o.RetainTerminal <= 0 {
 		o.RetainTerminal = 1024
@@ -110,8 +108,8 @@ func (o Options) withDefaults() Options {
 }
 
 // job is the Manager's runtime record of one submission. Fields below the
-// request block are guarded by Manager.mu except the two atomic flags, which
-// the runner polls at checkpoint boundaries without taking the lock.
+// request block are guarded by Manager.mu except the atomic flags, which the
+// runner polls at slice boundaries without taking the lock.
 type job struct {
 	ID    string
 	Kind  string // KindCollect, or "sweep" for a job replayed from an old WAL
@@ -126,18 +124,18 @@ type job struct {
 	Submitted   time.Time
 	Started     time.Time
 	Finished    time.Time
-	HasCkpt     bool // a checkpoint file exists for the job
+	// rc is the live collection of a job that yielded at a slice boundary:
+	// it stays queued and its next dispatch continues from rc.
+	rc *hwgc.RequestCollection
 
-	preempt    atomic.Bool  // yield at the next checkpoint boundary
-	cancel     atomic.Bool  // cancel at the next checkpoint boundary
-	migrateOut atomic.Bool  // a cancel is a migration handoff, not a user cancel
-	exporting  atomic.Int32 // exporters waiting for a checkpoint-boundary park
-	parked     bool         // held out of sched for an exporter (guarded by m.mu)
+	preempt    atomic.Bool // yield at the next slice boundary
+	cancel     atomic.Bool // cancel at the next slice boundary
+	migrateOut atomic.Bool // a cancel is a migration handoff, not a user cancel
 	events     *events.Log[Event]
 
 	// Guarded by Manager.mu: the Collect calls waiting for the job, whether
-	// a Submit or Import asked for it (then it is never withdrawn), and the
-	// channel the next state change closes for those waiters.
+	// a Submit asked for it (then it is never withdrawn), and the channel
+	// the next state change closes for those waiters.
 	waiters int
 	async   bool
 	changed chan struct{}
@@ -160,11 +158,13 @@ type Manager struct {
 	order    []string        // job IDs in submission order
 	aux      []AuxRecord     // auxiliary subsystem records, in append order
 	running  map[string]*job // jobs on a runner
+	parked   int             // queued jobs holding a live collection (job.rc)
 	finished int             // terminal transitions since the last compaction
 	closed   bool
 	draining chan struct{}
 	wg       sync.WaitGroup
 
+	started   stats.Int // dispatches: fresh starts and continued collections
 	ended     stats.Int // dispatches that ended: done, failed or yielded
 	withdrawn stats.Int // queued jobs withdrawn when their last waiter left
 }
@@ -185,18 +185,11 @@ type AuxRecord struct {
 // startup; the newest win, mirroring RetainTerminal for jobs.
 const maxAuxRetain = 4096
 
-// runCtx carries per-dispatch bookkeeping through the runner's call chain.
-type runCtx struct {
-	dispatched time.Time
-	fresh      bool // no prior progress at dispatch
-	observed   bool // time-to-first-checkpoint already recorded
-}
-
-// Open replays the WAL in opts.Dir, sweeps the checkpoint directory, adopts
-// resumable work, compacts the log, and starts the runner pool. Jobs that
-// were queued or checkpointed when the previous process died are re-admitted
-// exactly where they left off. With no Dir it starts an empty memory-mode
-// manager.
+// Open replays the WAL in opts.Dir, compacts the log and starts the runner
+// pool. Every job that had not finished when the previous process stopped
+// is re-admitted queued and re-runs from its request: results are
+// deterministic, so the re-run's body is byte-identical. With no Dir it
+// starts an empty memory-mode manager.
 func Open(opts Options) (*Manager, error) {
 	opts = opts.withDefaults()
 	if len(opts.Classes) == 0 {
@@ -222,6 +215,7 @@ func Open(opts Options) (*Manager, error) {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, err
 		}
+		removeStaleFiles(opts.Dir)
 		wal, recs, err := OpenWAL(opts.Dir, m.metrics)
 		if err != nil {
 			return nil, err
@@ -239,9 +233,8 @@ func Open(opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// recover rebuilds the job table from replayed WAL records, reconciles it
-// with the on-disk checkpoints, compacts the log and re-admits unfinished
-// work.
+// recover rebuilds the job table from replayed WAL records, compacts the
+// log and re-admits unfinished work.
 func (m *Manager) recover(recs []walRecord) error {
 	for i := range recs {
 		rec := &recs[i]
@@ -272,14 +265,13 @@ func (m *Manager) recover(recs []walRecord) error {
 				return fmt.Errorf("jobs: WAL transition for unknown job %s", rec.ID)
 			}
 			switch rec.State {
-			case StateRunning:
-				j.State = StateRunning
+			case StateRunning, StateCheckpointed:
+				// Written by older versions. Either way the job re-runs
+				// from its request, so it is queued.
+				j.State = StateQueued
 				if j.Started.IsZero() {
 					j.Started = rec.At
 				}
-			case StateCheckpointed:
-				j.State = StateCheckpointed
-				j.Cycle = rec.Cycle
 			case StateQueued: // revival of a failed, cancelled or migrated job
 				j.State = StateQueued
 				j.ErrMsg = ""
@@ -311,39 +303,21 @@ func (m *Manager) recover(recs []walRecord) error {
 			return fmt.Errorf("jobs: unknown WAL record type %d", rec.Type)
 		}
 	}
-	// A job that was running when the process died restarts from its newest
-	// checkpoint (adopted below) or, failing that, from scratch — results
-	// are deterministic either way, so no duplicate execution is visible.
-	// An old WAL's unfinished sweep job is failed instead: sweeps now run as
+	// An old WAL's unfinished sweep job is failed: sweeps now run as
 	// collect jobs, one per point, and the compaction below records that.
 	for _, j := range m.jobs {
-		switch {
-		case j.Kind != KindCollect && !j.State.Terminal():
+		if j.Kind != KindCollect && !j.State.Terminal() {
 			j.State = StateFailed
 			j.ErrMsg = errLegacySweep
 			j.Finished = m.opts.Clock()
-		case j.State == StateRunning:
-			j.State = StateQueued
 		}
-	}
-	if err := m.sweepCheckpoints(); err != nil {
-		return err
 	}
 	if err := m.compact(len(recs) > 0); err != nil {
 		return err
 	}
-	// Re-admit unfinished work: queued jobs first (FIFO by submission),
-	// then checkpointed jobs in reverse order so front-insertion restores
-	// their original relative order ahead of the queued ones.
+	// Re-admit unfinished work, FIFO by submission.
 	for _, id := range m.order {
 		if j := m.jobs[id]; j.State == StateQueued {
-			if err := m.sched.Enqueue(j); err != nil {
-				return err
-			}
-		}
-	}
-	for i := len(m.order) - 1; i >= 0; i-- {
-		if j := m.jobs[m.order[i]]; j.State == StateCheckpointed {
 			if err := m.sched.Enqueue(j); err != nil {
 				return err
 			}
@@ -359,48 +333,16 @@ func (m *Manager) recover(recs []walRecord) error {
 // errLegacySweep fails an old WAL's unfinished sweep job.
 const errLegacySweep = "jobs: sweep jobs are no longer run; resubmit the sweep to POST /v1/sweep or /v1/sweeps, which run each point as a collect job"
 
-// sweepCheckpoints reconciles the checkpoint directory with the job table:
-// files for unknown or terminal jobs, unreadable or stale files and
-// leftover temp files are reclaimed; valid files promote their job to the
-// checkpointed state for resume.
-func (m *Manager) sweepCheckpoints() error {
-	entries, err := os.ReadDir(m.opts.Dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(name, ".ckpt-") || strings.HasPrefix(name, ".wal-") {
-			// Temp file orphaned by a crash mid-rename.
-			os.Remove(filepath.Join(m.opts.Dir, name))
-			m.metrics.ckptReclaims.Add(1)
-			continue
-		}
-		if !strings.HasSuffix(name, ckptSuffix) {
-			continue
-		}
-		path := filepath.Join(m.opts.Dir, name)
-		id := strings.TrimSuffix(name, ckptSuffix)
-		j := m.jobs[id]
-		if j == nil || j.State.Terminal() {
+// removeStaleFiles deletes what an older version or a crash left in dir
+// besides the WAL: job checkpoint files, which no version reads any more,
+// and the temp files of an interrupted checkpoint write or WAL compaction.
+func removeStaleFiles(dir string) {
+	for _, pattern := range []string{"*.ckpt", ".ckpt-*", ".wal-*"} {
+		stale, _ := filepath.Glob(filepath.Join(dir, pattern))
+		for _, path := range stale {
 			os.Remove(path)
-			m.metrics.ckptReclaims.Add(1)
-			continue
 		}
-		ck, err := readCheckpoint(path)
-		if err != nil {
-			os.Remove(path)
-			m.metrics.ckptReclaims.Add(1)
-			continue
-		}
-		j.State = StateCheckpointed
-		j.Cycle = ck.Cycle
-		j.HasCkpt = true
 	}
-	return nil
 }
 
 // compact drops the oldest-finished terminal jobs beyond the retention
@@ -436,11 +378,7 @@ func (m *Manager) compact(rewrite bool) error {
 		j := m.jobs[id]
 		recs = append(recs, walRecord{Type: recSubmit, ID: j.ID, Kind: j.Kind, Class: j.Class, Request: j.Req, At: j.Submitted})
 		switch j.State {
-		case StateQueued: // implied by recSubmit
-		case StateRunning: // a runtime compaction; replay re-queues it
-			recs = append(recs, walRecord{Type: recState, ID: j.ID, State: StateRunning, At: j.Started})
-		case StateCheckpointed:
-			recs = append(recs, walRecord{Type: recState, ID: j.ID, State: StateCheckpointed, Cycle: j.Cycle, At: j.Started})
+		case StateQueued, StateRunning: // implied by recSubmit: replay queues it
 		case StateFailed, StateCancelled, StateMigrated:
 			recs = append(recs, walRecord{Type: recState, ID: j.ID, State: j.State, Error: j.ErrMsg, At: j.Finished})
 		case StateDone:
@@ -488,14 +426,15 @@ func (m *Manager) Submit(class string, canonical []byte) (Info, bool, error) {
 // encoded response body. It submits the job in the default class, or
 // dedupes onto the job already known under key; a queued job with a
 // Collect waiter runs ahead of every queued job without one in its class
-// and, with a Dir, makes a running job of its class that no Collect waits
-// for yield at its next checkpoint when no runner is idle. It fails with ErrQueueFull when that would queue more such jobs than
+// and makes a running job of its class that no Collect waits for yield at
+// its next slice boundary when no runner is idle. It fails with
+// ErrQueueFull when that would queue more such jobs than
 // Options.QueueDepth, and ErrDraining once Drain has begun. It returns when
 // the job finishes, when ctx ends, or with ErrPreempted when a draining
-// manager with a Dir leaves the job queued or checkpointed (it stays in
-// the WAL for the next Open). When the last waiter gives up on a job that
-// is still queued, has no checkpoint and that no Submit or Import asked
-// for, the job is withdrawn, unless a draining manager with a Dir keeps it.
+// manager with a Dir leaves the job queued (it stays in the WAL for the
+// next Open). When the last waiter gives up on a job that is still queued,
+// has no parked collection and that no Submit asked for, the job is
+// withdrawn, unless a draining manager with a Dir keeps it.
 func (m *Manager) Collect(ctx context.Context, key string, canonical []byte) ([]byte, error) {
 	class := m.opts.Classes[0].Name
 	m.mu.Lock()
@@ -520,8 +459,8 @@ func (m *Manager) Collect(ctx context.Context, key string, canonical []byte) ([]
 			err = fmt.Errorf("jobs: collect job %s was cancelled", j.ID)
 		case j.State == StateMigrated:
 			err = ErrPreempted
-		case j.State != StateRunning && m.closed && m.opts.Dir != "":
-			err = ErrPreempted // queued or checkpointed: a draining manager runs it no further
+		case j.State == StateQueued && m.closed && m.opts.Dir != "":
+			err = ErrPreempted // a draining durable manager runs it no further
 		default:
 			done = false
 		}
@@ -558,8 +497,7 @@ func (m *Manager) admitLocked(id, class string, canonical []byte, sync bool) (j 
 	j, ok := m.jobs[id]
 	if ok && !(j.State == StateFailed || j.State == StateCancelled || j.State == StateMigrated) {
 		if sync {
-			queued := j.State == StateQueued || j.State == StateCheckpointed
-			if j.waiters == 0 && queued && full {
+			if j.waiters == 0 && j.State == StateQueued && full {
 				return nil, false, ErrQueueFull
 			}
 			// A queued job gaining its first waiter re-enters its class
@@ -613,9 +551,9 @@ func (m *Manager) admitLocked(id, class string, canonical []byte, sync bool) (j 
 
 // leave unregisters one Collect waiter of j. The last waiter to leave a
 // terminal memory-mode job drops it from the table. One that leaves a job
-// still queued withdraws it, unless a Submit or Import asked for it, it has
-// checkpointed progress, or a draining manager with a Dir keeps it in the
-// WAL for the next Open; a job kept queued leaves the sync-waited prefix.
+// still queued withdraws it, unless a Submit asked for it, it holds a parked
+// collection, or a draining manager with a Dir keeps it in the WAL for the
+// next Open; a job kept queued leaves the sync-waited prefix.
 func (m *Manager) leave(j *job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -627,11 +565,11 @@ func (m *Manager) leave(j *job) {
 		if m.opts.Dir == "" {
 			m.dropLocked(j)
 		}
-	case j.State != StateQueued && j.State != StateCheckpointed:
+	case j.State != StateQueued:
 		// Running: it finishes and reaches the result cache via OnResult.
 	case m.closed && m.opts.Dir != "":
-		// Durable: the next Open re-admits it where it left off.
-	case !j.async && !j.HasCkpt && m.sched.Remove(j):
+		// Durable: the next Open re-admits it.
+	case !j.async && j.rc == nil && m.sched.Remove(j):
 		m.finishLocked(j, StateCancelled, nil, errWithdrawn)
 	case !m.closed && m.sched.Remove(j):
 		_ = m.sched.Enqueue(j) // out of the sync-waited prefix
@@ -662,19 +600,29 @@ func (m *Manager) notifyLocked(j *job) {
 	}
 }
 
-// maybePreempt flags a running job for a checkpoint-boundary yield when j
-// waits for a runner and none is idle. The victim is the weakest running job
-// of strictly lower weight than j's class or, when a Collect waits for j, of
+// maybePreempt flags a running job for a slice-boundary yield when j waits
+// for a runner and none is idle. The victim is the weakest running job of
+// strictly lower weight than j's class or, when a Collect waits for j, of
 // equal weight with no Collect waiting for it: a synchronous request waits
 // for at most one slice of async work in its own class. Sync-waited jobs
-// never preempt each other and equal-weight async jobs never thrash. In
-// memory mode nothing yields, so nothing is flagged.
+// never preempt each other and equal-weight async jobs never thrash. A
+// victim parks its live collection in memory, so no victim is flagged while
+// parked and already flagged jobs number Runners: that caps the parked
+// heaps by the configuration.
 func (m *Manager) maybePreempt(j *job) {
 	w := m.sched.Weight(j.Class)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	waiting := j.State == StateQueued || j.State == StateCheckpointed
-	if m.opts.Dir == "" || !waiting || len(m.running) < m.opts.Runners {
+	if j.State != StateQueued || len(m.running) < m.opts.Runners {
+		return
+	}
+	parked := m.parked
+	for _, r := range m.running {
+		if r.preempt.Load() {
+			parked++
+		}
+	}
+	if parked >= m.opts.Runners {
 		return
 	}
 	var victim *job
@@ -715,24 +663,24 @@ func (m *Manager) runJob(j *job) {
 		return
 	}
 	j.preempt.Store(false)
-	now := m.opts.Clock()
-	rcx := &runCtx{dispatched: now, fresh: !j.HasCkpt}
+	rc := j.rc
+	if rc != nil {
+		j.rc = nil
+		m.parked--
+	} else {
+		m.metrics.freshStarts.Add(1)
+	}
+	m.started.Add(1)
 	j.State = StateRunning
 	if j.Started.IsZero() {
-		j.Started = now
+		j.Started = m.opts.Clock()
 	}
-	if rcx.fresh {
-		m.metrics.freshStarts.Add(1)
-	} else {
-		m.metrics.resumes.Add(1)
-	}
-	_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateRunning, At: now})
 	m.running[j.ID] = j
 	m.metrics.running.Add(1)
 	j.emit(StateRunning, j.Cycle, "")
 	m.mu.Unlock()
 
-	body, resp, err := m.execute(j, rcx)
+	body, resp, rc, err := m.execute(j, rc)
 	if cb := m.opts.OnResult; err == nil && cb != nil {
 		cb(j.ID, body, resp)
 	}
@@ -747,23 +695,20 @@ func (m *Manager) runJob(j *job) {
 	case errors.Is(err, errCancelled):
 		m.finishLocked(j, cancelOutcome(j), nil, "")
 	case errors.Is(err, errPreempted):
-		j.State = StateCheckpointed
+		j.State = StateQueued
 		j.Preemptions++
 		m.metrics.preemptions.Add(1)
-		_ = m.wal.Append(walRecord{Type: recState, ID: j.ID, State: StateCheckpointed, Cycle: j.Cycle, At: m.opts.Clock()})
-		j.emit(StateCheckpointed, j.Cycle, "")
-		m.notifyLocked(j)
-		if j.exporting.Load() > 0 {
-			// An Export is waiting for exactly this park: hand the job over
-			// instead of racing it back into the scheduler, where an idle
-			// runner would re-dispatch it before the exporter could grab it.
-			// The exporter re-admits the job once its envelope is captured.
-			j.parked = true
+		// The job keeps its collection and continues from it at its next
+		// dispatch. Enqueue fails only once a durable manager drains: the
+		// job then stays queued in the WAL and re-runs after a restart.
+		j.rc = rc
+		if m.sched.Enqueue(j) == nil {
+			m.parked++
 		} else {
-			// Enqueue fails only once the scheduler is closed (drain); the
-			// WAL record above re-admits the job on the next Open.
-			_ = m.sched.Enqueue(j)
+			j.rc = nil
 		}
+		j.emit(StateQueued, j.Cycle, "")
+		m.notifyLocked(j)
 	default:
 		m.finishLocked(j, StateFailed, nil, err.Error())
 	}
@@ -779,8 +724,8 @@ func cancelOutcome(j *job) State {
 	return StateCancelled
 }
 
-// finishLocked moves j to a terminal state, persists the transition, removes
-// its checkpoint file, emits the terminal event, wakes its Collect waiters
+// finishLocked moves j to a terminal state, persists the transition, drops
+// its parked collection, emits the terminal event, wakes its Collect waiters
 // and, every RetainTerminal finishes, compacts the table and the log; in
 // memory mode a job nobody waits for leaves the table instead. Callers
 // hold m.mu. WAL errors are tolerated here: the in-memory state still
@@ -809,9 +754,9 @@ func (m *Manager) finishLocked(j *job, state State, body []byte, errMsg string) 
 			}
 		}
 	}
-	if j.HasCkpt {
-		j.HasCkpt = false
-		os.Remove(m.ckptPath(j.ID))
+	if j.rc != nil {
+		j.rc = nil
+		m.parked--
 	}
 	j.emit(state, j.Cycle, errMsg)
 	m.notifyLocked(j)
@@ -827,69 +772,44 @@ func (m *Manager) finishLocked(j *job, state State, body []byte, errMsg string) 
 	}
 }
 
-// execute runs j to completion or a yield, returning the encoded body and
-// the collect response.
-func (m *Manager) execute(j *job, rcx *runCtx) ([]byte, *hwgc.CollectResponse, error) {
+// execute runs j to completion or a yield, continuing rc when the job held
+// a parked collection. It returns the encoded body and the collect response
+// or, on a yield, the collection to park.
+func (m *Manager) execute(j *job, rc *hwgc.RequestCollection) ([]byte, *hwgc.CollectResponse, *hwgc.RequestCollection, error) {
 	var req hwgc.CollectRequest
 	if err := json.Unmarshal(j.Req, &req); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if m.opts.Run != nil {
 		body, err := m.opts.Run(req)
-		return body, nil, err
+		return body, nil, nil, err
 	}
-	rc, err := m.startOrResume(j, req)
-	if err != nil {
-		return nil, nil, err
+	if rc == nil {
+		var err error
+		if rc, err = hwgc.StartCollectRequest(req); err != nil {
+			return nil, nil, nil, err
+		}
 	}
-	if err := m.step(j, rc, rcx); err != nil {
-		return nil, nil, err
+	if err := m.step(j, rc); err != nil {
+		return nil, nil, rc, err
 	}
 	resp, err := rc.Response()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	var buf bytes.Buffer
 	if err := resp.Encode(&buf); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return buf.Bytes(), resp, nil
+	return buf.Bytes(), resp, nil, nil
 }
 
-// startOrResume resumes the job from its on-disk checkpoint when one is
-// valid, reclaiming the file otherwise, and falls back to a fresh start.
-func (m *Manager) startOrResume(j *job, req hwgc.CollectRequest) (*hwgc.RequestCollection, error) {
-	m.mu.Lock()
-	has := j.HasCkpt
-	m.mu.Unlock()
-	if has {
-		path := m.ckptPath(j.ID)
-		ck, err := readCheckpoint(path)
-		if err == nil {
-			if rc, err := hwgc.ResumeCollectRequest(req, ck.Snap); err == nil {
-				return rc, nil
-			}
-		}
-		// Unreadable, stale or mismatched: reclaim and restart the job
-		// from scratch — deterministic, so only time is lost.
-		os.Remove(path)
-		m.metrics.ckptReclaims.Add(1)
-		m.mu.Lock()
-		j.HasCkpt = false
-		j.Cycle = 0
-		m.mu.Unlock()
-	}
-	return hwgc.StartCollectRequest(req)
-}
-
-// step drives the job's collection checkpoint to checkpoint until it
-// completes (nil), fails, or must yield (errCancelled / errPreempted). Every
-// executed slice is charged to the job's class for fair-share accounting.
-// In memory mode there is nothing to resume from, so a slice boundary
-// takes no snapshot and the job never yields.
-func (m *Manager) step(j *job, rc *hwgc.RequestCollection, rcx *runCtx) error {
+// step drives the job's collection slice by slice until it completes (nil),
+// fails, or must stop (errCancelled / errPreempted). Every executed slice is
+// charged to the job's class for fair-share accounting.
+func (m *Manager) step(j *job, rc *hwgc.RequestCollection) error {
 	for {
-		done, err := rc.StepCycles(m.opts.CheckpointCycles)
+		done, err := rc.StepCycles(m.opts.SliceCycles)
 		if err != nil {
 			return err
 		}
@@ -897,44 +817,18 @@ func (m *Manager) step(j *job, rc *hwgc.RequestCollection, rcx *runCtx) error {
 		if done {
 			return nil
 		}
-		if m.opts.Dir == "" {
-			continue
-		}
-		snap, err := rc.Snapshot()
-		if err != nil {
-			return err
-		}
-		cyc := rc.Cycle()
-		if err := writeCheckpoint(m.ckptPath(j.ID), checkpoint{Cycle: cyc, Snap: snap}); err != nil {
-			return err
-		}
 		m.mu.Lock()
-		j.HasCkpt = true
-		j.Cycle = cyc
+		j.Cycle = rc.Cycle()
 		m.mu.Unlock()
-		m.metrics.checkpoints.Add(1)
-		if rcx.fresh && !rcx.observed {
-			rcx.observed = true
-			m.metrics.firstCkpt.Observe(m.opts.Clock().Sub(rcx.dispatched))
-		}
-		if hook := m.opts.CheckpointHook; hook != nil {
+		if hook := m.opts.SliceHook; hook != nil {
 			hook(j.ID)
 		}
 		if j.cancel.Load() {
 			return errCancelled
 		}
-		if m.drainingNow() || j.preempt.Load() {
+		if j.preempt.Load() {
 			return errPreempted
 		}
-	}
-}
-
-func (m *Manager) drainingNow() bool {
-	select {
-	case <-m.draining:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -974,10 +868,10 @@ func (m *Manager) Result(id string) ([]byte, Info, error) {
 	return nil, info, ErrNotDone
 }
 
-// Cancel cancels a job: queued and checkpointed jobs are removed from the
-// scheduler and cancelled immediately; running jobs are flagged and yield at
-// their next checkpoint boundary (the returned Info then still says
-// running). Terminal jobs return ErrTerminal with their final Info.
+// Cancel cancels a job: queued jobs are removed from the scheduler and
+// cancelled immediately; running jobs are flagged and stop at their next
+// slice boundary (the returned Info then still says running). Terminal jobs
+// return ErrTerminal with their final Info.
 func (m *Manager) Cancel(id string) (Info, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -991,7 +885,7 @@ func (m *Manager) Cancel(id string) (Info, error) {
 		return info, ErrTerminal
 	}
 	j.cancel.Store(true)
-	if (j.State == StateQueued || j.State == StateCheckpointed) && m.sched.Remove(j) {
+	if j.State == StateQueued && m.sched.Remove(j) {
 		m.finishLocked(j, StateCancelled, nil, "")
 	}
 	info := m.infoLocked(j)
@@ -1060,7 +954,7 @@ type PoolStats struct {
 	SyncQueued int   // queued jobs with a Collect waiter
 	QueueDepth int   // their bound, Options.QueueDepth (0: unbounded)
 	Running    int64 // jobs on a runner
-	Started    int64 // dispatches: fresh starts and resumes
+	Started    int64 // dispatches: fresh starts and continued collections
 	Done       int64 // dispatches that ended: done, failed or yielded
 	Skipped    int64 // queued jobs withdrawn when their last waiter left
 }
@@ -1071,7 +965,7 @@ func (m *Manager) Pool() PoolStats {
 		SyncQueued: m.sched.SyncBacklog(),
 		QueueDepth: m.opts.QueueDepth,
 		Running:    m.metrics.running.Load(),
-		Started:    m.metrics.freshStarts.Load() + m.metrics.resumes.Load(),
+		Started:    m.started.Load(),
 		Done:       m.ended.Load(),
 		Skipped:    m.withdrawn.Load(),
 	}
@@ -1087,22 +981,25 @@ func (m *Manager) DefaultClass() string { return m.opts.Classes[0].Name }
 func (m *Manager) HasClass(name string) bool { return m.sched.Class(name) }
 
 // Drain stops accepting submissions and waits for the runners. With a
-// Dir, no queued job is dispatched any more, every running job yields at
-// its next checkpoint boundary, and the WAL is closed: queued jobs stay
-// queued in the WAL and are re-admitted on the next Open, and running
-// jobs are checkpointed and resume on restart with byte-identical
-// results. In memory mode, where nothing survives the process, every
-// admitted job runs to completion first. If ctx expires first the WAL is
-// left open (the process is exiting anyway; the next Open recovers
-// exactly as from a crash).
+// Dir, no queued job is dispatched any more, every running job stops at its
+// next slice boundary, and the WAL is closed: unfinished jobs stay queued in
+// the WAL and re-run on the next Open with byte-identical results. In memory
+// mode, where nothing survives the process, every admitted job runs to
+// completion first. If ctx expires first the WAL is left open (the process
+// is exiting anyway; the next Open recovers exactly as from a crash).
+// Drain may be called again: the WAL is closed once.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
-	first := !m.closed
-	m.closed = true
-	m.mu.Unlock()
-	if first {
+	if !m.closed {
+		m.closed = true
 		close(m.draining)
+		if m.opts.Dir != "" {
+			for _, r := range m.running {
+				r.preempt.Store(true)
+			}
+		}
 	}
+	m.mu.Unlock()
 	m.sched.Close(m.opts.Dir == "")
 	done := make(chan struct{})
 	go func() { m.wg.Wait(); close(done) }()
@@ -1114,4 +1011,49 @@ func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.wal.Close()
+}
+
+// Release finishes a job locally as migrated once the fleet has resubmitted
+// it to another backend: a queued job leaves the scheduler and finishes
+// immediately; a running job is flagged and finishes as migrated at its
+// next slice boundary (the returned Info then still says running). Its
+// Collect waiters get ErrPreempted. Releasing an already-migrated job is
+// idempotent; other terminal states return ErrTerminal with their final
+// Info.
+func (m *Manager) Release(id string) (Info, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	if !ok {
+		return Info{}, ErrNotFound
+	}
+	if j.State == StateMigrated {
+		return m.infoLocked(j), nil
+	}
+	if j.State.Terminal() {
+		return m.infoLocked(j), ErrTerminal
+	}
+	j.migrateOut.Store(true)
+	j.cancel.Store(true)
+	if j.State == StateQueued && m.sched.Remove(j) {
+		m.finishLocked(j, StateMigrated, nil, "")
+	}
+	return m.infoLocked(j), nil
+}
+
+// List returns every known job's Info in submission order; with activeOnly
+// set, terminal jobs are skipped. The fleet's rebalance pass uses the
+// active list to find jobs whose content key moved after a topology change.
+func (m *Manager) List(activeOnly bool) []Info {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]Info, 0, len(m.order))
+	for _, id := range m.order {
+		j := m.jobs[id]
+		if activeOnly && j.State.Terminal() {
+			continue
+		}
+		out = append(out, m.infoLocked(j))
+	}
+	return out
 }

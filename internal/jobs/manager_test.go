@@ -73,7 +73,7 @@ func waitState(t *testing.T, m *Manager, id string, want State) Info {
 
 func TestJobsCollectLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 500})
+	m, err := Open(Options{Dir: dir, Runners: 1, SliceCycles: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,22 +113,21 @@ func TestJobsCollectLifecycle(t *testing.T) {
 	if m.Metrics().preemptions.Load() != 0 {
 		t.Fatal("lone job was preempted")
 	}
-	// A completed job leaves no checkpoint file behind.
-	if files, _ := filepath.Glob(filepath.Join(dir, "*"+ckptSuffix)); len(files) != 0 {
-		t.Fatalf("leftover checkpoints: %v", files)
-	}
 	drainManager(t, m)
+	// The jobs directory holds the WAL and nothing else.
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 1 || filepath.Base(files[0]) != walName {
+		t.Fatalf("jobs directory holds %v, want only %s", files, walName)
+	}
 }
 
 // TestJobsPreemption is the scheduling acceptance test: while a batch job
 // runs on the only runner, a higher-priority interactive job arrives; the
-// batch job must yield at its next checkpoint boundary, the interactive job
+// batch job must yield at its next slice boundary, the interactive job
 // must finish first, and the batch job's final result must be byte-identical
 // to an unpreempted run.
 func TestJobsPreemption(t *testing.T) {
-	// The coarse slice keeps snapshot count low so the test stays fast
-	// under -race; preemption needs only one checkpoint boundary.
-	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, CheckpointCycles: 2500})
+	// Preemption needs only one slice boundary.
+	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, SliceCycles: 2500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +136,8 @@ func TestJobsPreemption(t *testing.T) {
 	longCanonical := collectCanonical(t, 4, 0)  // batch
 	shortCanonical := collectCanonical(t, 4, 7) // interactive, distinct seed
 	var once sync.Once
-	m.opts.CheckpointHook = func(id string) {
-		// At the long job's first checkpoint, the interactive job arrives.
+	m.opts.SliceHook = func(id string) {
+		// At the long job's first slice boundary, the interactive job arrives.
 		once.Do(func() {
 			if _, _, err := m.Submit("interactive", shortCanonical); err != nil {
 				t.Errorf("interactive submit: %v", err)
@@ -172,28 +171,22 @@ func TestJobsPreemption(t *testing.T) {
 }
 
 // TestJobsCrashRestart is the durability acceptance test: the first manager
-// is wedged (its runner blocks inside the checkpoint hook, the in-process
+// is wedged mid-run (its runner blocks inside the slice hook, the in-process
 // equivalent of SIGKILL — no clean transitions are written), a second
-// manager opens the same directory, replays the WAL, adopts the checkpoint
-// and finishes the job with a byte-identical result and no duplicate
-// execution.
+// manager opens the same directory, replays the WAL, re-runs the job from
+// its request and finishes it with a byte-identical result, and a
+// resubmission dedupes onto the finished job.
 func TestJobsCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	canonical := collectCanonical(t, 1, 0)
 	id := hwgc.KeyBytes(canonical)
 
-	checkpointed := make(chan struct{})
+	wedgedCh := make(chan struct{})
 	release := make(chan struct{})
-	var (
-		wedge, wedged atomic.Bool
-		m1            *Manager
-		wedgedCycle   int64
-	)
-	m1, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 500, CheckpointHook: func(id string) {
+	var wedge, wedged atomic.Bool
+	m1, err := Open(Options{Dir: dir, Runners: 1, SliceCycles: 500, SliceHook: func(id string) {
 		if wedge.Load() && wedged.CompareAndSwap(false, true) {
-			info, _ := m1.Get(id)
-			wedgedCycle = info.Cycle
-			close(checkpointed)
+			close(wedgedCh)
 			<-release
 		} else if wedged.Load() {
 			<-release
@@ -209,7 +202,7 @@ func TestJobsCrashRestart(t *testing.T) {
 	if _, _, err := m1.Submit("batch", canonical); err != nil {
 		t.Fatal(err)
 	}
-	// Let the job pass a few checkpoints, then wedge at the next one.
+	// Let the job pass a few slice boundaries, then wedge at the next one.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		info, err := m1.Get(id)
@@ -226,30 +219,26 @@ func TestJobsCrashRestart(t *testing.T) {
 	}
 	wedge.Store(true)
 	select {
-	case <-checkpointed:
+	case <-wedgedCh:
 	case <-time.After(60 * time.Second):
-		t.Fatal("never checkpointed after wedging")
+		t.Fatal("never reached a slice boundary after wedging")
 	}
 
-	// "Process 2": same directory. The WAL must replay, the orphaned
-	// checkpoint must be adopted, and the job must resume — not restart.
-	m2, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 1 << 40})
+	// "Process 2": same directory. The WAL must replay and the job must
+	// re-run from its request.
+	m2, err := Open(Options{Dir: dir, Runners: 1, SliceCycles: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2.Metrics().walReplayedRecords.Load() == 0 {
 		t.Fatal("second manager replayed no WAL records")
 	}
-	info, err := m2.Get(id)
-	if err != nil {
+	if _, err := m2.Get(id); err != nil {
 		t.Fatalf("job lost across restart: %v", err)
 	}
-	if info.Cycle != wedgedCycle {
-		t.Fatalf("checkpoint position lost across restart: cycle %d, want %d", info.Cycle, wedgedCycle)
-	}
 	waitState(t, m2, id, StateDone)
-	if m2.Metrics().resumes.Load() == 0 {
-		t.Fatal("job restarted from scratch instead of resuming")
+	if got := m2.Metrics().freshStarts.Load(); got != 1 {
+		t.Fatalf("fresh starts after restart = %d, want 1", got)
 	}
 	body, _, err := m2.Result(id)
 	if err != nil {
@@ -283,7 +272,7 @@ func TestJobsCancelQueued(t *testing.T) {
 	release := make(chan struct{})
 	var hold atomic.Bool
 	hold.Store(true)
-	m, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 500, CheckpointHook: func(string) {
+	m, err := Open(Options{Dir: dir, Runners: 1, SliceCycles: 500, SliceHook: func(string) {
 		if hold.Load() {
 			<-release
 		}
@@ -337,14 +326,14 @@ func TestJobsCancelQueued(t *testing.T) {
 }
 
 // TestJobsCancelMidCheckpoint covers abandonment of a running job: the
-// cancel lands while the job sits at a checkpoint boundary, takes effect
-// there, removes the checkpoint file and leaves the WAL replayable.
+// cancel lands while the job sits at a slice boundary, takes effect there
+// and leaves the WAL replayable.
 func TestJobsCancelMidCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	atBoundary := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	m, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 500, CheckpointHook: func(string) {
+	m, err := Open(Options{Dir: dir, Runners: 1, SliceCycles: 500, SliceHook: func(string) {
 		once.Do(func() {
 			close(atBoundary)
 			<-release
@@ -378,13 +367,10 @@ func TestJobsCancelMidCheckpoint(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if files, _ := filepath.Glob(filepath.Join(dir, "*"+ckptSuffix)); len(files) != 0 {
-		t.Fatalf("cancelled job left checkpoints: %v", files)
-	}
 	drainManager(t, m)
 	m2, err := Open(Options{Dir: dir, Runners: 1})
 	if err != nil {
-		t.Fatalf("WAL not replayable after mid-checkpoint cancel: %v", err)
+		t.Fatalf("WAL not replayable after mid-run cancel: %v", err)
 	}
 	defer drainManager(t, m2)
 	if info, err := m2.Get(id); err != nil || info.State != StateCancelled {
@@ -396,7 +382,7 @@ func TestJobsCancelMidCheckpoint(t *testing.T) {
 // finished: the cancel is refused, the result survives, the WAL replays.
 func TestJobsDeleteRacesCompletion(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 1 << 40})
+	m, err := Open(Options{Dir: dir, Runners: 1, SliceCycles: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,98 +413,33 @@ func TestJobsDeleteRacesCompletion(t *testing.T) {
 	}
 }
 
-// TestJobsCheckpointSweep checks the startup garbage collection of the
-// checkpoint directory: unreadable files and files for unknown jobs are
-// reclaimed, with the metric counting them.
+// TestJobsCheckpointSweep checks that Open clears the jobs directory of
+// what older versions and crashes left beside the WAL: job checkpoint
+// files, which nothing reads any more, and orphaned temp files of a
+// checkpoint write or a WAL compaction. Other files are left alone.
 func TestJobsCheckpointSweep(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "deadbeef"+ckptSuffix), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeCheckpoint(filepath.Join(dir, strings.Repeat("ab", 32)+ckptSuffix), checkpoint{Snap: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ".ckpt-orphan"), nil, 0o644); err != nil {
-		t.Fatal(err)
+	stale := []string{strings.Repeat("ab", 32) + ".ckpt", ".ckpt-orphan", ".wal-orphan"}
+	for _, name := range append(stale, "notes.txt") {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m, err := Open(Options{Dir: dir, Runners: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer drainManager(t, m)
-	if got := m.Metrics().ckptReclaims.Load(); got != 3 {
-		t.Fatalf("reclaimed = %d, want 3", got)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*"+ckptSuffix))
-	if len(files) != 0 {
-		t.Fatalf("unswept checkpoints: %v", files)
-	}
-}
-
-// TestJobsCorruptCheckpointReclaimed covers a known job whose checkpoint
-// file is corrupted between a crash and the restart: the startup sweep must
-// reclaim the file instead of resuming from it, and the job must restart
-// from scratch and still finish byte-identical to an uninterrupted run.
-func TestJobsCorruptCheckpointReclaimed(t *testing.T) {
-	dir := t.TempDir()
-	canonical := collectCanonical(t, 4, 0)
-	id := hwgc.KeyBytes(canonical)
-
-	// Wedge the first manager inside its first checkpoint hook: the
-	// in-process equivalent of SIGKILL right after the save.
-	checkpointed := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	m1, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 2000, CheckpointHook: func(string) {
-		once.Do(func() { close(checkpointed) })
-		<-release
-	}})
+	drainManager(t, m)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		close(release)
-		drainManager(t, m1)
-	}()
-	if _, _, err := m1.Submit("", canonical); err != nil {
-		t.Fatal(err)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
-	select {
-	case <-checkpointed:
-	case <-time.After(60 * time.Second):
-		t.Fatal("job never checkpointed")
-	}
-	path := m1.ckptPath(id)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-100] ^= 0xff // inside the snapshot: the CRC no longer matches
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	m2, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 1 << 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainManager(t, m2)
-	if got := m2.Metrics().ckptReclaims.Load(); got != 1 {
-		t.Fatalf("reclaimed = %d, want 1 (the corrupt checkpoint)", got)
-	}
-	waitState(t, m2, id, StateDone)
-	if got := m2.Metrics().resumes.Load(); got != 0 {
-		t.Fatalf("resumes = %d: the corrupt checkpoint was resumed", got)
-	}
-	if got := m2.Metrics().freshStarts.Load(); got != 1 {
-		t.Fatalf("fresh starts = %d, want 1", got)
-	}
-	body, _, err := m2.Result(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := collectBody(t, 4, 0); !bytes.Equal(body, want) {
-		t.Fatal("result after reclaiming the corrupt checkpoint differs from uninterrupted run")
+	if got, want := strings.Join(names, " "), walName+" notes.txt"; got != want {
+		t.Fatalf("jobs directory after Open holds %q, want %q", got, want)
 	}
 }
 
@@ -530,7 +451,7 @@ func TestJobsCorruptCheckpointReclaimed(t *testing.T) {
 func TestJobsRetentionBoundedAtRuntime(t *testing.T) {
 	const retain = 3
 	dir := t.TempDir()
-	m, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 1 << 40, RetainTerminal: retain})
+	m, err := Open(Options{Dir: dir, Runners: 1, SliceCycles: 1 << 40, RetainTerminal: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +505,7 @@ func TestJobsRetentionBoundedAtRuntime(t *testing.T) {
 }
 
 func TestJobsEventsStream(t *testing.T) {
-	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, CheckpointCycles: 1 << 40})
+	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, SliceCycles: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,7 +548,7 @@ func TestJobsEventsStream(t *testing.T) {
 }
 
 func TestJobsMetricsOutput(t *testing.T) {
-	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, CheckpointCycles: 1 << 40})
+	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, SliceCycles: 1 << 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +569,8 @@ func TestJobsMetricsOutput(t *testing.T) {
 		"gcjobs_submitted_total 1",
 		"gcjobs_completed_total 1",
 		"gcjobs_preemptions_total 0",
-		"gcjobs_resumes_total 0",
+		// Submit and result: a dispatch writes no record.
+		"gcjobs_wal_records_total 2",
 		"gcjobs_wal_replays_total 1",
 		"gcjobs_wal_fsync_seconds_count",
 	} {

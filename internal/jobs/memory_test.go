@@ -85,7 +85,7 @@ func TestJobsMemoryCollect(t *testing.T) {
 	defer os.Chdir(wd)
 
 	var results atomic.Int64
-	m, err := Open(Options{Runners: 2, CheckpointCycles: 2000,
+	m, err := Open(Options{Runners: 2, SliceCycles: 2000,
 		OnResult: func(string, []byte, *hwgc.CollectResponse) { results.Add(1) }})
 	if err != nil {
 		t.Fatal(err)
@@ -109,9 +109,6 @@ func TestJobsMemoryCollect(t *testing.T) {
 	}
 	if results.Load() != n {
 		t.Fatalf("OnResult called %d times, want %d", results.Load(), n)
-	}
-	if got := m.Metrics().checkpoints.Load(); got != 0 {
-		t.Fatalf("memory mode saved %d checkpoints", got)
 	}
 	drainManager(t, m)
 	entries, err := os.ReadDir(tmp)
@@ -200,6 +197,45 @@ func TestJobsMemoryDrainCompletesQueued(t *testing.T) {
 	}
 	if p := m.Pool(); p.Done != 3 || p.Skipped != 0 {
 		t.Fatalf("pool after drain: %+v, want 3 done, none skipped", p)
+	}
+}
+
+// TestJobsMemoryDrainFinishesPreempted: a job flagged to yield before a
+// memory-mode Drain began still yields at its next slice boundary, and the
+// draining manager runs its parked collection to completion after the job
+// it yielded to, instead of losing it.
+func TestJobsMemoryDrainFinishesPreempted(t *testing.T) {
+	asyncKey, asyncReq := collectPoint(t, 4, 1)
+	syncKey, syncReq := collectPoint(t, 4, 2)
+	h := newHoldSlices(asyncKey)
+	m, err := Open(Options{Runners: 1, SliceCycles: 2000, SliceHook: h.hook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.releaseAll()
+	if _, _, err := m.Submit("batch", asyncReq); err != nil {
+		t.Fatal(err)
+	}
+	h.wait(asyncKey)
+	syncDone := collectAsync(context.Background(), m, syncKey, syncReq)
+	waitPool(t, m, "a queued sync job", func(p PoolStats) bool { return p.SyncQueued == 1 })
+	drained := make(chan error, 1)
+	go func() { drained <- m.Drain(context.Background()) }()
+	for !m.drainingNow() {
+		time.Sleep(time.Millisecond)
+	}
+	h.release(asyncKey)
+	if err := <-syncDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Metrics().preemptions.Load(); got != 1 {
+		t.Fatalf("preemptions = %d, want 1", got)
+	}
+	if got := m.Metrics().completed.Load(); got != 2 {
+		t.Fatalf("completed = %d after the drain, want 2: the preempted job was lost", got)
 	}
 }
 
@@ -296,15 +332,25 @@ func TestJobsSyncQueueBound(t *testing.T) {
 	}
 }
 
+// drainingNow reports whether Drain has begun.
+func (m *Manager) drainingNow() bool {
+	select {
+	case <-m.draining:
+		return true
+	default:
+		return false
+	}
+}
+
 // TestJobsDrainDispatchesNoQueuedJob: with a Dir, once Drain has begun no
-// queued job is dispatched. The runner's job is held in its first
-// checkpoint until Drain begins; it then yields, and the three jobs queued
-// behind it stay queued with no checkpoint file and no fresh start.
+// queued job is dispatched. The runner's job is held at its first slice
+// boundary until Drain begins; it then stops, queued, and the three jobs
+// queued behind it stay queued with no fresh start.
 func TestJobsDrainDispatchesNoQueuedJob(t *testing.T) {
 	held := make(chan struct{})
 	hold := make(chan struct{})
 	var once sync.Once
-	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, CheckpointCycles: 2000, CheckpointHook: func(string) {
+	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, SliceCycles: 2000, SliceHook: func(string) {
 		once.Do(func() {
 			close(held)
 			<-hold
@@ -333,15 +379,15 @@ func TestJobsDrainDispatchesNoQueuedJob(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatal(err)
 	}
-	if info, _ := m.Get(ids[0]); info.State != StateCheckpointed {
-		t.Fatalf("held job is %s, want checkpointed", info.State)
+	if info, _ := m.Get(ids[0]); info.State != StateQueued || info.Preemptions != 1 {
+		t.Fatalf("held job is %s with %d preemptions, want queued after one", info.State, info.Preemptions)
+	}
+	if m.parked != 0 {
+		t.Fatalf("%d collections parked by a durable drain, want 0: the jobs re-run from the WAL", m.parked)
 	}
 	for _, id := range ids[1:] {
 		if info, _ := m.Get(id); info.State != StateQueued || info.Cycle != 0 {
 			t.Fatalf("queued job %s is %s at cycle %d after drain, want queued at 0", id[:8], info.State, info.Cycle)
-		}
-		if _, err := os.Stat(m.ckptPath(id)); !os.IsNotExist(err) {
-			t.Fatalf("queued job %s has a checkpoint file (stat err %v)", id[:8], err)
 		}
 	}
 	if got := m.Metrics().freshStarts.Load(); got != 1 {
@@ -349,52 +395,52 @@ func TestJobsDrainDispatchesNoQueuedJob(t *testing.T) {
 	}
 }
 
-// holdCheckpoints is an Options.CheckpointHook that holds the first
-// checkpoint of each job it was built for until that job is released.
-type holdCheckpoints map[string]*heldJob
+// holdSlices is an Options.SliceHook that holds the first slice boundary
+// of each job it was built for until that job is released.
+type holdSlices map[string]*heldJob
 
 type heldJob struct {
 	held, release    chan struct{}
 	reached, stopped sync.Once
 }
 
-func newHoldCheckpoints(ids ...string) holdCheckpoints {
-	h := holdCheckpoints{}
+func newHoldSlices(ids ...string) holdSlices {
+	h := holdSlices{}
 	for _, id := range ids {
 		h[id] = &heldJob{held: make(chan struct{}), release: make(chan struct{})}
 	}
 	return h
 }
 
-func (h holdCheckpoints) hook(id string) {
+func (h holdSlices) hook(id string) {
 	if j, ok := h[id]; ok {
 		j.reached.Do(func() { close(j.held); <-j.release })
 	}
 }
 
 // wait blocks until id is held in the hook.
-func (h holdCheckpoints) wait(id string) { <-h[id].held }
+func (h holdSlices) wait(id string) { <-h[id].held }
 
-// release lets id's held checkpoint, and every later one, return.
-func (h holdCheckpoints) release(id string) { h[id].stopped.Do(func() { close(h[id].release) }) }
+// release lets id's held slice boundary, and every later one, return.
+func (h holdSlices) release(id string) { h[id].stopped.Do(func() { close(h[id].release) }) }
 
 // releaseAll releases every job, so a failed test does not hang its drain.
-func (h holdCheckpoints) releaseAll() {
+func (h holdSlices) releaseAll() {
 	for id := range h {
 		h.release(id)
 	}
 }
 
-// TestJobsDrainKeepsQueuedCollect: with a Dir, a sync collect left queued
-// or checkpointed by Drain is not withdrawn when its waiter returns: it
-// stays in the WAL with no skip counted, and the next Open on the same
-// Dir runs it to the byte-identical result.
+// TestJobsDrainKeepsQueuedCollect: with a Dir, a sync collect that Drain
+// stops mid-run or leaves queued is not withdrawn when its waiter returns:
+// it stays in the WAL with no skip counted, and the next Open on the same
+// Dir re-runs it to the byte-identical result.
 func TestJobsDrainKeepsQueuedCollect(t *testing.T) {
 	dir := t.TempDir()
 	runKey, runReq := collectPoint(t, 4, 1)
 	queuedKey, queuedReq := collectPoint(t, 4, 2)
-	h := newHoldCheckpoints(runKey)
-	m, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 2000, CheckpointHook: h.hook})
+	h := newHoldSlices(runKey)
+	m, err := Open(Options{Dir: dir, Runners: 1, SliceCycles: 2000, SliceHook: h.hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,16 +466,13 @@ func TestJobsDrainKeepsQueuedCollect(t *testing.T) {
 	if p := m.Pool(); p.Skipped != 0 {
 		t.Fatalf("drain withdrew a sync job: %+v", p)
 	}
-	for id, want := range map[string]State{runKey: StateCheckpointed, queuedKey: StateQueued} {
-		if info, _ := m.Get(id); info.State != want {
-			t.Fatalf("job %s is %s after drain, want %s", id[:8], info.State, want)
+	for _, id := range []string{runKey, queuedKey} {
+		if info, _ := m.Get(id); info.State != StateQueued {
+			t.Fatalf("job %s is %s after drain, want queued", id[:8], info.State)
 		}
 	}
-	if _, err := os.Stat(m.ckptPath(runKey)); err != nil {
-		t.Fatalf("checkpointed job lost its checkpoint file: %v", err)
-	}
 
-	m2, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 2000})
+	m2, err := Open(Options{Dir: dir, Runners: 1, SliceCycles: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,14 +484,14 @@ func TestJobsDrainKeepsQueuedCollect(t *testing.T) {
 			t.Fatalf("job %s after restart: err %v, body not byte-identical to an uninterrupted run", id[:8], err)
 		}
 	}
-	if got := m2.Metrics().resumes.Load(); got != 1 {
-		t.Fatalf("resumes after restart = %d, want 1 (the checkpointed job)", got)
+	if got := m2.Metrics().freshStarts.Load(); got != 2 {
+		t.Fatalf("fresh starts after restart = %d, want 2: both jobs re-run from their requests", got)
 	}
 }
 
 // TestJobsCheckpointedCollectNotWithdrawn: a sync collect preempted by a
-// higher class keeps its checkpoint when its waiter gives up while it is
-// queued: it is re-queued, not withdrawn, and runs to done.
+// higher class keeps its parked collection when its waiter gives up while
+// it is queued: it is re-queued, not withdrawn, and runs to done.
 func TestJobsCheckpointedCollectNotWithdrawn(t *testing.T) {
 	classes, err := ParseClasses("batch:1,interactive:8")
 	if err != nil {
@@ -456,8 +499,8 @@ func TestJobsCheckpointedCollectNotWithdrawn(t *testing.T) {
 	}
 	syncKey, syncReq := collectPoint(t, 4, 1)
 	highKey, highReq := collectPoint(t, 4, 2)
-	h := newHoldCheckpoints(syncKey, highKey)
-	m, err := Open(Options{Dir: t.TempDir(), Classes: classes, Runners: 1, CheckpointCycles: 2000, CheckpointHook: h.hook})
+	h := newHoldSlices(syncKey, highKey)
+	m, err := Open(Options{Dir: t.TempDir(), Classes: classes, Runners: 1, SliceCycles: 2000, SliceHook: h.hook})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,62 +514,176 @@ func TestJobsCheckpointedCollectNotWithdrawn(t *testing.T) {
 	}
 	h.release(syncKey)
 	h.wait(highKey) // the sync job yielded to it
-	if info, _ := m.Get(syncKey); info.State != StateCheckpointed || info.Preemptions != 1 {
-		t.Fatalf("sync job is %s with %d preemptions, want checkpointed once", info.State, info.Preemptions)
+	if info, _ := m.Get(syncKey); info.State != StateQueued || info.Preemptions != 1 {
+		t.Fatalf("sync job is %s with %d preemptions, want queued after one", info.State, info.Preemptions)
 	}
 	cancel()
 	if err := <-gaveUp; !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned collect returned %v", err)
 	}
-	if info, _ := m.Get(syncKey); info.State != StateCheckpointed {
-		t.Fatalf("checkpointed job is %s after its waiter left, want checkpointed", info.State)
+	if info, _ := m.Get(syncKey); info.State != StateQueued {
+		t.Fatalf("preempted job is %s after its waiter left, want queued", info.State)
 	}
-	if _, err := os.Stat(m.ckptPath(syncKey)); err != nil {
-		t.Fatalf("checkpoint file gone after the waiter left: %v", err)
+	m.mu.Lock()
+	parked := m.jobs[syncKey].rc != nil
+	m.mu.Unlock()
+	if !parked {
+		t.Fatal("parked collection dropped after the waiter left")
 	}
 	h.release(highKey)
 	waitState(t, m, syncKey, StateDone)
 	if p := m.Pool(); p.Skipped != 0 {
-		t.Fatalf("checkpointed job withdrawn: %+v", p)
+		t.Fatalf("preempted job withdrawn: %+v", p)
 	}
 }
 
 // TestJobsSyncPreemptsAsyncOfItsClass: when every runner is busy, a sync
 // collect makes a running async job of its own class yield at its next
-// checkpoint, and finishes before it; a running sync job is never made to
-// yield to another one.
+// slice boundary, and finishes before it; a running sync job is never made
+// to yield to another one. Memory mode parks the yielded collection just as
+// a jobs directory does, so the sync answer comes after one slice in both.
 func TestJobsSyncPreemptsAsyncOfItsClass(t *testing.T) {
-	asyncKey, asyncReq := collectPoint(t, 4, 1)
-	syncKey, syncReq := collectPoint(t, 4, 2)
-	laterKey, laterReq := collectPoint(t, 4, 3)
-	h := newHoldCheckpoints(asyncKey, syncKey)
-	m, err := Open(Options{Dir: t.TempDir(), Runners: 1, CheckpointCycles: 2000, CheckpointHook: h.hook})
+	for _, mode := range []string{"memory", "dir"} {
+		t.Run(mode, func(t *testing.T) {
+			asyncKey, asyncReq := collectPoint(t, 4, 1)
+			syncKey, syncReq := collectPoint(t, 4, 2)
+			laterKey, laterReq := collectPoint(t, 4, 3)
+			h := newHoldSlices(asyncKey, syncKey)
+			opts := Options{Runners: 1, SliceCycles: 2000, SliceHook: h.hook}
+			if mode == "dir" {
+				opts.Dir = t.TempDir()
+			}
+			m, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer drainManager(t, m)
+			defer h.releaseAll()
+			if _, _, err := m.Submit("", asyncReq); err != nil {
+				t.Fatal(err)
+			}
+			h.wait(asyncKey)
+			syncDone := collectAsync(context.Background(), m, syncKey, syncReq)
+			waitPool(t, m, "a queued sync job", func(p PoolStats) bool { return p.SyncQueued == 1 })
+			h.release(asyncKey)
+			h.wait(syncKey) // the async job yielded to the sync one
+			later := collectAsync(context.Background(), m, laterKey, laterReq)
+			waitPool(t, m, "a second queued sync job", func(p PoolStats) bool { return p.SyncQueued == 1 })
+			h.release(syncKey)
+			for _, ch := range []<-chan error{syncDone, later} {
+				if err := <-ch; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if info, _ := m.Get(asyncKey); info.State.Terminal() || info.Preemptions != 1 {
+				t.Fatalf("async job is %s with %d preemptions when the sync ones returned, want unfinished, preempted once", info.State, info.Preemptions)
+			}
+			if got := m.Metrics().preemptions.Load(); got != 1 {
+				t.Fatalf("preemptions = %d, want 1: a sync job was made to yield", got)
+			}
+			// The async job continues from its parked collection to the
+			// byte-identical result.
+			body, err := m.Collect(context.Background(), asyncKey, asyncReq)
+			if err != nil || !bytes.Equal(body, collectBody(t, 4, 1)) {
+				t.Fatalf("preempted async job: err %v, body not byte-identical to an uninterrupted run", err)
+			}
+			if got := m.Metrics().freshStarts.Load(); got != 3 {
+				t.Fatalf("fresh starts = %d, want 3: the preempted job re-ran instead of continuing", got)
+			}
+		})
+	}
+}
+
+// TestJobsParkedCollectionsBounded runs a preemption storm in memory mode:
+// two runners, twenty low-class async jobs, and a stream of pairs of
+// high-class async jobs, each pair followed by a sync collect once a
+// high-class async job runs — the arrival that could preempt a third job
+// while two collections are parked. Every job finishes with its
+// uninterrupted result, jobs do yield, and at no slice boundary are more
+// than Runners collections parked.
+func TestJobsParkedCollectionsBounded(t *testing.T) {
+	const runners = 2
+	classes, err := ParseClasses("interactive:8,batch:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer drainManager(t, m)
-	defer h.releaseAll()
-	if _, _, err := m.Submit("", asyncReq); err != nil {
+	var (
+		m         *Manager
+		maxParked atomic.Int64
+		mu        sync.Mutex
+		bodies    = map[string][]byte{}
+	)
+	m, err = Open(Options{Classes: classes, Runners: runners, SliceCycles: 5000,
+		SliceHook: func(string) {
+			m.mu.Lock()
+			n := int64(m.parked)
+			m.mu.Unlock()
+			for cur := maxParked.Load(); n > cur && !maxParked.CompareAndSwap(cur, n); cur = maxParked.Load() {
+			}
+			time.Sleep(time.Millisecond) // a slice long enough for arrivals to land mid-job
+		},
+		OnResult: func(id string, body []byte, _ *hwgc.CollectResponse) {
+			mu.Lock()
+			bodies[id] = body
+			mu.Unlock()
+		}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	h.wait(asyncKey)
-	syncDone := collectAsync(context.Background(), m, syncKey, syncReq)
-	waitPool(t, m, "a queued sync job", func(p PoolStats) bool { return p.SyncQueued == 1 })
-	h.release(asyncKey)
-	h.wait(syncKey) // the async job yielded to the sync one
-	later := collectAsync(context.Background(), m, laterKey, laterReq)
-	waitPool(t, m, "a second queued sync job", func(p PoolStats) bool { return p.SyncQueued == 1 })
-	h.release(syncKey)
-	for _, ch := range []<-chan error{syncDone, later} {
+	seeds := map[string]int64{}
+	submit := func(class string, seed int64) {
+		key, canonical := collectPoint(t, 2, seed)
+		if _, _, err := m.Submit(class, canonical); err != nil {
+			t.Fatal(err)
+		}
+		seeds[key] = seed
+	}
+	interactiveRunning := func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for _, r := range m.running {
+			if r.Class == "interactive" && r.waiters == 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		submit("batch", seed)
+	}
+	var syncs []<-chan error
+	for i := int64(0); i < 8; i++ {
+		waitPool(t, m, "busy runners", func(p PoolStats) bool { return p.Running == runners })
+		submit("interactive", 100+2*i)
+		submit("interactive", 101+2*i)
+		for deadline := time.Now().Add(30 * time.Second); !interactiveRunning(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("no interactive async job ever ran")
+			}
+		}
+		key, canonical := collectPoint(t, 2, 200+i)
+		syncs = append(syncs, collectAsync(context.Background(), m, key, canonical))
+		seeds[key] = 200 + i
+	}
+	for _, ch := range syncs {
 		if err := <-ch; err != nil {
 			t.Fatal(err)
 		}
 	}
-	if info, _ := m.Get(asyncKey); info.State.Terminal() || info.Preemptions != 1 {
-		t.Fatalf("async job is %s with %d preemptions when the sync ones returned, want unfinished, preempted once", info.State, info.Preemptions)
+	drainManager(t, m) // memory mode: runs every admitted job to completion
+	for key, seed := range seeds {
+		if !bytes.Equal(bodies[key], collectBody(t, 2, seed)) {
+			t.Fatalf("seed %d: body not byte-identical to an uninterrupted run", seed)
+		}
 	}
-	if info, _ := m.Get(syncKey); info.Preemptions != 0 {
-		t.Fatalf("sync job preempted %d times by another sync job", info.Preemptions)
+	t.Logf("%d preemptions, at most %d collections parked", m.Metrics().preemptions.Load(), maxParked.Load())
+	if m.Metrics().preemptions.Load() == 0 {
+		t.Fatal("no job yielded: the storm never preempted")
 	}
-	waitState(t, m, asyncKey, StateDone)
+	if got := maxParked.Load(); got > runners {
+		t.Fatalf("%d collections parked at once, want at most %d", got, runners)
+	}
+	if m.parked != 0 {
+		t.Fatalf("%d collections still parked with every job finished", m.parked)
+	}
 }

@@ -10,8 +10,8 @@ import (
 // (weighted-fair) scheduling plus anti-starvation aging, and decides which
 // running job must yield when higher-priority work arrives.
 //
-// Each class accumulates a virtual "pass" value: executing one slice (one
-// checkpoint interval, the scheduler's service quantum) advances the
+// Each class accumulates a virtual "pass" value: executing one slice
+// (Options.SliceCycles, the scheduler's service quantum) advances the
 // class's pass by 1/weight, and the backlogged class with the smallest
 // effective pass runs next — so over time each backlogged class receives
 // runner slices in proportion to its weight, exactly the paper's
@@ -23,11 +23,12 @@ import (
 //
 // Preemption: when a job arrives in class H and every runner is busy, the
 // running job from the lowest-weight class L with weight(L) < weight(H) is
-// flagged; it yields at its next checkpoint boundary. The strict inequality
+// flagged; it yields at its next slice boundary. The strict inequality
 // makes preemption a one-way street (interactive preempts batch, never the
 // reverse, and equal classes never thrash), and because a preempted job
-// loses no work — its state is checkpointed — the cost of a wrong guess is
-// one fsync, not a redo. The one equal-weight case is a job with a
+// loses no work — its live collection is parked on the job record and
+// continues at its next dispatch — a wrong guess costs a requeue, not a
+// redo. The one equal-weight case is a job with a
 // synchronous waiter: it may also flag a running job of its own weight that
 // nobody waits for synchronously, so a request waits for at most one slice
 // of async work (Manager.maybePreempt).
@@ -57,7 +58,7 @@ type Scheduler struct {
 type schedClass struct {
 	name   string
 	weight int
-	queue  []*job // sync-waited jobs, then preempted ones, then FIFO
+	queue  []*job // sync-waited jobs, then parked ones, then FIFO
 	nsync  int    // length of the sync-waited prefix of queue
 	pass   float64
 	age    int // consecutive picks lost while backlogged
@@ -106,19 +107,19 @@ func (s *Scheduler) Weight(name string) int {
 }
 
 // Enqueue adds j to its class queue. A job with a synchronous waiter goes
-// to the end of the sync-waited prefix; a preempted (checkpointed) job goes
-// right behind that prefix so intra-class order stays FIFO by submission;
-// other jobs go to the back. The caller holds the manager's lock, which
-// guards j.waiters and j.State. A class waking from idle has its pass
-// clamped up to the global virtual time so it cannot bank credit while
-// idle and then starve everyone else (the standard stride-scheduling re-admission rule); a class whose
-// only job is merely cycling through the runner sits at the virtual-time
-// frontier already, so the clamp is a no-op for it and its earned advantage
-// survives.
+// to the end of the sync-waited prefix; a preempted job, which holds a
+// parked collection, goes right behind that prefix so intra-class order
+// stays FIFO by submission; other jobs go to the back. The caller holds the
+// manager's lock, which guards j.waiters and j.rc. A class waking from idle
+// has its pass clamped up to the global virtual time so it cannot bank
+// credit while idle and then starve everyone else (the standard
+// stride-scheduling re-admission rule); a class whose only job is merely
+// cycling through the runner sits at the virtual-time frontier already, so
+// the clamp is a no-op for it and its earned advantage survives.
 func (s *Scheduler) Enqueue(j *job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed && !s.runQueued {
 		return fmt.Errorf("jobs: scheduler closed")
 	}
 	c, ok := s.classes[j.Class]
@@ -132,7 +133,7 @@ func (s *Scheduler) Enqueue(j *job) error {
 	case j.waiters > 0:
 		c.queue = slices.Insert(c.queue, c.nsync, j)
 		c.nsync++
-	case j.State == StateCheckpointed:
+	case j.rc != nil:
 		c.queue = slices.Insert(c.queue, c.nsync, j)
 	default:
 		c.queue = append(c.queue, j)
@@ -259,10 +260,11 @@ func (s *Scheduler) SyncBacklog() int {
 	return n
 }
 
-// Close stops admission. Without runQueued every blocked Next returns nil
-// and queued jobs stay queued (they are durable in the WAL; a restart
-// re-enqueues them); with runQueued, Next still hands out every queued job
-// before it returns nil (the drain of a queue that is not durable).
+// Close stops admission. Without runQueued every blocked Next returns nil,
+// queued jobs stay queued (they are durable in the WAL; a restart
+// re-enqueues them) and Enqueue fails; with runQueued, Next still hands out
+// every queued job before it returns nil, and Enqueue still takes a job
+// that yielded (the drain of a queue that is not durable).
 func (s *Scheduler) Close(runQueued bool) {
 	s.mu.Lock()
 	s.closed = true

@@ -2,6 +2,8 @@ package jobs
 
 import (
 	"testing"
+
+	"hwgc"
 )
 
 func testSched(t *testing.T, spec string) *Scheduler {
@@ -86,11 +88,14 @@ func TestSchedulerAgingPreventsStarvation(t *testing.T) {
 	t.Fatal("light class not picked within 64 slices despite aging")
 }
 
+// TestSchedulerCheckpointedRequeuesAtFront: a preempted job, which holds a
+// parked collection, re-enters its class queue ahead of the jobs that
+// arrived after it.
 func TestSchedulerCheckpointedRequeuesAtFront(t *testing.T) {
 	s := testSched(t, "batch:1")
 	a := &job{ID: "a", Class: "batch", State: StateQueued}
 	b := &job{ID: "b", Class: "batch", State: StateQueued}
-	pre := &job{ID: "pre", Class: "batch", State: StateCheckpointed}
+	pre := &job{ID: "pre", Class: "batch", State: StateQueued, rc: &hwgc.RequestCollection{}}
 	for _, j := range []*job{a, b} {
 		if err := s.Enqueue(j); err != nil {
 			t.Fatal(err)
@@ -100,7 +105,7 @@ func TestSchedulerCheckpointedRequeuesAtFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := s.Next(); got != pre {
-		t.Fatalf("first pick = %s, want the checkpointed job", got.ID)
+		t.Fatalf("first pick = %s, want the preempted job", got.ID)
 	}
 	if got := s.Next(); got != a {
 		t.Fatalf("second pick = %s, want a", got.ID)

@@ -226,11 +226,13 @@ func (w *WAL) Rewrite(recs []walRecord) error {
 	return nil
 }
 
-// Close closes the file handle. The Manager serializes Close against
-// Appends.
+// Close closes the file handle; closing a closed log does nothing. The
+// Manager serializes Close against Appends, and an Append after Close fails.
 func (w *WAL) Close() error {
-	if w == nil {
+	if w == nil || w.f == nil {
 		return nil
 	}
-	return w.f.Close()
+	f := w.f
+	w.f = nil
+	return f.Close()
 }

@@ -174,8 +174,8 @@ func TestWALRewriteCompacts(t *testing.T) {
 // checkpoint file of a sweep parked inside its second point. The layouts
 // did not change, so the directory opens. The finished sweep keeps serving
 // its stored body; the unfinished one is failed with an error naming
-// /v1/sweep and its checkpoint is reclaimed; collect jobs in the same log
-// replay and run as before; and the failure survives the next restart.
+// /v1/sweep and its checkpoint file is removed; collect jobs in the same
+// log replay and run as before; and the failure survives the next restart.
 func TestJobsLegacySweepWALReplay(t *testing.T) {
 	dir := t.TempDir()
 	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
@@ -230,18 +230,9 @@ func TestJobsLegacySweepWALReplay(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, walName), log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The parked sweep's checkpoint file: point 1, as the older version
-	// numbered it.
-	ckpt := filepath.Join(dir, parkedID+ckptSuffix)
-	if err := writeCheckpoint(ckpt, checkpoint{Cycle: 500, Snap: []byte("snapshot")}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(data[len(ckptMagic):], 1)
-	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+	// The parked sweep's checkpoint file; no version reads its contents.
+	ckpt := filepath.Join(dir, parkedID+".ckpt")
+	if err := os.WriteFile(ckpt, []byte("HWGCJCK1 snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -259,16 +250,13 @@ func TestJobsLegacySweepWALReplay(t *testing.T) {
 			t.Fatalf("unfinished sweep: state %s, error %q; want failed naming /v1/sweep", info.State, info.Error)
 		}
 	}
-	m, err := Open(Options{Dir: dir, Runners: 1, CheckpointCycles: 1 << 40})
+	m, err := Open(Options{Dir: dir, Runners: 1, SliceCycles: 1 << 40})
 	if err != nil {
 		t.Fatalf("open legacy directory: %v", err)
 	}
 	check(m)
 	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("stale sweep checkpoint not reclaimed: %v", err)
-	}
-	if got := m.Metrics().ckptReclaims.Load(); got != 1 {
-		t.Fatalf("reclaimed = %d, want 1", got)
+		t.Fatalf("stale sweep checkpoint not removed: %v", err)
 	}
 	waitState(t, m, queuedID, StateDone)
 	if body, _, _ := m.Result(queuedID); !bytes.Equal(body, collectBody(t, 2, 0)) {

@@ -91,7 +91,7 @@ func (s *Server) executeStatus(err error) (int, string) {
 	case errors.Is(err, jobs.ErrDraining):
 		return http.StatusServiceUnavailable, "server is shutting down"
 	case errors.Is(err, jobs.ErrPreempted):
-		return http.StatusServiceUnavailable, "job checkpointed and preempted by shutdown; retry after restart"
+		return http.StatusServiceUnavailable, "job preempted by shutdown; retry after restart"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout, fmt.Sprintf("request deadline (%s) exceeded while collect", s.opts.Timeout)
 	default:

@@ -1,18 +1,14 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"hwgc"
 	"hwgc/internal/events"
 	"hwgc/internal/frontdoor"
 	"hwgc/internal/jobs"
-	"hwgc/internal/plan"
 )
 
 // onJobResult receives every job the tier finishes. Job IDs are the same
@@ -31,7 +27,7 @@ type jobListBody struct {
 
 // handleJobs serves POST /v1/jobs (canonicalize, content-address, submit)
 // and GET /v1/jobs (list jobs; ?active=true restricts to non-terminal ones,
-// which is what the elastic migration driver enumerates after a topology
+// which is what the fleet's rebalance pass enumerates after a topology
 // change). Submissions are idempotent — resubmitting the same request
 // returns the existing job (200) instead of creating a new one (202).
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -81,9 +77,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	})(w, r)
 }
 
-// handleJobByID routes /v1/jobs/{id}, /v1/jobs/{id}/result and
-// /v1/jobs/{id}/events. Metric labels stay low-cardinality: the id is never
-// part of the label.
+// handleJobByID routes /v1/jobs/{id}, /v1/jobs/{id}/result,
+// /v1/jobs/{id}/events and /v1/jobs/{id}/checkpoint. Metric labels stay
+// low-cardinality: the id is never part of the label.
 func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	id, sub, ok := frontdoor.SplitID(w, r, "/v1/jobs/")
 	if !ok {
@@ -126,116 +122,20 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		})(w, r)
 	case "checkpoint":
 		s.instrument("/v1/jobs/{id}/checkpoint", false, func(w http.ResponseWriter, r *http.Request) {
-			switch r.Method {
-			case http.MethodGet:
-				s.serveJobExport(w, r, id)
-			case http.MethodPut:
-				s.serveJobImport(w, r, id)
-			case http.MethodDelete:
-				s.serveJobRelease(w, id)
-			default:
-				w.Header().Set("Allow", "GET, PUT, DELETE")
-				frontdoor.WriteError(w, http.StatusMethodNotAllowed, "%s requires GET, PUT or DELETE", r.URL.Path)
+			if r.Method != http.MethodDelete {
+				w.Header().Set("Allow", "DELETE")
+				frontdoor.WriteError(w, http.StatusMethodNotAllowed, "%s requires DELETE", r.URL.Path)
+				return
 			}
+			s.serveJobRelease(w, id)
 		})(w, r)
 	default:
 		frontdoor.WriteError(w, http.StatusNotFound, "no such resource %s", r.URL.Path)
 	}
 }
 
-// maxCheckpointBytes bounds a PUT checkpoint body. Machine snapshots are a
-// few MiB at the largest supported scale; well beyond that is corruption or
-// abuse, not data.
-const maxCheckpointBytes = 64 << 20
-
-// exportWaitDefault/-Max bound how long GET /v1/jobs/{id}/checkpoint waits
-// for a running job to reach its next snapshot boundary.
-const (
-	exportWaitDefault = 30 * time.Second
-	exportWaitMax     = 2 * time.Minute
-)
-
-// importReceipt is the PUT /v1/jobs/{id}/checkpoint response: the adopted
-// job's Info plus an echo of the imported position, which the migration
-// driver verifies against what it exported before releasing the source.
-type importReceipt struct {
-	Info     jobs.Info
-	Accepted bool // false: deduped onto an existing local job
-	Cycle    int64
-	SnapCRC  uint32 `json:",omitempty"`
-}
-
-// serveJobExport captures the job's current position as a portable envelope
-// (GET /v1/jobs/{id}/checkpoint). A running job is preempted at its next
-// snapshot boundary first; ?wait= bounds that wait. The export does not
-// mutate the job — it keeps running here until DELETE releases it.
-func (s *Server) serveJobExport(w http.ResponseWriter, r *http.Request, id string) {
-	wait := exportWaitDefault
-	if v := r.URL.Query().Get("wait"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			frontdoor.WriteError(w, http.StatusBadRequest, "invalid wait %q: want a positive duration", v)
-			return
-		}
-		wait = min(d, exportWaitMax)
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
-	defer cancel()
-	env, err := s.jobs.Export(ctx, id)
-	switch {
-	case errors.Is(err, jobs.ErrNotFound):
-		frontdoor.WriteError(w, http.StatusNotFound, "no such job %q", id)
-	case errors.Is(err, jobs.ErrTerminal):
-		frontdoor.WriteError(w, http.StatusConflict, "job %s is not exportable: %v", id, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds(s.opts.RetryAfter)))
-		frontdoor.WriteError(w, http.StatusServiceUnavailable, "job %s did not reach a checkpoint boundary within %s", id, wait)
-	case err != nil:
-		frontdoor.WriteError(w, http.StatusInternalServerError, "exporting job: %v", err)
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(env)
-	}
-}
-
-// serveJobImport adopts a foreign checkpoint envelope as a local job
-// (PUT /v1/jobs/{id}/checkpoint). Idempotent by content key: importing onto
-// an existing job returns 200 with the existing Info; a fresh adoption
-// returns 201. Corrupt, truncated or inconsistent envelopes are rejected
-// with 400 before any local state changes.
-func (s *Server) serveJobImport(w http.ResponseWriter, r *http.Request, id string) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxCheckpointBytes)
-	var env jobs.ExportedJob
-	if err := plan.DecodeStrict(r.Body, &env); err != nil {
-		frontdoor.WriteError(w, http.StatusBadRequest, "decoding checkpoint: %v", err)
-		return
-	}
-	if env.ID != id {
-		frontdoor.WriteError(w, http.StatusBadRequest, "envelope ID %s does not match URL job %s", env.ID, id)
-		return
-	}
-	if err := env.Validate(); err != nil {
-		frontdoor.WriteError(w, http.StatusBadRequest, "invalid checkpoint: %v", err)
-		return
-	}
-	info, accepted, err := s.jobs.Import(&env)
-	switch {
-	case errors.Is(err, jobs.ErrDraining):
-		frontdoor.WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	case err != nil:
-		frontdoor.WriteError(w, http.StatusInternalServerError, "importing checkpoint: %v", err)
-		return
-	}
-	code := http.StatusOK
-	if accepted {
-		code = http.StatusCreated
-	}
-	frontdoor.WriteJSON(w, code, importReceipt{Info: info, Accepted: accepted, Cycle: env.Cycle, SnapCRC: env.SnapCRC})
-}
-
-// serveJobRelease finishes a job locally as migrated after its envelope has
-// been verifiably imported elsewhere (DELETE /v1/jobs/{id}/checkpoint).
+// serveJobRelease finishes a job locally as migrated after the fleet has
+// resubmitted it to another backend (DELETE /v1/jobs/{id}/checkpoint).
 // Idempotent for already-migrated jobs; other terminal states are 409.
 func (s *Server) serveJobRelease(w http.ResponseWriter, id string) {
 	info, err := s.jobs.Release(id)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,11 +17,11 @@ import (
 )
 
 // slowCollect is the request of the sync-collect job tests: search at 4
-// cores runs ~150k cycles, so with syncCkptCycles it crosses dozens of
-// checkpoint boundaries and stays running long after its first one.
+// cores runs ~150k cycles, so with syncSliceCycles it crosses dozens of
+// slice boundaries and stays running long after its first one.
 const slowCollect = `{"Bench":"search","Config":{"Cores":4}}`
 
-const syncCkptCycles = 2000
+const syncSliceCycles = 2000
 
 // slowCollectKey returns the content key of slowCollect and the byte-exact
 // response of an uninterrupted library run.
@@ -86,11 +87,12 @@ func postAsync(t *testing.T, ts *httptest.Server, path, body string) <-chan repl
 }
 
 // preemptSyncCollect POSTs slowCollect to a server on dir, shuts the server
-// down once the job has saved a checkpoint, and checks that the waiting
-// request was answered 503 "checkpointed" with the job parked in the WAL.
+// down once the job has passed a slice boundary, and checks that the
+// waiting request was answered 503 "preempted by shutdown" with the job
+// left queued in the WAL.
 func preemptSyncCollect(t *testing.T, dir, key string) {
 	t.Helper()
-	s, err := New(Options{Workers: 1, JobsDir: dir, CheckpointCycles: syncCkptCycles})
+	s, err := New(Options{Workers: 1, JobsDir: dir, SliceCycles: syncSliceCycles})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +108,13 @@ func preemptSyncCollect(t *testing.T, dir, key string) {
 		select {
 		case r, ok := <-replied:
 			if ok {
-				t.Fatalf("sync collect answered %d before any job checkpoint: %s", r.code, r.body)
+				t.Fatalf("sync collect answered %d before any slice boundary: %s", r.code, r.body)
 			}
 			t.Fatal("sync collect got no response")
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("sync collect never reached a job checkpoint")
+			t.Fatal("sync collect never reached a slice boundary")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -125,19 +127,22 @@ func preemptSyncCollect(t *testing.T, dir, key string) {
 	if !ok {
 		t.Fatal("preempted sync collect got no response")
 	}
-	if r.code != http.StatusServiceUnavailable || !strings.Contains(string(r.body), "checkpointed") {
-		t.Fatalf("preempted sync collect answered %d %s, want 503 + checkpointed", r.code, r.body)
+	if r.code != http.StatusServiceUnavailable || !strings.Contains(string(r.body), "preempted by shutdown") {
+		t.Fatalf("preempted sync collect answered %d %s, want 503 + preempted by shutdown", r.code, r.body)
+	}
+	if info, err := s.Jobs().Get(key); err != nil || info.State != jobs.StateQueued {
+		t.Fatalf("preempted job is %+v (err %v), want queued", info, err)
 	}
 	if _, ok := s.Cache().Get(key); ok {
 		t.Fatal("preempted collect was cached")
 	}
 }
 
-// TestJobsSyncCollectPreemptResume is the crash/resume e2e of the sync
-// path: Shutdown (what gcserved's SIGTERM handler calls) preempts a sync
-// collect at a job checkpoint, and a second server on the same JobsDir
-// resumes it and answers the same request byte-identically to an
-// uninterrupted run.
+// TestJobsSyncCollectPreemptResume is the crash/restart e2e of the sync
+// path: Shutdown (what gcserved's SIGTERM handler calls) stops a sync
+// collect at a slice boundary, and a second server on the same JobsDir
+// re-runs it from the WAL and answers the same request byte-identically to
+// an uninterrupted run. The directory holds only the WAL throughout.
 func TestJobsSyncCollectPreemptResume(t *testing.T) {
 	dir := t.TempDir()
 	key, want := slowCollectKey(t)
@@ -151,17 +156,16 @@ func TestJobsSyncCollectPreemptResume(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed response differs from uninterrupted run:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	text := scrape(t, ts)
-	if v := scrapeValue(t, text, "gcjobs_resumes_total"); v != 1 {
-		t.Fatalf("gcjobs_resumes_total = %d, want 1 (resume, not restart)", v)
+	if v := scrapeValue(t, scrape(t, ts), "gcjobs_fresh_starts_total"); v != 1 {
+		t.Fatalf("gcjobs_fresh_starts_total = %d, want 1 (the re-run)", v)
 	}
-	if v := scrapeValue(t, text, "gcjobs_fresh_starts_total"); v != 0 {
-		t.Fatalf("gcjobs_fresh_starts_total = %d, want 0", v)
+	if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 1 || filepath.Base(files[0]) != "jobs.wal" {
+		t.Fatalf("jobs directory holds %v, want only jobs.wal", files)
 	}
 }
 
 // TestJobsSyncRestartRecovery checks that a restarted server finishes a
-// preempted sync collect with no client request: the job resumes from the
+// preempted sync collect with no client request: the job re-runs from the
 // WAL and its result lands in the cache through the result hook.
 func TestJobsSyncRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -187,7 +191,7 @@ func TestJobsSyncRestartRecovery(t *testing.T) {
 // POSTs the same request synchronously: the sync request must dedupe onto
 // the running job (one execution) and return the job's exact bytes.
 func TestJobsSyncDedupesOntoAsync(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, JobsDir: t.TempDir(), CheckpointCycles: syncCkptCycles})
+	_, ts := newTestServer(t, Options{Workers: 1, JobsDir: t.TempDir(), SliceCycles: syncSliceCycles})
 	key, want := slowCollectKey(t)
 
 	resp, info := postJob(t, ts, `{"Collect":`+slowCollect+`}`)
@@ -259,11 +263,11 @@ func TestJobsCollectsObservedOnce(t *testing.T) {
 // with long async jobs in the sync path's own class, then POSTs a distinct
 // sync collect: its job goes to the front of the class queue, ahead of the
 // queued async jobs, and the running async job yields to it at its next
-// checkpoint, so the request is answered within its Timeout while async
-// work is still pending.
+// slice boundary, so the request is answered within its Timeout while
+// async work is still pending.
 func TestJobsSyncNotStarvedByAsync(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, JobsDir: t.TempDir(),
-		CheckpointCycles: syncCkptCycles, Timeout: 30 * time.Second})
+		SliceCycles: syncSliceCycles, Timeout: 30 * time.Second})
 	var ids []string
 	for seed := 1; seed <= 3; seed++ {
 		resp, info := postJob(t, ts, fmt.Sprintf(`{"Collect":{"Bench":"search","Seed":%d,"Config":{"Cores":4}}}`, seed))

@@ -19,22 +19,21 @@
 //	GET  /healthz      liveness + pool state
 //	GET  /metrics      Prometheus text-format counters
 //
-// With Options.JobsDir set, the manager is durable (a WAL and checkpoint
-// files in that directory) and the async job tier is mounted as well:
+// With Options.JobsDir set, the manager is durable (a WAL in that
+// directory) and the async job tier is mounted as well:
 //
-//	POST   /v1/jobs              submit a collect job (202 + job info)
-//	GET    /v1/jobs              list jobs (?active=true for non-terminal only)
-//	GET    /v1/jobs/{id}         job status
-//	GET    /v1/jobs/{id}/result  final result body (202 until done)
-//	GET    /v1/jobs/{id}/events  lifecycle events as a Server-Sent-Events stream
-//	DELETE /v1/jobs/{id}         cancel (at the next checkpoint boundary)
-//
-// The checkpoint-transfer endpoints make jobs portable between backends —
-// the primitive behind the elastic fleet tier's live migration:
-//
-//	GET    /v1/jobs/{id}/checkpoint  export the job's position as an envelope
-//	PUT    /v1/jobs/{id}/checkpoint  adopt a foreign envelope (idempotent by key)
+//	POST   /v1/jobs                  submit a collect job (202 + job info)
+//	GET    /v1/jobs                  list jobs (?active=true for non-terminal only)
+//	GET    /v1/jobs/{id}             job status
+//	GET    /v1/jobs/{id}/result      final result body (202 until done)
+//	GET    /v1/jobs/{id}/events      lifecycle events as a Server-Sent-Events stream
+//	DELETE /v1/jobs/{id}             cancel (at the next slice boundary)
 //	DELETE /v1/jobs/{id}/checkpoint  release the job here as migrated
+//
+// The release endpoint is the fleet's half of a job move: the fleet
+// resubmits the job to its new owner, then releases it here, and a request
+// still waiting for it here gets a 503 that the fleet retries on the new
+// owner. The path keeps its older name.
 //
 // The sweep engine (internal/sweep) also rides the job tier:
 //
@@ -76,8 +75,8 @@ type Options struct {
 	// simulation time (default 60s). A simulation that has already started
 	// when the deadline fires runs to completion (the result is cached),
 	// but the waiting client gets 504; a job still queued when its last
-	// waiter gives up is withdrawn, unless it has a checkpoint or the
-	// server is draining with JobsDir.
+	// waiter gives up is withdrawn, unless it holds a preempted collection
+	// or the server is draining with JobsDir.
 	Timeout time.Duration
 	// MaxScale rejects requests whose Scale exceeds it (default 64;
 	// negative means unlimited) so one request cannot occupy a worker for
@@ -85,16 +84,16 @@ type Options struct {
 	MaxScale int
 	// RetryAfter is the hint returned with 429 responses (default 1s).
 	RetryAfter time.Duration
-	// CheckpointCycles is the snapshot interval, in simulated clock cycles,
-	// of every collection the job tier runs, synchronous collects included
-	// (default 200000; only meaningful with JobsDir).
-	CheckpointCycles int64
+	// SliceCycles is the slice length, in simulated clock cycles, of every
+	// collection the job tier runs: the boundaries where a job can be
+	// cancelled, yield to higher-priority work or stop for Shutdown
+	// (default 200000). Tests shorten it.
+	SliceCycles int64
 	// JobsDir, when set, makes the job manager durable and mounts the
-	// async job tier (/v1/jobs, /v1/sweeps): a write-ahead log and
-	// checkpoint files live in this directory, and a restarted server
-	// resumes unfinished jobs from it, synchronous collects included. A
-	// synchronous collect is then preempted at a checkpoint boundary by
-	// Shutdown and resumes after a restart.
+	// async job tier (/v1/jobs, /v1/sweeps): a write-ahead log lives in
+	// this directory, and a restarted server re-runs unfinished jobs from
+	// it, synchronous collects included. A synchronous collect is then
+	// stopped at a slice boundary by Shutdown and re-runs after a restart.
 	JobsDir string
 	// JobClasses is the priority-class specification ("name:weight,...")
 	// for async jobs (default jobs.DefaultClasses; only meaningful with
@@ -126,9 +125,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
-	}
-	if o.CheckpointCycles <= 0 {
-		o.CheckpointCycles = 200_000
 	}
 	return o
 }
@@ -173,13 +169,13 @@ func newServer(opts Options, run func(hwgc.CollectRequest) ([]byte, error)) (*Se
 		return nil, err
 	}
 	mgr, err := jobs.Open(jobs.Options{
-		Dir:              s.opts.JobsDir,
-		Classes:          classes,
-		Runners:          s.opts.Workers,
-		QueueDepth:       s.opts.QueueDepth,
-		CheckpointCycles: s.opts.CheckpointCycles,
-		OnResult:         s.onJobResult,
-		Run:              run,
+		Dir:         s.opts.JobsDir,
+		Classes:     classes,
+		Runners:     s.opts.Workers,
+		QueueDepth:  s.opts.QueueDepth,
+		SliceCycles: s.opts.SliceCycles,
+		OnResult:    s.onJobResult,
+		Run:         run,
 	})
 	if err != nil {
 		return nil, err
@@ -255,12 +251,12 @@ func (s *Server) Sweeps() *sweep.Coordinator { return s.sweeps }
 // the job manager drains. Without JobsDir, every admitted job runs to
 // completion and its waiting requests get their results. With JobsDir,
 // no queued job is started any more and a running one stops at its next
-// checkpoint boundary, so the drain waits for at most one checkpoint
-// interval (CheckpointCycles simulated cycles) per runner; both stay
-// durably in the WAL, their waiting requests get 503 (jobs.ErrPreempted),
-// and the next server on the same JobsDir finishes them. It returns nil
-// once the pool has drained, or an error wrapping ctx.Err() if ctx expires
-// first (the runners keep draining in the background in that case).
+// slice boundary, so the drain waits for at most one slice (SliceCycles
+// simulated cycles) per runner; both stay durably in the WAL, their
+// waiting requests get 503 (jobs.ErrPreempted), and the next server on the
+// same JobsDir re-runs them. It returns nil once the pool has drained, or
+// an error wrapping ctx.Err() if ctx expires first (the runners keep
+// draining in the background in that case). Shutdown may be called again.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopOnce.Do(func() { close(s.draining) })
 	// Stop the sweep watchers before draining the job tier they watch;

@@ -125,3 +125,27 @@ func TestShutdownHonorsContext(t *testing.T) {
 		t.Fatalf("final drain: %v", err)
 	}
 }
+
+// TestShutdownTwice shuts a server down twice, with and without a jobs
+// directory: the second Shutdown returns nil, and the WAL is closed once.
+func TestShutdownTwice(t *testing.T) {
+	for _, mode := range []string{"memory", "dir"} {
+		t.Run(mode, func(t *testing.T) {
+			opts := Options{Workers: 1}
+			if mode == "dir" {
+				opts.JobsDir = t.TempDir()
+			}
+			s, ts := newTestServer(t, opts)
+			if resp, body := post(t, ts, "/v1/collect", `{"Bench":"jlisp","Config":{"Cores":2}}`); resp.StatusCode != http.StatusOK {
+				t.Fatalf("collect: status %d: %s", resp.StatusCode, body)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			for i := 1; i <= 2; i++ {
+				if err := s.Shutdown(ctx); err != nil {
+					t.Fatalf("shutdown %d: %v", i, err)
+				}
+			}
+		})
+	}
+}

@@ -41,7 +41,7 @@ type harness struct {
 func newHarness(t *testing.T, dir string) *harness {
 	t.Helper()
 	cache := newTestCache()
-	m, err := jobs.Open(jobs.Options{Dir: dir, Runners: 2, CheckpointCycles: 5000,
+	m, err := jobs.Open(jobs.Options{Dir: dir, Runners: 2, SliceCycles: 5000,
 		OnResult: func(id string, body []byte, _ *hwgc.CollectResponse) { cache.Put(id, body) }})
 	if err != nil {
 		t.Fatal(err)
