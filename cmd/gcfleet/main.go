@@ -16,12 +16,14 @@
 // Usage:
 //
 //	gcfleet -backends http://h1:8080,http://h2:8080,http://h3:8080
-//	        [-addr :8090] [-vnodes 128] [-replicas 3] [-attempts 4]
-//	        [-timeout 60s] [-hedge-quantile 0] [-hedge-min 20ms]
+//	        [-addr :8090] [-replicas 3] [-attempts 4] [-timeout 60s]
 //	        [-health-interval 2s] [-breaker-failures 3] [-breaker-cooldown 5s]
-//	        [-batch-inflight 4] [-registry-limit 4096]
-//	        [-sweep-poll 250ms] [-cache-entries 1024] [-cache-mb 64]
-//	        [-drain 30s]
+//	        [-batch-inflight 4] [-sweep-poll 250ms]
+//	        [-cache-entries 1024] [-cache-mb 64] [-drain 30s]
+//
+// The ring has cluster.DefaultVnodes virtual nodes per backend, a 429's
+// Retry-After is honored for at most 5s, and a rebalance pass can move or
+// rescue the newest 4096 job submissions.
 //
 // Endpoints (same wire format as one gcserved):
 //
@@ -87,17 +89,13 @@ func parseOptions(args []string) (addr string, opts cluster.Options, drain time.
 	var (
 		addrFlag       = fs.String("addr", ":8090", "listen address")
 		backends       = fs.String("backends", "", "comma-separated gcserved base URLs (required)")
-		vnodes         = fs.Int("vnodes", cluster.DefaultVnodes, "virtual nodes per backend on the hash ring")
 		replicas       = fs.Int("replicas", 3, "ring replicas tried per request (failover width)")
 		attempts       = fs.Int("attempts", 4, "total send attempts per request across replicas and retries")
 		timeout        = fs.Duration("timeout", 60*time.Second, "per-request deadline including retries")
-		hedgeQuantile  = fs.Float64("hedge-quantile", 0, "latency quantile after which to hedge to the next replica (0 = off)")
-		hedgeMin       = fs.Duration("hedge-min", 20*time.Millisecond, "floor for the hedge delay")
 		healthInterval = fs.Duration("health-interval", 2*time.Second, "backend /healthz probe interval (negative = disabled)")
 		brkFailures    = fs.Int("breaker-failures", 3, "consecutive failures that open a backend's circuit breaker")
 		brkCooldown    = fs.Duration("breaker-cooldown", 5*time.Second, "open-breaker cooldown before the half-open probe")
 		batchInflight  = fs.Int("batch-inflight", 4, "concurrent batch items per backend")
-		registryLimit  = fs.Int("registry-limit", 4096, "job submissions remembered for dead-owner rescue during rebalance")
 		sweepPoll      = fs.Duration("sweep-poll", 250*time.Millisecond, "per-point result poll interval of the fleet sweep runner")
 		cacheEntries   = fs.Int("cache-entries", 1024, "edge result cache entry bound (negative = disabled)")
 		cacheMB        = fs.Int64("cache-mb", 64, "edge result cache size bound in MiB (negative = disabled)")
@@ -121,22 +119,15 @@ func parseOptions(args []string) (addr string, opts cluster.Options, drain time.
 	if len(urls) == 0 {
 		return "", cluster.Options{}, 0, fmt.Errorf("-backends lists no URLs")
 	}
-	if *hedgeQuantile < 0 || *hedgeQuantile >= 1 {
-		return "", cluster.Options{}, 0, fmt.Errorf("-hedge-quantile must be in [0, 1), got %g", *hedgeQuantile)
-	}
 	return *addrFlag, cluster.Options{
 		Backends:         urls,
-		Vnodes:           *vnodes,
 		Replicas:         *replicas,
 		MaxAttempts:      *attempts,
 		Timeout:          *timeout,
-		HedgeQuantile:    *hedgeQuantile,
-		HedgeMinDelay:    *hedgeMin,
 		HealthInterval:   *healthInterval,
 		BreakerThreshold: *brkFailures,
 		BreakerCooldown:  *brkCooldown,
 		BatchInflight:    *batchInflight,
-		RegistryLimit:    *registryLimit,
 		SweepPoll:        *sweepPoll,
 		CacheEntries:     *cacheEntries,
 		CacheBytes:       *cacheMB << 20,

@@ -28,14 +28,11 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if len(opts.Backends) != 2 || opts.Backends[0] != "http://a:1" || opts.Backends[1] != "http://b:2" {
 		t.Errorf("backends = %v", opts.Backends)
 	}
-	if opts.Vnodes != cluster.DefaultVnodes || opts.Replicas != 3 || opts.MaxAttempts != 4 {
+	if opts.Replicas != 3 || opts.MaxAttempts != 4 {
 		t.Errorf("ring/retry defaults wrong: %+v", opts)
 	}
-	if opts.HedgeQuantile != 0 || opts.HealthInterval != 2*time.Second {
-		t.Errorf("hedge/health defaults wrong: %+v", opts)
-	}
-	if opts.RegistryLimit != 4096 {
-		t.Errorf("elastic defaults wrong: %+v", opts)
+	if opts.HealthInterval != 2*time.Second {
+		t.Errorf("health default wrong: %+v", opts)
 	}
 	if opts.CacheEntries != 1024 || opts.CacheBytes != 64<<20 {
 		t.Errorf("edge cache defaults wrong: %+v", opts)
@@ -53,32 +50,28 @@ func TestParseOptionsDefaults(t *testing.T) {
 
 func TestParseOptionsAllFlags(t *testing.T) {
 	addr, opts, drain, err := parseOptions(strings.Fields(
-		"-addr :7000 -backends http://x:1 -vnodes 16 -replicas 2 -attempts 5 -timeout 9s " +
-			"-hedge-quantile 0.9 -hedge-min 5ms -health-interval 1s " +
-			"-breaker-failures 7 -breaker-cooldown 3s -batch-inflight 2 " +
-			"-registry-limit 99 -cache-entries 7 -cache-mb 3 -drain 4s"))
+		"-addr :7000 -backends http://x:1 -replicas 2 -attempts 5 -timeout 9s " +
+			"-health-interval 1s -breaker-failures 7 -breaker-cooldown 3s -batch-inflight 2 " +
+			"-sweep-poll 40ms -cache-entries 7 -cache-mb 3 -drain 4s"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if addr != ":7000" || drain != 4*time.Second {
 		t.Errorf("addr=%q drain=%s", addr, drain)
 	}
-	if opts.Vnodes != 16 || opts.Replicas != 2 || opts.MaxAttempts != 5 ||
-		opts.Timeout != 9*time.Second || opts.HedgeQuantile != 0.9 ||
-		opts.HedgeMinDelay != 5*time.Millisecond || opts.HealthInterval != time.Second ||
+	if opts.Replicas != 2 || opts.MaxAttempts != 5 || opts.Timeout != 9*time.Second ||
+		opts.HealthInterval != time.Second ||
 		opts.BreakerThreshold != 7 || opts.BreakerCooldown != 3*time.Second ||
-		opts.BatchInflight != 2 ||
-		opts.RegistryLimit != 99 || opts.CacheEntries != 7 || opts.CacheBytes != 3<<20 {
+		opts.BatchInflight != 2 || opts.SweepPoll != 40*time.Millisecond ||
+		opts.CacheEntries != 7 || opts.CacheBytes != 3<<20 {
 		t.Errorf("parsed options: %+v", opts)
 	}
 }
 
 func TestParseOptionsErrors(t *testing.T) {
 	for name, args := range map[string][]string{
-		"bad quantile":  {"-backends", "http://a:1", "-hedge-quantile", "1.5"},
-		"unit quantile": {"-backends", "http://a:1", "-hedge-quantile", "1"},
-		"stray arg":     {"-backends", "http://a:1", "stray"},
-		"unknown flag":  {"-no-such-flag"},
+		"stray arg":    {"-backends", "http://a:1", "stray"},
+		"unknown flag": {"-no-such-flag"},
 	} {
 		if _, _, _, err := parseOptions(args); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -45,7 +45,7 @@ func (f *Fleet) topology() topologyBody {
 	shares := f.ring.Shares()
 	body := topologyBody{
 		Replicas:     f.opts.Replicas,
-		Vnodes:       f.opts.Vnodes,
+		Vnodes:       DefaultVnodes,
 		KeysRemapped: f.emetrics.keysRemapped.Load(),
 	}
 	for _, id := range f.ring.Members() {

@@ -17,10 +17,9 @@ type Backend struct {
 	breaker *Breaker
 	sem     chan struct{} // bounds in-flight batch items per backend
 
-	requests  atomic.Int64 // HTTP exchanges attempted (incl. hedges/retries)
+	requests  atomic.Int64 // HTTP exchanges attempted (incl. retries)
 	errors    atomic.Int64 // transport errors + 5xx responses
 	routed    atomic.Int64 // times this backend was the key's primary owner
-	hedges    atomic.Int64 // hedge requests launched against this backend
 	healthy   atomic.Bool  // last health-probe outcome
 	healthErr atomic.Value // string: last health-probe error, for /healthz
 

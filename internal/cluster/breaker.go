@@ -114,8 +114,9 @@ func (b *Breaker) Record(ok bool) {
 	}
 }
 
-// Cancel releases an Allow that was never sent (e.g. a hedge that lost the
-// race before launching) without recording an outcome.
+// Cancel releases an Allow without recording an outcome: the send was
+// abandoned by its caller, or its backend left the ring while it was in
+// flight.
 func (b *Breaker) Cancel() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

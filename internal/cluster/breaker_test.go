@@ -127,7 +127,7 @@ func TestBreakerCancelReleasesProbe(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("probe not admitted")
 	}
-	b.Cancel() // probe never sent (e.g. hedge race lost before launch)
+	b.Cancel() // probe abandoned by its caller before a verdict
 	if !b.Allow() {
 		t.Fatal("canceled probe slot not released")
 	}

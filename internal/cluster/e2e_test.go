@@ -36,6 +36,35 @@ func startGCServed(t testing.TB) (*server.Server, *httptest.Server) {
 	return s, ts
 }
 
+// TestFleetUnbuildableScaleKeepsBreakersClosed: collects of cup past its
+// largest buildable scale are 400s from the fleet itself. Not one reaches a
+// backend as a failing build, so every breaker stays closed and a valid
+// collect after them is served.
+func TestFleetUnbuildableScaleKeepsBreakersClosed(t *testing.T) {
+	_, b1 := startGCServed(t)
+	_, b2 := startGCServed(t)
+	f, err := New(Options{Backends: []string{b1.URL, b2.URL}, HealthInterval: -1, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const n = 3
+	for i := 0; i < n; i++ {
+		body := fmt.Sprintf(`{"Bench":"cup","Scale":64,"Seed":%d,"Config":{"Cores":1}}`, i+1)
+		if rec := fleetPost(t, f.Handler(), "/v1/collect", []byte(body)); rec.Code != http.StatusBadRequest {
+			t.Fatalf("cup-64 collect %d: status %d: %s, want 400", i+1, rec.Code, rec.Body.String())
+		}
+	}
+	for _, b := range f.Backends() {
+		if st := b.breaker.State(); st != BreakerClosed || b.errors.Load() != 0 {
+			t.Errorf("backend %s: breaker %s with %d errors after unbuildable collects, want closed and 0", b.id, st, b.errors.Load())
+		}
+	}
+	if rec := fleetPost(t, f.Handler(), "/v1/collect", collectBody(1)); rec.Code != http.StatusOK {
+		t.Fatalf("jlisp collect after the cup-64 ones: status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
 // TestFleetEndToEnd is the acceptance test from the issue: three real
 // in-process gcserved backends behind one gcfleet, a mixed collect/sweep
 // batch driven through it, one backend killed mid-run, and then:

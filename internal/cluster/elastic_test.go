@@ -35,96 +35,83 @@ func decodeTopology(t *testing.T, rec *httptest.ResponseRecorder) topologyBody {
 	return body
 }
 
-// TestSettleHedgeLoserRemovedBackend is the deterministic half of the
-// removal-vs-hedge regression: a backend that left the ring while its
-// hedged send was in flight must have the breaker slot settled without
-// recording an outcome, and no error/failure attribution.
-func TestSettleHedgeLoserRemovedBackend(t *testing.T) {
-	fakes := []*fakeBackend{newFakeBackend(t, 0), newFakeBackend(t, 0)}
-	// Threshold 1: a single wrongly-recorded failure would open the breaker,
-	// making any attribution bug loud.
-	f, _ := newTestFleet(t, Options{BreakerThreshold: 1}, fakes...)
+// TestRemoveBackendRacingSend removes a key's primary from the fleet while
+// a send to it is in flight. The primary fails slowly, so its 503 arrives
+// for a backend that already left the ring: the fleet must settle that
+// send's breaker slot with no verdict, charge the removed member nothing,
+// and never send to it again in a later round.
+func TestRemoveBackendRacingSend(t *testing.T) {
+	for _, tc := range []struct {
+		survivor string // the other replica's fake mode
+		want     int    // the fleet's reply status
+		sends    int64  // requests the survivor serves
+	}{
+		// The survivor answers in the same round.
+		{survivor: "ok", want: http.StatusOK, sends: 1},
+		// The survivor is busy in every round: the remaining attempts all
+		// go to it, none back to the removed primary.
+		{survivor: "busy", want: http.StatusTooManyRequests, sends: 3},
+	} {
+		t.Run(tc.survivor, func(t *testing.T) {
+			primaryFake := newFakeBackend(t, 200*time.Millisecond)
+			survivorFake := newFakeBackend(t, 0)
+			// Threshold 1 in the first case: a single wrongly recorded
+			// failure would open the breaker. The default threshold in the
+			// second keeps a charged primary admissible, so a later round
+			// would send to it again.
+			threshold := 1
+			if tc.survivor == "busy" {
+				threshold = 3
+			}
+			f, _ := newTestFleet(t, Options{Replicas: 2, BreakerThreshold: threshold}, primaryFake, survivorFake)
 
-	b := f.Backends()[0]
-	if !b.breaker.Allow() { // the in-flight hedge's slot
-		t.Fatal("breaker refused the hedge slot")
-	}
-	if _, err := f.RemoveBackend(b.id); err != nil {
-		t.Fatalf("remove: %v", err)
-	}
-	// The hedge loses with a 5xx after the removal.
-	f.settleHedgeLoser(sendResult{backend: b, status: http.StatusServiceUnavailable})
+			primary := f.Backends()[0]
+			seed := seedOwnedBy(t, f, primary)
+			primaryFake.mode.Store("slowfail")
+			survivorFake.mode.Store(tc.survivor)
 
-	if got := b.errors.Load(); got != 0 {
-		t.Errorf("removed backend charged %d errors", got)
-	}
-	if got := f.metrics.backendFailures.Load(); got != 0 {
-		t.Errorf("fleet charged %d backend failures to a removed member", got)
-	}
-	if st := b.breaker.State(); st != BreakerClosed {
-		t.Errorf("removed backend's breaker = %s, want closed (slot cancelled, not recorded)", st)
-	}
-	if b.breaker.Opens() != 0 {
-		t.Error("removed backend's breaker opened from a post-removal hedge result")
-	}
+			done := make(chan *httptest.ResponseRecorder, 1)
+			go func() { done <- fleetPost(t, f.Handler(), "/v1/collect", collectBody(seed)) }()
 
-	// And the probe loop no longer touches it: only the surviving member
-	// is probed.
-	f.probeAll()
-	if got := f.metrics.healthProbes.Load(); got != 1 {
-		t.Errorf("probeAll after removal ran %d probes, want 1", got)
-	}
-}
+			// Remove the primary once the send reached it: it answers 200 ms
+			// later, after the removal.
+			for primaryFake.requests.Load() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			if _, err := f.RemoveBackend(primary.id); err != nil {
+				t.Fatalf("remove mid-flight: %v", err)
+			}
 
-// TestRemoveBackendRacingHedgedSend is the end-to-end half: the key's
-// primary is removed from the fleet while its hedged request is still in
-// flight. The hedge to the surviving replica must win, and the removed
-// member must absorb its late 5xx without any attribution.
-func TestRemoveBackendRacingHedgedSend(t *testing.T) {
-	primaryFake := newFakeBackend(t, 200*time.Millisecond)
-	hedgeFake := newFakeBackend(t, 400*time.Millisecond)
-	f, _ := newTestFleet(t, Options{
-		Replicas:         2,
-		BreakerThreshold: 1,
-		HedgeQuantile:    0.5,
-		HedgeMinDelay:    time.Millisecond, // cold histogram → hedge fires almost at once
-	}, primaryFake, hedgeFake)
+			rec := <-done
+			if rec.Code != tc.want {
+				t.Fatalf("status %d after removal, want %d: %s", rec.Code, tc.want, rec.Body.String())
+			}
+			if got := rec.Header().Get("X-Fleet-Backend"); got != f.Backends()[0].id {
+				t.Errorf("served by %s, want the surviving replica", got)
+			}
+			if got := primaryFake.requests.Load(); got != 1 {
+				t.Errorf("removed primary served %d requests, want 1 (never retried after removal)", got)
+			}
+			if got := survivorFake.requests.Load(); got != tc.sends {
+				t.Errorf("survivor served %d requests, want %d", got, tc.sends)
+			}
+			if got := primary.errors.Load(); got != 0 {
+				t.Errorf("removed backend charged %d errors for its late 503", got)
+			}
+			if got := f.metrics.backendFailures.Load(); got != 0 {
+				t.Errorf("fleet charged %d failures to the removed member", got)
+			}
+			if st := primary.breaker.State(); st != BreakerClosed || primary.breaker.Opens() != 0 {
+				t.Errorf("removed backend's breaker = %s after %d opens, want closed and never opened", st, primary.breaker.Opens())
+			}
 
-	primary := f.Backends()[0]
-	seed := seedOwnedBy(t, f, primary)
-	// The primary fails *slowly* — after the hedge has fired and after the
-	// removal below — so its 503 arrives for a backend that already left the
-	// ring. The hedge replica answers OK, slower still, so the 503 is the
-	// race's first (retryable) result and takes the settleHedgeLoser path.
-	primaryFake.mode.Store("slowfail")
-	hedgeFake.mode.Store("slow")
-
-	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() { done <- fleetPost(t, f.Handler(), "/v1/collect", collectBody(seed)) }()
-
-	time.Sleep(50 * time.Millisecond) // request in flight, primary still sleeping
-	if _, err := f.RemoveBackend(primary.id); err != nil {
-		t.Fatalf("remove mid-flight: %v", err)
-	}
-
-	rec := <-done
-	if rec.Code != http.StatusOK {
-		t.Fatalf("hedged request failed after removal: %d: %s", rec.Code, rec.Body.String())
-	}
-	if got := rec.Header().Get("X-Fleet-Backend"); got != f.Backends()[0].id {
-		t.Errorf("served by %s, want the surviving hedge replica", got)
-	}
-	if got := primary.errors.Load(); got != 0 {
-		t.Errorf("removed backend charged %d errors for its late 503", got)
-	}
-	if got := f.metrics.backendFailures.Load(); got != 0 {
-		t.Errorf("fleet charged %d failures to the removed member", got)
-	}
-	if st := primary.breaker.State(); st != BreakerClosed {
-		t.Errorf("removed backend's breaker = %s, want closed", st)
-	}
-	if f.metrics.hedges.Load() == 0 {
-		t.Error("no hedge launched; the race this test guards never happened")
+			// The probe loop no longer touches the removed member: only the
+			// survivor is probed.
+			f.probeAll()
+			if got := f.metrics.healthProbes.Load(); got != 1 {
+				t.Errorf("probeAll after removal ran %d probes, want 1", got)
+			}
+		})
 	}
 }
 

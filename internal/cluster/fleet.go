@@ -9,9 +9,9 @@
 //     three-state circuit breaker (closed/open/half-open) with automatic
 //     re-admission;
 //   - a retry policy that honors Retry-After on 429, applies capped
-//     exponential backoff with jitter on 5xx/transport errors, fails over
-//     to the next ring replica, and optionally hedges the first attempt
-//     after a latency percentile to cut tail latency;
+//     exponential backoff with jitter on 5xx/transport errors, and fails
+//     over to the next ring replica; every attempt is one send, never a
+//     duplicate racing another;
 //   - scatter-gather batching (POST /v1/batch) with bounded per-backend
 //     concurrency and per-item partial-failure reporting;
 //   - async job routing (/v1/jobs*): submissions and by-id lookups hash to
@@ -34,7 +34,7 @@
 //
 // The design follows the paper's synchronization discipline at fleet
 // scale: the common case (a fleet-edge hit) is contention-free, every
-// stall has an accounted cause (breaker opens, failovers, retries, hedges),
+// stall has an accounted cause (breaker opens, failovers, retries),
 // and overload is an explicit bounded rejection, never an invisible convoy.
 package cluster
 
@@ -59,32 +59,17 @@ import (
 type Options struct {
 	// Backends are the gcserved base URLs (e.g. http://10.0.0.1:8080).
 	Backends []string
-	// Vnodes is the virtual-node count per backend on the hash ring
-	// (default DefaultVnodes).
-	Vnodes int
 	// Replicas is the failover width: how many distinct backends, in ring
 	// order, may serve one key (default 3; the ring caps it at the live
 	// member count, which elastic membership changes at runtime).
 	Replicas int
-	// MaxAttempts bounds the total HTTP sends for one request, hedges
-	// included (default 4).
+	// MaxAttempts bounds the total HTTP sends for one request (default 4).
 	MaxAttempts int
 	// BaseBackoff/MaxBackoff shape the capped exponential backoff with
 	// jitter applied between retries of 5xx/transport failures (defaults
 	// 25ms and 1s).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// RetryAfterCap bounds how long the fleet honors a backend's
-	// Retry-After hint before retrying anyway (default 5s).
-	RetryAfterCap time.Duration
-	// HedgeQuantile, when in (0,1), enables hedged requests: if the first
-	// attempt has not answered within the observed latency quantile (e.g.
-	// 0.95 = p95), a second copy is raced against the next replica.
-	// Disabled when 0.
-	HedgeQuantile float64
-	// HedgeMinDelay floors the hedge delay so a cold latency histogram
-	// cannot trigger hedge storms (default 20ms).
-	HedgeMinDelay time.Duration
 	// HealthInterval is the /healthz probe period (default 2s; negative
 	// disables probing).
 	HealthInterval time.Duration
@@ -97,11 +82,6 @@ type Options struct {
 	BatchInflight int
 	// Timeout is the per-request (and per-batch-item) deadline (default 60s).
 	Timeout time.Duration
-	// Client overrides the HTTP client (tests; default is a pooled client).
-	Client *http.Client
-	// RegistryLimit bounds the submission registry used to rescue jobs from
-	// dead backends during a rebalance (default 4096 entries).
-	RegistryLimit int
 	// SweepPoll is the per-point result poll interval of the fleet sweep
 	// runner (default 250ms; tests shrink it).
 	SweepPoll time.Duration
@@ -112,10 +92,11 @@ type Options struct {
 	CacheBytes   int64
 }
 
+// retryAfterCap bounds how long the fleet honors a backend's Retry-After
+// hint before retrying anyway.
+const retryAfterCap = 5 * time.Second
+
 func (o Options) withDefaults() Options {
-	if o.Vnodes <= 0 {
-		o.Vnodes = DefaultVnodes
-	}
 	if o.Replicas <= 0 {
 		o.Replicas = 3
 	}
@@ -127,12 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = time.Second
-	}
-	if o.RetryAfterCap <= 0 {
-		o.RetryAfterCap = 5 * time.Second
-	}
-	if o.HedgeMinDelay <= 0 {
-		o.HedgeMinDelay = 20 * time.Millisecond
 	}
 	if o.HealthInterval == 0 {
 		o.HealthInterval = 2 * time.Second
@@ -148,9 +123,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 60 * time.Second
-	}
-	if o.RegistryLimit <= 0 {
-		o.RegistryLimit = 4096
 	}
 	if o.SweepPoll <= 0 {
 		o.SweepPoll = 250 * time.Millisecond
@@ -208,9 +180,6 @@ type Fleet struct {
 
 	rebalanceMu sync.Mutex // serializes rebalance passes
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
 	startOnce sync.Once
 	stopOnce  sync.Once
 	stop      chan struct{}
@@ -236,10 +205,9 @@ func New(opts Options) (*Fleet, error) {
 		nextIdx:    len(opts.Backends),
 		edge:       newEdgeCache(opts.CacheEntries, opts.CacheBytes),
 		replyLimit: maxProxyBodyBytes,
-		registry:   newJobRegistry(opts.RegistryLimit),
+		registry:   newJobRegistry(),
 		emetrics:   newRebalanceMetrics(),
 		stop:       make(chan struct{}),
-		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 		sleep:      sleepCtx,
 	}
 	if f.edge != nil {
@@ -263,19 +231,16 @@ func New(opts Options) (*Fleet, error) {
 		f.backends[b.id] = b
 		ids = append(ids, b.id)
 	}
-	ring, err := NewRing(ids, opts.Vnodes)
+	ring, err := NewRing(ids, DefaultVnodes)
 	if err != nil {
 		return nil, err
 	}
 	f.ring = ring
-	f.client = opts.Client
-	if f.client == nil {
-		f.client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        64,
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
+	f.client = &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        64,
+		MaxIdleConnsPerHost: 16,
+		IdleConnTimeout:     90 * time.Second,
+	}}
 	f.sweeps = sweep.New(sweepRunner{f})
 	// A /v1/sweep or batch point is routed to its own owner, under that
 	// owner's semaphore: the front door adds no bound of its own.
@@ -432,38 +397,53 @@ type sendResult struct {
 	header  http.Header
 	body    []byte
 	err     error
-	hedged  bool // a hedge was launched during this exchange
 }
 
-// send performs one exchange against b with the given HTTP method.
+// send performs one exchange against b with the given HTTP method and
+// accounts for it on b and in the fleet metrics.
 func (f *Fleet) send(ctx context.Context, b *Backend, method, path string, body []byte) sendResult {
 	b.requests.Add(1)
+	status, header, data, err := exchange(ctx, f.client, method, b.baseURL+path, body, f.replyLimit)
+	if status != 0 {
+		f.metrics.exchanges.With(b.id, strconv.Itoa(status)).Add(1)
+	}
+	if err != nil {
+		return sendResult{backend: b, err: err}
+	}
+	return sendResult{backend: b, status: status, header: header, body: data}
+}
+
+// exchange sends one request to u and reads a reply body of at most limit
+// bytes. It is the fleet's one request/response path: routed sends, health
+// probes and the rebalance pass all go through it. A transport error
+// returns status 0; a reply over the limit returns its status with
+// errReplyTooLarge and no body, so the status can still be counted.
+func exchange(ctx context.Context, client *http.Client, method, u string, body []byte, limit int64) (int, http.Header, []byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, b.baseURL+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, u, rd)
 	if err != nil {
-		return sendResult{backend: b, err: err}
+		return 0, nil, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := f.client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
-		return sendResult{backend: b, err: err}
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
 	// One byte past the limit tells a reply at the limit from a longer one.
-	data, err := io.ReadAll(io.LimitReader(resp.Body, f.replyLimit+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
-		return sendResult{backend: b, err: err}
+		return 0, nil, nil, err
 	}
-	f.metrics.exchanges.With(b.id, strconv.Itoa(resp.StatusCode)).Add(1)
-	if int64(len(data)) > f.replyLimit {
-		return sendResult{backend: b, err: fmt.Errorf("%w (%d bytes)", errReplyTooLarge, f.replyLimit)}
+	if int64(len(data)) > limit {
+		return resp.StatusCode, nil, nil, fmt.Errorf("%w (%d bytes)", errReplyTooLarge, limit)
 	}
-	return sendResult{backend: b, status: resp.StatusCode, header: resp.Header, body: data}
+	return resp.StatusCode, resp.Header, data, nil
 }
 
 // maxProxyBodyBytes bounds a proxied response body (64 MiB is far above
@@ -502,16 +482,19 @@ func (f *Fleet) do(ctx context.Context, method, path, key string, body []byte) (
 	f.metrics.routed.With(replicas[0].id).Add(1)
 
 	var (
-		last       sendResult
-		haveLast   bool
-		sends      = 0
+		last       sendResult // zero until the first send
+		sends      int
 		retryAfter time.Duration
 	)
-	for round := 0; sends < f.opts.MaxAttempts; round++ {
+	for sends < f.opts.MaxAttempts {
 		admitted := false
-		for i := 0; i < len(replicas) && sends < f.opts.MaxAttempts; i++ {
-			b := replicas[i]
-			if !b.breaker.Allow() {
+		for _, b := range replicas {
+			if sends >= f.opts.MaxAttempts {
+				break
+			}
+			// A backend that left the ring since replicas was captured
+			// takes no further sends.
+			if b.Removed() || !b.breaker.Allow() {
 				continue
 			}
 			admitted = true
@@ -526,25 +509,25 @@ func (f *Fleet) do(ctx context.Context, method, path, key string, body []byte) (
 			}
 			sends++
 			start := time.Now()
-			var res sendResult
-			if sends == 1 && f.hedgeDelay() > 0 && len(replicas) > 1 {
-				res = f.hedgedSend(ctx, replicas, i, method, path, body)
-				if res.hedged {
-					sends++ // a hedge spends one attempt from the budget
-				}
-			} else {
-				res = f.send(ctx, b, method, path, body)
-			}
+			res := f.send(ctx, b, method, path, body)
 			f.metrics.latency.Observe(time.Since(start))
-			last, haveLast = res, true
+			last = res
 			switch {
+			case b.Removed():
+				// b left the ring while this send was in flight: settle its
+				// breaker slot with no verdict and charge it nothing. A
+				// terminal reply is still the answer.
+				b.breaker.Cancel()
+				if terminal(res) {
+					return res, res.err
+				}
 			case terminal(res):
-				res.backend.breaker.Record(true)
+				b.breaker.Record(true)
 				return res, res.err
 			case res.status == http.StatusTooManyRequests:
 				// Deliberate backpressure: the backend is alive, just
 				// busy. Honor its Retry-After before the next round.
-				res.backend.breaker.Record(true)
+				b.breaker.Record(true)
 				if ra := parseRetryAfter(res.header, time.Second); ra > retryAfter {
 					retryAfter = ra
 				}
@@ -553,11 +536,11 @@ func (f *Fleet) do(ctx context.Context, method, path, key string, body []byte) (
 				// was cancelled): no verdict on the backend. Counting it
 				// would let a burst of cancelled polls open a healthy
 				// backend's breaker and refuse the cancels that follow.
-				res.backend.breaker.Cancel()
+				b.breaker.Cancel()
 				return last, ctx.Err()
 			default: // transport error or 5xx
-				res.backend.breaker.Record(false)
-				res.backend.errors.Add(1)
+				b.breaker.Record(false)
+				b.errors.Add(1)
 				f.metrics.backendFailures.Add(1)
 				if err := f.sleep(ctx, f.backoff(sends)); err != nil {
 					return last, err
@@ -568,127 +551,16 @@ func (f *Fleet) do(ctx context.Context, method, path, key string, body []byte) (
 			}
 		}
 		if !admitted {
-			if haveLast {
-				return last, ErrNoBackends
-			}
-			return sendResult{}, ErrNoBackends
+			return last, ErrNoBackends
 		}
 		if retryAfter > 0 && sends < f.opts.MaxAttempts {
-			if retryAfter > f.opts.RetryAfterCap {
-				retryAfter = f.opts.RetryAfterCap
-			}
-			if err := f.sleep(ctx, retryAfter); err != nil {
+			if err := f.sleep(ctx, min(retryAfter, retryAfterCap)); err != nil {
 				return last, err
 			}
 			retryAfter = 0
 		}
 	}
 	return last, ErrExhausted
-}
-
-// hedgedSend races the first attempt against one hedge launched after the
-// hedge delay. The primary's breaker slot is already held by the caller;
-// the hedge acquires (and releases) its own.
-func (f *Fleet) hedgedSend(ctx context.Context, replicas []*Backend, primaryIdx int, method, path string, body []byte) sendResult {
-	primary := replicas[primaryIdx]
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make(chan sendResult, 2)
-	go func() { results <- f.send(hctx, primary, method, path, body) }()
-
-	delay := f.hedgeDelay()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-
-	launched := false
-	var hedgeBackend *Backend
-	var first sendResult
-	select {
-	case first = <-results:
-		// Primary answered before the hedge fired.
-		return first
-	case <-timer.C:
-		// Pick the next replica whose breaker admits a probe.
-		for j := 1; j < len(replicas); j++ {
-			c := replicas[(primaryIdx+j)%len(replicas)]
-			if c == primary || !c.breaker.Allow() {
-				continue
-			}
-			hedgeBackend = c
-			break
-		}
-		if hedgeBackend == nil {
-			first = <-results
-			return first
-		}
-		launched = true
-		hedgeBackend.hedges.Add(1)
-		f.metrics.hedges.Add(1)
-		go func() { results <- f.send(hctx, hedgeBackend, method, path, body) }()
-	}
-
-	// Two sends racing. The caller settles the breaker of whichever result
-	// we return; we must settle the other one here, exactly once.
-	first = <-results
-	if terminal(first) {
-		cancel() // the loser dies with context.Canceled; drain and discount it
-		second := <-results
-		f.settleHedgeLoser(second)
-		if launched && first.backend == hedgeBackend {
-			f.metrics.hedgeWins.Add(1)
-		}
-		first.hedged = launched
-		return first
-	}
-	// First reply is retryable; settle its breaker and wait for the other.
-	f.settleHedgeLoser(first)
-	second := <-results
-	if launched && terminal(second) && second.backend == hedgeBackend {
-		f.metrics.hedgeWins.Add(1)
-	}
-	second.hedged = launched
-	return second
-}
-
-// settleHedgeLoser settles the breaker slot of a hedge-race loser without
-// penalizing it for being canceled mid-flight.
-func (f *Fleet) settleHedgeLoser(loser sendResult) {
-	b := loser.backend
-	if b == nil {
-		return
-	}
-	if b.removed.Load() {
-		// The backend left the ring while this hedge was in flight: settle
-		// the breaker slot without recording an outcome, and attribute no
-		// errors or failure metrics to a member that no longer exists.
-		b.breaker.Cancel()
-		return
-	}
-	switch {
-	case errors.Is(loser.err, context.Canceled):
-		b.breaker.Cancel()
-	case terminal(loser) || loser.status == http.StatusTooManyRequests:
-		// Terminal replies and 429 backpressure both prove liveness.
-		b.breaker.Record(true)
-	default:
-		b.breaker.Record(false)
-		b.errors.Add(1)
-		f.metrics.backendFailures.Add(1)
-	}
-}
-
-// hedgeDelay derives the hedge trigger from the observed latency quantile,
-// floored at HedgeMinDelay. Returns 0 when hedging is disabled.
-func (f *Fleet) hedgeDelay() time.Duration {
-	if f.opts.HedgeQuantile <= 0 || f.opts.HedgeQuantile >= 1 {
-		return 0
-	}
-	d := f.metrics.latency.QuantileDuration(f.opts.HedgeQuantile)
-	if d < f.opts.HedgeMinDelay {
-		d = f.opts.HedgeMinDelay
-	}
-	return d
 }
 
 // backoff returns the jittered capped exponential delay before retry n
@@ -698,9 +570,7 @@ func (f *Fleet) backoff(n int) time.Duration {
 	if d > f.opts.MaxBackoff || d <= 0 {
 		d = f.opts.MaxBackoff
 	}
-	f.rngMu.Lock()
-	jitter := 0.5 + 0.5*f.rng.Float64() // [0.5, 1.0): full jitter, never zero
-	f.rngMu.Unlock()
+	jitter := 0.5 + 0.5*rand.Float64() // [0.5, 1.0): full jitter, never zero
 	return time.Duration(float64(d) * jitter)
 }
 

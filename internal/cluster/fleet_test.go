@@ -380,43 +380,6 @@ func TestFleetBackoffOnServerErrors(t *testing.T) {
 	}
 }
 
-func TestFleetHedgedRequests(t *testing.T) {
-	slow := newFakeBackend(t, 250*time.Millisecond)
-	fast := newFakeBackend(t, 0)
-	f, _ := newTestFleet(t, Options{
-		HedgeQuantile: 0.95,
-		HedgeMinDelay: 10 * time.Millisecond,
-	}, slow, fast)
-	// Restore real sleeps: hedging uses timers, not f.sleep, but keep the
-	// recorded-sleep hook harmless anyway.
-
-	var slowBackend *Backend
-	for _, b := range f.Backends() {
-		if strings.HasSuffix(b.baseURL, slow.ts.Listener.Addr().String()) {
-			slowBackend = b
-		}
-	}
-	slow.mode.Store("slow")
-	seed := seedOwnedBy(t, f, slowBackend)
-
-	start := time.Now()
-	rec := fleetPost(t, f.Handler(), "/v1/collect", collectBody(seed))
-	elapsed := time.Since(start)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	if got := rec.Header().Get("X-Fleet-Backend"); got == slowBackend.id {
-		t.Fatalf("hedge did not win: served by the slow owner %s", got)
-	}
-	if elapsed >= 250*time.Millisecond {
-		t.Errorf("hedged request took %s; want well under the slow backend's 250ms", elapsed)
-	}
-	if f.metrics.hedges.Load() == 0 || f.metrics.hedgeWins.Load() == 0 {
-		t.Errorf("hedges %d / wins %d, want both > 0",
-			f.metrics.hedges.Load(), f.metrics.hedgeWins.Load())
-	}
-}
-
 // TestFleetScatterGatherRace drives a 120-item mixed batch through the
 // scatter-gather path (run under -race in CI): every item must be reported
 // exactly once, in order, with either a success or an explicit failure.

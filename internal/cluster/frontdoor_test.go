@@ -54,6 +54,13 @@ var decodeRejects = []struct{ name, path, body string }{
 	{"batch trailing value", "/v1/batch", `{"Items":[{"Collect":` + memoCollect + `}]} {}`},
 	{"batch non-JSON", "/v1/batch", `nope`},
 	{"batch no items", "/v1/batch", `{"Items":[]}`},
+	// cup past its largest buildable scale (14): refused when canonicalized,
+	// never built.
+	{"collect cup past its scale bound", "/v1/collect", `{"Bench":"cup","Scale":15,"Config":{}}`},
+	{"collect cup at scale 64", "/v1/collect", `{"Bench":"cup","Scale":64,"Config":{}}`},
+	{"sweep cup past its scale bound", "/v1/sweep", `{"Bench":"cup","Cores":[1],"Scale":15,"Config":{}}`},
+	{"job cup past its scale bound", "/v1/jobs", `{"Collect":{"Bench":"cup","Scale":64,"Config":{}}}`},
+	{"sweeps cup past its scale bound", "/v1/sweeps", `{"Space":{"Benches":["cup"],"Scales":[15]}}`},
 }
 
 // frontReply is one HTTP exchange as the client saw it.

@@ -10,7 +10,7 @@ import (
 // stats.Registry and exposed on /metrics. It mirrors the backend tier's
 // stall accounting one level up: every request the fleet could not serve
 // from the key's healthy owner is attributed to a cause — breaker trips,
-// failovers, retries, hedges, or exhaustion.
+// failovers, retries, or exhaustion.
 type Metrics struct {
 	stats.Registry
 
@@ -20,10 +20,8 @@ type Metrics struct {
 	backendsRemoved *stats.Int        // runtime removals via the admin API
 	retries         *stats.Int        // sends after the first for one request
 	failovers       *stats.Int        // sends that left the key's primary owner
-	hedges          *stats.Int
-	hedgeWins       *stats.Int
-	backendFailures *stats.Int // transport errors + 5xx across the fleet
-	exhausted       *stats.Int // requests that ran out of attempts/backends
+	backendFailures *stats.Int        // transport errors + 5xx across the fleet
+	exhausted       *stats.Int        // requests that ran out of attempts/backends
 	healthProbes    *stats.Int
 	healthFailures  *stats.Int
 	batchRequests   *stats.Int
@@ -61,14 +59,11 @@ func NewMetrics(backends func() []*Backend, cacheBytes func() int64) *Metrics {
 	r.GaugeVecFunc("gcfleet_breaker_state", "Circuit-breaker state per backend (0 closed, 1 open, 2 half-open).", "backend", perBackend(func(b *Backend) int64 { return int64(b.breaker.State()) }))
 	r.CounterVecFunc("gcfleet_breaker_opens_total", "Times each backend's breaker opened.", "backend", perBackend(func(b *Backend) int64 { return b.breaker.Opens() }))
 	r.CounterVecFunc("gcfleet_backend_errors_total", "Transport errors and 5xx replies per backend.", "backend", perBackend(func(b *Backend) int64 { return b.errors.Load() }))
-	r.CounterVecFunc("gcfleet_hedged_to_total", "Hedge requests launched against each backend.", "backend", perBackend(func(b *Backend) int64 { return b.hedges.Load() }))
 	r.GaugeFunc("gcfleet_backends", "Backends currently in the ring.", func() int64 { return int64(len(backends())) })
 	m.backendsAdded = r.Counter("gcfleet_backends_added_total", "Backends joined at runtime via the admin API.")
 	m.backendsRemoved = r.Counter("gcfleet_backends_removed_total", "Backends removed at runtime via the admin API.")
 	m.retries = r.Counter("gcfleet_retries_total", "Sends after the first for one request (retry policy).")
 	m.failovers = r.Counter("gcfleet_failovers_total", "Sends that left the key's primary ring owner.")
-	m.hedges = r.Counter("gcfleet_hedges_total", "Hedge requests launched after the latency-percentile delay.")
-	m.hedgeWins = r.Counter("gcfleet_hedge_wins_total", "Hedges that answered before the primary attempt.")
 	m.backendFailures = r.Counter("gcfleet_backend_failures_total", "Transport errors and 5xx replies across the fleet.")
 	m.exhausted = r.Counter("gcfleet_exhausted_total", "Requests that ran out of attempts or admissible backends.")
 	m.healthProbes = r.Counter("gcfleet_health_probes_total", "Health probes sent.")
@@ -79,8 +74,7 @@ func NewMetrics(backends func() []*Backend, cacheBytes func() int64) *Metrics {
 	m.cacheHits = r.Counter("gcfleet_cache_hits_total", "Collect/sweep requests answered from the fleet edge cache (no backend exchange).")
 	m.cacheMisses = r.Counter("gcfleet_cache_misses_total", "Collect/sweep edge-cache lookups that were routed to a backend.")
 	r.GaugeFunc("gcfleet_cache_bytes", "Bytes of reply bodies held in the fleet edge cache.", cacheBytes)
-	// Hedged exchanges count once, as seen by the caller; the hedge delay is
-	// derived from this summary's quantile.
+	// One observation per routed send, retries and failovers included.
 	m.latency = r.Summary("gcfleet_request_seconds", "Backend exchange latency as seen by the fleet (upper-bound quantiles).", 0.5, 0.95, 0.99)
 	r.FloatGaugeFunc("gcfleet_uptime_seconds", "Seconds since the fleet coordinator started.", func() float64 { return time.Since(start).Seconds() })
 	return m

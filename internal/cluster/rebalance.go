@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -87,10 +85,10 @@ type rebalanceMetrics struct {
 func newRebalanceMetrics() *rebalanceMetrics {
 	m := &rebalanceMetrics{}
 	r := &m.Registry
-	// The families and their help text are published as they were when
-	// jobs moved by checkpoint transfer; a move is a resubmission now.
+	// The family names date from when jobs moved by checkpoint transfer;
+	// they are kept so dashboards keep working. A move is a resubmission.
 	m.rebalances = r.Counter("gcelastic_rebalances_total", "Migration passes run after topology changes.")
-	m.jobsMigrated = r.Counter("gcelastic_jobs_migrated_total", "Jobs moved between backends by checkpoint transfer.")
+	m.jobsMigrated = r.Counter("gcelastic_jobs_migrated_total", "Jobs moved between backends by resubmission to their new owner.")
 	m.jobsResubmitted = r.Counter("gcelastic_jobs_resubmitted_total", "Jobs rescued by registry resubmission after their owner died.")
 	m.failed = r.Counter("gcelastic_migrations_failed_total", "Migrations or rescues that failed a pass.")
 	m.keysRemapped = r.FloatGauge("gcelastic_keys_remapped_fraction", "Fraction of sampled keys whose owner changed in the last topology change.")
@@ -268,28 +266,9 @@ func rebalance(ctx context.Context, client *http.Client, met *rebalanceMetrics, 
 	return rep
 }
 
-// call sends one bodyless or JSON request outside the fleet's routing (no
-// retries, no per-backend accounting) and returns the status and body.
-func call(ctx context.Context, client *http.Client, method, u string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, u, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, data, err
-}
-
 // getJSON GETs u and decodes the 200 response into v.
 func getJSON(ctx context.Context, client *http.Client, u string, v any) error {
-	code, data, err := call(ctx, client, http.MethodGet, u, nil)
+	code, _, data, err := exchange(ctx, client, http.MethodGet, u, nil, maxProxyBodyBytes)
 	if err != nil {
 		return err
 	}
@@ -301,7 +280,7 @@ func getJSON(ctx context.Context, client *http.Client, u string, v any) error {
 
 // submitJob POSTs a canonical submit body to base's /v1/jobs.
 func submitJob(ctx context.Context, client *http.Client, base string, body []byte) error {
-	code, data, err := call(ctx, client, http.MethodPost, base+"/v1/jobs", body)
+	code, _, data, err := exchange(ctx, client, http.MethodPost, base+"/v1/jobs", body, maxProxyBodyBytes)
 	if err == nil && code != http.StatusOK && code != http.StatusAccepted {
 		err = fmt.Errorf("submit: %d: %s", code, strings.TrimSpace(string(data)))
 	}
@@ -311,7 +290,7 @@ func submitJob(ctx context.Context, client *http.Client, base string, body []byt
 // releaseJob ends a job at base as migrated. A job that is gone or already
 // terminal there has nothing left to release.
 func releaseJob(ctx context.Context, client *http.Client, base, id string) error {
-	code, data, err := call(ctx, client, http.MethodDelete, base+"/v1/jobs/"+url.PathEscape(id)+"/checkpoint", nil)
+	code, _, data, err := exchange(ctx, client, http.MethodDelete, base+"/v1/jobs/"+url.PathEscape(id)+"/checkpoint", nil, maxProxyBodyBytes)
 	if err == nil && code != http.StatusOK && code != http.StatusNotFound && code != http.StatusConflict {
 		err = fmt.Errorf("release: %d: %s", code, strings.TrimSpace(string(data)))
 	}
@@ -320,7 +299,7 @@ func releaseJob(ctx context.Context, client *http.Client, base, id string) error
 
 // jobKnown reports whether base already knows the job (any state).
 func jobKnown(ctx context.Context, client *http.Client, base, id string) bool {
-	code, _, err := call(ctx, client, http.MethodGet, base+"/v1/jobs/"+url.PathEscape(id), nil)
+	code, _, _, err := exchange(ctx, client, http.MethodGet, base+"/v1/jobs/"+url.PathEscape(id), nil, maxProxyBodyBytes)
 	return err == nil && code == http.StatusOK
 }
 

@@ -13,17 +13,16 @@ import "sync"
 // evicted. An evicted job no longer moves: it finishes on the backend that
 // runs it, and cannot be rescued if that backend dies.
 type jobRegistry struct {
-	mu    sync.Mutex
-	limit int
-	ids   []string // insertion order, for eviction
-	body  map[string][]byte
+	mu   sync.Mutex
+	ids  []string // insertion order, for eviction
+	body map[string][]byte
 }
 
-func newJobRegistry(limit int) *jobRegistry {
-	if limit <= 0 {
-		limit = 4096
-	}
-	return &jobRegistry{limit: limit, body: make(map[string][]byte)}
+// registryLimit bounds the registry: beyond it the oldest entries go.
+const registryLimit = 4096
+
+func newJobRegistry() *jobRegistry {
+	return &jobRegistry{body: make(map[string][]byte)}
 }
 
 // Record remembers one routed submission. Re-recording an existing ID
@@ -34,7 +33,7 @@ func (r *jobRegistry) Record(id string, body []byte) {
 	if _, ok := r.body[id]; ok {
 		return
 	}
-	for len(r.ids) >= r.limit {
+	for len(r.ids) >= registryLimit {
 		delete(r.body, r.ids[0])
 		r.ids = r.ids[1:]
 	}

@@ -35,19 +35,15 @@ type Log[E Event[E]] struct {
 	ring      []E // newest maxEvents, in order
 	subs      map[chan E]struct{}
 	done      bool // terminal event emitted: new subscribers get no channel
-	clock     func() time.Time
 	maxEvents int
 	subBuffer int
 }
 
 // NewLog returns an empty log that keeps the newest maxEvents events, gives
 // each subscriber a channel of subBuffer events, and stamps events with
-// clock (nil selects time.Now).
-func NewLog[E Event[E]](clock func() time.Time, maxEvents, subBuffer int) *Log[E] {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &Log[E]{subs: make(map[chan E]struct{}), clock: clock, maxEvents: maxEvents, subBuffer: subBuffer}
+// time.Now.
+func NewLog[E Event[E]](maxEvents, subBuffer int) *Log[E] {
+	return &Log[E]{subs: make(map[chan E]struct{}), maxEvents: maxEvents, subBuffer: subBuffer}
 }
 
 // Emit stamps ev with the next sequence number and the time, records it
@@ -57,7 +53,7 @@ func (l *Log[E]) Emit(ev E) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++
-	ev = ev.Stamped(l.seq, l.clock())
+	ev = ev.Stamped(l.seq, time.Now())
 	l.ring = append(l.ring, ev)
 	if len(l.ring) > l.maxEvents {
 		l.ring = l.ring[len(l.ring)-l.maxEvents:]

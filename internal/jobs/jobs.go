@@ -207,6 +207,6 @@ func (ev Event) Frame() (int64, string, bool) { return ev.Seq, string(ev.State),
 // pathological preemption storms. A subscriber (a stalled SSE client) that
 // falls 32 events behind loses events rather than blocking the runner; the
 // WAL is the record.
-func newEventLog(clock func() time.Time) *events.Log[Event] {
-	return events.NewLog[Event](clock, 256, 32)
+func newEventLog() *events.Log[Event] {
+	return events.NewLog[Event](256, 32)
 }

@@ -33,10 +33,12 @@ var (
 	// synchronous waiter than Options.QueueDepth allows.
 	ErrQueueFull = errors.New("jobs: queue full")
 	// ErrPreempted reports a Collect whose job a draining manager left
-	// queued, or that migrated to another backend: the job is durable in
-	// the WAL, and the next manager on the same Dir (or the backend it was
-	// resubmitted to) runs it again from its request.
-	ErrPreempted = errors.New("jobs: job preempted by drain or migrated")
+	// queued: the job is durable in the WAL, and the next manager on the
+	// same Dir runs it again from its request.
+	ErrPreempted = errors.New("jobs: job preempted by drain")
+	// ErrMigrated reports a Collect whose job was released to another
+	// backend (Release): that backend runs it again from its request.
+	ErrMigrated = errors.New("jobs: job migrated to another backend")
 )
 
 // Internal control-flow sentinels for the runner loop.
@@ -70,9 +72,6 @@ type Options struct {
 	// startup and again each time that many jobs have finished, so the job
 	// table and the log hold fewer than twice this many terminal jobs.
 	RetainTerminal int
-	// Aging is the scheduler's anti-starvation bonus per losing pick;
-	// non-positive selects the default.
-	Aging float64
 	// OnResult, when set, is called with no manager locks held for every
 	// job that completes here: its ID, its encoded result body and the
 	// response (nil when Run replaced the simulation). A job is reported
@@ -83,8 +82,6 @@ type Options struct {
 	// SliceHook, when set, is called at every slice boundary with no locks
 	// held; tests use it to make preemption and crashes deterministic.
 	SliceHook func(id string)
-	// Clock overrides time.Now for Info timestamps (tests).
-	Clock func() time.Time
 	// Run, when set, replaces the simulation of every job: the manager
 	// calls it with the job's request and takes its body as the result,
 	// with no slices. For tests only; production leaves it nil.
@@ -100,9 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetainTerminal <= 0 {
 		o.RetainTerminal = 1024
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
 	}
 	return o
 }
@@ -199,7 +193,7 @@ func Open(opts Options) (*Manager, error) {
 		}
 		opts.Classes = cs
 	}
-	sched, err := NewScheduler(opts.Classes, opts.Aging)
+	sched, err := NewScheduler(opts.Classes, defaultAging)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +249,7 @@ func (m *Manager) recover(recs []walRecord) error {
 			j := &job{
 				ID: rec.ID, Kind: rec.Kind, Class: class, Req: rec.Request,
 				State: StateQueued, Submitted: rec.At,
-				events: newEventLog(m.opts.Clock), async: true,
+				events: newEventLog(), async: true,
 			}
 			m.jobs[rec.ID] = j
 			m.order = append(m.order, rec.ID)
@@ -309,7 +303,7 @@ func (m *Manager) recover(recs []walRecord) error {
 		if j.Kind != KindCollect && !j.State.Terminal() {
 			j.State = StateFailed
 			j.ErrMsg = errLegacySweep
-			j.Finished = m.opts.Clock()
+			j.Finished = time.Now()
 		}
 	}
 	if err := m.compact(len(recs) > 0); err != nil {
@@ -430,9 +424,10 @@ func (m *Manager) Submit(class string, canonical []byte) (Info, bool, error) {
 // its next slice boundary when no runner is idle. It fails with
 // ErrQueueFull when that would queue more such jobs than
 // Options.QueueDepth, and ErrDraining once Drain has begun. It returns when
-// the job finishes, when ctx ends, or with ErrPreempted when a draining
+// the job finishes, when ctx ends, with ErrPreempted when a draining
 // manager with a Dir leaves the job queued (it stays in the WAL for the
-// next Open). When the last waiter gives up on a job that is still queued,
+// next Open), or with ErrMigrated when Release hands the job to another
+// backend. When the last waiter gives up on a job that is still queued,
 // has no parked collection and that no Submit asked for, the job is
 // withdrawn, unless a draining manager with a Dir keeps it.
 func (m *Manager) Collect(ctx context.Context, key string, canonical []byte) ([]byte, error) {
@@ -458,7 +453,7 @@ func (m *Manager) Collect(ctx context.Context, key string, canonical []byte) ([]
 		case j.State == StateCancelled:
 			err = fmt.Errorf("jobs: collect job %s was cancelled", j.ID)
 		case j.State == StateMigrated:
-			err = ErrPreempted
+			err = ErrMigrated
 		case j.State == StateQueued && m.closed && m.opts.Dir != "":
 			err = ErrPreempted // a draining durable manager runs it no further
 		default:
@@ -512,7 +507,7 @@ func (m *Manager) admitLocked(id, class string, canonical []byte, sync bool) (j 
 	if full {
 		return nil, false, ErrQueueFull
 	}
-	now := m.opts.Clock()
+	now := time.Now()
 	if ok {
 		// For migrated jobs: the work moved away but a client asked this
 		// backend again, so it runs here afresh — determinism makes the
@@ -525,12 +520,12 @@ func (m *Manager) admitLocked(id, class string, canonical []byte, sync bool) (j 
 		j.Finished = time.Time{}
 		j.cancel.Store(false)
 		j.migrateOut.Store(false)
-		j.events = newEventLog(m.opts.Clock)
+		j.events = newEventLog()
 	} else {
 		j = &job{
 			ID: id, Kind: KindCollect, Class: class, Req: append([]byte(nil), canonical...),
 			State: StateQueued, Submitted: now,
-			events: newEventLog(m.opts.Clock),
+			events: newEventLog(),
 		}
 		if err := m.wal.Append(walRecord{Type: recSubmit, ID: id, Kind: KindCollect, Class: class, Request: j.Req, At: now}); err != nil {
 			return nil, false, err
@@ -673,7 +668,7 @@ func (m *Manager) runJob(j *job) {
 	m.started.Add(1)
 	j.State = StateRunning
 	if j.Started.IsZero() {
-		j.Started = m.opts.Clock()
+		j.Started = time.Now()
 	}
 	m.running[j.ID] = j
 	m.metrics.running.Add(1)
@@ -731,7 +726,7 @@ func cancelOutcome(j *job) State {
 // hold m.mu. WAL errors are tolerated here: the in-memory state still
 // serves, and determinism makes re-execution after a restart safe.
 func (m *Manager) finishLocked(j *job, state State, body []byte, errMsg string) {
-	now := m.opts.Clock()
+	now := time.Now()
 	j.State = state
 	j.ErrMsg = errMsg
 	j.ResultBody = body
@@ -921,7 +916,7 @@ func (m *Manager) AppendAux(tag, id string, payload []byte) error {
 	if m.closed {
 		return ErrDraining
 	}
-	a := AuxRecord{Tag: tag, ID: id, Payload: append([]byte(nil), payload...), At: m.opts.Clock()}
+	a := AuxRecord{Tag: tag, ID: id, Payload: append([]byte(nil), payload...), At: time.Now()}
 	if err := m.wal.Append(walRecord{Type: recAux, ID: a.ID, Kind: a.Tag, Body: a.Payload, At: a.At}); err != nil {
 		return err
 	}
@@ -1017,7 +1012,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 // it to another backend: a queued job leaves the scheduler and finishes
 // immediately; a running job is flagged and finishes as migrated at its
 // next slice boundary (the returned Info then still says running). Its
-// Collect waiters get ErrPreempted. Releasing an already-migrated job is
+// Collect waiters get ErrMigrated. Releasing an already-migrated job is
 // idempotent; other terminal states return ErrTerminal with their final
 // Info.
 func (m *Manager) Release(id string) (Info, error) {

@@ -92,6 +92,8 @@ func (s *Server) executeStatus(err error) (int, string) {
 		return http.StatusServiceUnavailable, "server is shutting down"
 	case errors.Is(err, jobs.ErrPreempted):
 		return http.StatusServiceUnavailable, "job preempted by shutdown; retry after restart"
+	case errors.Is(err, jobs.ErrMigrated):
+		return http.StatusServiceUnavailable, "job moved to another backend by a fleet rebalance; retry the request"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout, fmt.Sprintf("request deadline (%s) exceeded while collect", s.opts.Timeout)
 	default:

@@ -33,8 +33,8 @@ func release(t *testing.T, ts *httptest.Server, id string) (int, string) {
 
 // TestJobsReleaseOverHTTP covers the release half of a fleet job move: a
 // running job released here ends as migrated at its next slice boundary,
-// the request still waiting for it gets a 503 the fleet retries on the new
-// owner, its result is gone, and a second release is idempotent. Absent
+// the request still waiting for it gets a 503 naming the move, which the
+// fleet retries on the new owner, its result is gone, and a second release is idempotent. Absent
 // and finished jobs, and the endpoint's other methods, are refused.
 func TestJobsReleaseOverHTTP(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, JobsDir: t.TempDir(), SliceCycles: syncSliceCycles})
@@ -56,8 +56,9 @@ func TestJobsReleaseOverHTTP(t *testing.T) {
 	if !ok {
 		t.Fatal("released sync collect got no response")
 	}
-	if r.code != http.StatusServiceUnavailable {
-		t.Fatalf("released sync collect answered %d: %s, want 503", r.code, r.body)
+	const moved = `{"Error":"job moved to another backend by a fleet rebalance; retry the request"}` + "\n"
+	if r.code != http.StatusServiceUnavailable || string(r.body) != moved {
+		t.Fatalf("released sync collect answered %d: %s, want 503 %s", r.code, r.body, moved)
 	}
 	if resp, _ := get(t, ts, "/v1/jobs/"+key+"/result"); resp.StatusCode != http.StatusGone {
 		t.Fatalf("migrated result: status %d, want 410", resp.StatusCode)

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"hwgc"
+	"hwgc/internal/jobs"
 	"hwgc/internal/sweep"
 )
 
@@ -311,6 +313,58 @@ func TestSweepsMaxScale(t *testing.T) {
 		`{"Space":{"Benches":["jlisp"],"Scales":[4],"Base":{}}}`)
 	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte("exceeds server limit")) {
 		t.Fatalf("over-scale sweep: %d %s", resp.StatusCode, data)
+	}
+}
+
+// TestSweepsRecoverDropsUnbuildableSpace: a jobs directory that holds a
+// sweep accepted before its benchmark's largest buildable scale was
+// enforced (cup at scale 15) still opens. That sweep is dropped, and the
+// sweep recorded after it is recovered.
+func TestSweepsRecoverDropsUnbuildableSpace(t *testing.T) {
+	dir := t.TempDir()
+	m, err := jobs.Open(jobs.Options{Dir: dir, Runners: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	atBound := hwgc.SweepSpace{Benches: []string{"cup"}, Scales: []int{14}}
+	canonical, err := atBound.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The canonical bytes an older server stored for the cup scale-15 space.
+	pastBound := bytes.Replace(canonical, []byte(`"Scales":[14]`), []byte(`"Scales":[15]`), 1)
+	if bytes.Equal(pastBound, canonical) {
+		t.Fatalf("no Scales field in %s", canonical)
+	}
+	kept := hwgc.SweepSpace{Benches: []string{"jlisp"}}
+	keptID, err := kept.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keptCanonical, err := kept.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []struct {
+		id    string
+		space []byte
+	}{{"unbuildable", pastBound}, {keptID, keptCanonical}} {
+		if err := m.AppendAux("sweep", rec.id, []byte(`{"Space":`+string(rec.space)+`}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Options{Workers: 1, JobsDir: dir})
+	if resp, data := get(t, ts, "/v1/sweeps/unbuildable"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("dropped sweep: %d %s, want 404", resp.StatusCode, data)
+	}
+	if resp, data := get(t, ts, "/v1/sweeps/"+keptID); resp.StatusCode != http.StatusOK {
+		t.Errorf("recovered sweep: %d %s, want 200", resp.StatusCode, data)
 	}
 }
 

@@ -62,11 +62,6 @@ func (h *Hist) Quantile(q float64) float64 {
 	return h.max.Seconds()
 }
 
-// QuantileDuration returns an upper bound on the q-quantile as a Duration.
-func (h *Hist) QuantileDuration(q float64) time.Duration {
-	return time.Duration(h.Quantile(q) * float64(time.Second))
-}
-
 // Count returns the number of samples observed.
 func (h *Hist) Count() int64 { return h.count }
 

@@ -227,13 +227,6 @@ func (s *Summary) Observe(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// QuantileDuration returns the upper-bound estimate of the q-quantile.
-func (s *Summary) QuantileDuration(q float64) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h.QuantileDuration(q)
-}
-
 var quantileLabel = []string{"quantile"}
 
 func (s *Summary) samples(b []byte, name string) []byte {

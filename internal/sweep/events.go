@@ -51,4 +51,4 @@ func (ev Event) Frame() (int64, string, bool) { return ev.Seq, ev.Type, ev.termi
 // events behind loses events rather than blocking completions: the sweep
 // Info remains the authoritative record, and Last-Event-ID replays what the
 // ring still holds.
-func newEventLog() *events.Log[Event] { return events.NewLog[Event](nil, 16384, 64) }
+func newEventLog() *events.Log[Event] { return events.NewLog[Event](16384, 64) }

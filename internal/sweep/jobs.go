@@ -68,7 +68,10 @@ func (r *JobsRunner) Admit(id string, canonical []byte, class string) (string, e
 func (r *JobsRunner) Cancelled(id string) error { return r.jobs.AppendAux(auxCancelTag, id, nil) }
 
 // Persisted replays the aux records. A class the manager no longer has
-// falls back to the default class.
+// falls back to the default class. A space that no longer canonicalizes
+// (a bound tightened since it was accepted, such as a benchmark's largest
+// buildable scale) is dropped: none of its points could run, and refusing
+// the whole log would keep the server from starting.
 func (r *JobsRunner) Persisted() ([]Persisted, error) {
 	var out []Persisted
 	index := make(map[string]int)
@@ -84,7 +87,7 @@ func (r *JobsRunner) Persisted() ([]Persisted, error) {
 			}
 			sp, err := hwgc.DecodeSweepSpace(bytes.NewReader(ax.Space))
 			if err != nil {
-				return nil, fmt.Errorf("sweep: aux record %s: %w", a.ID, err)
+				continue
 			}
 			class := ax.Class
 			if class == "" || !r.jobs.HasClass(class) {

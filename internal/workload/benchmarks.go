@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"hwgc/internal/object"
 )
 
 // Spec is a named benchmark workload.
@@ -14,6 +16,19 @@ type Spec struct {
 	// Plan builds the object graph. scale ≥ 1 multiplies the problem size;
 	// seed drives all randomized choices deterministically.
 	Plan func(scale int, seed int64) *Plan
+	// MaxScale is the largest scale whose plan passes Plan.Validate: past
+	// it, an object whose pointer count grows with scale exceeds
+	// object.MaxPi. Zero means no pointer count grows with scale.
+	MaxScale int
+}
+
+// CheckScale refuses a scale past s.MaxScale, whose plan could not be
+// built. It compares two integers and builds nothing.
+func (s Spec) CheckScale(scale int) error {
+	if s.MaxScale > 0 && scale > s.MaxScale {
+		return fmt.Errorf("workload: %s scale %d exceeds its largest buildable scale %d", s.Name, scale, s.MaxScale)
+	}
+	return nil
 }
 
 // The registry of paper benchmarks, in the order of the paper's tables.
@@ -27,6 +42,8 @@ var specs = []Spec{
 		Name: "cup",
 		Desc: "parser tables with enormous breadth; gray population overflows the header FIFO",
 		Plan: generate(cupPlan),
+		// A second-level table holds cupTableFan pointers per scale.
+		MaxScale: object.MaxPi / cupTableFan,
 	},
 	{
 		Name: "db",
@@ -42,6 +59,8 @@ var specs = []Spec{
 		Name: "javacc",
 		Desc: "wide parse tree; scales well",
 		Plan: generate(javaccPlan),
+		// The root holds one pointer per scale.
+		MaxScale: object.MaxPi,
 	},
 	{
 		Name: "jflex",
@@ -52,6 +71,8 @@ var specs = []Spec{
 		Name: "jlisp",
 		Desc: "small heap of cons cells and atoms; the smallest benchmark",
 		Plan: generate(jlispPlan),
+		// The root holds jlispListsPerScale pointers per scale.
+		MaxScale: object.MaxPi / jlispListsPerScale,
 	},
 	{
 		Name: "search",
@@ -62,6 +83,8 @@ var specs = []Spec{
 		Name: "blob",
 		Desc: "a handful of huge buffer objects; object-level parallelism is bounded by the object count, sub-object strides are not",
 		Plan: generate(blobPlan),
+		// The directory holds blobsPerScale pointers per scale.
+		MaxScale: object.MaxPi / blobsPerScale,
 	},
 }
 
@@ -134,6 +157,10 @@ func searchPlan(p *Plan, rng *rand.Rand, scale int) {
 	p.sprinkleGarbage(rng, garbage, 4)
 }
 
+// cupTableFan is the pointer count per scale of each of cup's
+// second-level tables.
+const cupTableFan = 280
+
 // cupPlan models the CUP parser generator's action tables: a root table
 // fanning out to second-level tables fanning out to tens of thousands of
 // small entries. The gray population peaks far above the 32k-entry header
@@ -141,7 +168,7 @@ func searchPlan(p *Plan, rng *rand.Rand, scale int) {
 // benchmark with significant scan-lock stalls).
 func cupPlan(p *Plan, rng *rand.Rand, scale int) {
 	const fan1, garbage = 160, 4000
-	fan2 := 280 * scale
+	fan2 := cupTableFan * scale
 	p.reserve(1 + fan1*(1+fan2) + garbage)
 	root := p.NewObj(fan1, 2)
 	for i := 0; i < fan1; i++ {
@@ -278,6 +305,10 @@ func jflexPlan(p *Plan, rng *rand.Rand, scale int) {
 	p.sprinkleGarbage(rng, garbage, 4)
 }
 
+// blobsPerScale is the number of blobs per scale, all under one directory
+// object.
+const blobsPerScale = 6
+
 // blobPlan is the extension workload for the Section VII stride experiment:
 // a handful of huge buffer objects (image planes, compression ring buffers)
 // under a single directory object. The object count bounds the object-level
@@ -287,7 +318,7 @@ func jflexPlan(p *Plan, rng *rand.Rand, scale int) {
 // large objects do not defeat object granularity: the next pointer sits at
 // the start of the body, so discovery cascades far ahead of the copies.)
 func blobPlan(p *Plan, rng *rand.Rand, scale int) {
-	n, garbage := 6*scale, 32*scale
+	n, garbage := blobsPerScale*scale, 32*scale
 	p.reserve(1 + n + garbage)
 	dir := p.NewObj(n, 2)
 	for i := 0; i < n; i++ {
@@ -298,12 +329,15 @@ func blobPlan(p *Plan, rng *rand.Rand, scale int) {
 	p.sprinkleGarbage(rng, garbage, 32)
 }
 
+// jlispListsPerScale is the number of lists per scale, all under one root.
+const jlispListsPerScale = 24
+
 // jlispPlan models a small Lisp interpreter heap: cons cells and atoms in
 // random trees. The smallest benchmark (the paper's jlisp collection cycle
 // is an order of magnitude shorter than the others).
 func jlispPlan(p *Plan, rng *rand.Rand, scale int) {
 	const depth = 7
-	nAtoms, nLists, garbage := 400*scale, 24*scale, 500*scale
+	nAtoms, nLists, garbage := 400*scale, jlispListsPerScale*scale, 500*scale
 	// Each list holds at most a full binary tree of depth-1 cons levels.
 	p.reserve(nAtoms + 1 + nLists*treeSize(2, depth-1) + garbage)
 	atoms := make([]int, nAtoms)

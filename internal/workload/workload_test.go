@@ -32,6 +32,40 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestMaxScaleIsBuildable: every spec's plan validates at its largest
+// scale (capped at 64, so the test stays cheap), and cup, whose bound is
+// the smallest, fails one scale past it.
+func TestMaxScaleIsBuildable(t *testing.T) {
+	const maxTested = 64
+	for _, spec := range All() {
+		scale := spec.MaxScale
+		if scale == 0 || scale > maxTested {
+			scale = maxTested
+		}
+		if err := spec.CheckScale(scale); err != nil {
+			t.Errorf("%s: CheckScale(%d): %v", spec.Name, scale, err)
+		}
+		if err := spec.Plan(scale, 1).Validate(); err != nil {
+			t.Errorf("%s at scale %d: %v", spec.Name, scale, err)
+		}
+	}
+	cup, err := Get("cup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cup.MaxScale != 14 {
+		t.Fatalf("cup MaxScale = %d, want 14 (4095/280)", cup.MaxScale)
+	}
+	if err := cup.Plan(cup.MaxScale+1, 1).Validate(); err == nil {
+		t.Error("cup's plan validates past its MaxScale: the bound is not tight")
+	}
+	for _, scale := range []int{15, 64} {
+		if err := cup.CheckScale(scale); err == nil {
+			t.Errorf("cup CheckScale(%d) accepted", scale)
+		}
+	}
+}
+
 func TestAllPlansBuildAndVerify(t *testing.T) {
 	for _, spec := range All() {
 		spec := spec

@@ -46,11 +46,15 @@ func (r *CollectRequest) Canonicalize() error {
 		}
 		r.Scale, r.Seed = 0, 0
 	default:
-		if _, err := Workload(r.Bench); err != nil {
+		spec, err := Workload(r.Bench)
+		if err != nil {
 			return err
 		}
 		if r.Scale < 1 {
 			r.Scale = 1
+		}
+		if err := spec.CheckScale(r.Scale); err != nil {
+			return err
 		}
 		if r.Seed == 0 {
 			r.Seed = DefaultSeed
@@ -120,7 +124,8 @@ func (r *SweepRequest) Canonicalize() error {
 	if r.Bench == "" {
 		return fmt.Errorf("hwgc: sweep request needs a benchmark name")
 	}
-	if _, err := Workload(r.Bench); err != nil {
+	spec, err := Workload(r.Bench)
+	if err != nil {
 		return err
 	}
 	if len(r.Cores) == 0 {
@@ -131,6 +136,9 @@ func (r *SweepRequest) Canonicalize() error {
 	}
 	if r.Scale < 1 {
 		r.Scale = 1
+	}
+	if err := spec.CheckScale(r.Scale); err != nil {
+		return err
 	}
 	if r.Seed == 0 {
 		r.Seed = DefaultSeed

@@ -53,11 +53,38 @@ func TestCollectRequestRejections(t *testing.T) {
 		"both":          {Bench: "jlisp", Plan: plan},
 		"unknown bench": {Bench: "doom"},
 		"bad config":    {Bench: "jlisp", Config: Config{Cores: 9999}},
+		"cup scale 15":  {Bench: "cup", Scale: 15},
+		"cup scale 64":  {Bench: "cup", Scale: 64},
 	}
 	for name, r := range cases {
 		if err := r.Canonicalize(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestUnbuildableScaleRefused: a named benchmark past its largest buildable
+// scale is refused by every Canonicalize that takes one, and cup at its
+// bound still canonicalizes and builds.
+func TestUnbuildableScaleRefused(t *testing.T) {
+	const want = "workload: cup scale 15 exceeds its largest buildable scale 14"
+	sweep := SweepRequest{Bench: "cup", Cores: []int{1}, Scale: 15}
+	space := SweepSpace{Benches: []string{"jlisp", "cup"}, Scales: []int{1, 15}}
+	for name, canon := range map[string]func() error{
+		"collect": (&CollectRequest{Bench: "cup", Scale: 15}).Canonicalize,
+		"sweep":   sweep.Canonicalize,
+		"space":   space.Canonicalize,
+	} {
+		if err := canon(); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
+	}
+	req := CollectRequest{Bench: "cup", Scale: 14}
+	if err := req.Canonicalize(); err != nil {
+		t.Fatalf("cup at scale 14: %v", err)
+	}
+	if _, err := BuildWorkload(req.Bench, req.Scale, req.Seed); err != nil {
+		t.Fatalf("building cup at scale 14: %v", err)
 	}
 }
 
